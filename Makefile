@@ -9,7 +9,7 @@ BENCH_PATTERN = BenchmarkDiscovery|BenchmarkHTTPDiscovery
 BENCH_TIME    = 2000x
 BENCH_NOTE    = discovery fast path baseline; allocs/op gated at +25%, serving edge at +5%
 
-.PHONY: all build test race vet lint check clean bench benchcheck smoke crashcheck escapecheck escapecheck-emit overloadcheck replcheck
+.PHONY: all build test race vet lint check clean bench benchcheck benchmod smoke crashcheck escapecheck escapecheck-emit overloadcheck replcheck
 
 all: check
 
@@ -28,10 +28,10 @@ vet:
 bin/repolint: $(shell find cmd/repolint tools/analyzers -name '*.go' -not -path '*/testdata/*')
 	$(GO) build -o $@ ./cmd/repolint
 
-# lint runs the repo's own invariant analyzers (wallclock, lockcheck,
-# errwrap, norand, clienttimeout, structlog, atomicwrite, lockorder,
-# ctxprop, gorolife, hotalloc, deadline, metricnames) over every package
-# via the go vet driver.
+# lint runs the repo's own invariant analyzers (bannedcall — the
+# wallclock, norand, structlog and clienttimeout rules — lockcheck,
+# errwrap, atomicwrite, lockorder, ctxprop, gorolife, hotalloc, deadline,
+# metricnames) over every package via the go vet driver.
 lint: bin/repolint
 	$(GO) vet -vettool=$(CURDIR)/bin/repolint ./...
 
@@ -73,6 +73,13 @@ escapecheck:
 # escapecheck-emit regenerates the committed escape baseline.
 escapecheck-emit:
 	$(GO) run ./cmd/escapecheck emit -o ESCAPES_discovery.txt
+
+# benchmod vets and tests the nested benchmark module against this tree.
+# `go test ./...` does not enter bench/, so without this an API break
+# against it shows up only when the benchmark itself is run.
+benchmod:
+	$(GO) vet -C bench ./...
+	$(GO) test -C bench ./...
 
 check: build test vet lint smoke
 

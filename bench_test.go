@@ -12,8 +12,7 @@
 //	H2    BenchmarkCollectorPeriodSweep/*      imbalance vs collection period
 //	T3.9  BenchmarkAccessRegistryExecute       the XML API round trip
 //	—     BenchmarkConstraintParse, BenchmarkSQLQuery, BenchmarkFilterQuery,
-//	      BenchmarkSOAPRoundTrip, BenchmarkEbMSRoundTrip,
-//	      BenchmarkFederatedFind, BenchmarkCPACompose   substrate costs
+//	      BenchmarkSOAPRoundTrip, BenchmarkFederatedFind   substrate costs
 //
 // Run with: go test -bench=. -benchmem
 package repro_test
@@ -32,8 +31,6 @@ import (
 	"repro/internal/admit"
 	"repro/internal/constraint"
 	"repro/internal/core"
-	"repro/internal/cpa"
-	"repro/internal/ebms"
 	"repro/internal/federation"
 	"repro/internal/flight"
 	"repro/internal/hostsim"
@@ -44,7 +41,6 @@ import (
 	"repro/internal/mtc"
 	"repro/internal/nodestate"
 	"repro/internal/nodestatus"
-	"repro/internal/obs"
 	"repro/internal/qm"
 	"repro/internal/registry"
 	"repro/internal/rim"
@@ -548,23 +544,6 @@ func BenchmarkSOAPRoundTrip(b *testing.B) {
 	}
 }
 
-// BenchmarkEbMSRoundTrip measures one reliable message exchange over HTTP
-// (send + receive + duplicate bookkeeping + acknowledgment).
-func BenchmarkEbMSRoundTrip(b *testing.B) {
-	r := ebms.NewReceiver(nil, simclock.Real{})
-	srv := httptest.NewServer(r.HTTPHandler())
-	defer srv.Close()
-	s := ebms.NewReliableSender(ebms.HTTPTransport{Client: srv.Client()}, simclock.Real{})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m := ebms.NewMessage("urn:a", "urn:b", "urn:svc", "Ping", "x", benchEpoch)
-		if _, err := s.Send(srv.URL, m); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkFederatedFind measures a two-member federated search (one
 // local member, one remote over HTTP).
 func BenchmarkFederatedFind(b *testing.B) {
@@ -600,87 +579,14 @@ func BenchmarkFederatedFind(b *testing.B) {
 	}
 }
 
-// BenchmarkCPACompose measures agreement formation from two profiles.
-func BenchmarkCPACompose(b *testing.B) {
-	a := &cpa.CPP{
-		PartyID: "urn:duns:1", PartyName: "A",
-		Roles:       []cpa.Role{{ProcessName: "PurchaseOrder", Name: "Buyer"}},
-		Transports:  []cpa.Transport{{Protocol: "HTTPS", Endpoint: "https://a/msh"}},
-		Reliability: cpa.Reliability{Retries: 3, RetryInterval: time.Second, DuplicateElimination: true},
-	}
-	c := &cpa.CPP{
-		PartyID: "urn:duns:2", PartyName: "B",
-		Roles:       []cpa.Role{{ProcessName: "PurchaseOrder", Name: "Seller"}},
-		Transports:  []cpa.Transport{{Protocol: "HTTPS", Endpoint: "https://b/msh"}},
-		Reliability: cpa.Reliability{Retries: 5, RetryInterval: 2 * time.Second, DuplicateElimination: true},
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := cpa.Compose(a, c); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// --- metrics primitives: atomic vs mutex baselines -----------------------
+// --- metrics primitives ----------------------------------------------------
 //
 // internal/metrics.Counter and GaugeSet sit on the discovery fast path
-// (constraint-cache hit counters, breaker-state reads), so they were
-// converted from sync.Mutex to sync/atomic. The *Mutex variants below
-// reimplement the old guarded versions inline as the "before" baseline;
-// the *Atomic variants exercise the shipped types. Names deliberately do
-// not match the BenchmarkDiscovery prefix, so the allocs/op CI gate
-// (BENCH_PATTERN=BenchmarkDiscovery) ignores them.
-
-type mutexCounter struct {
-	mu sync.Mutex
-	n  int64 // guarded by mu
-}
-
-func (c *mutexCounter) Inc() {
-	c.mu.Lock()
-	c.n++
-	c.mu.Unlock()
-}
-
-func (c *mutexCounter) Value() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.n
-}
-
-type mutexGaugeSet struct {
-	mu   sync.Mutex
-	vals map[string]float64 // guarded by mu
-}
-
-func (g *mutexGaugeSet) Set(label string, v float64) {
-	g.mu.Lock()
-	if g.vals == nil {
-		g.vals = make(map[string]float64)
-	}
-	g.vals[label] = v
-	g.mu.Unlock()
-}
-
-func (g *mutexGaugeSet) Value(label string) float64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.vals[label]
-}
-
-func BenchmarkMetricsCounterMutex(b *testing.B) {
-	var c mutexCounter
-	b.ReportAllocs()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			c.Inc()
-		}
-	})
-	if c.Value() == 0 {
-		b.Fatal("counter did not move")
-	}
-}
+// (constraint-cache hit counters, breaker-state reads) and are built on
+// sync/atomic; EXPERIMENTS.md records what the sync.Mutex versions they
+// replaced cost. Names deliberately do not match the BenchmarkDiscovery
+// prefix, so the allocs/op CI gate (BENCH_PATTERN=BenchmarkDiscovery)
+// ignores them.
 
 func BenchmarkMetricsCounterAtomic(b *testing.B) {
 	var c metrics.Counter
@@ -693,25 +599,6 @@ func BenchmarkMetricsCounterAtomic(b *testing.B) {
 	if c.Value() == 0 {
 		b.Fatal("counter did not move")
 	}
-}
-
-func BenchmarkMetricsGaugeSetMutex(b *testing.B) {
-	var g mutexGaugeSet
-	for i := 0; i < 8; i++ {
-		g.Set(fmt.Sprintf("host-%d:8080", i), float64(i))
-	}
-	b.ReportAllocs()
-	b.RunParallel(func(pb *testing.PB) {
-		i := 0
-		for pb.Next() {
-			if i%16 == 0 {
-				g.Set("host-3:8080", float64(i))
-			} else {
-				_ = g.Value("host-3:8080")
-			}
-			i++
-		}
-	})
 }
 
 func BenchmarkMetricsGaugeSetAtomic(b *testing.B) {
@@ -735,14 +622,16 @@ func BenchmarkMetricsGaugeSetAtomic(b *testing.B) {
 
 // --- tracing overhead on the discovery warm path --------------------------
 //
-// BenchmarkTracingOverhead quantifies what PR 4's observability costs the
-// PR 3 fast path. "disabled" is the production default — tracing compiled
-// in, sampling off — and must match BenchmarkDiscoveryFastPath/warm
-// (zero extra allocations: obs.TraceFrom returns nil and every span
-// method no-ops on the nil receiver). "sampled" traces every request, the
-// worst case; its cost is the one-time Trace allocation plus span
-// bookkeeping, and is deliberately NOT part of the allocs/op CI gate
-// (the name avoids the BenchmarkDiscovery prefix).
+// BenchmarkTracingOverhead quantifies what sampling a request costs the
+// balancer's warm path. Each iteration does what the edge wrapper does
+// around a discovery: borrow a frame, offer it to the sampler, run the
+// query manager (under the frame's context when picked), append the
+// record. "disabled" is the production default — sampling off — and must
+// add nothing to BenchmarkDiscoveryFastPath/warm (flight.TimerFrom returns
+// nil and every stage call no-ops on the nil receiver). "sampled" picks
+// every request, the worst case; its cost is the id, the context, the
+// boxed stages and ten clock reads, and is deliberately NOT part of the
+// allocs/op CI gate (the name avoids the BenchmarkDiscovery prefix).
 func BenchmarkTracingOverhead(b *testing.B) {
 	const hosts = 8
 	setup := func(b *testing.B, sample int) (*registry.Registry, *rim.Service) {
@@ -777,32 +666,29 @@ func BenchmarkTracingOverhead(b *testing.B) {
 		return reg, svc
 	}
 
-	b.Run("disabled", func(b *testing.B) {
-		reg, svc := setup(b, 0)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			tr := reg.Tracer.Start() // always nil at sample 0
-			uris, _, err := reg.QM.GetServiceBindingsCtx(obs.WithTrace(context.Background(), tr), svc.ID)
-			reg.Tracer.Finish(tr)
-			if err != nil || len(uris) == 0 {
-				b.Fatal(uris, err)
+	for _, mode := range []struct {
+		name   string
+		sample int
+	}{{"disabled", 0}, {"sampled", 1}} {
+		b.Run(mode.name, func(b *testing.B) {
+			reg, svc := setup(b, mode.sample)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				fw := flight.GetWriter(nil)
+				ctx := context.Background()
+				if reg.Sampler.Sample(fw) {
+					ctx = flight.WithFrame(ctx, fw)
+				}
+				uris, _, err := reg.QM.GetServiceBindingsCtx(ctx, svc.ID)
+				reg.Flight.Append(&fw.Rec)
+				flight.PutWriter(fw)
+				if err != nil || len(uris) == 0 {
+					b.Fatal(uris, err)
+				}
 			}
-		}
-	})
-	b.Run("sampled", func(b *testing.B) {
-		reg, svc := setup(b, 1)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			tr := reg.Tracer.Start()
-			uris, _, err := reg.QM.GetServiceBindingsCtx(obs.WithTrace(context.Background(), tr), svc.ID)
-			reg.Tracer.Finish(tr)
-			if err != nil || len(uris) == 0 {
-				b.Fatal(uris, err)
-			}
-		}
-	})
+		})
+	}
 }
 
 // --- end-to-end HTTP discovery: the zero-allocation serving edge ---------

@@ -1,11 +1,11 @@
 // Command regserver runs the load-balancing ebXML registry server: the
 // SOAP and HTTP-GET bindings of thesis Fig. 2.1 plus the NodeStatus
-// collection loop of §3.2. State can be snapshotted to disk on shutdown
-// and restored on start.
+// collection loop of §3.2. State lives in memory unless -data-dir names a
+// durability directory.
 //
 // Usage:
 //
-//	regserver -addr :8080 -policy filter -period 25s -snapshot registry.json
+//	regserver -addr :8080 -policy filter -period 25s -data-dir /var/lib/registry
 //
 // Policies: stock (no balancing), filter (thesis), rank-first,
 // least-loaded.
@@ -37,8 +37,6 @@
 // a kill -9 loses nothing. -fsync picks the flush policy
 // (always|interval|never), -fsync-interval bounds loss under interval,
 // and -checkpoint-bytes/-checkpoint-records tune automatic checkpoints.
-// The legacy -snapshot flag (graceful-shutdown-only persistence) still
-// works for registries that can tolerate crash loss.
 //
 // Overload resilience: -admission (default on) puts every serving route
 // behind per-class admission control — bounded in-flight and wait-queue
@@ -66,20 +64,21 @@
 // -repl-poll-wait, -repl-max-batch, -repl-backoff, -repl-backoff-max, and
 // -repl-seed tune the tailer loop.
 //
-// Observability: /registry/metrics serves Prometheus text exposition and
-// /registry/traces the sampled discovery traces. -trace-sample N traces
-// every Nth discovery request (0 = off), -trace-ring bounds retained
-// traces, -log-level/-log-format configure structured logging, and -pprof
-// mounts net/http/pprof under /debug/pprof/. The always-on flight
-// recorder keeps one fixed-size record per edge request in a lock-free
-// ring served with filtering at /registry/flight (-flight-ring bounds it;
-// negative disables), per-sweep balance-quality rollups and multi-window
-// SLO burn rates export as registry_balance_*/registry_slo_* series
-// (-slo-availability, -slo-latency, -slo-latency-quantile set the
-// objectives), /registry/health carries a per-component rollup, and
-// /registry/debug/bundle captures config, metrics, flight records,
-// traces, WAL position, and (with ?goroutines=1) a goroutine dump in one
-// request.
+// Observability: /registry/metrics serves Prometheus text exposition.
+// The always-on flight recorder keeps one fixed-size record per edge
+// request in a lock-free ring served with filtering at /registry/flight
+// (-flight-ring bounds it; negative disables). -trace-sample N gives every
+// Nth request on the discovery routes a trace id (echoed in the
+// X-Registry-Trace header) and per-stage timings in its record (0 = off;
+// refused together with a disabled ring); /registry/traces serves those
+// records. -log-level/-log-format configure structured logging, and -pprof
+// mounts net/http/pprof under /debug/pprof/. Per-sweep balance-quality
+// rollups and multi-window SLO burn rates export as
+// registry_balance_*/registry_slo_* series (-slo-availability,
+// -slo-latency, -slo-latency-quantile set the objectives),
+// /registry/health carries a per-component rollup, and
+// /registry/debug/bundle captures config, metrics, flight records, WAL
+// position, and (with ?goroutines=1) a goroutine dump in one request.
 package main
 
 import (
@@ -104,10 +103,9 @@ import (
 
 func main() {
 	var (
-		addr     = flag.String("addr", ":8080", "listen address")
-		policy   = flag.String("policy", "filter", "balancing policy: stock|filter|rank-first|least-loaded")
-		period   = flag.Duration("period", 25*time.Second, "NodeStatus collection period")
-		snapshot = flag.String("snapshot", "", "snapshot file to load on start and save on shutdown")
+		addr   = flag.String("addr", ":8080", "listen address")
+		policy = flag.String("policy", "filter", "balancing policy: stock|filter|rank-first|least-loaded")
+		period = flag.Duration("period", 25*time.Second, "NodeStatus collection period")
 
 		dataDir     = flag.String("data-dir", "", "durability directory: WAL + checkpoints; every write survives a crash")
 		fsyncPolicy = flag.String("fsync", "always", "WAL flush policy: always|interval|never")
@@ -162,8 +160,7 @@ func main() {
 
 		logLevel    = flag.String("log-level", "info", "log level: debug|info|warn|error")
 		logFormat   = flag.String("log-format", "text", "log format: text|json")
-		traceSample = flag.Int("trace-sample", 0, "trace every Nth discovery request (0 = tracing off)")
-		traceRing   = flag.Int("trace-ring", 0, "finished traces retained for /registry/traces (0 = default 256)")
+		traceSample = flag.Int("trace-sample", 0, "trace every Nth discovery request (0 = tracing off; needs the flight ring)")
 		flightRing  = flag.Int("flight-ring", 0, "flight-recorder record ring for /registry/flight (0 = default 4096, negative = recorder off)")
 		sloAvail    = flag.Float64("slo-availability", 0, "availability objective for burn rates (0 = default 0.999)")
 		sloLatency  = flag.Duration("slo-latency", 0, "latency objective for burn rates (0 = default 250ms)")
@@ -209,7 +206,6 @@ func main() {
 
 		Logger:      logger,
 		TraceSample: *traceSample,
-		TraceRing:   *traceRing,
 		FlightRing:  *flightRing,
 		Pprof:       *pprofFlag,
 
@@ -229,9 +225,6 @@ func main() {
 			os.Exit(1)
 		case *dataDir != "":
 			logger.Error("-repl-follow and -data-dir are mutually exclusive: the follower's replication state directory (-repl-dir) is its durability")
-			os.Exit(1)
-		case *snapshot != "":
-			logger.Error("-repl-follow and -snapshot are mutually exclusive: follower state comes from the leader")
 			os.Exit(1)
 		}
 	}
@@ -283,31 +276,6 @@ func main() {
 	if err != nil {
 		logger.Error("registry construction failed", "error", err)
 		os.Exit(1)
-	}
-
-	if *snapshot != "" && *dataDir != "" {
-		logger.Error("-snapshot and -data-dir are mutually exclusive: the data dir already restored state and a snapshot load would bypass the write-ahead log")
-		os.Exit(1)
-	}
-	if *snapshot != "" {
-		f, err := os.Open(*snapshot)
-		switch {
-		case err == nil:
-			if err := reg.Store.Load(f); err != nil {
-				logger.Error("load snapshot failed", "file", *snapshot, "error", err)
-				os.Exit(1)
-			}
-			f.Close()
-			logger.Info("snapshot restored", "objects", reg.Store.Len(), "file", *snapshot)
-		case os.IsNotExist(err):
-			// First boot: no snapshot yet, start empty.
-			logger.Info("no snapshot yet, starting empty", "file", *snapshot)
-		default:
-			// Permission or I/O trouble is not "start empty" — booting an
-			// empty registry over an unreadable snapshot loses data.
-			logger.Error("open snapshot failed", "file", *snapshot, "error", err)
-			os.Exit(1)
-		}
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
@@ -373,14 +341,6 @@ func main() {
 			os.Exit(1)
 		}
 		logger.Info("durability closed", "objects", reg.Store.Len(), "dir", *dataDir)
-	}
-	if *snapshot != "" {
-		err := wal.WriteFileAtomic(*snapshot, reg.Store.Save)
-		if err != nil {
-			logger.Error("save snapshot failed", "file", *snapshot, "error", err)
-			os.Exit(1)
-		}
-		logger.Info("snapshot saved", "objects", reg.Store.Len(), "file", *snapshot)
 	}
 }
 

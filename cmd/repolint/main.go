@@ -1,8 +1,9 @@
 // Command repolint is the repository's static-analysis vettool. It runs
-// the thirteen invariant analyzers — wallclock, lockcheck, errwrap,
-// norand, clienttimeout, structlog, atomicwrite, lockorder, ctxprop,
-// gorolife, hotalloc, deadline, metricnames — over Go packages, enforcing the
-// conventions that keep the registry reproduction deterministic,
+// the ten invariant analyzers — bannedcall (the wallclock, norand,
+// structlog and clienttimeout rules), lockcheck, errwrap, atomicwrite,
+// lockorder, ctxprop, gorolife, hotalloc, deadline, metricnames — over Go
+// packages, enforcing the conventions that keep the registry reproduction
+// deterministic,
 // race-free, fault-tolerant, crash-safe, and observably logged (see
 // DESIGN.md, "Static analysis & invariants").
 //
@@ -38,7 +39,7 @@ import (
 	"strings"
 
 	"repro/tools/analyzers/atomicwrite"
-	"repro/tools/analyzers/clienttimeout"
+	"repro/tools/analyzers/bannedcall"
 	"repro/tools/analyzers/ctxprop"
 	"repro/tools/analyzers/deadline"
 	"repro/tools/analyzers/errwrap"
@@ -48,19 +49,13 @@ import (
 	"repro/tools/analyzers/lockcheck"
 	"repro/tools/analyzers/lockorder"
 	"repro/tools/analyzers/metricnames"
-	"repro/tools/analyzers/norand"
-	"repro/tools/analyzers/structlog"
-	"repro/tools/analyzers/wallclock"
 )
 
 // analyzers is the repolint suite, applied to every checked package.
 var analyzers = []*framework.Analyzer{
-	wallclock.Analyzer,
+	bannedcall.Analyzer,
 	lockcheck.Analyzer,
 	errwrap.Analyzer,
-	norand.Analyzer,
-	clienttimeout.Analyzer,
-	structlog.Analyzer,
 	atomicwrite.Analyzer,
 	lockorder.Analyzer,
 	ctxprop.Analyzer,

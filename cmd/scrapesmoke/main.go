@@ -3,10 +3,11 @@
 // scrapes /registry/metrics and /registry/traces and fails (non-zero
 // exit) when the exposition is malformed, an expected metric family is
 // missing, or a discovery's X-Registry-Trace id cannot be retrieved from
-// the trace ring. A final phase turns sampling off and exercises the
-// response cache end to end: hit/miss/entry counts must scrape exactly,
-// the frozen router's 404 counter must tick, and an LCM write must
-// invalidate. The balance phase then sweeps once and asserts the
+// the flight ring. Every request is sampled throughout, and the response
+// cache must serve them all the same: the next phase exercises it end to
+// end — hit/miss/entry counts must scrape exactly, the frozen router's
+// 404 counter must tick, and an LCM write must invalidate. The balance
+// phase then sweeps once and asserts the
 // registry_balance_* / registry_slo_* families scrape with the exact
 // values the driven traffic implies, and that every request left a
 // retrievable flight record and the diagnostic bundle carries all its
@@ -105,8 +106,9 @@ func run() error {
 	client := &http.Client{Timeout: 10 * time.Second}
 
 	// Drive a few discoveries; every one is sampled (TraceSample=1) and
-	// must echo a trace id.
-	var traceID string
+	// must echo a trace id. The first runs the balancer, the rest are
+	// answered from the response cache it filled.
+	var missID, hitID string
 	for i := 0; i < 5; i++ {
 		resp, err := client.Get(base + "/registry/bindings?service=Adder")
 		if err != nil {
@@ -117,9 +119,12 @@ func run() error {
 		if resp.StatusCode != http.StatusOK {
 			return fmt.Errorf("bindings status %d", resp.StatusCode)
 		}
-		traceID = resp.Header.Get("X-Registry-Trace")
-		if traceID == "" {
+		hitID = resp.Header.Get("X-Registry-Trace")
+		if hitID == "" {
 			return fmt.Errorf("discovery response missing X-Registry-Trace header")
+		}
+		if i == 0 {
+			missID = hitID
 		}
 	}
 
@@ -129,7 +134,7 @@ func run() error {
 	if err := checkMetrics(client, base); err != nil {
 		return err
 	}
-	if err := checkTraces(client, base, traceID); err != nil {
+	if err := checkTraces(client, base, missID, hitID); err != nil {
 		return err
 	}
 	if err := checkRespCache(client, base, reg); err != nil {
@@ -319,8 +324,8 @@ func checkRepl(epoch time.Time) error {
 }
 
 // smokeDiscoveries is every discovery request the phases above drive: the
-// five traced ones, the response-cache miss + two hits, and the
-// post-invalidation re-render. Each lands one balance assignment, one
+// first five (a miss and four hits), three more response-cache hits, and
+// the post-invalidation re-render. Each lands one balance assignment, one
 // staleness sample, and one flight record.
 const smokeDiscoveries = 9
 
@@ -408,8 +413,9 @@ func checkBalance(client *http.Client, base string, reg *registry.Registry) erro
 }
 
 // checkFlightBundle retrieves the flight ring and the diagnostic bundle:
-// every discovery left exactly one record (the two response-cache hits
-// flagged as such), and the bundle carries all its sections.
+// every discovery left exactly one record (the seven response-cache hits
+// flagged as such), and the bundle carries all its sections, the sampled
+// records repeated under traces.
 func checkFlightBundle(client *http.Client, base string) error {
 	resp, err := client.Get(base + "/registry/flight?n=100")
 	if err != nil {
@@ -449,8 +455,8 @@ func checkFlightBundle(client *http.Client, base string) error {
 			hitRecords++
 		}
 	}
-	if hitRecords != 2 {
-		return fmt.Errorf("flight has %d cache-hit records, want 2", hitRecords)
+	if hitRecords != 7 {
+		return fmt.Errorf("flight has %d cache-hit records, want 7", hitRecords)
 	}
 
 	bresp, err := client.Get(base + "/registry/debug/bundle")
@@ -464,6 +470,7 @@ func checkFlightBundle(client *http.Client, base string) error {
 		Health  map[string]json.RawMessage `json:"health"`
 		Metrics string                     `json:"metrics"`
 		Flight  []json.RawMessage          `json:"flight"`
+		Traces  []json.RawMessage          `json:"traces"`
 		SLO     map[string]json.RawMessage `json:"slo"`
 	}
 	if bresp.StatusCode != http.StatusOK {
@@ -483,8 +490,9 @@ func checkFlightBundle(client *http.Client, base string) error {
 	if !strings.Contains(bundle.Metrics, "registry_balance_fairness_index") {
 		return fmt.Errorf("bundle metrics snapshot missing the balance families")
 	}
-	if len(bundle.Flight) != smokeDiscoveries {
-		return fmt.Errorf("bundle has %d flight records, want %d", len(bundle.Flight), smokeDiscoveries)
+	if len(bundle.Flight) != smokeDiscoveries || len(bundle.Traces) != smokeDiscoveries {
+		return fmt.Errorf("bundle has %d flight records and %d traces, want %d of each",
+			len(bundle.Flight), len(bundle.Traces), smokeDiscoveries)
 	}
 	for _, window := range []string{"5m", "1h"} {
 		if _, ok := bundle.SLO[window]; !ok {
@@ -494,14 +502,14 @@ func checkFlightBundle(client *http.Client, base string) error {
 	return nil
 }
 
-// checkRespCache turns sampling off (the response cache only engages
-// while tracing is unsampled), drives a miss + two hits, ticks the
-// frozen router's 404 counter, and asserts the registry_respcache_* and
+// checkRespCache drives three more hits on the entry the first traced
+// discovery stored (sampling stays on: a trace id lives in a header, so it
+// never keeps a response out of the cache), ticks the frozen router's 404
+// counter, and asserts the registry_respcache_* and
 // registry_edge_rejected_total families scrape with the exact expected
 // values — then proves an LCM write invalidates by watching the next
 // request miss.
 func checkRespCache(client *http.Client, base string, reg *registry.Registry) error {
-	reg.Tracer.SetSample(0)
 	get := func(path string, want int) error {
 		resp, err := client.Get(base + path)
 		if err != nil {
@@ -514,7 +522,7 @@ func checkRespCache(client *http.Client, base string, reg *registry.Registry) er
 		}
 		return nil
 	}
-	for i := 0; i < 3; i++ { // one miss renders + stores, two hits serve preserialized
+	for i := 0; i < 3; i++ { // all served preserialized
 		if err := get("/registry/bindings?service=Adder", http.StatusOK); err != nil {
 			return err
 		}
@@ -547,7 +555,7 @@ func checkRespCache(client *http.Client, base string, reg *registry.Registry) er
 		labels map[string]string
 		value  float64
 	}{
-		{"registry_respcache_hits_total", nil, 2},
+		{"registry_respcache_hits_total", nil, 7},
 		{"registry_respcache_misses_total", nil, 1},
 		{"registry_respcache_entries", nil, 1},
 		{"registry_edge_rejected_total", map[string]string{"reason": "not-found"}, 1},
@@ -581,8 +589,8 @@ func checkRespCache(client *http.Client, base string, reg *registry.Registry) er
 	if v, ok := scrape.Value("registry_respcache_misses_total", nil); !ok || v != 2 {
 		return fmt.Errorf("misses after LCM write = %v (ok=%v), want 2 (write must invalidate)", v, ok)
 	}
-	if v, ok := scrape.Value("registry_respcache_hits_total", nil); !ok || v != 2 {
-		return fmt.Errorf("hits after LCM write = %v (ok=%v), want 2", v, ok)
+	if v, ok := scrape.Value("registry_respcache_hits_total", nil); !ok || v != 7 {
+		return fmt.Errorf("hits after LCM write = %v (ok=%v), want 7", v, ok)
 	}
 	return nil
 }
@@ -708,46 +716,58 @@ func checkMetrics(client *http.Client, base string) error {
 	return nil
 }
 
-func checkTraces(client *http.Client, base, traceID string) error {
-	resp, err := client.Get(base + "/registry/traces")
-	if err != nil {
+// checkTraces reads the sampled requests back as a projection of the
+// flight ring: ?id= retrieves the first discovery's record with the five
+// discovery stages in path order, a later one is the cache hit it was, the
+// list carries both, and a malformed ?n= is refused.
+func checkTraces(client *http.Client, base, missID, hitID string) error {
+	type trace struct {
+		Trace    string `json:"trace"`
+		CacheHit bool   `json:"cacheHit"`
+		Stages   []struct {
+			Name string `json:"name"`
+		} `json:"stages"`
+	}
+	get := func(query string, want int, into interface{}) error {
+		resp, err := client.Get(base + "/registry/traces" + query)
+		if err != nil {
+			return err
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != want {
+			return fmt.Errorf("traces%s status %d, want %d", query, resp.StatusCode, want)
+		}
+		if into == nil {
+			return nil
+		}
+		return json.NewDecoder(resp.Body).Decode(into)
+	}
+	var miss, hit trace
+	if err := get("?id="+missID, http.StatusOK, &miss); err != nil {
 		return err
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("traces status %d", resp.StatusCode)
+	if err := get("?id="+hitID, http.StatusOK, &hit); err != nil {
+		return err
 	}
-	var v struct {
-		SampleRate int               `json:"sampleRate"`
-		Traces     []obs.TraceExport `json:"traces"`
+	if miss.Trace != missID || miss.CacheHit || hit.Trace != hitID || !hit.CacheHit {
+		return fmt.Errorf("traces by id = %+v and %+v, want the miss %s and the cache hit %s", miss, hit, missID, hitID)
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&v); err != nil {
-		return fmt.Errorf("traces is not valid JSON: %w", err)
+	var names []string
+	for _, s := range miss.Stages {
+		names = append(names, s.Name)
 	}
-	if v.SampleRate != 1 {
-		return fmt.Errorf("traces sampleRate = %d, want 1", v.SampleRate)
+	if got, want := strings.Join(names, " "), "view constraint snapshot evaluate arrange"; got != want {
+		return fmt.Errorf("trace %s stages = %q, want %q", missID, got, want)
 	}
-	for _, t := range v.Traces {
-		if t.ID != traceID {
-			continue
-		}
-		names := make([]string, 0, len(t.Spans))
-		for _, s := range t.Spans {
-			names = append(names, s.Name)
-		}
-		for _, want := range []string{"view", "constraint", "snapshot", "evaluate", "arrange"} {
-			found := false
-			for _, n := range names {
-				if n == want {
-					found = true
-					break
-				}
-			}
-			if !found {
-				return fmt.Errorf("trace %s missing span %q (has %v)", traceID, want, names)
-			}
-		}
-		return nil
+	var list struct {
+		SampleRate int     `json:"sampleRate"`
+		Traces     []trace `json:"traces"`
 	}
-	return fmt.Errorf("trace %s from X-Registry-Trace not found in /registry/traces", traceID)
+	if err := get("", http.StatusOK, &list); err != nil {
+		return err
+	}
+	if list.SampleRate != 1 || len(list.Traces) != 5 || list.Traces[0].Trace != hitID {
+		return fmt.Errorf("traces list = %+v, want rate 1 and the five discoveries newest first", list)
+	}
+	return get("?n=abc", http.StatusBadRequest, nil)
 }

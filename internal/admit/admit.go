@@ -73,8 +73,9 @@ type Tier int32
 const (
 	// TierNominal is normal full-quality service.
 	TierNominal Tier = iota
-	// TierNoTrace stops sampling discovery traces: the trace ring and
-	// its allocations are the first ballast overboard.
+	// TierNoTrace stops sampling discovery traces: the per-request ids,
+	// stage clock reads and their allocations are the first ballast
+	// overboard.
 	TierNoTrace
 	// TierStale lets discovery serve RCU snapshots beyond
 	// SnapshotMaxAge: slightly stale load data beats coherent-read

@@ -20,12 +20,11 @@
 package core
 
 import (
-	"strconv"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/constraint"
-	"repro/internal/obs"
+	"repro/internal/flight"
 	"repro/internal/rim"
 	"repro/internal/store"
 )
@@ -317,31 +316,22 @@ func (b *Balancer) ArrangeView(view store.DiscoveryView, now time.Time) ([]strin
 	return b.arrange(view.ID, view.Description, view.URIs, now, nil)
 }
 
-// ArrangeViewTraced is ArrangeView recording span timings onto tr. A nil
-// tr is the common case (sampling off) and costs only nil-receiver calls,
+// ArrangeViewTimed is ArrangeView adding the time each step took to st, the
+// stage timer of a sampled request's flight record. A nil st is the common
+// case (the request was not sampled) and costs only nil-receiver calls,
 // keeping the fast path's allocation budget intact.
 //
-//repolint:hotpath warm discovery chain: traced serving edge
-func (b *Balancer) ArrangeViewTraced(view store.DiscoveryView, now time.Time, tr *obs.Trace) ([]string, Decision) {
-	return b.arrange(view.ID, view.Description, view.URIs, now, tr)
+//repolint:hotpath warm discovery chain: the query manager's serving edge
+func (b *Balancer) ArrangeViewTimed(view store.DiscoveryView, now time.Time, st *flight.StageTimer) ([]string, Decision) {
+	return b.arrange(view.ID, view.Description, view.URIs, now, st)
 }
 
-// SnapshotGen returns the generation the NodeState snapshot would have if
-// a discovery ran at now, republishing a dirty or stale table exactly as
-// arrange would. The response cache keys entries by this value so a hit
-// can be served without consulting the table at all.
-//
-//repolint:hotpath runs on every discovery request before the cache lookup
-func (b *Balancer) SnapshotGen(now time.Time) uint64 {
-	if b.Table == nil {
-		return 0
-	}
-	return b.Table.Snapshot(now, b.SnapshotMaxAge+b.Brownout.ExtraStaleness()).Gen()
-}
-
-// SnapshotMeta is SnapshotGen plus the instant the snapshot was taken, in
-// one table read, so the edge can stamp flight records with both the
-// generation it keyed the cache on and how stale that view was.
+// SnapshotMeta returns the generation the NodeState snapshot would have if
+// a discovery ran at now — republishing a dirty or stale table exactly as
+// arrange would — and the instant that snapshot was taken. The response
+// cache keys entries by the generation, so a hit is served without
+// consulting the table at all, and the edge stamps flight records with
+// both it and how stale that view was.
 //
 //repolint:hotpath runs on every discovery request before the cache lookup
 func (b *Balancer) SnapshotMeta(now time.Time) (gen uint64, taken time.Time) {
@@ -352,7 +342,7 @@ func (b *Balancer) SnapshotMeta(now time.Time) (gen uint64, taken time.Time) {
 	return snap.Gen(), snap.Taken()
 }
 
-func (b *Balancer) arrange(serviceID, description string, uris []string, now time.Time, tr *obs.Trace) ([]string, Decision) {
+func (b *Balancer) arrange(serviceID, description string, uris []string, now time.Time, st *flight.StageTimer) ([]string, Decision) {
 	dec := Decision{TimeWindowOK: true}
 	// The stored-order copy (stockOrder) is built only on the paths that
 	// serve it; the filtered steady state never pays for it.
@@ -363,15 +353,10 @@ func (b *Balancer) arrange(serviceID, description string, uris []string, now tim
 
 	// Step 1: ServiceConstraint — extract and validate the block. The
 	// cache call degrades to a plain parse on a nil cache or empty id.
-	span := tr.BeginSpan("constraint")
+	begin := st.Begin()
 	c, cached, err := b.Cache.FromDescription(serviceID, description)
-	tr.EndSpan(span)
+	st.End(flight.StageConstraint, begin)
 	dec.ConstraintCached = cached
-	if cached {
-		tr.SetAttr("constraint", "cache-hit")
-	} else {
-		tr.SetAttr("constraint", "parsed")
-	}
 	if err != nil {
 		// Invalid constraints behave like no constraints (§3.2:
 		// "ServiceConstraint returns false if no valid service
@@ -405,14 +390,11 @@ func (b *Balancer) arrange(serviceID, description string, uris []string, now tim
 	// Quarantined hosts (open collector breaker) are set aside first: they
 	// take no part in any arrangement, fallback included.
 	dec.Filtered = true
-	span = tr.BeginSpan("snapshot")
+	begin = st.Begin()
 	snap := b.Table.Snapshot(now, b.SnapshotMaxAge+b.Brownout.ExtraStaleness())
-	tr.EndSpan(span)
+	st.End(flight.StageSnapshot, begin)
 	dec.SnapshotGen = snap.Gen()
-	if tr != nil {
-		tr.SetAttr("snapshotGen", strconv.FormatUint(snap.Gen(), 10))
-	}
-	span = tr.BeginSpan("evaluate")
+	begin = st.Begin()
 	var unknown, ineligible, candidates []string
 	eligible := make([]string, 0, len(uris))
 	dec.Bindings = make([]BindingDecision, 0, len(uris))
@@ -459,10 +441,10 @@ func (b *Balancer) arrange(serviceID, description string, uris []string, now tim
 		}
 		dec.Bindings = append(dec.Bindings, bd)
 	}
-	tr.EndSpan(span)
+	st.End(flight.StageEvaluate, begin)
 
 	// Step 4: arrange per policy.
-	span = tr.BeginSpan("arrange")
+	begin = st.Begin()
 	var out []string
 	switch b.Policy {
 	case PolicyFilter:
@@ -493,20 +475,7 @@ func (b *Balancer) arrange(serviceID, description string, uris []string, now tim
 		dec.Degraded = true
 		out = stockOrder(uris)
 	}
-	tr.EndSpan(span)
-	if tr != nil {
-		tr.SetAttr("policy", b.Policy.String())
-		tr.SetAttr("eligible", strconv.Itoa(dec.Eligible()))
-		tr.SetAttr("unknown", strconv.Itoa(dec.Unknown()))
-		tr.SetAttr("ineligible", strconv.Itoa(dec.Ineligible()))
-		tr.SetAttr("quarantined", strconv.Itoa(dec.Quarantined()))
-		if dec.FellBack {
-			tr.SetAttr("fellBack", "true")
-		}
-		if dec.Degraded {
-			tr.SetAttr("degraded", "true")
-		}
-	}
+	st.End(flight.StageArrange, begin)
 	return out, dec
 }
 

@@ -1,6 +1,6 @@
 // export.go renders flight records for /registry/flight and the debug
 // bundle: enums become their names, instants become RFC3339 UTC, and
-// durations become seconds, matching the trace export conventions.
+// durations become seconds.
 package flight
 
 import "time"
@@ -24,10 +24,26 @@ type RecordExport struct {
 	LatencySeconds     float64 `json:"latencySeconds"`
 	Host               string  `json:"host,omitempty"`
 	Trace              string  `json:"trace,omitempty"`
+	// Stages lists a sampled record's stage times in path order; absent
+	// on records without a trace id.
+	Stages []StageExport `json:"stages,omitempty"`
+}
+
+// StageExport is one discovery stage of a sampled record.
+type StageExport struct {
+	Name    string  `json:"name"`
+	Seconds float64 `json:"seconds"`
 }
 
 // Export renders the record.
 func (r *Record) Export() RecordExport {
+	var stages []StageExport
+	if r.Trace != "" {
+		stages = make([]StageExport, NumStages)
+		for i, d := range r.Stages {
+			stages[i] = StageExport{Name: StageNames[i], Seconds: d.Seconds()}
+		}
+	}
 	return RecordExport{
 		Seq:                r.Seq,
 		At:                 time.Unix(0, r.Unix).UTC().Format(time.RFC3339Nano),
@@ -46,6 +62,7 @@ func (r *Record) Export() RecordExport {
 		LatencySeconds:     r.Latency.Seconds(),
 		Host:               r.Host,
 		Trace:              r.Trace,
+		Stages:             stages,
 	}
 }
 

@@ -2,12 +2,13 @@
 // fixed-size record per served (or shed) edge request, written into a
 // lock-free power-of-two ring and read back through /registry/flight.
 //
-// Sampled traces (internal/obs) answer "what happened inside request X"
-// for every Nth request; the flight ring answers "what were the last N
-// requests" for *all* of them — including the preserialized cache hits
-// that deliberately bypass tracing, marshalling, and every other form of
-// per-request observability on the zero-allocation serving edge (PR 8).
-// That path's allocation budget is the design constraint here:
+// The record is the registry's only per-request event. Every request
+// leaves one — including the preserialized cache hits that bypass
+// marshalling on the zero-allocation serving edge — and every Nth request
+// (see Sampler) additionally carries a trace id and the time each
+// discovery stage took (see StageTimer), which /registry/traces reads back
+// as a filtered view of the same ring. The cache-hit path's allocation
+// budget is the design constraint here:
 //
 //   - Records are written field-by-field into preallocated ring slots, so
 //     appending allocates nothing.
@@ -17,10 +18,11 @@
 //     sequence is even and unchanged across their copy. Torn reads are
 //     skipped, never served, and — because every access is atomic — the
 //     scheme is clean under the race detector.
-//   - The two string fields survive slot reuse without allocation by
+//   - The string fields survive slot reuse without allocation by
 //     pointer, not by copy: chosen hosts come from a bounded intern table
-//     (the host set is the deployment, which is small), and trace ids are
-//     boxed only when a trace was sampled — a path that allocates anyway.
+//     (the host set is the deployment, which is small), and the trace id
+//     and stage times are boxed together only for a sampled request — a
+//     path that allocates for the id anyway.
 //
 // The ring drops the oldest record on wrap by construction; a diagnostic
 // buffer that sheds history under load is the point, a diagnostic buffer
@@ -180,8 +182,12 @@ type Record struct {
 	// Host is the chosen host — the host of the first URI served. Interned
 	// by Append; empty when the route serves no URI list.
 	Host string
-	// Trace is the sampled trace id, when one was recorded.
+	// Trace is the request's trace id when the sampler picked it, echoed to
+	// the client in the X-Registry-Trace header; empty otherwise.
 	Trace string
+	// Stages is the time a sampled request spent in each discovery stage,
+	// indexed by Stage. The ring keeps it only when Trace is set.
+	Stages [NumStages]time.Duration
 }
 
 // meta packs the small enum and count fields into one atomic word:
@@ -230,7 +236,14 @@ type slot struct {
 	meta   atomic.Uint64
 	status atomic.Int32
 	host   atomic.Pointer[string]
-	trace  atomic.Pointer[string]
+	trace  atomic.Pointer[sampled]
+}
+
+// sampled is what only a sampled record carries, boxed once and immutable
+// after it is published to a slot.
+type sampled struct {
+	id     string
+	stages [NumStages]time.Duration
 }
 
 // Ring is the lock-free flight-record ring. The zero value is unusable;
@@ -277,7 +290,8 @@ func (r *Ring) Written() uint64 {
 }
 
 // Append copies rec into the next ring slot. It never blocks, never
-// allocates for records without a trace id, and assigns rec.Seq.
+// allocates for records without a trace id, and assigns rec.Seq. Stages
+// is kept only alongside a trace id.
 //
 //repolint:hotpath one flight record is cut on every edge request, cache hits included
 func (r *Ring) Append(rec *Record) {
@@ -299,24 +313,14 @@ func (r *Ring) Append(rec *Record) {
 	}
 	s.status.Store(status)
 	s.host.Store(r.internHost(rec.Host))
-	// The emptiness check must stay on this side of the call: inlined,
-	// boxTrace's escaping parameter would otherwise be heap-allocated on
-	// entry — one string header per record — even when there is no trace.
 	if rec.Trace == "" {
 		s.trace.Store(nil)
 	} else {
-		s.trace.Store(boxTrace(rec.Trace))
+		// The sampler already allocated the id, so one more small object
+		// on a sampled request is noise.
+		s.trace.Store(&sampled{id: rec.Trace, stages: rec.Stages})
 	}
 	s.seq.Store(2 * n) // even: published
-}
-
-// boxTrace heap-boxes a sampled trace id. Callers must check for the
-// empty id first; a sampled request already allocated a whole Trace, so
-// one more string header is noise.
-//
-//repolint:coldpath only sampled requests carry a trace id
-func boxTrace(id string) *string {
-	return &id
 }
 
 // internHost returns the stable boxed string for host, inserting it on
@@ -387,7 +391,10 @@ func (r *Ring) read(n uint64, rec *Record) bool {
 	rec.CacheHit = status&cacheHitFlag != 0
 	rec.Status = status &^ cacheHitFlag
 	rec.Host = derefOr(s.host.Load())
-	rec.Trace = derefOr(s.trace.Load())
+	rec.Trace, rec.Stages = "", [NumStages]time.Duration{}
+	if t := s.trace.Load(); t != nil {
+		rec.Trace, rec.Stages = t.id, t.stages
+	}
 	// Validate after the copy: an unchanged even sequence means no writer
 	// touched the slot while we read it.
 	return s.seq.Load() == 2*n
@@ -414,6 +421,10 @@ type Filter struct {
 	// HasCacheHit is set.
 	CacheHit    bool
 	HasCacheHit bool
+	// Traced restricts to sampled records (those carrying a trace id);
+	// Trace further restricts to the one with that id.
+	Traced bool
+	Trace  string
 	// Limit bounds the returned records; <= 0 means 100.
 	Limit int
 }
@@ -429,6 +440,12 @@ func (f *Filter) match(rec *Record) bool {
 		return false
 	}
 	if f.HasCacheHit && rec.CacheHit != f.CacheHit {
+		return false
+	}
+	if f.Traced && rec.Trace == "" {
+		return false
+	}
+	if f.Trace != "" && rec.Trace != f.Trace {
 		return false
 	}
 	return true

@@ -23,6 +23,8 @@ type Writer struct {
 	// fills the envelope (route, timing, tier); inner handlers fill the
 	// decision detail.
 	Rec Record
+	// timer writes into Rec.Stages once the sampler picked the request.
+	timer StageTimer
 }
 
 var writerPool = sync.Pool{New: func() interface{} { return new(Writer) }}
@@ -109,9 +111,10 @@ func (fw *Writer) Finish() {
 	}
 }
 
-// frameKey threads a frame through a context for handlers that never see
-// the ResponseWriter (the SOAP dispatch path). The SOAP surface allocates
-// per request regardless, so a context value is affordable there.
+// frameKey threads a frame through a context for code that never sees the
+// ResponseWriter: the SOAP dispatch path, and the query manager and
+// balancer under a sampled request. Both allocate per request regardless,
+// so a context value is affordable there.
 type frameKey struct{}
 
 // WithFrame returns ctx carrying fw.
@@ -123,4 +126,17 @@ func WithFrame(ctx context.Context, fw *Writer) context.Context {
 func FrameFrom(ctx context.Context) *Writer {
 	fw, _ := ctx.Value(frameKey{}).(*Writer)
 	return fw
+}
+
+// TimerFrom returns the stage timer of the sampled request ctx belongs
+// to, or nil — no frame, or a request the sampler did not pick. Every
+// StageTimer method is a no-op on nil, so callers use the result unchecked.
+//
+//repolint:hotpath warm discovery chain: one context value lookup
+func TimerFrom(ctx context.Context) *StageTimer {
+	fw := FrameFrom(ctx)
+	if fw == nil || fw.Rec.Trace == "" {
+		return nil
+	}
+	return &fw.timer
 }

@@ -1,40 +1,16 @@
 // Package obs is the registry's observability layer: Prometheus-style
 // text exposition of the metrics the collector, constraint cache, and
-// balancer already maintain (expo.go), request-scoped tracing of the
-// discovery decision path (trace.go), structured logging construction
-// helpers over log/slog (log.go), and a minimal exposition-format parser
-// used by tests and the CI scrape smoke (parse.go).
+// balancer already maintain (expo.go), balance-quality and SLO rollups
+// (balance.go, slo.go), structured logging construction helpers over
+// log/slog (log.go), and a minimal exposition-format parser used by tests
+// and the CI scrape smoke (parse.go). The per-request event — including
+// the sampled trace of a discovery — is the flight record of
+// internal/flight, not a type of this package.
 //
 // The thesis's argument rests on registry-side state the operator cannot
 // otherwise see — the NodeState table, breaker verdicts, cache behaviour —
 // so this package gives every piece of that state an external surface
 // without adding any dependency beyond the standard library, and without
-// touching the discovery fast path's allocation budget: a disabled tracer
-// hands out nil traces whose span methods are no-ops, and metric values
-// are read only at scrape time.
+// touching the discovery fast path's allocation budget: metric values are
+// read only at scrape time.
 package obs
-
-import "context"
-
-// traceKeyType keys the request-scoped trace in a context.
-type traceKeyType struct{}
-
-var traceKey traceKeyType
-
-// WithTrace returns ctx carrying tr. A nil tr returns ctx unchanged so
-// callers can propagate unconditionally.
-func WithTrace(ctx context.Context, tr *Trace) context.Context {
-	if tr == nil {
-		return ctx
-	}
-	return context.WithValue(ctx, traceKey, tr)
-}
-
-// TraceFrom returns the trace carried by ctx, or nil. All Trace methods
-// are nil-safe, so callers use the result without checking.
-//
-//repolint:hotpath warm discovery chain: one context value lookup
-func TraceFrom(ctx context.Context) *Trace {
-	tr, _ := ctx.Value(traceKey).(*Trace)
-	return tr
-}

@@ -9,171 +9,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
-
-	"repro/internal/simclock"
 )
-
-func manualClock(t *testing.T) *simclock.Manual {
-	t.Helper()
-	return simclock.NewManual(time.Date(2011, 4, 22, 9, 0, 0, 0, time.UTC))
-}
-
-func TestTraceNilSafety(t *testing.T) {
-	var tr *Trace
-	i := tr.BeginSpan("x")
-	if i != -1 {
-		t.Fatalf("nil BeginSpan = %d, want -1", i)
-	}
-	tr.EndSpan(i)
-	tr.SetAttr("k", "v")
-	if got := tr.Spans(); got != nil {
-		t.Fatalf("nil Spans = %v, want nil", got)
-	}
-	if got := tr.Attrs(); got != nil {
-		t.Fatalf("nil Attrs = %v, want nil", got)
-	}
-	if d := tr.Duration(); d != 0 {
-		t.Fatalf("nil Duration = %v, want 0", d)
-	}
-	var tc *Tracer
-	if got := tc.Start(); got != nil {
-		t.Fatalf("nil tracer Start = %v, want nil", got)
-	}
-	tc.Finish(nil)
-	tc.SetSample(1)
-	if tc.Sample() != 0 || tc.SampledTotal() != 0 || tc.Recent(1) != nil || tc.Get("x") != nil {
-		t.Fatal("nil tracer accessors not zero-valued")
-	}
-}
-
-func TestTracerSamplingDisabledByDefault(t *testing.T) {
-	tc := NewTracer(manualClock(t), 4)
-	for i := 0; i < 10; i++ {
-		if tr := tc.Start(); tr != nil {
-			t.Fatalf("Start with sampling off returned %v", tr)
-		}
-	}
-}
-
-func TestTracerEveryNth(t *testing.T) {
-	tc := NewTracer(manualClock(t), 16)
-	tc.SetSample(3)
-	var got int
-	for i := 0; i < 9; i++ {
-		if tr := tc.Start(); tr != nil {
-			got++
-			tc.Finish(tr)
-		}
-	}
-	if got != 3 {
-		t.Fatalf("sample=3 over 9 requests traced %d, want 3", got)
-	}
-	if tc.SampledTotal() != 3 {
-		t.Fatalf("SampledTotal = %d, want 3", tc.SampledTotal())
-	}
-}
-
-func TestTraceSpansAndExport(t *testing.T) {
-	clk := manualClock(t)
-	tc := NewTracer(clk, 4)
-	tc.SetSample(1)
-	tr := tc.Start()
-	if tr == nil {
-		t.Fatal("Start returned nil with sample=1")
-	}
-	i := tr.BeginSpan("constraint")
-	clk.Advance(50 * time.Microsecond)
-	tr.EndSpan(i)
-	j := tr.BeginSpan("arrange")
-	clk.Advance(100 * time.Microsecond)
-	tr.EndSpan(j)
-	tr.SetAttr("service", "svc-1")
-	clk.Advance(25 * time.Microsecond)
-	tc.Finish(tr)
-
-	if tr.Duration() != 175*time.Microsecond {
-		t.Fatalf("Duration = %v, want 175µs", tr.Duration())
-	}
-	spans := tr.Spans()
-	if len(spans) != 2 || spans[0].Name != "constraint" || spans[1].Name != "arrange" {
-		t.Fatalf("spans = %+v", spans)
-	}
-	e := tr.Export()
-	if e.ID != tr.ID || len(e.Spans) != 2 || e.Spans[0].DurationUs != 50 || e.Spans[1].DurationUs != 100 {
-		t.Fatalf("export = %+v", e)
-	}
-	if _, err := json.Marshal(e); err != nil {
-		t.Fatalf("export marshal: %v", err)
-	}
-	if got := tc.Get(tr.ID); got != tr {
-		t.Fatalf("Get(%q) = %v, want the finished trace", tr.ID, got)
-	}
-}
-
-func TestTraceSpanOverflow(t *testing.T) {
-	tc := NewTracer(manualClock(t), 4)
-	tc.SetSample(1)
-	tr := tc.Start()
-	for i := 0; i < MaxSpans; i++ {
-		if idx := tr.BeginSpan("s"); idx != i {
-			t.Fatalf("span %d got index %d", i, idx)
-		}
-	}
-	if idx := tr.BeginSpan("overflow"); idx != -1 {
-		t.Fatalf("overflow span index = %d, want -1", idx)
-	}
-	tr.EndSpan(-1) // must not panic
-	for i := 0; i < MaxAttrs+3; i++ {
-		tr.SetAttr("k", "v")
-	}
-	if len(tr.Attrs()) != MaxAttrs {
-		t.Fatalf("attrs = %d, want capped at %d", len(tr.Attrs()), MaxAttrs)
-	}
-}
-
-func TestTracerRingWraparound(t *testing.T) {
-	tc := NewTracer(manualClock(t), 4)
-	tc.SetSample(1)
-	var last *Trace
-	for i := 0; i < 10; i++ {
-		tr := tc.Start()
-		tc.Finish(tr)
-		last = tr
-	}
-	recent := tc.Recent(0)
-	if len(recent) != 4 {
-		t.Fatalf("ring holds %d traces, want 4", len(recent))
-	}
-	if recent[0] != last {
-		t.Fatalf("newest trace = %v, want %v", recent[0].ID, last.ID)
-	}
-	for i := 1; i < len(recent); i++ {
-		if recent[i-1].seq <= recent[i].seq {
-			t.Fatal("Recent not newest-first")
-		}
-	}
-	if got := tc.Recent(2); len(got) != 2 {
-		t.Fatalf("Recent(2) = %d traces", len(got))
-	}
-}
-
-func TestContextPropagation(t *testing.T) {
-	ctx := context.Background()
-	if tr := TraceFrom(ctx); tr != nil {
-		t.Fatalf("empty context trace = %v", tr)
-	}
-	if got := WithTrace(ctx, nil); got != ctx {
-		t.Fatal("WithTrace(nil) should return ctx unchanged")
-	}
-	tc := NewTracer(manualClock(t), 4)
-	tc.SetSample(1)
-	tr := tc.Start()
-	ctx = WithTrace(ctx, tr)
-	if got := TraceFrom(ctx); got != tr {
-		t.Fatalf("TraceFrom = %v, want %v", got, tr)
-	}
-}
 
 func TestHistogramBuckets(t *testing.T) {
 	h := NewHistogramMetric(0.1, 1, 10)
@@ -396,71 +232,5 @@ func TestNopLoggerAndOrNop(t *testing.T) {
 	real := slog.New(slog.NewTextHandler(&bytes.Buffer{}, nil))
 	if OrNop(real) != real {
 		t.Fatal("OrNop should pass through non-nil loggers")
-	}
-}
-
-func TestTracerIDsUnique(t *testing.T) {
-	tc := NewTracer(manualClock(t), 8)
-	tc.SetSample(1)
-	seen := make(map[string]bool)
-	for i := 0; i < 100; i++ {
-		tr := tc.Start()
-		if seen[tr.ID] {
-			t.Fatalf("duplicate trace ID %s", tr.ID)
-		}
-		seen[tr.ID] = true
-		tc.Finish(tr)
-	}
-}
-
-func TestTracerConcurrent(t *testing.T) {
-	tc := NewTracer(simclock.Real{}, 32)
-	tc.SetSample(2)
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				tr := tc.Start()
-				if tr != nil {
-					s := tr.BeginSpan("work")
-					tr.EndSpan(s)
-					tc.Finish(tr)
-				}
-				_ = tc.Recent(4)
-			}
-		}()
-	}
-	wg.Wait()
-	if tc.SampledTotal() != 800 {
-		t.Fatalf("SampledTotal = %d, want 800", tc.SampledTotal())
-	}
-	for _, tr := range tc.Recent(0) {
-		if tr.ID == "" {
-			t.Fatal("ring holds unfinished trace")
-		}
-	}
-}
-
-var sinkTrace *Trace
-
-func BenchmarkTracerDisabledStart(b *testing.B) {
-	tc := NewTracer(simclock.Real{}, 8)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		sinkTrace = tc.Start()
-		sinkTrace.SetAttr("k", "v")
-		s := sinkTrace.BeginSpan("x")
-		sinkTrace.EndSpan(s)
-		tc.Finish(sinkTrace)
-	}
-	if testing.AllocsPerRun(100, func() {
-		tr := tc.Start()
-		s := tr.BeginSpan("x")
-		tr.EndSpan(s)
-		tc.Finish(tr)
-	}) != 0 {
-		b.Fatal("disabled tracer allocates")
 	}
 }

@@ -20,7 +20,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/filterq"
-	"repro/internal/obs"
+	"repro/internal/flight"
 	"repro/internal/rim"
 	"repro/internal/simclock"
 	"repro/internal/sqlq"
@@ -164,16 +164,17 @@ func (m *Manager) GetServiceBindings(serviceID string) ([]string, core.Decision,
 }
 
 // GetServiceBindingsCtx is GetServiceBindings with request context: when
-// ctx carries an obs trace (a sampled HTTP discovery), the view load and
-// every balancer step record spans onto it. The untraced case costs one
-// context value lookup and nil-receiver calls — nothing allocates.
+// ctx carries the flight frame of a sampled request, the view load and
+// every balancer step add their time to its record. The unsampled case
+// costs one context value lookup and nil-receiver calls — nothing
+// allocates.
 //
 //repolint:hotpath warm discovery chain: view load + balancer arrange
 func (m *Manager) GetServiceBindingsCtx(ctx context.Context, serviceID string) ([]string, core.Decision, error) {
-	tr := obs.TraceFrom(ctx)
-	span := tr.BeginSpan("view")
+	st := flight.TimerFrom(ctx)
+	begin := st.Begin()
 	view, err := m.Store.ServiceView(serviceID)
-	tr.EndSpan(span)
+	st.End(flight.StageView, begin)
 	if err != nil {
 		return nil, core.Decision{}, err
 	}
@@ -183,7 +184,8 @@ func (m *Manager) GetServiceBindingsCtx(ctx context.Context, serviceID string) (
 	if err := ctx.Err(); err != nil {
 		return nil, core.Decision{}, err
 	}
-	return m.arrangeView(view, tr)
+	uris, dec := m.Balancer.ArrangeViewTimed(view, m.Clock.Now(), st)
+	return uris, dec, nil
 }
 
 // GetServiceBindingsByName is GetServiceBindings keyed by service name —
@@ -199,10 +201,10 @@ func (m *Manager) GetServiceBindingsByName(name string) ([]string, core.Decision
 //
 //repolint:hotpath warm discovery chain: name-keyed view load + balancer arrange
 func (m *Manager) GetServiceBindingsByNameCtx(ctx context.Context, name string) ([]string, core.Decision, error) {
-	tr := obs.TraceFrom(ctx)
-	span := tr.BeginSpan("view")
+	st := flight.TimerFrom(ctx)
+	begin := st.Begin()
 	view, err := m.Store.ServiceViewByName(name)
-	tr.EndSpan(span)
+	st.End(flight.StageView, begin)
 	if err != nil {
 		return nil, core.Decision{}, err
 	}
@@ -211,12 +213,7 @@ func (m *Manager) GetServiceBindingsByNameCtx(ctx context.Context, name string) 
 	if err := ctx.Err(); err != nil {
 		return nil, core.Decision{}, err
 	}
-	return m.arrangeView(view, tr)
-}
-
-func (m *Manager) arrangeView(view store.DiscoveryView, tr *obs.Trace) ([]string, core.Decision, error) {
-	tr.SetAttr("service", view.ID)
-	uris, dec := m.Balancer.ArrangeViewTraced(view, m.Clock.Now(), tr)
+	uris, dec := m.Balancer.ArrangeViewTimed(view, m.Clock.Now(), st)
 	return uris, dec, nil
 }
 

@@ -130,7 +130,7 @@ func TestBrownoutTiersComposeWithQuarantine(t *testing.T) {
 		Updated: now,
 	})
 
-	if got := r.Tracer.Sample(); got != 2 {
+	if got := r.Sampler.Every(); got != 2 {
 		t.Fatalf("nominal trace sample = %d, want 2", got)
 	}
 
@@ -138,7 +138,7 @@ func TestBrownoutTiersComposeWithQuarantine(t *testing.T) {
 	if got := r.Admission.Tier(); got < admit.TierStale {
 		t.Fatalf("tier after sustained overload = %v, want >= TierStale", got)
 	}
-	if got := r.Tracer.Sample(); got != 0 {
+	if got := r.Sampler.Every(); got != 0 {
 		t.Fatalf("trace sample at %v = %d, want 0 (TierNoTrace)", r.Admission.Tier(), got)
 	}
 	if got := r.Balancer.Brownout.ExtraStaleness(); got != time.Minute {
@@ -167,7 +167,7 @@ func TestBrownoutTiersComposeWithQuarantine(t *testing.T) {
 	if got := r.Admission.Tier(); got != admit.TierNominal {
 		t.Fatalf("tier after calm = %v, want TierNominal", got)
 	}
-	if got := r.Tracer.Sample(); got != 2 {
+	if got := r.Sampler.Every(); got != 2 {
 		t.Fatalf("trace sample after recovery = %d, want 2", got)
 	}
 	if got := r.Balancer.Brownout.ExtraStaleness(); got != 0 {

@@ -10,7 +10,6 @@ package registry
 import (
 	"net/http"
 	"runtime"
-	"strconv"
 	"strings"
 	"time"
 
@@ -194,7 +193,7 @@ type bundleDoc struct {
 	Health       map[string]componentHealth `json:"health"`
 	Metrics      string                     `json:"metrics"`
 	Flight       []flight.RecordExport      `json:"flight"`
-	Traces       []obs.TraceExport          `json:"traces"`
+	Traces       []flight.RecordExport      `json:"traces"`
 	WAL          *walPosition               `json:"wal"`
 	Repl         *replSection               `json:"repl,omitempty"`
 	BrownoutTier int                        `json:"brownoutTier"`
@@ -203,31 +202,22 @@ type bundleDoc struct {
 	Goroutines   string                     `json:"goroutines,omitempty"`
 }
 
-// bundleFlightRecords bounds the flight section of a bundle by default.
+// bundleFlightRecords bounds the flight and traces sections of a bundle by
+// default.
 const bundleFlightRecords = 256
 
 // handleBundle serves GET /registry/debug/bundle. Query parameters:
-// n bounds the flight section (default 256), goroutines=1 opts into a
-// full goroutine stack dump (opt-in because it stops the world briefly
-// and can be large).
+// n bounds the flight and traces sections (default 256), goroutines=1
+// opts into a full goroutine stack dump (opt-in because it stops the world
+// briefly and can be large).
 func (r *Registry) handleBundle(w http.ResponseWriter, req *http.Request) {
 	q := req.URL.Query()
-	n := bundleFlightRecords
-	if v := q.Get("n"); v != "" {
-		parsed, err := strconv.Atoi(v)
-		if err != nil || parsed <= 0 {
-			http.Error(w, "bad n parameter", http.StatusBadRequest)
-			return
-		}
-		n = parsed
+	n, ok := limitParam(w, q, bundleFlightRecords)
+	if !ok {
+		return
 	}
 	var metricsText strings.Builder
 	r.expo.WriteTo(&metricsText)
-	recent := r.Tracer.Recent(0)
-	traces := make([]obs.TraceExport, 0, len(recent))
-	for _, t := range recent {
-		traces = append(traces, t.Export())
-	}
 	var wal *walPosition
 	if r.Durable != nil {
 		wal = &walPosition{
@@ -275,7 +265,7 @@ func (r *Registry) handleBundle(w http.ResponseWriter, req *http.Request) {
 		Health:       r.componentHealth(r.Collector.FaultStats(), r.Collector.HealthSnapshot()),
 		Metrics:      metricsText.String(),
 		Flight:       flight.ExportAll(r.Flight.Snapshot(flight.Filter{Limit: n})),
-		Traces:       traces,
+		Traces:       flight.ExportAll(r.Flight.Snapshot(flight.Filter{Traced: true, Limit: n})),
 		WAL:          wal,
 		Repl:         repl,
 		BrownoutTier: tier,
@@ -295,7 +285,7 @@ func (r *Registry) bundleConfig() bundleConfig {
 		Freshness:             r.Balancer.Freshness.Seconds(),
 		FallbackAll:           r.Balancer.FallbackAll,
 		SnapshotMaxAgeSeconds: r.Balancer.SnapshotMaxAge.Seconds(),
-		TraceSampleRate:       r.Tracer.Sample(),
+		TraceSampleRate:       r.Sampler.Every(),
 		FlightRing:            r.Flight.Len(),
 		AdmissionEnabled:      r.Admission != nil,
 		RespCacheEnabled:      r.RespCache != nil,

@@ -1,12 +1,15 @@
 // flightwrap.go wires the flight recorder into the edge: every service
 // route is wrapped in a pooled flight.Writer frame OUTSIDE the admission
 // middleware, so shed requests are recorded too, and the FastServe
-// cache-hit path — which bypasses tracing, metrics contexts, and the
-// deadline budget — still leaves one fixed-size record per request.
+// cache-hit path — which bypasses marshalling, metrics contexts, and the
+// deadline budget — still leaves one fixed-size record per request. The
+// same wrapper offers discovery requests to the sampler, so a trace is
+// nothing but a flight record that also carries an id and stage times.
 package registry
 
 import (
 	"net/http"
+	"net/url"
 	"strconv"
 
 	"repro/internal/core"
@@ -20,6 +23,7 @@ type flightRoute struct {
 	reg    *Registry
 	route  flight.Route
 	viaCtx bool // SOAP routes thread the frame through the context
+	sample bool // the routes that serve discovery offer requests to the sampler
 	next   http.Handler
 }
 
@@ -30,21 +34,28 @@ func (r *Registry) flightWrap(route flight.Route, viaCtx bool, next http.Handler
 	if r.Flight == nil {
 		return next
 	}
-	return &flightRoute{reg: r, route: route, viaCtx: viaCtx, next: next}
+	sample := route == flight.RouteBindings || route == flight.RouteSOAPRegistry
+	return &flightRoute{reg: r, route: route, viaCtx: viaCtx, sample: sample, next: next}
 }
 
 // ServeHTTP borrows a frame, stamps the envelope (route, tier, timing),
-// runs the wrapped stack with the frame as the ResponseWriter, derives
-// the admission outcome from the served status, and appends the record.
+// decides once whether the request is sampled, runs the wrapped stack with
+// the frame as the ResponseWriter, derives the admission outcome from the
+// served status, and appends the record.
 //
 //repolint:hotpath runs on every edge request including warm cache hits
 func (fr *flightRoute) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 	fw := flight.GetWriter(w)
 	fw.Rec.Route = fr.route
-	if fr.viaCtx {
-		// The SOAP dispatch path never sees the ResponseWriter, so the
-		// frame rides the context there. That derivation allocates, which
-		// the SOAP surface pays per request anyway.
+	sampled := fr.sample && fr.reg.Sampler.Sample(fw)
+	if sampled {
+		echoTrace(w, fw.Rec.Trace)
+	}
+	if fr.viaCtx || sampled {
+		// The SOAP dispatch path never sees the ResponseWriter, and the
+		// query manager and balancer never do, so the frame rides the
+		// context to them. That derivation allocates, which the SOAP
+		// surface and a sampled request pay anyway.
 		req = req.WithContext(flight.WithFrame(req.Context(), fw))
 	}
 	start := fr.reg.Clock.Now()
@@ -56,6 +67,16 @@ func (fr *flightRoute) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 	fw.Finish()
 	fr.reg.Flight.Append(&fw.Rec)
 	flight.PutWriter(fw)
+}
+
+// echoTrace tells the client the id its request can be looked up under at
+// /registry/traces. The id travels only in this header, never in a body,
+// so sampled requests are served from (and fill) the response cache like
+// any other.
+//
+//repolint:coldpath only sampled requests carry a trace id
+func echoTrace(w http.ResponseWriter, id string) {
+	w.Header().Set("X-Registry-Trace", id)
 }
 
 // noteDecision copies the constraint verdict, eligibility counts, and
@@ -105,15 +126,11 @@ func (r *Registry) handleFlight(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	q := req.URL.Query()
-	var f flight.Filter
-	if v := q.Get("n"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n <= 0 {
-			http.Error(w, "bad n parameter", http.StatusBadRequest)
-			return
-		}
-		f.Limit = n
+	limit, ok := limitParam(w, q, 0)
+	if !ok {
+		return
 	}
+	f := flight.Filter{Limit: limit}
 	if v := q.Get("route"); v != "" {
 		rt, ok := flight.RouteByName(v)
 		if !ok {
@@ -152,4 +169,52 @@ type flightPage struct {
 	Written uint64                `json:"written"`
 	Ring    int                   `json:"ring"`
 	Records []flight.RecordExport `json:"records"`
+}
+
+// limitParam reads the optional n query parameter the ring endpoints
+// share: absent means def, and anything but a positive integer is answered
+// 400 here (ok false).
+func limitParam(w http.ResponseWriter, q url.Values, def int) (n int, ok bool) {
+	v := q.Get("n")
+	if v == "" {
+		return def, true
+	}
+	n, err := strconv.Atoi(v)
+	if err != nil || n <= 0 {
+		http.Error(w, "bad n parameter", http.StatusBadRequest)
+		return 0, false
+	}
+	return n, true
+}
+
+// handleTraces serves GET /registry/traces: the flight records of sampled
+// requests, newest first. ?id= returns the one record with that trace id,
+// ?n= bounds the list (default 100).
+func (r *Registry) handleTraces(w http.ResponseWriter, req *http.Request) {
+	q := req.URL.Query()
+	if id := q.Get("id"); id != "" {
+		recs := r.Flight.Snapshot(flight.Filter{Trace: id, Limit: 1})
+		if len(recs) == 0 {
+			http.Error(w, "trace not found (aged out of the ring?)", http.StatusNotFound)
+			return
+		}
+		writeJSON(w, recs[0].Export())
+		return
+	}
+	n, ok := limitParam(w, q, 0)
+	if !ok {
+		return
+	}
+	writeJSON(w, tracePage{
+		SampleRate: r.Sampler.Every(),
+		Sampled:    r.Sampler.Sampled(),
+		Traces:     flight.ExportAll(r.Flight.Snapshot(flight.Filter{Traced: true, Limit: n})),
+	})
+}
+
+// tracePage is the /registry/traces list envelope.
+type tracePage struct {
+	SampleRate int                   `json:"sampleRate"`
+	Sampled    int64                 `json:"sampledTotal"`
+	Traces     []flight.RecordExport `json:"traces"`
 }

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/breaker"
 	"repro/internal/core"
+	"repro/internal/flight"
 	"repro/internal/hostsim"
 	"repro/internal/nodestatus"
 	"repro/internal/obs"
@@ -150,11 +151,13 @@ func TestMetricsExpositionRoundTrip(t *testing.T) {
 			t.Errorf("%s%v = %v, want %v", name, labels, got, want)
 		}
 	}
-	// Three discoveries of one service: first parses the constraint,
-	// the other two hit the cache.
+	// Three discoveries of one service, all sampled: the first parses the
+	// constraint and fills the response cache, the other two are answered
+	// from it and never reach the balancer.
 	check("registry_discovery_total", nil, 3)
 	check("registry_constraint_cache_misses_total", nil, 1)
-	check("registry_constraint_cache_hits_total", nil, 2)
+	check("registry_constraint_cache_hits_total", nil, 0)
+	check("registry_respcache_hits_total", nil, 2)
 	check("registry_collector_sweeps_total", nil, 1)
 	check("registry_nodestate_rows", nil, 4)
 	check("registry_breaker_state", map[string]string{"host": "h02.sdsu.edu"}, 0)
@@ -166,9 +169,15 @@ func TestMetricsExpositionRoundTrip(t *testing.T) {
 	}
 }
 
+// tracesList is the /registry/traces list shape the tests decode.
+type tracesList struct {
+	SampleRate int                   `json:"sampleRate"`
+	Traces     []flight.RecordExport `json:"traces"`
+}
+
 // TestDiscoveryTraceRetrievable is the tentpole acceptance check: the id
-// echoed in X-Registry-Trace must be fetchable from /registry/traces
-// with the discovery span sequence intact.
+// echoed in X-Registry-Trace must be fetchable from /registry/traces — a
+// projection of the flight ring — with the discovery stage sequence intact.
 func TestDiscoveryTraceRetrievable(t *testing.T) {
 	_, srv := newObservedRegistry(t)
 	resp, err := srv.Client().Get(srv.URL + "/registry/bindings?service=Adder")
@@ -181,68 +190,68 @@ func TestDiscoveryTraceRetrievable(t *testing.T) {
 		t.Fatal("no X-Registry-Trace header with sampling on")
 	}
 
-	tr, err := srv.Client().Get(srv.URL + "/registry/traces?id=" + id)
-	if err != nil {
-		t.Fatal(err)
+	var exp flight.RecordExport
+	if status := getJSON(t, srv, "/registry/traces?id="+id, &exp); status != http.StatusOK {
+		t.Fatalf("traces?id=%s status = %d", id, status)
 	}
-	defer tr.Body.Close()
-	if tr.StatusCode != http.StatusOK {
-		t.Fatalf("traces?id=%s status = %d", id, tr.StatusCode)
+	if exp.Trace != id || exp.Route != "bindings" || exp.CacheHit || exp.Verdict != "filtered" || exp.Eligible != 4 {
+		t.Fatalf("trace record = %+v, want the filtered 4-host miss with id %s", exp, id)
 	}
-	var exp obs.TraceExport
-	if err := json.NewDecoder(tr.Body).Decode(&exp); err != nil {
-		t.Fatalf("trace export is not JSON: %v", err)
+	var names []string
+	for _, s := range exp.Stages {
+		names = append(names, s.Name)
 	}
-	if exp.ID != id {
-		t.Fatalf("trace id = %s, want %s", exp.ID, id)
-	}
-	got := make(map[string]bool, len(exp.Spans))
-	for _, s := range exp.Spans {
-		got[s.Name] = true
-	}
-	for _, want := range []string{"view", "constraint", "snapshot", "evaluate", "arrange"} {
-		if !got[want] {
-			t.Errorf("trace missing span %q (spans %v)", want, exp.Spans)
-		}
+	if got, want := strings.Join(names, " "), "view constraint snapshot evaluate arrange"; got != want {
+		t.Errorf("trace stages = %q, want %q", got, want)
 	}
 
-	// The list endpoint must carry the same trace.
-	list, err := srv.Client().Get(srv.URL + "/registry/traces")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer list.Body.Close()
-	var v struct {
-		SampleRate int               `json:"sampleRate"`
-		Traces     []obs.TraceExport `json:"traces"`
-	}
-	if err := json.NewDecoder(list.Body).Decode(&v); err != nil {
-		t.Fatal(err)
-	}
+	// The list endpoint must carry the same record.
+	var v tracesList
+	getJSON(t, srv, "/registry/traces", &v)
 	if v.SampleRate != 1 {
 		t.Errorf("sampleRate = %d, want 1", v.SampleRate)
 	}
 	found := false
 	for _, e := range v.Traces {
-		found = found || e.ID == id
+		found = found || e.Trace == id
 	}
 	if !found {
 		t.Errorf("trace %s not in /registry/traces list", id)
 	}
 
-	if missing, err := srv.Client().Get(srv.URL + "/registry/traces?id=deadbeef-000000"); err == nil {
-		missing.Body.Close()
-		if missing.StatusCode != http.StatusNotFound {
-			t.Errorf("unknown trace id status = %d, want 404", missing.StatusCode)
+	if status := getJSON(t, srv, "/registry/traces?id=deadbeef-000000", nil); status != http.StatusNotFound {
+		t.Errorf("unknown trace id status = %d, want 404", status)
+	}
+	for _, bad := range []string{"abc", "0", "-3"} {
+		if status := getJSON(t, srv, "/registry/traces?n="+bad, nil); status != http.StatusBadRequest {
+			t.Errorf("traces?n=%s status = %d, want 400", bad, status)
 		}
-	} else {
-		t.Fatal(err)
+	}
+	if getJSON(t, srv, "/registry/traces?n=1", &v); len(v.Traces) != 1 {
+		t.Errorf("traces?n=1 returned %d records", len(v.Traces))
 	}
 }
 
+// getJSON GETs path, decodes a 200 body into v (when non-nil), and returns
+// the status.
+func getJSON(t *testing.T, srv *httptest.Server, path string, v interface{}) int {
+	t.Helper()
+	resp, err := srv.Client().Get(srv.URL + path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode == http.StatusOK && v != nil {
+		if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
+			t.Fatalf("GET %s is not JSON: %v", path, err)
+		}
+	}
+	return resp.StatusCode
+}
+
 // TestTracingDisabledByDefault: with no TraceSample configured, discovery
-// responses carry no trace header and the ring stays empty — tracing is
-// strictly opt-in.
+// responses carry no trace header and no flight record carries an id —
+// tracing is strictly opt-in.
 func TestTracingDisabledByDefault(t *testing.T) {
 	reg := newRegistry(t)
 	svc := rim.NewService("Plain", "")
@@ -264,20 +273,26 @@ func TestTracingDisabledByDefault(t *testing.T) {
 	if h := resp.Header.Get("X-Registry-Trace"); h != "" {
 		t.Fatalf("X-Registry-Trace = %q with sampling off", h)
 	}
-	list, err := srv.Client().Get(srv.URL + "/registry/traces")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer list.Body.Close()
-	var v struct {
-		SampleRate int               `json:"sampleRate"`
-		Traces     []obs.TraceExport `json:"traces"`
-	}
-	if err := json.NewDecoder(list.Body).Decode(&v); err != nil {
-		t.Fatal(err)
-	}
+	var v tracesList
+	getJSON(t, srv, "/registry/traces", &v)
 	if v.SampleRate != 0 || len(v.Traces) != 0 {
 		t.Fatalf("sampleRate=%d traces=%d, want 0 and 0", v.SampleRate, len(v.Traces))
+	}
+	if reg.Flight.Written() != 1 {
+		t.Fatalf("flight ring holds %d records, want the one unsampled discovery", reg.Flight.Written())
+	}
+}
+
+// TestTraceSampleNeedsFlightRing: sampled requests live in the flight
+// ring, so asking for sampling while disabling the ring is refused at
+// construction instead of silently recording nothing.
+func TestTraceSampleNeedsFlightRing(t *testing.T) {
+	_, err := New(Config{Clock: simclock.NewManual(t0), TraceSample: 4, FlightRing: -1})
+	if err == nil || !strings.Contains(err.Error(), "TraceSample") {
+		t.Fatalf("New(TraceSample 4, FlightRing -1) error = %v, want a refusal naming TraceSample", err)
+	}
+	if _, err := New(Config{Clock: simclock.NewManual(t0), FlightRing: -1}); err != nil {
+		t.Fatalf("a disabled ring without sampling must still build: %v", err)
 	}
 }
 

@@ -16,7 +16,6 @@ import (
 	"repro/internal/flight"
 	"repro/internal/lcm"
 	"repro/internal/nodestate"
-	"repro/internal/obs"
 	"repro/internal/qm"
 	"repro/internal/repl"
 	"repro/internal/respcache"
@@ -380,14 +379,10 @@ func (r *Registry) doQuery(req *AdhocQueryWireRequest) (interface{}, error) {
 	return wire, nil
 }
 
-// doBindings runs a discovery request under the caller's context: the
-// HTTP request's deadline and cancellation reach the view load, and a
-// sampled trace rides the same context into the balancer. When the
-// response cache is live and tracing is unsampled, the preserialized
-// SOAP envelope is served (or rendered and stored) instead of
-// re-marshalling the binding list per request.
+// doBindings is the SOAP codec of discover: it picks the key space, asks
+// the cache and then the balancer, and maps the outcome onto a
+// preserialized envelope, a response to marshal, or a typed fault.
 func (r *Registry) doBindings(ctx context.Context, req *GetBindingsRequest) (interface{}, error) {
-	start := r.Clock.Now()
 	space, key := respcache.SpaceName, req.ServiceName
 	if req.ServiceID != "" {
 		space, key = respcache.SpaceID, req.ServiceID
@@ -395,74 +390,20 @@ func (r *Registry) doBindings(ctx context.Context, req *GetBindingsRequest) (int
 	if key == "" {
 		return nil, soap.ClientFault("GetBindingsRequest needs serviceId or serviceName")
 	}
-	// Sampled tracing writes a per-request trace id into the response, so
-	// caching only engages while sampling is off (brownout TierNoTrace
-	// re-enables it under load, exactly when it matters most).
-	cacheable := r.RespCache != nil && r.Tracer.Sample() == 0
-	gen, taken := r.Balancer.SnapshotMeta(start)
-	age := snapshotAge(start, taken)
-	var epoch uint64
-	var tier uint32
-	if cacheable {
-		epoch = r.RespCache.Epoch()
-		tier = r.edgeTier()
-		if e := r.RespCache.Lookup(space, key, gen, tier, start); e != nil && len(e.SOAP) > 0 {
-			r.discovery.observe(e.Decision, e.FirstHost, age, r.Clock.Now().Sub(start).Seconds())
-			if fw := flight.FrameFrom(ctx); fw != nil {
-				fw.Rec.CacheHit = true
-				noteDecision(&fw.Rec, &e.Decision)
-				fw.Rec.SnapshotAge = age
-				fw.Rec.Host = e.FirstHost
-			}
-			return soap.Raw(e.SOAP), nil
-		}
+	start, fw := r.Clock.Now(), flight.FrameFrom(ctx)
+	ent, ans, err := r.discover(ctx, fw, space, key, start, true)
+	if ent == nil {
+		ent, ans, err = r.discover(ctx, fw, space, key, start, false)
 	}
-	tr := r.Tracer.Start()
-	ctx = obs.WithTrace(ctx, tr)
-	var uris []string
-	var dec core.Decision
-	var err error
-	if space == respcache.SpaceID {
-		uris, dec, err = r.QM.GetServiceBindingsCtx(ctx, key)
-	} else {
-		uris, dec, err = r.QM.GetServiceBindingsByNameCtx(ctx, key)
-	}
-	r.Tracer.Finish(tr)
-	if err != nil {
-		r.discovery.errors.Inc()
-		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-			return nil, &soap.Fault{Code: "Server.Timeout", String: "discovery deadline exceeded", Detail: err.Error()}
-		}
+	switch {
+	case errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled):
+		return nil, &soap.Fault{Code: "Server.Timeout", String: "discovery deadline exceeded", Detail: err.Error()}
+	case err != nil:
 		return nil, soap.ClientFault("%v", err)
+	case ent != nil:
+		return soap.Raw(ent.SOAP), nil
 	}
-	host := chosenHost(uris, &dec)
-	r.discovery.observe(dec, host, age, r.Clock.Now().Sub(start).Seconds())
-	if fw := flight.FrameFrom(ctx); fw != nil {
-		noteDecision(&fw.Rec, &dec)
-		fw.Rec.SnapshotAge = age
-		fw.Rec.Host = host
-		if tr != nil {
-			fw.Rec.Trace = tr.ID
-		}
-	}
-	if cacheable && tr == nil {
-		if e := r.renderBindingsEntry(uris, dec, gen, tier, start); e != nil {
-			r.RespCache.StoreAt(space, key, e, epoch)
-			return soap.Raw(e.SOAP), nil
-		}
-	}
-	resp := &GetBindingsResponse{
-		URIs:       uris,
-		Filtered:   dec.Filtered,
-		Eligible:   dec.Eligible(),
-		Unknown:    dec.Unknown(),
-		Ineligible: dec.Ineligible(),
-		WindowOK:   dec.TimeWindowOK,
-	}
-	if tr != nil {
-		resp.Trace = tr.ID
-	}
-	return resp, nil
+	return ans, nil
 }
 
 // authRequest is the union body for /soap/auth.
@@ -570,59 +511,143 @@ func (r *Registry) handleFind(w http.ResponseWriter, req *http.Request) {
 	writeJSON(w, out)
 }
 
-// bindingsBody is the REST discovery response shape, rendered through
-// one encoder configuration on both the cached and uncached paths so the
-// bytes are identical either way.
-type bindingsBody struct {
-	URIs       []string `json:"uris"`
-	Filtered   bool     `json:"filtered"`
-	Eligible   int      `json:"eligible"`
-	Unknown    int      `json:"unknown"`
-	Ineligible int      `json:"ineligible"`
-	WindowOK   bool     `json:"windowOk"`
-}
-
-// bindingsEdge serves GET /registry/bindings. It implements
-// admit.FastHandler: an admitted request whose answer is already
-// preserialized is written straight from the cache — no context derive,
-// no tracing, no marshalling, zero allocations — while misses fall
-// through to ServeHTTP, which renders, stores, and answers.
+// bindingsEdge serves GET /registry/bindings, the REST codec of discover.
+// It implements admit.FastHandler: an admitted request whose answer is
+// already preserialized is written straight from the cache — no context
+// derive, no marshalling, zero allocations — while misses fall through to
+// ServeHTTP, which runs under the deadline budget.
 type bindingsEdge struct {
 	reg *Registry
 }
 
-// FastServe writes a cached response if one validates against the
-// current write epoch, snapshot generation, brownout tier, and expiry.
-// It must not block and must not allocate on a hit.
+// FastServe writes a cached response if discover's probe finds one. It
+// must not block and must not allocate on a hit.
 //
 //repolint:hotpath the warm discovery round-trip's 0-alloc serving path
 func (e *bindingsEdge) FastServe(w http.ResponseWriter, req *http.Request) bool {
-	r := e.reg
-	if r.RespCache == nil || r.Tracer.Sample() != 0 {
-		return false
-	}
 	name, ok := serviceParam(req.URL.RawQuery)
 	if !ok {
 		return false
 	}
-	now := r.Clock.Now()
-	gen, taken := r.Balancer.SnapshotMeta(now)
-	ent := r.RespCache.Lookup(respcache.SpaceName, name, gen, r.edgeTier(), now)
+	r := e.reg
+	ent, _, _ := r.discover(req.Context(), flight.From(w), respcache.SpaceName, name, r.Clock.Now(), true)
 	if ent == nil {
 		return false
 	}
+	writeBindingsJSON(w, ent)
+	return true
+}
+
+// ServeHTTP is the miss path: parse the query the slow way, have discover
+// run the balancer, and answer from the bytes it rendered.
+func (e *bindingsEdge) ServeHTTP(w http.ResponseWriter, req *http.Request) {
+	r := e.reg
+	// Without an admission controller nothing calls FastServe for us.
+	if r.Admission == nil && e.FastServe(w, req) {
+		return
+	}
+	name := req.URL.Query().Get("service")
+	if name == "" {
+		http.Error(w, "missing service parameter", http.StatusBadRequest)
+		return
+	}
+	ent, ans, err := r.discover(req.Context(), flight.From(w), respcache.SpaceName, name, r.Clock.Now(), false)
+	switch {
+	case errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled):
+		http.Error(w, err.Error(), http.StatusGatewayTimeout)
+	case err != nil:
+		http.Error(w, err.Error(), http.StatusNotFound)
+	case ent != nil:
+		writeBindingsJSON(w, ent)
+	default:
+		writeJSON(w, ans)
+	}
+}
+
+// writeBindingsJSON answers a REST discovery from preserialized bytes.
+//
+//repolint:hotpath the warm discovery round-trip's 0-alloc serving path
+func writeBindingsJSON(w http.ResponseWriter, ent *respcache.Entry) {
 	h := w.Header()
 	h["Content-Type"] = jsonCT
 	w.Write(ent.JSON)
-	age := snapshotAge(now, taken)
-	r.discovery.observe(ent.Decision, ent.FirstHost, age, r.Clock.Now().Sub(now).Seconds())
-	if fw := flight.From(w); fw != nil {
-		fw.Rec.CacheHit = true
-		noteDecision(&fw.Rec, &ent.Decision)
-		fw.Rec.SnapshotAge = age
-		fw.Rec.Host = ent.FirstHost
+}
+
+// discover is the one discovery sequence behind both codecs; the REST and
+// SOAP handlers only parse the request and write what it returns. A
+// request is answered in up to two calls, because on the REST route the
+// admission middleware stands between them. The probe (probe set) only
+// consults the response cache: it never blocks and never allocates, which
+// is what lets it run before a deadline context exists, and it returns a
+// nil entry on a miss. The miss call (probe clear) runs the balancer under
+// ctx, renders both encodings once and stores them, returning the entry —
+// or, with the cache disabled, the response for the codec to marshal.
+// Either call reads the validity tuple first and accounts the answer it
+// gives: discovery counters, balance assignment, flight annotation.
+//
+//repolint:hotpath the probe is the warm discovery round-trip's 0-alloc serving path
+func (r *Registry) discover(ctx context.Context, fw *flight.Writer, space respcache.Space, key string, start time.Time, probe bool) (*respcache.Entry, *GetBindingsResponse, error) {
+	// The tuple is read before the decision is computed: a write or tier
+	// change landing mid-flight leaves the stored entry permanently
+	// invalid rather than ever stale.
+	gen, taken := r.Balancer.SnapshotMeta(start)
+	age := snapshotAge(start, taken)
+	tier := r.edgeTier()
+	if probe {
+		ent := r.RespCache.Lookup(space, key, gen, tier, start)
+		if ent != nil {
+			r.account(fw, &ent.Decision, ent.FirstHost, age, start, true)
+		}
+		return ent, nil, nil
 	}
-	return true
+	epoch := r.RespCache.Epoch()
+	var uris []string
+	var dec core.Decision
+	var err error
+	if space == respcache.SpaceID {
+		uris, dec, err = r.QM.GetServiceBindingsCtx(ctx, key)
+	} else {
+		uris, dec, err = r.QM.GetServiceBindingsByNameCtx(ctx, key)
+	}
+	if err != nil {
+		r.discovery.errors.Inc()
+		return nil, nil, err
+	}
+	host := chosenHost(uris, &dec)
+	r.account(fw, &dec, host, age, start, false)
+	ans := &GetBindingsResponse{
+		URIs:       uris,
+		Filtered:   dec.Filtered,
+		Eligible:   dec.Eligible(),
+		Unknown:    dec.Unknown(),
+		Ineligible: dec.Ineligible(),
+		WindowOK:   dec.TimeWindowOK,
+	}
+	if r.RespCache == nil {
+		return nil, ans, nil
+	}
+	ent := renderBindingsEntry(ans)
+	if ent == nil {
+		return nil, ans, nil
+	}
+	ent.Gen, ent.Tier, ent.Expires = gen, tier, r.respExpiry(dec, start)
+	ent.Decision, ent.FirstHost = dec, host
+	r.RespCache.StoreAt(space, key, ent, epoch)
+	return ent, nil, nil
+}
+
+// account folds one discovery answer into the counters and, when the
+// route is flight-wrapped, into the request's record.
+//
+//repolint:hotpath runs on every discovery answer including cache hits
+func (r *Registry) account(fw *flight.Writer, dec *core.Decision, host string, age time.Duration, start time.Time, hit bool) {
+	r.discovery.observe(*dec, host, age, r.Clock.Now().Sub(start).Seconds())
+	if fw != nil {
+		fw.Rec.CacheHit = hit
+		noteDecision(&fw.Rec, dec)
+		fw.Rec.SnapshotAge = age
+		fw.Rec.Host = host
+	}
 }
 
 // snapshotAge converts a snapshot publish instant into the decision's
@@ -637,76 +662,6 @@ func snapshotAge(now, taken time.Time) time.Duration {
 		return d
 	}
 	return 0
-}
-
-// ServeHTTP is the miss path: run the balancer, render once into the
-// cache, answer from the rendered bytes.
-func (e *bindingsEdge) ServeHTTP(w http.ResponseWriter, req *http.Request) {
-	r := e.reg
-	// Without an admission controller nothing calls FastServe for us.
-	if r.Admission == nil && e.FastServe(w, req) {
-		return
-	}
-	name := req.URL.Query().Get("service")
-	if name == "" {
-		http.Error(w, "missing service parameter", http.StatusBadRequest)
-		return
-	}
-	start := r.Clock.Now()
-	cacheable := r.RespCache != nil && r.Tracer.Sample() == 0
-	// Read the validity tuple before the decision is computed: a
-	// write or tier change landing mid-flight leaves the stored
-	// entry permanently invalid rather than ever stale.
-	gen, taken := r.Balancer.SnapshotMeta(start)
-	age := snapshotAge(start, taken)
-	var epoch uint64
-	var tier uint32
-	if cacheable {
-		epoch = r.RespCache.Epoch()
-		tier = r.edgeTier()
-	}
-	tr := r.Tracer.Start()
-	if tr != nil {
-		w.Header().Set("X-Registry-Trace", tr.ID)
-	}
-	uris, dec, err := r.QM.GetServiceBindingsByNameCtx(obs.WithTrace(req.Context(), tr), name)
-	r.Tracer.Finish(tr)
-	if err != nil {
-		r.discovery.errors.Inc()
-		status := http.StatusNotFound
-		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-			status = http.StatusGatewayTimeout
-		}
-		http.Error(w, err.Error(), status)
-		return
-	}
-	host := chosenHost(uris, &dec)
-	r.discovery.observe(dec, host, age, r.Clock.Now().Sub(start).Seconds())
-	if fw := flight.From(w); fw != nil {
-		noteDecision(&fw.Rec, &dec)
-		fw.Rec.SnapshotAge = age
-		fw.Rec.Host = host
-		if tr != nil {
-			fw.Rec.Trace = tr.ID
-		}
-	}
-	if cacheable && tr == nil {
-		if ent := r.renderBindingsEntry(uris, dec, gen, tier, start); ent != nil {
-			r.RespCache.StoreAt(respcache.SpaceName, name, ent, epoch)
-			h := w.Header()
-			h["Content-Type"] = jsonCT
-			w.Write(ent.JSON)
-			return
-		}
-	}
-	writeJSON(w, bindingsBody{
-		URIs:       uris,
-		Filtered:   dec.Filtered,
-		Eligible:   dec.Eligible(),
-		Unknown:    dec.Unknown(),
-		Ineligible: dec.Ineligible(),
-		WindowOK:   dec.TimeWindowOK,
-	})
 }
 
 // serviceParam extracts the service query parameter without allocating:
@@ -759,44 +714,23 @@ func (r *Registry) edgeTier() uint32 {
 // writeJSON, and the SOAP envelope through soap.Marshal, so cached and
 // fresh responses are byte-identical. Returns nil when either encoding
 // fails (the caller then answers uncached).
-func (r *Registry) renderBindingsEntry(uris []string, dec core.Decision, gen uint64, tier uint32, now time.Time) *respcache.Entry {
-	body := bindingsBody{
-		URIs:       uris,
-		Filtered:   dec.Filtered,
-		Eligible:   dec.Eligible(),
-		Unknown:    dec.Unknown(),
-		Ineligible: dec.Ineligible(),
-		WindowOK:   dec.TimeWindowOK,
-	}
+//
+//repolint:coldpath rendering runs once per cache miss
+func renderBindingsEntry(ans *GetBindingsResponse) *respcache.Entry {
 	buf := respcache.GetBuffer()
 	enc := json.NewEncoder(buf)
 	enc.SetIndent("", " ")
-	if err := enc.Encode(body); err != nil {
+	if err := enc.Encode(ans); err != nil {
 		respcache.PutBuffer(buf)
 		return nil
 	}
 	jsonBytes := append([]byte(nil), buf.Bytes()...)
 	respcache.PutBuffer(buf)
-	env, err := soap.Marshal(&GetBindingsResponse{
-		URIs:       uris,
-		Filtered:   dec.Filtered,
-		Eligible:   dec.Eligible(),
-		Unknown:    dec.Unknown(),
-		Ineligible: dec.Ineligible(),
-		WindowOK:   dec.TimeWindowOK,
-	})
+	env, err := soap.Marshal(ans)
 	if err != nil {
 		return nil
 	}
-	return &respcache.Entry{
-		Gen:       gen,
-		Tier:      tier,
-		Expires:   r.respExpiry(dec, now),
-		JSON:      jsonBytes,
-		SOAP:      env,
-		Decision:  dec,
-		FirstHost: chosenHost(uris, &dec),
-	}
+	return &respcache.Entry{JSON: jsonBytes, SOAP: env}
 }
 
 // respExpiry computes the first instant the cached decision could

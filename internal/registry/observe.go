@@ -3,7 +3,6 @@ package registry
 import (
 	"net/http"
 	"net/http/pprof"
-	"strconv"
 	"time"
 
 	"repro/internal/admit"
@@ -457,11 +456,11 @@ func (r *Registry) buildExposition() *obs.Exposition {
 
 	// Tracing.
 	e.Counter("registry_traces_sampled_total",
-		"Discovery traces finished into the trace ring.",
-		func() int64 { return r.Tracer.SampledTotal() })
+		"Requests the sampler gave a trace id and stage timings in their flight record.",
+		func() int64 { return r.Sampler.Sampled() })
 	e.Gauge("registry_trace_sample_rate",
 		"Trace sampling rate (every Nth request; 0 disabled).",
-		func() float64 { return float64(r.Tracer.Sample()) })
+		func() float64 { return float64(r.Sampler.Every()) })
 
 	// Admission control and the brownout ladder. A nil controller (no
 	// Config.Admission) reads every series as zero.
@@ -540,35 +539,6 @@ func (r *Registry) buildExposition() *obs.Exposition {
 func (r *Registry) handleMetrics(w http.ResponseWriter, req *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	r.expo.WriteTo(w)
-}
-
-// handleTraces serves /registry/traces: the most recent sampled discovery
-// traces, newest first; ?id= returns a single trace, ?n= bounds the list.
-func (r *Registry) handleTraces(w http.ResponseWriter, req *http.Request) {
-	if id := req.URL.Query().Get("id"); id != "" {
-		t := r.Tracer.Get(id)
-		if t == nil {
-			http.Error(w, "trace not found (aged out of the ring?)", http.StatusNotFound)
-			return
-		}
-		writeJSON(w, t.Export())
-		return
-	}
-	n, _ := strconv.Atoi(req.URL.Query().Get("n"))
-	recent := r.Tracer.Recent(n)
-	out := struct {
-		SampleRate int               `json:"sampleRate"`
-		Sampled    int64             `json:"sampledTotal"`
-		Traces     []obs.TraceExport `json:"traces"`
-	}{
-		SampleRate: r.Tracer.Sample(),
-		Sampled:    r.Tracer.SampledTotal(),
-		Traces:     make([]obs.TraceExport, 0, len(recent)),
-	}
-	for _, t := range recent {
-		out.Traces = append(out.Traces, t.Export())
-	}
-	writeJSON(w, out)
 }
 
 // mountPprof attaches net/http/pprof to the registry's frozen router.

@@ -144,17 +144,13 @@ type GetBindingsRequest struct {
 
 // GetBindingsResponse returns the arranged URIs and a decision summary.
 type GetBindingsResponse struct {
-	XMLName    struct{} `xml:"GetBindingsResponse"`
-	URIs       []string `xml:"AccessURI"`
-	Filtered   bool     `xml:"filtered,attr"`
-	Eligible   int      `xml:"eligible,attr"`
-	Unknown    int      `xml:"unknown,attr"`
-	Ineligible int      `xml:"ineligible,attr"`
-	WindowOK   bool     `xml:"timeWindowOk,attr"`
-	// Trace is the sampled obs trace id for this discovery (empty when
-	// sampling skipped the request); the REST binding carries the same id
-	// in the X-Registry-Trace response header instead.
-	Trace string `xml:"trace,attr,omitempty"`
+	XMLName    struct{} `xml:"GetBindingsResponse" json:"-"`
+	URIs       []string `xml:"AccessURI" json:"uris"`
+	Filtered   bool     `xml:"filtered,attr" json:"filtered"`
+	Eligible   int      `xml:"eligible,attr" json:"eligible"`
+	Unknown    int      `xml:"unknown,attr" json:"unknown"`
+	Ineligible int      `xml:"ineligible,attr" json:"ineligible"`
+	WindowOK   bool     `xml:"timeWindowOk,attr" json:"windowOk"`
 }
 
 // RegisterRequest runs the user registration wizard over the wire.

@@ -94,13 +94,12 @@ type Config struct {
 	// Logger receives structured logs from the registry's components
 	// (collector, LCM, HTTP surface). Nil discards everything.
 	Logger *slog.Logger
-	// TraceSample samples every Nth HTTP discovery request into the trace
-	// ring (see /registry/traces). 0 disables tracing entirely: the fast
-	// path then sees only nil-trace no-ops and allocates nothing.
+	// TraceSample gives every Nth request on the discovery routes a trace
+	// id and per-stage timings in its flight record (see /registry/traces).
+	// 0 samples nothing: the fast path then sees only nil-timer no-ops and
+	// allocates nothing. Sampling needs the flight ring, so New refuses a
+	// positive TraceSample together with a negative FlightRing.
 	TraceSample int
-	// TraceRing bounds how many finished traces are retained; 0 means
-	// obs.DefaultRingSize.
-	TraceRing int
 	// Pprof mounts net/http/pprof under /debug/pprof/ on the HTTP
 	// handler. Off by default; profiling endpoints are opt-in.
 	Pprof bool
@@ -178,9 +177,9 @@ type Registry struct {
 	// ConstraintCache is the parsed-constraint cache on the discovery
 	// path (nil when Config.ConstraintCacheSize was negative).
 	ConstraintCache *constraint.Cache
-	// Tracer samples HTTP discovery requests into a bounded ring served
-	// by /registry/traces (always allocated; sampling off by default).
-	Tracer *obs.Tracer
+	// Sampler picks the discovery requests whose flight records carry a
+	// trace id and stage timings (always allocated; rate 0 by default).
+	Sampler *flight.Sampler
 	// Log is the registry's structured logger (never nil; a nop logger
 	// when Config.Logger was nil).
 	Log *slog.Logger
@@ -231,6 +230,11 @@ type Registry struct {
 
 // New builds a registry from cfg.
 func New(cfg Config) (*Registry, error) {
+	// Sampled requests live in the flight ring; without one they would be
+	// picked, named and then silently dropped.
+	if cfg.TraceSample > 0 && cfg.FlightRing < 0 {
+		return nil, fmt.Errorf("registry: TraceSample %d needs the flight ring, which FlightRing %d disables", cfg.TraceSample, cfg.FlightRing)
+	}
 	clk := cfg.Clock
 	if clk == nil {
 		clk = simclock.Real{}
@@ -340,8 +344,7 @@ func New(cfg Config) (*Registry, error) {
 	}))
 	collector := nodestate.New(s.NodeState(), invoker, clk, query.CollectionTargets, opts...)
 
-	tracer := obs.NewTracer(clk, cfg.TraceRing)
-	tracer.SetSample(cfg.TraceSample)
+	sampler := flight.NewSampler(clk, cfg.TraceSample)
 
 	// Admission control and the brownout ladder: each ladder transition
 	// flips the corresponding degradation overrides — trace sampling off
@@ -356,9 +359,9 @@ func New(cfg Config) (*Registry, error) {
 		staleness := ctrl.Config().BrownoutStaleness
 		ctrl.OnTierChange(func(t admit.Tier) {
 			if t >= admit.TierNoTrace {
-				tracer.SetSample(0)
+				sampler.SetEvery(0)
 			} else {
-				tracer.SetSample(sample)
+				sampler.SetEvery(sample)
 			}
 			if t >= admit.TierStale {
 				brown.SetExtraStaleness(staleness)
@@ -388,7 +391,7 @@ func New(cfg Config) (*Registry, error) {
 		Breakers:  breakers,
 
 		ConstraintCache: cache,
-		Tracer:          tracer,
+		Sampler:         sampler,
 		Log:             logger.With("component", "registry"),
 		Durable:         durable,
 		Admission:       ctrl,

@@ -4,8 +4,8 @@ package registry
 // after a cache hit on both the REST and SOAP bindings surfaces, epoch
 // invalidation on LCM writes, generation keying on NodeState movement
 // (quarantine), tier keying across the brownout ladder, and a concurrent
-// hammer for -race. The cache only engages with tracing unsampled, so
-// every registry here runs TraceSample 0.
+// hammer for -race. Trace sampling is off here; discover_test.go shows it
+// changes none of this.
 
 import (
 	"bytes"
@@ -31,12 +31,20 @@ import (
 // Config.RespCacheSize semantics (0 default, negative disables).
 func newCachedRegistry(t *testing.T, adm *admit.Config, cacheSize int) (*Registry, *httptest.Server, *rim.Service) {
 	t.Helper()
+	return newSampledCachedRegistry(t, adm, cacheSize, 0)
+}
+
+// newSampledCachedRegistry is newCachedRegistry tracing every sample-th
+// discovery request.
+func newSampledCachedRegistry(t *testing.T, adm *admit.Config, cacheSize, sample int) (*Registry, *httptest.Server, *rim.Service) {
+	t.Helper()
 	reg, err := New(Config{
 		Clock:          simclock.NewManual(t0),
 		Policy:         core.PolicyFilter,
 		SnapshotMaxAge: 25 * time.Second,
 		Admission:      adm,
 		RespCacheSize:  cacheSize,
+		TraceSample:    sample,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -79,6 +87,13 @@ func getBindings(t *testing.T, srv *httptest.Server, service string) (string, *h
 // response bytes, so byte-identity can be asserted on the SOAP surface.
 func postBindingsRaw(t *testing.T, srv *httptest.Server, req *GetBindingsRequest) []byte {
 	t.Helper()
+	body, _ := postBindings(t, srv, req)
+	return body
+}
+
+// postBindings is postBindingsRaw plus the response headers.
+func postBindings(t *testing.T, srv *httptest.Server, req *GetBindingsRequest) ([]byte, http.Header) {
+	t.Helper()
 	env, err := soap.Marshal(&soapRequest{Bindings: req})
 	if err != nil {
 		t.Fatal(err)
@@ -95,7 +110,7 @@ func postBindingsRaw(t *testing.T, srv *httptest.Server, req *GetBindingsRequest
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("soap bindings status = %d (body %q)", resp.StatusCode, body)
 	}
-	return body
+	return body, resp.Header
 }
 
 // TestRESTCacheHitIsByteIdentical: the first GET renders and stores, the

@@ -6,6 +6,9 @@ import (
 	"net/http"
 	"sort"
 	"strings"
+	"time"
+
+	"repro/internal/flight"
 )
 
 // A minimal read-only Web UI — the thin-browser counterpart of the
@@ -64,13 +67,13 @@ var uiTemplate = template.Must(template.New("ui").Parse(`<!DOCTYPE html>
 <h2>Discovery traces</h2>
 {{if .Traces}}
 <table>
- <tr><th>Trace</th><th>Start</th><th>Total µs</th><th>Spans</th><th>Attributes</th></tr>
+ <tr><th>Trace</th><th>Start</th><th>Total µs</th><th>Stages</th><th>Decision</th></tr>
  {{range .Traces}}
  <tr><td class="muted">{{.ID}}</td><td>{{.Start}}</td><td>{{printf "%.1f" .TotalUs}}</td>
-     <td>{{.Spans}}</td><td class="muted">{{.Attrs}}</td></tr>
+     <td>{{.Stages}}</td><td class="muted">{{.Decision}}</td></tr>
  {{end}}
 </table>
-<p class="muted">{{.TraceLine}} Full spans at <a href="/registry/traces">/registry/traces</a>.</p>
+<p class="muted">{{.TraceLine}} Full records at <a href="/registry/traces">/registry/traces</a>.</p>
 {{else}}<p class="muted">{{.TraceLine}}</p>{{end}}
 <p class="muted">{{.FaultLine}}</p>
 <p class="muted">{{.Count}} objects in the registry. Publishing requires the SOAP binding or the AccessRegistry API.</p>
@@ -86,12 +89,12 @@ type uiHealthRow struct {
 	Failures, Consecutive, Trips     int
 }
 
-// uiTraceRow is one pre-rendered row of the discovery-traces panel: the
-// span sequence is flattened to "name=µs" pairs so the template stays
-// dumb.
+// uiTraceRow is one pre-rendered row of the discovery-traces panel: a
+// sampled flight record with its stage times flattened to "name=µs" pairs
+// so the template stays dumb.
 type uiTraceRow struct {
-	ID, Start, Spans, Attrs string
-	TotalUs                 float64
+	ID, Start, Stages, Decision string
+	TotalUs                     float64
 }
 
 type uiData struct {
@@ -151,28 +154,24 @@ func (r *Registry) handleUI(w http.ResponseWriter, req *http.Request) {
 		FaultLine: fmt.Sprintf("Collector: %d sweeps, %d errors, %d timeouts, %d retries, %d breaker skips.",
 			stats.Sweeps, stats.Errs, stats.Timeouts, stats.Retries, stats.Skipped),
 	}
-	if n := r.Tracer.Sample(); n > 0 {
+	if n := r.Sampler.Every(); n > 0 {
 		data.TraceLine = fmt.Sprintf("Tracing every %s discovery request; %d sampled so far.",
-			ordinal(n), r.Tracer.SampledTotal())
+			ordinal(n), r.Sampler.Sampled())
 	} else {
 		data.TraceLine = "Trace sampling disabled (start the server with -trace-sample N to enable)."
 	}
-	for _, t := range r.Tracer.Recent(10) {
-		e := t.Export()
-		spans := make([]string, 0, len(e.Spans))
-		for _, s := range e.Spans {
-			spans = append(spans, fmt.Sprintf("%s=%.1fµs", s.Name, s.DurationUs))
-		}
-		attrs := make([]string, 0, len(e.Attrs))
-		for _, a := range e.Attrs {
-			attrs = append(attrs, a.Key+"="+a.Value)
+	for _, rec := range r.Flight.Snapshot(flight.Filter{Traced: true, Limit: 10}) {
+		stages := make([]string, flight.NumStages)
+		for i, d := range rec.Stages {
+			stages[i] = fmt.Sprintf("%s=%.1fµs", flight.StageNames[i], float64(d)/float64(time.Microsecond))
 		}
 		data.Traces = append(data.Traces, uiTraceRow{
-			ID:      e.ID,
-			Start:   e.Start.UTC().Format("15:04:05.000"),
-			TotalUs: e.DurationUs,
-			Spans:   strings.Join(spans, " "),
-			Attrs:   strings.Join(attrs, " "),
+			ID:      rec.Trace,
+			Start:   time.Unix(0, rec.Unix).UTC().Format("15:04:05.000"),
+			TotalUs: float64(rec.Latency) / float64(time.Microsecond),
+			Stages:  strings.Join(stages, " "),
+			Decision: fmt.Sprintf("%s hit=%t gen=%d eligible=%d unknown=%d ineligible=%d quarantined=%d host=%s",
+				rec.Verdict, rec.CacheHit, rec.SnapshotGen, rec.Eligible, rec.Unknown, rec.Ineligible, rec.Quarantined, rec.Host),
 		})
 	}
 	for _, rep := range r.Collector.HealthSnapshot() {

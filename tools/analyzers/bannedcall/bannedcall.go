@@ -1,0 +1,218 @@
+// Package bannedcall flags uses of standard-library names the repository
+// has a sanctioned replacement for. One table holds the rules; each row
+// names the packages it watches, the members it bans (or the only ones it
+// allows), the packages it leaves alone, and the message that says what to
+// use instead. A row's tag is the name the rule had when it was an
+// analyzer of its own, and still closes its diagnostics.
+//
+//   - wallclock: the reproduction's determinism rests on the
+//     internal/simclock.Clock abstraction — the 25 s NodeStatus poller,
+//     time-of-day service windows, token expiry and audit timestamps all
+//     take an injected Clock so a simclock.Manual can drive them. A single
+//     stray time.Now() reintroduces nondeterminism that only shows up as
+//     flaky experiments, so only package simclock itself may touch package
+//     time's clock functions. Pure constructors and arithmetic (time.Date,
+//     time.Duration, t.Add, time.Parse, ...) remain allowed.
+//   - norand: every stochastic component — the MTC workload generator's
+//     Poisson arrivals, host-load jitter in cmd/nodestatusd — must draw from
+//     a *rand.Rand seeded from configuration, so a run is reproducible from
+//     its recorded seed. The global source is seeded behind the program's
+//     back and shared across goroutines; rand.Seed is additionally
+//     deprecated. Constructing sources and naming math/rand types is fine.
+//   - structlog: libraries log through an injected *slog.Logger (see
+//     internal/obs) so records carry component attributes and honour
+//     -log-level/-log-format, or write to an explicitly injected io.Writer
+//     (fmt.Fprintf and friends stay legal — the caller chose the
+//     destination). Main packages own the process and are exempt.
+//   - clienttimeout: a zero-Timeout http.Client never gives up on an
+//     unresponsive peer — the NodeStatus collector bug this rule grew out of
+//     had a nil-client HTTPInvoker fall back to http.DefaultClient, so one
+//     hung host pinned a sweep slot forever (see ISSUE 2). Every constructed
+//     client states its deadline budget; even `Timeout: 0` is accepted,
+//     because writing it proves the unbounded client was chosen.
+//
+// A rule flags the reference, not only the call: passing time.Now or
+// fmt.Println as a value leaks it just as surely. Test files are exempt
+// from every rule: tests may use the wall clock, the global rand, prints
+// and throwaway clients freely.
+package bannedcall
+
+import (
+	"fmt"
+	"go/ast"
+	"go/types"
+	"path"
+
+	"repro/tools/analyzers/framework"
+)
+
+// Analyzer is the bannedcall pass.
+var Analyzer = &framework.Analyzer{
+	Name: "bannedcall",
+	Doc: "flags standard-library uses with a sanctioned replacement: wall-clock reads outside internal/simclock, " +
+		"the global math/rand source, fmt.Print*/log.* output in library packages, " +
+		"and http.Client literals without an explicit Timeout",
+	Run: run,
+}
+
+// rule is one row of the table.
+type rule struct {
+	// tag closes the rule's diagnostics.
+	tag string
+	// pkgs are the import paths whose members the rule watches.
+	pkgs []string
+	// names maps a watched member to the replacement its diagnostic names;
+	// "" means the rule's fix. With allowOnly set the sense flips: names
+	// are the only functions and variables of pkgs that may be used.
+	names     map[string]string
+	allowOnly bool
+	// literalNeeds, when set, changes what is banned about a member: not
+	// naming it, but writing a composite literal of that type without this
+	// field.
+	literalNeeds string
+	// exempt reports the packages the rule does not apply to.
+	exempt func(*types.Package) bool
+	// format takes the member and its replacement.
+	format, fix string
+}
+
+const (
+	slogOrWriter = "an injected *slog.Logger (or fmt.F%s to an injected io.Writer)"
+	slogOnly     = "an injected *slog.Logger"
+	slogAndError = "an injected *slog.Logger and an error return"
+)
+
+var rules = []rule{{
+	tag:  "wallclock",
+	pkgs: []string{"time"},
+	names: map[string]string{
+		"Now": "", "Since": "", "Until": "", "After": "", "Sleep": "", "Tick": "",
+		"NewTicker": "", "NewTimer": "", "AfterFunc": "",
+	},
+	// simclock is the sanctioned wrapper around the real clock.
+	exempt: func(p *types.Package) bool { return path.Base(p.Path()) == "simclock" },
+	format: "time.%s reads the wall clock; use %s",
+	fix:    "the injected simclock.Clock",
+}, {
+	tag:       "norand",
+	pkgs:      []string{"math/rand", "math/rand/v2"},
+	names:     map[string]string{"New": "", "NewSource": "", "NewZipf": ""},
+	allowOnly: true,
+	format:    "rand.%s uses the global math/rand source; inject %s",
+	fix:       "a seeded *rand.Rand",
+}, {
+	tag:  "structlog",
+	pkgs: []string{"fmt"},
+	names: map[string]string{
+		"Print":   fmt.Sprintf(slogOrWriter, "print"),
+		"Printf":  fmt.Sprintf(slogOrWriter, "printf"),
+		"Println": fmt.Sprintf(slogOrWriter, "println"),
+	},
+	exempt: isMain,
+	format: "fmt.%s in library package; use %s",
+}, {
+	tag:  "structlog",
+	pkgs: []string{"log"},
+	names: map[string]string{
+		"Print": slogOnly, "Printf": slogOnly, "Println": slogOnly, "Output": slogOnly,
+		"Fatal": slogAndError, "Fatalf": slogAndError, "Fatalln": slogAndError,
+		"Panic": slogAndError, "Panicf": slogAndError, "Panicln": slogAndError,
+	},
+	exempt: isMain,
+	format: "log.%s in library package; use %s",
+}, {
+	tag:          "clienttimeout",
+	pkgs:         []string{"net/http"},
+	names:        map[string]string{"Client": ""},
+	literalNeeds: "Timeout",
+	format:       "http.%s literal without an explicit Timeout waits forever on a hung peer; set %s",
+	fix:          "Timeout (0 only if deliberate)",
+}}
+
+// isMain exempts binaries: they own the process and compose user-facing
+// output.
+func isMain(p *types.Package) bool { return p.Name() == "main" }
+
+func run(pass *framework.Pass) (interface{}, error) {
+	var active []*rule
+	for i := range rules {
+		if r := &rules[i]; r.exempt == nil || !r.exempt(pass.Pkg) {
+			active = append(active, r)
+		}
+	}
+	for _, f := range pass.NonTestFiles() {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.SelectorExpr:
+				// The qualifier must name the package, so a method that
+				// happens to share a banned name (logger.Printf) is not a hit.
+				if id, ok := n.X.(*ast.Ident); ok && pass.PkgNameOf(id) != nil {
+					for _, r := range active {
+						if r.literalNeeds == "" {
+							r.check(pass, n, pass.TypesInfo.Uses[n.Sel])
+						}
+					}
+				}
+			case *ast.CompositeLit:
+				// Resolved through the type checker, not syntax, so
+				// &http.Client{...} and aliased imports are covered.
+				if named, ok := pass.TypesInfo.Types[n].Type.(*types.Named); ok {
+					for _, r := range active {
+						if r.literalNeeds != "" && !setsField(n, r.literalNeeds) {
+							r.check(pass, n, named.Obj())
+						}
+					}
+				}
+			}
+			return true
+		})
+	}
+	return nil, nil
+}
+
+// check reports at n when obj is a member the rule bans.
+func (r *rule) check(pass *framework.Pass, n ast.Node, obj types.Object) {
+	if obj == nil || obj.Pkg() == nil || !r.watches(obj.Pkg().Path()) {
+		return
+	}
+	// A use rule bans what acts — functions and variables; naming a type
+	// (rand.Rand, rand.Source) is always fine. A literal rule is about a type.
+	if _, isType := obj.(*types.TypeName); isType != (r.literalNeeds != "") {
+		return
+	}
+	fix, listed := r.names[obj.Name()]
+	if listed == r.allowOnly {
+		return
+	}
+	if fix == "" {
+		fix = r.fix
+	}
+	pass.Report(framework.Diagnostic{
+		Pos:     n.Pos(),
+		Message: fmt.Sprintf(r.format, obj.Name(), fix) + " (" + r.tag + ")",
+	})
+}
+
+func (r *rule) watches(pkgPath string) bool {
+	for _, p := range r.pkgs {
+		if p == pkgPath {
+			return true
+		}
+	}
+	return false
+}
+
+// setsField reports whether the literal sets the named field. An
+// all-positional literal necessarily sets every field.
+func setsField(lit *ast.CompositeLit, field string) bool {
+	for _, elt := range lit.Elts {
+		kv, ok := elt.(*ast.KeyValueExpr)
+		if !ok {
+			return true
+		}
+		if id, ok := kv.Key.(*ast.Ident); ok && id.Name == field {
+			return true
+		}
+	}
+	return false
+}

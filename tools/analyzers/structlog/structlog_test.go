@@ -1,12 +1,14 @@
-package structlog_test
+// Package structlog holds the fixtures of bannedcall's structlog rule, which was
+// an analyzer of its own before the banned-call rules shared one table.
+package structlog
 
 import (
 	"testing"
 
 	"repro/tools/analyzers/analysistest"
-	"repro/tools/analyzers/structlog"
+	"repro/tools/analyzers/bannedcall"
 )
 
 func TestStructlog(t *testing.T) {
-	analysistest.Run(t, analysistest.TestData(t), structlog.Analyzer, "structlog", "structlogmain")
+	analysistest.Run(t, analysistest.TestData(t), bannedcall.Analyzer, "structlog", "structlogmain")
 }
