@@ -9,7 +9,7 @@ BENCH_PATTERN = BenchmarkDiscovery|BenchmarkHTTPDiscovery
 BENCH_TIME    = 2000x
 BENCH_NOTE    = discovery fast path baseline; allocs/op gated at +25%, serving edge at +5%
 
-.PHONY: all build test race vet lint check clean bench benchcheck benchmod smoke crashcheck escapecheck escapecheck-emit overloadcheck replcheck
+.PHONY: all build test race vet lint check clean bench benchcheck benchmod smoke crashcheck escapecheck escapecheck-emit overloadcheck replcheck fuzzsmoke
 
 all: check
 
@@ -41,10 +41,25 @@ smoke:
 	$(GO) run ./cmd/scrapesmoke
 
 # crashcheck runs the seeded crash-injection harness under the race
-# detector: every seed tears the in-flight WAL record at a random byte
-# offset and recovery must reproduce the acknowledged store exactly.
+# detector: every seed tears the in-flight WAL record, or damages the
+# newest checkpoint, at a random byte offset and recovery must reproduce
+# the acknowledged store exactly; plus the boot rule (a boot that loaded a
+# checkpoint writes none) and the refusal to boot from no usable checkpoint.
 crashcheck:
-	$(GO) test -race -count=1 -run 'Crash|WALEquivalent|Degraded|CheckpointRetention' ./internal/wal/ ./internal/registry/
+	$(GO) test -race -count=1 -run 'Crash|WALEquivalent|Degraded|CheckpointRetention|BootDoesNotCheckpoint' ./internal/wal/ ./internal/registry/
+
+# fuzzsmoke runs every native fuzz target for ten seconds: the decoders of
+# bytes read from disk must not panic, over-allocate or half-apply.
+# Minimisation is capped at a second: Load decodes on several goroutines, so
+# coverage varies with scheduling, and at the default minute the engine
+# spends most of the ten seconds shrinking inputs that found nothing new.
+fuzzsmoke:
+	@set -e; grep -rH --include='*_test.go' -o '^func Fuzz[A-Za-z0-9_]*' cmd internal tools | \
+	while IFS=: read -r file fn; do \
+		target=$${fn#func }; \
+		echo "== ./$$(dirname $$file) $$target"; \
+		$(GO) test -run '^$$' -fuzz "^$$target$$" -fuzztime 10s -fuzzminimizetime 1s ./$$(dirname $$file); \
+	done
 
 # overloadcheck exercises the overload-resilience edge under the race
 # detector: the admission controller's decision core, the shedding ×

@@ -42,17 +42,33 @@ func walInspect(dir string) error {
 	}
 	fmt.Printf("checkpoints: %d\n", len(info.Checkpoints))
 	for _, c := range info.Checkpoints {
-		if c.Err != "" {
-			fmt.Printf("  checkpoint-%010d.json  INVALID: %s\n", c.Seq, c.Err)
-			continue
+		switch {
+		case c.Format == 0:
+			fmt.Printf("  %s  %d bytes, INVALID: %s\n", c.Name, c.Bytes, c.Err)
+		case c.Err != "":
+			fmt.Printf("  %s  format %d, covers %s, %d bytes, INVALID after %d frames: %s\n",
+				c.Name, c.Format, c.Covers, c.Bytes, c.Frames, c.Err)
+		default:
+			fmt.Printf("  %s  format %d, covers %s, %d frames, %d objects, %d bytes, crc ok\n",
+				c.Name, c.Format, c.Covers, c.Frames, c.Objects, c.Bytes)
 		}
-		fmt.Printf("  checkpoint-%010d.json  covers %d:%d, snapshot %d bytes\n",
-			c.Seq, c.Segment, c.Offset, c.SnapshotBytes)
+	}
+	for _, name := range info.Quarantined {
+		fmt.Printf("  %s  quarantined by a recovery that could not read it; never deleted automatically\n", name)
 	}
 	return nil
 }
 
+// walDump lists the newest checkpoint's frames, then every log record.
 func walDump(dir string) error {
+	err := wal.DumpCheckpoint(dir, func(f wal.FrameInfo) error {
+		fmt.Printf("%s  %-12s %5dB  %s\n", f.Checkpoint, f.Kind, f.Bytes, f.ID)
+		return nil
+	})
+	if err != nil {
+		// The records below are still worth reading.
+		fmt.Printf("newest checkpoint unreadable past this point: %v\n", err)
+	}
 	return wal.Dump(dir, func(r wal.RecordInfo) error {
 		var detail []string
 		if len(r.PutIDs) > 0 {

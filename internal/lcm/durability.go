@@ -1,9 +1,11 @@
 package lcm
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/rim"
+	"repro/internal/store"
 )
 
 // Mutation is one logical, acknowledged LCM write: the unit appended to
@@ -75,23 +77,36 @@ func (m *Manager) commit(mut Mutation) error {
 // records, bootstrap fixtures) that previously went straight to the store
 // and so were invisible to the write-ahead log.
 func (m *Manager) PutDirect(objs ...rim.Object) error {
+	return m.SwapDirect(nil, objs...)
+}
+
+// SwapDirect is PutDirect that first removes the objects with the given
+// ids, all as one logged mutation — how each boot supersedes the previous
+// boot's operator row. Ids that are not stored are skipped, as replay
+// skips them.
+func (m *Manager) SwapDirect(deletes []string, objs ...rim.Object) error {
 	end, err := m.beginWrite()
 	if err != nil {
 		return err
 	}
 	defer end()
+	for _, id := range deletes {
+		if err := m.Store.Delete(id); err != nil && !errors.Is(err, store.ErrNotFound) {
+			return fmt.Errorf("lcm: putDirect: %w", err)
+		}
+	}
 	for _, o := range objs {
 		if err := m.Store.Put(o); err != nil {
 			return fmt.Errorf("lcm: putDirect: %w", err)
 		}
 	}
-	if err := m.commit(Mutation{Op: "PutDirect", Puts: objs}); err != nil {
+	if err := m.commit(Mutation{Op: "PutDirect", Puts: objs, Deletes: deletes}); err != nil {
 		return err
 	}
 	if m.OnWrite != nil {
-		ids := make([]string, len(objs))
-		for i, o := range objs {
-			ids[i] = o.Base().ID
+		ids := append([]string(nil), deletes...)
+		for _, o := range objs {
+			ids = append(ids, o.Base().ID)
 		}
 		m.OnWrite(ids...)
 	}

@@ -17,6 +17,7 @@ import (
 	"repro/internal/nodestate"
 	"repro/internal/obs"
 	"repro/internal/store"
+	"repro/internal/wal"
 )
 
 // componentHealth is one subsystem's verdict in the /registry/health
@@ -168,6 +169,8 @@ type walPosition struct {
 	Segments    int64 `json:"segments"`
 	Checkpoints int64 `json:"checkpoints"`
 	Degraded    bool  `json:"degraded"`
+	// Recovery is what this boot read from disk and how long each phase took.
+	Recovery wal.RecoveryStats `json:"recovery"`
 }
 
 // replSection is the replication view in the bundle: role, positions as
@@ -218,14 +221,15 @@ func (r *Registry) handleBundle(w http.ResponseWriter, req *http.Request) {
 	}
 	var metricsText strings.Builder
 	r.expo.WriteTo(&metricsText)
-	var wal *walPosition
+	var walPos *walPosition
 	if r.Durable != nil {
-		wal = &walPosition{
+		walPos = &walPosition{
 			Appends:     r.Durable.WAL().Appends(),
 			Bytes:       r.Durable.WAL().Bytes(),
 			Segments:    r.Durable.WAL().SegmentCount(),
 			Checkpoints: r.Durable.Checkpoints(),
 			Degraded:    r.Durable.Degraded(),
+			Recovery:    r.Durable.Recovery(),
 		}
 	}
 	tier := 0
@@ -266,7 +270,7 @@ func (r *Registry) handleBundle(w http.ResponseWriter, req *http.Request) {
 		Metrics:      metricsText.String(),
 		Flight:       flight.ExportAll(r.Flight.Snapshot(flight.Filter{Limit: n})),
 		Traces:       flight.ExportAll(r.Flight.Snapshot(flight.Filter{Traced: true, Limit: n})),
-		WAL:          wal,
+		WAL:          walPos,
 		Repl:         repl,
 		BrownoutTier: tier,
 		SLO:          r.SLOEngine.BurnRates(),

@@ -1,6 +1,7 @@
 package registry
 
 import (
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -60,6 +61,85 @@ func TestRegistryCrashRecovery(t *testing.T) {
 	}
 }
 
+// TestBootDoesNotCheckpoint pins the boot rule: only a boot that found no
+// checkpoint to load writes one. Every other boot logs its operator swap
+// as one WAL record and leaves checkpointing to the thresholds, which count
+// the replayed tail — so the tail grows by one record per boot until the
+// boot mutation itself crosses a threshold.
+func TestBootDoesNotCheckpoint(t *testing.T) {
+	boot := func(dir string, records int) (*Registry, *obs.Scrape) {
+		t.Helper()
+		reg, err := New(Config{Clock: simclock.NewManual(t0), DataDir: dir, Fsync: wal.FsyncAlways, CheckpointRecords: records})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := httptest.NewServer(reg.Handler())
+		defer srv.Close()
+		return reg, scrapeMetrics(t, srv)
+	}
+	value := func(sc *obs.Scrape, name string) float64 {
+		t.Helper()
+		v, ok := sc.Value(name, nil)
+		if !ok {
+			t.Fatalf("%s missing from the scrape", name)
+		}
+		return v
+	}
+
+	dir := t.TempDir()
+	first, sc := boot(dir, 0)
+	if got := value(sc, "registry_checkpoints_total"); got != 1 {
+		t.Fatalf("first boot of an empty directory wrote %v checkpoints, want 1", got)
+	}
+	const tail = 5
+	for i := 0; i < tail; i++ {
+		if err := first.LCM.SubmitObjects(first.AdminContext(), rim.NewService(fmt.Sprintf("svc-%d", i), "")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	objects := first.Store.Len()
+	schemes := len(first.Store.ByType(rim.TypeClassificationScheme))
+	nodes := len(first.Store.ByType(rim.TypeClassificationNode))
+	// kill -9: abandoned without Close, here and after every boot below.
+
+	for earlier := 0; earlier < 3; earlier++ {
+		reg, sc := boot(dir, 0)
+		if got := value(sc, "registry_checkpoints_total"); got != 0 {
+			t.Fatalf("reboot %d wrote %v checkpoints, want 0", earlier, got)
+		}
+		if got, want := value(sc, "registry_wal_replay_records_total"), float64(tail+earlier); got != want {
+			t.Fatalf("reboot %d replayed %v records, want the tail of %d plus one per earlier boot = %v", earlier, got, tail, want)
+		}
+		if got := value(sc, "registry_objects"); got != float64(objects) || reg.Store.Len() != objects {
+			t.Fatalf("reboot %d holds %v objects, want %d: the operator swap must be count-neutral", earlier, got, objects)
+		}
+		admins := reg.Store.FindByName(rim.TypeUser, AdminAlias)
+		if len(admins) != 1 || admins[0].Base().ID != reg.AdminContext().UserID {
+			t.Fatalf("reboot %d: operator rows = %d, want exactly this boot's", earlier, len(admins))
+		}
+		if s, n := len(reg.Store.ByType(rim.TypeClassificationScheme)), len(reg.Store.ByType(rim.TypeClassificationNode)); s != schemes || n != nodes {
+			t.Fatalf("reboot %d: taxonomy is %d schemes / %d nodes, want %d / %d", earlier, s, n, schemes, nodes)
+		}
+	}
+
+	// A replayed tail one short of the record threshold: the boot mutation
+	// is the record that crosses it, and the checkpoint follows at once.
+	dir = t.TempDir()
+	first, _ = boot(dir, tail+1)
+	for i := 0; i < tail; i++ {
+		if err := first.LCM.SubmitObjects(first.AdminContext(), rim.NewService(fmt.Sprintf("svc-%d", i), "")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, sc = boot(dir, tail+1); value(sc, "registry_checkpoints_total") != 1 || value(sc, "registry_wal_replay_records_total") != tail {
+		t.Fatalf("boot at the threshold: %v checkpoints after replaying %v records, want 1 after %d",
+			value(sc, "registry_checkpoints_total"), value(sc, "registry_wal_replay_records_total"), tail)
+	}
+	if _, sc = boot(dir, tail+1); value(sc, "registry_wal_replay_records_total") != 0 {
+		t.Fatalf("boot after the threshold checkpoint replayed %v records, want 0", value(sc, "registry_wal_replay_records_total"))
+	}
+}
+
 func scrapeMetrics(t *testing.T, srv *httptest.Server) *obs.Scrape {
 	t.Helper()
 	resp, err := srv.Client().Get(srv.URL + "/registry/metrics")
@@ -101,11 +181,32 @@ func TestDurabilityMetricsExposition(t *testing.T) {
 	if v, ok := scrape.Value("registry_wal_segments", nil); !ok || v < 1 {
 		t.Fatalf("registry_wal_segments = %v, %v", v, ok)
 	}
-	if v, ok := scrape.Value("registry_checkpoints_total", nil); !ok || v < 1 {
-		t.Fatalf("registry_checkpoints_total = %v, %v; want the boot checkpoint counted", v, ok)
+	if v, ok := scrape.Value("registry_checkpoints_total", nil); !ok || v != 0 {
+		t.Fatalf("registry_checkpoints_total = %v, %v; a boot that loaded a checkpoint writes none", v, ok)
+	}
+	for _, phase := range []string{"load", "replay"} {
+		if v, ok := scrape.Value("registry_wal_recovery_seconds", map[string]string{"phase": phase}); !ok || v < 0 {
+			t.Fatalf("registry_wal_recovery_seconds{phase=%q} = %v, %v", phase, v, ok)
+		}
 	}
 	if v, ok := scrape.Value("registry_wal_degraded", nil); !ok || v != 0 {
 		t.Fatalf("registry_wal_degraded = %v, %v; want healthy 0", v, ok)
+	}
+	// The bundle says what this boot read: the first boot's checkpoint and
+	// the three submits on top of it.
+	bresp, err := srv.Client().Get(srv.URL + "/registry/debug/bundle")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bundle struct {
+		WAL struct {
+			Recovery wal.RecoveryStats `json:"recovery"`
+		} `json:"wal"`
+	}
+	err = json.NewDecoder(bresp.Body).Decode(&bundle)
+	bresp.Body.Close()
+	if rec := bundle.WAL.Recovery; err != nil || rec.Checkpoint != 1 || rec.ReplayedRecords != 3 || rec.Frames == 0 || rec.CheckpointBytes == 0 {
+		t.Fatalf("bundle wal.recovery = %+v (%v), want checkpoint 1 with its frames and bytes, 3 records replayed", rec, err)
 	}
 	if err := reg.LCM.SubmitObjects(reg.AdminContext(), rim.NewService("counted", "")); err != nil {
 		t.Fatal(err)

@@ -10,6 +10,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/router"
+	"repro/internal/wal"
 )
 
 // discoveryMetrics are the counters the HTTP discovery handlers maintain
@@ -350,7 +351,7 @@ func (r *Registry) buildExposition() *obs.Exposition {
 			if durable == nil {
 				return 0
 			}
-			return durable.ReplayedRecords()
+			return durable.Recovery().ReplayedRecords
 		})
 	e.Counter("registry_checkpoints_total",
 		"Atomic checkpoints written since boot.",
@@ -367,6 +368,15 @@ func (r *Registry) buildExposition() *obs.Exposition {
 				return 0
 			}
 			return durable.LastCheckpointSeconds()
+		})
+	e.GaugeVec("registry_wal_recovery_seconds",
+		"Where boot recovery's time went on the registry clock: loading the checkpoint, replaying the WAL tail.",
+		"phase", func() map[string]float64 {
+			var rec wal.RecoveryStats
+			if durable != nil {
+				rec = durable.Recovery()
+			}
+			return map[string]float64{"load": rec.LoadSeconds, "replay": rec.ReplaySeconds}
 		})
 	e.Gauge("registry_wal_degraded",
 		"1 when a disk-write failure has flipped the registry read-only.",

@@ -433,27 +433,31 @@ func New(cfg Config) (*Registry, error) {
 
 	// Bootstrap the registry operator account. Registrar state (keystore,
 	// sessions) is in-memory, so the operator re-registers on every boot
-	// with a fresh id; operator User rows recovered from previous boots
-	// are superseded here.
+	// with a fresh id, and the rows recovered from previous boots are
+	// superseded — as one mutation through the log, like every other
+	// acknowledged write, so that a boot does not need a checkpoint to
+	// make it durable.
 	_, adminUser, err := registrar.Register(AdminAlias, auth.DefaultKeystorePassword,
 		rim.PersonName{FirstName: "Registry", LastName: "Operator"})
 	if err != nil {
 		return nil, err
 	}
+	var superseded []string
 	for _, old := range s.FindByName(rim.TypeUser, AdminAlias) {
-		if err := s.Delete(old.Base().ID); err != nil {
-			return nil, err
-		}
+		superseded = append(superseded, old.Base().ID)
 	}
-	if err := s.Put(adminUser); err != nil {
+	if err := lifecycle.SwapDirect(superseded, adminUser); err != nil {
 		return nil, err
 	}
 	r.adminID = adminUser.ID
 
-	// Cover the bootstrap writes (taxonomy, operator account) with a
-	// checkpoint so a crash before the first client mutation still boots
-	// into a well-formed registry.
-	if durable != nil {
+	// No checkpoint was loaded: this is a first boot (or one that never got
+	// as far as its checkpoint). Write one, to cover the taxonomy seed —
+	// the only write that bypasses the log — and to give a follower
+	// something to bootstrap from. Every later boot leaves checkpointing to
+	// the record and byte thresholds, which count the replayed tail too, so
+	// a crash loop's tail stays bounded by them.
+	if durable != nil && durable.Recovery().Checkpoint == 0 {
 		if err := durable.Checkpoint(); err != nil {
 			return nil, err
 		}

@@ -2,17 +2,13 @@ package repl
 
 import (
 	"bufio"
-	"bytes"
 	"context"
-	"encoding/json"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"log/slog"
 	"math/rand"
 	"net/http"
-	"os"
-	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -64,54 +60,39 @@ type FollowerOptions struct {
 	Log wal.Options
 }
 
-// localRecord wraps one applied leader record in the follower's own WAL:
-// the leader payload plus the leader position and sequence it carries, so
-// restart recovery resumes from a durable applied position.
-type localRecord struct {
-	Segment uint64          `json:"segment"`
-	Offset  int64           `json:"offset"`
-	Seq     uint64          `json:"seq"`
-	Payload json.RawMessage `json:"payload"`
+// A local record wraps one applied leader record in the follower's own
+// WAL: [u64 segment][u64 offset][u64 seq] (little-endian, the leader
+// position just past the record and its sequence number) in front of the
+// leader's payload, so restart recovery resumes from a durable applied
+// position.
+const localPrefixLen = 24
+
+func encodeLocal(rec wal.StreamRecord) []byte {
+	b := make([]byte, 0, localPrefixLen+len(rec.Payload))
+	b = binary.LittleEndian.AppendUint64(b, rec.Pos.Segment)
+	b = binary.LittleEndian.AppendUint64(b, uint64(rec.Pos.Offset))
+	b = binary.LittleEndian.AppendUint64(b, rec.Seq)
+	return append(b, rec.Payload...)
 }
 
-// followerCheckpointFormat versions the local checkpoint layout.
-const followerCheckpointFormat = 1
-
-// followerCheckpoint is the JSON layout of a replckpt-<seq>.json file: a
-// store snapshot stamped with both the leader position it covers and the
-// local log position, so recovery replays only newer local records.
-type followerCheckpoint struct {
-	Format        int             `json:"format"`
-	LeaderSegment uint64          `json:"leaderSegment"`
-	LeaderOffset  int64           `json:"leaderOffset"`
-	Seq           uint64          `json:"seq"`
-	LocalSegment  uint64          `json:"localSegment"`
-	LocalOffset   int64           `json:"localOffset"`
-	Snapshot      json.RawMessage `json:"snapshot"`
+func decodeLocal(b []byte) (wal.StreamRecord, error) {
+	if len(b) < localPrefixLen {
+		return wal.StreamRecord{}, fmt.Errorf("repl: local record of %d bytes is shorter than its prefix", len(b))
+	}
+	return wal.StreamRecord{
+		Pos:     wal.Position{Segment: binary.LittleEndian.Uint64(b), Offset: int64(binary.LittleEndian.Uint64(b[8:]))},
+		Seq:     binary.LittleEndian.Uint64(b[16:]),
+		Payload: b[localPrefixLen:],
+	}, nil
 }
 
-func followerCheckpointName(seq uint64) string { return fmt.Sprintf("replckpt-%010d.json", seq) }
-
-// listFollowerCheckpoints returns ascending local checkpoint sequences.
-func listFollowerCheckpoints(dir string) ([]uint64, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, fmt.Errorf("repl: list %s: %w", dir, err)
-	}
-	var out []uint64
-	for _, e := range entries {
-		name := e.Name()
-		if !strings.HasPrefix(name, "replckpt-") || !strings.HasSuffix(name, ".json") {
-			continue
-		}
-		var seq uint64
-		if _, err := fmt.Sscanf(name, "replckpt-%010d.json", &seq); err != nil || seq == 0 {
-			continue
-		}
-		out = append(out, seq)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out, nil
+// followerCheckpoints is the follower's local checkpoint family,
+// "replckpt-<seq>.ckpt": the shared checkpoint layout of package wal whose
+// header words are the leader position the snapshot covers, the leader
+// sequence number there, and the local log position, so recovery replays
+// only newer local records.
+func followerCheckpoints(dir string) wal.CheckpointFiles {
+	return wal.CheckpointFiles{Dir: dir, Prefix: "replckpt", Words: 5}
 }
 
 // Follower tails the leader's WAL stream, applies records through the
@@ -119,7 +100,7 @@ func listFollowerCheckpoints(dir string) ([]uint64, error) {
 // Poll) must be driven from a single goroutine; Stats is safe to call
 // from any.
 type Follower struct {
-	dir    string
+	files  wal.CheckpointFiles
 	store  *store.Store
 	log    *wal.Log
 	opts   FollowerOptions
@@ -136,8 +117,9 @@ type Follower struct {
 	mu           sync.Mutex
 	hasState     bool         // guarded by mu — a checkpoint or record survived recovery
 	applied      wal.Position // guarded by mu — leader position just past the last applied record
-	ckptSeq      uint64       // guarded by mu — newest local checkpoint sequence
-	ckptLocal    wal.Position // guarded by mu — local log position the newest checkpoint covers
+	lastSeq      uint64       // guarded by mu — highest local checkpoint sequence ever used
+	ckptSeq      uint64       // guarded by mu — newest usable local checkpoint: the one loaded or last written
+	ckptLocal    wal.Position // guarded by mu — local log position that checkpoint covers
 	recordsSince int          // guarded by mu — local records since last checkpoint
 	bytesSince   int64        // guarded by mu — local bytes since last checkpoint
 
@@ -195,7 +177,7 @@ func OpenFollower(dir string, s *store.Store, opts FollowerOptions) (*Follower, 
 		return nil, err
 	}
 	f := &Follower{
-		dir:    dir,
+		files:  followerCheckpoints(dir),
 		store:  s,
 		log:    l,
 		opts:   opts,
@@ -207,47 +189,29 @@ func OpenFollower(dir string, s *store.Store, opts FollowerOptions) (*Follower, 
 	f.mu.Lock()
 	defer f.mu.Unlock()
 
-	seqs, err := listFollowerCheckpoints(dir)
+	rec, err := f.files.Recover(s, f.slog)
 	if err != nil {
+		l.Close()
 		return nil, err
 	}
-	var localStart wal.Position
-	for i := len(seqs) - 1; i >= 0; i-- {
-		data, err := os.ReadFile(filepath.Join(dir, followerCheckpointName(seqs[i])))
-		if err != nil {
-			f.slog.Warn("skipping unreadable follower checkpoint", "seq", seqs[i], "err", err)
-			continue
-		}
-		var cf followerCheckpoint
-		if err := json.Unmarshal(data, &cf); err != nil || cf.Format != followerCheckpointFormat {
-			f.slog.Warn("skipping undecodable follower checkpoint", "seq", seqs[i], "err", err)
-			continue
-		}
-		if err := s.Load(bytes.NewReader(cf.Snapshot)); err != nil {
-			f.slog.Warn("skipping unloadable follower checkpoint", "seq", seqs[i], "err", err)
-			continue
-		}
-		f.applied = wal.Position{Segment: cf.LeaderSegment, Offset: cf.LeaderOffset}
-		f.appliedSeq.Store(cf.Seq)
-		localStart = wal.Position{Segment: cf.LocalSegment, Offset: cf.LocalOffset}
-		f.ckptLocal = localStart
+	f.lastSeq, f.ckptSeq = rec.Newest, rec.Seq
+	if rec.Seq != 0 {
+		f.applied = wal.Position{Segment: rec.Words[0], Offset: int64(rec.Words[1])}
+		f.appliedSeq.Store(rec.Words[2])
+		f.ckptLocal = wal.Position{Segment: rec.Words[3], Offset: int64(rec.Words[4])}
 		f.hasState = true
-		break
-	}
-	if len(seqs) > 0 {
-		f.ckptSeq = seqs[len(seqs)-1] // never reuse a sequence number
 	}
 
 	var replayed int64
-	err = l.Replay(localStart, func(pos wal.Position, payload []byte) error {
-		var rec localRecord
-		if err := json.Unmarshal(payload, &rec); err != nil {
-			return fmt.Errorf("repl: decode local record: %w", err)
+	err = l.Replay(f.ckptLocal, func(pos wal.Position, payload []byte) error {
+		rec, err := decodeLocal(payload)
+		if err != nil {
+			return err
 		}
 		if _, err := wal.ApplyRecord(s, rec.Payload); err != nil {
 			return err
 		}
-		f.applied = wal.Position{Segment: rec.Segment, Offset: rec.Offset}
+		f.applied = rec.Pos
 		f.appliedSeq.Store(rec.Seq)
 		replayed++
 		f.recordsSince++
@@ -255,6 +219,7 @@ func OpenFollower(dir string, s *store.Store, opts FollowerOptions) (*Follower, 
 		return nil
 	})
 	if err != nil {
+		l.Close()
 		return nil, err
 	}
 	if replayed > 0 {
@@ -294,18 +259,15 @@ func (f *Follower) Bootstrap(ctx context.Context) error {
 		f.errsTotal.Add(1)
 		return fmt.Errorf("repl: bootstrap fetch: leader answered %s", resp.Status)
 	}
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		f.errsTotal.Add(1)
-		return fmt.Errorf("repl: bootstrap read: %w", err)
-	}
-	pos, snapshot, err := wal.ParseCheckpoint(data)
+	pos, err := wal.ParseCheckpoint(resp.Body)
 	if err != nil {
 		f.errsTotal.Add(1)
 		return err
 	}
 	seq, _ := strconv.ParseUint(resp.Header.Get(HeaderCheckpointSeq), 10, 64)
-	if err := f.store.Load(bytes.NewReader(snapshot)); err != nil {
+	// Load swaps the store only after the stream's trailer has checked out,
+	// so a body cut short leaves the follower serving what it had.
+	if err := f.store.Load(resp.Body); err != nil {
 		f.errsTotal.Add(1)
 		return fmt.Errorf("repl: bootstrap load: %w", err)
 	}
@@ -313,7 +275,7 @@ func (f *Follower) Bootstrap(ctx context.Context) error {
 	f.applied = pos
 	f.appliedSeq.Store(seq)
 	f.hasState = true
-	err = f.checkpointLocked(snapshot)
+	err = f.checkpointLocked()
 	f.mu.Unlock()
 	if err != nil {
 		return err
@@ -409,12 +371,7 @@ func (f *Follower) apply(rec wal.StreamRecord) error {
 	if err != nil {
 		return err
 	}
-	wrapper, err := json.Marshal(&localRecord{
-		Segment: rec.Pos.Segment, Offset: rec.Pos.Offset, Seq: rec.Seq, Payload: rec.Payload,
-	})
-	if err != nil {
-		return fmt.Errorf("repl: encode local record: %w", err)
-	}
+	wrapper := encodeLocal(rec)
 	f.mu.Lock()
 	if _, err := f.log.Append(wrapper); err != nil {
 		f.mu.Unlock()
@@ -427,7 +384,7 @@ func (f *Follower) apply(rec wal.StreamRecord) error {
 	var ckptErr error
 	if (f.opts.CheckpointRecords > 0 && f.recordsSince >= f.opts.CheckpointRecords) ||
 		(f.opts.CheckpointBytes > 0 && f.bytesSince >= f.opts.CheckpointBytes) {
-		ckptErr = f.checkpointLocked(nil)
+		ckptErr = f.checkpointLocked()
 	}
 	f.mu.Unlock()
 	if ckptErr != nil {
@@ -442,52 +399,23 @@ func (f *Follower) apply(rec wal.StreamRecord) error {
 	return nil
 }
 
-// checkpointLocked writes a local checkpoint. A nil snapshot snapshots
-// the store; a non-nil one (the bootstrap path) is used verbatim.
-func (f *Follower) checkpointLocked(snapshot json.RawMessage) error {
-	if snapshot == nil {
-		var buf bytes.Buffer
-		if err := f.store.Save(&buf); err != nil {
-			return fmt.Errorf("repl: checkpoint snapshot: %w", err)
-		}
-		snapshot = buf.Bytes()
-	}
+// checkpointLocked writes a local checkpoint of the store at the applied
+// position. Retention mirrors the leader: the previous usable checkpoint
+// stays as the recovery fallback and the local segments it covers are
+// pruned; both best-effort.
+func (f *Follower) checkpointLocked() error {
 	local := f.log.Pos()
-	data, err := json.Marshal(&followerCheckpoint{
-		Format:        followerCheckpointFormat,
-		LeaderSegment: f.applied.Segment,
-		LeaderOffset:  f.applied.Offset,
-		Seq:           f.appliedSeq.Load(),
-		LocalSegment:  local.Segment,
-		LocalOffset:   local.Offset,
-		Snapshot:      snapshot,
-	})
-	if err != nil {
-		return fmt.Errorf("repl: encode checkpoint: %w", err)
-	}
-	seq := f.ckptSeq + 1
-	if err := wal.WriteFileAtomic(filepath.Join(f.dir, followerCheckpointName(seq)), func(w io.Writer) error {
-		_, werr := w.Write(data)
-		return werr
-	}); err != nil {
+	seq := f.lastSeq + 1
+	if _, err := f.files.Write(seq, f.store, f.applied.Segment, uint64(f.applied.Offset),
+		f.appliedSeq.Load(), local.Segment, uint64(local.Offset)); err != nil {
 		return err
 	}
 	prevSeq, pruneLocal := f.ckptSeq, f.ckptLocal
-	f.ckptSeq, f.ckptLocal = seq, local
+	f.lastSeq, f.ckptSeq, f.ckptLocal = seq, seq, local
 	f.recordsSince, f.bytesSince = 0, 0
 	f.checkpoints.Add(1)
-	// Retention mirrors the leader: keep the previous checkpoint as the
-	// recovery fallback and prune local segments it covers; best-effort.
-	seqs, err := listFollowerCheckpoints(f.dir)
-	if err == nil {
-		for _, old := range seqs {
-			if old >= prevSeq {
-				break
-			}
-			if err := os.Remove(filepath.Join(f.dir, followerCheckpointName(old))); err != nil {
-				f.slog.Warn("stale follower checkpoint removal failed", "err", err)
-			}
-		}
+	if err := f.files.RemoveBelow(prevSeq); err != nil {
+		f.slog.Warn("stale follower checkpoint removal failed", "err", err)
 	}
 	if _, err := f.log.Prune(pruneLocal); err != nil {
 		f.slog.Warn("follower local prune failed", "err", err)
@@ -570,7 +498,7 @@ func (f *Follower) Close() error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.hasState {
-		if err := f.checkpointLocked(nil); err != nil {
+		if err := f.checkpointLocked(); err != nil {
 			return err
 		}
 	}

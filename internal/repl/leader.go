@@ -194,7 +194,7 @@ func (ld *Leader) ServeCheckpoint(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	leaderPos, leaderSeq := ld.durable.WAL().Committed()
-	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set(HeaderCheckpointPos, pos.String())
 	w.Header().Set(HeaderLeaderPos, leaderPos.String())
 	w.Header().Set(HeaderLeaderSeq, strconv.FormatUint(leaderSeq, 10))

@@ -12,10 +12,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -481,4 +484,119 @@ func TestReplLeaderHTTPContract(t *testing.T) {
 			t.Fatalf("checkpoint response missing %s header", h)
 		}
 	}
+}
+
+// TestReplFollowerCheckpointFallbackKeepsTheGoodFile: the quarantine rule
+// on the follower's own replckpt-* family. A damaged newest local
+// checkpoint is set aside, the older one plus the local log restore the
+// durable applied position, and the next local checkpoint keeps the file
+// that loaded as its fallback — so a second damaged newest still recovers.
+func TestReplFollowerCheckpointFallbackKeepsTheGoodFile(t *testing.T) {
+	n := newLeaderNode(t, t.TempDir(), wal.DurableOptions{})
+	defer n.d.Close()
+	n.submit("gen-0")
+	if err := n.d.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(n.handler())
+	defer srv.Close()
+
+	fdir := t.TempDir()
+	everyFour := func(o *FollowerOptions) { o.CheckpointRecords = 4 }
+	f := newFollower(t, fdir, srv.URL, srv.Client(), everyFour)
+	if err := f.Bootstrap(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	files := followerCheckpoints(fdir)
+	damageNewest := func() {
+		t.Helper()
+		seqs, err := files.List()
+		if err != nil || len(seqs) < 2 {
+			t.Fatalf("local checkpoints = %v (%v), want a newest and a fallback", seqs, err)
+		}
+		path := filepath.Join(fdir, files.Name(seqs[len(seqs)-1]))
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data[len(data)/2] ^= 0x20
+		if err := os.WriteFile(path, data, 0o666); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for round := 0; round < 2; round++ {
+		// Five records past the bootstrap or boot: one threshold checkpoint
+		// and a one-record local tail. The follower is then abandoned.
+		for i := 0; i < 5; i++ {
+			n.submit(fmt.Sprintf("round-%d-%d", round, i))
+		}
+		catchUp(t, f, n)
+		resumeAt := f.Stats().Applied
+		damageNewest()
+
+		f = newFollower(t, fdir, srv.URL, srv.Client(), everyFour)
+		if f.Cold() {
+			t.Fatalf("round %d: follower lost its durable state to one damaged checkpoint", round)
+		}
+		if got := f.Stats().Applied; got != resumeAt {
+			t.Fatalf("round %d: resumes at %s, want %s", round, got, resumeAt)
+		}
+		assertConverged(t, n, f)
+	}
+	if bad, err := files.Quarantined(); err != nil || len(bad) != 2 {
+		t.Fatalf("quarantined = %v (%v), want both damaged files kept", bad, err)
+	}
+	if st := f.Stats(); st.Rebootstraps != 0 {
+		t.Fatalf("fallback should resume by position, not re-bootstrap: %+v", st)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestReplBootstrapCutShortLeavesTheStore: the follower loads the leader's
+// checkpoint straight off the response body, so a body that ends early
+// must fail the bootstrap without touching what the follower serves.
+func TestReplBootstrapCutShortLeavesTheStore(t *testing.T) {
+	n := newLeaderNode(t, t.TempDir(), wal.DurableOptions{})
+	defer n.d.Close()
+	for i := 0; i < 8; i++ {
+		n.submit(fmt.Sprintf("svc-%d", i))
+	}
+	if err := n.d.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	var whole atomic.Bool
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != PathCheckpoint || whole.Load() {
+			n.handler().ServeHTTP(w, r)
+			return
+		}
+		rec := httptest.NewRecorder()
+		n.ld.ServeCheckpoint(rec, r)
+		for k, v := range rec.Header() {
+			w.Header()[k] = v
+		}
+		w.Write(rec.Body.Bytes()[:rec.Body.Len()*2/3])
+	}))
+	defer srv.Close()
+
+	f := newFollower(t, t.TempDir(), srv.URL, srv.Client(), nil)
+	defer f.Close()
+	if err := f.store.Put(rim.NewService("served-before-bootstrap", "")); err != nil {
+		t.Fatal(err)
+	}
+	before := saveBytes(t, f.store)
+	if err := f.Bootstrap(context.Background()); !errors.Is(err, store.ErrSnapshotCorrupt) {
+		t.Fatalf("bootstrap from a body cut short: %v, want ErrSnapshotCorrupt", err)
+	}
+	if !bytes.Equal(saveBytes(t, f.store), before) || !f.Cold() {
+		t.Fatal("a failed bootstrap changed the follower")
+	}
+	whole.Store(true)
+	if err := f.Bootstrap(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	catchUp(t, f, n)
+	assertConverged(t, n, f)
 }

@@ -1,62 +1,116 @@
 package store
 
 import (
+	"bufio"
+	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
+	"runtime"
+	"sort"
+	"sync"
 
 	"repro/internal/rim"
 )
 
-// snapshot is the on-disk JSON layout of a Store.
-type snapshot struct {
-	Objects   []Envelope        `json:"objects"`
-	Content   map[string][]byte `json:"content,omitempty"`
-	NodeState []NodeState       `json:"nodeState,omitempty"`
+// A snapshot is a stream of little-endian frames
+//
+//	[u32 length][u32 crc32c(payload)][payload]
+//	payload = [u8 len(kind)][kind][body]
+//
+// one per registry object in id order (kind is the object's class, body its
+// compact JSON), then one per repository content item in id order
+// ([uvarint len(id)][id][raw bytes]), one per NodeState row in host order
+// (JSON), and a trailer whose body is the u64 count of the frames before
+// it. A reader therefore knows a stream is whole — every frame intact and
+// none missing — before it believes any of it. Save and ReadSnapshot are
+// the only encoder and decoder of this layout.
+const (
+	// MaxFrameBytes bounds one frame's payload, as wal.MaxRecordBytes bounds
+	// the log record that carried the same object or content item.
+	MaxFrameBytes = 64 << 20
+
+	frameHeaderLen = 8
+	kindContent    = "content"
+	kindNodeState  = "nodeState"
+	kindEnd        = "end"
+)
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// ErrSnapshotCorrupt marks a snapshot stream that is torn, damaged or
+// incomplete; every decoding error of ReadSnapshot wraps it.
+var ErrSnapshotCorrupt = errors.New("store: snapshot corrupt")
+
+// frameWriter builds each frame in one reused buffer, behind a gap the
+// length and checksum are written into once the payload is complete.
+type frameWriter struct {
+	w      *bufio.Writer
+	buf    bytes.Buffer
+	enc    *json.Encoder // encodes into buf
+	frames uint64
 }
 
-// Envelope tags a serialized object with its concrete class so a decoder
-// can rebuild the right Go type. It is the unit of object persistence
-// shared by the snapshot format and the write-ahead log's mutation
-// records.
-type Envelope struct {
-	Kind string          `json:"kind"`
-	Data json.RawMessage `json:"data"`
+func newFrameWriter(w io.Writer) *frameWriter {
+	fw := &frameWriter{w: bufio.NewWriterSize(w, 256<<10)}
+	fw.enc = json.NewEncoder(&fw.buf)
+	return fw
 }
 
-func kindOf(o rim.Object) string { return o.Base().ObjectType.Short() }
+func (fw *frameWriter) begin(kind string) {
+	var gap [frameHeaderLen]byte
+	fw.buf.Reset()
+	fw.buf.Write(gap[:])
+	fw.buf.WriteByte(byte(len(kind)))
+	fw.buf.WriteString(kind)
+}
 
-// EncodeObject marshals o into a kind-tagged envelope.
-func EncodeObject(o rim.Object) (Envelope, error) {
-	data, err := json.Marshal(o)
-	if err != nil {
-		return Envelope{}, fmt.Errorf("store: marshal %s: %w", o.Base().ID, err)
+func (fw *frameWriter) end() error {
+	b := fw.buf.Bytes()
+	payload := b[frameHeaderLen:]
+	if len(payload) > MaxFrameBytes {
+		return fmt.Errorf("store: snapshot frame of %d bytes exceeds MaxFrameBytes", len(payload))
 	}
-	return Envelope{Kind: kindOf(o), Data: data}, nil
+	binary.LittleEndian.PutUint32(b[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(b[4:8], crc32.Checksum(payload, castagnoli))
+	fw.frames++
+	_, err := fw.w.Write(b)
+	return err
 }
 
-// Decode rebuilds the concrete rim object the envelope carries.
-func (e Envelope) Decode() (rim.Object, error) {
-	return decodeObject(e)
+// json writes one frame whose body is v's compact JSON.
+func (fw *frameWriter) json(kind string, v any) error {
+	fw.begin(kind)
+	if err := fw.enc.Encode(v); err != nil {
+		return fmt.Errorf("store: marshal %s: %w", kind, err)
+	}
+	fw.buf.Truncate(fw.buf.Len() - 1) // the encoder's newline
+	return fw.end()
 }
 
-// Save writes a JSON snapshot of the store to w. The snapshot contains
-// every registry object, all repository content, and the NodeState table,
-// all captured in a single critical section so a snapshot taken while LCM
-// writes are in flight is still a point-in-time view: it can never pair an
-// object list from one instant with the content map of a later one.
+// Save writes a snapshot of the store to w: every registry object, all
+// repository content, and the NodeState table, captured in a single
+// critical section so a snapshot taken while LCM writes are in flight is
+// still a point-in-time view. Only pointers are captured — a stored object
+// or content body is replaced, never changed in place — and the frames are
+// encoded straight into w after the lock is released. Equal stores save to
+// equal bytes.
 func (s *Store) Save(w io.Writer) error {
 	s.mu.RLock()
 	objs := make([]rim.Object, 0, len(s.objects))
 	for _, o := range s.objects {
-		objs = append(objs, rim.CloneObject(o))
+		objs = append(objs, o)
 	}
-	var content map[string][]byte
-	if len(s.content) > 0 {
-		content = make(map[string][]byte, len(s.content))
-		for k, v := range s.content {
-			content[k] = append([]byte(nil), v...)
-		}
+	type item struct {
+		id   string
+		data []byte
+	}
+	content := make([]item, 0, len(s.content))
+	for id, data := range s.content {
+		content = append(content, item{id, data})
 	}
 	// The NodeState table locks itself; acquiring it inside s.mu keeps the
 	// three captures at one instant. Nothing acquires these locks in the
@@ -64,42 +118,224 @@ func (s *Store) Save(w io.Writer) error {
 	rows := s.nodeState.Rows()
 	s.mu.RUnlock()
 
-	// Sorting and marshalling happen outside the critical section.
 	sortByID(objs)
-	snap := snapshot{Content: content, NodeState: rows}
+	sort.Slice(content, func(i, j int) bool { return content[i].id < content[j].id })
+	fw := newFrameWriter(w)
 	for _, o := range objs {
-		env, err := EncodeObject(o)
-		if err != nil {
+		if err := fw.json(kindOf(o), o); err != nil {
 			return err
 		}
-		snap.Objects = append(snap.Objects, env)
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(&snap)
+	for _, c := range content {
+		fw.begin(kindContent)
+		fw.buf.Write(binary.AppendUvarint(nil, uint64(len(c.id))))
+		fw.buf.WriteString(c.id)
+		fw.buf.Write(c.data)
+		if err := fw.end(); err != nil {
+			return err
+		}
+	}
+	for i := range rows {
+		if err := fw.json(kindNodeState, &rows[i]); err != nil {
+			return err
+		}
+	}
+	count := fw.frames
+	fw.begin(kindEnd)
+	fw.buf.Write(binary.LittleEndian.AppendUint64(nil, count))
+	if err := fw.end(); err != nil {
+		return err
+	}
+	return fw.w.Flush()
 }
 
-// Load replaces the store's contents with the snapshot read from r. The
-// NodeStateTable keeps its identity — components holding the table pointer
-// (the balancer, the collector) observe the restored rows rather than
-// writing to an orphaned table.
-func (s *Store) Load(r io.Reader) error {
-	var snap snapshot
-	if err := json.NewDecoder(r).Decode(&snap); err != nil {
-		return fmt.Errorf("store: decode snapshot: %w", err)
+// SnapshotStats counts what ReadSnapshot read.
+type SnapshotStats struct {
+	Frames  int   // frames before the trailer
+	Objects int   // of which registry objects
+	Bytes   int64 // stream length, trailer included
+}
+
+// ReadSnapshot reads one snapshot stream from r and hands every frame
+// before the trailer to visit in stream order; body is visit's to keep.
+// It returns once the trailer has confirmed the frame count, and fails
+// with an ErrSnapshotCorrupt naming the frame and its offset on a short
+// read, a checksum mismatch, a malformed payload or a wrong count. The
+// stats cover what was read up to that point.
+func ReadSnapshot(r io.Reader, visit func(kind string, body []byte) error) (SnapshotStats, error) {
+	var st SnapshotStats
+	corrupt := func(format string, args ...any) error {
+		return fmt.Errorf("%w: frame %d at offset %d: %s", ErrSnapshotCorrupt, st.Frames, st.Bytes, fmt.Sprintf(format, args...))
 	}
-	fresh := New()
-	for _, env := range snap.Objects {
-		o, err := decodeObject(env)
+	for {
+		var hdr [frameHeaderLen]byte
+		if _, err := io.ReadFull(r, hdr[:]); err != nil {
+			return st, corrupt("no trailer: %v", err)
+		}
+		n := int(binary.LittleEndian.Uint32(hdr[0:4]))
+		if n < 1 || n > MaxFrameBytes {
+			return st, corrupt("length %d out of range", n)
+		}
+		payload, err := readPayload(r, n)
 		if err != nil {
-			return err
+			return st, corrupt("torn: %v", err)
 		}
-		if err := fresh.Put(o); err != nil {
-			return err
+		if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(hdr[4:8]) {
+			return st, corrupt("checksum mismatch")
+		}
+		k := int(payload[0])
+		if 1+k > n {
+			return st, corrupt("kind runs past the payload")
+		}
+		kind, body := string(payload[1:1+k]), payload[1+k:]
+		if kind == kindEnd {
+			if len(body) != 8 || binary.LittleEndian.Uint64(body) != uint64(st.Frames) {
+				return st, corrupt("trailer does not count %d frames", st.Frames)
+			}
+			st.Bytes += int64(frameHeaderLen + n)
+			return st, nil
+		}
+		if err := visit(kind, body); err != nil {
+			return st, err
+		}
+		if kind != kindContent && kind != kindNodeState {
+			st.Objects++
+		}
+		st.Frames++
+		st.Bytes += int64(frameHeaderLen + n)
+	}
+}
+
+// readPayload reads exactly n bytes, growing the buffer as they arrive so
+// a damaged length can never allocate more than the stream really holds
+// (plus one step).
+func readPayload(r io.Reader, n int) ([]byte, error) {
+	const step = 1 << 20
+	buf := make([]byte, 0, min(n, step))
+	for len(buf) < n {
+		have := len(buf)
+		buf = append(buf, make([]byte, min(n-have, max(have, step)))...)
+		if _, err := io.ReadFull(r, buf[have:]); err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, err
 		}
 	}
-	for k, v := range snap.Content {
-		fresh.PutContent(k, v)
+	return buf, nil
+}
+
+// Frame is one decoded snapshot frame: a registry object, a repository
+// content item, or a NodeState row.
+type Frame struct {
+	Object    rim.Object // set for an object frame
+	ContentID string     // a content frame when Object and Row are nil
+	Content   []byte     // aliases the frame body
+	Row       *NodeState // set for a NodeState frame
+}
+
+// DecodeFrame decodes what ReadSnapshot handed to its visitor.
+func DecodeFrame(kind string, body []byte) (Frame, error) {
+	switch kind {
+	case kindContent:
+		n, w := binary.Uvarint(body)
+		if w <= 0 || n > uint64(len(body)-w) {
+			return Frame{}, fmt.Errorf("%w: content frame without an id", ErrSnapshotCorrupt)
+		}
+		return Frame{ContentID: string(body[w : w+int(n)]), Content: body[w+int(n):]}, nil
+	case kindNodeState:
+		row := new(NodeState)
+		if err := json.Unmarshal(body, row); err != nil {
+			return Frame{}, fmt.Errorf("store: decode %s: %w", kind, err)
+		}
+		return Frame{Row: row}, nil
+	}
+	o, err := decodeObject(kind, body)
+	if err != nil {
+		return Frame{}, err
+	}
+	if o.Base().ID == "" {
+		return Frame{}, fmt.Errorf("%w: %s without an id", ErrSnapshotCorrupt, kind)
+	}
+	return Frame{Object: o}, nil
+}
+
+// Load replaces the store's contents with the snapshot read from r; see
+// LoadStats.
+func (s *Store) Load(r io.Reader) error {
+	_, err := s.LoadStats(r)
+	return err
+}
+
+// LoadStats is Load that also reports what the stream held. Frames are
+// read and verified in order and decoded by GOMAXPROCS workers; the decoded
+// objects are indexed as they are, and nothing touches the live store
+// until the last frame has decoded and the trailer has checked out, so a
+// failed load leaves the store exactly as it was. The NodeStateTable keeps
+// its identity — components holding the table pointer (the balancer, the
+// collector) observe the restored rows rather than writing to an orphaned
+// table.
+func (s *Store) LoadStats(r io.Reader) (SnapshotStats, error) {
+	type raw struct {
+		kind string
+		body []byte
+	}
+	type part struct {
+		frames []Frame
+		err    error
+	}
+	parts := make([]part, runtime.GOMAXPROCS(0))
+	// One queued frame per worker: enough that none idles while the reader
+	// is in a Read, without holding much of the stream undecoded.
+	jobs := make(chan raw, len(parts))
+	var wg sync.WaitGroup
+	for i := range parts {
+		wg.Add(1)
+		go func(p *part) {
+			defer wg.Done()
+			for j := range jobs {
+				// After a failure keep draining, so the reader never blocks.
+				if p.err != nil {
+					continue
+				}
+				var f Frame
+				if f, p.err = DecodeFrame(j.kind, j.body); p.err == nil {
+					p.frames = append(p.frames, f)
+				}
+			}
+		}(&parts[i])
+	}
+	st, err := ReadSnapshot(bufio.NewReaderSize(r, 256<<10), func(kind string, body []byte) error {
+		jobs <- raw{kind, body}
+		return nil
+	})
+	close(jobs)
+	wg.Wait()
+	if err != nil {
+		return st, err
+	}
+
+	fresh := New()
+	var rows []NodeState
+	for _, p := range parts {
+		if p.err != nil {
+			return st, p.err
+		}
+		for _, f := range p.frames {
+			switch {
+			case f.Row != nil:
+				rows = append(rows, *f.Row)
+			case f.Object == nil:
+				fresh.content[f.ContentID] = f.Content
+			default:
+				id := f.Object.Base().ID
+				if _, dup := fresh.objects[id]; dup {
+					return st, fmt.Errorf("%w: object %s appears twice", ErrSnapshotCorrupt, id)
+				}
+				fresh.objects[id] = f.Object
+				fresh.indexLocked(f.Object)
+			}
+		}
 	}
 
 	s.mu.Lock()
@@ -110,49 +346,7 @@ func (s *Store) Load(r io.Reader) error {
 	s.assocBySource = fresh.assocBySource
 	s.assocByTarget = fresh.assocByTarget
 	s.content = fresh.content
-	s.nodeState.Reset(snap.NodeState)
+	s.nodeState.Reset(rows)
 	s.mu.Unlock()
-	return nil
-}
-
-func decodeObject(env Envelope) (rim.Object, error) {
-	var o rim.Object
-	switch env.Kind {
-	case "Organization":
-		o = new(rim.Organization)
-	case "User":
-		o = new(rim.User)
-	case "Service":
-		o = new(rim.Service)
-	case "ServiceBinding":
-		o = new(rim.ServiceBinding)
-	case "SpecificationLink":
-		o = new(rim.SpecificationLink)
-	case "Association":
-		o = new(rim.Association)
-	case "Classification":
-		o = new(rim.Classification)
-	case "ClassificationScheme":
-		o = new(rim.ClassificationScheme)
-	case "ClassificationNode":
-		o = new(rim.ClassificationNode)
-	case "RegistryPackage":
-		o = new(rim.RegistryPackage)
-	case "ExternalLink":
-		o = new(rim.ExternalLink)
-	case "ExternalIdentifier":
-		o = new(rim.ExternalIdentifier)
-	case "AuditableEvent":
-		o = new(rim.AuditableEvent)
-	case "AdhocQuery":
-		o = new(rim.AdhocQuery)
-	case "ExtrinsicObject":
-		o = new(rim.ExtrinsicObject)
-	default:
-		return nil, fmt.Errorf("store: snapshot contains unknown kind %q", env.Kind)
-	}
-	if err := json.Unmarshal(env.Data, o); err != nil {
-		return nil, fmt.Errorf("store: decode %s: %w", env.Kind, err)
-	}
-	return o, nil
+	return st, nil
 }

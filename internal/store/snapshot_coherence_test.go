@@ -2,7 +2,6 @@ package store
 
 import (
 	"bytes"
-	"encoding/json"
 	"sync"
 	"testing"
 
@@ -49,32 +48,18 @@ func TestSaveCoherentUnderConcurrentWrites(t *testing.T) {
 		}
 	}()
 
-	type envelope struct {
-		Kind string          `json:"kind"`
-		Data json.RawMessage `json:"data"`
-	}
-	type snap struct {
-		Objects []envelope        `json:"objects"`
-		Content map[string][]byte `json:"content"`
-	}
 	for i := 0; i < 200; i++ {
 		var buf bytes.Buffer
 		if err := s.Save(&buf); err != nil {
 			t.Fatal(err)
 		}
-		var got snap
-		if err := json.Unmarshal(buf.Bytes(), &got); err != nil {
+		got := New()
+		if err := got.Load(&buf); err != nil {
 			t.Fatal(err)
 		}
-		for _, env := range got.Objects {
-			if env.Kind != "ExtrinsicObject" {
-				continue
-			}
-			var eo rim.ExtrinsicObject
-			if err := json.Unmarshal(env.Data, &eo); err != nil {
-				t.Fatal(err)
-			}
-			if _, ok := got.Content[eo.ContentID]; !ok {
+		for _, o := range got.ByType(rim.TypeExtrinsicObject) {
+			eo := o.(*rim.ExtrinsicObject)
+			if _, err := got.GetContent(eo.ContentID); err != nil {
 				t.Fatalf("snapshot %d has object %s without its content %s: mixed-state snapshot", i, eo.ID, eo.ContentID)
 			}
 		}

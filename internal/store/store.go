@@ -3,8 +3,9 @@
 // in-memory tables with secondary indexes (by type, by name, by owner, and
 // association endpoints), holds the repository's content items, and owns
 // the NodeState table of Figure 3.2 that the load-balancing scheme reads at
-// discovery time. Snapshots serialize the whole store to JSON so cmd
-// binaries can persist across restarts.
+// discovery time. Snapshots (snapshot.go) stream the whole store as
+// checksummed frames — the body of every checkpoint and of a follower's
+// bootstrap.
 //
 // All methods are safe for concurrent use. Objects are deep-copied on Put
 // and on Get, so callers can never alias the store's internal graph.

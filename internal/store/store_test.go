@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -315,12 +316,12 @@ func TestSnapshotRoundTrip(t *testing.T) {
 
 func TestLoadRejectsGarbage(t *testing.T) {
 	s := New()
-	if err := s.Load(bytes.NewReader([]byte("{not json"))); err == nil {
-		t.Fatal("garbage accepted")
+	if err := s.Load(bytes.NewReader([]byte("{not json"))); !errors.Is(err, ErrSnapshotCorrupt) {
+		t.Fatalf("garbage: %v", err)
 	}
-	bad := []byte(`{"objects":[{"kind":"Martian","data":{}}]}`)
-	if err := s.Load(bytes.NewReader(bad)); err == nil {
-		t.Fatal("unknown kind accepted")
+	bad := append(rawFrame("Martian", []byte("{}")), trailer(1)...)
+	if err := s.Load(bytes.NewReader(bad)); err == nil || !strings.Contains(err.Error(), "Martian") {
+		t.Fatalf("unknown kind: %v", err)
 	}
 }
 

@@ -8,7 +8,8 @@ package wal
 // offset — truncation or a flipped byte, like a half-written sector.
 // Recovery into a fresh store must reproduce the acknowledged state
 // byte-for-byte (store.Save output is deterministic: objects sorted by
-// id, JSON map keys sorted by the encoder).
+// id, content by id, NodeState rows by host, JSON map keys sorted by the
+// encoder).
 
 import (
 	"bytes"
@@ -259,7 +260,7 @@ func TestCrashRecoveryEverySeed(t *testing.T) {
 				t.Fatal(err)
 			}
 			if got := saveBytes(t, s2); !bytes.Equal(got, acknowledged) {
-				t.Fatalf("recovered store differs from acknowledged pre-crash state\n got: %s\nwant: %s", got, acknowledged)
+				t.Fatalf("recovered store differs from acknowledged pre-crash state\n got: %q\nwant: %q", got, acknowledged)
 			}
 
 			// The recovered registry accepts writes, and those survive yet
@@ -329,7 +330,7 @@ func TestWALEquivalentToSnapshotRoundTrip(t *testing.T) {
 			}
 			got, want := saveBytes(t, recovered), saveBytes(t, roundTripped)
 			if !bytes.Equal(got, want) {
-				t.Fatalf("WAL recovery and snapshot round-trip disagree\n wal: %s\nsnap: %s", got, want)
+				t.Fatalf("WAL recovery and snapshot round-trip disagree\n wal: %q\nsnap: %q", got, want)
 			}
 		})
 	}
@@ -401,7 +402,8 @@ func TestCheckpointRetentionAndPrune(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	cps, err := listCheckpoints(dir)
+	files := leaderCheckpoints(dir)
+	cps, err := files.List()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -417,12 +419,12 @@ func TestCheckpointRetentionAndPrune(t *testing.T) {
 	}
 	// The oldest retained checkpoint must still have its replay window on
 	// disk, or fallback recovery would be incomplete.
-	oldest, err := readCheckpoint(filepath.Join(dir, checkpointName(cps[0])))
+	oldest, err := scanCheckpoint(files, cps[0], func(string, []byte) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
-	if first := segs[0]; first > oldest.Segment {
-		t.Fatalf("oldest live segment %d is past the fallback checkpoint's position (segment %d)", first, oldest.Segment)
+	if first := segs[0]; first > oldest.Covers.Segment {
+		t.Fatalf("oldest live segment %d is past the fallback checkpoint's position (segment %d)", first, oldest.Covers.Segment)
 	}
 	want := saveBytes(t, s)
 	recovered := store.New()

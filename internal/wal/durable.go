@@ -1,17 +1,12 @@
 package wal
 
 import (
-	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"math"
 	"os"
 	"path/filepath"
-	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -44,64 +39,12 @@ const (
 	DefaultCheckpointRecords = 10000
 )
 
-// checkpointFormat versions the checkpoint file layout.
-const checkpointFormat = 1
-
-// checkpointFile is the JSON layout of a checkpoint-<seq>.json file: a
-// store snapshot stamped with the WAL position it covers. Recovery loads
-// the snapshot and replays only records strictly after (Segment, Offset).
-type checkpointFile struct {
-	Format   int             `json:"format"`
-	Segment  uint64          `json:"segment"`
-	Offset   int64           `json:"offset"`
-	Snapshot json.RawMessage `json:"snapshot"`
-}
-
-func checkpointName(seq uint64) string { return fmt.Sprintf("checkpoint-%010d.json", seq) }
-
-// listCheckpoints returns the ascending checkpoint sequence numbers in dir.
-func listCheckpoints(dir string) ([]uint64, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, fmt.Errorf("wal: list %s: %w", dir, err)
-	}
-	var out []uint64
-	for _, e := range entries {
-		name := e.Name()
-		if !strings.HasPrefix(name, "checkpoint-") || !strings.HasSuffix(name, ".json") {
-			continue
-		}
-		var seq uint64
-		if _, err := fmt.Sscanf(name, "checkpoint-%010d.json", &seq); err != nil || seq == 0 {
-			continue
-		}
-		out = append(out, seq)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out, nil
-}
-
-func readCheckpoint(path string) (checkpointFile, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return checkpointFile{}, fmt.Errorf("wal: read checkpoint: %w", err)
-	}
-	var cf checkpointFile
-	if err := json.Unmarshal(data, &cf); err != nil {
-		return checkpointFile{}, fmt.Errorf("wal: decode checkpoint: %w", err)
-	}
-	if cf.Format != checkpointFormat {
-		return checkpointFile{}, fmt.Errorf("wal: checkpoint format %d unsupported", cf.Format)
-	}
-	return cf, nil
-}
-
 // Durable is the registry's durability manager: the lcm.Durability
 // implementation backed by a segmented WAL plus atomic checkpoints. One
 // mutex serializes every registry write (the BeginWrite/EndWrite bracket)
 // so the log's record order always equals the store's apply order.
 type Durable struct {
-	dir   string
+	files CheckpointFiles
 	store *store.Store
 	log   *Log
 	clock simclock.Clock
@@ -111,20 +54,32 @@ type Durable struct {
 	mu           sync.Mutex
 	recordsSince int      // guarded by mu — records appended since last checkpoint
 	bytesSince   int64    // guarded by mu — bytes appended since last checkpoint
-	ckptSeq      uint64   // guarded by mu — newest checkpoint's sequence number
-	ckptPos      Position // guarded by mu — WAL position the newest checkpoint covers
+	lastSeq      uint64   // guarded by mu — highest checkpoint sequence number ever used
+	ckptSeq      uint64   // guarded by mu — newest usable checkpoint: the one recovery loaded or the last written
+	ckptPos      Position // guarded by mu — WAL position that checkpoint covers
 
 	degraded    atomic.Bool
-	replayed    atomic.Int64
 	checkpoints atomic.Int64
 	ckptSecBits atomic.Uint64
+	recovery    RecoveryStats // immutable after OpenDurable
+}
+
+// RecoveryStats says where OpenDurable's time went and what it read.
+type RecoveryStats struct {
+	Checkpoint      uint64  `json:"checkpoint"`      // sequence number of the checkpoint loaded; 0 = none
+	CheckpointBytes int64   `json:"checkpointBytes"` // its size on disk
+	Frames          int     `json:"frames"`          // snapshot frames it held
+	LoadSeconds     float64 `json:"loadSeconds"`     // reading, verifying and decoding it
+	ReplayedRecords int64   `json:"replayedRecords"` // WAL records applied on top
+	ReplaySeconds   float64 `json:"replaySeconds"`   // applying them
 }
 
 // OpenDurable opens the data directory, recovers the store from the
-// newest valid checkpoint (older retained checkpoints are the fallback if
-// the newest fails to decode), replays the WAL tail, and returns a
-// manager ready for lcm.Manager.Durability. The store should be freshly
-// constructed; recovery replaces its contents.
+// newest checkpoint that reads back whole (an older retained one is the
+// fallback, see CheckpointFiles.Recover), replays the WAL tail, and
+// returns a manager ready for lcm.Manager.Durability. The store should be
+// freshly constructed; recovery replaces its contents. It fails with
+// ErrNoUsableCheckpoint when checkpoints exist and none loads.
 func OpenDurable(dir string, s *store.Store, opts DurableOptions) (*Durable, error) {
 	if opts.CheckpointBytes == 0 {
 		opts.CheckpointBytes = DefaultCheckpointBytes
@@ -136,32 +91,22 @@ func OpenDurable(dir string, s *store.Store, opts DurableOptions) (*Durable, err
 	if err != nil {
 		return nil, err
 	}
-	d := &Durable{dir: dir, store: s, log: l, clock: l.clock, slog: l.slog, opts: opts}
+	d := &Durable{files: leaderCheckpoints(dir), store: s, log: l, clock: l.clock, slog: l.slog, opts: opts}
 	d.mu.Lock()
 	defer d.mu.Unlock()
 
-	seqs, err := listCheckpoints(dir)
+	started := d.clock.Now()
+	rec, err := d.files.Recover(s, d.slog)
 	if err != nil {
+		l.Close()
 		return nil, err
 	}
 	var start Position
-	for i := len(seqs) - 1; i >= 0; i-- {
-		cf, err := readCheckpoint(filepath.Join(dir, checkpointName(seqs[i])))
-		if err != nil {
-			d.slog.Warn("skipping unreadable checkpoint", "seq", seqs[i], "err", err)
-			continue
-		}
-		if err := s.Load(bytes.NewReader(cf.Snapshot)); err != nil {
-			d.slog.Warn("skipping undecodable checkpoint", "seq", seqs[i], "err", err)
-			continue
-		}
-		start = Position{Segment: cf.Segment, Offset: cf.Offset}
-		d.ckptSeq, d.ckptPos = seqs[i], start
-		break
+	if rec.Seq != 0 {
+		start = Position{Segment: rec.Words[0], Offset: int64(rec.Words[1])}
 	}
-	if len(seqs) > 0 {
-		d.ckptSeq = seqs[len(seqs)-1] // never reuse a sequence number
-	}
+	d.lastSeq, d.ckptSeq, d.ckptPos = rec.Newest, rec.Seq, start
+	loaded := d.clock.Now()
 
 	var count, replayBytes int64
 	err = l.Replay(start, func(pos Position, payload []byte) error {
@@ -173,13 +118,21 @@ func OpenDurable(dir string, s *store.Store, opts DurableOptions) (*Durable, err
 		return nil
 	})
 	if err != nil {
+		l.Close()
 		return nil, err
 	}
-	d.replayed.Store(count)
 	d.recordsSince = int(count)
 	d.bytesSince = replayBytes
+	d.recovery = RecoveryStats{
+		Checkpoint: rec.Seq, CheckpointBytes: rec.Bytes, Frames: rec.Frames,
+		LoadSeconds:     loaded.Sub(started).Seconds(),
+		ReplayedRecords: count,
+		ReplaySeconds:   d.clock.Now().Sub(loaded).Seconds(),
+	}
 	d.slog.Info("wal recovery complete",
-		"dir", dir, "checkpoint", d.ckptSeq, "replayedRecords", count, "objects", s.Len())
+		"dir", dir, "checkpoint", rec.Seq, "checkpointBytes", rec.Bytes, "frames", rec.Frames,
+		"loadSeconds", d.recovery.LoadSeconds, "replayedRecords", count,
+		"replaySeconds", d.recovery.ReplaySeconds, "objects", s.Len())
 	return d, nil
 }
 
@@ -239,70 +192,42 @@ func (d *Durable) shouldCheckpointLocked() bool {
 	return false
 }
 
-// Checkpoint forces a checkpoint now — boot (to cover bootstrap writes)
-// and graceful shutdown use this.
+// Checkpoint forces a checkpoint now. Boot calls it only when recovery
+// found none to load; otherwise checkpoints come from the thresholds and
+// from Close.
 func (d *Durable) Checkpoint() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.checkpointLocked()
 }
 
-// checkpointLocked snapshots the store, writes it atomically stamped with
-// the current WAL position, then applies retention: the previous
-// checkpoint is kept as the recovery fallback, anything older is deleted,
-// and WAL segments wholly covered by the previous checkpoint are pruned.
+// checkpointLocked streams a snapshot of the store, stamped with the
+// current WAL position, into a new checkpoint file, then applies
+// retention: the previous usable checkpoint is kept as the recovery
+// fallback, anything older is deleted, and WAL segments wholly covered by
+// the previous checkpoint are pruned.
 func (d *Durable) checkpointLocked() error {
 	started := d.clock.Now()
 	pos := d.log.Pos()
-	var buf bytes.Buffer
-	if err := d.store.Save(&buf); err != nil {
-		d.degrade("checkpoint snapshot", err)
-		return fmt.Errorf("wal: checkpoint snapshot: %w", err)
-	}
-	data, err := json.Marshal(&checkpointFile{
-		Format: checkpointFormat, Segment: pos.Segment, Offset: pos.Offset, Snapshot: buf.Bytes(),
-	})
+	seq := d.lastSeq + 1
+	size, err := d.files.Write(seq, d.store, pos.Segment, uint64(pos.Offset))
 	if err != nil {
-		return fmt.Errorf("wal: encode checkpoint: %w", err)
-	}
-	seq := d.ckptSeq + 1
-	if err := WriteFileAtomic(filepath.Join(d.dir, checkpointName(seq)), func(w io.Writer) error {
-		_, werr := w.Write(data)
-		return werr
-	}); err != nil {
 		d.degrade("checkpoint write", err)
 		return err
 	}
 	prevSeq, prunePos := d.ckptSeq, d.ckptPos
-	d.ckptSeq, d.ckptPos = seq, pos
+	d.lastSeq, d.ckptSeq, d.ckptPos = seq, seq, pos
 	d.recordsSince, d.bytesSince = 0, 0
 	d.checkpoints.Add(1)
 	d.ckptSecBits.Store(math.Float64bits(d.clock.Now().Sub(started).Seconds()))
 	// Retention is best-effort: a failure here loses disk space, not data.
-	if err := removeCheckpointsBelow(d.dir, prevSeq); err != nil {
+	if err := d.files.RemoveBelow(prevSeq); err != nil {
 		d.slog.Warn("stale checkpoint removal failed", "err", err)
 	}
 	if _, err := d.log.Prune(prunePos); err != nil {
 		d.slog.Warn("wal segment prune failed", "err", err)
 	}
-	d.slog.Info("checkpoint written", "seq", seq, "pos", pos.String(), "bytes", len(data))
-	return nil
-}
-
-// removeCheckpointsBelow deletes checkpoint files with sequence < keep.
-func removeCheckpointsBelow(dir string, keep uint64) error {
-	seqs, err := listCheckpoints(dir)
-	if err != nil {
-		return err
-	}
-	for _, seq := range seqs {
-		if seq >= keep {
-			break
-		}
-		if err := os.Remove(filepath.Join(dir, checkpointName(seq))); err != nil {
-			return fmt.Errorf("wal: remove checkpoint %d: %w", seq, err)
-		}
-	}
+	d.slog.Info("checkpoint written", "seq", seq, "pos", pos.String(), "bytes", size)
 	return nil
 }
 
@@ -323,9 +248,6 @@ func (d *Durable) Degraded() bool { return d.degraded.Load() }
 // WAL exposes the underlying log for metrics.
 func (d *Durable) WAL() *Log { return d.log }
 
-// ReplayedRecords returns how many WAL records boot recovery applied.
-func (d *Durable) ReplayedRecords() int64 { return d.replayed.Load() }
-
 // Checkpoints returns how many checkpoints were written since open.
 func (d *Durable) Checkpoints() int64 { return d.checkpoints.Load() }
 
@@ -341,8 +263,11 @@ func (d *Durable) CheckpointPos() Position {
 	return d.ckptPos
 }
 
-// NewestCheckpoint returns the raw bytes of the newest checkpoint file
-// and the WAL position it covers — the follower bootstrap payload. It
+// Recovery returns what boot recovery read and how long it took.
+func (d *Durable) Recovery() RecoveryStats { return d.recovery }
+
+// NewestCheckpoint returns the raw bytes of the newest usable checkpoint
+// file and the WAL position it covers — the follower bootstrap payload. It
 // fails if no checkpoint has been written yet.
 func (d *Durable) NewestCheckpoint() (Position, []byte, error) {
 	d.mu.Lock()
@@ -351,25 +276,11 @@ func (d *Durable) NewestCheckpoint() (Position, []byte, error) {
 	if seq == 0 {
 		return Position{}, nil, fmt.Errorf("wal: no checkpoint written yet")
 	}
-	data, err := os.ReadFile(filepath.Join(d.dir, checkpointName(seq)))
+	data, err := os.ReadFile(filepath.Join(d.files.Dir, d.files.Name(seq)))
 	if err != nil {
 		return Position{}, nil, fmt.Errorf("wal: read checkpoint: %w", err)
 	}
 	return pos, data, nil
-}
-
-// ParseCheckpoint decodes checkpoint-file bytes (as served by the leader
-// bootstrap endpoint) into the WAL position it covers and the embedded
-// store snapshot.
-func ParseCheckpoint(data []byte) (Position, json.RawMessage, error) {
-	var cf checkpointFile
-	if err := json.Unmarshal(data, &cf); err != nil {
-		return Position{}, nil, fmt.Errorf("wal: decode checkpoint: %w", err)
-	}
-	if cf.Format != checkpointFormat {
-		return Position{}, nil, fmt.Errorf("wal: checkpoint format %d unsupported", cf.Format)
-	}
-	return Position{Segment: cf.Segment, Offset: cf.Offset}, cf.Snapshot, nil
 }
 
 // Close checkpoints (unless degraded) and closes the log.

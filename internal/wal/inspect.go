@@ -1,10 +1,13 @@
 package wal
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
+
+	"repro/internal/store"
 )
 
 // SegmentInfo summarizes one segment file for offline inspection.
@@ -16,13 +19,16 @@ type SegmentInfo struct {
 	TotalBytes int64 // file size on disk
 }
 
-// CheckpointInfo summarizes one checkpoint file.
+// CheckpointInfo summarizes one checkpoint file: what its header says and
+// what a full read of its snapshot stream, every checksum verified, found.
 type CheckpointInfo struct {
-	Seq           uint64
-	Segment       uint64
-	Offset        int64
-	SnapshotBytes int
-	Err           string // non-empty when the file is unreadable/invalid
+	Name    string
+	Format  int
+	Covers  Position
+	Frames  int
+	Objects int
+	Bytes   int64  // file size
+	Err     string // empty = crc ok; else the first bad frame and its offset
 }
 
 // Info is the result of Inspect.
@@ -30,6 +36,7 @@ type Info struct {
 	Dir         string
 	Segments    []SegmentInfo
 	Checkpoints []CheckpointInfo
+	Quarantined []string // "<checkpoint>.corrupt" files a recovery set aside
 }
 
 // Inspect reads a data directory without mutating it (no torn-tail
@@ -58,21 +65,88 @@ func Inspect(dir string) (Info, error) {
 		}
 		info.Segments = append(info.Segments, si)
 	}
-	seqs, err := listCheckpoints(dir)
+	files := leaderCheckpoints(dir)
+	seqs, err := files.List()
 	if err != nil {
 		return Info{}, err
 	}
 	for _, seq := range seqs {
-		ci := CheckpointInfo{Seq: seq}
-		cf, err := readCheckpoint(filepath.Join(dir, checkpointName(seq)))
-		if err != nil {
-			ci.Err = err.Error()
-		} else {
-			ci.Segment, ci.Offset, ci.SnapshotBytes = cf.Segment, cf.Offset, len(cf.Snapshot)
-		}
+		ci, _ := scanCheckpoint(files, seq, func(string, []byte) error { return nil })
 		info.Checkpoints = append(info.Checkpoints, ci)
 	}
+	bad, err := files.Quarantined()
+	if err != nil {
+		return Info{}, err
+	}
+	for _, seq := range bad {
+		info.Quarantined = append(info.Quarantined, files.Name(seq)+".corrupt")
+	}
 	return info, nil
+}
+
+// scanCheckpoint reads checkpoint seq frame by frame through visit. The
+// info is filled as far as the file could be read; the error is also
+// recorded in it.
+func scanCheckpoint(files CheckpointFiles, seq uint64, visit func(kind string, body []byte) error) (CheckpointInfo, error) {
+	ci := CheckpointInfo{Name: files.Name(seq)}
+	fail := func(err error) (CheckpointInfo, error) {
+		ci.Err = err.Error()
+		return ci, err
+	}
+	f, err := os.Open(filepath.Join(files.Dir, ci.Name))
+	if err != nil {
+		return fail(fmt.Errorf("wal: open checkpoint: %w", err))
+	}
+	defer f.Close()
+	if fi, err := f.Stat(); err == nil {
+		ci.Bytes = fi.Size()
+	}
+	if ci.Covers, err = ParseCheckpoint(f); err != nil {
+		return fail(err)
+	}
+	ci.Format = CheckpointFormat
+	st, err := store.ReadSnapshot(bufio.NewReader(f), visit)
+	ci.Frames, ci.Objects = st.Frames, st.Objects
+	if err != nil {
+		return fail(err)
+	}
+	return ci, nil
+}
+
+// FrameInfo summarizes one frame of a checkpoint for `regctl wal dump`.
+type FrameInfo struct {
+	Checkpoint string // file name
+	Kind       string
+	ID         string // object id, content id, or NodeState host
+	Bytes      int    // frame body length
+}
+
+// DumpCheckpoint streams the newest checkpoint's frames to fn, one decoded
+// frame at a time — the state the records Dump lists are applied on. It
+// reports nothing when the directory holds no checkpoint.
+func DumpCheckpoint(dir string, fn func(FrameInfo) error) error {
+	files := leaderCheckpoints(dir)
+	seqs, err := files.List()
+	if err != nil || len(seqs) == 0 {
+		return err
+	}
+	newest := seqs[len(seqs)-1]
+	_, err = scanCheckpoint(files, newest, func(kind string, body []byte) error {
+		fi := FrameInfo{Checkpoint: files.Name(newest), Kind: kind, Bytes: len(body)}
+		f, err := store.DecodeFrame(kind, body)
+		switch {
+		case err != nil:
+			fi.ID = "undecodable: " + err.Error()
+		case f.Object != nil:
+			fi.ID = f.Object.Base().ID
+		case f.Row != nil:
+			fi.ID = f.Row.Host
+		default:
+			fi.ID = f.ContentID
+		}
+		return fn(fi)
+	})
+	return err
 }
 
 // RecordInfo summarizes one decoded WAL record for `regctl wal dump`.

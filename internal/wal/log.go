@@ -1,6 +1,6 @@
 // Package wal gives the registry the durability role Apache Derby played
 // under freebXML (thesis §2.2.3): a segmented, binary write-ahead log of
-// logical LCM mutations plus atomic JSON checkpoints, so a host crash
+// logical LCM mutations plus atomic, checksummed checkpoints, so a host crash
 // loses no acknowledged write. The reproduction previously persisted only
 // a snapshot written on graceful shutdown; federation (PAPERS.md, "On the
 // Cooperation of Independent Registries") assumes member catalogs that
@@ -10,7 +10,7 @@
 //
 //	wal-0000000000000001.seg   length-prefixed, CRC32C-checked records
 //	wal-0000000000000002.seg   ...
-//	checkpoint-0000000001.json JSON snapshot + the WAL position it covers
+//	checkpoint-0000000001.ckpt the WAL position covered + a framed store snapshot
 //
 // Each record is [length uint32 LE][crc32c uint32 LE][payload]. A crash
 // can tear only the record being written when the process died; Open
@@ -279,9 +279,10 @@ func Open(dir string, opts Options) (*Log, error) {
 }
 
 // scanSegment walks one segment file calling fn (which may be nil) for
-// every intact record. It returns the offset just past the last intact
-// record, whether the file ended exactly on a record boundary, and the
-// number of intact records.
+// every intact record; payload is only valid during the call (one buffer is
+// reused for the whole scan). It returns the offset just past the last
+// intact record, whether the file ended exactly on a record boundary, and
+// the number of intact records.
 func scanSegment(path string, fn func(start, end int64, payload []byte) error) (valid int64, clean bool, records int, err error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -295,6 +296,7 @@ func scanSegment(path string, fn func(start, end int64, payload []byte) error) (
 	size := info.Size()
 	var off int64
 	var hdr [recordHeaderLen]byte
+	var buf []byte
 	for {
 		if off == size {
 			return off, true, records, nil
@@ -310,7 +312,10 @@ func scanSegment(path string, fn func(start, end int64, payload []byte) error) (
 		if length > MaxRecordBytes || length > size-off-recordHeaderLen {
 			return off, false, records, nil
 		}
-		payload := make([]byte, length)
+		if int64(cap(buf)) < length {
+			buf = make([]byte, length)
+		}
+		payload := buf[:length]
 		if _, err := f.ReadAt(payload, off+recordHeaderLen); err != nil {
 			return 0, false, 0, fmt.Errorf("wal: read segment: %w", err)
 		}
@@ -446,9 +451,10 @@ func (l *Log) AppendSignal() <-chan struct{} {
 	return l.notify
 }
 
-// Replay calls fn for every record strictly after from, in log order. The
-// tail was already truncated to a record boundary by Open, so an invalid
-// record anywhere is corruption, not a torn write, and aborts the replay.
+// Replay calls fn for every record strictly after from, in log order;
+// payload is only valid during the call. The tail was already truncated to
+// a record boundary by Open, so an invalid record anywhere is corruption,
+// not a torn write, and aborts the replay.
 func (l *Log) Replay(from Position, fn func(pos Position, payload []byte) error) error {
 	l.mu.Lock()
 	segs := append([]uint64(nil), l.segments...)

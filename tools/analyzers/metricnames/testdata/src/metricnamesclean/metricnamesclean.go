@@ -21,6 +21,7 @@ func register(e *Exposition) {
 	e.RegisterHistogram("registry_discovery_latency_seconds", "", nil)
 	e.RegisterHistogram("registry_wal_segment_bytes", "", nil)
 	e.RegisterHistogram("registry_hit_ratio", "", nil)
+	e.GaugeVec("registry_wal_recovery_seconds", "", "phase", nil)
 
 	// The replication families: gauges stay bare (position, lag,
 	// connected), counters end in _total.
