@@ -49,7 +49,9 @@ crashcheck:
 	$(GO) test -race -count=1 -run 'Crash|WALEquivalent|Degraded|CheckpointRetention|BootDoesNotCheckpoint' ./internal/wal/ ./internal/registry/
 
 # fuzzsmoke runs every native fuzz target for ten seconds: the decoders of
-# bytes read from disk must not panic, over-allocate or half-apply.
+# bytes read from disk or the network must not panic, over-allocate or
+# half-apply, and the hand-written fast paths (SOAP scanner and writer,
+# HostOfURI) must agree with the standard-library code they replace.
 # Minimisation is capped at a second: Load decodes on several goroutines, so
 # coverage varies with scheduling, and at the default minute the engine
 # spends most of the ten seconds shrinking inputs that found nothing new.

@@ -544,6 +544,7 @@ func checkRespCache(client *http.Client, base string, reg *registry.Registry) er
 		{"registry_respcache_misses_total", "counter"},
 		{"registry_respcache_invalidations_total", "counter"},
 		{"registry_respcache_entries", "gauge"},
+		{"registry_respcache_renders_total", "counter"},
 		{"registry_edge_rejected_total", "counter"},
 	} {
 		f, ok := scrape.Families[want.name]
@@ -562,6 +563,10 @@ func checkRespCache(client *http.Client, base string, reg *registry.Registry) er
 		{"registry_respcache_hits_total", nil, 7},
 		{"registry_respcache_misses_total", nil, 1},
 		{"registry_respcache_entries", nil, 1},
+		// Every discovery so far came over REST: the one miss rendered JSON,
+		// and nothing has rendered an envelope nobody asked for.
+		{"registry_respcache_renders_total", map[string]string{"encoding": "json"}, 1},
+		{"registry_respcache_renders_total", map[string]string{"encoding": "soap"}, 0},
 		{"registry_edge_rejected_total", map[string]string{"reason": "not-found"}, 1},
 	} {
 		if v, ok := scrape.Value(want.name, want.labels); !ok || v != want.value {

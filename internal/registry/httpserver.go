@@ -57,7 +57,7 @@ func (r *Registry) buildHandler() http.Handler {
 		maxBody = adm.Config().MaxBodyBytes
 	}
 	mux.Handle("/soap/registry", r.flightWrap(flight.RouteSOAPRegistry, true, adm.Wrap(admit.ClassLCM, admit.RejectSOAP,
-		limitBody(maxBody, soap.EndpointCtx(r.handleRegistrySOAP)))))
+		limitBody(maxBody, soap.EndpointCtx(r.handleRegistrySOAP, scanRegistryRequest)))))
 	mux.Handle("/soap/auth", r.flightWrap(flight.RouteSOAPAuth, false, adm.Wrap(admit.ClassLCM, admit.RejectSOAP,
 		limitBody(maxBody, soap.Endpoint(r.handleAuthSOAP)))))
 	mux.Handle("/registry/object", r.flightWrap(flight.RouteObject, false, adm.Wrap(admit.ClassDiscovery, admit.RejectJSON, http.HandlerFunc(r.handleGetObject))))
@@ -381,7 +381,7 @@ func (r *Registry) doQuery(req *AdhocQueryWireRequest) (interface{}, error) {
 
 // doBindings is the SOAP codec of discover: it picks the key space, asks
 // the cache and then the balancer, and maps the outcome onto a
-// preserialized envelope, a response to marshal, or a typed fault.
+// preserialized envelope or a typed fault.
 func (r *Registry) doBindings(ctx context.Context, req *GetBindingsRequest) (interface{}, error) {
 	space, key := respcache.SpaceName, req.ServiceName
 	if req.ServiceID != "" {
@@ -391,19 +391,17 @@ func (r *Registry) doBindings(ctx context.Context, req *GetBindingsRequest) (int
 		return nil, soap.ClientFault("GetBindingsRequest needs serviceId or serviceName")
 	}
 	start, fw := r.Clock.Now(), flight.FrameFrom(ctx)
-	ent, ans, err := r.discover(ctx, fw, space, key, start, true)
+	ent, err := r.discover(ctx, fw, space, key, start, encSOAP, true)
 	if ent == nil {
-		ent, ans, err = r.discover(ctx, fw, space, key, start, false)
+		ent, err = r.discover(ctx, fw, space, key, start, encSOAP, false)
 	}
 	switch {
 	case errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled):
 		return nil, &soap.Fault{Code: "Server.Timeout", String: "discovery deadline exceeded", Detail: err.Error()}
 	case err != nil:
 		return nil, soap.ClientFault("%v", err)
-	case ent != nil:
-		return soap.Raw(ent.SOAP), nil
 	}
-	return ans, nil
+	return soap.Raw(ent.SOAP), nil
 }
 
 // authRequest is the union body for /soap/auth.
@@ -530,7 +528,7 @@ func (e *bindingsEdge) FastServe(w http.ResponseWriter, req *http.Request) bool 
 		return false
 	}
 	r := e.reg
-	ent, _, _ := r.discover(req.Context(), flight.From(w), respcache.SpaceName, name, r.Clock.Now(), true)
+	ent, _ := r.discover(req.Context(), flight.From(w), respcache.SpaceName, name, r.Clock.Now(), encJSON, true)
 	if ent == nil {
 		return false
 	}
@@ -551,16 +549,14 @@ func (e *bindingsEdge) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 		http.Error(w, "missing service parameter", http.StatusBadRequest)
 		return
 	}
-	ent, ans, err := r.discover(req.Context(), flight.From(w), respcache.SpaceName, name, r.Clock.Now(), false)
+	ent, err := r.discover(req.Context(), flight.From(w), respcache.SpaceName, name, r.Clock.Now(), encJSON, false)
 	switch {
 	case errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled):
 		http.Error(w, err.Error(), http.StatusGatewayTimeout)
 	case err != nil:
 		http.Error(w, err.Error(), http.StatusNotFound)
-	case ent != nil:
-		writeBindingsJSON(w, ent)
 	default:
-		writeJSON(w, ans)
+		writeBindingsJSON(w, ent)
 	}
 }
 
@@ -573,20 +569,40 @@ func writeBindingsJSON(w http.ResponseWriter, ent *respcache.Entry) {
 	w.Write(ent.JSON)
 }
 
+// encoding names one of the two wire forms of a discovery answer.
+type encoding uint8
+
+const (
+	encJSON encoding = iota // GET /registry/bindings
+	encSOAP                 // GetBindingsRequest on /soap/registry
+	numEncodings
+)
+
+func (e encoding) String() string {
+	if e == encSOAP {
+		return "soap"
+	}
+	return "json"
+}
+
 // discover is the one discovery sequence behind both codecs; the REST and
-// SOAP handlers only parse the request and write what it returns. A
-// request is answered in up to two calls, because on the REST route the
-// admission middleware stands between them. The probe (probe set) only
-// consults the response cache: it never blocks and never allocates, which
-// is what lets it run before a deadline context exists, and it returns a
-// nil entry on a miss. The miss call (probe clear) runs the balancer under
-// ctx, renders both encodings once and stores them, returning the entry —
-// or, with the cache disabled, the response for the codec to marshal.
-// Either call reads the validity tuple first and accounts the answer it
-// gives: discovery counters, balance assignment, flight annotation.
+// SOAP handlers only parse the request and write the bytes of the entry it
+// returns. A request is answered in up to two calls, because on the REST
+// route the admission middleware stands between them. The probe (probe
+// set) only consults the response cache: it never blocks and, when the
+// entry already carries the encoding enc, never allocates, which is what
+// lets it run before a deadline context exists; it returns a nil entry on a
+// miss. The miss call (probe clear) runs the balancer under ctx, renders
+// the one encoding the codec asked for and stores the entry; with the
+// cache disabled the same entry is built and returned unstored, so cached
+// and uncached answers are the same bytes. A hit on an entry that was
+// rendered for the other codec reuses its decision and renders enc once,
+// into a sibling entry. Either call reads the validity tuple first and
+// accounts the answer it gives: discovery counters, balance assignment,
+// flight annotation.
 //
 //repolint:hotpath the probe is the warm discovery round-trip's 0-alloc serving path
-func (r *Registry) discover(ctx context.Context, fw *flight.Writer, space respcache.Space, key string, start time.Time, probe bool) (*respcache.Entry, *GetBindingsResponse, error) {
+func (r *Registry) discover(ctx context.Context, fw *flight.Writer, space respcache.Space, key string, start time.Time, enc encoding, probe bool) (*respcache.Entry, error) {
 	// The tuple is read before the decision is computed: a write or tier
 	// change landing mid-flight leaves the stored entry permanently
 	// invalid rather than ever stale.
@@ -596,9 +612,12 @@ func (r *Registry) discover(ctx context.Context, fw *flight.Writer, space respca
 	if probe {
 		ent := r.RespCache.Lookup(space, key, gen, tier, start)
 		if ent != nil {
+			if encoded(ent, enc) == nil {
+				ent = r.renderSibling(space, key, ent, enc)
+			}
 			r.account(fw, &ent.Decision, ent.FirstHost, age, start, true)
 		}
-		return ent, nil, nil
+		return ent, nil
 	}
 	epoch := r.RespCache.Epoch()
 	var uris []string
@@ -611,29 +630,72 @@ func (r *Registry) discover(ctx context.Context, fw *flight.Writer, space respca
 	}
 	if err != nil {
 		r.discovery.errors.Inc()
-		return nil, nil, err
+		return nil, err
 	}
 	host := chosenHost(uris, &dec)
 	r.account(fw, &dec, host, age, start, false)
-	ans := &GetBindingsResponse{
-		URIs:       uris,
+	ent := &respcache.Entry{
+		Gen: gen, Tier: tier, Expires: r.respExpiry(dec, start),
+		URIs: uris, Decision: dec, FirstHost: host,
+	}
+	r.renderBindings(ent, enc)
+	r.RespCache.StoreAt(space, key, ent, epoch)
+	return ent, nil
+}
+
+// encoded returns the bytes ent carries for enc, nil when that encoding
+// has not been rendered.
+//
+//repolint:hotpath runs on every cache hit
+func encoded(ent *respcache.Entry, enc encoding) []byte {
+	if enc == encSOAP {
+		return ent.SOAP
+	}
+	return ent.JSON
+}
+
+// renderSibling answers a hit on an entry that lacks the encoding enc:
+// entries are immutable once stored (the hit path reads them with no lock),
+// so the missing bytes go into a copy that replaces the original under the
+// original's validity stamp.
+//
+//repolint:coldpath runs once per entry, on the first request for its other encoding
+func (r *Registry) renderSibling(space respcache.Space, key string, of *respcache.Entry, enc encoding) *respcache.Entry {
+	sib := *of
+	r.renderBindings(&sib, enc)
+	r.RespCache.StoreSibling(space, key, of, &sib)
+	return &sib
+}
+
+// renderBindings preserializes the encoding enc of the answer ent was
+// built from. It is the only place either encoding of a bindings answer is
+// produced: the JSON through the same encoder configuration as writeJSON,
+// the SOAP envelope through appendBindingsEnvelope, whose bytes are
+// soap.Marshal's.
+//
+//repolint:coldpath runs once per cache miss and once per sibling
+func (r *Registry) renderBindings(ent *respcache.Entry, enc encoding) {
+	dec := &ent.Decision
+	ans := GetBindingsResponse{
+		URIs:       ent.URIs,
 		Filtered:   dec.Filtered,
 		Eligible:   dec.Eligible(),
 		Unknown:    dec.Unknown(),
 		Ineligible: dec.Ineligible(),
 		WindowOK:   dec.TimeWindowOK,
 	}
-	if r.RespCache == nil {
-		return nil, ans, nil
+	buf := respcache.GetBuffer()
+	if enc == encSOAP {
+		buf.Write(appendBindingsEnvelope(buf.AvailableBuffer(), &ans))
+		ent.SOAP = append([]byte(nil), buf.Bytes()...)
+	} else {
+		e := json.NewEncoder(buf)
+		e.SetIndent("", " ")
+		_ = e.Encode(&ans) // strings, bools and ints always encode
+		ent.JSON = append([]byte(nil), buf.Bytes()...)
 	}
-	ent := renderBindingsEntry(ans)
-	if ent == nil {
-		return nil, ans, nil
-	}
-	ent.Gen, ent.Tier, ent.Expires = gen, tier, r.respExpiry(dec, start)
-	ent.Decision, ent.FirstHost = dec, host
-	r.RespCache.StoreAt(space, key, ent, epoch)
-	return ent, nil, nil
+	respcache.PutBuffer(buf)
+	r.renders[enc].Inc()
 }
 
 // account folds one discovery answer into the counters and, when the
@@ -707,30 +769,6 @@ func (r *Registry) edgeTier() uint32 {
 		return 0
 	}
 	return uint32(r.Admission.Tier())
-}
-
-// renderBindingsEntry preserializes both encodings of one discovery
-// answer. The JSON bytes go through the same encoder configuration as
-// writeJSON, and the SOAP envelope through soap.Marshal, so cached and
-// fresh responses are byte-identical. Returns nil when either encoding
-// fails (the caller then answers uncached).
-//
-//repolint:coldpath rendering runs once per cache miss
-func renderBindingsEntry(ans *GetBindingsResponse) *respcache.Entry {
-	buf := respcache.GetBuffer()
-	enc := json.NewEncoder(buf)
-	enc.SetIndent("", " ")
-	if err := enc.Encode(ans); err != nil {
-		respcache.PutBuffer(buf)
-		return nil
-	}
-	jsonBytes := append([]byte(nil), buf.Bytes()...)
-	respcache.PutBuffer(buf)
-	env, err := soap.Marshal(ans)
-	if err != nil {
-		return nil
-	}
-	return &respcache.Entry{JSON: jsonBytes, SOAP: env}
 }
 
 // respExpiry computes the first instant the cached decision could

@@ -128,7 +128,7 @@ func (r *Registry) buildExposition() *obs.Exposition {
 	// A registry built without the cache reads every series as zero.
 	rc := r.RespCache
 	e.Counter("registry_respcache_hits_total",
-		"Discovery requests answered from a preserialized cached response.",
+		"Discovery requests that reused a cached decision: answered from a preserialized response, or from one rendered on the spot when the entry did not yet carry the request's encoding.",
 		func() int64 {
 			if rc == nil {
 				return 0
@@ -154,6 +154,11 @@ func (r *Registry) buildExposition() *obs.Exposition {
 	e.Gauge("registry_respcache_entries",
 		"Preserialized responses currently cached.",
 		func() float64 { return float64(rc.Len()) })
+	for enc := encoding(0); enc < numEncodings; enc++ {
+		e.LabelledCounter("registry_respcache_renders_total",
+			"Discovery answers rendered, by encoding: one per miss, and one the first time a cached answer is asked for in its other encoding.",
+			"encoding", enc.String(), r.renders[enc].Value)
+	}
 
 	// The frozen router's request-limit rejects. The router is built
 	// lazily by Handler(), so the pointer may be nil at scrape time.

@@ -26,6 +26,7 @@ import (
 	"repro/internal/events"
 	"repro/internal/flight"
 	"repro/internal/lcm"
+	"repro/internal/metrics"
 	"repro/internal/nodestate"
 	"repro/internal/nodestatus"
 	"repro/internal/obs"
@@ -212,6 +213,7 @@ type Registry struct {
 	replFollow string // leader base URL when this node is a follower
 
 	discovery discoveryMetrics
+	renders   [numEncodings]metrics.Counter // bindings answers rendered, by encoding
 	expo      *obs.Exposition
 	pprof     bool
 

@@ -1,6 +1,7 @@
-// Package respcache caches preserialized discovery responses. The JSON
-// and SOAP encodings of a per-service binding list are rendered once, on
-// the first request after a change, and then served with a single Write
+// Package respcache caches preserialized discovery responses. A
+// per-service binding list is rendered in the encoding (JSON or SOAP) the
+// first request after a change asks for, the other encoding on the first
+// request that asks for that, and each is then served with a single Write
 // until something that could alter the answer moves:
 //
 //   - a registry write (lcm.Manager.OnWrite chains into BumpEpoch),
@@ -48,12 +49,18 @@ const (
 // world the entry was rendered in; Lookup revalidates all three plus the
 // write epoch. Decision is retained so a cache hit can feed the same
 // discovery metrics a rendered response would.
+//
+// An entry is immutable once stored. It carries the encoding its first
+// request asked for; the other one is nil until a request wants it, renders
+// it from URIs and Decision, and swaps in a sibling entry (StoreSibling)
+// holding both. An entry stored with both encodings needs no URIs.
 type Entry struct {
 	Gen      uint64
 	Tier     uint32
 	Expires  time.Time // zero means no time-dependent constraint or freshness horizon
 	JSON     []byte
 	SOAP     []byte
+	URIs     []string // the arranged answer the encodings are rendered from
 	Decision core.Decision
 	// FirstHost is the host of the first (chosen) binding, precomputed at
 	// store time so the flight recorder can stamp cache hits without
@@ -150,6 +157,25 @@ func (c *Cache) StoreAt(space Space, key string, e *Entry, epoch uint64) {
 		}
 	}
 	c.spaces[space][key] = e
+	c.mu.Unlock()
+}
+
+// StoreSibling replaces of, an entry Lookup returned for (space, key), with
+// sib, a copy of it that also carries its second encoding. The sibling
+// keeps of's validity stamp — epoch, generation, tier, expiry — so it is
+// valid exactly as long as of would have been: a write that landed since
+// of was computed leaves both invalid. When (space, key) no longer holds
+// of (a newer answer was stored, or the table was flushed) nothing is
+// stored; the caller still serves sib, which is as good as of was.
+func (c *Cache) StoreSibling(space Space, key string, of, sib *Entry) {
+	if c == nil {
+		return
+	}
+	sib.epoch = of.epoch
+	c.mu.Lock()
+	if c.spaces[space][key] == of {
+		c.spaces[space][key] = sib
+	}
 	c.mu.Unlock()
 }
 

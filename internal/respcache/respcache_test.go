@@ -118,12 +118,55 @@ func TestFlushOnFull(t *testing.T) {
 	}
 }
 
+// TestStoreSibling: a sibling replaces the entry it was copied from, under
+// that entry's stamp — valid while the original would be, dead with it, and
+// never stored over anything else.
+func TestStoreSibling(t *testing.T) {
+	c := New(8)
+	of := &Entry{Gen: 1, JSON: []byte("j"), URIs: []string{"u"}}
+	c.StoreAt(SpaceName, "Adder", of, c.Epoch())
+	sib := *of
+	sib.SOAP = []byte("s")
+	c.StoreSibling(SpaceName, "Adder", of, &sib)
+	if e := c.Lookup(SpaceName, "Adder", 1, 0, testEpoch); e != &sib {
+		t.Fatal("the sibling did not replace its original")
+	}
+	if of.SOAP != nil {
+		t.Fatal("the original was written to")
+	}
+	if c.Len() != 1 {
+		t.Fatalf("Len = %d, want 1", c.Len())
+	}
+
+	// The original's epoch, not the current one.
+	c.BumpEpoch()
+	late := sib
+	c.StoreSibling(SpaceName, "Adder", &sib, &late)
+	if e := c.Lookup(SpaceName, "Adder", 1, 0, testEpoch); e != nil {
+		t.Fatal("a sibling stored after a bump validates")
+	}
+
+	// Superseded or flushed originals are not resurrected.
+	fresh := &Entry{Gen: 1}
+	c.StoreAt(SpaceName, "Adder", fresh, c.Epoch())
+	stale := *of
+	c.StoreSibling(SpaceName, "Adder", of, &stale)
+	if e := c.Lookup(SpaceName, "Adder", 1, 0, testEpoch); e != fresh {
+		t.Fatal("a sibling of a superseded entry replaced the newer one")
+	}
+	c.StoreSibling(SpaceName, "Gone", of, &stale)
+	if c.Len() != 1 {
+		t.Fatalf("Len = %d, want 1 (a sibling without its original stores nothing)", c.Len())
+	}
+}
+
 func TestNilCacheIsSafe(t *testing.T) {
 	var c *Cache
 	if e := c.Lookup(SpaceName, "x", 1, 0, testEpoch); e != nil {
 		t.Fatal("nil cache returned an entry")
 	}
 	c.StoreAt(SpaceName, "x", &Entry{}, 0)
+	c.StoreSibling(SpaceName, "x", &Entry{}, &Entry{})
 	c.BumpEpoch()
 	if c.Epoch() != 0 {
 		t.Fatal("nil cache epoch != 0")
@@ -143,8 +186,12 @@ func TestConcurrentAccess(t *testing.T) {
 			key := fmt.Sprintf("svc-%d", g%4)
 			for i := 0; i < 500; i++ {
 				epoch := c.Epoch()
-				if c.Lookup(SpaceName, key, 1, 0, testEpoch) == nil {
+				if e := c.Lookup(SpaceName, key, 1, 0, testEpoch); e == nil {
 					c.StoreAt(SpaceName, key, &Entry{Gen: 1}, epoch)
+				} else if e.SOAP == nil {
+					sib := *e
+					sib.SOAP = []byte("s")
+					c.StoreSibling(SpaceName, key, e, &sib)
 				}
 				if i%100 == 0 {
 					c.BumpEpoch()

@@ -244,12 +244,47 @@ func TestHostOfURI(t *testing.T) {
 		"https://exergy.sdsu.edu/svc":              "exergy.sdsu.edu",
 		"http://127.0.0.1:9999/x":                  "127.0.0.1",
 		"::bad::":                                  "",
+		// A bracketed literal keys the same NodeState row whatever its port.
+		"http://[::1]:8080/x":                 "::1",
+		"http://[::1]:9090/NodeStatus":        "::1",
+		"http://[::1]/x":                      "::1",
+		"http://[fe80::1%25en0]:8080/x":       "fe80::1%en0",
+		"http://thermo.sdsu.edu":              "thermo.sdsu.edu",
+		"http://thermo.sdsu.edu:":             "thermo.sdsu.edu",
+		"http://thermo.sdsu.edu:80":           "thermo.sdsu.edu",
+		"http://Thermo.SDSU.edu/a_b/~c/d-e.f": "Thermo.SDSU.edu",
+		"svn+ssh://h-1.x:22/repo":             "h-1.x",
+		"http://user:pw@thermo.sdsu.edu:1/x":  "thermo.sdsu.edu",
+		"http://thermo.sdsu.edu/x?y=1#z":      "thermo.sdsu.edu",
+		"http://thermo.sdsu.edu/%41":          "thermo.sdsu.edu",
+		"http://thermo.sdsu.edu:http/x":       "",
+		"http://thermo.sdsu.edu/%zz":          "",
+		"http:///x":                           "",
+		"1http://thermo.sdsu.edu/x":           "",
+		"thermo.sdsu.edu:8080":                "",
+		"":                                    "",
 	}
 	for in, want := range cases {
 		if got := HostOfURI(in); got != want {
 			t.Errorf("HostOfURI(%q) = %q, want %q", in, got, want)
 		}
+		if got := hostOfURIParsed(in); got != want {
+			t.Errorf("hostOfURIParsed(%q) = %q, want %q", in, got, want)
+		}
 	}
+	if n := testing.AllocsPerRun(100, func() { HostOfURI("http://volta.sdsu.edu:8080/omar/registry") }); n != 0 {
+		t.Errorf("HostOfURI allocates %v times on the common shape, want 0", n)
+	}
+}
+
+// FuzzHostOfURI: the scan agrees with url.Parse on every input.
+func FuzzHostOfURI(f *testing.F) {
+	f.Add("http://volta.sdsu.edu:8080/omar/registry")
+	f.Fuzz(func(t *testing.T, uri string) {
+		if got, want := HostOfURI(uri), hostOfURIParsed(uri); got != want {
+			t.Fatalf("HostOfURI(%q) = %q, url.Parse form gives %q", uri, got, want)
+		}
+	})
 }
 
 func TestAssociationValidate(t *testing.T) {

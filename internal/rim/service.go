@@ -151,18 +151,78 @@ func (b *ServiceBinding) Host() string {
 	return HostOfURI(b.AccessURI)
 }
 
-// HostOfURI extracts the hostname (without port) from an access URI,
-// returning "" for unparseable input.
+// HostOfURI extracts the hostname from an access URI — no port, and an
+// IPv6 literal without its brackets, exactly url.URL.Hostname — returning
+// "" for unparseable input. The balancer calls it once per binding per
+// discovery, so the shape every published binding has,
+//
+//	scheme "://" host [ ":" digits ] [ "/" path ]
+//
+// with host bytes [A-Za-z0-9.-] and path bytes [A-Za-z0-9._~/-], is
+// recognised by a scan that allocates nothing; userinfo, bracketed
+// literals, escapes, queries, fragments and everything else go through
+// url.Parse.
+//
+//repolint:hotpath runs once per binding in every uncached discovery
 func HostOfURI(uri string) string {
+	i := 0
+	for i < len(uri) && isSchemeByte(uri[i], i == 0) {
+		i++
+	}
+	if i == 0 || !strings.HasPrefix(uri[i:], "://") {
+		return hostOfURIParsed(uri)
+	}
+	start := i + len("://")
+	end := start
+	for end < len(uri) && isHostByte(uri[end]) {
+		end++
+	}
+	if end == start {
+		return hostOfURIParsed(uri)
+	}
+	i = end
+	if i < len(uri) && uri[i] == ':' {
+		for i++; i < len(uri) && '0' <= uri[i] && uri[i] <= '9'; i++ {
+		}
+	}
+	if i < len(uri) && uri[i] != '/' {
+		return hostOfURIParsed(uri)
+	}
+	for ; i < len(uri); i++ {
+		if c := uri[i]; !isHostByte(c) && c != '/' && c != '_' && c != '~' {
+			return hostOfURIParsed(uri)
+		}
+	}
+	return uri[start:end]
+}
+
+// hostOfURIParsed is HostOfURI by way of url.Parse: the definition the
+// scan above must agree with on every input it accepts.
+//
+//repolint:coldpath only URIs outside the common shape are parsed in full
+func hostOfURIParsed(uri string) string {
 	u, err := url.Parse(uri)
 	if err != nil {
 		return ""
 	}
-	h := u.Host
-	if i := strings.LastIndexByte(h, ':'); i >= 0 && !strings.Contains(h, "]") {
-		h = h[:i]
+	return u.Hostname()
+}
+
+// isSchemeByte reports whether c may appear in a URI scheme, whose first
+// byte must be a letter.
+func isSchemeByte(c byte, first bool) bool {
+	switch {
+	case 'a' <= c && c <= 'z', 'A' <= c && c <= 'Z':
+		return true
+	case '0' <= c && c <= '9', c == '+', c == '-', c == '.':
+		return !first
 	}
-	return h
+	return false
+}
+
+// isHostByte reports whether c is a letter, a digit, '.' or '-'.
+func isHostByte(c byte) bool {
+	return 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || '0' <= c && c <= '9' || c == '.' || c == '-'
 }
 
 // SpecificationLink links a ServiceBinding to one of its technical

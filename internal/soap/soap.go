@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"sync"
 )
 
 // NS is the SOAP 1.1 envelope namespace.
@@ -180,25 +181,79 @@ type Raw []byte
 func Endpoint[Req any](handle func(*Req) (interface{}, error)) http.Handler {
 	return EndpointCtx(func(_ context.Context, req *Req) (interface{}, error) {
 		return handle(req)
-	})
+	}, nil)
 }
+
+// maxRequestBytes bounds a request body whatever the edge in front of
+// the endpoint allows.
+const maxRequestBytes = 64 << 20
+
+// requestBuffer is the pooled scratch one request body is read into. The
+// bytes live only until the request is decoded: Unmarshal copies every
+// string and innerxml slice it hands out, and a scan hook must do the same.
+type requestBuffer struct {
+	bytes.Buffer
+	limit io.LimitedReader
+}
+
+var requestBuffers = sync.Pool{New: func() interface{} { return new(requestBuffer) }}
+
+// maxPooledRequest keeps one large publish from pinning its buffer in the
+// pool forever.
+const maxPooledRequest = 1 << 20
+
+// readRequest reads body, up to maxRequestBytes of it, into a pooled
+// buffer the caller releases once the bytes are decoded.
+func readRequest(body io.Reader) (*requestBuffer, error) {
+	buf := requestBuffers.Get().(*requestBuffer)
+	buf.Reset()
+	buf.limit = io.LimitedReader{R: body, N: maxRequestBytes}
+	_, err := buf.ReadFrom(&buf.limit)
+	buf.limit.R = nil
+	if err != nil {
+		buf.release()
+		return nil, err
+	}
+	return buf, nil
+}
+
+func (b *requestBuffer) release() {
+	if b.Cap() <= maxPooledRequest {
+		requestBuffers.Put(b)
+	}
+}
+
+// contentTypeHeader is assigned by key into the response header map,
+// which unlike Header().Set allocates nothing.
+var contentTypeHeader = []string{ContentType}
 
 // EndpointCtx is Endpoint for context-aware handlers: the handler receives
 // the HTTP request's context, so per-request deadlines, client
 // disconnects, and trace values propagate into the SOAP dispatch.
-func EndpointCtx[Req any](handle func(context.Context, *Req) (interface{}, error)) http.Handler {
+//
+// scan, when not nil, is offered the raw request bytes before Unmarshal:
+// it either fills req and reports true, or reports false having left req
+// untouched, and the envelope is then decoded by Unmarshal as if the hook
+// did not exist. It is how an endpoint recognises its one hot message
+// without the cost of encoding/xml; the bytes it is shown are reused once
+// it returns, so whatever it keeps it must copy.
+func EndpointCtx[Req any](handle func(context.Context, *Req) (interface{}, error), scan func(raw []byte, req *Req) bool) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
 			writeFault(w, http.StatusMethodNotAllowed, ClientFault("method %s not allowed", r.Method))
 			return
 		}
-		raw, err := io.ReadAll(io.LimitReader(r.Body, 64<<20))
+		raw, err := readRequest(r.Body)
 		if err != nil {
 			writeFault(w, http.StatusBadRequest, ClientFault("read request: %v", err))
 			return
 		}
 		var req Req
-		if err := Unmarshal(raw, &req); err != nil {
+		if scan == nil || !scan(raw.Bytes(), &req) {
+			err = Unmarshal(raw.Bytes(), &req)
+		}
+		raw.release()
+		if err != nil {
 			writeFault(w, http.StatusBadRequest, ClientFault("decode request: %v", err))
 			return
 		}
@@ -221,17 +276,14 @@ func EndpointCtx[Req any](handle func(context.Context, *Req) (interface{}, error
 			writeFault(w, status, f)
 			return
 		}
-		if raw, ok := resp.(Raw); ok {
-			w.Header().Set("Content-Type", ContentType)
-			w.Write(raw)
-			return
+		data, ok := resp.(Raw)
+		if !ok {
+			if data, err = Marshal(resp); err != nil {
+				writeFault(w, http.StatusInternalServerError, ServerFault("encode response: %v", err))
+				return
+			}
 		}
-		data, err := Marshal(resp)
-		if err != nil {
-			writeFault(w, http.StatusInternalServerError, ServerFault("encode response: %v", err))
-			return
-		}
-		w.Header().Set("Content-Type", ContentType)
+		w.Header()["Content-Type"] = contentTypeHeader
 		w.Write(data)
 	})
 }

@@ -38,6 +38,11 @@ func register(e *Exposition) {
 	e.LabelledCounter("registry_verdicts_total", "", "verdict", "degraded", nil)
 	e.LabelledCounter("registry_verdicts_total", "", "verdict", "fallback", nil)
 
+	// A loop over label values reaches the same call site once per value.
+	for _, enc := range []string{"json", "soap"} {
+		e.LabelledCounter("registry_respcache_renders_total", "", "encoding", enc, nil)
+	}
+
 	// A runtime-built name cannot be checked statically.
 	name := "registry_" + suffix()
 	e.Counter(name, "", nil)
