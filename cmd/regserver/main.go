@@ -37,6 +37,8 @@
 // a kill -9 loses nothing. -fsync picks the flush policy
 // (always|interval|never), -fsync-interval bounds loss under interval,
 // and -checkpoint-bytes/-checkpoint-records tune automatic checkpoints.
+// A follower acknowledges nothing, so on its local log (-repl-dir) always
+// means interval: whatever tail a crash takes, the leader sends again.
 //
 // Overload resilience: -admission (default on) puts every serving route
 // behind per-class admission control — bounded in-flight and wait-queue
@@ -61,8 +63,9 @@
 // checkpoint, tails the WAL stream, applies records through the idempotent
 // replay path, and answers discovery from local state while redirecting
 // writes to the leader with 307 + a NotRegistryLeader fault.
-// -repl-poll-wait, -repl-max-batch, -repl-backoff, -repl-backoff-max, and
-// -repl-seed tune the tailer loop.
+// -repl-poll-wait (how long one streamed WAL response stays open),
+// -repl-max-batch, -repl-backoff, -repl-backoff-max, and -repl-seed tune
+// the tailer loop.
 //
 // Observability: /registry/metrics serves Prometheus text exposition.
 // The always-on flight recorder keeps one fixed-size record per edge
@@ -108,7 +111,7 @@ func main() {
 		period = flag.Duration("period", 25*time.Second, "NodeStatus collection period")
 
 		dataDir     = flag.String("data-dir", "", "durability directory: WAL + checkpoints; every write survives a crash")
-		fsyncPolicy = flag.String("fsync", "always", "WAL flush policy: always|interval|never")
+		fsyncPolicy = flag.String("fsync", "always", "WAL flush policy: always|interval|never (a follower's local log reads always as interval)")
 		fsyncEvery  = flag.Duration("fsync-interval", 0, "max time between fsyncs under -fsync interval (0 = default 100ms)")
 		ckptBytes   = flag.Int64("checkpoint-bytes", 0, "checkpoint after this many WAL bytes (0 = default 8MiB, negative = off)")
 		ckptRecords = flag.Int("checkpoint-records", 0, "checkpoint after this many WAL records (0 = default 10000, negative = off)")
@@ -152,7 +155,7 @@ func main() {
 		replLeader     = flag.Bool("repl-leader", false, "serve the WAL replication stream for followers (requires -data-dir)")
 		replFollow     = flag.String("repl-follow", "", "run as a read-only follower of this leader base URL")
 		replDir        = flag.String("repl-dir", "", "follower state directory: local WAL + applied-position checkpoints")
-		replPollWait   = flag.Duration("repl-poll-wait", 0, "follower long-poll budget per WAL fetch (0 = default 10s)")
+		replPollWait   = flag.Duration("repl-poll-wait", 0, "how long one streamed WAL response stays open (0 = default 10s)")
 		replMaxBatch   = flag.Int("repl-max-batch", 0, "max records per follower WAL fetch (0 = leader's cap)")
 		replBackoff    = flag.Duration("repl-backoff", 0, "base follower reconnect backoff (0 = default 250ms)")
 		replBackoffMax = flag.Duration("repl-backoff-max", 0, "cap on follower reconnect backoff (0 = default 15s)")
@@ -293,6 +296,7 @@ func main() {
 			MaxBatch:    *replMaxBatch,
 			BackoffBase: *replBackoff,
 			BackoffMax:  *replBackoffMax,
+			Log:         wal.Options{Fsync: fp, FsyncInterval: *fsyncEvery},
 		})
 		if err != nil {
 			logger.Error("follower open failed", "dir", *replDir, "error", err)

@@ -292,6 +292,9 @@ func checkRepl(epoch time.Time) error {
 		{"registry_repl_lag_seconds", nil, 0},
 		{"registry_repl_connected", nil, 1},
 		{"registry_repl_applied_total", nil, float64(leaderSeq - 1)},
+		// One poll took the whole backlog: applied ÷ streams is the records
+		// an exchange carries.
+		{"registry_repl_streams_total", nil, 1},
 		{"registry_repl_errors_total", nil, 0},
 	} {
 		if v, ok := fscrape.Value(want.name, want.labels); !ok || v != want.value {
@@ -312,6 +315,7 @@ func checkRepl(epoch time.Time) error {
 		{"registry_repl_position", map[string]string{"part": "seq"}, float64(leaderSeq)},
 		{"registry_repl_connected", nil, 0}, // no stream in flight between polls
 		{"registry_repl_applied_total", nil, 0},
+		{"registry_repl_streams_total", nil, 1},
 		{"registry_repl_errors_total", nil, 0},
 		// An empty directory: the one checkpoint is the first boot's, and
 		// recovery had nothing to load or replay (the manual clock reads 0).

@@ -457,6 +457,17 @@ func (r *Registry) buildExposition() *obs.Exposition {
 			}
 			return 0
 		})
+	e.Counter("registry_repl_streams_total",
+		"WAL stream responses: started by this leader, or requested by this follower; applied_total over it is records per exchange.",
+		func() int64 {
+			if f := r.follower.Load(); f != nil {
+				return f.Stats().PollsTotal
+			}
+			if r.ReplLeader != nil {
+				return r.ReplLeader.Stats().StreamsTotal
+			}
+			return 0
+		})
 	e.Counter("registry_repl_errors_total",
 		"Replication errors: failed polls or applies on a follower, failed stream serves on a leader.",
 		func() int64 {

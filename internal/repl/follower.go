@@ -42,9 +42,9 @@ type FollowerOptions struct {
 	Client *http.Client
 	// Seed drives the jittered reconnect backoff deterministically.
 	Seed int64
-	// PollWait is the long-poll budget sent as ?wait; 0 means the
-	// default, negative makes polls return immediately (the
-	// deterministic-test mode).
+	// PollWait is how long one streamed response lasts, sent as ?wait; 0
+	// means the default, negative makes polls return at the leader's
+	// committed tail (the deterministic-test mode).
 	PollWait time.Duration
 	// MaxBatch caps records requested per poll; 0 means the leader's cap.
 	MaxBatch int
@@ -56,7 +56,8 @@ type FollowerOptions struct {
 	// in wal.DurableOptions; 0 means those defaults, negative disables.
 	CheckpointBytes   int64
 	CheckpointRecords int
-	// Log tunes the follower's local segmented log.
+	// Log tunes the follower's local segmented log. Its Fsync policy is
+	// read the follower's way: see OpenFollower.
 	Log wal.Options
 }
 
@@ -131,6 +132,7 @@ type Follower struct {
 	caughtUp     atomic.Bool
 	appliedTotal atomic.Int64
 	errsTotal    atomic.Int64
+	pollsTotal   atomic.Int64
 	rebootstraps atomic.Int64
 	checkpoints  atomic.Int64
 	progressNano atomic.Int64 // clock time of the last applied record or caught-up poll
@@ -141,6 +143,14 @@ type Follower struct {
 // local WAL tail, and returns a follower positioned at its durable
 // applied position. The store should be freshly populated by registry
 // construction; recovered state replaces it.
+//
+// The local log is a resume cache, not a promise: replication is
+// asynchronous, so no acknowledgement ever waits on it, and whatever tail
+// a crash takes from it the leader sends again. FsyncAlways — "fsync before
+// every acknowledgement", of which a follower sends none — is therefore
+// read as FsyncInterval: at most one fsync per FsyncInterval while records
+// arrive, plus the log's own at rotation, before a local checkpoint and at
+// Close. FsyncNever stays never.
 func OpenFollower(dir string, s *store.Store, opts FollowerOptions) (*Follower, error) {
 	if opts.LeaderURL == "" {
 		return nil, fmt.Errorf("repl: follower needs a leader URL")
@@ -167,6 +177,9 @@ func OpenFollower(dir string, s *store.Store, opts FollowerOptions) (*Follower, 
 	}
 	if opts.Log.Clock == nil {
 		opts.Log.Clock = opts.Clock
+	}
+	if opts.Log.Fsync == wal.FsyncAlways {
+		opts.Log.Fsync = wal.FsyncInterval
 	}
 	client := opts.Client
 	if client == nil {
@@ -292,8 +305,9 @@ func (f *Follower) Bootstrap(ctx context.Context) error {
 }
 
 // Poll performs one WAL fetch against the leader, applying every streamed
-// record. A 410 answer triggers an in-place re-bootstrap. It returns the
-// number of records applied.
+// record as it arrives; with a PollWait that is one response held open
+// while the leader keeps committing. A 410 answer triggers an in-place
+// re-bootstrap. It returns the number of records applied.
 func (f *Follower) Poll(ctx context.Context) (int, error) {
 	f.mu.Lock()
 	from := f.applied
@@ -309,6 +323,7 @@ func (f *Follower) Poll(ctx context.Context) (int, error) {
 	if err != nil {
 		return 0, fmt.Errorf("repl: poll request: %w", err)
 	}
+	f.pollsTotal.Add(1)
 	resp, err := f.client.Do(req)
 	if err != nil {
 		f.disconnect(err)
@@ -330,38 +345,45 @@ func (f *Follower) Poll(ctx context.Context) (int, error) {
 		f.disconnect(fmt.Errorf("repl: leader answered %s", resp.Status))
 		return 0, fmt.Errorf("repl: poll: leader answered %s", resp.Status)
 	}
+	// A response can last the whole PollWait, so what Stats reports is
+	// brought up to date at the headers and again at every frame, not once
+	// per exchange.
+	f.connected.Store(true)
 	if seq, err := strconv.ParseUint(resp.Header.Get(HeaderLeaderSeq), 10, 64); err == nil {
 		f.leaderSeq.Store(seq)
+		f.observe(false)
 	}
 	br := bufio.NewReader(resp.Body)
 	applied := 0
 	for {
-		rec, err := readFrame(br)
+		rec, leaderSeq, err := readFrame(br)
 		if err == io.EOF {
-			break
+			return applied, nil
 		}
 		if err != nil {
 			f.disconnect(err)
 			return applied, err
 		}
+		// The leader's sequence first: lag must never read lower than it is.
+		f.leaderSeq.Store(leaderSeq)
 		if err := f.apply(rec); err != nil {
 			f.disconnect(err)
 			return applied, err
 		}
 		applied++
+		f.observe(true)
 	}
-	f.connected.Store(true)
-	now := f.clock.Now().UnixNano()
-	if applied > 0 {
-		f.progressNano.Store(now)
+}
+
+// observe settles, after a header or an applied frame has brought
+// leaderSeq up to date, whether the follower is caught up; progress is a
+// record applied or a confirmation that there was none to apply.
+func (f *Follower) observe(appliedOne bool) {
+	caughtUp := f.appliedSeq.Load() >= f.leaderSeq.Load()
+	f.caughtUp.Store(caughtUp)
+	if appliedOne || caughtUp {
+		f.progressNano.Store(f.clock.Now().UnixNano())
 	}
-	if f.appliedSeq.Load() >= f.leaderSeq.Load() {
-		f.caughtUp.Store(true)
-		f.progressNano.Store(now)
-	} else {
-		f.caughtUp.Store(false)
-	}
-	return applied, nil
 }
 
 // apply replays one streamed record into the store, persists it locally,
@@ -400,10 +422,15 @@ func (f *Follower) apply(rec wal.StreamRecord) error {
 }
 
 // checkpointLocked writes a local checkpoint of the store at the applied
-// position. Retention mirrors the leader: the previous usable checkpoint
-// stays as the recovery fallback and the local segments it covers are
-// pruned; both best-effort.
+// position. The local log is synced first: the checkpoint is made durable
+// and claims to cover the log up to local, so local must not be past what
+// the disk holds (see wal.Durable's checkpoint). Retention mirrors the
+// leader: the previous usable checkpoint stays as the recovery fallback
+// and the local segments it covers are pruned; both best-effort.
 func (f *Follower) checkpointLocked() error {
+	if err := f.log.Sync(); err != nil {
+		return err
+	}
 	local := f.log.Pos()
 	seq := f.lastSeq + 1
 	if _, err := f.files.Write(seq, f.store, f.applied.Segment, uint64(f.applied.Offset),
@@ -515,6 +542,7 @@ type FollowerStats struct {
 	CaughtUp     bool
 	AppliedTotal int64
 	ErrorsTotal  int64
+	PollsTotal   int64
 	Rebootstraps int64
 	Checkpoints  int64
 	LagRecords   int64
@@ -532,6 +560,7 @@ func (f *Follower) Stats() FollowerStats {
 		CaughtUp:     f.caughtUp.Load(),
 		AppliedTotal: f.appliedTotal.Load(),
 		ErrorsTotal:  f.errsTotal.Load(),
+		PollsTotal:   f.pollsTotal.Load(),
 		Rebootstraps: f.rebootstraps.Load(),
 		Checkpoints:  f.checkpoints.Load(),
 	}

@@ -3,6 +3,7 @@ package repl
 import (
 	"encoding/json"
 	"errors"
+	"io"
 	"log/slog"
 	"net/http"
 	"strconv"
@@ -62,7 +63,11 @@ type prunedAnswer struct {
 }
 
 // ServeWAL streams committed records strictly after ?from as binary
-// frames, long-polling up to ?wait when caught up.
+// frames. Without ?wait the response ends at the committed tail. With it
+// the response is one stream for the whole wait: each burst of commits is
+// flushed when the reader reaches the tail again, and the handler then
+// sleeps on the log's append signal until the deadline, ?max frames, a
+// read error or the client going away.
 func (ld *Leader) ServeWAL(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		http.Error(w, "repl: GET only", http.StatusMethodNotAllowed)
@@ -110,19 +115,23 @@ func (ld *Leader) ServeWAL(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set(HeaderLeaderPos, pos.String())
 	w.Header().Set(HeaderLeaderSeq, strconv.FormatUint(seq, 10))
 	w.Header().Set("Content-Type", ContentTypeFrames)
-	flusher, _ := w.(http.Flusher)
+	stream := http.NewResponseController(w)
+	defer stream.Flush()
 	deadline := ld.clock.Now().Add(wait)
 	sent := 0
+	onWire := false // the status line has been flushed: too late for a 410
 	for sent < max {
 		rec, err := rd.Next()
 		if errors.Is(err, wal.ErrEndOfLog) {
-			if sent > 0 {
-				break
-			}
 			remaining := deadline.Sub(ld.clock.Now())
 			if remaining <= 0 {
-				break
+				return
 			}
+			// The burst is over. Hand it to the follower — on an idle log,
+			// just the headers, so it learns it is connected and caught up
+			// — before sleeping.
+			stream.Flush()
+			onWire = true
 			// Arm the append signal, then re-check: a record committed
 			// between Next and AppendSignal must not be slept past.
 			sig := log.AppendSignal()
@@ -143,22 +152,17 @@ func (ld *Leader) ServeWAL(w http.ResponseWriter, r *http.Request) {
 			if !errors.Is(err, wal.ErrPositionPruned) {
 				ld.errs.Add(1)
 				ld.slog.WarnContext(r.Context(), "repl stream read failed", "err", err)
-			}
-			if sent == 0 && errors.Is(err, wal.ErrPositionPruned) {
+			} else if !onWire && sent == 0 {
 				ld.answerPruned(w, from)
-				return
 			}
-			break
+			return
 		}
-		if err := writeFrame(w, rec); err != nil {
+		if err := writeFrame(w, rec, log.Seq()); err != nil {
 			ld.errs.Add(1)
 			return // client went away mid-frame
 		}
 		sent++
-	}
-	ld.records.Add(int64(sent))
-	if flusher != nil {
-		flusher.Flush()
+		ld.records.Add(1)
 	}
 }
 
@@ -174,19 +178,20 @@ func (ld *Leader) answerPruned(w http.ResponseWriter, from wal.Position) {
 	})
 }
 
-// ServeCheckpoint serves the newest checkpoint file verbatim, stamped
+// ServeCheckpoint streams the newest checkpoint file verbatim, stamped
 // with the WAL position it covers and the leader's committed sequence.
 func (ld *Leader) ServeCheckpoint(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		http.Error(w, "repl: GET only", http.StatusMethodNotAllowed)
 		return
 	}
-	pos, data, err := ld.durable.NewestCheckpoint()
+	pos, f, size, err := ld.durable.NewestCheckpoint()
 	if err != nil {
 		ld.errs.Add(1)
 		http.Error(w, err.Error(), http.StatusServiceUnavailable)
 		return
 	}
+	defer f.Close()
 	seq, err := ld.seqAt(pos)
 	if err != nil {
 		ld.errs.Add(1)
@@ -199,7 +204,11 @@ func (ld *Leader) ServeCheckpoint(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set(HeaderLeaderPos, leaderPos.String())
 	w.Header().Set(HeaderLeaderSeq, strconv.FormatUint(leaderSeq, 10))
 	w.Header().Set(HeaderCheckpointSeq, strconv.FormatUint(seq, 10))
-	w.Write(data)
+	w.Header().Set("Content-Length", strconv.FormatInt(size, 10))
+	if _, err := io.Copy(w, f); err != nil {
+		ld.errs.Add(1)
+		return // client went away, or the disk failed, mid-file
+	}
 	ld.ckptsrvd.Add(1)
 }
 

@@ -9,8 +9,11 @@
 //	GET /registry/repl/checkpoint
 //
 // The WAL endpoint streams committed records strictly after `from` as
-// length-prefixed binary frames (see frame layout below), long-polling up
-// to `wait` when the log is idle. `from` below the oldest live segment
+// length-prefixed binary frames (see frame layout below). With `wait` the
+// response stays open for that long: every burst of commits is flushed to
+// the follower as it happens, so one exchange carries however many records
+// the leader commits in the meantime; without it the response ends at the
+// committed tail. `from` below the oldest live segment
 // answers 410 Gone — the records were pruned after a checkpoint — and the
 // follower re-bootstraps from /registry/repl/checkpoint, which serves the
 // newest checkpoint file verbatim (store snapshot + covered position).
@@ -22,13 +25,16 @@
 // refetching history. Life-cycle writes are never applied locally; the
 // registry answers them with a typed leader redirect instead.
 //
-// Each stream frame is a 32-byte header plus payload:
+// Each stream frame is a 40-byte header plus payload:
 //
-//	[u32 payload len][u32 crc32c(payload)][u64 seq][u64 segment][u64 offset]
+//	[u32 payload len][u32 crc32c(payload)][u64 seq][u64 segment][u64 offset][u64 leader seq]
 //
 // all little-endian; (segment, offset) is the wal.Position just past the
-// record — the resume token — and seq is the leader's record sequence
-// number, which makes follower lag countable in records.
+// record — the resume token — seq is the record's sequence number on the
+// leader, and leader seq is the leader's committed sequence number when the
+// frame was sent, so follower lag stays countable in records for as long
+// as a response lasts. Leader and follower are one binary: there is no
+// reader for the older 32-byte frame.
 package repl
 
 import (
@@ -43,7 +49,7 @@ import (
 )
 
 // frameHeaderLen is the fixed prefix of every stream frame.
-const frameHeaderLen = 32
+const frameHeaderLen = 40
 
 // maxFramePayload is the sanity bound on a received frame's length.
 const maxFramePayload = 64 << 20
@@ -72,14 +78,16 @@ const (
 	ContentTypeFrames = "application/x-repl-frames"
 )
 
-// writeFrame encodes one record onto the stream.
-func writeFrame(w io.Writer, rec wal.StreamRecord) error {
+// writeFrame encodes one record onto the stream, stamped with the leader's
+// committed sequence number at send time.
+func writeFrame(w io.Writer, rec wal.StreamRecord, leaderSeq uint64) error {
 	var hdr [frameHeaderLen]byte
 	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(rec.Payload)))
 	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(rec.Payload, castagnoli))
 	binary.LittleEndian.PutUint64(hdr[8:16], rec.Seq)
 	binary.LittleEndian.PutUint64(hdr[16:24], rec.Pos.Segment)
 	binary.LittleEndian.PutUint64(hdr[24:32], uint64(rec.Pos.Offset))
+	binary.LittleEndian.PutUint64(hdr[32:40], leaderSeq)
 	if _, err := w.Write(hdr[:]); err != nil {
 		return fmt.Errorf("repl: write frame header: %w", err)
 	}
@@ -89,19 +97,19 @@ func writeFrame(w io.Writer, rec wal.StreamRecord) error {
 	return nil
 }
 
-// readFrame decodes the next frame; io.EOF cleanly ends a stream only on
-// a frame boundary.
-func readFrame(r *bufio.Reader) (wal.StreamRecord, error) {
+// readFrame decodes the next frame and the leader sequence number it
+// carries; io.EOF cleanly ends a stream only on a frame boundary.
+func readFrame(r *bufio.Reader) (wal.StreamRecord, uint64, error) {
 	var hdr [frameHeaderLen]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		if errors.Is(err, io.EOF) {
-			return wal.StreamRecord{}, io.EOF
+			return wal.StreamRecord{}, 0, io.EOF
 		}
-		return wal.StreamRecord{}, fmt.Errorf("repl: read frame header: %w", err)
+		return wal.StreamRecord{}, 0, fmt.Errorf("repl: read frame header: %w", err)
 	}
 	length := binary.LittleEndian.Uint32(hdr[0:4])
 	if length > maxFramePayload {
-		return wal.StreamRecord{}, fmt.Errorf("repl: frame of %d bytes exceeds bound", length)
+		return wal.StreamRecord{}, 0, fmt.Errorf("repl: frame of %d bytes exceeds bound", length)
 	}
 	rec := wal.StreamRecord{
 		Seq: binary.LittleEndian.Uint64(hdr[8:16]),
@@ -112,10 +120,10 @@ func readFrame(r *bufio.Reader) (wal.StreamRecord, error) {
 		Payload: make([]byte, length),
 	}
 	if _, err := io.ReadFull(r, rec.Payload); err != nil {
-		return wal.StreamRecord{}, fmt.Errorf("repl: read frame payload: %w", err)
+		return wal.StreamRecord{}, 0, fmt.Errorf("repl: read frame payload: %w", err)
 	}
 	if crc32.Checksum(rec.Payload, castagnoli) != binary.LittleEndian.Uint32(hdr[4:8]) {
-		return wal.StreamRecord{}, fmt.Errorf("repl: frame checksum mismatch at %s", rec.Pos)
+		return wal.StreamRecord{}, 0, fmt.Errorf("repl: frame checksum mismatch at %s", rec.Pos)
 	}
-	return rec, nil
+	return rec, binary.LittleEndian.Uint64(hdr[32:40]), nil
 }

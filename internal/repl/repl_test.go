@@ -403,24 +403,24 @@ func TestReplFrameRoundtripAndCorruption(t *testing.T) {
 		Payload: []byte(`{"op":"Submit"}`),
 	}
 	var buf bytes.Buffer
-	if err := writeFrame(&buf, rec); err != nil {
+	if err := writeFrame(&buf, rec, 57); err != nil {
 		t.Fatal(err)
 	}
-	got, err := readFrame(newBufReader(buf.Bytes()))
+	got, leaderSeq, err := readFrame(newBufReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Pos != rec.Pos || got.Seq != rec.Seq || !bytes.Equal(got.Payload, rec.Payload) {
-		t.Fatalf("frame roundtrip mismatch: %+v", got)
+	if got.Pos != rec.Pos || got.Seq != rec.Seq || leaderSeq != 57 || !bytes.Equal(got.Payload, rec.Payload) {
+		t.Fatalf("frame roundtrip mismatch: %+v, leader seq %d", got, leaderSeq)
 	}
 
 	corrupt := append([]byte(nil), buf.Bytes()...)
 	corrupt[len(corrupt)-1] ^= 0xff
-	if _, err := readFrame(newBufReader(corrupt)); err == nil {
+	if _, _, err := readFrame(newBufReader(corrupt)); err == nil {
 		t.Fatal("corrupted frame passed CRC")
 	}
 	truncated := buf.Bytes()[:buf.Len()-3]
-	if _, err := readFrame(newBufReader(truncated)); err == nil {
+	if _, _, err := readFrame(newBufReader(truncated)); err == nil {
 		t.Fatal("truncated frame accepted")
 	}
 }

@@ -435,3 +435,73 @@ func TestCheckpointRetentionAndPrune(t *testing.T) {
 		t.Fatal("recovery after retention/prune lost state")
 	}
 }
+
+// TestCrashCheckpointNeverCoversUnsyncedLog: a checkpoint file is durable
+// the moment it exists, so the WAL position it is stamped with must be on
+// disk too. Under -fsync never nothing else syncs the log; if the
+// checkpoint did not, a power loss would leave the tail segment shorter
+// than the stamped position, the rebooted log would append below it, and
+// the recovery after that would skip those records as already covered —
+// acknowledged writes gone without a trace. The power loss is simulated as
+// the harness simulates a torn write: by truncating the tail segment, here
+// to the length that was last fsynced.
+func TestCrashCheckpointNeverCoversUnsyncedLog(t *testing.T) {
+	dir := t.TempDir()
+	clk := simclock.NewManual(time.Unix(1_700_000_000, 0))
+	opts := DurableOptions{
+		// One segment, no automatic checkpoints: the only fsync that can
+		// happen before the crash is the checkpoint's own.
+		Log:               Options{Fsync: FsyncNever, Clock: clk},
+		CheckpointBytes:   -1,
+		CheckpointRecords: -1,
+	}
+	s1 := store.New()
+	d1, err := OpenDurable(dir, s1, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mgr1, ctx1 := newTestManager(s1, clk, d1)
+	for i := 0; i < 10; i++ {
+		if err := mgr1.SubmitObjects(ctx1, rim.NewService(fmt.Sprintf("before-%d", i), "")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var synced int64 // length of the tail segment at its last fsync
+	fsyncs := d1.WAL().Fsyncs()
+	if err := d1.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	seg, size := tailSegment(t, dir)
+	if d1.WAL().Fsyncs() != fsyncs {
+		synced = size
+	}
+	if covers := d1.CheckpointPos(); covers.Segment == seg && covers.Offset > synced {
+		t.Errorf("checkpoint covers %s but only %d bytes of segment %d were ever synced", covers, synced, seg)
+	}
+	// Power loss: d1 is abandoned and the un-synced tail is gone.
+	if err := os.Truncate(filepath.Join(dir, segmentName(seg)), synced); err != nil {
+		t.Fatal(err)
+	}
+
+	s2 := store.New()
+	d2, err := OpenDurable(dir, s2, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mgr2, ctx2 := newTestManager(s2, clk, d2)
+	for i := 0; i < 3; i++ {
+		if err := mgr2.SubmitObjects(ctx2, rim.NewService(fmt.Sprintf("after-%d", i), "")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	acknowledged := saveBytes(t, s2)
+	// kill -9: d2 is abandoned, its log intact in the page cache.
+
+	s3 := store.New()
+	if _, err := OpenDurable(dir, s3, opts); err != nil {
+		t.Fatal(err)
+	}
+	if got := saveBytes(t, s3); !bytes.Equal(got, acknowledged) {
+		t.Fatalf("recovery lost writes acknowledged after the power loss: recovered %d objects, acknowledged %d", s3.Len(), s2.Len())
+	}
+}

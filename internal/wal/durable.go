@@ -206,8 +206,18 @@ func (d *Durable) Checkpoint() error {
 // retention: the previous usable checkpoint is kept as the recovery
 // fallback, anything older is deleted, and WAL segments wholly covered by
 // the previous checkpoint are pruned.
+//
+// The log is synced before its position is read. The checkpoint file is
+// made durable, so it must never claim to cover log that is not: under
+// interval or never a power loss could otherwise leave the tail segment
+// shorter than the stamped position, Open would append below it, and the
+// next recovery's Replay would skip those records as already covered.
 func (d *Durable) checkpointLocked() error {
 	started := d.clock.Now()
+	if err := d.log.Sync(); err != nil {
+		d.degrade("checkpoint sync", err)
+		return err
+	}
 	pos := d.log.Pos()
 	seq := d.lastSeq + 1
 	size, err := d.files.Write(seq, d.store, pos.Segment, uint64(pos.Offset))
@@ -266,21 +276,28 @@ func (d *Durable) CheckpointPos() Position {
 // Recovery returns what boot recovery read and how long it took.
 func (d *Durable) Recovery() RecoveryStats { return d.recovery }
 
-// NewestCheckpoint returns the raw bytes of the newest usable checkpoint
-// file and the WAL position it covers — the follower bootstrap payload. It
-// fails if no checkpoint has been written yet.
-func (d *Durable) NewestCheckpoint() (Position, []byte, error) {
+// NewestCheckpoint opens the newest usable checkpoint file and returns it
+// with its size and the WAL position it covers — the follower bootstrap
+// payload, for the caller to stream and close. The file is opened under
+// the lock retention runs under, so it cannot be removed first; once open
+// it keeps serving even if a later checkpoint unlinks it. It fails if no
+// checkpoint has been written yet.
+func (d *Durable) NewestCheckpoint() (Position, *os.File, int64, error) {
 	d.mu.Lock()
-	seq, pos := d.ckptSeq, d.ckptPos
-	d.mu.Unlock()
-	if seq == 0 {
-		return Position{}, nil, fmt.Errorf("wal: no checkpoint written yet")
+	defer d.mu.Unlock()
+	if d.ckptSeq == 0 {
+		return Position{}, nil, 0, fmt.Errorf("wal: no checkpoint written yet")
 	}
-	data, err := os.ReadFile(filepath.Join(d.files.Dir, d.files.Name(seq)))
+	f, err := os.Open(filepath.Join(d.files.Dir, d.files.Name(d.ckptSeq)))
 	if err != nil {
-		return Position{}, nil, fmt.Errorf("wal: read checkpoint: %w", err)
+		return Position{}, nil, 0, fmt.Errorf("wal: open checkpoint: %w", err)
 	}
-	return pos, data, nil
+	info, err := f.Stat()
+	if err != nil {
+		f.Close()
+		return Position{}, nil, 0, fmt.Errorf("wal: stat checkpoint: %w", err)
+	}
+	return d.ckptPos, f, info.Size(), nil
 }
 
 // Close checkpoints (unless degraded) and closes the log.

@@ -162,19 +162,30 @@ type Log struct {
 	slog  *slog.Logger
 
 	mu       sync.Mutex
-	f        *os.File          // guarded by mu — the open tail segment
-	seg      uint64            // guarded by mu — tail segment index
-	off      int64             // guarded by mu — append cursor in the tail segment
-	segments []uint64          // guarded by mu — live segment indexes, ascending
-	segStart map[uint64]uint64 // guarded by mu — sequence number of each live segment's first record
-	notify   chan struct{}     // guarded by mu — closed on append, then replaced lazily
-	lastSync time.Time         // guarded by mu
+	f        *os.File      // guarded by mu — the open tail segment
+	seg      uint64        // guarded by mu — tail segment index
+	off      int64         // guarded by mu — append cursor in the tail segment
+	segments []segment     // guarded by mu — live segments, ascending; the last is the tail
+	notify   chan struct{} // guarded by mu — closed on append, then replaced lazily
+	lastSync time.Time     // guarded by mu
 
 	appends  atomic.Int64
 	fsyncs   atomic.Int64
 	bytes    atomic.Int64
 	segCount atomic.Int64
 	seq      atomic.Uint64 // records committed since the oldest live segment at Open
+}
+
+// segment is what the log remembers about one live segment file: where
+// every record in it ends. The log wrote (or, at Open, scanned) each of
+// those boundaries once; keeping them lets OpenReaderAt validate a resume
+// position and name its sequence number by binary search, with no file
+// I/O. The cost is 8 bytes per live record, bounded by SegmentBytes/8
+// entries per segment (empty payloads) and by Prune overall.
+type segment struct {
+	index uint64  // file index, as in segmentName
+	first uint64  // sequence number of the last record before this segment
+	ends  []int64 // offset just past each record, ascending
 }
 
 func segmentName(index uint64) string { return fmt.Sprintf("wal-%016d.seg", index) }
@@ -225,35 +236,31 @@ func Open(dir string, opts Options) (*Log, error) {
 	l := &Log{dir: dir, opts: opts, clock: opts.Clock, slog: obs.OrNop(opts.Logger)}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.segStart = make(map[uint64]uint64)
 	if len(segs) == 0 {
-		segs = []uint64{1}
 		f, err := os.OpenFile(filepath.Join(dir, segmentName(1)), os.O_CREATE|os.O_WRONLY, 0o666)
 		if err != nil {
 			return nil, fmt.Errorf("wal: create segment: %w", err)
 		}
 		l.f, l.seg, l.off = f, 1, 0
-		l.segStart[1] = 0
+		l.segments = []segment{{index: 1}}
 	} else {
-		// Sealed segments are counted so streaming readers can report
-		// record sequence numbers relative to the oldest live segment.
+		// Every live segment is scanned once: sequence numbers count from
+		// the oldest of them, and the record boundaries the scan finds are
+		// the index. A torn tail never enters it — the scan stops at valid.
 		var total uint64
-		for _, seg := range segs[:len(segs)-1] {
-			l.segStart[seg] = total
-			_, _, records, err := scanSegment(filepath.Join(dir, segmentName(seg)), nil)
+		var valid int64 // the tail's: the loop ends on it
+		var clean bool
+		for _, seg := range segs {
+			ends, v, c, err := indexSegment(filepath.Join(dir, segmentName(seg)))
 			if err != nil {
 				return nil, err
 			}
-			total += uint64(records)
+			l.segments = append(l.segments, segment{index: seg, first: total, ends: ends})
+			total += uint64(len(ends))
+			valid, clean = v, c
 		}
 		tail := segs[len(segs)-1]
 		path := filepath.Join(dir, segmentName(tail))
-		valid, clean, records, err := scanSegment(path, nil)
-		if err != nil {
-			return nil, err
-		}
-		l.segStart[tail] = total
-		total += uint64(records)
 		f, err := os.OpenFile(path, os.O_WRONLY, 0o666)
 		if err != nil {
 			return nil, fmt.Errorf("wal: open segment: %w", err)
@@ -272,10 +279,19 @@ func Open(dir string, opts Options) (*Log, error) {
 		l.f, l.seg, l.off = f, tail, valid
 		l.seq.Store(total)
 	}
-	l.segments = segs
-	l.segCount.Store(int64(len(segs)))
+	l.segCount.Store(int64(len(l.segments)))
 	l.lastSync = l.clock.Now()
 	return l, nil
+}
+
+// indexSegment scans one segment file and returns the end offset of every
+// intact record, with scanSegment's valid and clean.
+func indexSegment(path string) (ends []int64, valid int64, clean bool, err error) {
+	valid, clean, _, err = scanSegment(path, func(_, end int64, _ []byte) error {
+		ends = append(ends, end)
+		return nil
+	})
+	return ends, valid, clean, err
 }
 
 // scanSegment walks one segment file calling fn (which may be nil) for
@@ -355,6 +371,8 @@ func (l *Log) Append(payload []byte) (Position, error) {
 		return Position{}, fmt.Errorf("wal: append: %w", err)
 	}
 	l.off += need
+	tail := &l.segments[len(l.segments)-1]
+	tail.ends = append(tail.ends, l.off)
 	l.appends.Add(1)
 	l.bytes.Add(need)
 	l.seq.Add(1)
@@ -382,8 +400,7 @@ func (l *Log) rotateLocked() error {
 		return fmt.Errorf("wal: create segment: %w", err)
 	}
 	l.f, l.seg, l.off = f, next, 0
-	l.segStart[next] = l.seq.Load()
-	l.segments = append(l.segments, next)
+	l.segments = append(l.segments, segment{index: next, first: l.seq.Load()})
 	l.segCount.Store(int64(len(l.segments)))
 	l.slog.Debug("rotated WAL segment", "segment", next)
 	return nil
@@ -457,7 +474,10 @@ func (l *Log) AppendSignal() <-chan struct{} {
 // not a torn write, and aborts the replay.
 func (l *Log) Replay(from Position, fn func(pos Position, payload []byte) error) error {
 	l.mu.Lock()
-	segs := append([]uint64(nil), l.segments...)
+	segs := make([]uint64, len(l.segments))
+	for i, s := range l.segments {
+		segs[i] = s.index
+	}
 	l.mu.Unlock()
 	for _, seg := range segs {
 		if seg < from.Segment {
@@ -490,17 +510,16 @@ func (l *Log) Replay(from Position, fn func(pos Position, payload []byte) error)
 func (l *Log) Prune(keep Position) (removed int, err error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	var kept []uint64
-	for _, seg := range l.segments {
-		if seg < keep.Segment && seg != l.seg {
-			if err := os.Remove(filepath.Join(l.dir, segmentName(seg))); err != nil {
-				return removed, fmt.Errorf("wal: prune segment %d: %w", seg, err)
+	var kept []segment
+	for _, s := range l.segments {
+		if s.index < keep.Segment && s.index != l.seg {
+			if err := os.Remove(filepath.Join(l.dir, segmentName(s.index))); err != nil {
+				return removed, fmt.Errorf("wal: prune segment %d: %w", s.index, err)
 			}
-			delete(l.segStart, seg)
 			removed++
 			continue
 		}
-		kept = append(kept, seg)
+		kept = append(kept, s)
 	}
 	l.segments = kept
 	l.segCount.Store(int64(len(kept)))

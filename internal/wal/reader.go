@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"sort"
 )
 
 // ErrPositionPruned reports that a requested read position lies below the
@@ -21,6 +22,7 @@ var ErrEndOfLog = errors.New("wal: end of committed log")
 
 // StreamRecord is one record handed to a streaming reader: the payload,
 // the position just past it (the resume token), and its sequence number.
+// A Reader's payload is only valid until its next call to Next.
 type StreamRecord struct {
 	Pos     Position
 	Seq     uint64
@@ -37,20 +39,19 @@ type Reader struct {
 	pos Position // offset just past the last consumed record
 	seq uint64   // sequence number of the last consumed record
 	f   *os.File // open segment file for pos.Segment; nil until first read
+	buf []byte   // payload buffer, reused by every Next
 }
 
 // OpenReaderAt positions a Reader to yield records strictly after pos.
 // The zero position means the start of the log; if records before pos
 // have already been pruned it returns ErrPositionPruned, and a position
-// that does not land on a record boundary is rejected outright.
+// that does not land on a record boundary is rejected outright. The answer
+// comes from the log's boundary index: two binary searches under the lock,
+// no file I/O.
 func (l *Log) OpenReaderAt(pos Position) (*Reader, error) {
 	l.mu.Lock()
-	oldest := l.segments[0]
-	tail := l.seg
-	tailOff := l.off
-	base, live := l.segStart[pos.Segment]
-	l.mu.Unlock()
-
+	defer l.mu.Unlock()
+	oldest := l.segments[0].index
 	if pos.IsZero() {
 		if oldest > 1 {
 			return nil, ErrPositionPruned
@@ -60,45 +61,30 @@ func (l *Log) OpenReaderAt(pos Position) (*Reader, error) {
 	if pos.Segment < oldest {
 		return nil, ErrPositionPruned
 	}
-	if pos.Segment > tail || (pos.Segment == tail && pos.Offset > tailOff) {
+	if pos.Segment > l.seg || (pos.Segment == l.seg && pos.Offset > l.off) {
 		return nil, fmt.Errorf("wal: position %s is past the committed tail", pos)
 	}
-	if !live {
-		// Between oldest and tail every index exists (rotation is +1), so
-		// an unknown segment here means a concurrent prune won the race.
+	i := sort.Search(len(l.segments), func(i int) bool { return l.segments[i].index >= pos.Segment })
+	if l.segments[i].index != pos.Segment {
+		// Rotation is +1 and Prune takes a prefix, so a hole between oldest
+		// and tail is a file that went missing before Open.
 		return nil, ErrPositionPruned
 	}
+	seg := &l.segments[i]
 	if pos.Offset == 0 {
-		return &Reader{l: l, pos: pos, seq: base}, nil
+		return &Reader{l: l, pos: pos, seq: seg.first}, nil
 	}
-	// Count the records before pos to seed the sequence counter, and
-	// verify pos lands exactly on a record boundary.
-	var before uint64
-	landed := false
-	_, _, _, err := scanSegment(filepath.Join(l.dir, segmentName(pos.Segment)), func(start, end int64, payload []byte) error {
-		if end <= pos.Offset {
-			before++
-		}
-		if end == pos.Offset {
-			landed = true
-		}
-		return nil
-	})
-	if err != nil {
-		if errors.Is(err, os.ErrNotExist) {
-			return nil, ErrPositionPruned
-		}
-		return nil, err
-	}
-	if !landed {
+	j := sort.Search(len(seg.ends), func(j int) bool { return seg.ends[j] >= pos.Offset })
+	if j == len(seg.ends) || seg.ends[j] != pos.Offset {
 		return nil, fmt.Errorf("wal: position %s is not a record boundary", pos)
 	}
-	return &Reader{l: l, pos: pos, seq: base + before}, nil
+	return &Reader{l: l, pos: pos, seq: seg.first + uint64(j) + 1}, nil
 }
 
 // Next returns the next committed record, ErrEndOfLog at the committed
 // tail, or ErrPositionPruned if the segment it must advance into has been
-// pruned underneath it.
+// pruned underneath it. The record's payload is overwritten by the next
+// call.
 func (r *Reader) Next() (StreamRecord, error) {
 	bound, _ := r.l.Committed()
 	var hdr [recordHeaderLen]byte
@@ -134,7 +120,10 @@ func (r *Reader) Next() (StreamRecord, error) {
 		if length > MaxRecordBytes {
 			return StreamRecord{}, fmt.Errorf("wal: corrupt record length at %s", r.pos)
 		}
-		payload := make([]byte, length)
+		if int64(cap(r.buf)) < length {
+			r.buf = make([]byte, length)
+		}
+		payload := r.buf[:length]
 		if _, err := r.f.ReadAt(payload, r.pos.Offset+recordHeaderLen); err != nil {
 			return StreamRecord{}, fmt.Errorf("wal: read record at %s: %w", r.pos, err)
 		}

@@ -23,27 +23,70 @@ type walRecord struct {
 	ContentDelete string           `json:"contentDelete,omitempty"`
 }
 
-// encodeMutation serializes an acknowledged mutation for appending.
+// encodeMutation serializes an acknowledged mutation for appending: the
+// bytes json.Marshal(&walRecord{…}) would produce, without handing the
+// already-marshalled objects back to encoding/json to be scanned and
+// compacted a second time. Everything but the objects — op, deletes, the
+// content fields, with their escaping, base64 and omitempty — is one
+// json.Marshal of the record without puts; the puts array is spliced in
+// after "op", where the struct's field order puts it.
 func encodeMutation(m lcm.Mutation) ([]byte, error) {
-	rec := walRecord{
+	rest, err := json.Marshal(&walRecord{
 		Op:            m.Op,
 		Deletes:       m.Deletes,
 		ContentPut:    m.ContentPutID,
 		Content:       m.Content,
 		ContentDelete: m.ContentDeleteID,
-	}
-	for _, o := range m.Puts {
-		env, err := store.EncodeObject(o)
-		if err != nil {
-			return nil, fmt.Errorf("wal: encode mutation: %w", err)
-		}
-		rec.Puts = append(rec.Puts, env)
-	}
-	data, err := json.Marshal(&rec)
+	})
 	if err != nil {
 		return nil, fmt.Errorf("wal: encode mutation: %w", err)
 	}
-	return data, nil
+	if len(m.Puts) == 0 {
+		return rest, nil
+	}
+	envs := make([]store.Envelope, len(m.Puts))
+	size := len(rest) + len(`,"puts":[]`)
+	for i, o := range m.Puts {
+		if envs[i], err = store.EncodeObject(o); err != nil {
+			return nil, fmt.Errorf("wal: encode mutation: %w", err)
+		}
+		size += len(`{"kind":"","data":},`) + len(envs[i].Kind) + len(envs[i].Data)
+	}
+	at := len(`{"op":`) + jsonStringLen(rest[len(`{"op":`):])
+	out := make([]byte, 0, size)
+	out = append(out, rest[:at]...)
+	out = append(out, `,"puts":[`...)
+	for i, env := range envs {
+		if i > 0 {
+			out = append(out, ',')
+		}
+		kind, err := json.Marshal(env.Kind)
+		if err != nil {
+			return nil, fmt.Errorf("wal: encode mutation: %w", err)
+		}
+		out = append(out, `{"kind":`...)
+		out = append(out, kind...)
+		out = append(out, `,"data":`...)
+		// json.Marshal's output is compact and HTML-escaped already, which
+		// is all the encoder would do to a RawMessage.
+		out = append(out, env.Data...)
+		out = append(out, '}')
+	}
+	out = append(out, ']')
+	return append(out, rest[at:]...), nil
+}
+
+// jsonStringLen returns the length of the JSON string literal b starts
+// with, quotes included; b must come from encoding/json.
+func jsonStringLen(b []byte) int {
+	for i := 1; ; i++ {
+		switch b[i] {
+		case '\\':
+			i++
+		case '"':
+			return i + 1
+		}
+	}
 }
 
 // applyRecord replays one record's payload into the store.

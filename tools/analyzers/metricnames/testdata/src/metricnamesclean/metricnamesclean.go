@@ -30,6 +30,7 @@ func register(e *Exposition) {
 	e.Gauge("registry_repl_lag_seconds", "", nil)
 	e.Gauge("registry_repl_connected", "", nil)
 	e.Counter("registry_repl_applied_total", "", nil)
+	e.Counter("registry_repl_streams_total", "", nil)
 	e.Counter("registry_repl_errors_total", "", nil)
 
 	// One child per label value: repeated LabelledCounter registrations of
