@@ -194,11 +194,11 @@ func BenchmarkDiscovery(b *testing.B) {
 }
 
 // BenchmarkDiscoveryFastPath isolates the lock-free discovery fast path:
-// cold (constraint cache invalidated every lookup), warm (cache and RCU
-// snapshot both hot — the steady state the optimisation targets), and
-// warm lookups under 1–64 concurrent readers while a live collector
-// rewrites the NodeState table. The warm/collector variants run with a
-// positive SnapshotMaxAge so readers stay on the published snapshot.
+// warm (the service digested and the RCU snapshot hot — every discovery of
+// a description version but its first, whose extra cost is one
+// BenchmarkConstraintParse), and warm lookups under 1–64 concurrent readers
+// while a live collector rewrites the NodeState table. All variants run
+// with a positive SnapshotMaxAge so readers stay on the published snapshot.
 // Collector variants are recorded in BENCH_discovery.json but not gated:
 // the background sweep's allocations land in the reader's allocs/op
 // nondeterministically.
@@ -257,18 +257,9 @@ func BenchmarkDiscoveryFastPath(b *testing.B) {
 		}
 	}
 
-	b.Run("cold", func(b *testing.B) {
-		reg, svc, _ := setup(b)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			reg.ConstraintCache.Invalidate(svc.ID)
-			lookup(b, reg, svc.ID)
-		}
-	})
 	b.Run("warm", func(b *testing.B) {
 		reg, svc, _ := setup(b)
-		lookup(b, reg, svc.ID) // populate cache + snapshot
+		lookup(b, reg, svc.ID) // digest the service, publish the snapshot
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -584,7 +575,7 @@ func BenchmarkFederatedFind(b *testing.B) {
 // --- metrics primitives ----------------------------------------------------
 //
 // internal/metrics.Counter and GaugeSet sit on the discovery fast path
-// (constraint-cache hit counters, breaker-state reads) and are built on
+// (discovery and response-cache counters, breaker-state reads) and are built on
 // sync/atomic; EXPERIMENTS.md records what the sync.Mutex versions they
 // replaced cost. Names deliberately do not match the BenchmarkDiscovery
 // prefix, so the allocs/op CI gate (BENCH_PATTERN=BenchmarkDiscovery)
@@ -663,7 +654,7 @@ func BenchmarkTracingOverhead(b *testing.B) {
 		}
 		reg.Collector.CollectOnce()
 		if _, _, err := reg.QM.GetServiceBindings(svc.ID); err != nil {
-			b.Fatal(err) // warm the constraint cache + snapshot
+			b.Fatal(err) // digest the service, publish the snapshot
 		}
 		return reg, svc
 	}

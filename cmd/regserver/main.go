@@ -17,11 +17,9 @@
 // quarantined or stale (empty = drop the request, static = fall back to
 // the stored binding order like a vanilla registry).
 //
-// Discovery fast path: -constraint-cache-size bounds the parsed-constraint
-// cache (0 = default 1024, negative = disable caching), and
-// -snapshot-staleness lets discovery serve a NodeState snapshot up to that
-// old without locking while the collector writes (0 = always coherent; the
-// collection period is a sensible value).
+// Discovery fast path: -snapshot-staleness lets discovery serve a NodeState
+// snapshot up to that old without locking while the collector writes (0 =
+// always coherent; the collection period is a sensible value).
 //
 // Serving edge: all routes dispatch through a frozen static router —
 // -edge-max-path-length (414 past it) and -edge-max-depth (400 past it)
@@ -126,7 +124,6 @@ func main() {
 		brkMax        = flag.Duration("breaker-max-backoff", 10*time.Minute, "cap on breaker backoff growth")
 		degraded      = flag.String("degraded", "empty", "discovery result when all hosts are quarantined/stale: empty|static")
 
-		cacheSize     = flag.Int("constraint-cache-size", 0, "parsed-constraint cache bound (0 = default, negative = disable)")
 		snapStaleness = flag.Duration("snapshot-staleness", 0, "serve NodeState snapshots up to this old without locking (0 = always coherent)")
 
 		edgeRespCache = flag.Int("edge-respcache-size", 0, "preserialized discovery response cache bound (0 = default 1024, negative = disable)")
@@ -200,8 +197,7 @@ func main() {
 		InvokeRetries:    *invokeRetries,
 		RetryBackoff:     *retryBackoff,
 
-		ConstraintCacheSize: *cacheSize,
-		SnapshotMaxAge:      *snapStaleness,
+		SnapshotMaxAge: *snapStaleness,
 
 		RespCacheSize:     *edgeRespCache,
 		EdgeMaxPathLength: *edgeMaxPath,

@@ -664,9 +664,6 @@ func checkMetrics(client *http.Client, base string) error {
 	// Every family the dashboards rely on must be present and typed.
 	for _, want := range []struct{ name, typ string }{
 		{"registry_objects", "gauge"},
-		{"registry_constraint_cache_hits_total", "counter"},
-		{"registry_constraint_cache_misses_total", "counter"},
-		{"registry_constraint_cache_invalidations_total", "counter"},
 		{"registry_collector_sweeps_total", "counter"},
 		{"registry_collector_errors_total", "counter"},
 		{"registry_collector_timeouts_total", "counter"},

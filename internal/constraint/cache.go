@@ -12,15 +12,15 @@ import (
 // trivial (an entry is a hash plus a small parsed struct).
 const DefaultCacheSize = 1024
 
-// Cache memoizes FromDescription results per service so the discovery
-// path parses each description version exactly once. Entries are keyed by
-// service id and validated against an FNV-1a hash of the description
-// text: when an LCM write changes the description, the hash no longer
+// Cache memoizes FromDescription results per service. The registry no
+// longer consults it — discovery reads the digest the store keeps beside
+// each service — and it is compiled only for bench/layers.go, which times
+// it as a reference (see registry.Registry.ConstraintCache). Entries are
+// keyed by service id and validated against an FNV-1a hash of the
+// description text: when the description changes, the hash no longer
 // matches and the entry is reparsed, so a lookup can never return a
 // constraint parsed from a different description than the one passed in.
-// Explicit invalidation (wired to LCM's write hooks) additionally drops
-// entries for deleted or rewritten services so the cache never pins
-// stale parses in memory.
+// Invalidate drops an entry outright.
 //
 // Cached *Constraint values are shared between goroutines; they are
 // immutable after parsing and must not be modified by callers.
@@ -68,8 +68,6 @@ func NewCache(max int) *Cache {
 // reports whether the answer came from the cache. The rest of the
 // description (FromDescription's second result) is not cached: the
 // discovery path never uses it.
-//
-//repolint:hotpath warm discovery chain: cache hit is hash + one map read
 func (c *Cache) FromDescription(serviceID, desc string) (_ *Constraint, cached bool, _ error) {
 	if c == nil || serviceID == "" {
 		parsed, _, err := FromDescription(desc)
@@ -107,9 +105,7 @@ func (c *Cache) store(id string, e *cacheEntry) {
 	c.entries[id] = e
 }
 
-// Invalidate drops the entry for serviceID if present. LCM write hooks
-// call this on submit, update, and remove so deleted services don't pin
-// parses.
+// Invalidate drops the entry for serviceID if present.
 func (c *Cache) Invalidate(serviceID string) {
 	if c == nil {
 		return
@@ -122,14 +118,6 @@ func (c *Cache) Invalidate(serviceID string) {
 	c.mu.Unlock()
 	if ok {
 		c.Invalidations.Inc()
-	}
-}
-
-// InvalidateIDs drops the entries for every given id — the shape LCM's
-// OnWrite hook delivers.
-func (c *Cache) InvalidateIDs(ids ...string) {
-	for _, id := range ids {
-		c.Invalidate(id)
 	}
 }
 

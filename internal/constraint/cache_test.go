@@ -108,7 +108,6 @@ func TestCacheNilAndAnonymousFallThrough(t *testing.T) {
 		t.Fatalf("nil cache parse = %v, cached=%v, %v", parsed, cached, err)
 	}
 	nilCache.Invalidate("svc-1")
-	nilCache.InvalidateIDs("a", "b")
 	if nilCache.Len() != 0 {
 		t.Fatal("nil cache Len")
 	}

@@ -189,7 +189,8 @@ func ParseSize(s string) (int64, error) {
 		s = s[:len(s)-1]
 	}
 	v, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
-	if err != nil || v < 0 {
+	// Not NaN, not negative, and small enough for the product to be an int64.
+	if err != nil || !(v >= 0 && v*float64(mult) < 1<<63) {
 		return 0, fmt.Errorf("constraint: bad memory size %q", s)
 	}
 	return int64(v * float64(mult)), nil

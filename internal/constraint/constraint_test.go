@@ -59,14 +59,16 @@ func TestParseClauseVariants(t *testing.T) {
 		m Metric
 		s string
 	}{
-		{MetricLoad, "load ls"},           // missing value
-		{MetricLoad, "load frob 1.0"},     // bad op
-		{MetricLoad, "memory ls 1.0"},     // wrong keyword for tag
-		{MetricLoad, "load ls -1"},        // negative
-		{MetricLoad, "load ls one"},       // non-numeric
-		{MetricMemory, "memory gr 3QB"},   // bad unit
-		{MetricMemory, "memory gr"},       // short
-		{MetricLoad, "load ls 1.0 extra"}, // trailing garbage
+		{MetricLoad, "load ls"},            // missing value
+		{MetricLoad, "load frob 1.0"},      // bad op
+		{MetricLoad, "memory ls 1.0"},      // wrong keyword for tag
+		{MetricLoad, "load ls -1"},         // negative
+		{MetricLoad, "load ls one"},        // non-numeric
+		{MetricLoad, "load ls NaN"},        // a bound nothing compares to
+		{MetricMemory, "memory gr 1e30GB"}, // more bytes than an int64 holds
+		{MetricMemory, "memory gr 3QB"},    // bad unit
+		{MetricMemory, "memory gr"},        // short
+		{MetricLoad, "load ls 1.0 extra"},  // trailing garbage
 	}
 	for _, c := range bad {
 		if _, err := ParseClause(c.m, c.s); err == nil {
@@ -91,7 +93,7 @@ func TestParseSize(t *testing.T) {
 			t.Errorf("ParseSize(%q) = %d, %v; want %d", in, got, err, want)
 		}
 	}
-	for _, bad := range []string{"", "GB", "-1KB", "x"} {
+	for _, bad := range []string{"", "GB", "-1KB", "x", "NaN", "InfKB", "8589934592GB", "9223372036854775808"} {
 		if _, err := ParseSize(bad); err == nil {
 			t.Errorf("ParseSize(%q) accepted", bad)
 		}

@@ -43,7 +43,7 @@ func ParseClause(metric Metric, s string) (*Predicate, error) {
 		value = float64(b)
 	default:
 		v, err := strconv.ParseFloat(fields[2], 64)
-		if err != nil || v < 0 {
+		if err != nil || !(v >= 0) { // negative, or NaN
 			return nil, fmt.Errorf("constraint: bad %s value %q", metric, fields[2])
 		}
 		value = v
@@ -119,7 +119,7 @@ var openTags = []struct{ open, close string }{
 //     ServiceConstraint treats this as "no valid service constraints" and
 //     callers decide whether to surface or swallow err.
 //
-//repolint:coldpath cache-miss parser; the hot path hits Cache.FromDescription
+//repolint:coldpath runs once per description version: discovery reads the result from the store's digest
 func FromDescription(desc string) (*Constraint, string, error) {
 	for _, tag := range openTags {
 		start := strings.Index(desc, tag.open)

@@ -135,10 +135,6 @@ type Balancer struct {
 	// nothing (e.g. every host quarantined). The zero value keeps the
 	// strict empty answer.
 	Degraded DegradedMode
-	// Cache, when non-nil, memoizes parsed constraint blocks per service
-	// so FromDescription runs once per description version. Lookups made
-	// without a service id (plain ArrangeURIs) bypass the cache.
-	Cache *constraint.Cache
 	// SnapshotMaxAge is the staleness guard on the NodeState RCU
 	// snapshot: while the published snapshot is no older than this,
 	// discovery reads it lock-free even if the collector has written
@@ -196,6 +192,7 @@ const (
 	// VerdictQuarantined marks a host whose collector breaker is open; it
 	// is excluded from every arrangement, including FallbackAll.
 	VerdictQuarantined
+	numVerdicts
 )
 
 // String names the verdict.
@@ -248,26 +245,40 @@ type Decision struct {
 	// the identical host-state world. Zero when resource filtering never
 	// consulted the table.
 	SnapshotGen uint64
-	// ConstraintCached is true when the constraint came from the parsed-
-	// constraint cache rather than a fresh parse.
-	ConstraintCached bool
 	// Bindings classifies every binding considered.
 	Bindings []BindingDecision
+
+	// tally counts Bindings by verdict and servedHost is the host of the
+	// first URI served; arrange fills both in the loop that classifies, so
+	// that accounting an answer — on every cache hit too — scans nothing.
+	// A Decision built any other way has tallied false and is counted from
+	// Bindings.
+	tally      [numVerdicts]int
+	servedHost string
+	tallied    bool
 }
 
 // Eligible returns the number of eligible bindings in the decision.
-func (d Decision) Eligible() int { return d.count(VerdictEligible) }
+func (d *Decision) Eligible() int { return d.count(VerdictEligible) }
 
 // Unknown returns the number of unknown-state bindings.
-func (d Decision) Unknown() int { return d.count(VerdictUnknown) }
+func (d *Decision) Unknown() int { return d.count(VerdictUnknown) }
 
 // Ineligible returns the number of constraint-failing bindings.
-func (d Decision) Ineligible() int { return d.count(VerdictIneligible) }
+func (d *Decision) Ineligible() int { return d.count(VerdictIneligible) }
 
 // Quarantined returns the number of breaker-quarantined bindings.
-func (d Decision) Quarantined() int { return d.count(VerdictQuarantined) }
+func (d *Decision) Quarantined() int { return d.count(VerdictQuarantined) }
 
-func (d Decision) count(v Verdict) int {
+// ServedHost returns the host of the first URI of the answer the balancer
+// arranged — where a client following it lands — or "" when the answer is
+// empty or no host was classified for it.
+func (d *Decision) ServedHost() string { return d.servedHost }
+
+func (d *Decision) count(v Verdict) int {
+	if d.tallied {
+		return d.tally[v]
+	}
 	n := 0
 	for _, b := range d.Bindings {
 		if b.Verdict == v {
@@ -290,7 +301,7 @@ func (b *Balancer) ArrangeService(svc *rim.Service, now time.Time) ([]*rim.Servi
 		uris = append(uris, bind.AccessURI)
 		byURI[bind.AccessURI] = bind
 	}
-	ordered, dec := b.arrange(svc.ID, svc.Description.String(), uris, now, nil)
+	ordered, dec := b.arrange(store.DiscoveryView{ID: svc.ID, Description: svc.Description.String(), URIs: uris}, now, nil)
 	out := make([]*rim.ServiceBinding, 0, len(ordered))
 	for _, u := range ordered {
 		out = append(out, byURI[u])
@@ -300,20 +311,20 @@ func (b *Balancer) ArrangeService(svc *rim.Service, now time.Time) ([]*rim.Servi
 
 // ArrangeURIs is the URI-level core of the scheme: given a service
 // description (which may embed a constraint block) and the stored-order
-// access URIs, it returns the URIs to present, plus the full decision.
-// With no service id the constraint cache is bypassed; callers that have
-// one should prefer ArrangeView.
+// access URIs, it returns the URIs to present, plus the full decision. The
+// description is parsed on every call: this is the reference the stored
+// view's memoized digest is held against.
 func (b *Balancer) ArrangeURIs(description string, uris []string, now time.Time) ([]string, Decision) {
-	return b.arrange("", description, uris, now, nil)
+	return b.arrange(store.DiscoveryView{Description: description, URIs: uris}, now, nil)
 }
 
-// ArrangeView is the allocation-lean discovery entry point: it arranges a
-// store.DiscoveryView (id, description, and access URIs — no cloned object
-// graph), keying the constraint cache by the view's service id.
+// ArrangeView is the discovery entry point: it arranges a
+// store.DiscoveryView, reading the view's digest — memoized when the view
+// came from the store — instead of parsing anything.
 //
 //repolint:hotpath warm discovery chain: the balancer's serving edge
 func (b *Balancer) ArrangeView(view store.DiscoveryView, now time.Time) ([]string, Decision) {
-	return b.arrange(view.ID, view.Description, view.URIs, now, nil)
+	return b.arrange(view, now, nil)
 }
 
 // ArrangeViewTimed is ArrangeView adding the time each step took to st, the
@@ -323,7 +334,7 @@ func (b *Balancer) ArrangeView(view store.DiscoveryView, now time.Time) ([]strin
 //
 //repolint:hotpath warm discovery chain: the query manager's serving edge
 func (b *Balancer) ArrangeViewTimed(view store.DiscoveryView, now time.Time, st *flight.StageTimer) ([]string, Decision) {
-	return b.arrange(view.ID, view.Description, view.URIs, now, st)
+	return b.arrange(view, now, st)
 }
 
 // SnapshotMeta returns the generation the NodeState snapshot would have if
@@ -342,28 +353,31 @@ func (b *Balancer) SnapshotMeta(now time.Time) (gen uint64, taken time.Time) {
 	return snap.Gen(), snap.Taken()
 }
 
-func (b *Balancer) arrange(serviceID, description string, uris []string, now time.Time, st *flight.StageTimer) ([]string, Decision) {
+// arrange never returns view.URIs nor reorders it: a stored view's slice is
+// shared by every reader of the service, so each answer is a fresh slice.
+//
+//repolint:hotpath every uncached discovery: two allocations under PolicyFilter
+func (b *Balancer) arrange(view store.DiscoveryView, now time.Time, st *flight.StageTimer) ([]string, Decision) {
 	dec := Decision{TimeWindowOK: true}
-	// The stored-order copy (stockOrder) is built only on the paths that
-	// serve it; the filtered steady state never pays for it.
+	uris := view.URIs
 
 	if b.Policy == PolicyStock {
 		return stockOrder(uris), dec
 	}
 
-	// Step 1: ServiceConstraint — extract and validate the block. The
-	// cache call degrades to a plain parse on a nil cache or empty id.
+	// Step 1: ServiceConstraint — the block as it parsed when this version
+	// of the description was first discovered.
 	begin := st.Begin()
-	c, cached, err := b.Cache.FromDescription(serviceID, description)
+	dg := view.Digest()
 	st.End(flight.StageConstraint, begin)
-	dec.ConstraintCached = cached
-	if err != nil {
+	if dg.Err != nil {
 		// Invalid constraints behave like no constraints (§3.2:
 		// "ServiceConstraint returns false if no valid service
 		// constraints are specified").
-		dec.ConstraintErr = err
+		dec.ConstraintErr = dg.Err
 		return stockOrder(uris), dec
 	}
+	c := dg.Constraint
 	if c.IsZero() {
 		return stockOrder(uris), dec
 	}
@@ -386,84 +400,87 @@ func (b *Balancer) arrange(serviceID, description string, uris []string, now tim
 
 	// Step 3: LoadStatus — classify each host against NodeState. Hosts are
 	// read from an immutable RCU snapshot (one atomic load in the steady
-	// state) so discovery never contends with a collector sweep.
-	// Quarantined hosts (open collector breaker) are set aside first: they
-	// take no part in any arrangement, fallback included.
+	// state) so discovery never contends with a collector sweep. Every URI
+	// gets the row at its own index, so the rows are the only record the
+	// arrangement below needs; the verdicts are tallied here, once.
 	dec.Filtered = true
 	begin = st.Begin()
 	snap := b.Table.Snapshot(now, b.SnapshotMaxAge+b.Brownout.ExtraStaleness())
 	st.End(flight.StageSnapshot, begin)
 	dec.SnapshotGen = snap.Gen()
 	begin = st.Begin()
-	var unknown, ineligible, candidates []string
-	eligible := make([]string, 0, len(uris))
-	dec.Bindings = make([]BindingDecision, 0, len(uris))
-	// Loads keyed by URI are only consulted by the sorting policies; the
-	// plain filter path skips the map entirely.
-	var loadOf map[string]float64
-	if b.Policy == PolicyLeastLoaded || b.FallbackAll {
-		loadOf = make(map[string]float64, len(uris))
-	}
-	for _, uri := range uris {
-		host := rim.HostOfURI(uri)
-		bd := BindingDecision{AccessURI: uri, Host: host}
-		row, ok := snap.Get(host)
+	rows := make([]BindingDecision, len(uris))
+	for i, uri := range uris {
+		bd := &rows[i]
+		bd.AccessURI, bd.Host = uri, dg.Hosts[i]
+		row, ok := snap.Get(bd.Host)
+		bd.HasRow = ok
 		if ok {
 			bd.Updated = row.Updated
 		}
-		if ok && row.Health == store.HealthQuarantined {
+		switch {
+		case ok && row.Health == store.HealthQuarantined:
+			// An open collector breaker: the host takes no part in any
+			// arrangement, fallback included.
 			bd.Verdict = VerdictQuarantined
-			bd.HasRow = true
-			dec.Bindings = append(dec.Bindings, bd)
-			continue
-		}
-		candidates = append(candidates, uri)
-		fresh := ok && row.Failures == 0 &&
-			(b.Freshness <= 0 || now.Sub(row.Updated) <= b.Freshness)
-		if !fresh {
+		case !ok || row.Failures != 0 || (b.Freshness > 0 && now.Sub(row.Updated) > b.Freshness):
 			bd.Verdict = VerdictUnknown
-			bd.HasRow = ok
-			unknown = append(unknown, uri)
-		} else {
-			bd.HasRow = true
+		default:
 			bd.Load = row.Load
-			if loadOf != nil {
-				loadOf[uri] = row.Load
-			}
 			sample := constraint.Sample{Load: row.Load, MemoryB: row.MemoryB, SwapB: row.SwapB, NetDelayMs: row.NetDelayMs}
 			if c.SatisfiedBy(sample) {
 				bd.Verdict = VerdictEligible
-				eligible = append(eligible, uri)
 			} else {
 				bd.Verdict = VerdictIneligible
-				ineligible = append(ineligible, uri)
 			}
 		}
-		dec.Bindings = append(dec.Bindings, bd)
+		dec.tally[bd.Verdict]++
 	}
+	dec.Bindings, dec.tallied = rows, true
 	st.End(flight.StageEvaluate, begin)
 
-	// Step 4: arrange per policy.
+	// Step 4: arrange per policy. order holds indexes into rows, in serving
+	// order; a service's bindings are few enough to keep it on the stack.
 	begin = st.Begin()
-	var out []string
+	var stack [64]int
+	order := stack[:0]
 	switch b.Policy {
 	case PolicyFilter:
-		out = eligible
+		order = pick(order, rows, VerdictEligible)
 	case PolicyRankFirst:
-		out = make([]string, 0, len(eligible)+len(unknown)+len(ineligible))
-		out = append(append(append(out, eligible...), unknown...), ineligible...)
+		order = pick(order, rows, VerdictEligible)
+		order = pick(order, rows, VerdictUnknown)
+		order = pick(order, rows, VerdictIneligible)
 	case PolicyLeastLoaded:
-		byLoad := append([]string(nil), eligible...)
-		sortByLoad(byLoad, loadOf)
-		out = append(byLoad, unknown...)
+		order = pick(order, rows, VerdictEligible)
+		sortByLoad(order, rows)
+		order = pick(order, rows, VerdictUnknown)
 	default:
-		out = stockOrder(uris)
+		for i := range rows {
+			order = append(order, i)
+		}
 	}
 
-	if len(out) == 0 && b.FallbackAll && len(candidates) > 0 {
+	if len(order) == 0 && b.FallbackAll && dec.tally[VerdictQuarantined] < len(rows) {
 		dec.FellBack = true
-		out = append([]string(nil), candidates...)
-		sortByLoad(out, loadOf)
+		for i := range rows {
+			if rows[i].Verdict != VerdictQuarantined {
+				order = append(order, i)
+			}
+		}
+		sortByLoad(order, rows)
+	}
+	// An empty least-loaded answer has always been nil — "uris": null on the
+	// wire, where the other policies say [] — and clients can tell.
+	var out []string
+	if len(order) > 0 || b.Policy != PolicyLeastLoaded {
+		out = make([]string, len(order))
+	}
+	for k, i := range order {
+		out[k] = uris[i]
+	}
+	if len(order) > 0 {
+		dec.servedHost = rows[order[0]].Host
 	}
 
 	// Step 5: graceful degradation — when nothing at all survived (e.g.
@@ -474,14 +491,12 @@ func (b *Balancer) arrange(serviceID, description string, uris []string, now tim
 	if len(out) == 0 && (b.Degraded == DegradedStatic || b.Brownout.ForceStatic()) {
 		dec.Degraded = true
 		out = stockOrder(uris)
+		if len(rows) > 0 {
+			dec.servedHost = rows[0].Host
+		}
 	}
 	st.End(flight.StageArrange, begin)
 	return out, dec
-}
-
-func loadOrInf(m map[string]float64, uri string) (float64, bool) {
-	l, ok := m[uri]
-	return l, ok
 }
 
 // stockOrder copies uris so callers can serve the stored order without
@@ -490,38 +505,48 @@ func stockOrder(uris []string) []string {
 	return append([]string(nil), uris...)
 }
 
-// sortByLoad stable-sorts uris in place: URIs with a known load first, in
-// ascending load order; URIs without a NodeState row keep their stored
-// relative order after them. An insertion sort keeps the hot path free of
-// sort.SliceStable's interface boxing and less-func closure — candidate
-// sets are a service's bindings (a handful), where it also beats the
-// general algorithm outright.
-func sortByLoad(uris []string, load map[string]float64) {
-	for i := 1; i < len(uris); i++ {
-		cur := uris[i]
-		li, iOK := loadOrInf(load, cur)
+// pick appends to order the indexes of the rows with verdict v, in stored
+// order.
+func pick(order []int, rows []BindingDecision, v Verdict) []int {
+	for i := range rows {
+		if rows[i].Verdict == v {
+			order = append(order, i)
+		}
+	}
+	return order
+}
+
+// sortByLoad stable-sorts order — indexes into rows — in place: rows with a
+// freshly collected load first, in ascending load order; the others keep
+// their relative order after them. An insertion sort keeps the hot path
+// free of sort.SliceStable's interface boxing and less-func closure —
+// candidate sets are a service's bindings (a handful), where it also beats
+// the general algorithm outright.
+func sortByLoad(order []int, rows []BindingDecision) {
+	for i := 1; i < len(order); i++ {
+		cur := order[i]
 		j := i
-		for j > 0 {
-			lj, jOK := loadOrInf(load, uris[j-1])
-			if !lessLoad(li, iOK, lj, jOK) {
-				break
-			}
-			uris[j] = uris[j-1]
+		for j > 0 && lessLoad(&rows[cur], &rows[order[j-1]]) {
+			order[j] = order[j-1]
 			j--
 		}
-		uris[j] = cur
+		order[j] = cur
 	}
 }
 
-// lessLoad orders (a known-ness aOK, load a) strictly before (bOK, b):
-// known loads precede unknown, known loads ascend, unknowns tie (so the
+// lessLoad orders a strictly before b: rows with a collected load precede
+// those without, collected loads ascend, and the others tie (so the
 // insertion sort leaves their stored order untouched — stability).
-func lessLoad(a float64, aOK bool, b float64, bOK bool) bool {
+func lessLoad(a, b *BindingDecision) bool {
+	aOK, bOK := a.hasLoad(), b.hasLoad()
 	if aOK != bOK {
 		return aOK
 	}
-	if !aOK {
-		return false
-	}
-	return a < b
+	return aOK && a.Load < b.Load
+}
+
+// hasLoad reports whether Load was read from a fresh row: exactly the rows
+// the constraint was evaluated against.
+func (bd *BindingDecision) hasLoad() bool {
+	return bd.Verdict == VerdictEligible || bd.Verdict == VerdictIneligible
 }

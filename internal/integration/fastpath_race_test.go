@@ -22,10 +22,11 @@ import (
 // with concurrent GetServiceBindings calls, and asserts discovery never
 // serves a constraint parsed from a stale description: each reader's
 // observed bound is monotonically non-decreasing, never ahead of the last
-// edit started, and the final read sees the final edit. The hash-keyed
-// cache makes serving an old parse for a new description structurally
-// impossible; this test is the dynamic check on that claim (run it under
-// `go test -race`).
+// edit started, and the final read sees the final edit. The parse is
+// memoized on the store's entry for the service and every write replaces
+// the entry whole, which makes serving an old parse for a new description
+// structurally impossible; this test is the dynamic check on that claim
+// (run it under `go test -race`).
 func TestConstraintCacheInvalidationUnderRace(t *testing.T) {
 	clk := simclock.NewManual(t0)
 	reg, err := registry.New(registry.Config{Clock: clk, Policy: core.PolicyFilter})
@@ -97,7 +98,7 @@ func TestConstraintCacheInvalidationUnderRace(t *testing.T) {
 	wg.Wait()
 
 	// Settled state: the final description is served, and a repeat read
-	// comes from the cache.
+	// reuses its parse.
 	_, dec, err := reg.QM.GetServiceBindings(svc.ID)
 	if err != nil {
 		t.Fatal(err)
@@ -109,11 +110,8 @@ func TestConstraintCacheInvalidationUnderRace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !dec2.ConstraintCached {
-		t.Fatal("settled repeat read should hit the constraint cache")
-	}
-	if reg.ConstraintCache.Hits.Value() == 0 {
-		t.Fatal("cache never hit during the run")
+	if dec2.Constraint != dec.Constraint {
+		t.Fatal("settled repeat read parsed the description again")
 	}
 }
 

@@ -104,11 +104,7 @@ func (m *Manager) SwapDirect(deletes []string, objs ...rim.Object) error {
 		return err
 	}
 	if m.OnWrite != nil {
-		ids := append([]string(nil), deletes...)
-		for _, o := range objs {
-			ids = append(ids, o.Base().ID)
-		}
-		m.OnWrite(ids...)
+		m.OnWrite()
 	}
 	return nil
 }

@@ -52,11 +52,10 @@ type Manager struct {
 	// runs with "Versioning off" for its experiments (§3.4.4.1) but the
 	// capability is part of the registry (Table 1.1).
 	Versioning bool
-	// OnWrite, when non-nil, is called after every successful mutation
-	// with the ids of the objects written or removed. The registry wires
-	// it to the parsed-constraint cache's invalidation so a description
-	// edit or removal drops the service's cached parse.
-	OnWrite func(ids ...string)
+	// OnWrite, when non-nil, is called after every successful mutation.
+	// The registry wires it to the response cache's write epoch so no
+	// preserialized answer outlives the write.
+	OnWrite func()
 	// Durability, when non-nil, write-ahead-logs every mutation before it
 	// is acknowledged (see the Durability interface). A nil value keeps
 	// the manager purely in-memory with zero overhead.
@@ -118,7 +117,7 @@ func (m *Manager) record(kind rim.EventType, ctx Context, objs ...rim.Object) er
 		}
 	}
 	if m.OnWrite != nil {
-		m.OnWrite(ids...)
+		m.OnWrite()
 	}
 	if m.Bus != nil {
 		m.Bus.Publish(kind, objs...)

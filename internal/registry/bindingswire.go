@@ -1,14 +1,16 @@
-// bindingswire.go is the hand-written wire code of the one hot SOAP
-// exchange, GetBindingsRequest → GetBindingsResponse: a recogniser for the
-// request envelope exactly as soap.Marshal emits it, and an append-style
-// writer for the response envelope, byte for byte what soap.Marshal would
-// produce. encoding/xml stays the codec of every other protocol element,
-// the decoder of every envelope the recogniser declines, and the reference
-// both are fuzzed against.
+// bindingswire.go is the hand-written wire code of the one hot exchange,
+// GetBindingsRequest → GetBindingsResponse: a recogniser for the SOAP
+// request envelope exactly as soap.Marshal emits it, and append-style
+// writers for the response in both encodings, byte for byte what
+// soap.Marshal and writeJSON's encoder would produce. encoding/xml and
+// encoding/json stay the codecs of every other protocol element, the
+// decoder of every envelope the recogniser declines, and the references
+// all three are fuzzed against.
 package registry
 
 import (
 	"bytes"
+	"encoding/json"
 	"encoding/xml"
 	"strconv"
 	"unicode/utf8"
@@ -231,4 +233,63 @@ func isXMLChar(r rune) bool {
 		r >= 0x20 && r <= 0xD7FF ||
 		r >= 0xE000 && r <= 0xFFFD ||
 		r >= 0x10000 && r <= 0x10FFFF
+}
+
+// appendBindingsJSON appends the REST body of ans to b: the bytes
+// json.NewEncoder with SetIndent("", " ") writes for it, for every ans —
+// null for nil URIs and [] for empty ones, the one-space indent, the keys
+// in field order, the trailing newline.
+//
+//repolint:hotpath renders the JSON encoding of every uncached discovery
+func appendBindingsJSON(b []byte, ans *GetBindingsResponse) []byte {
+	b = append(b, "{\n \"uris\": "...)
+	switch {
+	case ans.URIs == nil:
+		b = append(b, "null"...)
+	case len(ans.URIs) == 0:
+		b = append(b, "[]"...)
+	default:
+		sep := "[\n  "
+		for _, uri := range ans.URIs {
+			b = append(b, sep...)
+			b = appendJSONString(b, uri)
+			sep = ",\n  "
+		}
+		b = append(b, "\n ]"...)
+	}
+	b = append(b, ",\n \"filtered\": "...)
+	b = strconv.AppendBool(b, ans.Filtered)
+	b = append(b, ",\n \"eligible\": "...)
+	b = strconv.AppendInt(b, int64(ans.Eligible), 10)
+	b = append(b, ",\n \"unknown\": "...)
+	b = strconv.AppendInt(b, int64(ans.Unknown), 10)
+	b = append(b, ",\n \"ineligible\": "...)
+	b = strconv.AppendInt(b, int64(ans.Ineligible), 10)
+	b = append(b, ",\n \"windowOk\": "...)
+	b = strconv.AppendBool(b, ans.WindowOK)
+	return append(b, "\n}\n"...)
+}
+
+// appendJSONString appends s as a JSON string. A string of printable ASCII
+// with none of the five bytes encoding/json escapes in it — every URI a
+// provider is likely to publish — is its own encoding; anything else is
+// encoding/json's to escape.
+func appendJSONString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c < 0x20, c >= utf8.RuneSelf, c == '"', c == '\\', c == '<', c == '>', c == '&':
+			return appendJSONStringEscaped(b, s)
+		}
+	}
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
+}
+
+// appendJSONStringEscaped is appendJSONString by way of encoding/json.
+//
+//repolint:coldpath only strings with a byte encoding/json might escape
+func appendJSONStringEscaped(b []byte, s string) []byte {
+	quoted, _ := json.Marshal(s) // a string always encodes
+	return append(b, quoted...)
 }

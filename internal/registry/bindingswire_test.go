@@ -6,6 +6,7 @@ package registry
 
 import (
 	"bytes"
+	"encoding/json"
 	"reflect"
 	"strings"
 	"testing"
@@ -195,18 +196,73 @@ func FuzzAppendBindingsEnvelope(f *testing.F) {
 	f.Add("http://h00.sdsu.edu:8080/Adder/addService", "http://h01.sdsu.edu:8080/Adder/addService", uint8(2), true, 2, 0, 0, true)
 	f.Add("", "", uint8(0), false, 0, 0, 0, false)
 	f.Fuzz(func(t *testing.T, a, b string, n uint8, filtered bool, eligible, unknown, ineligible int, windowOK bool) {
-		ans := &GetBindingsResponse{Filtered: filtered, Eligible: eligible, Unknown: unknown, Ineligible: ineligible, WindowOK: windowOK}
-		// nil, empty, then one to three of the strings.
-		switch n % 5 {
-		case 1:
-			ans.URIs = []string{}
-		case 2:
-			ans.URIs = []string{a}
-		case 3:
-			ans.URIs = []string{a, b}
-		case 4:
-			ans.URIs = []string{b, a + b, a}
-		}
-		checkEnvelope(t, ans)
+		checkEnvelope(t, fuzzedAnswer(a, b, n, filtered, eligible, unknown, ineligible, windowOK))
+	})
+}
+
+// fuzzedAnswer builds the answer both writers' fuzz targets render.
+func fuzzedAnswer(a, b string, n uint8, filtered bool, eligible, unknown, ineligible int, windowOK bool) *GetBindingsResponse {
+	ans := &GetBindingsResponse{Filtered: filtered, Eligible: eligible, Unknown: unknown, Ineligible: ineligible, WindowOK: windowOK}
+	// nil, empty, then one to three of the strings.
+	switch n % 5 {
+	case 1:
+		ans.URIs = []string{}
+	case 2:
+		ans.URIs = []string{a}
+	case 3:
+		ans.URIs = []string{a, b}
+	case 4:
+		ans.URIs = []string{b, a + b, a}
+	}
+	return ans
+}
+
+// checkJSON requires the writer's bytes to be those of the encoder every
+// other REST route answers through.
+func checkJSON(t testing.TB, ans *GetBindingsResponse) {
+	t.Helper()
+	var want bytes.Buffer
+	enc := json.NewEncoder(&want)
+	enc.SetIndent("", " ")
+	if err := enc.Encode(ans); err != nil {
+		t.Fatal(err)
+	}
+	prefix := []byte("kept")
+	got := appendBindingsJSON(prefix, ans)
+	if !bytes.HasPrefix(got, prefix) {
+		t.Fatalf("writer overwrote what was in the buffer: %q", got)
+	}
+	if got = got[len(prefix):]; !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("body of %+v differs:\nwriter  %q\nencoder %q", ans, got, want.Bytes())
+	}
+}
+
+func TestAppendBindingsJSON(t *testing.T) {
+	for _, ans := range []*GetBindingsResponse{
+		{}, // "uris": null
+		{URIs: []string{}},
+		{URIs: []string{"http://h00.sdsu.edu:8080/Adder/addService"}, Filtered: true, Eligible: 1, WindowOK: true},
+		{URIs: []string{"http://a/1", "http://b/2", "http://c/3"}, Filtered: true, Eligible: 3, Unknown: 12, Ineligible: 345, WindowOK: true},
+		{URIs: []string{""}, Eligible: -1, Unknown: -1 << 63, Ineligible: 1<<63 - 1},
+		{URIs: []string{`http://h/?a=1&b="2"&c='3'&d=<4>`, `back\slash`, "tab\there", "line\nfeed", "carriage\rreturn", "back\bspace form\ffeed", "/solidus"}},
+		{URIs: []string{"nul\x00", "bell\x07", "unit\x1f", "del\x7f", "tilde~", "bad\xffbyte", "cut\xe5\x8a", "surrogate\xed\xa0\x80"}},
+		{URIs: []string{"line\u2028separator", "paragraph\u2029separator", "\uFFFD", "\uFFFE", "añadir 加法 \U0001F9EE"}},
+	} {
+		checkJSON(t, ans)
+	}
+	ans := &GetBindingsResponse{URIs: []string{"http://h00.sdsu.edu:8080/Adder/addService", "http://h01.sdsu.edu:8080/Adder/addService"}, Filtered: true, Eligible: 2, WindowOK: true}
+	buf := make([]byte, 0, 1024)
+	if n := testing.AllocsPerRun(100, func() { appendBindingsJSON(buf, ans) }); n != 0 {
+		t.Errorf("appendBindingsJSON allocates %v times into a buffer with room, want 0", n)
+	}
+}
+
+// FuzzAppendBindingsJSON: the writer's bytes are the encoder's for
+// arbitrary URI strings and scalar values.
+func FuzzAppendBindingsJSON(f *testing.F) {
+	f.Add("http://h00.sdsu.edu:8080/Adder/addService", "http://h01.sdsu.edu:8080/Adder/addService", uint8(2), true, 2, 0, 0, true)
+	f.Add("", "", uint8(0), false, 0, 0, 0, false)
+	f.Fuzz(func(t *testing.T, a, b string, n uint8, filtered bool, eligible, unknown, ineligible int, windowOK bool) {
+		checkJSON(t, fuzzedAnswer(a, b, n, filtered, eligible, unknown, ineligible, windowOK))
 	})
 }

@@ -103,20 +103,6 @@ func noteDecision(rec *flight.Record, dec *core.Decision) {
 	rec.Quarantined = flight.Sat8(dec.Quarantined())
 }
 
-// chosenHost resolves the host that will actually receive the client —
-// the host of the first returned URI — from the decision's binding rows.
-func chosenHost(uris []string, dec *core.Decision) string {
-	if len(uris) == 0 {
-		return ""
-	}
-	for i := range dec.Bindings {
-		if dec.Bindings[i].AccessURI == uris[0] {
-			return dec.Bindings[i].Host
-		}
-	}
-	return ""
-}
-
 // handleFlight serves GET /registry/flight: the newest matching records
 // from the ring, newest first. Query parameters: n (max records, default
 // 100), route, outcome, host, and hit=true|false.

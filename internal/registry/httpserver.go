@@ -632,7 +632,7 @@ func (r *Registry) discover(ctx context.Context, fw *flight.Writer, space respca
 		r.discovery.errors.Inc()
 		return nil, err
 	}
-	host := chosenHost(uris, &dec)
+	host := dec.ServedHost()
 	r.account(fw, &dec, host, age, start, false)
 	ent := &respcache.Entry{
 		Gen: gen, Tier: tier, Expires: r.respExpiry(dec, start),
@@ -669,9 +669,9 @@ func (r *Registry) renderSibling(space respcache.Space, key string, of *respcach
 
 // renderBindings preserializes the encoding enc of the answer ent was
 // built from. It is the only place either encoding of a bindings answer is
-// produced: the JSON through the same encoder configuration as writeJSON,
-// the SOAP envelope through appendBindingsEnvelope, whose bytes are
-// soap.Marshal's.
+// produced: the JSON through appendBindingsJSON, whose bytes are those of
+// writeJSON's encoder configuration, the SOAP envelope through
+// appendBindingsEnvelope, whose bytes are soap.Marshal's.
 //
 //repolint:coldpath runs once per cache miss and once per sibling
 func (r *Registry) renderBindings(ent *respcache.Entry, enc encoding) {
@@ -689,9 +689,7 @@ func (r *Registry) renderBindings(ent *respcache.Entry, enc encoding) {
 		buf.Write(appendBindingsEnvelope(buf.AvailableBuffer(), &ans))
 		ent.SOAP = append([]byte(nil), buf.Bytes()...)
 	} else {
-		e := json.NewEncoder(buf)
-		e.SetIndent("", " ")
-		_ = e.Encode(&ans) // strings, bools and ints always encode
+		buf.Write(appendBindingsJSON(buf.AvailableBuffer(), &ans))
 		ent.JSON = append([]byte(nil), buf.Bytes()...)
 	}
 	respcache.PutBuffer(buf)
@@ -703,7 +701,7 @@ func (r *Registry) renderBindings(ent *respcache.Entry, enc encoding) {
 //
 //repolint:hotpath runs on every discovery answer including cache hits
 func (r *Registry) account(fw *flight.Writer, dec *core.Decision, host string, age time.Duration, start time.Time, hit bool) {
-	r.discovery.observe(*dec, host, age, r.Clock.Now().Sub(start).Seconds())
+	r.discovery.observe(dec, host, age, r.Clock.Now().Sub(start).Seconds())
 	if fw != nil {
 		fw.Rec.CacheHit = hit
 		noteDecision(&fw.Rec, dec)

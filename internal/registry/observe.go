@@ -40,7 +40,7 @@ type discoveryMetrics struct {
 // it must not allocate.
 //
 //repolint:hotpath runs on every discovery response including cache hits
-func (d *discoveryMetrics) observe(dec core.Decision, host string, age time.Duration, seconds float64) {
+func (d *discoveryMetrics) observe(dec *core.Decision, host string, age time.Duration, seconds float64) {
 	d.total.Inc()
 	if dec.FellBack {
 		d.fallback.Inc()
@@ -80,7 +80,7 @@ func (r *Registry) rollup() {
 
 // buildExposition registers every exported metric family against the live
 // component state. Closures read at scrape time, so the instrumented
-// components pay nothing between scrapes; nil components (no constraint
+// components pay nothing between scrapes; nil components (no response
 // cache, no breakers) simply read as zero.
 func (r *Registry) buildExposition() *obs.Exposition {
 	e := obs.NewExposition()
@@ -89,40 +89,11 @@ func (r *Registry) buildExposition() *obs.Exposition {
 		"Registry objects currently stored.",
 		func() float64 { return float64(r.Store.Len()) })
 
-	// Constraint cache (PR 3 fast path).
-	cache := r.ConstraintCache
+	// Reads 0 for good: nothing on the serving path consults the cache.
+	// The family stays because bench/bench_test.go requires the name.
 	e.Counter("registry_constraint_cache_hits_total",
-		"Discovery constraint lookups served from the parsed-constraint cache.",
-		func() int64 {
-			if cache == nil {
-				return 0
-			}
-			return cache.Hits.Value()
-		})
-	e.Counter("registry_constraint_cache_misses_total",
-		"Discovery constraint lookups that parsed the description afresh.",
-		func() int64 {
-			if cache == nil {
-				return 0
-			}
-			return cache.Misses.Value()
-		})
-	e.Counter("registry_constraint_cache_invalidations_total",
-		"Constraint cache entries dropped by life-cycle writes.",
-		func() int64 {
-			if cache == nil {
-				return 0
-			}
-			return cache.Invalidations.Value()
-		})
-	e.Gauge("registry_constraint_cache_entries",
-		"Parsed constraints currently cached.",
-		func() float64 {
-			if cache == nil {
-				return 0
-			}
-			return float64(cache.Len())
-		})
+		"Retired: discovery reads the store's per-service digest, so this stays 0.",
+		func() int64 { return r.ConstraintCache.Hits.Value() })
 
 	// Preserialized response cache (the zero-allocation serving edge).
 	// A registry built without the cache reads every series as zero.

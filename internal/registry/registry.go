@@ -82,10 +82,6 @@ type Config struct {
 	Versioning bool
 	// AccessPolicy overrides the default XACML policy.
 	AccessPolicy *xacml.Policy
-	// ConstraintCacheSize bounds the parsed-constraint cache: 0 means
-	// constraint.DefaultCacheSize, negative disables caching entirely
-	// (every discovery reparses the description).
-	ConstraintCacheSize int
 	// SnapshotMaxAge is the staleness guard on the NodeState RCU
 	// snapshot: discovery serves a published snapshot no older than this
 	// without locking even while the collector writes rows. 0 keeps reads
@@ -175,8 +171,11 @@ type Registry struct {
 	// Breakers is the collector's breaker set (nil when Config.Breaker was
 	// nil).
 	Breakers *breaker.Set
-	// ConstraintCache is the parsed-constraint cache on the discovery
-	// path (nil when Config.ConstraintCacheSize was negative).
+	// ConstraintCache serves nothing: discovery reads the digest the store
+	// keeps beside each service (store.DiscoveryView.Digest). The field,
+	// constraint.Cache and registry_constraint_cache_hits_total stay only
+	// because bench/layers.go and bench/bench_test.go name them, and go
+	// with the benchmark change that retires those references.
 	ConstraintCache *constraint.Cache
 	// Sampler picks the discovery requests whose flight records carry a
 	// trace id and stage timings (always allocated; rate 0 by default).
@@ -243,10 +242,6 @@ func New(cfg Config) (*Registry, error) {
 	}
 	logger := obs.OrNop(cfg.Logger)
 	s := store.New()
-	var cache *constraint.Cache
-	if cfg.ConstraintCacheSize >= 0 {
-		cache = constraint.NewCache(cfg.ConstraintCacheSize)
-	}
 	bal := &core.Balancer{
 		Table:          s.NodeState(),
 		Policy:         cfg.Policy,
@@ -254,7 +249,6 @@ func New(cfg Config) (*Registry, error) {
 		Freshness:      cfg.Freshness,
 		FallbackAll:    cfg.FallbackAll,
 		Degraded:       cfg.Degraded,
-		Cache:          cache,
 		SnapshotMaxAge: cfg.SnapshotMaxAge,
 	}
 	trail := audit.New(s, clk)
@@ -270,14 +264,10 @@ func New(cfg Config) (*Registry, error) {
 	if cfg.RespCacheSize >= 0 {
 		respCache = respcache.New(cfg.RespCacheSize)
 	}
-	// Any successful write drops the touched ids from the constraint
-	// cache so a description edit or removal is reparsed on next lookup,
-	// and advances the response cache's write epoch so no preserialized
-	// answer can outlive the write. Both caches are nil-safe.
-	lifecycle.OnWrite = func(ids ...string) {
-		cache.InvalidateIDs(ids...)
-		respCache.BumpEpoch()
-	}
+	// Any successful write advances the response cache's write epoch so no
+	// preserialized answer can outlive it (nil-safe). The store's discovery
+	// entries need no hook: a write replaces the entry it touches.
+	lifecycle.OnWrite = respCache.BumpEpoch
 	query := qm.New(s, bal, clk)
 	registrar := auth.NewRegistrar(clk)
 
@@ -392,7 +382,7 @@ func New(cfg Config) (*Registry, error) {
 		Telemetry: telemetry,
 		Breakers:  breakers,
 
-		ConstraintCache: cache,
+		ConstraintCache: constraint.NewCache(0),
 		Sampler:         sampler,
 		Log:             logger.With("component", "registry"),
 		Durable:         durable,

@@ -58,10 +58,10 @@ func marshalFromJSON(t testing.TB, restBody string) []byte {
 	return env
 }
 
-// balancerRuns counts discoveries that reached the balancer: each one
-// consults the constraint cache exactly once.
+// balancerRuns counts discoveries that reached the balancer: every answer
+// is counted once, and either reused a cached decision or ran it.
 func balancerRuns(reg *Registry) int64 {
-	return reg.ConstraintCache.Hits.Value() + reg.ConstraintCache.Misses.Value()
+	return reg.discovery.total.Value() - reg.RespCache.Hits.Value()
 }
 
 type cacheCounts struct{ hits, misses, runs, json, soap int64 }

@@ -48,7 +48,7 @@ func localTail(t *testing.T, dir string) (uint64, string, int64) {
 // not the one after the last it applied; a snapshot load starts a new line.
 func watchOrder(t *testing.T, f *Follower) {
 	last, boots := f.Stats().AppliedSeq, f.Stats().Rebootstraps
-	f.OnApply = func(ids ...string) {
+	f.OnApply = func() {
 		st := f.Stats()
 		if st.Rebootstraps != boots {
 			boots, last = st.Rebootstraps, st.AppliedSeq

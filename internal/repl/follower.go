@@ -110,10 +110,10 @@ type Follower struct {
 	client *http.Client
 	leader string // base URL, trailing slash trimmed
 
-	// OnApply is invoked after every applied record with the touched
-	// object ids, and with no ids after a snapshot bootstrap — wire it to
-	// the registry's post-write cache invalidation hook before Run.
-	OnApply func(ids ...string)
+	// OnApply is invoked after every applied record and after a snapshot
+	// bootstrap — wire it to the registry's post-write cache invalidation
+	// hook before Run.
+	OnApply func()
 
 	mu           sync.Mutex
 	hasState     bool         // guarded by mu — a checkpoint or record survived recovery
@@ -389,8 +389,7 @@ func (f *Follower) observe(appliedOne bool) {
 // apply replays one streamed record into the store, persists it locally,
 // and fires the cache-invalidation hook.
 func (f *Follower) apply(rec wal.StreamRecord) error {
-	ids, err := wal.ApplyRecord(f.store, rec.Payload)
-	if err != nil {
+	if _, err := wal.ApplyRecord(f.store, rec.Payload); err != nil {
 		return err
 	}
 	wrapper := encodeLocal(rec)
@@ -416,7 +415,7 @@ func (f *Follower) apply(rec wal.StreamRecord) error {
 	f.appliedOff.Store(rec.Pos.Offset)
 	f.appliedTotal.Add(1)
 	if f.OnApply != nil {
-		f.OnApply(ids...)
+		f.OnApply()
 	}
 	return nil
 }

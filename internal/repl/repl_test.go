@@ -163,7 +163,7 @@ func TestReplColdFollowerConvergesByteIdentical(t *testing.T) {
 	f := newFollower(t, t.TempDir(), srv.URL, srv.Client(), nil)
 	defer f.Close()
 	var applies atomic.Int64
-	f.OnApply = func(ids ...string) { applies.Add(1) }
+	f.OnApply = func() { applies.Add(1) }
 	if !f.Cold() {
 		t.Fatal("fresh follower should be cold")
 	}

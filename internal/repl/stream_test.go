@@ -82,7 +82,7 @@ func TestReplStreamCarriesEveryCommitInOneResponse(t *testing.T) {
 	n, f, _, stop := streamingPair(t, wait)
 	defer stop()
 	applied := make(chan struct{}, 1)
-	f.OnApply = func(ids ...string) { applied <- struct{}{} }
+	f.OnApply = func() { applied <- struct{}{} }
 
 	type pollResult struct {
 		n   int
@@ -342,7 +342,7 @@ func TestReplLagIsExactWithFramesInFlight(t *testing.T) {
 		}
 	}))
 	k := 0
-	f.OnApply = func(ids ...string) {
+	f.OnApply = func() {
 		k++
 		if st := f.Stats(); st.LagRecords != int64(inFlight-k) || st.LeaderSeq != stale+inFlight {
 			t.Errorf("after frame %d of %d: lag %d behind leader seq %d, want %d behind %d",

@@ -153,8 +153,9 @@ func (b *ServiceBinding) Host() string {
 
 // HostOfURI extracts the hostname from an access URI — no port, and an
 // IPv6 literal without its brackets, exactly url.URL.Hostname — returning
-// "" for unparseable input. The balancer calls it once per binding per
-// discovery, so the shape every published binding has,
+// "" for unparseable input. It runs once per binding when a service is first
+// discovered (store.Digest) and per call on the simulators' hand-built
+// views, so the shape every published binding has,
 //
 //	scheme "://" host [ ":" digits ] [ "/" path ]
 //
@@ -163,7 +164,7 @@ func (b *ServiceBinding) Host() string {
 // literals, escapes, queries, fragments and everything else go through
 // url.Parse.
 //
-//repolint:hotpath runs once per binding in every uncached discovery
+//repolint:hotpath runs once per binding of every service digested
 func HostOfURI(uri string) string {
 	i := 0
 	for i < len(uri) && isSchemeByte(uri[i], i == 0) {

@@ -143,12 +143,30 @@ func TestServiceView(t *testing.T) {
 	if v.ID != svc.ID || v.Description != svc.Description.String() || len(v.URIs) != 2 {
 		t.Fatalf("view = %+v", v)
 	}
-	// The view's URI slice is the caller's to keep: mutating it must not
-	// leak back into the store.
-	v.URIs[0] = "http://mutated.invalid/"
+	// The view is the stored entry, not a copy of it: nothing is built per
+	// call, and readers may only read it. A write replaces the entry and
+	// leaves the views handed out before it as they were.
 	v2, _ := s.ServiceView(svc.ID)
-	if v2.URIs[0] != "http://thermo.sdsu.edu:8080/Adder/addService" {
-		t.Fatal("view URIs alias store state")
+	if &v2.URIs[0] != &v.URIs[0] {
+		t.Fatal("a second view of an unchanged service copied its URIs")
+	}
+	if v2.Digest() != v.Digest() {
+		t.Fatal("two views of one entry digested it twice")
+	}
+	up := svc.Clone()
+	up.Bindings = up.Bindings[1:]
+	if err := s.Put(up); err != nil {
+		t.Fatal(err)
+	}
+	v3, _ := s.ServiceView(svc.ID)
+	if len(v3.URIs) != 1 || v3.URIs[0] != "http://exergy.sdsu.edu:8080/Adder/addService" {
+		t.Fatalf("view after the write = %+v", v3)
+	}
+	if len(v3.Digest().Hosts) != 1 || v3.Digest().Hosts[0] != "exergy.sdsu.edu" {
+		t.Fatalf("digest after the write = %+v", v3.Digest())
+	}
+	if len(v.URIs) != 2 || v.URIs[0] != "http://thermo.sdsu.edu:8080/Adder/addService" || len(v.Digest().Hosts) != 2 {
+		t.Fatalf("the write edited a view loaded before it: %+v", v)
 	}
 
 	if _, err := s.ServiceView("urn:uuid:ghost"); !errors.Is(err, ErrNotFound) {

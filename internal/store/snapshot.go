@@ -339,13 +339,7 @@ func (s *Store) LoadStats(r io.Reader) (SnapshotStats, error) {
 	}
 
 	s.mu.Lock()
-	s.objects = fresh.objects
-	s.byType = fresh.byType
-	s.byOwner = fresh.byOwner
-	s.byName = fresh.byName
-	s.assocBySource = fresh.assocBySource
-	s.assocByTarget = fresh.assocByTarget
-	s.content = fresh.content
+	s.tables = fresh.tables
 	s.nodeState.Reset(rows)
 	s.mu.Unlock()
 	return st, nil

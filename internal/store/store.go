@@ -16,7 +16,9 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
+	"repro/internal/constraint"
 	"repro/internal/rim"
 )
 
@@ -28,33 +30,48 @@ var ErrExists = fmt.Errorf("store: object already exists")
 
 // Store is the in-memory registry database.
 type Store struct {
-	mu      sync.RWMutex
-	objects map[string]rim.Object                  // guarded by mu
-	byType  map[rim.ObjectType]map[string]struct{} // guarded by mu
-	byOwner map[string]map[string]struct{}         // guarded by mu
-	// byName indexes type → lowercase name → ids, so exact-name lookups
-	// (FindOneByName, the discovery-by-name path) need not scan a type.
-	byName map[rim.ObjectType]map[string]map[string]struct{} // guarded by mu
-	// Association endpoint indexes: object id -> association ids.
-	assocBySource map[string]map[string]struct{} // guarded by mu
-	assocByTarget map[string]map[string]struct{} // guarded by mu
-	// Repository content, keyed by ExtrinsicObject ContentID.
-	content map[string][]byte // guarded by mu
+	mu     sync.RWMutex
+	tables // guarded by mu
 
 	nodeState *NodeStateTable // immutable after New; the table locks itself
+}
+
+// tables is everything a snapshot load replaces: the objects, every index
+// derived from them, and the repository content. They are one value so that
+// LoadStats adopts a loaded store with a single assignment — an index added
+// here cannot be left behind by a checkpoint load or a follower bootstrap.
+type tables struct {
+	objects map[string]rim.Object
+	byType  map[rim.ObjectType]map[string]struct{}
+	byOwner map[string]map[string]struct{}
+	// byName indexes type → lowercase name → ids, so exact-name lookups
+	// (FindOneByName, the discovery-by-name path) need not scan a type.
+	byName map[rim.ObjectType]map[string]map[string]struct{}
+	// Association endpoint indexes: object id -> association ids.
+	assocBySource map[string]map[string]struct{}
+	assocByTarget map[string]map[string]struct{}
+	// services holds the discovery entry of every stored *rim.Service: its
+	// view, built once when the object is indexed and never edited. A
+	// re-indexed object gets a new one, so there is nothing to invalidate.
+	services map[string]DiscoveryView
+	// Repository content, keyed by ExtrinsicObject ContentID.
+	content map[string][]byte
 }
 
 // New creates an empty store.
 func New() *Store {
 	return &Store{
-		objects:       make(map[string]rim.Object),
-		byType:        make(map[rim.ObjectType]map[string]struct{}),
-		byOwner:       make(map[string]map[string]struct{}),
-		byName:        make(map[rim.ObjectType]map[string]map[string]struct{}),
-		assocBySource: make(map[string]map[string]struct{}),
-		assocByTarget: make(map[string]map[string]struct{}),
-		content:       make(map[string][]byte),
-		nodeState:     NewNodeStateTable(),
+		tables: tables{
+			objects:       make(map[string]rim.Object),
+			byType:        make(map[rim.ObjectType]map[string]struct{}),
+			byOwner:       make(map[string]map[string]struct{}),
+			byName:        make(map[rim.ObjectType]map[string]map[string]struct{}),
+			assocBySource: make(map[string]map[string]struct{}),
+			assocByTarget: make(map[string]map[string]struct{}),
+			services:      make(map[string]DiscoveryView),
+			content:       make(map[string][]byte),
+		},
+		nodeState: NewNodeStateTable(),
 	}
 }
 
@@ -156,9 +173,15 @@ func (s *Store) indexLocked(o rim.Object) {
 	}
 	// Unnamed objects index under "" so wildcard scans still see them.
 	addIdx(names, strings.ToLower(b.Name.String()), b.ID)
-	if a, ok := o.(*rim.Association); ok {
-		addIdx(s.assocBySource, a.SourceID, a.ID)
-		addIdx(s.assocByTarget, a.TargetID, a.ID)
+	switch o := o.(type) {
+	case *rim.Association:
+		addIdx(s.assocBySource, o.SourceID, o.ID)
+		addIdx(s.assocByTarget, o.TargetID, o.ID)
+	case *rim.Service:
+		s.services[o.ID] = DiscoveryView{
+			ID: o.ID, Description: o.Description.String(), URIs: o.AccessURIs(),
+			memo: new(atomic.Pointer[Digest]),
+		}
 	}
 }
 
@@ -174,9 +197,12 @@ func (s *Store) unindexLocked(o rim.Object) {
 			delete(s.byName, b.ObjectType)
 		}
 	}
-	if a, ok := o.(*rim.Association); ok {
-		delIdx(s.assocBySource, a.SourceID, a.ID)
-		delIdx(s.assocByTarget, a.TargetID, a.ID)
+	switch o := o.(type) {
+	case *rim.Association:
+		delIdx(s.assocBySource, o.SourceID, o.ID)
+		delIdx(s.assocByTarget, o.TargetID, o.ID)
+	case *rim.Service:
+		delete(s.services, o.ID)
 	}
 }
 
@@ -309,27 +335,24 @@ func (s *Store) FindByName(t rim.ObjectType, pattern string) []rim.Object {
 func (s *Store) FindOneByName(t rim.ObjectType, name string) (rim.Object, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	o, err := s.findOneByNameLocked(t, name)
+	id, err := s.findOneByNameLocked(t, name)
 	if err != nil {
 		return nil, err
 	}
-	return rim.CloneObject(o), nil
+	return rim.CloneObject(s.objects[id]), nil
 }
 
-// findOneByNameLocked resolves the unique object of type t named name
-// (case-insensitive) without cloning. Callers hold mu.
-func (s *Store) findOneByNameLocked(t rim.ObjectType, name string) (rim.Object, error) {
+// findOneByNameLocked resolves the id of the unique object of type t named
+// name (case-insensitive). Callers hold mu.
+func (s *Store) findOneByNameLocked(t rim.ObjectType, name string) (string, error) {
 	ids := s.byName[t][strings.ToLower(name)]
-	if len(ids) == 0 {
-		return nil, notFoundByNameErr(t, name)
-	}
 	if len(ids) > 1 {
-		return nil, ambiguousNameErr(t, name)
+		return "", ambiguousNameErr(t, name)
 	}
 	for id := range ids {
-		return s.objects[id], nil
+		return id, nil
 	}
-	return nil, notFoundByNameErr(t, name)
+	return "", notFoundByNameErr(t, name)
 }
 
 // notFoundByNameErr builds the ErrNotFound for a name lookup. Error
@@ -379,30 +402,75 @@ func (s *Store) assocsLocked(idx map[string]map[string]struct{}, key string) []*
 	return out
 }
 
-// DiscoveryView is the minimal projection of a Service the discovery fast
-// path needs: id, description text (which may embed a constraint block),
-// and the access URIs in stored order. All fields are immutable strings,
-// so building a view never deep-clones the service's object graph — the
-// arena-free alternative to Get on the hot path.
+// DiscoveryView is the minimal projection of a Service the discovery path
+// needs: id, description text (which may embed a constraint block), and the
+// non-empty access URIs in stored order. A view the store returns shares
+// its URIs slice with every other reader of the same service: callers must
+// not write to it, sort it or return it — they copy what they serve. A
+// view built by hand from these three fields is as good as a stored one,
+// only its Digest is computed on every call.
 type DiscoveryView struct {
 	ID          string
 	Description string
 	URIs        []string
+
+	// memo is where the first discovery of a stored view leaves its digest
+	// for the later ones; nil on a hand-built view.
+	memo *atomic.Pointer[Digest]
 }
 
-// ServiceView builds the discovery projection for the service with the
-// given id. It returns ErrNotFound for unknown ids and an error when the
-// object is not a Service.
+// Digest is what the balancer derives from a view's text before it can
+// look at a host: the parsed constraint block, or why it does not parse,
+// and the host of every access URI. It is a pure function of the view and
+// immutable once built.
+type Digest struct {
+	// Constraint and Err are constraint.FromDescription of the description.
+	Constraint *constraint.Constraint
+	Err        error
+	// Hosts[i] is rim.HostOfURI(URIs[i]).
+	Hosts []string
+}
+
+// Digest returns the view's digest. On a stored view the first caller
+// computes it and every later one — until a write replaces the entry —
+// reads that result, so a description is parsed once per version, and only
+// if somebody discovers the service; callers racing to be first each
+// compute one and all but one are discarded.
 //
-//repolint:hotpath warm discovery chain: id-keyed view load under RLock
+//repolint:hotpath warm discovery chain: one atomic load once a service has been discovered
+func (v DiscoveryView) Digest() *Digest {
+	if v.memo == nil {
+		return newDigest(v.Description, v.URIs)
+	}
+	if d := v.memo.Load(); d != nil {
+		return d
+	}
+	v.memo.CompareAndSwap(nil, newDigest(v.Description, v.URIs))
+	return v.memo.Load()
+}
+
+// newDigest is the one place a description is parsed and a URI's host
+// extracted on behalf of discovery.
+//
+//repolint:coldpath runs once per description version, or per call on a hand-built view
+func newDigest(description string, uris []string) *Digest {
+	d := &Digest{Hosts: make([]string, len(uris))}
+	d.Constraint, _, d.Err = constraint.FromDescription(description)
+	for i, uri := range uris {
+		d.Hosts[i] = rim.HostOfURI(uri)
+	}
+	return d
+}
+
+// ServiceView returns the discovery view of the service with the given id.
+// It returns ErrNotFound for unknown ids and an error when the object is
+// not a Service.
+//
+//repolint:hotpath warm discovery chain: id-keyed entry load under RLock
 func (s *Store) ServiceView(id string) (DiscoveryView, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	o, ok := s.objects[id]
-	if !ok {
-		return DiscoveryView{}, notFoundIDErr(id)
-	}
-	return s.viewLocked(o)
+	return s.viewLocked(id)
 }
 
 // notFoundIDErr builds the ErrNotFound for an id lookup, off the hot path.
@@ -412,42 +480,35 @@ func notFoundIDErr(id string) error {
 	return fmt.Errorf("%w: %s", ErrNotFound, id)
 }
 
-// ServiceViewByName builds the discovery projection for the unique service
-// with the given name (case-insensitive), resolved through the name index.
+// ServiceViewByName returns the discovery view of the unique service with
+// the given name (case-insensitive), resolved through the name index.
 //
-//repolint:hotpath warm discovery chain: name-keyed view load under RLock
+//repolint:hotpath warm discovery chain: name-keyed entry load under RLock
 func (s *Store) ServiceViewByName(name string) (DiscoveryView, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	o, err := s.findOneByNameLocked(rim.TypeService, name)
+	id, err := s.findOneByNameLocked(rim.TypeService, name)
 	if err != nil {
 		return DiscoveryView{}, err
 	}
-	return s.viewLocked(o)
+	return s.viewLocked(id)
 }
 
-func (s *Store) viewLocked(o rim.Object) (DiscoveryView, error) {
-	svc, ok := o.(*rim.Service)
-	if !ok {
-		return DiscoveryView{}, notServiceErr(o)
+func (s *Store) viewLocked(id string) (DiscoveryView, error) {
+	if v, ok := s.services[id]; ok {
+		return v, nil
 	}
-	v := DiscoveryView{ID: svc.ID, Description: svc.Description.String()}
-	if len(svc.Bindings) > 0 {
-		v.URIs = make([]string, 0, len(svc.Bindings))
-		for _, b := range svc.Bindings {
-			if b.AccessURI != "" {
-				v.URIs = append(v.URIs, b.AccessURI)
-			}
-		}
+	if _, ok := s.objects[id]; ok {
+		return DiscoveryView{}, notServiceErr(id)
 	}
-	return v, nil
+	return DiscoveryView{}, notFoundIDErr(id)
 }
 
 // notServiceErr reports a non-service object on the discovery path.
 //
 //repolint:coldpath error construction, off the measured discovery path
-func notServiceErr(o rim.Object) error {
-	return fmt.Errorf("store: %s is not a service", o.Base().ID)
+func notServiceErr(id string) error {
+	return fmt.Errorf("store: %s is not a service", id)
 }
 
 // PutContent stores a repository payload under the given content id.

@@ -96,8 +96,9 @@ func applyRecord(s *store.Store, payload []byte) error {
 }
 
 // ApplyRecord replays one record's payload into the store and returns the
-// object ids it touched, so a replication follower can invalidate derived
-// caches exactly as the leader's post-write hook does.
+// object ids it touched. Nothing reads them any more — the store's own
+// indexes are all a write has to reach — and the result goes when
+// bench/layers.go, which compiles against this signature, does.
 func ApplyRecord(s *store.Store, payload []byte) ([]string, error) {
 	var rec walRecord
 	if err := json.Unmarshal(payload, &rec); err != nil {

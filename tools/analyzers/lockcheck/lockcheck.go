@@ -9,7 +9,8 @@
 //		rows map[string]Row // guarded by mu
 //	}
 //
-// may only be read or written inside a function that visibly acquires the
+// (or an embedded struct so annotated, which guards every field it
+// promotes) may only be read or written inside a function that visibly acquires the
 // named mutex on a value of that struct type (a `x.mu.Lock()` or
 // `x.mu.RLock()` call anywhere in the function), or inside a function
 // whose name ends in "Locked" — the repo's convention for helpers whose
@@ -107,11 +108,30 @@ func collectGuards(pass *framework.Pass) map[guardKey]string {
 				for _, name := range field.Names {
 					guards[guardKey{tn, name.Name}] = mu
 				}
+				if len(field.Names) == 0 {
+					guardEmbedded(pass, guards, tn, field.Type, mu)
+				}
 			}
 			return true
 		})
 	}
 	return guards
+}
+
+// guardEmbedded records a guard on an embedded struct: it covers the
+// embedded value itself and every field it promotes, which is how the
+// guarded state is spelled at its use sites (`s.rows`, not `s.state.rows`).
+func guardEmbedded(pass *framework.Pass, guards map[guardKey]string, outer *types.TypeName, typ ast.Expr, mu string) {
+	inner := namedTypeOf(pass, typ)
+	if inner == nil {
+		return
+	}
+	guards[guardKey{outer, inner.Name()}] = mu
+	if st, ok := inner.Type().Underlying().(*types.Struct); ok {
+		for i := 0; i < st.NumFields(); i++ {
+			guards[guardKey{outer, st.Field(i).Name()}] = mu
+		}
+	}
 }
 
 // guardComment extracts the mutex name from a field's doc or line

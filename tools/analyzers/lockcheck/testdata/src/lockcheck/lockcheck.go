@@ -49,6 +49,32 @@ func (s *stats) WrongMutex() int {
 	return s.hits // want `stats\.hits is guarded by "hitsMu" but WrongMutex never acquires it`
 }
 
+// catalog keeps its guarded state in an embedded struct, so that it can be
+// replaced in one assignment; the guard covers the promoted fields.
+type catalog struct {
+	mu    sync.Mutex
+	state // guarded by mu
+}
+
+type state struct {
+	byID   map[string]int
+	byName map[string]int
+}
+
+func (c *catalog) Adopt(from *catalog) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.state = from.state
+}
+
+func (c *catalog) BadPromoted(k string) int {
+	return c.byID[k] // want `catalog\.byID is guarded by "mu" but BadPromoted never acquires it`
+}
+
+func (c *catalog) BadWhole() state {
+	return c.state // want `catalog\.state is guarded by "mu" but BadWhole never acquires it`
+}
+
 // wrapper reaches a guarded field through another struct; the acquire on
 // the owning value still counts.
 type wrapper struct{ tab *table }
