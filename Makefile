@@ -28,8 +28,7 @@ vet:
 bin/repolint: $(shell find cmd/repolint tools/analyzers -name '*.go' -not -path '*/testdata/*')
 	$(GO) build -o $@ ./cmd/repolint
 
-# lint runs the repo's own invariant analyzers (bannedcall — the
-# wallclock, norand, structlog and clienttimeout rules — lockcheck,
+# lint runs the repo's own invariant analyzers (bannedcall, lockcheck,
 # errwrap, atomicwrite, lockorder, ctxprop, gorolife, hotalloc, deadline,
 # metricnames) over every package via the go vet driver.
 lint: bin/repolint
@@ -98,7 +97,7 @@ benchmod:
 	$(GO) vet -C bench ./...
 	$(GO) test -C bench ./...
 
-check: build test vet lint smoke
+check: build test vet lint smoke benchmod
 
 # bench regenerates the committed discovery baseline BENCH_discovery.json.
 # Collector variants are recorded but not gated (-gate-skip): a background

@@ -24,6 +24,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"syscall"
 	"time"
 
 	"repro/internal/hostsim"
@@ -47,6 +48,13 @@ func main() {
 		logFormat = flag.String("log-format", "text", "log format: text|json")
 	)
 	flag.Parse()
+	if flag.NArg() > 0 {
+		// Parse stops at the first word that is not a flag; every flag
+		// after it would be silently ignored.
+		fmt.Fprintf(flag.CommandLine.Output(), "nodestatusd: unexpected argument %q\n", flag.Arg(0))
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	logger, err := obs.NewLogger(os.Stderr, *logLevel, *logFormat)
 	if err != nil {
@@ -64,7 +72,7 @@ func main() {
 		AmbientLoad: *ambient,
 	}, clk.Now())
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
 	if *churn > 0 {

@@ -119,7 +119,8 @@ type ClassLimits struct {
 	// before it is shed.
 	QueueTimeout time.Duration
 	// Deadline is the class's default server-side budget for an
-	// admitted request; 0 disables deadline enforcement.
+	// admitted request; 0 means DefaultConfig's, negative leaves the
+	// class without one (a client's DeadlineHeader still applies).
 	Deadline time.Duration
 }
 

@@ -14,7 +14,6 @@ import (
 	"repro/internal/registry"
 	"repro/internal/rim"
 	"repro/internal/simclock"
-	"repro/internal/uddi"
 )
 
 // TestGuardedStateUnderRace drives the three concurrent mutators of the
@@ -123,64 +122,5 @@ func TestGuardedStateUnderRace(t *testing.T) {
 	}
 	if n := reg.Store.NodeState().Len(); n != len(hosts) {
 		t.Fatalf("NodeState rows = %d, want %d", n, len(hosts))
-	}
-}
-
-// TestUDDIStateUnderRace hammers the UDDI comparator's three lazily
-// created shared tables — custody tokens, subscriptions, and the change
-// log — from concurrent publishers and pollers on a manual clock.
-func TestUDDIStateUnderRace(t *testing.T) {
-	clk := simclock.NewManual(t0)
-	r := uddi.NewWithClock(clk)
-
-	const workers = 4
-	const iters = 30
-	var wg sync.WaitGroup
-	errCh := make(chan error, workers)
-
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			tok := r.GetAuthToken(fmt.Sprintf("pub-%d", w))
-			subID, err := r.SaveSubscription(tok, "%Race%")
-			if err != nil {
-				errCh <- err
-				return
-			}
-			for i := 0; i < iters; i++ {
-				be := &uddi.BusinessEntity{Name: fmt.Sprintf("Race-%d-%d", w, i)}
-				if _, err := r.SaveBusiness(tok, be); err != nil {
-					errCh <- err
-					return
-				}
-				if transfer, err := r.GetTransferToken(tok, be.BusinessKey); err != nil {
-					errCh <- err
-					return
-				} else if i%3 == 0 {
-					r.DiscardTransferToken(transfer)
-				}
-				if _, err := r.GetSubscriptionResults(tok, subID); err != nil {
-					errCh <- err
-					return
-				}
-				_ = r.FindBusiness("Race%")
-			}
-		}(w)
-	}
-
-	// The clock moves while publishers stamp change records against it.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < iters; i++ {
-			clk.Advance(time.Second)
-		}
-	}()
-
-	wg.Wait()
-	close(errCh)
-	for err := range errCh {
-		t.Error(err)
 	}
 }

@@ -1,7 +1,7 @@
 // Package metrics provides the statistics used to evaluate the load
 // balancing scheme: per-host load/memory summaries, imbalance measures
-// (standard deviation, max/min spread, Jain's fairness index), time series,
-// and fixed-bucket histograms for task latency.
+// (standard deviation, max/min spread, Jain's fairness index) and time
+// series.
 //
 // The thesis claims that with the scheme in place "the CPU load and system
 // memory is uniformly maintained" across hosts (Abstract, §5.1). This
@@ -149,78 +149,6 @@ func (s *Series) Last() float64 {
 
 // Summary summarizes the series values.
 func (s *Series) Summary() Summary { return Summarize(s.Values) }
-
-// Histogram is a fixed-bucket latency/size histogram.
-type Histogram struct {
-	bounds []float64 // upper bounds, ascending; implicit +Inf final bucket
-	counts []int
-	total  int
-	sum    float64
-}
-
-// NewHistogram creates a histogram with the given ascending upper bounds.
-// Values land in the first bucket whose bound is >= value; values beyond
-// the last bound land in an overflow bucket.
-func NewHistogram(bounds ...float64) *Histogram {
-	b := append([]float64(nil), bounds...)
-	sort.Float64s(b)
-	return &Histogram{bounds: b, counts: make([]int, len(b)+1)}
-}
-
-// Observe records a value.
-func (h *Histogram) Observe(v float64) {
-	h.total++
-	h.sum += v
-	for i, b := range h.bounds {
-		if v <= b {
-			h.counts[i]++
-			return
-		}
-	}
-	h.counts[len(h.bounds)]++
-}
-
-// Count returns the number of observations.
-func (h *Histogram) Count() int { return h.total }
-
-// Mean returns the mean of observations, or 0 when empty.
-func (h *Histogram) Mean() float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return h.sum / float64(h.total)
-}
-
-// Buckets returns (upperBound, count) pairs; the final pair has
-// math.Inf(1) as its bound.
-func (h *Histogram) Buckets() ([]float64, []int) {
-	bounds := append(append([]float64(nil), h.bounds...), math.Inf(1))
-	return bounds, append([]int(nil), h.counts...)
-}
-
-// String renders the histogram as a compact text bar chart.
-func (h *Histogram) String() string {
-	var sb strings.Builder
-	bounds, counts := h.Buckets()
-	maxC := 0
-	for _, c := range counts {
-		if c > maxC {
-			maxC = c
-		}
-	}
-	for i, b := range bounds {
-		bar := ""
-		if maxC > 0 {
-			bar = strings.Repeat("#", counts[i]*40/maxC)
-		}
-		if math.IsInf(b, 1) {
-			fmt.Fprintf(&sb, "   +Inf %6d %s\n", counts[i], bar)
-		} else {
-			fmt.Fprintf(&sb, "%7.3g %6d %s\n", b, counts[i], bar)
-		}
-	}
-	return sb.String()
-}
 
 // Table renders rows of labelled float columns as an aligned text table, the
 // format used by cmd/lbsim and EXPERIMENTS.md to report experiment results.

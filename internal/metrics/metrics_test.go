@@ -107,40 +107,6 @@ func TestSeries(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(1, 10, 100)
-	for _, v := range []float64{0.5, 5, 50, 500, 1} {
-		h.Observe(v)
-	}
-	if h.Count() != 5 {
-		t.Fatalf("count = %d", h.Count())
-	}
-	bounds, counts := h.Buckets()
-	if len(bounds) != 4 || !math.IsInf(bounds[3], 1) {
-		t.Fatalf("bounds = %v", bounds)
-	}
-	want := []int{2, 1, 1, 1} // 0.5 and 1 in <=1; 5 in <=10; 50 in <=100; 500 overflow
-	for i, c := range counts {
-		if c != want[i] {
-			t.Fatalf("counts = %v, want %v", counts, want)
-		}
-	}
-	if !almost(h.Mean(), (0.5+5+50+500+1)/5) {
-		t.Fatalf("mean = %v", h.Mean())
-	}
-	if !strings.Contains(h.String(), "+Inf") {
-		t.Fatalf("String missing overflow row:\n%s", h.String())
-	}
-}
-
-func TestHistogramEmpty(t *testing.T) {
-	h := NewHistogram(1)
-	if h.Mean() != 0 || h.Count() != 0 {
-		t.Fatal("empty histogram should have zero mean and count")
-	}
-	_ = h.String() // must not panic
-}
-
 func TestTableRendering(t *testing.T) {
 	tb := NewTable("policy", "fairness", "tasks")
 	tb.AddRow("first-uri", 0.25, 1000)

@@ -193,10 +193,8 @@ func formatValue(v float64) string {
 
 // Histogram is a fixed-bucket histogram safe for concurrent Observe calls
 // from request goroutines: bucket counts are atomics and the sum is kept
-// as CAS-updated float bits, so observation takes no lock. It mirrors
-// internal/metrics.Histogram but trades its richer reporting for
-// concurrency; the exposition renders it with cumulative Prometheus
-// bucket semantics.
+// as CAS-updated float bits, so observation takes no lock. The exposition
+// renders it with cumulative Prometheus bucket semantics.
 type Histogram struct {
 	bounds  []float64 // ascending upper bounds; implicit +Inf final bucket
 	counts  []atomic.Int64

@@ -215,7 +215,7 @@ const bundleFlightRecords = 256
 // briefly and can be large).
 func (r *Registry) handleBundle(w http.ResponseWriter, req *http.Request) {
 	q := req.URL.Query()
-	n, ok := limitParam(w, q, bundleFlightRecords)
+	n, ok := intParam(w, q, "n", bundleFlightRecords, 1)
 	if !ok {
 		return
 	}

@@ -112,7 +112,7 @@ func (r *Registry) handleFlight(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	q := req.URL.Query()
-	limit, ok := limitParam(w, q, 0)
+	limit, ok := intParam(w, q, "n", 0, 1)
 	if !ok {
 		return
 	}
@@ -157,17 +157,18 @@ type flightPage struct {
 	Records []flight.RecordExport `json:"records"`
 }
 
-// limitParam reads the optional n query parameter the ring endpoints
-// share: absent means def, and anything but a positive integer is answered
-// 400 here (ok false).
-func limitParam(w http.ResponseWriter, q url.Values, def int) (n int, ok bool) {
-	v := q.Get("n")
+// intParam reads the optional integer query parameter key: absent means
+// def, and anything but an integer of at least min is answered 400 here
+// (ok false). The ring endpoints read n (min 1), /registry/query its paging
+// window (min 0).
+func intParam(w http.ResponseWriter, q url.Values, key string, def, min int) (n int, ok bool) {
+	v := q.Get(key)
 	if v == "" {
 		return def, true
 	}
 	n, err := strconv.Atoi(v)
-	if err != nil || n <= 0 {
-		http.Error(w, "bad n parameter", http.StatusBadRequest)
+	if err != nil || n < min {
+		http.Error(w, "bad "+key+" parameter", http.StatusBadRequest)
 		return 0, false
 	}
 	return n, true
@@ -187,7 +188,7 @@ func (r *Registry) handleTraces(w http.ResponseWriter, req *http.Request) {
 		writeJSON(w, recs[0].Export())
 		return
 	}
-	n, ok := limitParam(w, q, 0)
+	n, ok := intParam(w, q, "n", 0, 1)
 	if !ok {
 		return
 	}

@@ -50,7 +50,7 @@ func (r *Registry) Handler() http.Handler {
 }
 
 func (r *Registry) buildHandler() http.Handler {
-	mux := router.New(r.edgeCfg)
+	mux := router.New(router.Config{})
 	adm := r.Admission
 	var maxBody int64
 	if adm != nil {
@@ -798,16 +798,22 @@ func (r *Registry) respExpiry(dec core.Decision, now time.Time) time.Time {
 }
 
 func (r *Registry) handleQuery(w http.ResponseWriter, req *http.Request) {
-	q := req.URL.Query().Get("q")
+	params := req.URL.Query()
+	q := params.Get("q")
 	if q == "" {
 		http.Error(w, "missing q parameter", http.StatusBadRequest)
 		return
 	}
-	syntax := req.URL.Query().Get("syntax")
-	start, _ := strconv.Atoi(req.URL.Query().Get("start"))
-	max, _ := strconv.Atoi(req.URL.Query().Get("max"))
+	start, ok := intParam(w, params, "start", 0, 0)
+	if !ok {
+		return
+	}
+	max, ok := intParam(w, params, "max", 0, 0) // 0: unbounded
+	if !ok {
+		return
+	}
 	resp, err := r.QM.SubmitAdhocQuery(qm.AdhocQueryRequest{
-		Syntax: syntax, Query: q, StartIndex: start, MaxResults: max,
+		Syntax: params.Get("syntax"), Query: q, StartIndex: start, MaxResults: max,
 	})
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)

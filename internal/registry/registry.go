@@ -64,7 +64,8 @@ type Config struct {
 	// Degraded selects what discovery serves when filtering and fallback
 	// leave nothing at all (every host quarantined or stale).
 	Degraded core.DegradedMode
-	// CollectionPeriod overrides the 25 s NodeStatus poll period.
+	// CollectionPeriod overrides nodestate.DefaultPeriod, the thesis's
+	// NodeStatus poll period.
 	CollectionPeriod time.Duration
 	// Invoker performs NodeStatus invocations; nil means HTTP.
 	Invoker nodestatus.Invoker
@@ -78,10 +79,6 @@ type Config struct {
 	// Breaker enables per-host circuit breakers on the collector; nil
 	// disables them.
 	Breaker *breaker.Config
-	// Versioning enables automatic version bumps on update.
-	Versioning bool
-	// AccessPolicy overrides the default XACML policy.
-	AccessPolicy *xacml.Policy
 	// SnapshotMaxAge is the staleness guard on the NodeState RCU
 	// snapshot: discovery serves a published snapshot no older than this
 	// without locking even while the collector writes rows. 0 keeps reads
@@ -108,14 +105,9 @@ type Config struct {
 	// Fsync is the WAL flush policy (always/interval/never); the zero
 	// value is wal.FsyncAlways.
 	Fsync wal.FsyncPolicy
-	// FsyncInterval bounds loss under wal.FsyncInterval; 0 means
-	// wal.DefaultFsyncInterval.
-	FsyncInterval time.Duration
-	// SegmentBytes caps a WAL segment; 0 means wal.DefaultSegmentBytes.
-	SegmentBytes int64
-	// CheckpointBytes / CheckpointRecords trigger automatic checkpoints;
-	// 0 means the wal defaults, negative disables that trigger.
-	CheckpointBytes   int64
+	// CheckpointRecords triggers an automatic checkpoint after that many
+	// logged records; 0 means wal.DefaultCheckpointRecords, negative
+	// disables the trigger. Everything else about the log is wal's default.
 	CheckpointRecords int
 	// Admission enables the overload-resilient serving edge: per-class
 	// in-flight/queue bounds, adaptive shedding, deadline budgets, and
@@ -127,20 +119,10 @@ type Config struct {
 	// 0 means respcache.DefaultSize, negative disables the cache (every
 	// discovery re-marshals its response).
 	RespCacheSize int
-	// EdgeMaxPathLength / EdgeMaxDepth are the frozen router's request
-	// limits: paths longer than EdgeMaxPathLength bytes answer 414,
-	// paths nested deeper than EdgeMaxDepth segments answer 400. 0 means
-	// the router defaults.
-	EdgeMaxPathLength int
-	EdgeMaxDepth      int
 	// FlightRing bounds the always-on flight recorder's record ring
 	// (rounded up to a power of two): 0 means flight.DefaultRingSize,
 	// negative disables the recorder entirely.
 	FlightRing int
-	// SLO overrides the burn-rate objectives; nil means
-	// obs.DefaultSLOConfig (99.9% availability, 99% of requests under
-	// 250ms, 5m and 1h windows).
-	SLO *obs.SLOConfig
 	// ReplLeader serves the WAL-shipping endpoints (/registry/repl/wal
 	// and /registry/repl/checkpoint) so followers can tail this
 	// registry. Requires DataDir: the stream is fed by the durability
@@ -216,7 +198,6 @@ type Registry struct {
 	expo      *obs.Exposition
 	pprof     bool
 
-	edgeCfg     router.Config
 	handlerOnce sync.Once
 	handler     http.Handler                  // built once by Handler()
 	edge        atomic.Pointer[router.Router] // the frozen router, for scrape-time reads
@@ -253,12 +234,7 @@ func New(cfg Config) (*Registry, error) {
 	}
 	trail := audit.New(s, clk)
 	bus := events.NewBus()
-	policy := cfg.AccessPolicy
-	if policy == nil {
-		policy = xacml.DefaultPolicy()
-	}
-	lifecycle := lcm.New(s, policy, trail, bus)
-	lifecycle.Versioning = cfg.Versioning
+	lifecycle := lcm.New(s, xacml.DefaultPolicy(), trail, bus)
 	lifecycle.Log = logger.With("component", "lcm")
 	var respCache *respcache.Cache
 	if cfg.RespCacheSize >= 0 {
@@ -279,13 +255,10 @@ func New(cfg Config) (*Registry, error) {
 		var err error
 		durable, err = wal.OpenDurable(cfg.DataDir, s, wal.DurableOptions{
 			Log: wal.Options{
-				SegmentBytes:  cfg.SegmentBytes,
-				Fsync:         cfg.Fsync,
-				FsyncInterval: cfg.FsyncInterval,
-				Clock:         clk,
-				Logger:        logger.With("component", "wal"),
+				Fsync:  cfg.Fsync,
+				Clock:  clk,
+				Logger: logger.With("component", "wal"),
 			},
-			CheckpointBytes:   cfg.CheckpointBytes,
 			CheckpointRecords: cfg.CheckpointRecords,
 		})
 		if err != nil {
@@ -323,11 +296,7 @@ func New(cfg Config) (*Registry, error) {
 	// interval and an SLO sample, on the wall clock in production and the
 	// manual clock in tests — one deterministic heartbeat for both.
 	balance := obs.NewBalance()
-	sloCfg := obs.DefaultSLOConfig()
-	if cfg.SLO != nil {
-		sloCfg = *cfg.SLO
-	}
-	sloEngine := obs.NewSLO(sloCfg)
+	sloEngine := obs.NewSLO(obs.DefaultSLOConfig())
 	var afterSweep func()
 	opts = append(opts, nodestate.WithAfterSweep(func() {
 		if afterSweep != nil {
@@ -391,10 +360,6 @@ func New(cfg Config) (*Registry, error) {
 		Balance:         balance,
 		SLOEngine:       sloEngine,
 		pprof:           cfg.Pprof,
-		edgeCfg: router.Config{
-			MaxPathLength: cfg.EdgeMaxPathLength,
-			MaxDepth:      cfg.EdgeMaxDepth,
-		},
 	}
 	if cfg.FlightRing >= 0 {
 		r.Flight = flight.NewRing(cfg.FlightRing)
@@ -498,16 +463,6 @@ func (r *Registry) AttachFollower(f *repl.Follower) {
 	f.OnApply = r.LCM.OnWrite
 	r.follower.Store(f)
 }
-
-// Follower returns the attached replication follower, or nil.
-func (r *Registry) Follower() *repl.Follower { return r.follower.Load() }
-
-// IsFollower reports whether this registry redirects writes to a leader.
-func (r *Registry) IsFollower() bool { return r.replFollow != "" }
-
-// LeaderURL returns the leader base URL a follower redirects writes to
-// (empty on a leader or standalone registry).
-func (r *Registry) LeaderURL() string { return r.replFollow }
 
 // notLeader builds the typed redirect a follower answers writes with:
 // 307 + Location at the leader's matching endpoint, plus a

@@ -3,14 +3,18 @@ package registry
 import (
 	"encoding/base64"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/auth"
 	"repro/internal/core"
+	"repro/internal/qm"
 	"repro/internal/rim"
 	"repro/internal/simclock"
 	"repro/internal/soap"
@@ -271,6 +275,67 @@ func TestHTTPGetBinding(t *testing.T) {
 	}
 }
 
+// TestHTTPQueryPaging pins /registry/query's paging window: start and max
+// page the rows, an absent parameter keeps its old meaning (from the first
+// row, unbounded), and a value that is not a non-negative integer is a 400
+// rather than a silent 0.
+func TestHTTPQueryPaging(t *testing.T) {
+	reg := newRegistry(t)
+	srv := httptest.NewServer(reg.Handler())
+	defer srv.Close()
+	for _, name := range []string{"A", "B", "C"} {
+		if err := reg.LCM.SubmitObjects(reg.AdminContext(), rim.NewService(name, "")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	base := "/registry/query?q=" + url.QueryEscape("SELECT name FROM Service ORDER BY name")
+	for _, tc := range []struct {
+		params string
+		status int
+		start  int
+		rows   []string
+	}{
+		{"", 200, 0, []string{"A", "B", "C"}},
+		{"&start=1", 200, 1, []string{"B", "C"}},
+		{"&max=2", 200, 0, []string{"A", "B"}},
+		{"&start=1&max=1", 200, 1, []string{"B"}},
+		{"&start=0&max=0", 200, 0, []string{"A", "B", "C"}},
+		{"&start=abc", 400, 0, nil},
+		{"&start=-3", 400, 0, nil},
+		{"&max=abc", 400, 0, nil},
+		{"&max=-1", 400, 0, nil},
+		{"&start=1&max=1.5", 400, 0, nil},
+	} {
+		resp, err := http.Get(srv.URL + base + tc.params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var page qm.AdhocQueryResponse
+		if resp.StatusCode == 200 {
+			err = json.NewDecoder(resp.Body).Decode(&page)
+		}
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("%q: %v", tc.params, err)
+		}
+		if resp.StatusCode != tc.status {
+			t.Errorf("%q: status %d, want %d", tc.params, resp.StatusCode, tc.status)
+			continue
+		}
+		if tc.status != 200 {
+			continue
+		}
+		var got []string
+		for _, row := range page.Rows {
+			got = append(got, fmt.Sprint(row[0]))
+		}
+		if page.StartIndex != tc.start || page.TotalResultsCount != 3 || !reflect.DeepEqual(got, tc.rows) {
+			t.Errorf("%q: start %d total %d rows %v, want start %d total 3 rows %v",
+				tc.params, page.StartIndex, page.TotalResultsCount, got, tc.start, tc.rows)
+		}
+	}
+}
+
 func TestWireRoundTripAllKinds(t *testing.T) {
 	org := rim.NewOrganization("SDSU")
 	org.Addresses = append(org.Addresses, rim.PostalAddress{StreetNumber: "5500", Street: "Campanile Drive", City: "San Diego", State: "CA", Country: "US", PostalCode: "92182", Type: "TYPE-US"})
@@ -380,5 +445,35 @@ func TestNodeStateJSONShape(t *testing.T) {
 	}
 	if len(rows) != 1 || rows[0].Load != 1.5 {
 		t.Fatalf("rows = %+v", rows)
+	}
+}
+
+// TestC1EbXMLFeatureRows is experiment C1: the four code-checkable rows of
+// Table 1.1 that the thesis counts for ebXML over UDDI, each probed against
+// the registry itself.
+func TestC1EbXMLFeatureRows(t *testing.T) {
+	reg := newRegistry(t)
+	// Repository: the registry stores content, not only metadata.
+	reg.Store.PutContent("wsdl-1", []byte("<definitions/>"))
+	if _, err := reg.Store.GetContent("wsdl-1"); err != nil {
+		t.Errorf("repository: %v", err)
+	}
+	// SQL query.
+	if _, err := reg.QM.SubmitAdhocQuery(qm.AdhocQueryRequest{Query: "SELECT host FROM NodeState"}); err != nil {
+		t.Errorf("sql query: %v", err)
+	}
+	// Approval life cycle.
+	svc := rim.NewService("S", "")
+	svc.AddBinding("http://h.example/x")
+	if err := reg.LCM.SubmitObjects(reg.AdminContext(), svc); err != nil {
+		t.Fatal(err)
+	}
+	if err := reg.LCM.ApproveObjects(reg.AdminContext(), svc.ID); err != nil {
+		t.Errorf("approval life cycle: %v", err)
+	}
+	// Discovery that reads host state.
+	reg.Store.NodeState().Upsert(store.NodeState{Host: "h.example", Load: 0.5, MemoryB: 1 << 30, SwapB: 1 << 30, Updated: t0})
+	if _, _, err := reg.QM.GetServiceBindings(svc.ID); err != nil {
+		t.Errorf("host-state discovery: %v", err)
 	}
 }
