@@ -42,15 +42,18 @@ smoke:
 # crashcheck runs the seeded crash-injection harness under the race
 # detector: every seed tears the in-flight WAL record, or damages the
 # newest checkpoint, at a random byte offset and recovery must reproduce
-# the acknowledged store exactly; plus the boot rule (a boot that loaded a
-# checkpoint writes none) and the refusal to boot from no usable checkpoint.
+# the acknowledged store exactly; zero fill behind the last synced record
+# of the leader's log and of the follower's is cut off like a torn one;
+# plus the boot rule (a boot that loaded a checkpoint writes none) and the
+# refusal to boot from no usable checkpoint.
 crashcheck:
-	$(GO) test -race -count=1 -run 'Crash|WALEquivalent|Degraded|CheckpointRetention|BootDoesNotCheckpoint' ./internal/wal/ ./internal/registry/
+	$(GO) test -race -count=1 -run 'Crash|WALEquivalent|Degraded|CheckpointRetention|BootDoesNotCheckpoint' ./internal/wal/ ./internal/registry/ ./internal/repl/
 
 # fuzzsmoke runs every native fuzz target for ten seconds: the decoders of
 # bytes read from disk or the network must not panic, over-allocate or
 # half-apply, and the hand-written fast paths (SOAP scanner and writer,
-# HostOfURI) must agree with the standard-library code they replace.
+# HostOfURI, the stored-object and WAL-record scanners) must agree with the
+# standard-library code they replace.
 # Minimisation is capped at a second: Load decodes on several goroutines, so
 # coverage varies with scheduling, and at the default minute the engine
 # spends most of the ten seconds shrinking inputs that found nothing new.

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 
+	"repro/internal/jsonscan"
 	"repro/internal/rim"
 )
 
@@ -27,13 +28,33 @@ func EncodeObject(o rim.Object) (Envelope, error) {
 	return Envelope{Kind: kindOf(o), Data: data}, nil
 }
 
-// Decode rebuilds the concrete rim object the envelope carries.
-func (e Envelope) Decode() (rim.Object, error) {
-	return decodeObject(e.Kind, e.Data)
+// decodeObject rebuilds the object of the named class from its JSON: by the
+// scanner where it can (decode.go), by json.Unmarshal on the whole of data
+// where the scanner declines, so that the result — and the error — on every
+// input is encoding/json's. exact reports that the scanner built every value
+// itself, in which case rim.CloneObject(o) is a plain copy of o.
+func decodeObject(kind string, data []byte) (o rim.Object, exact bool, err error) {
+	if o, exact, ok := scanObject(kind, data); ok {
+		return o, exact, nil
+	}
+	o, err = unmarshalObject(kind, data)
+	return o, false, err
 }
 
-// decodeObject unmarshals data into a fresh object of the named class.
-func decodeObject(kind string, data []byte) (rim.Object, error) {
+// scanObject is decodeObject's fast path; ok is false for a class or an
+// input it leaves to unmarshalObject.
+func scanObject(kind string, data []byte) (o rim.Object, exact, ok bool) {
+	if kind != "Service" {
+		return nil, false, false
+	}
+	s := objectScan{Scanner: jsonscan.New(data)}
+	svc := new(rim.Service)
+	ok = s.service(svc) && s.AtEnd()
+	return svc, !s.reflected, ok
+}
+
+// unmarshalObject unmarshals data into a fresh object of the named class.
+func unmarshalObject(kind string, data []byte) (rim.Object, error) {
 	var o rim.Object
 	switch kind {
 	case "Organization":
@@ -73,4 +94,50 @@ func decodeObject(kind string, data []byte) (rim.Object, error) {
 		return nil, fmt.Errorf("store: decode %s: %w", kind, err)
 	}
 	return o, nil
+}
+
+// defect names what makes a decoded object unfit to be indexed — no id, or
+// a null where a nested object belongs, which the indexes and every Clone
+// would dereference — and returns "" for an object that is fit.
+func defect(o rim.Object) string {
+	if o.Base().ID == "" {
+		return "without an id"
+	}
+	nullIn := func(r *rim.RegistryObject) bool {
+		for _, c := range r.Classifications {
+			if c == nil {
+				return true
+			}
+		}
+		for _, e := range r.ExternalIdentifiers {
+			if e == nil {
+				return true
+			}
+		}
+		return false
+	}
+	nullInBinding := func(b *rim.ServiceBinding) bool {
+		if b == nil || nullIn(&b.RegistryObject) {
+			return true
+		}
+		for _, l := range b.SpecificationLinks {
+			if l == nil || nullIn(&l.RegistryObject) {
+				return true
+			}
+		}
+		return false
+	}
+	null := nullIn(o.Base())
+	switch o := o.(type) {
+	case *rim.Service:
+		for _, b := range o.Bindings {
+			null = null || nullInBinding(b)
+		}
+	case *rim.ServiceBinding:
+		null = null || nullInBinding(o)
+	}
+	if null {
+		return "with a null element"
+	}
+	return ""
 }

@@ -250,12 +250,12 @@ func DecodeFrame(kind string, body []byte) (Frame, error) {
 		}
 		return Frame{Row: row}, nil
 	}
-	o, err := decodeObject(kind, body)
+	o, _, err := decodeObject(kind, body)
 	if err != nil {
 		return Frame{}, err
 	}
-	if o.Base().ID == "" {
-		return Frame{}, fmt.Errorf("%w: %s without an id", ErrSnapshotCorrupt, kind)
+	if d := defect(o); d != "" {
+		return Frame{}, fmt.Errorf("%w: %s %s", ErrSnapshotCorrupt, kind, d)
 	}
 	return Frame{Object: o}, nil
 }

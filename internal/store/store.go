@@ -98,11 +98,46 @@ func (s *Store) Put(o rim.Object) error {
 	c := rim.CloneObject(o)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if old, ok := s.objects[base.ID]; ok {
+	s.replaceLocked(c)
+	return nil
+}
+
+// replaceLocked stores o, which the store owns from here on, under its id.
+func (s *Store) replaceLocked(o rim.Object) {
+	id := o.Base().ID
+	if old, ok := s.objects[id]; ok {
 		s.unindexLocked(old)
 	}
-	s.objects[base.ID] = c
-	s.indexLocked(c)
+	s.objects[id] = o
+	s.indexLocked(o)
+}
+
+// PutEncoded is Put for objects still in the form a log record carries
+// them, and the one place a record's bytes become resident objects, as
+// DecodeFrame is for a snapshot's: the store holds what Put would have
+// stored had it been handed each decoded object, but a graph the decoder
+// built value by value is indexed as it is instead of being copied a second
+// time. Nothing is stored unless every envelope decodes.
+func (s *Store) PutEncoded(envs []Envelope) error {
+	objs := make([]rim.Object, len(envs))
+	for i, env := range envs {
+		o, exact, err := decodeObject(env.Kind, env.Data)
+		if err != nil {
+			return err
+		}
+		if d := defect(o); d != "" {
+			return fmt.Errorf("store: decode %s: object %s", env.Kind, d)
+		}
+		if !exact {
+			o = rim.CloneObject(o)
+		}
+		objs[i] = o
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, o := range objs {
+		s.replaceLocked(o)
+	}
 	return nil
 }
 

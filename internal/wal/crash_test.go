@@ -5,7 +5,8 @@ package wal
 // sequence through a real lcm.Manager wired to a Durable (fsync=always),
 // then simulates a kill -9 mid-write by abandoning the Durable without
 // Close and tearing the unacknowledged tail record at a random byte
-// offset — truncation or a flipped byte, like a half-written sector.
+// offset — truncation or a flipped byte, like a half-written sector — or,
+// as its own case, leaving zeros behind the last acknowledged record.
 // Recovery into a fresh store must reproduce the acknowledged state
 // byte-for-byte (store.Save output is deterministic: objects sorted by
 // id, content by id, NodeState rows by host, JSON map keys sorted by the
@@ -503,5 +504,120 @@ func TestCrashCheckpointNeverCoversUnsyncedLog(t *testing.T) {
 	}
 	if got := saveBytes(t, s3); !bytes.Equal(got, acknowledged) {
 		t.Fatalf("recovery lost writes acknowledged after the power loss: recovered %d objects, acknowledged %d", s3.Len(), s2.Len())
+	}
+}
+
+// TestCrashZeroFilledTailIsTruncated: bytes of the tail segment that were
+// written but never synced can read back as zeros after a power loss, and
+// eight zero bytes are a well-formed frame — length 0, CRC32C("") = 0. No
+// writer produces an empty record, so nothing acknowledged is in such
+// bytes: recovery cuts them off like any torn tail, reproduces the
+// acknowledged store, and the log goes on from the cut.
+func TestCrashZeroFilledTailIsTruncated(t *testing.T) {
+	for _, fill := range []int{8, 64, 4096} {
+		fill := fill
+		t.Run(fmt.Sprintf("zeros=%d", fill), func(t *testing.T) {
+			t.Parallel()
+			rng := rand.New(rand.NewSource(int64(fill)))
+			dir := t.TempDir()
+			clk := simclock.NewManual(time.Unix(1_700_000_000, 0))
+			opts := DurableOptions{
+				Log:               Options{Fsync: FsyncAlways, SegmentBytes: 2048, Clock: clk},
+				CheckpointBytes:   -1,
+				CheckpointRecords: -1,
+			}
+			s1 := store.New()
+			d1, err := OpenDurable(dir, s1, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mgr, ctx := newTestManager(s1, clk, d1)
+			mu := &mutator{t: t, rng: rng, mgr: mgr, ctx: ctx}
+			for i := 0; i < 12; i++ {
+				mu.step()
+				if i == 5 {
+					if err := d1.Checkpoint(); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			acknowledged := saveBytes(t, s1)
+			// The power loss: d1 is abandoned, and behind its last synced
+			// record the tail segment reads back as zeros.
+			seg, size := tailSegment(t, dir)
+			path := filepath.Join(dir, segmentName(seg))
+			f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o666)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.Write(make([]byte, fill)); err != nil {
+				t.Fatal(err)
+			}
+			if err := f.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			s2 := store.New()
+			d2, err := OpenDurable(dir, s2, opts)
+			if err != nil {
+				t.Fatalf("boot refused over %d zero bytes holding nothing acknowledged: %v", fill, err)
+			}
+			if got := saveBytes(t, s2); !bytes.Equal(got, acknowledged) {
+				t.Fatal("recovered store differs from the acknowledged one")
+			}
+			if _, after := tailSegment(t, dir); after != size {
+				t.Fatalf("tail segment is %d bytes after recovery, want the %d before the zero fill", after, size)
+			}
+			mgr2, ctx2 := newTestManager(s2, clk, d2)
+			if err := mgr2.SubmitObjects(ctx2, rim.NewService("post-recovery", "")); err != nil {
+				t.Fatal(err)
+			}
+			after := saveBytes(t, s2)
+			s3 := store.New()
+			if _, err := OpenDurable(dir, s3, opts); err != nil {
+				t.Fatal(err)
+			}
+			if got := saveBytes(t, s3); !bytes.Equal(got, after) {
+				t.Fatal("second recovery lost the post-recovery write")
+			}
+		})
+	}
+}
+
+// TestCrashZeroHoleInSealedSegmentIsCorruption: only the tail can be torn.
+// Zeros in the middle of a segment the log moved on from are damage to
+// acknowledged records, and recovery refuses them as it refuses any other.
+func TestCrashZeroHoleInSealedSegmentIsCorruption(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(dir, Options{SegmentBytes: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 6; i++ {
+		mustAppend(t, l, []byte(fmt.Sprintf("record-%02d-xxxxxxxxxxxx", i)))
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if tail, _ := tailSegment(t, dir); tail < 2 {
+		t.Fatal("the log never rotated")
+	}
+	f, err := os.OpenFile(filepath.Join(dir, segmentName(1)), os.O_WRONLY, 0o666)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt(make([]byte, 16), 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l2, err := Open(dir, Options{SegmentBytes: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l2.Close()
+	if err := l2.Replay(Position{}, func(Position, []byte) error { return nil }); err == nil {
+		t.Fatal("replay read through a zero-filled hole in a sealed segment")
 	}
 }

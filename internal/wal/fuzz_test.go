@@ -28,15 +28,18 @@ func frameRecords(payloads ...string) []byte {
 // FuzzScanSegment: a segment file is bytes a crash may have left in any
 // state. Whatever they are, the scan never panics or reads past the file,
 // the valid prefix it reports is within it, the index built from it is
-// strictly ascending and is exactly the records a second scan yields, and
-// Open leaves the log positioned on — and the file cut to — that prefix.
+// strictly ascending, holds no empty record and is exactly the records a
+// second scan yields, and Open leaves the log positioned on — and the file
+// cut to — that prefix.
 func FuzzScanSegment(f *testing.F) {
-	whole := frameRecords("one", "", "three")
+	whole := frameRecords("one", "two", "three")
 	f.Add(whole)
 	f.Add(whole[:len(whole)-2])                                            // torn payload
 	f.Add(whole[:len(frameRecords("one"))+3])                              // torn header
 	f.Add(append(frameRecords("one"), 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0)) // length past any bound
-	f.Add(make([]byte, 64))                                                // zero fill: eight empty records
+	f.Add(make([]byte, 64))                                                // zero fill: no record, not eight empty ones
+	f.Add(append(frameRecords("one"), make([]byte, 64)...))                // zero fill behind a record
+	f.Add(frameRecords("one", "", "three"))                                // an empty record ends the valid prefix
 	flipped := append([]byte(nil), whole...)
 	flipped[len(flipped)-1] ^= 1
 	f.Add(flipped)
@@ -56,8 +59,8 @@ func FuzzScanSegment(f *testing.F) {
 		}
 		prev := int64(0)
 		for _, end := range ends {
-			if end < prev+recordHeaderLen {
-				t.Fatalf("index %v is not ascending by at least a header", ends)
+			if end <= prev+recordHeaderLen {
+				t.Fatalf("index %v is not ascending by a header and a payload", ends)
 			}
 			prev = end
 		}

@@ -12,12 +12,15 @@
 //	wal-0000000000000002.seg   ...
 //	checkpoint-0000000001.ckpt the WAL position covered + a framed store snapshot
 //
-// Each record is [length uint32 LE][crc32c uint32 LE][payload]. A crash
-// can tear only the record being written when the process died; Open
-// truncates that torn tail, and recovery replays every intact record after
-// the newest valid checkpoint. Fsync policy is configurable: always (one
-// fsync per append), interval (at most one fsync per interval on the
-// injected clock), or never (leave flushing to the OS).
+// Each record is [length uint32 LE][crc32c uint32 LE][payload], the payload
+// never empty. A crash can tear only the record being written when the
+// process died; Open truncates that torn tail — zero fill included, which is
+// what un-synced bytes can read back as after a power loss and which would
+// otherwise frame as empty records, CRC32C("") being 0 — and recovery
+// replays every intact record after the newest valid checkpoint. Fsync
+// policy is configurable: always (one fsync per append), interval (at most
+// one fsync per interval on the injected clock), or never (leave flushing
+// to the OS).
 package wal
 
 import (
@@ -180,8 +183,8 @@ type Log struct {
 // every record in it ends. The log wrote (or, at Open, scanned) each of
 // those boundaries once; keeping them lets OpenReaderAt validate a resume
 // position and name its sequence number by binary search, with no file
-// I/O. The cost is 8 bytes per live record, bounded by SegmentBytes/8
-// entries per segment (empty payloads) and by Prune overall.
+// I/O. The cost is 8 bytes per live record, bounded by SegmentBytes/9
+// entries per segment (one-byte payloads) and by Prune overall.
 type segment struct {
 	index uint64  // file index, as in segmentName
 	first uint64  // sequence number of the last record before this segment
@@ -298,7 +301,8 @@ func indexSegment(path string) (ends []int64, valid int64, clean bool, err error
 // every intact record; payload is only valid during the call (one buffer is
 // reused for the whole scan). It returns the offset just past the last
 // intact record, whether the file ended exactly on a record boundary, and
-// the number of intact records.
+// the number of intact records. A record of length zero is not intact: no
+// writer produces one (Append refuses), so it is where zero fill begins.
 func scanSegment(path string, fn func(start, end int64, payload []byte) error) (valid int64, clean bool, records int, err error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -325,7 +329,7 @@ func scanSegment(path string, fn func(start, end int64, payload []byte) error) (
 		}
 		length := int64(binary.LittleEndian.Uint32(hdr[0:4]))
 		sum := binary.LittleEndian.Uint32(hdr[4:8])
-		if length > MaxRecordBytes || length > size-off-recordHeaderLen {
+		if length == 0 || length > MaxRecordBytes || length > size-off-recordHeaderLen {
 			return off, false, records, nil
 		}
 		if int64(cap(buf)) < length {
@@ -351,7 +355,12 @@ func scanSegment(path string, fn func(start, end int64, payload []byte) error) (
 
 // Append writes one record and returns the position just past it. The
 // record is flushed according to the fsync policy before Append returns.
+// An empty payload is refused: its frame is eight zero bytes, which a scan
+// could not tell from zero fill.
 func (l *Log) Append(payload []byte) (Position, error) {
+	if len(payload) == 0 {
+		return Position{}, fmt.Errorf("wal: empty record")
+	}
 	if int64(len(payload)) > MaxRecordBytes {
 		return Position{}, fmt.Errorf("wal: record of %d bytes exceeds MaxRecordBytes", len(payload))
 	}

@@ -117,7 +117,7 @@ func (r *Reader) Next() (StreamRecord, error) {
 		}
 		length := int64(binary.LittleEndian.Uint32(hdr[0:4]))
 		sum := binary.LittleEndian.Uint32(hdr[4:8])
-		if length > MaxRecordBytes {
+		if length == 0 || length > MaxRecordBytes {
 			return StreamRecord{}, fmt.Errorf("wal: corrupt record length at %s", r.pos)
 		}
 		if int64(cap(r.buf)) < length {

@@ -1,12 +1,13 @@
 package wal
 
 import (
+	"encoding/base64"
 	"encoding/json"
 	"errors"
 	"fmt"
 
+	"repro/internal/jsonscan"
 	"repro/internal/lcm"
-	"repro/internal/rim"
 	"repro/internal/store"
 )
 
@@ -89,37 +90,136 @@ func jsonStringLen(b []byte) int {
 	}
 }
 
+// scanRecord decodes a payload of the shape encodeMutation writes — the six
+// keys of walRecord in their exact case, each at most once, no whitespace,
+// every put's data an object — into rec, as json.Unmarshal would, without
+// reflection and without copying the objects' JSON: each Data aliases
+// payload. Any other shape is declined, for json.Unmarshal to decode or to
+// refuse. The objects' spans are found by counting brackets, not parsed:
+// the store's decoder is what checks them.
+func scanRecord(payload []byte, rec *walRecord) bool {
+	s := jsonscan.New(payload)
+	if !s.Lit("{") {
+		return false
+	}
+	var seen jsonscan.Fields
+	for first := true; ; first = false {
+		key, done, ok := s.Member(first)
+		if !ok {
+			return false
+		}
+		if done {
+			return s.AtEnd()
+		}
+		var bit jsonscan.Fields
+		switch string(key) {
+		case "op":
+			bit = 1
+			rec.Op, ok = s.String()
+		case "puts":
+			bit = 2
+			ok = scanPuts(&s, rec)
+		case "deletes":
+			bit = 4
+			rec.Deletes, ok = s.Strings()
+		case "contentPut":
+			bit = 8
+			rec.ContentPut, ok = s.String()
+		case "content":
+			bit = 16
+			var text []byte
+			if text, ok = s.Text(); ok {
+				// As encoding/json decodes a []byte.
+				rec.Content = make([]byte, base64.StdEncoding.DecodedLen(len(text)))
+				n, err := base64.StdEncoding.Decode(rec.Content, text)
+				rec.Content, ok = rec.Content[:n], err == nil
+			}
+		case "contentDelete":
+			bit = 32
+			rec.ContentDelete, ok = s.String()
+		default:
+			return false
+		}
+		if !ok || !seen.First(bit) {
+			return false
+		}
+	}
+}
+
+// scanPuts decodes the array of envelopes the cursor is on.
+func scanPuts(s *jsonscan.Scanner, rec *walRecord) bool {
+	if !s.Lit("[") {
+		return false
+	}
+	for first := true; ; first = false {
+		if done, ok := s.Elem(first); done || !ok {
+			return ok
+		}
+		if !s.Lit("{") {
+			return false
+		}
+		var env store.Envelope
+		var seen jsonscan.Fields
+		for first := true; ; first = false {
+			key, done, ok := s.Member(first)
+			if !ok {
+				return false
+			}
+			if done {
+				break
+			}
+			var bit jsonscan.Fields
+			switch string(key) {
+			case "kind":
+				bit = 1
+				env.Kind, ok = s.String()
+			case "data":
+				bit = 2
+				var span []byte
+				span, ok = s.Span()
+				env.Data = span
+			default:
+				return false
+			}
+			if !ok || !seen.First(bit) {
+				return false
+			}
+		}
+		rec.Puts = append(rec.Puts, env)
+	}
+}
+
 // applyRecord replays one record's payload into the store.
 func applyRecord(s *store.Store, payload []byte) error {
 	_, err := ApplyRecord(s, payload)
 	return err
 }
 
-// ApplyRecord replays one record's payload into the store and returns the
-// object ids it touched. Nothing reads them any more — the store's own
-// indexes are all a write has to reach — and the result goes when
+// ApplyRecord replays one record's payload into the store: scanned when it
+// has the shape this package writes, through json.Unmarshal when it has any
+// other. A record none of whose objects fails to decode is applied whole;
+// any other leaves the store untouched. The first result is always nil —
+// nothing reads the ids a record touched any more, and it goes when
 // bench/layers.go, which compiles against this signature, does.
 func ApplyRecord(s *store.Store, payload []byte) ([]string, error) {
 	var rec walRecord
-	if err := json.Unmarshal(payload, &rec); err != nil {
-		return nil, fmt.Errorf("wal: decode record: %w", err)
+	if !scanRecord(payload, &rec) {
+		rec = walRecord{}
+		if err := json.Unmarshal(payload, &rec); err != nil {
+			return nil, fmt.Errorf("wal: decode record: %w", err)
+		}
 	}
-	ids := make([]string, 0, len(rec.Puts)+len(rec.Deletes))
-	for _, env := range rec.Puts {
-		o, err := env.Decode()
-		if err != nil {
-			return nil, fmt.Errorf("wal: replay %s: %w", rec.Op, err)
-		}
-		if err := s.Put(o); err != nil {
-			return nil, fmt.Errorf("wal: replay %s: %w", rec.Op, err)
-		}
-		ids = append(ids, rim.ID(o))
+	return nil, rec.apply(s)
+}
+
+func (rec *walRecord) apply(s *store.Store) error {
+	if err := s.PutEncoded(rec.Puts); err != nil {
+		return fmt.Errorf("wal: replay %s: %w", rec.Op, err)
 	}
 	for _, id := range rec.Deletes {
 		if err := s.Delete(id); err != nil && !errors.Is(err, store.ErrNotFound) {
-			return nil, fmt.Errorf("wal: replay %s: %w", rec.Op, err)
+			return fmt.Errorf("wal: replay %s: %w", rec.Op, err)
 		}
-		ids = append(ids, id)
 	}
 	if rec.ContentPut != "" {
 		s.PutContent(rec.ContentPut, rec.Content)
@@ -127,5 +227,5 @@ func ApplyRecord(s *store.Store, payload []byte) ([]string, error) {
 	if rec.ContentDelete != "" {
 		s.DeleteContent(rec.ContentDelete)
 	}
-	return ids, nil
+	return nil
 }

@@ -87,7 +87,7 @@ func objectOfKind(kind int, s string) rim.Object {
 	default:
 		o = rim.NewExtrinsicObject(s, "text/"+s)
 	}
-	o.Base().ID = s
+	o.Base().ID, o.Base().LID = s, s
 	o.Base().Slots = []rim.Slot{{Name: s, Values: []string{s, "<v>"}}}
 	return o
 }
@@ -202,6 +202,41 @@ func BenchmarkEncodeMutation(b *testing.B) {
 					b.Fatal(err)
 				}
 				b.SetBytes(int64(len(data)))
+			}
+		})
+	}
+}
+
+// publishMutation is what one publish on the benchmark's population logs: a
+// service whose description carries a constraint block, its bindings named
+// after their URIs, and the audit event beside it.
+func publishMutation(bindings int) lcm.Mutation {
+	svc := rim.NewService("svc-00001", "benchmark service svc-00001 <constraint><cpuLoad>load ls 1.5</cpuLoad><memory>memory gr 2GB</memory></constraint>")
+	svc.Owner = "urn:uuid:00000000-0000-4000-8000-00000000cafe"
+	for i := 0; i < bindings; i++ {
+		svc.AddBinding(fmt.Sprintf("http://127.0.1.%d:8080/svc-00001/run", 1+i)).Owner = svc.Owner
+	}
+	ev := rim.NewAuditableEvent(rim.EventCreated, svc.Owner, time.Unix(1_700_000_000, 0).UTC(), svc.ID)
+	return lcm.Mutation{Op: string(rim.EventCreated), Puts: []rim.Object{svc, ev}}
+}
+
+// BenchmarkApplyRecord is a record becoming stored objects: WAL replay at
+// boot and every record a follower is shipped.
+func BenchmarkApplyRecord(b *testing.B) {
+	for _, bindings := range []int{4, 32} {
+		b.Run(fmt.Sprint(bindings), func(b *testing.B) {
+			payload, err := encodeMutation(publishMutation(bindings))
+			if err != nil {
+				b.Fatal(err)
+			}
+			s := store.New()
+			b.SetBytes(int64(len(payload)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := ApplyRecord(s, payload); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}

@@ -145,19 +145,19 @@ func TestReplIndexMatchesScanAtEveryOffset(t *testing.T) {
 			m.rescan(t)
 			appendSome := func(n int) {
 				for i := 0; i < n; i++ {
-					// Empty records, ones that fill a segment to the byte, and
+					// One-byte records, ones that fill a segment to the byte, and
 					// ones a segment cannot hold (they get one to themselves)
 					// stand in for the MaxRecordBytes end of the range.
 					var size int
 					switch rng.Intn(6) {
 					case 0:
-						size = 0
+						size = 1
 					case 1:
 						size = segmentBytes - recordHeaderLen
 					case 2:
 						size = segmentBytes + rng.Intn(32)
 					default:
-						size = rng.Intn(48)
+						size = 1 + rng.Intn(48)
 					}
 					before := l.Pos().Segment
 					pos, err := l.Append([]byte(strings.Repeat("x", size)))
