@@ -1,15 +1,6 @@
 GO ?= go
 
-# Discovery benchmarks run a fixed iteration count so allocs/op is
-# deterministic for a given code version and comparable across machines.
-# BenchmarkHTTPDiscovery covers the end-to-end serving edge; its entries
-# are gated at a tightened +5% (and the warm variant's zero-allocation
-# baseline admits no growth at all).
-BENCH_PATTERN = BenchmarkDiscovery|BenchmarkHTTPDiscovery
-BENCH_TIME    = 2000x
-BENCH_NOTE    = discovery fast path baseline; allocs/op gated at +25%, serving edge at +5%
-
-.PHONY: all build test race vet lint check clean bench benchcheck benchmod smoke crashcheck escapecheck escapecheck-emit overloadcheck replcheck fuzzsmoke
+.PHONY: all build test race vet lint check clean benchmod crashcheck escapecheck escapecheck-emit overloadcheck replcheck fuzzsmoke
 
 all: check
 
@@ -34,11 +25,6 @@ bin/repolint: $(shell find cmd/repolint tools/analyzers -name '*.go' -not -path 
 lint: bin/repolint
 	$(GO) vet -vettool=$(CURDIR)/bin/repolint ./...
 
-# smoke boots a seeded in-process registry and fails on malformed
-# /registry/metrics exposition or an unretrievable discovery trace.
-smoke:
-	$(GO) run ./cmd/scrapesmoke
-
 # crashcheck runs the seeded crash-injection harness under the race
 # detector: every seed tears the in-flight WAL record, or damages the
 # newest checkpoint, at a random byte offset and recovery must reproduce
@@ -50,9 +36,10 @@ crashcheck:
 	$(GO) test -race -count=1 -run 'Crash|WALEquivalent|Degraded|CheckpointRetention|BootDoesNotCheckpoint' ./internal/wal/ ./internal/registry/ ./internal/repl/
 
 # fuzzsmoke runs every native fuzz target for ten seconds: the decoders of
-# bytes read from disk or the network must not panic, over-allocate or
-# half-apply, and the hand-written fast paths (SOAP scanner and writer,
-# HostOfURI, the stored-object and WAL-record scanners) must agree with the
+# bytes read from disk or the network (the SQL parser and the frozen router
+# among them) must not panic, over-allocate or half-apply, and the
+# hand-written fast paths (SOAP scanner and writer, HostOfURI, the
+# stored-object and WAL-record scanners) must agree with the
 # standard-library code they replace.
 # Minimisation is capped at a second: Load decodes on several goroutines, so
 # coverage varies with scheduling, and at the default minute the engine
@@ -100,28 +87,10 @@ benchmod:
 	$(GO) vet -C bench ./...
 	$(GO) test -C bench ./...
 
-check: build test vet lint smoke benchmod
-
-# bench regenerates the committed discovery baseline BENCH_discovery.json.
-# Collector variants are recorded but not gated (-gate-skip): a background
-# sweep's allocations land on the measured goroutine nondeterministically.
-bench:
-	$(GO) test -run XXX -bench '$(BENCH_PATTERN)' -benchmem -benchtime $(BENCH_TIME) . \
-		| $(GO) run ./cmd/benchjson emit -gate-skip collector -tighten BenchmarkHTTPDiscovery -tighten-growth 0.05 \
-			-note '$(BENCH_NOTE)' -o BENCH_discovery.json
-	@echo wrote BENCH_discovery.json
-
-# benchcheck reruns the discovery benchmarks and fails on a >25% allocs/op
-# regression against the committed baseline (+5% for the serving-edge
-# entries, recorded per-entry in the artifact), or when
-# BENCH_discovery.json has drifted from the benchmarks declared in
-# bench_test.go under either prefix.
-benchcheck:
-	$(GO) run ./cmd/benchjson sync -json BENCH_discovery.json -bench bench_test.go -prefix BenchmarkDiscovery
-	$(GO) run ./cmd/benchjson sync -json BENCH_discovery.json -bench bench_test.go -prefix BenchmarkHTTPDiscovery
-	$(GO) test -run XXX -bench '$(BENCH_PATTERN)' -benchmem -benchtime $(BENCH_TIME) . \
-		| $(GO) run ./cmd/benchjson emit -gate-skip collector -o bench_current.json
-	$(GO) run ./cmd/benchjson compare -baseline BENCH_discovery.json -current bench_current.json -max-alloc-growth 0.25
+# check is what a change must pass before review. `go test ./...` includes
+# the discovery allocation budgets (TestDiscoveryAllocBudgets) and the
+# exact-value checks of /registry/metrics (internal/registry's HTTP tests).
+check: build test vet lint benchmod
 
 clean:
-	rm -rf bin bench_current.json
+	rm -rf bin

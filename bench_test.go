@@ -15,6 +15,11 @@
 //	      BenchmarkSOAPRoundTrip, BenchmarkFederatedFind   substrate costs
 //
 // Run with: go test -bench=. -benchmem
+//
+// The benchmarks are the timing source EXPERIMENTS.md cites. The allocation
+// counts of the discovery ones — BenchmarkDiscovery, the warm
+// BenchmarkDiscoveryFastPath and BenchmarkHTTPDiscovery — are budgeted by
+// TestDiscoveryAllocBudgets, which runs the same bodies (gatedCases).
 package repro_test
 
 import (
@@ -24,6 +29,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -54,15 +60,15 @@ import (
 
 var benchEpoch = time.Date(2011, 4, 22, 11, 0, 0, 0, time.UTC)
 
-func benchRegistry(b *testing.B, policy core.Policy) (*registry.Registry, lcm.Context) {
-	b.Helper()
+func benchRegistry(tb testing.TB, policy core.Policy) (*registry.Registry, lcm.Context) {
+	tb.Helper()
 	reg, err := registry.New(registry.Config{
 		Clock:     simclock.NewManual(benchEpoch),
 		Policy:    policy,
 		Admission: &admit.Config{}, // production defaults; never sheds at bench load
 	})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return reg, reg.AdminContext()
 }
@@ -150,127 +156,205 @@ func BenchmarkDeleteService(b *testing.B) {
 	}
 }
 
+// gatedCase is one discovery benchmark body whose allocs/op is budgeted:
+// setup builds the registry and returns a single iteration. The Benchmark
+// function named by bench times that iteration and
+// TestDiscoveryAllocBudgets counts its allocations, so a body and its
+// budget cannot drift apart. Allocation counts do not depend on the
+// machine, which is why a test holds them and no baseline file does.
+type gatedCase struct {
+	bench  string  // the Benchmark function the case runs under
+	name   string  // its sub-benchmark name there
+	budget float64 // allocs/op ceiling
+	setup  func(testing.TB) func()
+}
+
+func gatedCases() []gatedCase {
+	var cases []gatedCase
+	// The returned URI slice is one allocation; a balancing policy adds its
+	// decision, at any host count.
+	for _, p := range []struct {
+		policy core.Policy
+		budget float64
+	}{{core.PolicyStock, 1}, {core.PolicyFilter, 2}, {core.PolicyRankFirst, 2}, {core.PolicyLeastLoaded, 2}} {
+		for _, hosts := range []int{2, 8, 32} {
+			cases = append(cases, gatedCase{"BenchmarkDiscovery", fmt.Sprintf("%s/hosts=%d", p.policy, hosts), p.budget,
+				func(tb testing.TB) func() { return discoveryOp(tb, p.policy, hosts) }})
+		}
+	}
+	cases = append(cases, gatedCase{"BenchmarkDiscoveryFastPath", "warm", 2, fastPathWarmOp})
+	// The serving edge. A warm REST round trip allocates nothing; SOAP hits
+	// allocate because they run under admit.Wrap's deadline budget.
+	for _, c := range []struct {
+		name      string
+		budget    float64
+		soap      bool
+		miss      bool
+		cacheSize int
+	}{
+		{"warm", 0, false, false, 0},
+		{"miss", 17, false, true, 0},
+		{"soap-warm", 16, true, false, 0},
+		{"soap-miss", 21, true, true, 0},
+		{"nocache", 17, false, false, -1},
+	} {
+		cases = append(cases, gatedCase{"BenchmarkHTTPDiscovery", "filter/hosts=8/" + c.name, c.budget,
+			func(tb testing.TB) func() { return httpDiscoveryOp(tb, c.soap, c.miss, c.cacheSize) }})
+	}
+	return cases
+}
+
+// runGated runs bench's cases as its sub-benchmarks.
+func runGated(b *testing.B, bench string) {
+	for _, c := range gatedCases() {
+		if c.bench != bench {
+			continue
+		}
+		b.Run(c.name, func(b *testing.B) {
+			op := c.setup(b)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				op()
+			}
+		})
+	}
+}
+
+// TestDiscoveryAllocBudgets holds every gated benchmark body to its
+// allocation budget. It yields after each iteration: on a simulated clock
+// admit.WithBudget races the deadline in a helper goroutine, and one that
+// has not yet run to its exit when the next request arrives costs that
+// request a new g, so without the yield a count reads one higher for
+// stretches the scheduler picks. Under the race detector sync.Pool drops
+// items at random and the counts read higher still, so there it is skipped.
+func TestDiscoveryAllocBudgets(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not deterministic under the race detector")
+	}
+	for _, c := range gatedCases() {
+		t.Run(c.bench+"/"+c.name, func(t *testing.T) {
+			op := c.setup(t)
+			if got := testing.AllocsPerRun(200, func() { op(); runtime.Gosched() }); got > c.budget {
+				t.Errorf("%v allocs/op, budget %v", got, c.budget)
+			}
+		})
+	}
+}
+
 // BenchmarkDiscovery measures E4.6: resolving a service to its arranged
 // access URIs under each policy and several deployment sizes. This is the
 // per-lookup cost the load-balancing scheme adds to the registry's hot
 // path. The admission controller's TryAdmit/Release bracket every lookup
-// — the same bracket the HTTP middleware applies — so the allocs/op gate
-// covers the serving edge, not just the balancer. An uncontended
+// — the same bracket the HTTP middleware applies — so the allocation
+// budget covers the serving edge, not just the balancer. An uncontended
 // admission is ticketless (nil) and must cost zero allocations.
-func BenchmarkDiscovery(b *testing.B) {
-	for _, policy := range []core.Policy{core.PolicyStock, core.PolicyFilter, core.PolicyRankFirst, core.PolicyLeastLoaded} {
-		for _, hosts := range []int{2, 8, 32} {
-			b.Run(fmt.Sprintf("%s/hosts=%d", policy, hosts), func(b *testing.B) {
-				reg, ctx := benchRegistry(b, policy)
-				svc := rim.NewService("Adder", `<constraint><cpuLoad>load ls 1.0</cpuLoad><memory>memory gr 1GB</memory></constraint>`)
-				for i := 0; i < hosts; i++ {
-					host := fmt.Sprintf("h%02d.sdsu.edu", i)
-					svc.AddBinding("http://" + host + ":8080/x")
-					reg.Store.NodeState().Upsert(store.NodeState{
-						Host: host, Load: float64(i%4) * 0.7, MemoryB: 4 << 30, SwapB: 1 << 30,
-						Updated: benchEpoch,
-					})
-				}
-				if err := reg.LCM.SubmitObjects(ctx, svc); err != nil {
-					b.Fatal(err)
-				}
-				now := benchEpoch
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if out, _ := reg.Admission.TryAdmit(admit.ClassDiscovery, now); out != admit.Admitted {
-						b.Fatal(out)
-					}
-					uris, _, err := reg.QM.GetServiceBindings(svc.ID)
-					if err != nil {
-						b.Fatal(err)
-					}
-					_ = uris
-					reg.Admission.Release(admit.ClassDiscovery, now, now)
-				}
-			})
-		}
+func BenchmarkDiscovery(b *testing.B) { runGated(b, "BenchmarkDiscovery") }
+
+func discoveryOp(tb testing.TB, policy core.Policy, hosts int) func() {
+	reg, ctx := benchRegistry(tb, policy)
+	svc := rim.NewService("Adder", `<constraint><cpuLoad>load ls 1.0</cpuLoad><memory>memory gr 1GB</memory></constraint>`)
+	for i := 0; i < hosts; i++ {
+		host := fmt.Sprintf("h%02d.sdsu.edu", i)
+		svc.AddBinding("http://" + host + ":8080/x")
+		reg.Store.NodeState().Upsert(store.NodeState{
+			Host: host, Load: float64(i%4) * 0.7, MemoryB: 4 << 30, SwapB: 1 << 30,
+			Updated: benchEpoch,
+		})
 	}
+	if err := reg.LCM.SubmitObjects(ctx, svc); err != nil {
+		tb.Fatal(err)
+	}
+	now := benchEpoch
+	return func() {
+		if out, _ := reg.Admission.TryAdmit(admit.ClassDiscovery, now); out != admit.Admitted {
+			tb.Fatal(out)
+		}
+		if _, _, err := reg.QM.GetServiceBindings(svc.ID); err != nil {
+			tb.Fatal(err)
+		}
+		reg.Admission.Release(admit.ClassDiscovery, now, now)
+	}
+}
+
+// fastPathRegistry is BenchmarkDiscoveryFastPath's deployment: 8 hosts
+// behind a local NodeStatus invoker and a positive SnapshotMaxAge, so
+// readers stay on the published snapshot.
+func fastPathRegistry(tb testing.TB) (*registry.Registry, *rim.Service) {
+	tb.Helper()
+	const hosts = 8
+	clk := simclock.NewManual(benchEpoch)
+	cluster := hostsim.NewCluster()
+	ns := rim.NewService(nodestatus.ServiceName, "Service to monitor node status")
+	svc := rim.NewService("Adder", `<constraint><cpuLoad>load ls 1.0</cpuLoad><memory>memory gr 1GB</memory></constraint>`)
+	var names []string
+	for i := 0; i < hosts; i++ {
+		name := fmt.Sprintf("h%02d.sdsu.edu", i)
+		names = append(names, name)
+		cluster.Add(hostsim.NewHost(hostsim.Config{Name: name, Cores: 2, TotalMemB: 4 << 30, TotalSwapB: 2 << 30}, benchEpoch))
+		ns.AddBinding("http://" + name + ":8080/NodeStatus/NodeStatusService")
+		svc.AddBinding("http://" + name + ":8080/Adder/addService")
+	}
+	reg, err := registry.New(registry.Config{
+		Clock:          clk,
+		Policy:         core.PolicyFilter,
+		SnapshotMaxAge: 25 * time.Second,
+		Invoker:        nodestatus.LocalInvoker{Cluster: cluster, Clock: clk},
+		Admission:      &admit.Config{},
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := reg.LCM.SubmitObjects(reg.AdminContext(), ns, svc); err != nil {
+		tb.Fatal(err)
+	}
+	for i, name := range names {
+		reg.Store.NodeState().Upsert(store.NodeState{
+			Host: name, Load: float64(i%4) * 0.7, MemoryB: 4 << 30, SwapB: 1 << 30,
+			Updated: benchEpoch,
+		})
+	}
+	return reg, svc
+}
+
+// fastPathLookup brackets the query with the admission edge, exactly as
+// the HTTP middleware does: uncontended TryAdmit is ticketless, so the
+// warm path must stay allocation-free with admission in the loop.
+func fastPathLookup(tb testing.TB, reg *registry.Registry, id string) {
+	tb.Helper()
+	if out, _ := reg.Admission.TryAdmit(admit.ClassDiscovery, benchEpoch); out != admit.Admitted {
+		tb.Fatal(out)
+	}
+	uris, _, err := reg.QM.GetServiceBindings(id)
+	reg.Admission.Release(admit.ClassDiscovery, benchEpoch, benchEpoch)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if len(uris) == 0 {
+		tb.Fatal("no uris")
+	}
+}
+
+func fastPathWarmOp(tb testing.TB) func() {
+	reg, svc := fastPathRegistry(tb)
+	fastPathLookup(tb, reg, svc.ID) // digest the service, publish the snapshot
+	return func() { fastPathLookup(tb, reg, svc.ID) }
 }
 
 // BenchmarkDiscoveryFastPath isolates the lock-free discovery fast path:
 // warm (the service digested and the RCU snapshot hot — every discovery of
 // a description version but its first, whose extra cost is one
 // BenchmarkConstraintParse), and warm lookups under 1–64 concurrent readers
-// while a live collector rewrites the NodeState table. All variants run
-// with a positive SnapshotMaxAge so readers stay on the published snapshot.
-// Collector variants are recorded in BENCH_discovery.json but not gated:
-// the background sweep's allocations land in the reader's allocs/op
-// nondeterministically.
+// while a live collector rewrites the NodeState table. The collector
+// variants carry no allocation budget: the background sweep's allocations
+// land in the reader's allocs/op nondeterministically.
 func BenchmarkDiscoveryFastPath(b *testing.B) {
-	const hosts = 8
-	setup := func(b *testing.B) (*registry.Registry, *rim.Service, *hostsim.Cluster) {
-		b.Helper()
-		clk := simclock.NewManual(benchEpoch)
-		cluster := hostsim.NewCluster()
-		ns := rim.NewService(nodestatus.ServiceName, "Service to monitor node status")
-		svc := rim.NewService("Adder", `<constraint><cpuLoad>load ls 1.0</cpuLoad><memory>memory gr 1GB</memory></constraint>`)
-		var names []string
-		for i := 0; i < hosts; i++ {
-			name := fmt.Sprintf("h%02d.sdsu.edu", i)
-			names = append(names, name)
-			cluster.Add(hostsim.NewHost(hostsim.Config{Name: name, Cores: 2, TotalMemB: 4 << 30, TotalSwapB: 2 << 30}, benchEpoch))
-			ns.AddBinding("http://" + name + ":8080/NodeStatus/NodeStatusService")
-			svc.AddBinding("http://" + name + ":8080/Adder/addService")
-		}
-		reg, err := registry.New(registry.Config{
-			Clock:          clk,
-			Policy:         core.PolicyFilter,
-			SnapshotMaxAge: 25 * time.Second,
-			Invoker:        nodestatus.LocalInvoker{Cluster: cluster, Clock: clk},
-			Admission:      &admit.Config{},
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := reg.LCM.SubmitObjects(reg.AdminContext(), ns, svc); err != nil {
-			b.Fatal(err)
-		}
-		for i, name := range names {
-			reg.Store.NodeState().Upsert(store.NodeState{
-				Host: name, Load: float64(i%4) * 0.7, MemoryB: 4 << 30, SwapB: 1 << 30,
-				Updated: benchEpoch,
-			})
-		}
-		return reg, svc, cluster
-	}
-	// lookup brackets the query with the admission edge, exactly as the
-	// HTTP middleware does: uncontended TryAdmit is ticketless, so the
-	// warm path must stay allocation-free with admission in the loop.
-	lookup := func(b *testing.B, reg *registry.Registry, id string) {
-		b.Helper()
-		if out, _ := reg.Admission.TryAdmit(admit.ClassDiscovery, benchEpoch); out != admit.Admitted {
-			b.Fatal(out)
-		}
-		uris, _, err := reg.QM.GetServiceBindings(id)
-		reg.Admission.Release(admit.ClassDiscovery, benchEpoch, benchEpoch)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(uris) == 0 {
-			b.Fatal("no uris")
-		}
-	}
-
-	b.Run("warm", func(b *testing.B) {
-		reg, svc, _ := setup(b)
-		lookup(b, reg, svc.ID) // digest the service, publish the snapshot
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			lookup(b, reg, svc.ID)
-		}
-	})
+	runGated(b, "BenchmarkDiscoveryFastPath")
 	for _, readers := range []int{1, 4, 16, 64} {
 		b.Run(fmt.Sprintf("collector/readers=%d", readers), func(b *testing.B) {
-			reg, svc, _ := setup(b)
+			reg, svc := fastPathRegistry(b)
 			reg.Collector.CollectOnce() // seed rows + snapshot
-			lookup(b, reg, svc.ID)
+			fastPathLookup(b, reg, svc.ID)
 			done := make(chan struct{})
 			sweeping := make(chan struct{})
 			go func() {
@@ -574,12 +658,9 @@ func BenchmarkFederatedFind(b *testing.B) {
 
 // --- metrics primitives ----------------------------------------------------
 //
-// internal/metrics.Counter and GaugeSet sit on the discovery fast path
-// (discovery and response-cache counters, breaker-state reads) and are built on
-// sync/atomic; EXPERIMENTS.md records what the sync.Mutex versions they
-// replaced cost. Names deliberately do not match the BenchmarkDiscovery
-// prefix, so the allocs/op CI gate (BENCH_PATTERN=BenchmarkDiscovery)
-// ignores them.
+// internal/metrics.Counter sits on the discovery fast path (discovery and
+// response-cache counters) and is built on sync/atomic; EXPERIMENTS.md
+// records what the sync.Mutex version it replaced cost.
 
 func BenchmarkMetricsCounterAtomic(b *testing.B) {
 	var c metrics.Counter
@@ -594,25 +675,6 @@ func BenchmarkMetricsCounterAtomic(b *testing.B) {
 	}
 }
 
-func BenchmarkMetricsGaugeSetAtomic(b *testing.B) {
-	var g metrics.GaugeSet
-	for i := 0; i < 8; i++ {
-		g.Set(fmt.Sprintf("host-%d:8080", i), float64(i))
-	}
-	b.ReportAllocs()
-	b.RunParallel(func(pb *testing.PB) {
-		i := 0
-		for pb.Next() {
-			if i%16 == 0 {
-				g.Set("host-3:8080", float64(i))
-			} else {
-				_ = g.Value("host-3:8080")
-			}
-			i++
-		}
-	})
-}
-
 // --- tracing overhead on the discovery warm path --------------------------
 //
 // BenchmarkTracingOverhead quantifies what sampling a request costs the
@@ -623,8 +685,7 @@ func BenchmarkMetricsGaugeSetAtomic(b *testing.B) {
 // add nothing to BenchmarkDiscoveryFastPath/warm (flight.TimerFrom returns
 // nil and every stage call no-ops on the nil receiver). "sampled" picks
 // every request, the worst case; its cost is the id, the context, the
-// boxed stages and ten clock reads, and is deliberately NOT part of the
-// allocs/op CI gate (the name avoids the BenchmarkDiscovery prefix).
+// boxed stages and ten clock reads, and it carries no allocation budget.
 func BenchmarkTracingOverhead(b *testing.B) {
 	const hosts = 8
 	setup := func(b *testing.B, sample int) (*registry.Registry, *rim.Service) {
@@ -704,125 +765,79 @@ func (w *benchHTTPWriter) WriteHeader(s int)           { w.status = s }
 // frozen-router dispatch, admission bracket, response-cache consult,
 // response bytes — with tracing compiled in but unsampled (the
 // production default). The warm variant serves the preserialized entry
-// through admit's FastServe hook and must report 0 allocs/op; its
-// BENCH_discovery.json entry carries a tightened 5% growth bound (which
-// at a zero baseline admits no regression at all). miss re-renders every
-// iteration by bumping the write epoch; nocache disables the subsystem
-// and shows what every request cost before this PR. soap-warm and
-// soap-miss are the same two round trips through POST /soap/registry with
-// the canonical GetBindingsRequest envelope a JAXR client sends: scanned,
-// not unmarshalled, and answered from (or rendered into) the same cache.
-func BenchmarkHTTPDiscovery(b *testing.B) {
+// through admit's FastServe hook, and its budget is 0 allocs/op. miss
+// re-renders every iteration by bumping the write epoch; nocache disables
+// the subsystem. soap-warm and soap-miss are the same two round trips
+// through POST /soap/registry with the canonical GetBindingsRequest
+// envelope a JAXR client sends: scanned, not unmarshalled, and answered
+// from (or rendered into) the same cache.
+func BenchmarkHTTPDiscovery(b *testing.B) { runGated(b, "BenchmarkHTTPDiscovery") }
+
+func httpDiscoveryOp(tb testing.TB, soapBody, miss bool, cacheSize int) func() {
 	const hosts = 8
-	setup := func(b *testing.B, cacheSize int) (http.Handler, *registry.Registry) {
-		b.Helper()
-		reg, err := registry.New(registry.Config{
-			Clock:          simclock.NewManual(benchEpoch),
-			Policy:         core.PolicyFilter,
-			SnapshotMaxAge: 25 * time.Second,
-			Admission:      &admit.Config{}, // production defaults; never sheds at bench load
-			RespCacheSize:  cacheSize,
+	reg, err := registry.New(registry.Config{
+		Clock:          simclock.NewManual(benchEpoch),
+		Policy:         core.PolicyFilter,
+		SnapshotMaxAge: 25 * time.Second,
+		Admission:      &admit.Config{}, // production defaults; never sheds at bench load
+		RespCacheSize:  cacheSize,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if cacheSize < 0 && reg.RespCache != nil {
+		tb.Fatal("cache built despite negative size")
+	}
+	svc := rim.NewService("Adder", `<constraint><cpuLoad>load ls 1.0</cpuLoad><memory>memory gr 1GB</memory></constraint>`)
+	for i := 0; i < hosts; i++ {
+		host := fmt.Sprintf("h%02d.sdsu.edu", i)
+		svc.AddBinding("http://" + host + ":8080/Adder/addService")
+		reg.Store.NodeState().Upsert(store.NodeState{
+			Host: host, Load: float64(i%4) * 0.7, MemoryB: 4 << 30, SwapB: 1 << 30,
+			Updated: benchEpoch,
 		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		svc := rim.NewService("Adder", `<constraint><cpuLoad>load ls 1.0</cpuLoad><memory>memory gr 1GB</memory></constraint>`)
-		for i := 0; i < hosts; i++ {
-			host := fmt.Sprintf("h%02d.sdsu.edu", i)
-			svc.AddBinding("http://" + host + ":8080/Adder/addService")
-			reg.Store.NodeState().Upsert(store.NodeState{
-				Host: host, Load: float64(i%4) * 0.7, MemoryB: 4 << 30, SwapB: 1 << 30,
-				Updated: benchEpoch,
-			})
-		}
-		if err := reg.LCM.SubmitObjects(reg.AdminContext(), svc); err != nil {
-			b.Fatal(err)
-		}
-		return reg.Handler(), reg
 	}
-	serve := func(b *testing.B, h http.Handler, w *benchHTTPWriter, req *http.Request) {
-		b.Helper()
-		w.n, w.status = 0, 0
-		h.ServeHTTP(w, req)
-		if w.status != 0 && w.status != http.StatusOK {
-			b.Fatalf("status %d", w.status)
-		}
-		if w.n == 0 {
-			b.Fatal("empty response")
-		}
+	if err := reg.LCM.SubmitObjects(reg.AdminContext(), svc); err != nil {
+		tb.Fatal(err)
 	}
+	h := reg.Handler()
 
 	// A request plus what re-arms it for the next iteration: nothing for a
 	// GET, the body reader for a POST.
-	type newRequest func(b *testing.B) (*http.Request, func())
-	restRequest := func(*testing.B) (*http.Request, func()) {
-		return httptest.NewRequest(http.MethodGet, "/registry/bindings?service=Adder", nil), func() {}
-	}
-	soapRequest := func(b *testing.B) (*http.Request, func()) {
-		b.Helper()
+	req, rearm := httptest.NewRequest(http.MethodGet, "/registry/bindings?service=Adder", nil), func() {}
+	if soapBody {
 		env, err := soap.Marshal(&struct {
 			XMLName  struct{}                     `xml:"RegistryRequest"`
 			Bindings *registry.GetBindingsRequest `xml:"GetBindingsRequest"`
 		}{Bindings: &registry.GetBindingsRequest{ServiceName: "Adder"}})
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		body := bytes.NewReader(env)
-		req := httptest.NewRequest(http.MethodPost, "/soap/registry", nil)
+		req = httptest.NewRequest(http.MethodPost, "/soap/registry", nil)
 		req.Body, req.ContentLength = io.NopCloser(body), int64(len(env))
-		return req, func() { body.Reset(env) }
+		rearm = func() { body.Reset(env) }
 	}
-	warm := func(newReq newRequest) func(*testing.B) {
-		return func(b *testing.B) {
-			h, reg := setup(b, 0)
-			req, rearm := newReq(b)
-			w := &benchHTTPWriter{header: make(http.Header, 4)}
-			serve(b, h, w, req) // render + store
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				rearm()
-				serve(b, h, w, req)
-			}
-			b.StopTimer()
-			if hits := reg.RespCache.Hits.Value(); hits < int64(b.N) {
-				b.Fatalf("hits = %d over %d warm requests", hits, b.N)
-			}
+	w := &benchHTTPWriter{header: make(http.Header, 4)}
+	serve := func() {
+		rearm()
+		w.n, w.status = 0, 0
+		h.ServeHTTP(w, req)
+		if w.status != 0 && w.status != http.StatusOK {
+			tb.Fatalf("status %d", w.status)
+		}
+		if w.n == 0 {
+			tb.Fatal("empty response")
 		}
 	}
-	miss := func(newReq newRequest) func(*testing.B) {
-		return func(b *testing.B) {
-			h, reg := setup(b, 0)
-			req, rearm := newReq(b)
-			w := &benchHTTPWriter{header: make(http.Header, 4)}
-			serve(b, h, w, req)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				reg.RespCache.BumpEpoch() // every request re-renders and re-stores
-				rearm()
-				serve(b, h, w, req)
-			}
-		}
+	serve() // render + store
+	if !miss {
+		return serve
 	}
-	b.Run("filter/hosts=8/warm", warm(restRequest))
-	b.Run("filter/hosts=8/miss", miss(restRequest))
-	b.Run("filter/hosts=8/soap-warm", warm(soapRequest))
-	b.Run("filter/hosts=8/soap-miss", miss(soapRequest))
-	b.Run("filter/hosts=8/nocache", func(b *testing.B) {
-		h, reg := setup(b, -1)
-		if reg.RespCache != nil {
-			b.Fatal("cache built despite negative size")
-		}
-		req := httptest.NewRequest(http.MethodGet, "/registry/bindings?service=Adder", nil)
-		w := &benchHTTPWriter{header: make(http.Header, 4)}
-		serve(b, h, w, req)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			serve(b, h, w, req)
-		}
-	})
+	return func() {
+		reg.RespCache.BumpEpoch() // every request re-renders and re-stores
+		serve()
+	}
 }
 
 // --- flight recorder cost -------------------------------------------------
@@ -830,10 +845,9 @@ func BenchmarkHTTPDiscovery(b *testing.B) {
 // BenchmarkFlightRecord isolates the wide-event recorder's per-request
 // cost: one seqlock Append into the ring, with the host already interned
 // (the steady state — interning is a one-time slow path per host) and,
-// in the traced variant, a trace id to box. Deliberately NOT under the
-// BenchmarkDiscovery prefix: the recorder's end-to-end cost is already
-// inside the gated BenchmarkHTTPDiscovery warm path (which must stay at
-// 0 allocs/op with the recorder always on); this entry just prices the
+// in the traced variant, a trace id to box. The recorder's end-to-end cost
+// is already inside the budgeted BenchmarkHTTPDiscovery warm path (0
+// allocs/op with the recorder always on); this entry just prices the
 // Append itself.
 func BenchmarkFlightRecord(b *testing.B) {
 	rec := flight.Record{
@@ -891,9 +905,7 @@ func BenchmarkFlightRecord(b *testing.B) {
 // one length+CRC32C-framed record appended to the active segment, under
 // the two interesting flush policies. "never" isolates the framing and
 // buffer cost; "always" adds the fsync every acknowledged registry write
-// pays at the default -fsync setting. Deliberately NOT under the
-// BenchmarkDiscovery prefix — fsync latency is hardware-dependent and
-// must not feed the allocs/op CI gate.
+// pays at the default -fsync setting; fsync latency is hardware-dependent.
 func BenchmarkWALAppend(b *testing.B) {
 	payload := []byte(strings.Repeat("x", 512))
 	for _, pol := range []wal.FsyncPolicy{wal.FsyncNever, wal.FsyncAlways} {

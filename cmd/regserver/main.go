@@ -130,6 +130,18 @@ func parse(args []string, stderr io.Writer) (options, error) {
 		return refuse(fmt.Errorf("unexpected argument %q: every flag after it would be ignored", fs.Arg(0)))
 	}
 
+	// Values the registry would quietly read as something else: it ignores
+	// a non-positive period and collects every 25 s, and takes a negative
+	// staleness or sampling rate for 0.
+	switch {
+	case *period <= 0:
+		return refuse(fmt.Errorf("-period %s: the collection period must be positive", *period))
+	case *snapStaleness < 0:
+		return refuse(fmt.Errorf("-snapshot-staleness %s: must not be negative (0 = always coherent)", *snapStaleness))
+	case *traceSample < 0:
+		return refuse(fmt.Errorf("-trace-sample %d: must not be negative (0 = tracing off)", *traceSample))
+	}
+
 	logger, err := obs.NewLogger(stderr, *logLevel, *logFormat)
 	if err != nil {
 		return refuse(err)

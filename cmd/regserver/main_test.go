@@ -214,6 +214,12 @@ func TestParseRefusals(t *testing.T) {
 		{"unknown policy", []string{"-policy", "round-robin"}, `unknown policy "round-robin"`},
 		{"unknown fsync policy", []string{"-fsync", "sometimes"}, "sometimes"},
 		{"unknown log level", []string{"-log-level", "loud"}, "loud"},
+		// Values registry.New reads as something else: a non-positive
+		// period as the 25 s default, a negative staleness or rate as 0.
+		{"zero period", []string{"-period", "0"}, "-period 0s: the collection period must be positive"},
+		{"negative period", []string{"-period", "-5s"}, "-period -5s"},
+		{"negative staleness", []string{"-snapshot-staleness", "-1s"}, "-snapshot-staleness -1s: must not be negative"},
+		{"negative sampling rate", []string{"-trace-sample", "-3"}, "-trace-sample -3: must not be negative"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var stderr bytes.Buffer
@@ -380,6 +386,7 @@ func TestBinary(t *testing.T) {
 		}{
 			{[]string{"-admission", "false", "-data-dir", dir}, `unexpected argument "false"`},
 			{[]string{"-flight-ring", "1"}, "flag provided but not defined: -flight-ring"},
+			{[]string{"-period", "0", "-data-dir", dir}, "the collection period must be positive"},
 		} {
 			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 			out, err := exec.CommandContext(ctx, bin, append([]string{"-addr", "127.0.0.1:0"}, tc.args...)...).CombinedOutput()

@@ -9,5 +9,6 @@
 // experiment index, and the examples/ directory for runnable entry points.
 // The public surface lives under internal/ packages assembled by
 // internal/registry; the benchmarks in bench_test.go regenerate every
-// experiment table.
+// experiment table, and TestDiscoveryAllocBudgets there holds the discovery
+// ones to their allocation budgets.
 package repro

@@ -325,8 +325,8 @@ func (r *Ring) Append(rec *Record) {
 
 // internHost returns the stable boxed string for host, inserting it on
 // first sight. The fast path is one atomic map read; insertion is the
-// cold path behind a mutex and a copied map, exactly the GaugeSet layout
-// the collector's breaker telemetry uses.
+// cold path behind a mutex and a copied map, the metrics.CounterSet
+// layout.
 //
 //repolint:hotpath runs inside Append on every edge request
 func (r *Ring) internHost(host string) *string {

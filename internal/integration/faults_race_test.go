@@ -126,7 +126,6 @@ func TestBreakerTripsUnderConcurrentDiscovery(t *testing.T) {
 			_ = reg.Collector.HealthSnapshot()
 			_ = reg.Collector.FaultStats()
 			_ = reg.Breakers.Snapshot()
-			_ = reg.Telemetry.BreakerState.Snapshot()
 		}
 	}()
 

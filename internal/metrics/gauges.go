@@ -1,15 +1,12 @@
 package metrics
 
 import (
-	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
 
 // Counter is a concurrency-safe monotonic event counter, used by the
-// collector's fault-tolerance telemetry (timeouts, retries, sweep errors,
-// breaker skips) and the constraint cache. It sits on the discovery fast
+// discovery and response-cache counters. It sits on the discovery fast
 // path, so it is a bare atomic rather than a mutexed int: Inc is one
 // uncontended atomic add and Value one atomic load.
 type Counter struct {
@@ -25,87 +22,13 @@ func (c *Counter) Add(delta int64) { c.n.Add(delta) }
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.n.Load() }
 
-// GaugeSet is a concurrency-safe map of labelled gauges — one float per
-// label, last write wins — used for per-host breaker states.
-//
-// The label set is effectively fixed after the first collector sweep
-// (hosts come from CollectionTargets), while reads happen on every
-// breaker check and metrics scrape. The layout exploits that: an
-// atomic.Pointer holds an immutable map from label to a per-label atomic
-// cell, so Set on a known label and every read path are lock-free; the
-// mutex is taken only to grow the label set, by publishing a copied map.
-type GaugeSet struct {
-	mu   sync.Mutex // serialises label insertion only
-	vals atomic.Pointer[map[string]*atomic.Uint64]
-}
-
-func (g *GaugeSet) cell(label string) *atomic.Uint64 {
-	if m := g.vals.Load(); m != nil {
-		if c, ok := (*m)[label]; ok {
-			return c
-		}
-	}
-	return nil
-}
-
-// Set writes the gauge for label.
-func (g *GaugeSet) Set(label string, v float64) {
-	bits := math.Float64bits(v)
-	if c := g.cell(label); c != nil {
-		c.Store(bits)
-		return
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	// Re-check under the lock: another writer may have inserted the label.
-	if c := g.cell(label); c != nil {
-		c.Store(bits)
-		return
-	}
-	old := g.vals.Load()
-	var size int
-	if old != nil {
-		size = len(*old)
-	}
-	next := make(map[string]*atomic.Uint64, size+1)
-	if old != nil {
-		for l, c := range *old {
-			next[l] = c
-		}
-	}
-	c := new(atomic.Uint64)
-	c.Store(bits)
-	next[label] = c
-	g.vals.Store(&next)
-}
-
-// Value returns the gauge for label (zero when never set).
-func (g *GaugeSet) Value(label string) float64 {
-	if c := g.cell(label); c != nil {
-		return math.Float64frombits(c.Load())
-	}
-	return 0
-}
-
-// Labels returns the set labels in sorted order.
-func (g *GaugeSet) Labels() []string {
-	m := g.vals.Load()
-	if m == nil {
-		return nil
-	}
-	out := make([]string, 0, len(*m))
-	for l := range *m {
-		out = append(out, l)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// CounterSet is GaugeSet's monotonic sibling: a concurrency-safe map of
-// labelled counters, used for per-host discovery assignment counts. The
-// same copy-on-write layout applies — Inc on a known label and every
-// read are lock-free; the mutex only serialises label insertion, which
-// happens once per host ever.
+// CounterSet is a concurrency-safe map of labelled counters, used for
+// per-host discovery assignment counts. The label set is effectively fixed
+// once every host has been assigned to, while Inc runs on every discovery
+// answer. The layout exploits that: an atomic.Pointer holds an immutable
+// map from label to a per-label atomic cell, so Inc on a known label and
+// every read are lock-free; the mutex is taken only to grow the label set,
+// by publishing a copied map, which happens once per host ever.
 type CounterSet struct {
 	mu   sync.Mutex // serialises label insertion only
 	vals atomic.Pointer[map[string]*atomic.Int64]
@@ -181,19 +104,6 @@ func (c *CounterSet) Snapshot() map[string]int64 {
 	out := make(map[string]int64, len(*m))
 	for l, n := range *m {
 		out[l] = n.Load()
-	}
-	return out
-}
-
-// Snapshot returns a copy of every labelled gauge.
-func (g *GaugeSet) Snapshot() map[string]float64 {
-	m := g.vals.Load()
-	if m == nil {
-		return map[string]float64{}
-	}
-	out := make(map[string]float64, len(*m))
-	for l, c := range *m {
-		out[l] = math.Float64frombits(c.Load())
 	}
 	return out
 }

@@ -21,10 +21,10 @@ import (
 	"math"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/breaker"
-	"repro/internal/metrics"
 	"repro/internal/nodestatus"
 	"repro/internal/obs"
 	"repro/internal/rim"
@@ -49,7 +49,7 @@ var ErrDeadline = errors.New("nodestate: invocation deadline exceeded")
 // restarting the collector.
 type URIProvider func() []string
 
-// Stats aggregates a collector's fault-tolerance counters.
+// Stats is a snapshot of a collector's fault-tolerance counters.
 type Stats struct {
 	// Sweeps is the number of completed CollectOnce passes.
 	Sweeps int
@@ -65,30 +65,6 @@ type Stats struct {
 	Skipped int
 }
 
-// Telemetry exports the collector's fault-tolerance counters and per-host
-// breaker state gauges (0 closed, 1 open, 2 half-open) to a metrics
-// consumer. All fields are optional; nil members are simply not updated.
-type Telemetry struct {
-	Timeouts    *metrics.Counter
-	Retries     *metrics.Counter
-	SweepErrors *metrics.Counter
-	Skipped     *metrics.Counter
-	// BreakerState maps host → breaker state ordinal after each sweep
-	// decision for that host.
-	BreakerState *metrics.GaugeSet
-}
-
-// NewTelemetry allocates every member.
-func NewTelemetry() *Telemetry {
-	return &Telemetry{
-		Timeouts:     &metrics.Counter{},
-		Retries:      &metrics.Counter{},
-		SweepErrors:  &metrics.Counter{},
-		Skipped:      &metrics.Counter{},
-		BreakerState: &metrics.GaugeSet{},
-	}
-}
-
 // Collector periodically polls NodeStatus endpoints into a NodeStateTable.
 type Collector struct {
 	table   *store.NodeStateTable
@@ -102,12 +78,11 @@ type Collector struct {
 	maxRetries   int           // re-attempts after the first failure
 	retryBackoff time.Duration // base backoff between attempts; 0 = immediate
 	breakers     *breaker.Set  // nil = breakers disabled
-	telemetry    *Telemetry    // nil = no telemetry
 	log          *slog.Logger  // never nil; nop by default
 	afterSweep   func()        // nil = no hook; runs after each publish
 
-	mu    sync.Mutex
-	stats Stats // guarded by mu
+	// What FaultStats snapshots; each event is counted here and nowhere else.
+	sweeps, errs, timeouts, retries, skipped atomic.Int64
 }
 
 // Option configures a Collector.
@@ -159,11 +134,6 @@ func WithRetries(n int, backoff time.Duration) Option {
 // until a half-open probe succeeds.
 func WithBreakers(b *breaker.Set) Option {
 	return func(c *Collector) { c.breakers = b }
-}
-
-// WithTelemetry attaches fault-tolerance counters and gauges.
-func WithTelemetry(t *Telemetry) Option {
-	return func(c *Collector) { c.telemetry = t }
 }
 
 // WithAfterSweep attaches a hook that runs at the end of every sweep,
@@ -221,11 +191,16 @@ func (c *Collector) Stats() (sweeps, errs int) {
 	return s.Sweeps, s.Errs
 }
 
-// FaultStats returns a copy of all fault-tolerance counters.
+// FaultStats snapshots all fault-tolerance counters. Events are counted as
+// they happen, the sweep that holds them when it completes.
 func (c *Collector) FaultStats() Stats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.stats
+	return Stats{
+		Sweeps:   int(c.sweeps.Load()),
+		Errs:     int(c.errs.Load()),
+		Timeouts: int(c.timeouts.Load()),
+		Retries:  int(c.retries.Load()),
+		Skipped:  int(c.skipped.Load()),
+	}
 }
 
 // CollectOnce performs one sweep without an external context; cancelling
@@ -249,14 +224,6 @@ func (c *Collector) CollectOnceCtx(ctx context.Context) {
 
 	sem := make(chan struct{}, c.parallelism)
 	var wg sync.WaitGroup
-	var sweep Stats
-
-	var sweepMu sync.Mutex
-	count := func(f func(*Stats)) {
-		sweepMu.Lock()
-		f(&sweep)
-		sweepMu.Unlock()
-	}
 
 	for _, uri := range uris {
 		wg.Add(1)
@@ -266,21 +233,16 @@ func (c *Collector) CollectOnceCtx(ctx context.Context) {
 			defer func() { <-sem }()
 			host := rim.HostOfURI(uri)
 			if host == "" {
-				count(func(s *Stats) { s.Errs++ })
+				c.errs.Add(1)
 				return
 			}
 			if c.breakers != nil && !c.breakers.Allow(host, now) {
 				c.table.SetHealth(host, store.HealthQuarantined)
 				c.log.DebugContext(ctx, "sweep skip: breaker open", "host", host)
-				count(func(s *Stats) { s.Skipped++ })
-				c.observeBreaker(host)
-				if c.telemetry != nil && c.telemetry.Skipped != nil {
-					c.telemetry.Skipped.Inc()
-				}
+				c.skipped.Add(1)
 				return
 			}
-			c.collectHost(ctx, uri, host, now, count)
-			c.observeBreaker(host)
+			c.collectHost(ctx, uri, host, now)
 		}(uri)
 	}
 	wg.Wait()
@@ -289,32 +251,19 @@ func (c *Collector) CollectOnceCtx(ctx context.Context) {
 	// sweep's rows lock-free until the next one.
 	c.table.Publish(c.clock.Now())
 
-	sweep.Sweeps = 1
-	c.mu.Lock()
-	c.stats.Sweeps += sweep.Sweeps
-	c.stats.Errs += sweep.Errs
-	c.stats.Timeouts += sweep.Timeouts
-	c.stats.Retries += sweep.Retries
-	c.stats.Skipped += sweep.Skipped
-	c.mu.Unlock()
-	if c.telemetry != nil && c.telemetry.SweepErrors != nil {
-		c.telemetry.SweepErrors.Add(int64(sweep.Errs))
-	}
+	c.sweeps.Add(1)
 	if c.afterSweep != nil {
 		c.afterSweep()
 	}
 }
 
 // collectHost runs the retry loop for one host within a sweep.
-func (c *Collector) collectHost(ctx context.Context, uri, host string, now time.Time, count func(func(*Stats))) {
+func (c *Collector) collectHost(ctx context.Context, uri, host string, now time.Time) {
 	var resp nodestatus.Response
 	var err error
 	for attempt := 0; attempt <= c.maxRetries; attempt++ {
 		if attempt > 0 {
-			count(func(s *Stats) { s.Retries++ })
-			if c.telemetry != nil && c.telemetry.Retries != nil {
-				c.telemetry.Retries.Inc()
-			}
+			c.retries.Add(1)
 			if c.retryBackoff > 0 {
 				c.clock.Sleep(jitteredBackoff(c.retryBackoff, host, attempt))
 			}
@@ -327,10 +276,7 @@ func (c *Collector) collectHost(ctx context.Context, uri, host string, now time.
 			break
 		}
 		if errors.Is(err, ErrDeadline) {
-			count(func(s *Stats) { s.Timeouts++ })
-			if c.telemetry != nil && c.telemetry.Timeouts != nil {
-				c.telemetry.Timeouts.Inc()
-			}
+			c.timeouts.Add(1)
 		}
 	}
 	if err != nil {
@@ -344,7 +290,7 @@ func (c *Collector) collectHost(ctx context.Context, uri, host string, now time.
 				c.log.WarnContext(ctx, "host quarantined", "host", host, "breaker", st.String())
 			}
 		}
-		count(func(s *Stats) { s.Errs++ })
+		c.errs.Add(1)
 		return
 	}
 	if c.breakers != nil {
@@ -420,14 +366,6 @@ func jitteredBackoff(base time.Duration, host string, attempt int) time.Duration
 	f.Write([]byte{byte(attempt)})
 	u := float64(f.Sum64()%1000) / 1000 // [0,1)
 	return time.Duration(float64(base) * (0.75 + 0.5*u))
-}
-
-// observeBreaker exports host's current breaker state to the gauge set.
-func (c *Collector) observeBreaker(host string) {
-	if c.breakers == nil || c.telemetry == nil || c.telemetry.BreakerState == nil {
-		return
-	}
-	c.telemetry.BreakerState.Set(host, float64(c.breakers.State(host)))
 }
 
 // HostHealthReport is one host's merged collection/breaker status for the

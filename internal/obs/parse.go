@@ -11,10 +11,9 @@ import (
 
 // This file is a minimal, strict parser for the Prometheus text
 // exposition format (version 0.0.4) — metric name / label / value sample
-// lines and # HELP / # TYPE headers. It exists so the handler tests and
-// the CI scrape smoke (cmd/scrapesmoke) can verify that /registry/metrics
-// round-trips through an independent reading of the format rather than
-// just string-matching the writer's own output.
+// lines and # HELP / # TYPE headers. It exists so the handler tests can
+// verify that /registry/metrics round-trips through an independent reading
+// of the format rather than just string-matching the writer's own output.
 
 // ScrapeSample is one parsed sample line.
 type ScrapeSample struct {

@@ -91,6 +91,9 @@ func TestBootDoesNotCheckpoint(t *testing.T) {
 	if got := value(sc, "registry_checkpoints_total"); got != 1 {
 		t.Fatalf("first boot of an empty directory wrote %v checkpoints, want 1", got)
 	}
+	if got := value(sc, "registry_wal_replay_records_total"); got != 0 {
+		t.Fatalf("first boot of an empty directory replayed %v records, want 0", got)
+	}
 	const tail = 5
 	for i := 0; i < tail; i++ {
 		if err := first.LCM.SubmitObjects(first.AdminContext(), rim.NewService(fmt.Sprintf("svc-%d", i), "")); err != nil {

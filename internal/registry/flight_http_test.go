@@ -295,9 +295,10 @@ func getBundle(t *testing.T, srv *httptest.Server, query string) bundleJSON {
 }
 
 // TestBundleSections checks every section of the one-shot bundle is
-// present and carries live data after a little traffic.
+// present and carries live data after a little traffic, every request
+// sampled: the two records appear under flight and again under traces.
 func TestBundleSections(t *testing.T) {
-	_, srv, _ := newCachedRegistry(t, nil, 0)
+	_, srv, _ := newSampledCachedRegistry(t, nil, 0, 1)
 	getBindings(t, srv, "Adder")
 	getBindings(t, srv, "Adder")
 
@@ -319,8 +320,8 @@ func TestBundleSections(t *testing.T) {
 	if !strings.Contains(doc.Metrics, "registry_balance_fairness_index") {
 		t.Error("bundle metrics snapshot missing registry_balance_fairness_index")
 	}
-	if len(doc.Flight) < 2 {
-		t.Errorf("bundle has %d flight records, want >= 2", len(doc.Flight))
+	if len(doc.Flight) != 2 || len(doc.Traces) != 2 {
+		t.Errorf("bundle has %d flight records and %d traces, want 2 of each", len(doc.Flight), len(doc.Traces))
 	}
 	if doc.WAL != nil {
 		t.Errorf("bundle WAL section = %+v for an in-memory registry, want null", doc.WAL)

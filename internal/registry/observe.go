@@ -160,16 +160,24 @@ func (r *Registry) buildExposition() *obs.Exposition {
 		func() int64 { return int64(r.Collector.FaultStats().Errs) })
 	e.Counter("registry_collector_timeouts_total",
 		"NodeStatus invocation attempts that hit the per-invocation deadline.",
-		func() int64 { return r.Telemetry.Timeouts.Value() })
+		func() int64 { return int64(r.Collector.FaultStats().Timeouts) })
 	e.Counter("registry_collector_retries_total",
 		"NodeStatus invocation re-attempts after a failure.",
-		func() int64 { return r.Telemetry.Retries.Value() })
+		func() int64 { return int64(r.Collector.FaultStats().Retries) })
 	e.Counter("registry_collector_breaker_skips_total",
 		"Sweep slots skipped because the host's circuit breaker was open.",
-		func() int64 { return r.Telemetry.Skipped.Value() })
+		func() int64 { return int64(r.Collector.FaultStats().Skipped) })
 	e.GaugeVec("registry_breaker_state",
 		"Per-host collector breaker state (0 closed, 1 open, 2 half-open).",
-		"host", func() map[string]float64 { return r.Telemetry.BreakerState.Snapshot() })
+		"host", func() map[string]float64 {
+			out := map[string]float64{}
+			if r.Breakers != nil {
+				for _, b := range r.Breakers.Snapshot() {
+					out[b.Host] = float64(b.State)
+				}
+			}
+			return out
+		})
 
 	// NodeState table and its RCU snapshot.
 	table := r.Store.NodeState()

@@ -147,9 +147,6 @@ type Registry struct {
 	Bus       *events.Bus
 	Registrar *auth.Registrar
 	Collector *nodestate.Collector
-	// Telemetry holds the collector's fault-tolerance counters and breaker
-	// gauges (always allocated).
-	Telemetry *nodestate.Telemetry
 	// Breakers is the collector's breaker set (nil when Config.Breaker was
 	// nil).
 	Breakers *breaker.Set
@@ -271,10 +268,8 @@ func New(cfg Config) (*Registry, error) {
 	if invoker == nil {
 		invoker = nodestatus.HTTPInvoker{}
 	}
-	telemetry := nodestate.NewTelemetry()
 	var breakers *breaker.Set
 	opts := []nodestate.Option{
-		nodestate.WithTelemetry(telemetry),
 		nodestate.WithLogger(logger.With("component", "collector")),
 	}
 	if cfg.CollectionPeriod > 0 {
@@ -348,7 +343,6 @@ func New(cfg Config) (*Registry, error) {
 		Bus:       bus,
 		Registrar: registrar,
 		Collector: collector,
-		Telemetry: telemetry,
 		Breakers:  breakers,
 
 		ConstraintCache: constraint.NewCache(0),

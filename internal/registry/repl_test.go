@@ -210,8 +210,11 @@ func TestReplHealthBundleAndMetricsSections(t *testing.T) {
 	if err := f.Bootstrap(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Poll(context.Background()); err != nil {
-		t.Fatal(err)
+	// One write behind the checkpoint the follower booted from, one poll to
+	// fetch it: the scrape below is exact on both sides.
+	seedWorker(t, leader, "thermo.sdsu.edu")
+	if n, err := f.Poll(context.Background()); err != nil || n != 1 {
+		t.Fatalf("poll applied %d records (%v), want the one write", n, err)
 	}
 
 	var health struct {
@@ -255,15 +258,44 @@ func TestReplHealthBundleAndMetricsSections(t *testing.T) {
 		t.Fatalf("leader bundle repl = %+v", bundle.Repl)
 	}
 
-	scrape := scrapeMetrics(t, fsrv)
-	leaderPos, _ := leader.Durable.WAL().Committed()
-	if got, ok := scrape.Value("registry_repl_position", map[string]string{"part": "segment"}); !ok || got != float64(leaderPos.Segment) {
-		t.Fatalf("follower registry_repl_position segment = %v (ok=%v), want %d", got, ok, leaderPos.Segment)
+	// Both sides report the leader's committed position. The follower is
+	// connected and caught up, and applied ÷ streams is the records one
+	// exchange carried; the leader applies nothing and has no stream open
+	// between polls.
+	pos, seq := leader.Durable.WAL().Committed()
+	type sample struct {
+		name   string
+		labels map[string]string
+		value  float64
 	}
-	if got, ok := scrape.Value("registry_repl_connected", nil); !ok || got != 1 {
-		t.Fatalf("follower registry_repl_connected = %v (ok=%v)", got, ok)
+	position := []sample{
+		{"registry_repl_position", map[string]string{"part": "segment"}, float64(pos.Segment)},
+		{"registry_repl_position", map[string]string{"part": "offset"}, float64(pos.Offset)},
+		{"registry_repl_position", map[string]string{"part": "seq"}, float64(seq)},
 	}
-	if got, ok := scrape.Value("registry_repl_lag_records", nil); !ok || got != 0 {
-		t.Fatalf("follower registry_repl_lag_records = %v (ok=%v)", got, ok)
+	for _, side := range []struct {
+		name string
+		srv  *httptest.Server
+		want []sample
+	}{
+		{"follower", fsrv, append(position,
+			sample{"registry_repl_lag_records", nil, 0},
+			sample{"registry_repl_lag_seconds", nil, 0},
+			sample{"registry_repl_connected", nil, 1},
+			sample{"registry_repl_applied_total", nil, 1},
+			sample{"registry_repl_streams_total", nil, 1},
+			sample{"registry_repl_errors_total", nil, 0})},
+		{"leader", lsrv, append(position,
+			sample{"registry_repl_connected", nil, 0},
+			sample{"registry_repl_applied_total", nil, 0},
+			sample{"registry_repl_streams_total", nil, 1},
+			sample{"registry_repl_errors_total", nil, 0})},
+	} {
+		scrape := scrapeMetrics(t, side.srv)
+		for _, w := range side.want {
+			if got, ok := scrape.Value(w.name, w.labels); !ok || got != w.value {
+				t.Errorf("%s %s%v = %v (ok=%v), want %v", side.name, w.name, w.labels, got, ok, w.value)
+			}
+		}
 	}
 }

@@ -16,7 +16,9 @@
 //	values      := 'strings', numbers, $named or :named parameters
 //
 // Identifiers may be alias-qualified (s.name). Matching for LIKE uses the
-// same case-insensitive %/_ semantics as the store's name index.
+// same case-insensitive %/_ semantics as the store's name index. Queries
+// arrive from the network, so a predicate may hold at most maxConnectives
+// NOTs, ANDs, ORs and parenthesised groups.
 package sqlq
 
 import (

@@ -103,8 +103,24 @@ func Parse(src string) (*SelectStmt, error) {
 }
 
 type parser struct {
-	toks []token
-	i    int
+	toks        []token
+	i           int
+	connectives int // NOT, AND, OR and parenthesised groups parsed so far
+}
+
+// maxConnectives bounds the boolean connectives of one WHERE clause. The
+// parser recurses once per NOT and per parenthesised group, and the
+// evaluator once per level of the tree they and the AND/OR chains build, so
+// without a bound a request body of a million '(' overflows the goroutine
+// stack — a fatal error no recover catches.
+const maxConnectives = 1000
+
+// connective counts one more connective, the one just accepted.
+func (p *parser) connective() error {
+	if p.connectives++; p.connectives > maxConnectives {
+		return errf(p.peek().pos, "WHERE clause has more than %d connectives", maxConnectives)
+	}
+	return nil
 }
 
 func (p *parser) peek() token { return p.toks[p.i] }
@@ -257,6 +273,9 @@ func (p *parser) parseOr() (Expr, error) {
 		return nil, err
 	}
 	for p.accept(tokKeyword, "OR") {
+		if err := p.connective(); err != nil {
+			return nil, err
+		}
 		r, err := p.parseAnd()
 		if err != nil {
 			return nil, err
@@ -272,6 +291,9 @@ func (p *parser) parseAnd() (Expr, error) {
 		return nil, err
 	}
 	for p.accept(tokKeyword, "AND") {
+		if err := p.connective(); err != nil {
+			return nil, err
+		}
 		r, err := p.parseNot()
 		if err != nil {
 			return nil, err
@@ -283,6 +305,9 @@ func (p *parser) parseAnd() (Expr, error) {
 
 func (p *parser) parseNot() (Expr, error) {
 	if p.accept(tokKeyword, "NOT") {
+		if err := p.connective(); err != nil {
+			return nil, err
+		}
 		e, err := p.parseNot()
 		if err != nil {
 			return nil, err
@@ -295,6 +320,9 @@ func (p *parser) parseNot() (Expr, error) {
 // parsePredicate parses a parenthesized boolean group or a comparison.
 func (p *parser) parsePredicate() (Expr, error) {
 	if p.accept(tokSymbol, "(") {
+		if err := p.connective(); err != nil {
+			return nil, err
+		}
 		e, err := p.parseOr()
 		if err != nil {
 			return nil, err

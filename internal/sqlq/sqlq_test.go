@@ -192,11 +192,21 @@ func TestParseErrors(t *testing.T) {
 		"SELECT * FROM Service WHERE name = $",
 		"SELECT * FROM Service ORDER name",
 		"SELECT * FROM Service WHERE name ~ 'x'",
+		// One connective over the bound, in each of the three shapes that
+		// deepen the tree: unbounded, the first two overflow the parser's
+		// stack and the third the evaluator's.
+		"SELECT * FROM Service WHERE " + strings.Repeat("(", maxConnectives+1) + "name = 'x'" + strings.Repeat(")", maxConnectives+1),
+		"SELECT * FROM Service WHERE " + strings.Repeat("NOT ", maxConnectives+1) + "name = 'x'",
+		"SELECT * FROM Service WHERE name = 'x'" + strings.Repeat(" OR name = 'x'", maxConnectives+1),
 	}
 	for _, q := range bad {
 		if _, err := Parse(q); err == nil {
 			t.Errorf("Parse(%q) accepted", q)
 		}
+	}
+	atTheBound := "SELECT * FROM Service WHERE " + strings.Repeat("NOT ", maxConnectives) + "name = 'x'"
+	if _, err := Exec(catalog(), atTheBound, nil); err != nil {
+		t.Errorf("a WHERE clause of %d connectives: %v", maxConnectives, err)
 	}
 }
 

@@ -23,7 +23,7 @@
 // The dynamic counterpart is `make escapecheck` (cmd/escapecheck), which
 // compiles the annotated packages with -gcflags=-m and diffs the heap
 // escapes inside hotpath functions against ESCAPES_discovery.txt, and
-// the allocs/op gate in BENCH_discovery.json.
+// the allocation budgets of TestDiscoveryAllocBudgets (root package).
 package hotalloc
 
 import (
