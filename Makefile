@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet lint check clean benchmod crashcheck escapecheck escapecheck-emit overloadcheck replcheck fuzzsmoke
+.PHONY: all build test race vet fmt lint check clean benchmod crashcheck escapecheck escapecheck-emit overloadcheck replcheck fuzzsmoke
 
 all: check
 
@@ -16,6 +16,11 @@ race:
 vet:
 	$(GO) vet ./...
 
+# fmt fails on any file gofmt would rewrite, analyzer fixtures included —
+# the same check as CI's gofmt step.
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed on:" >&2; echo "$$out" >&2; exit 1; fi
+
 bin/repolint: $(shell find cmd/repolint tools/analyzers -name '*.go' -not -path '*/testdata/*')
 	$(GO) build -o $@ ./cmd/repolint
 
@@ -28,10 +33,12 @@ lint: bin/repolint
 # crashcheck runs the seeded crash-injection harness under the race
 # detector: every seed tears the in-flight WAL record, or damages the
 # newest checkpoint, at a random byte offset and recovery must reproduce
-# the acknowledged store exactly; zero fill behind the last synced record
-# of the leader's log and of the follower's is cut off like a torn one;
-# plus the boot rule (a boot that loaded a checkpoint writes none) and the
-# refusal to boot from no usable checkpoint.
+# the acknowledged store exactly; and, for the leader's checkpoint family
+# and the follower's alike (internal/wal/journal_test.go), a checkpoint
+# never covers un-synced log, zero fill behind the last synced record is
+# cut off like a torn one, a fallback keeps the checkpoint that loaded and
+# no usable checkpoint refuses the boot; plus the boot rule (a boot that
+# loaded a checkpoint writes none).
 crashcheck:
 	$(GO) test -race -count=1 -run 'Crash|WALEquivalent|Degraded|CheckpointRetention|BootDoesNotCheckpoint' ./internal/wal/ ./internal/registry/ ./internal/repl/
 
@@ -90,7 +97,7 @@ benchmod:
 # check is what a change must pass before review. `go test ./...` includes
 # the discovery allocation budgets (TestDiscoveryAllocBudgets) and the
 # exact-value checks of /registry/metrics (internal/registry's HTTP tests).
-check: build test vet lint benchmod
+check: build test vet fmt lint benchmod
 
 clean:
 	rm -rf bin

@@ -4,15 +4,11 @@
 //
 //	E4.1  BenchmarkPublishOrganization        publish org + service + assoc
 //	E4.2  BenchmarkAddService                  add a service to an org
-//	E4.3  BenchmarkEditServiceDescription      update with constraint text
-//	E4.4  BenchmarkDeleteService               remove with cascade
 //	E4.6  BenchmarkDiscovery/*                 constrained discovery per policy
 //	F3.2  BenchmarkCollectorSweep/*            NodeStatus sweep vs fleet size
 //	H1    BenchmarkMTCWorkload/*               full MTC run per policy
 //	H2    BenchmarkCollectorPeriodSweep/*      imbalance vs collection period
-//	T3.9  BenchmarkAccessRegistryExecute       the XML API round trip
-//	—     BenchmarkConstraintParse, BenchmarkSQLQuery, BenchmarkFilterQuery,
-//	      BenchmarkSOAPRoundTrip, BenchmarkFederatedFind   substrate costs
+//	—     BenchmarkConstraintParse, BenchmarkSOAPRoundTrip   substrate costs
 //
 // Run with: go test -bench=. -benchmem
 //
@@ -35,21 +31,17 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/accessregistry"
 	"repro/internal/admit"
 	"repro/internal/constraint"
 	"repro/internal/core"
-	"repro/internal/federation"
 	"repro/internal/flight"
 	"repro/internal/hostsim"
-	"repro/internal/jaxr"
 	"repro/internal/lbexp"
 	"repro/internal/lcm"
 	"repro/internal/metrics"
 	"repro/internal/mtc"
 	"repro/internal/nodestate"
 	"repro/internal/nodestatus"
-	"repro/internal/qm"
 	"repro/internal/registry"
 	"repro/internal/rim"
 	"repro/internal/simclock"
@@ -106,51 +98,6 @@ func BenchmarkAddService(b *testing.B) {
 		svc.AddBinding(fmt.Sprintf("http://h%d.sdsu.edu/x", i))
 		assoc := rim.NewAssociation(rim.AssocOffersService, org.ID, svc.ID)
 		if err := reg.LCM.SubmitObjects(ctx, svc, assoc); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkEditServiceDescription measures E4.3: updating a service's
-// description to a constraint block.
-func BenchmarkEditServiceDescription(b *testing.B) {
-	reg, ctx := benchRegistry(b, core.PolicyFilter)
-	svc := rim.NewService("Adder", "plain")
-	svc.AddBinding("http://thermo.sdsu.edu/x")
-	if err := reg.LCM.SubmitObjects(ctx, svc); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		up := svc.Clone()
-		up.Description = rim.NewIString(fmt.Sprintf("<constraint><cpuLoad>load ls %d.0</cpuLoad></constraint>", i%9+1))
-		if err := reg.LCM.UpdateObjects(ctx, up); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkDeleteService measures E4.4/E4.5: removing a service with its
-// association cascade.
-func BenchmarkDeleteService(b *testing.B) {
-	reg, ctx := benchRegistry(b, core.PolicyFilter)
-	org := rim.NewOrganization("SDSU")
-	if err := reg.LCM.SubmitObjects(ctx, org); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		svc := rim.NewService(fmt.Sprintf("Del-%d", i), "")
-		svc.AddBinding(fmt.Sprintf("http://h%d.sdsu.edu/x", i))
-		assoc := rim.NewAssociation(rim.AssocOffersService, org.ID, svc.ID)
-		if err := reg.LCM.SubmitObjects(ctx, svc, assoc); err != nil {
-			b.Fatal(err)
-		}
-		b.StartTimer()
-		if err := reg.LCM.RemoveObjects(ctx, svc.ID); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -498,42 +445,6 @@ func BenchmarkCollectorPeriodSweep(b *testing.B) {
 	}
 }
 
-// BenchmarkAccessRegistryExecute measures the Table 3.9 API round trip:
-// parse action XML, publish, delete.
-func BenchmarkAccessRegistryExecute(b *testing.B) {
-	reg, err := registry.New(registry.Config{Clock: simclock.NewManual(benchEpoch), Policy: core.PolicyFilter})
-	if err != nil {
-		b.Fatal(err)
-	}
-	conn := jaxr.ConnectLocal(reg)
-	creds, _, err := conn.Register("bench", "pw", rim.PersonName{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := conn.Login(creds); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		xmlDoc := fmt.Sprintf(`<root>
-		  <action type="publish"><organization><name>BenchOrg-%d</name>
-		    <service><name>BenchSvc-%d</name>
-		      <accessuri>http://thermo.sdsu.edu:8080/x</accessuri></service>
-		  </organization></action>
-		  <action type="modify"><organization type="delete"><name>BenchOrg-%d</name></organization></action>
-		</root>`, i, i, i)
-		ar, err := accessregistry.NewFromReaders(nil, strings.NewReader(xmlDoc),
-			accessregistry.WithConnection(conn))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := ar.Execute(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkConstraintParse measures the §3.2 parser on the thesis's block.
 func BenchmarkConstraintParse(b *testing.B) {
 	desc := `Adder <constraint><cpuLoad>load ls 1.0</cpuLoad><memory>memory gr 3GB</memory>` +
@@ -542,54 +453,6 @@ func BenchmarkConstraintParse(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, _, err := constraint.FromDescription(desc); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSQLQuery measures the AdhocQuery SQL path over a populated
-// registry.
-func BenchmarkSQLQuery(b *testing.B) {
-	reg, ctx := benchRegistry(b, core.PolicyStock)
-	for i := 0; i < 500; i++ {
-		svc := rim.NewService(fmt.Sprintf("Svc-%03d", i), "d")
-		svc.AddBinding(fmt.Sprintf("http://h%03d.sdsu.edu/x", i))
-		if err := reg.LCM.SubmitObjects(ctx, svc); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		resp, err := reg.QM.SubmitAdhocQuery(qm.AdhocQueryRequest{
-			Query: "SELECT s.id, s.name FROM Service s WHERE s.name LIKE 'Svc-1%' ORDER BY s.name LIMIT 20",
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if resp.TotalResultsCount == 0 {
-			b.Fatal("no results")
-		}
-	}
-}
-
-// BenchmarkFilterQuery measures the XML FilterQuery path on the same data.
-func BenchmarkFilterQuery(b *testing.B) {
-	reg, ctx := benchRegistry(b, core.PolicyStock)
-	for i := 0; i < 500; i++ {
-		if err := reg.LCM.SubmitObjects(ctx, rim.NewOrganization(fmt.Sprintf("Org-%03d", i))); err != nil {
-			b.Fatal(err)
-		}
-	}
-	query := `<FilterQuery target="Organization"><Clause leftArgument="name" comparator="LIKE" rightArgument="Org-1%"/></FilterQuery>`
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		resp, err := reg.QM.SubmitAdhocQuery(qm.AdhocQueryRequest{Syntax: qm.SyntaxFilter, Query: query})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if resp.TotalResultsCount == 0 {
-			b.Fatal("no results")
 		}
 	}
 }
@@ -617,41 +480,6 @@ func BenchmarkSOAPRoundTrip(b *testing.B) {
 		var resp registry.GetObjectResponse
 		if err := soap.Post(client, srv.URL+"/soap/registry", &regReq{Get: &registry.GetObjectRequest{ID: svc.ID}}, &resp); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFederatedFind measures a two-member federated search (one
-// local member, one remote over HTTP).
-func BenchmarkFederatedFind(b *testing.B) {
-	regA, ctxA := benchRegistry(b, core.PolicyStock)
-	regB, ctxB := benchRegistry(b, core.PolicyStock)
-	for i := 0; i < 100; i++ {
-		if err := regA.LCM.SubmitObjects(ctxA, rim.NewOrganization(fmt.Sprintf("FedOrg-A-%02d", i))); err != nil {
-			b.Fatal(err)
-		}
-		if err := regB.LCM.SubmitObjects(ctxB, rim.NewOrganization(fmt.Sprintf("FedOrg-B-%02d", i))); err != nil {
-			b.Fatal(err)
-		}
-	}
-	srv := httptest.NewServer(regB.Handler())
-	defer srv.Close()
-	fed, err := federation.New(
-		federation.Member{Name: "a", Conn: jaxr.ConnectLocal(regA)},
-		federation.Member{Name: "b", Conn: jaxr.Connect(srv.URL, srv.Client())},
-	)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		results, err := fed.Find("Organization", "FedOrg-%")
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(results) != 200 {
-			b.Fatalf("results = %d", len(results))
 		}
 	}
 }

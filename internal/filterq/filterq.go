@@ -197,7 +197,7 @@ func compare(left sqlq.Value, comp, right string) (bool, error) {
 	switch comp {
 	case "LIKE", "NOTLIKE":
 		ls := fmt.Sprintf("%v", left)
-		m := likeMatch(strings.ToLower(ls), strings.ToLower(right))
+		m := sqlq.LikeMatch(ls, right)
 		if comp == "NOTLIKE" {
 			return !m, nil
 		}
@@ -250,30 +250,4 @@ func toNumber(v sqlq.Value) (float64, bool) {
 	default:
 		return 0, false
 	}
-}
-
-// likeMatch applies %/_ pattern matching (inputs already lower-cased).
-func likeMatch(s, p string) bool {
-	var si, pi int
-	star, starSi := -1, 0
-	for si < len(s) {
-		switch {
-		case pi < len(p) && (p[pi] == '_' || p[pi] == s[si]):
-			si++
-			pi++
-		case pi < len(p) && p[pi] == '%':
-			star, starSi = pi, si
-			pi++
-		case star >= 0:
-			pi = star + 1
-			starSi++
-			si = starSi
-		default:
-			return false
-		}
-	}
-	for pi < len(p) && p[pi] == '%' {
-		pi++
-	}
-	return pi == len(p)
 }

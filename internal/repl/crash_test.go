@@ -10,7 +10,6 @@ package repl
 // each record once and in order.
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -22,8 +21,6 @@ import (
 	"testing"
 
 	"repro/internal/lcm"
-	"repro/internal/simclock"
-	"repro/internal/store"
 	"repro/internal/wal"
 )
 
@@ -127,9 +124,7 @@ func TestReplCrashFollowerRelogEverySeed(t *testing.T) {
 
 			// kill -9 and power loss: f is abandoned, and of its local tail
 			// only what a checkpoint or a rotation synced is sure to be there.
-			f.mu.Lock()
-			covered := f.ckptLocal
-			f.mu.Unlock()
+			covered := f.journal.CheckpointPos()
 			seg, path, size := localTail(t, fdir)
 			synced := int64(0)
 			if covered.Segment == seg {
@@ -180,73 +175,6 @@ func TestReplCrashFollowerRelogEverySeed(t *testing.T) {
 			}
 			t.Logf("local tail %d bytes, %d synced, %d after the crash; died at %s, resumed at %s, %d re-sent, %d re-bootstraps",
 				size, synced, left, resumeFrom, at, st.AppliedTotal, st.Rebootstraps)
-		})
-	}
-}
-
-// TestReplCrashZeroFilledLocalTail is wal's zero-fill case on the
-// follower's local log, which is synced least of all: behind the last
-// record that reached the disk the tail may read back as zeros, each eight
-// of them a well-formed empty frame. The restarted follower cuts them off,
-// holds exactly what it had applied up to there, and converges.
-func TestReplCrashZeroFilledLocalTail(t *testing.T) {
-	for _, fill := range []int{8, 64, 4096} {
-		fill := fill
-		t.Run(fmt.Sprintf("zeros=%d", fill), func(t *testing.T) {
-			t.Parallel()
-			n := newLeaderNode(t, t.TempDir(), wal.DurableOptions{Log: wal.Options{Fsync: wal.FsyncNever}})
-			defer n.d.Close()
-			for i := 0; i < 4; i++ {
-				n.submit(fmt.Sprintf("before-%d", i))
-			}
-			if err := n.d.Checkpoint(); err != nil {
-				t.Fatal(err)
-			}
-			srv := httptest.NewServer(n.handler())
-			defer srv.Close()
-
-			fdir := t.TempDir()
-			ctx := context.Background()
-			f := newFollower(t, fdir, srv.URL, srv.Client(), nil)
-			if err := f.Bootstrap(ctx); err != nil {
-				t.Fatal(err)
-			}
-			for i := 0; i < 5; i++ {
-				n.submit(fmt.Sprintf("shipped-%d", i))
-			}
-			catchUp(t, f, n)
-			applied := saveBytes(t, f.store)
-
-			// Power loss: f is abandoned and its local tail ends in zeros.
-			_, path, size := localTail(t, fdir)
-			tail, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o666)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := tail.Write(make([]byte, fill)); err != nil {
-				t.Fatal(err)
-			}
-			if err := tail.Close(); err != nil {
-				t.Fatal(err)
-			}
-
-			f2, err := OpenFollower(fdir, store.New(), FollowerOptions{
-				LeaderURL: srv.URL, Clock: simclock.NewManual(t0), Client: srv.Client(), PollWait: -1,
-			})
-			if err != nil {
-				t.Fatalf("restart refused over %d zero bytes holding no record: %v", fill, err)
-			}
-			defer f2.Close()
-			if got := saveBytes(t, f2.store); !bytes.Equal(got, applied) {
-				t.Fatal("restarted follower does not hold what the dead one had applied")
-			}
-			if _, _, after := localTail(t, fdir); after != size {
-				t.Fatalf("local tail is %d bytes after recovery, want the %d before the zero fill", after, size)
-			}
-			n.submit("after")
-			watchOrder(t, f2)
-			catchUp(t, f2, n)
-			assertConverged(t, n, f2)
 		})
 	}
 }

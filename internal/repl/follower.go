@@ -101,28 +101,22 @@ func followerCheckpoints(dir string) wal.CheckpointFiles {
 // Poll) must be driven from a single goroutine; Stats is safe to call
 // from any.
 type Follower struct {
-	files  wal.CheckpointFiles
-	store  *store.Store
-	log    *wal.Log
-	opts   FollowerOptions
-	clock  simclock.Clock
-	slog   *slog.Logger
-	client *http.Client
-	leader string // base URL, trailing slash trimmed
+	journal *wal.Journal
+	store   *store.Store
+	opts    FollowerOptions
+	clock   simclock.Clock
+	slog    *slog.Logger
+	client  *http.Client
+	leader  string // base URL, trailing slash trimmed
 
 	// OnApply is invoked after every applied record and after a snapshot
 	// bootstrap — wire it to the registry's post-write cache invalidation
 	// hook before Run.
 	OnApply func()
 
-	mu           sync.Mutex
-	hasState     bool         // guarded by mu — a checkpoint or record survived recovery
-	applied      wal.Position // guarded by mu — leader position just past the last applied record
-	lastSeq      uint64       // guarded by mu — highest local checkpoint sequence ever used
-	ckptSeq      uint64       // guarded by mu — newest usable local checkpoint: the one loaded or last written
-	ckptLocal    wal.Position // guarded by mu — local log position that checkpoint covers
-	recordsSince int          // guarded by mu — local records since last checkpoint
-	bytesSince   int64        // guarded by mu — local bytes since last checkpoint
+	mu       sync.Mutex   // also orders every journal call
+	hasState bool         // guarded by mu — a checkpoint or record survived recovery
+	applied  wal.Position // guarded by mu — leader position just past the last applied record
 
 	appliedSeg   atomic.Uint64
 	appliedOff   atomic.Int64
@@ -134,7 +128,6 @@ type Follower struct {
 	errsTotal    atomic.Int64
 	pollsTotal   atomic.Int64
 	rebootstraps atomic.Int64
-	checkpoints  atomic.Int64
 	progressNano atomic.Int64 // clock time of the last applied record or caught-up poll
 }
 
@@ -169,14 +162,11 @@ func OpenFollower(dir string, s *store.Store, opts FollowerOptions) (*Follower, 
 	if opts.BackoffMax <= 0 {
 		opts.BackoffMax = DefaultBackoffMax
 	}
-	if opts.CheckpointBytes == 0 {
-		opts.CheckpointBytes = wal.DefaultCheckpointBytes
-	}
-	if opts.CheckpointRecords == 0 {
-		opts.CheckpointRecords = wal.DefaultCheckpointRecords
-	}
 	if opts.Log.Clock == nil {
 		opts.Log.Clock = opts.Clock
+	}
+	if opts.Log.Logger == nil {
+		opts.Log.Logger = opts.Logger
 	}
 	if opts.Log.Fsync == wal.FsyncAlways {
 		opts.Log.Fsync = wal.FsyncInterval
@@ -185,14 +175,8 @@ func OpenFollower(dir string, s *store.Store, opts FollowerOptions) (*Follower, 
 	if client == nil {
 		client = &http.Client{Timeout: DefaultClientTimeout}
 	}
-	l, err := wal.Open(dir, opts.Log)
-	if err != nil {
-		return nil, err
-	}
 	f := &Follower{
-		files:  followerCheckpoints(dir),
 		store:  s,
-		log:    l,
 		opts:   opts,
 		clock:  opts.Clock,
 		slog:   obs.OrNop(opts.Logger),
@@ -201,49 +185,33 @@ func OpenFollower(dir string, s *store.Store, opts FollowerOptions) (*Follower, 
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-
-	rec, err := f.files.Recover(s, f.slog)
+	j, rec, err := wal.OpenJournal(followerCheckpoints(dir), s, opts.Log, opts.CheckpointBytes, opts.CheckpointRecords,
+		func(words []uint64) {
+			f.applied = wal.Position{Segment: words[0], Offset: int64(words[1])}
+			f.appliedSeq.Store(words[2])
+		},
+		func(payload []byte) error {
+			rec, err := decodeLocal(payload)
+			if err != nil {
+				return err
+			}
+			if _, err := wal.ApplyRecord(s, rec.Payload); err != nil {
+				return err
+			}
+			f.applied = rec.Pos
+			f.appliedSeq.Store(rec.Seq)
+			return nil
+		})
 	if err != nil {
-		l.Close()
 		return nil, err
 	}
-	f.lastSeq, f.ckptSeq = rec.Newest, rec.Seq
-	if rec.Seq != 0 {
-		f.applied = wal.Position{Segment: rec.Words[0], Offset: int64(rec.Words[1])}
-		f.appliedSeq.Store(rec.Words[2])
-		f.ckptLocal = wal.Position{Segment: rec.Words[3], Offset: int64(rec.Words[4])}
-		f.hasState = true
-	}
-
-	var replayed int64
-	err = l.Replay(f.ckptLocal, func(pos wal.Position, payload []byte) error {
-		rec, err := decodeLocal(payload)
-		if err != nil {
-			return err
-		}
-		if _, err := wal.ApplyRecord(s, rec.Payload); err != nil {
-			return err
-		}
-		f.applied = rec.Pos
-		f.appliedSeq.Store(rec.Seq)
-		replayed++
-		f.recordsSince++
-		f.bytesSince += int64(len(payload))
-		return nil
-	})
-	if err != nil {
-		l.Close()
-		return nil, err
-	}
-	if replayed > 0 {
-		f.hasState = true
-	}
+	f.journal = j
+	f.hasState = rec.Checkpoint != 0 || rec.ReplayedRecords > 0
 	f.appliedSeg.Store(f.applied.Segment)
 	f.appliedOff.Store(f.applied.Offset)
 	f.leaderSeq.Store(f.appliedSeq.Load())
 	f.progressNano.Store(f.clock.Now().UnixNano())
-	f.slog.Info("follower recovery complete",
-		"dir", dir, "applied", f.applied.String(), "replayedRecords", replayed, "objects", s.Len())
+	f.slog.Info("follower recovery complete", "dir", dir, "applied", f.applied.String(), "seq", f.appliedSeq.Load())
 	return f, nil
 }
 
@@ -394,17 +362,15 @@ func (f *Follower) apply(rec wal.StreamRecord) error {
 	}
 	wrapper := encodeLocal(rec)
 	f.mu.Lock()
-	if _, err := f.log.Append(wrapper); err != nil {
+	due, err := f.journal.Append(wrapper)
+	if err != nil {
 		f.mu.Unlock()
 		return err
 	}
 	f.applied = rec.Pos
 	f.appliedSeq.Store(rec.Seq)
-	f.recordsSince++
-	f.bytesSince += int64(len(wrapper))
 	var ckptErr error
-	if (f.opts.CheckpointRecords > 0 && f.recordsSince >= f.opts.CheckpointRecords) ||
-		(f.opts.CheckpointBytes > 0 && f.bytesSince >= f.opts.CheckpointBytes) {
+	if due {
 		ckptErr = f.checkpointLocked()
 	}
 	f.mu.Unlock()
@@ -421,32 +387,10 @@ func (f *Follower) apply(rec wal.StreamRecord) error {
 }
 
 // checkpointLocked writes a local checkpoint of the store at the applied
-// position. The local log is synced first: the checkpoint is made durable
-// and claims to cover the log up to local, so local must not be past what
-// the disk holds (see wal.Durable's checkpoint). Retention mirrors the
-// leader: the previous usable checkpoint stays as the recovery fallback
-// and the local segments it covers are pruned; both best-effort.
+// position: the leader position and sequence number in front of the local
+// log position Journal.Checkpoint stamps.
 func (f *Follower) checkpointLocked() error {
-	if err := f.log.Sync(); err != nil {
-		return err
-	}
-	local := f.log.Pos()
-	seq := f.lastSeq + 1
-	if _, err := f.files.Write(seq, f.store, f.applied.Segment, uint64(f.applied.Offset),
-		f.appliedSeq.Load(), local.Segment, uint64(local.Offset)); err != nil {
-		return err
-	}
-	prevSeq, pruneLocal := f.ckptSeq, f.ckptLocal
-	f.lastSeq, f.ckptSeq, f.ckptLocal = seq, seq, local
-	f.recordsSince, f.bytesSince = 0, 0
-	f.checkpoints.Add(1)
-	if err := f.files.RemoveBelow(prevSeq); err != nil {
-		f.slog.Warn("stale follower checkpoint removal failed", "err", err)
-	}
-	if _, err := f.log.Prune(pruneLocal); err != nil {
-		f.slog.Warn("follower local prune failed", "err", err)
-	}
-	return nil
+	return f.journal.Checkpoint(f.applied.Segment, uint64(f.applied.Offset), f.appliedSeq.Load())
 }
 
 // Run drives the tailer loop until ctx is cancelled: bootstrap if cold,
@@ -528,7 +472,7 @@ func (f *Follower) Close() error {
 			return err
 		}
 	}
-	return f.log.Close()
+	return f.journal.Close()
 }
 
 // FollowerStats is the scrape snapshot for metrics, health, and regctl.
@@ -561,7 +505,7 @@ func (f *Follower) Stats() FollowerStats {
 		ErrorsTotal:  f.errsTotal.Load(),
 		PollsTotal:   f.pollsTotal.Load(),
 		Rebootstraps: f.rebootstraps.Load(),
-		Checkpoints:  f.checkpoints.Load(),
+		Checkpoints:  f.journal.Checkpoints(),
 	}
 	if st.LeaderSeq > st.AppliedSeq {
 		st.LagRecords = int64(st.LeaderSeq - st.AppliedSeq)

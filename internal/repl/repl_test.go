@@ -14,11 +14,13 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log/slog"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -486,12 +488,12 @@ func TestReplLeaderHTTPContract(t *testing.T) {
 	}
 }
 
-// TestReplFollowerCheckpointFallbackKeepsTheGoodFile: the quarantine rule
-// on the follower's own replckpt-* family. A damaged newest local
-// checkpoint is set aside, the older one plus the local log restore the
-// durable applied position, and the next local checkpoint keeps the file
-// that loaded as its fallback — so a second damaged newest still recovers.
-func TestReplFollowerCheckpointFallbackKeepsTheGoodFile(t *testing.T) {
+// TestReplFollowerFailedCheckpointWaitsAThreshold: a local checkpoint that
+// cannot be written costs a log sync and a pass over the whole store, so
+// the follower tries it again a threshold later, not on every record it
+// applies meanwhile. The failure is a non-empty directory planted at the
+// next checkpoint's name: renaming a file over it fails even for root.
+func TestReplFollowerFailedCheckpointWaitsAThreshold(t *testing.T) {
 	n := newLeaderNode(t, t.TempDir(), wal.DurableOptions{})
 	defer n.d.Close()
 	n.submit("gen-0")
@@ -501,57 +503,37 @@ func TestReplFollowerCheckpointFallbackKeepsTheGoodFile(t *testing.T) {
 	srv := httptest.NewServer(n.handler())
 	defer srv.Close()
 
+	const every = 4
 	fdir := t.TempDir()
-	everyFour := func(o *FollowerOptions) { o.CheckpointRecords = 4 }
-	f := newFollower(t, fdir, srv.URL, srv.Client(), everyFour)
+	var logged bytes.Buffer
+	f := newFollower(t, fdir, srv.URL, srv.Client(), func(o *FollowerOptions) {
+		o.CheckpointRecords = every
+		o.Logger = slog.New(slog.NewTextHandler(&logged, nil))
+	})
 	if err := f.Bootstrap(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	files := followerCheckpoints(fdir)
-	damageNewest := func() {
-		t.Helper()
-		seqs, err := files.List()
-		if err != nil || len(seqs) < 2 {
-			t.Fatalf("local checkpoints = %v (%v), want a newest and a fallback", seqs, err)
-		}
-		path := filepath.Join(fdir, files.Name(seqs[len(seqs)-1]))
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		data[len(data)/2] ^= 0x20
-		if err := os.WriteFile(path, data, 0o666); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for round := 0; round < 2; round++ {
-		// Five records past the bootstrap or boot: one threshold checkpoint
-		// and a one-record local tail. The follower is then abandoned.
-		for i := 0; i < 5; i++ {
-			n.submit(fmt.Sprintf("round-%d-%d", round, i))
-		}
-		catchUp(t, f, n)
-		resumeAt := f.Stats().Applied
-		damageNewest()
-
-		f = newFollower(t, fdir, srv.URL, srv.Client(), everyFour)
-		if f.Cold() {
-			t.Fatalf("round %d: follower lost its durable state to one damaged checkpoint", round)
-		}
-		if got := f.Stats().Applied; got != resumeAt {
-			t.Fatalf("round %d: resumes at %s, want %s", round, got, resumeAt)
-		}
-		assertConverged(t, n, f)
-	}
-	if bad, err := files.Quarantined(); err != nil || len(bad) != 2 {
-		t.Fatalf("quarantined = %v (%v), want both damaged files kept", bad, err)
-	}
-	if st := f.Stats(); st.Rebootstraps != 0 {
-		t.Fatalf("fallback should resume by position, not re-bootstrap: %+v", st)
-	}
-	if err := f.Close(); err != nil {
+	// The bootstrap wrote checkpoint 1; number 2 is the one that will fail.
+	if err := os.MkdirAll(filepath.Join(fdir, followerCheckpoints(fdir).Name(2), "in-the-way"), 0o777); err != nil {
 		t.Fatal(err)
 	}
+	for i := 0; i < 2*every+3; i++ {
+		n.submit(fmt.Sprintf("streamed-%d", i))
+	}
+	catchUp(t, f, n)
+	assertConverged(t, n, f)
+	if got := strings.Count(logged.String(), "follower checkpoint failed"); got != 2 {
+		t.Fatalf("%d checkpoint attempts over %d records at threshold %d, want 2:\n%s", got, 2*every+3, every, logged.String())
+	}
+	if st := f.Stats(); st.Checkpoints != 1 || st.LagRecords != 0 || !st.CaughtUp || st.ErrorsTotal != 0 {
+		t.Fatalf("follower after two failed checkpoints: %+v", st)
+	}
+	// Nothing was lost to the failures: the local log still resumes it.
+	f2 := newFollower(t, fdir, srv.URL, srv.Client(), nil)
+	if got := f2.Stats().Applied; got != f.Stats().Applied {
+		t.Fatalf("restart resumes at %s, want %s", got, f.Stats().Applied)
+	}
+	assertConverged(t, n, f2)
 }
 
 // TestReplBootstrapCutShortLeavesTheStore: the follower loads the leader's

@@ -392,7 +392,7 @@ func TestReplFollowerSyncRule(t *testing.T) {
 			if err := f.Bootstrap(context.Background()); err != nil {
 				t.Fatal(err)
 			}
-			base := f.log.Fsyncs() // the bootstrap's local checkpoint
+			base := f.journal.Log().Fsyncs() // the bootstrap's local checkpoint
 			start := clk.Now()
 			for applied := 0; applied < records; {
 				got, err := f.Poll(context.Background())
@@ -402,7 +402,7 @@ func TestReplFollowerSyncRule(t *testing.T) {
 				applied += got
 				clk.Advance(interval / 4)
 			}
-			fsyncs := f.log.Fsyncs() - base
+			fsyncs := f.journal.Log().Fsyncs() - base
 			intervals := int64(clk.Now().Sub(start) / interval)
 			switch policy {
 			case wal.FsyncNever:
@@ -417,11 +417,11 @@ func TestReplFollowerSyncRule(t *testing.T) {
 			}
 			// Close seals it: the final checkpoint syncs the log before it
 			// reads the position it covers, and Close syncs once more.
-			before := f.log.Fsyncs()
+			before := f.journal.Log().Fsyncs()
 			if err := f.Close(); err != nil {
 				t.Fatal(err)
 			}
-			if got := f.log.Fsyncs() - before; got != 2 {
+			if got := f.journal.Log().Fsyncs() - before; got != 2 {
 				t.Fatalf("Close made %d fsyncs, want the checkpoint's and its own", got)
 			}
 		})

@@ -283,7 +283,7 @@ func evalBool(e Expr, row Row, params map[string]Value, resolve resolver) (bool,
 		if !lok || !pok {
 			return false, nil
 		}
-		return likePatternMatch(ls, ps) != v.Negate, nil
+		return LikeMatch(ls, ps) != v.Negate, nil
 	case InExpr:
 		l, err := evalValue(v.Col, row, params, resolve)
 		if err != nil {
@@ -377,8 +377,11 @@ func asString(v Value) (string, bool) {
 	}
 }
 
-// likePatternMatch applies case-insensitive SQL LIKE with % and _.
-func likePatternMatch(s, p string) bool {
+// LikeMatch reports whether s matches the SQL LIKE pattern p (% = any run,
+// _ = any single character), case-insensitively. It is the registry's one
+// LIKE: the SQL and filter query evaluators and the store's name search all
+// call it.
+func LikeMatch(s, p string) bool {
 	s, p = strings.ToLower(s), strings.ToLower(p)
 	var si, pi int
 	star, starSi := -1, 0

@@ -245,7 +245,7 @@ func TestLikeMatchesSQLSemantics(t *testing.T) {
 		{"x", "", false},
 	}
 	for _, c := range cases {
-		if got := likePatternMatch(c.s, c.p); got != c.want {
+		if got := LikeMatch(c.s, c.p); got != c.want {
 			t.Errorf("like(%q, %q) = %v", c.s, c.p, got)
 		}
 	}

@@ -20,6 +20,7 @@ import (
 
 	"repro/internal/constraint"
 	"repro/internal/rim"
+	"repro/internal/sqlq"
 )
 
 // ErrNotFound is returned when an object id does not exist.
@@ -310,36 +311,7 @@ func (s *Store) All() []rim.Object {
 // MatchLike reports whether name matches a SQL LIKE pattern (% = any run,
 // _ = any single character; matching is case-insensitive as in freebXML's
 // Derby collation for names).
-func MatchLike(name, pattern string) bool {
-	return likeMatch(strings.ToLower(name), strings.ToLower(pattern))
-}
-
-func likeMatch(s, p string) bool {
-	// Iterative greedy match with backtracking on '%'.
-	var si, pi int
-	star, starSi := -1, 0
-	for si < len(s) {
-		switch {
-		case pi < len(p) && (p[pi] == '_' || p[pi] == s[si]):
-			si++
-			pi++
-		case pi < len(p) && p[pi] == '%':
-			star = pi
-			starSi = si
-			pi++
-		case star >= 0:
-			pi = star + 1
-			starSi++
-			si = starSi
-		default:
-			return false
-		}
-	}
-	for pi < len(p) && p[pi] == '%' {
-		pi++
-	}
-	return pi == len(p)
-}
+func MatchLike(name, pattern string) bool { return sqlq.LikeMatch(name, pattern) }
 
 // FindByName returns deep copies of objects of type t whose Name matches
 // the LIKE pattern. A pattern without wildcards resolves through the name
@@ -351,9 +323,9 @@ func (s *Store) FindByName(t rim.ObjectType, pattern string) []rim.Object {
 	if !strings.ContainsAny(pattern, "%_") {
 		out = s.collectLocked(s.byName[t][strings.ToLower(pattern)])
 	} else {
-		lowered := strings.ToLower(pattern)
+		lowered := strings.ToLower(pattern) // once, so LikeMatch's own folding finds nothing to do
 		for name, ids := range s.byName[t] {
-			if likeMatch(name, lowered) {
+			if sqlq.LikeMatch(name, lowered) {
 				out = append(out, s.collectLocked(ids)...)
 			}
 		}

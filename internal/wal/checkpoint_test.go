@@ -1,13 +1,13 @@
 package wal
 
 // Checkpoint damage: the seeded harness of crash_test.go turned on the
-// newest checkpoint file instead of the in-flight record, plus the two
-// recovery rules that follow from it — nothing usable refuses the boot,
-// and a fallback keeps the file that really loaded.
+// newest checkpoint file instead of the in-flight record. The two recovery
+// rules that follow from it — nothing usable refuses the boot, a fallback
+// keeps the file that really loaded — hold for either family and are in
+// journal_test.go.
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -27,16 +27,6 @@ func manualOpts(clk simclock.Clock) DurableOptions {
 		CheckpointBytes:   -1,
 		CheckpointRecords: -1,
 	}
-}
-
-func newestCheckpointPath(t *testing.T, dir string) string {
-	t.Helper()
-	files := leaderCheckpoints(dir)
-	seqs, err := files.List()
-	if err != nil || len(seqs) == 0 {
-		t.Fatalf("no checkpoint in %s (%v)", dir, err)
-	}
-	return filepath.Join(dir, files.Name(seqs[len(seqs)-1]))
 }
 
 // damage truncates or flips one byte of the file at a seeded offset; every
@@ -112,7 +102,7 @@ func TestCrashRecoveryDamagedCheckpointEverySeed(t *testing.T) {
 				mu.step()
 			}
 			acknowledged := saveBytes(t, s1)
-			bad := newestCheckpointPath(t, dir)
+			bad := newestCheckpointPath(t, leaderCheckpoints(dir))
 			how := damage(t, rng, bad)
 			// d1 is abandoned without Close: the kill -9.
 
@@ -147,134 +137,6 @@ func TestCrashRecoveryDamagedCheckpointEverySeed(t *testing.T) {
 				t.Fatal("second recovery lost the post-recovery write")
 			}
 		})
-	}
-}
-
-// TestCheckpointRetentionAfterFallback is the regression test for the
-// fallback that destroyed its own rescuer: after recovery fell back to the
-// older checkpoint, the next checkpoint used to count the unreadable newest
-// as "previous", delete the only good file and retain the corrupt one.
-// Damage newest → boot → write past a threshold → damage newest again →
-// the boot must still equal the acknowledged store.
-func TestCheckpointRetentionAfterFallback(t *testing.T) {
-	dir := t.TempDir()
-	clk := simclock.NewManual(time.Unix(1_700_000_000, 0))
-	opts := manualOpts(clk)
-	opts.CheckpointRecords = 4
-	rng := rand.New(rand.NewSource(7))
-
-	s := store.New()
-	d, err := OpenDurable(dir, s, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mgr, ctx := newTestManager(s, clk, d)
-	submit := func(n int, tag string) {
-		t.Helper()
-		for i := 0; i < n; i++ {
-			if err := mgr.SubmitObjects(ctx, rim.NewService(fmt.Sprintf("%s-%d", tag, i), "crash harness service")); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	submit(9, "first") // two threshold checkpoints and a one-record tail
-	if d.Checkpoints() != 2 {
-		t.Fatalf("%d checkpoints after 9 records at threshold 4, want 2", d.Checkpoints())
-	}
-
-	for round := 0; round < 2; round++ {
-		flipByte(t, newestCheckpointPath(t, dir), 40+rng.Int63n(64))
-		s = store.New()
-		if d, err = OpenDurable(dir, s, opts); err != nil {
-			t.Fatalf("round %d: boot after damaging the newest checkpoint: %v", round, err)
-		}
-		mgr, ctx = newTestManager(s, clk, d)
-		// Past the threshold: this writes a new checkpoint, whose retention
-		// pass must keep the one that loaded, not the one that did not.
-		submit(5, fmt.Sprintf("round%d", round))
-		if d.Checkpoints() == 0 {
-			t.Fatalf("round %d: no checkpoint after writing past the threshold", round)
-		}
-	}
-	acknowledged := saveBytes(t, s)
-
-	flipByte(t, newestCheckpointPath(t, dir), 40+rng.Int63n(64))
-	recovered := store.New()
-	if _, err := OpenDurable(dir, recovered, opts); err != nil {
-		t.Fatalf("boot after the third damage: %v", err)
-	}
-	if got := saveBytes(t, recovered); !bytes.Equal(got, acknowledged) {
-		t.Fatal("store recovered after repeated fallback differs from the acknowledged one")
-	}
-	bad, err := leaderCheckpoints(dir).Quarantined()
-	if err != nil || len(bad) != 3 {
-		t.Fatalf("quarantined = %v (%v), want the three damaged files kept", bad, err)
-	}
-}
-
-// TestCrashNoUsableCheckpointRefusesBoot is the regression test for the
-// partial registry: with every checkpoint unreadable, replaying the pruned
-// log onto an empty store used to "recover" a fraction of the acknowledged
-// objects and report success. The boot must be refused with the typed
-// error, and keep being refused — nothing is renamed or deleted.
-func TestCrashNoUsableCheckpointRefusesBoot(t *testing.T) {
-	dir := t.TempDir()
-	clk := simclock.NewManual(time.Unix(1_700_000_000, 0))
-	opts := manualOpts(clk)
-	s := store.New()
-	d, err := OpenDurable(dir, s, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mgr, ctx := newTestManager(s, clk, d)
-	for round := 0; round < 3; round++ {
-		for i := 0; i < 6; i++ {
-			if err := mgr.SubmitObjects(ctx, rim.NewService(fmt.Sprintf("svc-%d-%d", round, i), "")); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := d.Checkpoint(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	files := leaderCheckpoints(dir)
-	seqs, err := files.List()
-	if err != nil || len(seqs) != 2 {
-		t.Fatalf("checkpoints on disk = %v (%v), want 2", seqs, err)
-	}
-	for _, seq := range seqs {
-		if err := os.WriteFile(filepath.Join(dir, files.Name(seq)), []byte("overwritten"), 0o666); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for boot := 0; boot < 2; boot++ {
-		victim := store.New()
-		_, err := OpenDurable(dir, victim, opts)
-		if !errors.Is(err, ErrNoUsableCheckpoint) {
-			t.Fatalf("boot %d: err = %v, want ErrNoUsableCheckpoint", boot, err)
-		}
-		for _, seq := range seqs {
-			if !strings.Contains(err.Error(), files.Name(seq)) {
-				t.Fatalf("boot %d: error does not name %s: %v", boot, files.Name(seq), err)
-			}
-		}
-		if victim.Len() != 0 {
-			t.Fatalf("boot %d: refused boot left %d objects in the store", boot, victim.Len())
-		}
-	}
-	if bad, _ := files.Quarantined(); len(bad) != 0 {
-		t.Fatalf("a refused boot quarantined %v", bad)
-	}
-
-	// A directory holding only format-1 files is refused by name too, not
-	// started empty.
-	legacy := t.TempDir()
-	if err := os.WriteFile(filepath.Join(legacy, "checkpoint-0000000003.json"), []byte(`{"format":1,"segment":1,"offset":0,"snapshot":{}}`), 0o666); err != nil {
-		t.Fatal(err)
-	}
-	_, err = OpenDurable(legacy, store.New(), opts)
-	if !errors.Is(err, ErrNoUsableCheckpoint) || !strings.Contains(err.Error(), "format 1") {
-		t.Fatalf("format-1 directory: err = %v, want ErrNoUsableCheckpoint naming format 1", err)
 	}
 }
 

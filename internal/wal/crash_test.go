@@ -437,153 +437,6 @@ func TestCheckpointRetentionAndPrune(t *testing.T) {
 	}
 }
 
-// TestCrashCheckpointNeverCoversUnsyncedLog: a checkpoint file is durable
-// the moment it exists, so the WAL position it is stamped with must be on
-// disk too. Under -fsync never nothing else syncs the log; if the
-// checkpoint did not, a power loss would leave the tail segment shorter
-// than the stamped position, the rebooted log would append below it, and
-// the recovery after that would skip those records as already covered —
-// acknowledged writes gone without a trace. The power loss is simulated as
-// the harness simulates a torn write: by truncating the tail segment, here
-// to the length that was last fsynced.
-func TestCrashCheckpointNeverCoversUnsyncedLog(t *testing.T) {
-	dir := t.TempDir()
-	clk := simclock.NewManual(time.Unix(1_700_000_000, 0))
-	opts := DurableOptions{
-		// One segment, no automatic checkpoints: the only fsync that can
-		// happen before the crash is the checkpoint's own.
-		Log:               Options{Fsync: FsyncNever, Clock: clk},
-		CheckpointBytes:   -1,
-		CheckpointRecords: -1,
-	}
-	s1 := store.New()
-	d1, err := OpenDurable(dir, s1, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mgr1, ctx1 := newTestManager(s1, clk, d1)
-	for i := 0; i < 10; i++ {
-		if err := mgr1.SubmitObjects(ctx1, rim.NewService(fmt.Sprintf("before-%d", i), "")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var synced int64 // length of the tail segment at its last fsync
-	fsyncs := d1.WAL().Fsyncs()
-	if err := d1.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	seg, size := tailSegment(t, dir)
-	if d1.WAL().Fsyncs() != fsyncs {
-		synced = size
-	}
-	if covers := d1.CheckpointPos(); covers.Segment == seg && covers.Offset > synced {
-		t.Errorf("checkpoint covers %s but only %d bytes of segment %d were ever synced", covers, synced, seg)
-	}
-	// Power loss: d1 is abandoned and the un-synced tail is gone.
-	if err := os.Truncate(filepath.Join(dir, segmentName(seg)), synced); err != nil {
-		t.Fatal(err)
-	}
-
-	s2 := store.New()
-	d2, err := OpenDurable(dir, s2, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mgr2, ctx2 := newTestManager(s2, clk, d2)
-	for i := 0; i < 3; i++ {
-		if err := mgr2.SubmitObjects(ctx2, rim.NewService(fmt.Sprintf("after-%d", i), "")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	acknowledged := saveBytes(t, s2)
-	// kill -9: d2 is abandoned, its log intact in the page cache.
-
-	s3 := store.New()
-	if _, err := OpenDurable(dir, s3, opts); err != nil {
-		t.Fatal(err)
-	}
-	if got := saveBytes(t, s3); !bytes.Equal(got, acknowledged) {
-		t.Fatalf("recovery lost writes acknowledged after the power loss: recovered %d objects, acknowledged %d", s3.Len(), s2.Len())
-	}
-}
-
-// TestCrashZeroFilledTailIsTruncated: bytes of the tail segment that were
-// written but never synced can read back as zeros after a power loss, and
-// eight zero bytes are a well-formed frame — length 0, CRC32C("") = 0. No
-// writer produces an empty record, so nothing acknowledged is in such
-// bytes: recovery cuts them off like any torn tail, reproduces the
-// acknowledged store, and the log goes on from the cut.
-func TestCrashZeroFilledTailIsTruncated(t *testing.T) {
-	for _, fill := range []int{8, 64, 4096} {
-		fill := fill
-		t.Run(fmt.Sprintf("zeros=%d", fill), func(t *testing.T) {
-			t.Parallel()
-			rng := rand.New(rand.NewSource(int64(fill)))
-			dir := t.TempDir()
-			clk := simclock.NewManual(time.Unix(1_700_000_000, 0))
-			opts := DurableOptions{
-				Log:               Options{Fsync: FsyncAlways, SegmentBytes: 2048, Clock: clk},
-				CheckpointBytes:   -1,
-				CheckpointRecords: -1,
-			}
-			s1 := store.New()
-			d1, err := OpenDurable(dir, s1, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			mgr, ctx := newTestManager(s1, clk, d1)
-			mu := &mutator{t: t, rng: rng, mgr: mgr, ctx: ctx}
-			for i := 0; i < 12; i++ {
-				mu.step()
-				if i == 5 {
-					if err := d1.Checkpoint(); err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
-			acknowledged := saveBytes(t, s1)
-			// The power loss: d1 is abandoned, and behind its last synced
-			// record the tail segment reads back as zeros.
-			seg, size := tailSegment(t, dir)
-			path := filepath.Join(dir, segmentName(seg))
-			f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o666)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := f.Write(make([]byte, fill)); err != nil {
-				t.Fatal(err)
-			}
-			if err := f.Close(); err != nil {
-				t.Fatal(err)
-			}
-
-			s2 := store.New()
-			d2, err := OpenDurable(dir, s2, opts)
-			if err != nil {
-				t.Fatalf("boot refused over %d zero bytes holding nothing acknowledged: %v", fill, err)
-			}
-			if got := saveBytes(t, s2); !bytes.Equal(got, acknowledged) {
-				t.Fatal("recovered store differs from the acknowledged one")
-			}
-			if _, after := tailSegment(t, dir); after != size {
-				t.Fatalf("tail segment is %d bytes after recovery, want the %d before the zero fill", after, size)
-			}
-			mgr2, ctx2 := newTestManager(s2, clk, d2)
-			if err := mgr2.SubmitObjects(ctx2, rim.NewService("post-recovery", "")); err != nil {
-				t.Fatal(err)
-			}
-			after := saveBytes(t, s2)
-			s3 := store.New()
-			if _, err := OpenDurable(dir, s3, opts); err != nil {
-				t.Fatal(err)
-			}
-			if got := saveBytes(t, s3); !bytes.Equal(got, after) {
-				t.Fatal("second recovery lost the post-recovery write")
-			}
-		})
-	}
-}
-
 // TestCrashZeroHoleInSealedSegmentIsCorruption: only the tail can be torn.
 // Zeros in the middle of a segment the log moved on from are damage to
 // acknowledged records, and recovery refuses them as it refuses any other.
