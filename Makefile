@@ -38,9 +38,11 @@ lint: bin/repolint
 # never covers un-synced log, zero fill behind the last synced record is
 # cut off like a torn one, a fallback keeps the checkpoint that loaded and
 # no usable checkpoint refuses the boot; plus the boot rule (a boot that
-# loaded a checkpoint writes none).
+# loaded a checkpoint writes none) and the write path's (WritePath: a
+# refused write leaves nothing in the store or the log, nothing served
+# skips the log, and a mutation is visible whole or not at all).
 crashcheck:
-	$(GO) test -race -count=1 -run 'Crash|WALEquivalent|Degraded|CheckpointRetention|BootDoesNotCheckpoint' ./internal/wal/ ./internal/registry/ ./internal/repl/
+	$(GO) test -race -count=1 -run 'Crash|WALEquivalent|Degraded|CheckpointRetention|BootDoesNotCheckpoint|WritePath' ./internal/wal/ ./internal/registry/ ./internal/repl/
 
 # fuzzsmoke runs every native fuzz target for ten seconds: the decoders of
 # bytes read from disk or the network (the SQL parser and the frozen router

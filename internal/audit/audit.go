@@ -1,5 +1,5 @@
 // Package audit maintains the registry's audit trail: every
-// LifeCycleManager action appends AuditableEvent objects recording who did
+// LifeCycleManager action stores an AuditableEvent recording who did
 // what to which objects and when (thesis Fig. 1.18; Table 1.1 "Audit
 // trail: Yes"). Events are themselves registry objects, stored in the same
 // store and queryable through the same catalogs.
@@ -14,13 +14,13 @@ import (
 	"repro/internal/store"
 )
 
-// Trail records events into a store.
+// Trail builds events on a clock and reads them back from a store.
 type Trail struct {
 	store *store.Store
 	clock simclock.Clock
 }
 
-// New creates a trail writing to s, timestamped by clock (nil = real).
+// New creates a trail over s, timestamped by clock (nil = real).
 func New(s *store.Store, clock simclock.Clock) *Trail {
 	if clock == nil {
 		clock = simclock.Real{}
@@ -28,15 +28,11 @@ func New(s *store.Store, clock simclock.Clock) *Trail {
 	return &Trail{store: s, clock: clock}
 }
 
-// Record appends one event covering the affected object ids and returns
-// it. Recording is best-effort: a store failure panics because an
-// unauditable registry violates the spec's mandatory-audit requirement.
-func (t *Trail) Record(kind rim.EventType, userID string, affected ...string) *rim.AuditableEvent {
-	e := rim.NewAuditableEvent(kind, userID, t.clock.Now(), affected...)
-	if err := t.store.Put(e); err != nil {
-		panic("audit: cannot record event: " + err.Error())
-	}
-	return e
+// Event builds the event covering the affected object ids. It is not
+// stored here: the LifeCycleManager puts it last in the mutation it
+// describes, so the event and the write are logged and applied as one.
+func (t *Trail) Event(kind rim.EventType, userID string, affected ...string) *rim.AuditableEvent {
+	return rim.NewAuditableEvent(kind, userID, t.clock.Now(), affected...)
 }
 
 // EventsFor returns the events whose AffectedIDs include objectID, oldest

@@ -11,16 +11,27 @@ import (
 
 var t0 = time.Date(2011, 4, 22, 10, 0, 0, 0, time.UTC)
 
+// record stores the event the trail builds, as the LifeCycleManager does
+// with the mutation the event describes.
+func record(t *testing.T, trail *Trail, kind rim.EventType, userID string, affected ...string) *rim.AuditableEvent {
+	t.Helper()
+	e := trail.Event(kind, userID, affected...)
+	if err := trail.store.Put(e); err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
 func TestRecordAndQuery(t *testing.T) {
 	s := store.New()
 	clk := simclock.NewManual(t0)
 	trail := New(s, clk)
 
-	e1 := trail.Record(rim.EventCreated, "urn:uuid:gold", "urn:uuid:org")
+	e1 := record(t, trail, rim.EventCreated, "urn:uuid:gold", "urn:uuid:org")
 	clk.Advance(time.Second)
-	trail.Record(rim.EventUpdated, "urn:uuid:gold", "urn:uuid:org", "urn:uuid:svc")
+	record(t, trail, rim.EventUpdated, "urn:uuid:gold", "urn:uuid:org", "urn:uuid:svc")
 	clk.Advance(time.Second)
-	trail.Record(rim.EventDeleted, "urn:uuid:admin", "urn:uuid:svc")
+	record(t, trail, rim.EventDeleted, "urn:uuid:admin", "urn:uuid:svc")
 
 	org := trail.EventsFor("urn:uuid:org")
 	if len(org) != 2 || org[0].ID != e1.ID || org[0].EventKind != rim.EventCreated {
@@ -44,7 +55,7 @@ func TestRecordAndQuery(t *testing.T) {
 func TestEventsArePersistedObjects(t *testing.T) {
 	s := store.New()
 	trail := New(s, simclock.NewManual(t0))
-	e := trail.Record(rim.EventApproved, "urn:uuid:u", "urn:uuid:x")
+	e := record(t, trail, rim.EventApproved, "urn:uuid:u", "urn:uuid:x")
 	got, err := s.Get(e.ID)
 	if err != nil {
 		t.Fatal(err)
@@ -58,7 +69,7 @@ func TestOrderingStableAtSameTimestamp(t *testing.T) {
 	s := store.New()
 	trail := New(s, simclock.NewManual(t0))
 	for i := 0; i < 5; i++ {
-		trail.Record(rim.EventUpdated, "urn:uuid:u", "urn:uuid:x")
+		record(t, trail, rim.EventUpdated, "urn:uuid:u", "urn:uuid:x")
 	}
 	got := trail.EventsFor("urn:uuid:x")
 	if len(got) != 5 {

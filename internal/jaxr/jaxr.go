@@ -98,7 +98,8 @@ func (c *Connection) Register(alias, password string, name rim.PersonName) (*aut
 		if err != nil {
 			return nil, "", err
 		}
-		if err := c.local.Store.Put(user); err != nil {
+		// PutDirect, as /soap/auth does: the User row must be in the log.
+		if err := c.local.LCM.PutDirect(user); err != nil {
 			return nil, "", err
 		}
 		return creds, user.ID, nil

@@ -296,3 +296,27 @@ func TestRelocateBothTransports(t *testing.T) {
 		t.Fatal("anonymous relocate accepted")
 	}
 }
+
+// TestWritePathLocalRegisterSurvivesRestart: a localCall registration writes
+// its User row through the log, as /soap/auth does, so the account's row is
+// still there after the registry dies without a shutdown.
+func TestWritePathLocalRegisterSurvivesRestart(t *testing.T) {
+	boot := func(dir string) *registry.Registry {
+		t.Helper()
+		r, err := registry.New(registry.Config{Clock: simclock.NewManual(t0), DataDir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	dir := t.TempDir()
+	_, userID, err := ConnectLocal(boot(dir)).Register("gold", "pw", rim.PersonName{FirstName: "T"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// kill -9: the first registry is abandoned without Close.
+	got, err := boot(dir).Store.Get(userID)
+	if err != nil || got.Base().Name.String() != "gold" {
+		t.Fatalf("the registered user's row after a restart: %v, %v", got, err)
+	}
+}

@@ -19,6 +19,7 @@ import (
 	"log/slog"
 	"strconv"
 	"strings"
+	"sync"
 
 	"repro/internal/audit"
 	"repro/internal/events"
@@ -52,17 +53,19 @@ type Manager struct {
 	// runs with "Versioning off" for its experiments (§3.4.4.1) but the
 	// capability is part of the registry (Table 1.1).
 	Versioning bool
-	// OnWrite, when non-nil, is called after every successful mutation.
-	// The registry wires it to the response cache's write epoch so no
+	// OnWrite, when non-nil, is called after every applied mutation. The
+	// registry wires it to the response cache's write epoch so no
 	// preserialized answer outlives the write.
 	OnWrite func()
 	// Durability, when non-nil, write-ahead-logs every mutation before it
-	// is acknowledged (see the Durability interface). A nil value keeps
-	// the manager purely in-memory with zero overhead.
+	// is applied (see the Durability interface). A nil value keeps the
+	// manager purely in-memory: the same sequence without the append.
 	Durability Durability
 	// Log, when non-nil, receives a structured debug record per
-	// successful mutation (kind, actor, object count).
+	// life-cycle event (kind, actor, object count).
 	Log *slog.Logger
+
+	mu sync.Mutex // the write bracket of a manager without Durability
 }
 
 // New wires a manager over the given store with default policy; trail and
@@ -88,43 +91,85 @@ func (m *Manager) authorize(ctx Context, action xacml.Action, o rim.Object) erro
 	return nil
 }
 
-// record finishes one acknowledged mutation: audit, write-ahead log,
-// cache invalidation, event publication. A durability failure is returned
-// so the operation is not acknowledged to the client.
-func (m *Manager) record(kind rim.EventType, ctx Context, objs ...rim.Object) error {
+// write is one computed registry write: the mutation to log and apply, and
+// what the bus and the debug log are told once it is applied.
+type write struct {
+	Mutation
+	kind rim.EventType // the life-cycle event; "" for a direct or content write, which has none
+	user string
+	objs []rim.Object // what the bus publishes
+}
+
+// event computes the write for one life-cycle event over objs: their
+// post-state (or, for a removal, their ids) with the audit event last, so
+// the trail is logged, replayed and shipped with what it describes.
+func (m *Manager) event(kind rim.EventType, ctx Context, objs ...rim.Object) write {
 	ids := make([]string, len(objs))
 	for i, o := range objs {
 		ids[i] = o.Base().ID
 	}
-	var ev *rim.AuditableEvent
+	w := write{Mutation: Mutation{Op: string(kind)}, kind: kind, user: ctx.UserID, objs: objs}
+	if kind == rim.EventDeleted {
+		w.Deletes = ids
+	} else {
+		w.Puts = append(w.Puts, objs...)
+	}
 	if m.Trail != nil {
-		ev = m.Trail.Record(kind, ctx.UserID, ids...)
+		w.Puts = append(w.Puts, m.Trail.Event(kind, ctx.UserID, ids...))
 	}
+	return w
+}
+
+// do runs one registry operation inside the write bracket. compute reads
+// the store and works out what changes — validation, authorization,
+// cascades, the audit event — and changes nothing; each write it returns
+// is then checked, logged, applied and announced, in that order and from
+// here alone, so the store is a replay of the log by construction and
+// whatever refuses a write refuses it before anything is logged. A
+// logging failure is returned, so the operation is not acknowledged.
+func (m *Manager) do(compute func() ([]write, error)) error {
 	if m.Durability != nil {
-		mut := Mutation{Op: string(kind)}
-		if kind == rim.EventDeleted {
-			mut.Deletes = ids
-		} else {
-			mut.Puts = append(mut.Puts, objs...)
+		if err := m.Durability.BeginWrite(); err != nil {
+			return fmt.Errorf("lcm: %w", err)
 		}
-		// The audit event is itself a stored object; log it with the
-		// mutation so the trail survives recovery too.
-		if ev != nil {
-			mut.Puts = append(mut.Puts, ev)
+		defer m.Durability.EndWrite()
+	} else {
+		m.mu.Lock()
+		defer m.mu.Unlock()
+	}
+	writes, err := compute()
+	if err != nil {
+		return err
+	}
+	changes := make([]store.Change, len(writes))
+	for i, w := range writes {
+		owned, err := store.Admit(w.Puts...)
+		if err != nil {
+			return fmt.Errorf("lcm: %s: %w", w.Op, err)
 		}
-		if err := m.commit(mut); err != nil {
-			return err
+		changes[i] = store.Change{Puts: owned, Deletes: w.Deletes,
+			ContentPutID: w.ContentPutID, Content: w.Content, ContentDeleteID: w.ContentDeleteID}
+	}
+	for i, w := range writes {
+		if m.Durability != nil {
+			if err := m.Durability.Commit(w.Mutation); err != nil {
+				return fmt.Errorf("lcm: %s not durable: %w", w.Op, err)
+			}
 		}
-	}
-	if m.OnWrite != nil {
-		m.OnWrite()
-	}
-	if m.Bus != nil {
-		m.Bus.Publish(kind, objs...)
-	}
-	if m.Log != nil {
-		m.Log.Debug("lifecycle event",
-			"event", string(kind), "user", ctx.UserID, "objects", len(objs))
+		m.Store.Apply(changes[i])
+		if m.OnWrite != nil {
+			m.OnWrite()
+		}
+		if w.kind == "" {
+			continue
+		}
+		if m.Bus != nil {
+			m.Bus.Publish(w.kind, w.objs...)
+		}
+		if m.Log != nil {
+			m.Log.Debug("lifecycle event",
+				"event", string(w.kind), "user", w.user, "objects", len(w.objs))
+		}
 	}
 	return nil
 }
@@ -143,37 +188,31 @@ func (m *Manager) SubmitObjects(ctx Context, objs ...rim.Object) error {
 // submitObjects is the shared implementation behind SubmitObjects and
 // SubmitObjectsCtx.
 func (m *Manager) submitObjects(ctx Context, objs ...rim.Object) error {
-	end, err := m.beginWrite()
-	if err != nil {
-		return err
-	}
-	defer end()
-	for _, o := range objs {
-		b := o.Base()
-		if b.Owner == "" {
-			b.Owner = ctx.UserID
-		}
-		if b.Status == "" {
-			b.Status = rim.StatusSubmitted
-		}
-		if v, ok := o.(validator); ok {
-			if err := v.Validate(); err != nil {
-				return fmt.Errorf("lcm: submit: %w", err)
+	return m.do(func() ([]write, error) {
+		batch := make(map[string]bool, len(objs))
+		for _, o := range objs {
+			b := o.Base()
+			if b.Owner == "" {
+				b.Owner = ctx.UserID
 			}
+			if b.Status == "" {
+				b.Status = rim.StatusSubmitted
+			}
+			if v, ok := o.(validator); ok {
+				if err := v.Validate(); err != nil {
+					return nil, fmt.Errorf("lcm: submit: %w", err)
+				}
+			}
+			if err := m.authorize(ctx, xacml.ActionSubmit, o); err != nil {
+				return nil, err
+			}
+			if batch[b.ID] || m.Store.Has(b.ID) {
+				return nil, fmt.Errorf("lcm: submit: %w: %s", store.ErrExists, b.ID)
+			}
+			batch[b.ID] = true
 		}
-		if err := m.authorize(ctx, xacml.ActionSubmit, o); err != nil {
-			return err
-		}
-		if m.Store.Has(b.ID) {
-			return fmt.Errorf("lcm: submit: %w", store.ErrExists)
-		}
-	}
-	for _, o := range objs {
-		if err := m.Store.Insert(o); err != nil {
-			return fmt.Errorf("lcm: submit: %w", err)
-		}
-	}
-	return m.record(rim.EventCreated, ctx, objs...)
+		return []write{m.event(rim.EventCreated, ctx, objs...)}, nil
+	})
 }
 
 // UpdateObjects replaces previously submitted objects. The stored owner
@@ -186,47 +225,35 @@ func (m *Manager) UpdateObjects(ctx Context, objs ...rim.Object) error {
 // updateObjects is the shared implementation behind UpdateObjects and
 // UpdateObjectsCtx.
 func (m *Manager) updateObjects(ctx Context, objs ...rim.Object) error {
-	end, err := m.beginWrite()
-	if err != nil {
-		return err
-	}
-	defer end()
-	prepared := make([]rim.Object, 0, len(objs))
-	for _, o := range objs {
-		b := o.Base()
-		existing, err := m.Store.Get(b.ID)
-		if err != nil {
-			return fmt.Errorf("lcm: update: %w", err)
-		}
-		if err := m.authorize(ctx, xacml.ActionUpdate, existing); err != nil {
-			return err
-		}
-		// Preserve server-controlled metadata.
-		b.Owner = existing.Base().Owner
-		b.Status = existing.Base().Status
-		b.Version = existing.Base().Version
-		if m.Versioning {
-			b.Version.VersionName = bumpVersion(b.Version.VersionName)
-		}
-		if v, ok := o.(validator); ok {
-			if err := v.Validate(); err != nil {
-				return fmt.Errorf("lcm: update: %w", err)
+	return m.do(func() ([]write, error) {
+		for _, o := range objs {
+			b := o.Base()
+			existing, err := m.Store.Get(b.ID)
+			if err != nil {
+				return nil, fmt.Errorf("lcm: update: %w", err)
+			}
+			if err := m.authorize(ctx, xacml.ActionUpdate, existing); err != nil {
+				return nil, err
+			}
+			// Preserve server-controlled metadata.
+			b.Owner = existing.Base().Owner
+			b.Status = existing.Base().Status
+			b.Version = existing.Base().Version
+			if m.Versioning {
+				b.Version.VersionName = bumpVersion(b.Version.VersionName)
+			}
+			if v, ok := o.(validator); ok {
+				if err := v.Validate(); err != nil {
+					return nil, fmt.Errorf("lcm: update: %w", err)
+				}
 			}
 		}
-		prepared = append(prepared, o)
-	}
-	for _, o := range prepared {
-		if err := m.Store.Put(o); err != nil {
-			return fmt.Errorf("lcm: update: %w", err)
+		writes := []write{m.event(rim.EventUpdated, ctx, objs...)}
+		if m.Versioning {
+			writes = append(writes, m.event(rim.EventVersioned, ctx, objs...))
 		}
-	}
-	if err := m.record(rim.EventUpdated, ctx, prepared...); err != nil {
-		return err
-	}
-	if m.Versioning {
-		return m.record(rim.EventVersioned, ctx, prepared...)
-	}
-	return nil
+		return writes, nil
+	})
 }
 
 // bumpVersion increments the minor component of "major.minor"; unparseable
@@ -243,40 +270,32 @@ func bumpVersion(v string) string {
 
 // setStatus drives one life-cycle transition for a batch of ids.
 func (m *Manager) setStatus(ctx Context, action xacml.Action, kind rim.EventType, want rim.Status, allowedFrom []rim.Status, ids ...string) error {
-	end, err := m.beginWrite()
-	if err != nil {
-		return err
-	}
-	defer end()
-	var changed []rim.Object
-	for _, id := range ids {
-		o, err := m.Store.Get(id)
-		if err != nil {
-			return fmt.Errorf("lcm: %s: %w", kind, err)
-		}
-		if err := m.authorize(ctx, action, o); err != nil {
-			return err
-		}
-		from := o.Base().Status
-		ok := false
-		for _, s := range allowedFrom {
-			if from == s {
-				ok = true
-				break
+	return m.do(func() ([]write, error) {
+		var changed []rim.Object
+		for _, id := range ids {
+			o, err := m.Store.Get(id)
+			if err != nil {
+				return nil, fmt.Errorf("lcm: %s: %w", kind, err)
 			}
+			if err := m.authorize(ctx, action, o); err != nil {
+				return nil, err
+			}
+			from := o.Base().Status
+			ok := false
+			for _, s := range allowedFrom {
+				if from == s {
+					ok = true
+					break
+				}
+			}
+			if !ok {
+				return nil, fmt.Errorf("%w: %s -> %s for %s", ErrInvalidState, from, want, id)
+			}
+			o.Base().Status = want
+			changed = append(changed, o)
 		}
-		if !ok {
-			return fmt.Errorf("%w: %s -> %s for %s", ErrInvalidState, from, want, id)
-		}
-		o.Base().Status = want
-		changed = append(changed, o)
-	}
-	for _, o := range changed {
-		if err := m.Store.Put(o); err != nil {
-			return fmt.Errorf("lcm: %s: %w", kind, err)
-		}
-	}
-	return m.record(kind, ctx, changed...)
+		return []write{m.event(kind, ctx, changed...)}, nil
+	})
 }
 
 // ApproveObjects moves Submitted (or re-approves Deprecated via
@@ -303,144 +322,117 @@ func (m *Manager) UndeprecateObjects(ctx Context, ids ...string) error {
 // Services are deleted with it, and associations touching any removed
 // object are removed too.
 func (m *Manager) RemoveObjects(ctx Context, ids ...string) error {
-	end, err := m.beginWrite()
-	if err != nil {
-		return err
-	}
-	defer end()
-	// Expand the target set by cascades first so authorization covers
-	// every object actually removed.
-	targets := make(map[string]rim.Object)
-	var order []string
-	add := func(id string) error {
-		if _, seen := targets[id]; seen {
+	return m.do(func() ([]write, error) {
+		// Expand the target set by cascades first so authorization covers
+		// every object actually removed.
+		seen := make(map[string]bool)
+		var removed []rim.Object
+		add := func(id string) error {
+			if seen[id] {
+				return nil
+			}
+			o, err := m.Store.Get(id)
+			if err != nil {
+				return err
+			}
+			seen[id] = true
+			removed = append(removed, o)
 			return nil
 		}
-		o, err := m.Store.Get(id)
-		if err != nil {
-			return err
+		for _, id := range ids {
+			if err := add(id); err != nil {
+				return nil, fmt.Errorf("lcm: remove: %w", err)
+			}
 		}
-		targets[id] = o
-		order = append(order, id)
-		return nil
-	}
-	for _, id := range ids {
-		if err := add(id); err != nil {
-			return fmt.Errorf("lcm: remove: %w", err)
-		}
-	}
-	// Cascade Organization -> offered Services.
-	for i := 0; i < len(order); i++ {
-		o := targets[order[i]]
-		if o.Base().ObjectType == rim.TypeOrganization {
-			for _, a := range m.Store.AssociationsFrom(o.Base().ID) {
-				if a.AssociationType != rim.AssocOffersService {
-					continue
-				}
-				if err := add(a.TargetID); err != nil && !errors.Is(err, store.ErrNotFound) {
-					return fmt.Errorf("lcm: remove cascade: %w", err)
+		// Cascade Organization -> offered Services.
+		for i := 0; i < len(removed); i++ {
+			o := removed[i]
+			if o.Base().ObjectType == rim.TypeOrganization {
+				for _, a := range m.Store.AssociationsFrom(o.Base().ID) {
+					if a.AssociationType != rim.AssocOffersService {
+						continue
+					}
+					if err := add(a.TargetID); err != nil && !errors.Is(err, store.ErrNotFound) {
+						return nil, fmt.Errorf("lcm: remove cascade: %w", err)
+					}
 				}
 			}
 		}
-	}
-	// Cascade: associations dangling from any removed object.
-	for i := 0; i < len(order); i++ {
-		id := order[i]
-		for _, a := range append(m.Store.AssociationsFrom(id), m.Store.AssociationsTo(id)...) {
-			if err := add(a.ID); err != nil && !errors.Is(err, store.ErrNotFound) {
-				return fmt.Errorf("lcm: remove cascade: %w", err)
+		// Cascade: associations dangling from any removed object.
+		for i := 0; i < len(removed); i++ {
+			id := removed[i].Base().ID
+			for _, a := range append(m.Store.AssociationsFrom(id), m.Store.AssociationsTo(id)...) {
+				if err := add(a.ID); err != nil && !errors.Is(err, store.ErrNotFound) {
+					return nil, fmt.Errorf("lcm: remove cascade: %w", err)
+				}
 			}
 		}
-	}
-	// Authorize everything before deleting anything.
-	for _, id := range order {
-		if err := m.authorize(ctx, xacml.ActionRemove, targets[id]); err != nil {
-			return err
+		// Authorize everything before deleting anything.
+		for _, o := range removed {
+			if err := m.authorize(ctx, xacml.ActionRemove, o); err != nil {
+				return nil, err
+			}
 		}
-	}
-	removed := make([]rim.Object, 0, len(order))
-	for _, id := range order {
-		if err := m.Store.Delete(id); err != nil && !errors.Is(err, store.ErrNotFound) {
-			return fmt.Errorf("lcm: remove: %w", err)
-		}
-		removed = append(removed, targets[id])
-	}
-	return m.record(rim.EventDeleted, ctx, removed...)
+		return []write{m.event(rim.EventDeleted, ctx, removed...)}, nil
+	})
 }
 
 // AddSlots adds (or replaces) slots on one object.
 func (m *Manager) AddSlots(ctx Context, id string, slots ...rim.Slot) error {
-	end, err := m.beginWrite()
-	if err != nil {
-		return err
-	}
-	defer end()
-	o, err := m.Store.Get(id)
-	if err != nil {
-		return fmt.Errorf("lcm: addSlots: %w", err)
-	}
-	if err := m.authorize(ctx, xacml.ActionUpdate, o); err != nil {
-		return err
-	}
-	for _, s := range slots {
-		if s.Name == "" {
-			return fmt.Errorf("lcm: addSlots: slot without name")
+	return m.editOne(ctx, "addSlots", id, func(b *rim.RegistryObject) error {
+		for _, s := range slots {
+			if s.Name == "" {
+				return fmt.Errorf("lcm: addSlots: slot without name")
+			}
+			b.SetSlot(s.Name, s.Values...)
 		}
-		o.Base().SetSlot(s.Name, s.Values...)
-	}
-	if err := m.Store.Put(o); err != nil {
-		return fmt.Errorf("lcm: addSlots: %w", err)
-	}
-	return m.record(rim.EventUpdated, ctx, o)
+		return nil
+	})
 }
 
 // RemoveSlots deletes named slots from one object.
 func (m *Manager) RemoveSlots(ctx Context, id string, names ...string) error {
-	end, err := m.beginWrite()
-	if err != nil {
-		return err
-	}
-	defer end()
-	o, err := m.Store.Get(id)
-	if err != nil {
-		return fmt.Errorf("lcm: removeSlots: %w", err)
-	}
-	if err := m.authorize(ctx, xacml.ActionUpdate, o); err != nil {
-		return err
-	}
-	for _, n := range names {
-		o.Base().RemoveSlot(n)
-	}
-	if err := m.Store.Put(o); err != nil {
-		return fmt.Errorf("lcm: removeSlots: %w", err)
-	}
-	return m.record(rim.EventUpdated, ctx, o)
+	return m.editOne(ctx, "removeSlots", id, func(b *rim.RegistryObject) error {
+		for _, n := range names {
+			b.RemoveSlot(n)
+		}
+		return nil
+	})
+}
+
+// editOne is an Updated event over one stored object as edit leaves it.
+func (m *Manager) editOne(ctx Context, op, id string, edit func(*rim.RegistryObject) error) error {
+	return m.do(func() ([]write, error) {
+		o, err := m.Store.Get(id)
+		if err != nil {
+			return nil, fmt.Errorf("lcm: %s: %w", op, err)
+		}
+		if err := m.authorize(ctx, xacml.ActionUpdate, o); err != nil {
+			return nil, err
+		}
+		if err := edit(o.Base()); err != nil {
+			return nil, err
+		}
+		return []write{m.event(rim.EventUpdated, ctx, o)}, nil
+	})
 }
 
 // RelocateObjects retargets the Home registry of the given objects — the
 // RelocateObjectsRequestProtocol (§2.2.3).
 func (m *Manager) RelocateObjects(ctx Context, homeURL string, ids ...string) error {
-	end, err := m.beginWrite()
-	if err != nil {
-		return err
-	}
-	defer end()
-	var moved []rim.Object
-	for _, id := range ids {
-		o, err := m.Store.Get(id)
-		if err != nil {
-			return fmt.Errorf("lcm: relocate: %w", err)
+	return m.do(func() ([]write, error) {
+		var moved []rim.Object
+		for _, id := range ids {
+			o, err := m.Store.Get(id)
+			if err != nil {
+				return nil, fmt.Errorf("lcm: relocate: %w", err)
+			}
+			if err := m.authorize(ctx, xacml.ActionRelocate, o); err != nil {
+				return nil, err
+			}
+			o.Base().Home = homeURL
+			moved = append(moved, o)
 		}
-		if err := m.authorize(ctx, xacml.ActionRelocate, o); err != nil {
-			return err
-		}
-		o.Base().Home = homeURL
-		moved = append(moved, o)
-	}
-	for _, o := range moved {
-		if err := m.Store.Put(o); err != nil {
-			return fmt.Errorf("lcm: relocate: %w", err)
-		}
-	}
-	return m.record(rim.EventRelocated, ctx, moved...)
+		return []write{m.event(rim.EventRelocated, ctx, moved...)}, nil
+	})
 }

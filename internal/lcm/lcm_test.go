@@ -2,6 +2,8 @@ package lcm
 
 import (
 	"errors"
+	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -65,8 +67,51 @@ func TestSubmitRejectsGuestAndInvalidAndDuplicate(t *testing.T) {
 	if err := m.SubmitObjects(ctx, org); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.SubmitObjects(ctx, org); err == nil {
-		t.Fatal("duplicate submit accepted")
+	if err := m.SubmitObjects(ctx, org); !errors.Is(err, store.ErrExists) {
+		t.Fatalf("duplicate submit: %v, want ErrExists", err)
+	}
+	// Nor twice in one batch, and then none of the batch is stored.
+	other, twin := rim.NewOrganization("UCSD"), rim.NewOrganization("twin")
+	twin.ID = other.ID
+	if err := m.SubmitObjects(ctx, other, twin); !errors.Is(err, store.ErrExists) {
+		t.Fatalf("one id twice in a batch: %v, want ErrExists", err)
+	}
+	if m.Store.Has(other.ID) {
+		t.Fatal("a refused batch left its first object behind")
+	}
+}
+
+// TestSubmitConcurrentSameID: the existence check and the insert are one
+// step of the write bracket, so of N racing submissions of one id exactly
+// one wins and the rest get ErrExists — on an in-memory manager too, whose
+// bracket is its own mutex.
+func TestSubmitConcurrentSameID(t *testing.T) {
+	m, s, _, _ := newManager()
+	const goroutines = 16
+	results := make([]error, goroutines)
+	var wg sync.WaitGroup
+	for i := 0; i < goroutines; i++ {
+		o := rim.NewOrganization(fmt.Sprintf("Org-%d", i))
+		o.ID = "urn:uuid:contested"
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			results[i] = m.SubmitObjects(admin(), o)
+		}(i)
+	}
+	wg.Wait()
+	wins := 0
+	for i, err := range results {
+		switch {
+		case err == nil:
+			wins++
+		case errors.Is(err, store.ErrExists):
+		default:
+			t.Fatalf("submit %d: unexpected error %v", i, err)
+		}
+	}
+	if wins != 1 || len(s.ByType(rim.TypeOrganization)) != 1 {
+		t.Fatalf("wins = %d, organizations = %d, want exactly 1", wins, len(s.ByType(rim.TypeOrganization)))
 	}
 }
 

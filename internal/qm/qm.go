@@ -253,22 +253,9 @@ func (m *Manager) SubmitAdhocQuery(req AdhocQueryRequest) (*AdhocQueryResponse, 
 	return resp, nil
 }
 
-// StoreQuery registers a named parameterized query as registry metadata
-// (Table 1.1, "Stored parameterized queries"). It returns the stored
-// AdhocQuery object.
-func (m *Manager) StoreQuery(name, syntax, query string) (*rim.AdhocQuery, error) {
-	q := rim.NewAdhocQuery(name, syntax, query)
-	if err := q.Validate(); err != nil {
-		return nil, err
-	}
-	if err := m.Store.Put(q); err != nil {
-		return nil, err
-	}
-	return q, nil
-}
-
-// InvokeStoredQuery executes a previously stored query by name with the
-// given parameter bindings.
+// InvokeStoredQuery executes a stored parameterized query (Table 1.1) — an
+// AdhocQuery object submitted through the LifeCycleManager like any other
+// — by name with the given parameter bindings.
 func (m *Manager) InvokeStoredQuery(name string, params map[string]sqlq.Value, startIndex, maxResults int) (*AdhocQueryResponse, error) {
 	o, err := m.Store.FindOneByName(rim.TypeAdhocQuery, name)
 	if err != nil {

@@ -201,8 +201,11 @@ func TestNodeStateQueryableViaSQL(t *testing.T) {
 
 func TestStoredQueries(t *testing.T) {
 	m, _, _, _ := fixture()
-	if _, err := m.StoreQuery("FindServicesByName", SyntaxSQL,
-		"SELECT s.id, s.name FROM Service s WHERE s.name LIKE $name ORDER BY s.name"); err != nil {
+	// A stored query is an AdhocQuery object like the fixture's others; how
+	// one gets there through the LCM, the log and a follower is
+	// registry.TestStoredQuerySurvivesRestartAndReplicates.
+	if err := m.Store.Put(rim.NewAdhocQuery("FindServicesByName", SyntaxSQL,
+		"SELECT s.id, s.name FROM Service s WHERE s.name LIKE $name ORDER BY s.name")); err != nil {
 		t.Fatal(err)
 	}
 	resp, err := m.InvokeStoredQuery("FindServicesByName", map[string]sqlq.Value{"name": "Service%"}, 0, 10)
@@ -214,9 +217,6 @@ func TestStoredQueries(t *testing.T) {
 	}
 	if _, err := m.InvokeStoredQuery("Nope", nil, 0, 0); err == nil {
 		t.Fatal("missing stored query invoked")
-	}
-	if _, err := m.StoreQuery("bad", "XQuery", "x"); err == nil {
-		t.Fatal("invalid stored query accepted")
 	}
 }
 

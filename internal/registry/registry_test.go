@@ -454,7 +454,9 @@ func TestNodeStateJSONShape(t *testing.T) {
 func TestC1EbXMLFeatureRows(t *testing.T) {
 	reg := newRegistry(t)
 	// Repository: the registry stores content, not only metadata.
-	reg.Store.PutContent("wsdl-1", []byte("<definitions/>"))
+	if err := reg.LCM.PutContent("wsdl-1", []byte("<definitions/>")); err != nil {
+		t.Errorf("repository: %v", err)
+	}
 	if _, err := reg.Store.GetContent("wsdl-1"); err != nil {
 		t.Errorf("repository: %v", err)
 	}

@@ -209,21 +209,21 @@ func checkDecodesLikeJSON(t *testing.T, kind string, body []byte) (fast bool) {
 	if defect(got) != "" || kindOf(got) != kind {
 		return fast
 	}
-	// What exact promises PutEncoded: a Clone would change nothing.
+	// What exact promises ApplyEncoded: a Clone would change nothing.
 	if exact && !reflect.DeepEqual(rim.CloneObject(got), got) {
 		t.Fatalf("an object reported exact is not its own Clone: %s", encoded)
 	}
-	// PutEncoded stores what Put stores, and that survives Save and Load.
+	// ApplyEncoded stores what Put stores, and that survives Save and Load.
 	viaPut, viaEncoded := New(), New()
 	if err := viaPut.Put(want); err != nil {
 		t.Fatal(err)
 	}
-	if err := viaEncoded.PutEncoded([]Envelope{{Kind: kind, Data: body}}); err != nil {
+	if err := viaEncoded.ApplyEncoded([]Envelope{{Kind: kind, Data: body}}, Change{}); err != nil {
 		t.Fatal(err)
 	}
 	snap := saved(t, viaPut)
 	if !bytes.Equal(saved(t, viaEncoded), snap) {
-		t.Fatalf("PutEncoded and Put(decoded) store different objects for %s", body)
+		t.Fatalf("ApplyEncoded and Put(decoded) store different objects for %s", body)
 	}
 	loaded := New()
 	if err := loaded.Load(bytes.NewReader(snap)); err != nil {
@@ -332,9 +332,19 @@ func TestNullElementIsRejected(t *testing.T) {
 			}
 			ok := thesisService()
 			ok.ID = "urn:uuid:decodes-fine"
-			err = s.PutEncoded([]Envelope{{Kind: "Service", Data: marshal(t, ok)}, {Kind: "Service", Data: body}})
+			doomed := s.ByType(rim.TypeService)[0].Base().ID
+			err = s.ApplyEncoded([]Envelope{{Kind: "Service", Data: marshal(t, ok)}, {Kind: "Service", Data: body}},
+				Change{Deletes: []string{doomed}, ContentPutID: "c-refused", Content: []byte("x")})
 			if err == nil {
-				t.Error("PutEncoded accepted a null element")
+				t.Error("ApplyEncoded accepted a null element")
+			}
+			// And Admit, which stands where the decoder does for a live write.
+			var refused rim.Service
+			if json.Unmarshal(body, &refused) != nil {
+				t.Fatal("the edited service no longer unmarshals")
+			}
+			if _, err := Admit(ok, &refused); err == nil {
+				t.Error("Admit accepted a null element")
 			}
 			if !bytes.Equal(saved(t, s), before) {
 				t.Error("the refused object, or the one beside it, changed the store")

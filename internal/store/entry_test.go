@@ -52,7 +52,7 @@ func TestLoadedStoreEqualsPutBuiltStore(t *testing.T) {
 		}
 	}
 	for id, data := range content {
-		built.PutContent(id, data)
+		built.Apply(Change{ContentPutID: id, Content: data})
 	}
 	var snap bytes.Buffer
 	if err := built.Save(&snap); err != nil {
@@ -145,9 +145,7 @@ func TestViewErrorsAndDigestContent(t *testing.T) {
 	}
 
 	// A deleted service has no entry; one re-put as another kind neither.
-	if err := s.Delete(v.ID); err != nil {
-		t.Fatal(err)
-	}
+	s.Apply(Change{Deletes: []string{v.ID}})
 	if _, err := s.ServiceView(v.ID); err == nil || !strings.Contains(err.Error(), "not found") {
 		t.Fatalf("deleted service: %v", err)
 	}

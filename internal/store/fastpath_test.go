@@ -10,47 +10,6 @@ import (
 	"repro/internal/rim"
 )
 
-// TestInsertConcurrentSameID exercises the check-then-insert path under
-// contention: exactly one of N racing Inserts of the same id may win, the
-// rest must fail with ErrExists (the TOCTOU regression this guards
-// against let two goroutines both pass the existence check).
-func TestInsertConcurrentSameID(t *testing.T) {
-	s := New()
-	const goroutines = 16
-	objs := make([]*rim.Organization, goroutines)
-	for i := range objs {
-		o := rim.NewOrganization(fmt.Sprintf("Org-%d", i))
-		o.ID = "urn:uuid:contested"
-		objs[i] = o
-	}
-	var wg sync.WaitGroup
-	results := make([]error, goroutines)
-	for i := 0; i < goroutines; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			results[i] = s.Insert(objs[i])
-		}(i)
-	}
-	wg.Wait()
-	wins := 0
-	for i, err := range results {
-		switch {
-		case err == nil:
-			wins++
-		case errors.Is(err, ErrExists):
-		default:
-			t.Fatalf("insert %d: unexpected error %v", i, err)
-		}
-	}
-	if wins != 1 {
-		t.Fatalf("wins = %d, want exactly 1", wins)
-	}
-	if s.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", s.Len())
-	}
-}
-
 func TestTableSnapshotLifecycle(t *testing.T) {
 	tab := NewNodeStateTable()
 	now := time.Date(2011, 4, 22, 12, 0, 0, 0, time.UTC)

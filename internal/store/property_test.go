@@ -85,7 +85,7 @@ func TestTypeIndexConsistencyProperty(t *testing.T) {
 				ids = append(ids, svc.ID)
 			case 2:
 				if len(ids) > 0 {
-					s.Delete(ids[int(op)%len(ids)])
+					s.Apply(Change{Deletes: []string{ids[int(op)%len(ids)]}})
 				}
 			}
 		}

@@ -35,16 +35,13 @@ func TestSaveCoherentUnderConcurrentWrites(t *testing.T) {
 			}
 			eo := rim.NewExtrinsicObject("artifact", "text/xml")
 			eo.ContentID = eo.ID
-			s.PutContent(eo.ContentID, []byte("payload"))
+			s.Apply(Change{ContentPutID: eo.ContentID, Content: []byte("payload")})
 			if err := s.Put(eo); err != nil {
 				t.Error(err)
 				return
 			}
-			if err := s.Delete(eo.ID); err != nil {
-				t.Error(err)
-				return
-			}
-			s.DeleteContent(eo.ContentID)
+			s.Apply(Change{Deletes: []string{eo.ID}})
+			s.Apply(Change{ContentDeleteID: eo.ContentID})
 		}
 	}()
 

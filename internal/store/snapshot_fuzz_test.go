@@ -40,7 +40,7 @@ func fixtureStore(tb testing.TB) *Store {
 			tb.Fatal(err)
 		}
 	}
-	s.PutContent("c1", []byte{0, 1, 2, 0xff})
+	s.Apply(Change{ContentPutID: "c1", Content: []byte{0, 1, 2, 0xff}})
 	s.NodeState().Upsert(NodeState{Host: "thermo.sdsu.edu", Load: 0.5, MemoryB: 1 << 30, Updated: time.Date(2011, 4, 22, 2, 0, 0, 0, time.UTC)})
 	return s
 }
@@ -106,7 +106,7 @@ func damagedStreams(tb testing.TB) map[string][]byte {
 func TestSnapshotLoadRejectsDamage(t *testing.T) {
 	for name, data := range damagedStreams(t) {
 		s := fixtureStore(t)
-		s.PutContent("only-in-target", []byte("kept"))
+		s.Apply(Change{ContentPutID: "only-in-target", Content: []byte("kept")})
 		before := saved(t, s)
 		err := s.Load(bytes.NewReader(data))
 		if err == nil {

@@ -26,7 +26,7 @@ import (
 // ErrNotFound is returned when an object id does not exist.
 var ErrNotFound = fmt.Errorf("store: object not found")
 
-// ErrExists is returned by Insert when the id is already present.
+// ErrExists is what a submission of an id that is already stored wraps.
 var ErrExists = fmt.Errorf("store: object already exists")
 
 // Store is the in-memory registry database.
@@ -86,42 +86,82 @@ func (s *Store) Len() int {
 	return len(s.objects)
 }
 
-// Put inserts or replaces the object under its id. The object is cloned;
-// later mutation of o does not affect the store.
-func (s *Store) Put(o rim.Object) error {
-	if o == nil {
-		return fmt.Errorf("store: Put(nil)")
+// Change is one mutation of the tables: what a write-ahead-log record
+// carries, and what Apply makes visible to readers whole or not at all.
+type Change struct {
+	// Puts are full post-state objects, each replacing whatever is stored
+	// under its id. They must come from Admit or from this package's
+	// decoders: Apply indexes them as they are.
+	Puts []rim.Object
+	// Deletes are ids to remove; one that is not stored is skipped, so a
+	// record also covered by a checkpoint applies harmlessly.
+	Deletes []string
+	// ContentPutID/Content store a repository payload, ContentDeleteID
+	// removes one; "" is neither.
+	ContentPutID    string
+	Content         []byte
+	ContentDeleteID string
+}
+
+// Admit returns deep copies of objs for a Change to carry, or says why one
+// of them cannot be stored: it is nil, has no id, or holds a null where a
+// nested object belongs. It is everything that can refuse a write, kept
+// apart from Apply so that a writer checks before it logs and nothing can
+// fail between the log and the tables.
+func Admit(objs ...rim.Object) ([]rim.Object, error) {
+	owned := make([]rim.Object, len(objs))
+	for i, o := range objs {
+		if o == nil {
+			return nil, fmt.Errorf("store: nil object")
+		}
+		if d := defect(o); d != "" {
+			return nil, fmt.Errorf("store: object %s", d)
+		}
+		owned[i] = rim.CloneObject(o)
 	}
-	base := o.Base()
-	if base.ID == "" {
-		return fmt.Errorf("store: object has no id")
-	}
-	c := rim.CloneObject(o)
+	return owned, nil
+}
+
+// Apply is the one place the tables change after boot: the leader's
+// LifeCycleManager, log replay and a follower all end here, under one
+// acquisition of the lock, so a reader sees all of a mutation or none of
+// it. Removals go first — a swap of one id for itself leaves the new
+// object — then the puts in order, then the content.
+func (s *Store) Apply(c Change) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.replaceLocked(c)
-	return nil
-}
-
-// replaceLocked stores o, which the store owns from here on, under its id.
-func (s *Store) replaceLocked(o rim.Object) {
-	id := o.Base().ID
-	if old, ok := s.objects[id]; ok {
-		s.unindexLocked(old)
+	for _, id := range c.Deletes {
+		if o, ok := s.objects[id]; ok {
+			s.unindexLocked(o)
+			delete(s.objects, id)
+		}
 	}
-	s.objects[id] = o
-	s.indexLocked(o)
+	for _, o := range c.Puts {
+		id := o.Base().ID
+		if old, ok := s.objects[id]; ok {
+			s.unindexLocked(old)
+		}
+		s.objects[id] = o
+		s.indexLocked(o)
+	}
+	if c.ContentDeleteID != "" {
+		delete(s.content, c.ContentDeleteID)
+	}
+	if c.ContentPutID != "" {
+		s.content[c.ContentPutID] = append([]byte(nil), c.Content...)
+	}
 }
 
-// PutEncoded is Put for objects still in the form a log record carries
-// them, and the one place a record's bytes become resident objects, as
-// DecodeFrame is for a snapshot's: the store holds what Put would have
-// stored had it been handed each decoded object, but a graph the decoder
-// built value by value is indexed as it is instead of being copied a second
-// time. Nothing is stored unless every envelope decodes.
-func (s *Store) PutEncoded(envs []Envelope) error {
-	objs := make([]rim.Object, len(envs))
-	for i, env := range envs {
+// ApplyEncoded is Apply for a change whose puts are still in the form a
+// log record carries them, and the one place a record's bytes become
+// resident objects, as DecodeFrame is for a snapshot's: the store holds
+// what Admit and Apply would have left had they been handed each decoded
+// object, but a graph the decoder built value by value is indexed as it is
+// instead of being copied a second time. Nothing changes unless every
+// envelope decodes.
+func (s *Store) ApplyEncoded(puts []Envelope, c Change) error {
+	c.Puts = make([]rim.Object, len(puts))
+	for i, env := range puts {
 		o, exact, err := decodeObject(env.Kind, env.Data)
 		if err != nil {
 			return err
@@ -132,35 +172,22 @@ func (s *Store) PutEncoded(envs []Envelope) error {
 		if !exact {
 			o = rim.CloneObject(o)
 		}
-		objs[i] = o
+		c.Puts[i] = o
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, o := range objs {
-		s.replaceLocked(o)
-	}
+	s.Apply(c)
 	return nil
 }
 
-// Insert is Put that fails if the id already exists. The existence check
-// and the insert happen under one critical section, so of two concurrent
-// Inserts of the same id exactly one succeeds.
-func (s *Store) Insert(o rim.Object) error {
-	if o == nil {
-		return fmt.Errorf("store: Insert(nil)")
+// Put inserts or replaces the object under its id. The object is cloned;
+// later mutation of o does not affect the store. It is for the taxonomy
+// seed and for fixtures: a write a registry acknowledges goes through its
+// LifeCycleManager, which logs it first.
+func (s *Store) Put(o rim.Object) error {
+	owned, err := Admit(o)
+	if err != nil {
+		return err
 	}
-	base := o.Base()
-	if base.ID == "" {
-		return fmt.Errorf("store: object has no id")
-	}
-	c := rim.CloneObject(o)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, exists := s.objects[base.ID]; exists {
-		return fmt.Errorf("%w: %s", ErrExists, base.ID)
-	}
-	s.objects[base.ID] = c
-	s.indexLocked(c)
+	s.Apply(Change{Puts: owned})
 	return nil
 }
 
@@ -181,19 +208,6 @@ func (s *Store) Has(id string) bool {
 	defer s.mu.RUnlock()
 	_, ok := s.objects[id]
 	return ok
-}
-
-// Delete removes the object with the given id.
-func (s *Store) Delete(id string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	o, ok := s.objects[id]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrNotFound, id)
-	}
-	s.unindexLocked(o)
-	delete(s.objects, id)
-	return nil
 }
 
 func (s *Store) indexLocked(o rim.Object) {
@@ -518,13 +532,6 @@ func notServiceErr(id string) error {
 	return fmt.Errorf("store: %s is not a service", id)
 }
 
-// PutContent stores a repository payload under the given content id.
-func (s *Store) PutContent(contentID string, data []byte) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.content[contentID] = append([]byte(nil), data...)
-}
-
 // GetContent retrieves a repository payload.
 func (s *Store) GetContent(contentID string) ([]byte, error) {
 	s.mu.RLock()
@@ -534,11 +541,4 @@ func (s *Store) GetContent(contentID string) ([]byte, error) {
 		return nil, fmt.Errorf("%w: content %s", ErrNotFound, contentID)
 	}
 	return append([]byte(nil), data...), nil
-}
-
-// DeleteContent removes a repository payload if present.
-func (s *Store) DeleteContent(contentID string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.content, contentID)
 }

@@ -37,27 +37,53 @@ func TestPutGetIsolation(t *testing.T) {
 	}
 }
 
-func TestInsertConflict(t *testing.T) {
-	s := New()
-	o := rim.NewOrganization("SDSU")
-	if err := s.Insert(o); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Insert(o); !errors.Is(err, ErrExists) {
-		t.Fatalf("second insert: %v", err)
-	}
-	if err := s.Put(o); err != nil {
-		t.Fatalf("Put replace: %v", err)
-	}
-}
-
 func TestGetDeleteNotFound(t *testing.T) {
 	s := New()
 	if _, err := s.Get("urn:uuid:nope"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("Get missing: %v", err)
 	}
-	if err := s.Delete("urn:uuid:nope"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("Delete missing: %v", err)
+	// Deleting it is not an error: a replayed record may name an id that a
+	// covering checkpoint already lacks.
+	s.Apply(Change{Deletes: []string{"urn:uuid:nope"}})
+	if s.Len() != 0 {
+		t.Fatalf("Len = %d after deleting a missing id", s.Len())
+	}
+}
+
+// TestApplyOrder: removals, then puts, then content — so a change that
+// swaps an id for itself leaves the new object, as the leader's
+// SwapDirect always did and replay, which put first, did not.
+func TestApplyOrder(t *testing.T) {
+	s := New()
+	old, gone := rim.NewUser("operator", rim.PersonName{}), rim.NewOrganization("gone")
+	for _, o := range []rim.Object{old, gone} {
+		if err := s.Put(o); err != nil {
+			t.Fatal(err)
+		}
+	}
+	next := rim.NewUser("operator", rim.PersonName{})
+	next.ID = old.ID
+	next.Description = rim.NewIString("second boot")
+	owned, err := Admit(next)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Apply(Change{Puts: owned, Deletes: []string{old.ID, gone.ID, "urn:uuid:never-stored"}, ContentPutID: "c", Content: []byte("x")})
+	got, err := s.Get(old.ID)
+	if err != nil || got.Base().Description.String() != "second boot" {
+		t.Fatalf("the swapped-in object: %v, %v", got, err)
+	}
+	if rows := s.FindByName(rim.TypeUser, "operator"); len(rows) != 1 || s.Has(gone.ID) || s.Len() != 1 {
+		t.Fatalf("%d operator rows, %d objects after the swap, want 1 and 1", len(rows), s.Len())
+	}
+	if _, err := s.GetContent("c"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Admit(next, nil); err == nil {
+		t.Fatal("Admit accepted a nil object")
+	}
+	if _, err := Admit(&rim.Service{}); err == nil {
+		t.Fatal("Admit accepted an object without an id")
 	}
 }
 
@@ -79,9 +105,7 @@ func TestTypeAndOwnerIndexes(t *testing.T) {
 	if got := s.ByOwner("urn:uuid:gold"); len(got) != 2 {
 		t.Fatalf("ByOwner = %d", len(got))
 	}
-	if err := s.Delete(svc.ID); err != nil {
-		t.Fatal(err)
-	}
+	s.Apply(Change{Deletes: []string{svc.ID}})
 	if got := s.ByOwner("urn:uuid:gold"); len(got) != 1 {
 		t.Fatalf("ByOwner after delete = %d", len(got))
 	}
@@ -127,9 +151,7 @@ func TestAssociationIndexes(t *testing.T) {
 	if len(to) != 1 || to[0].SourceID != org.ID {
 		t.Fatalf("AssociationsTo = %+v", to)
 	}
-	if err := s.Delete(a.ID); err != nil {
-		t.Fatal(err)
-	}
+	s.Apply(Change{Deletes: []string{a.ID}})
 	if len(s.AssociationsFrom(org.ID)) != 0 || len(s.AssociationsTo(svc.ID)) != 0 {
 		t.Fatal("association index not cleaned on delete")
 	}
@@ -213,7 +235,7 @@ func TestFindOneByName(t *testing.T) {
 
 func TestContentStore(t *testing.T) {
 	s := New()
-	s.PutContent("c1", []byte("wsdl"))
+	s.Apply(Change{ContentPutID: "c1", Content: []byte("wsdl")})
 	data, err := s.GetContent("c1")
 	if err != nil || string(data) != "wsdl" {
 		t.Fatalf("GetContent: %q, %v", data, err)
@@ -223,7 +245,7 @@ func TestContentStore(t *testing.T) {
 	if string(again) != "wsdl" {
 		t.Fatal("content aliased")
 	}
-	s.DeleteContent("c1")
+	s.Apply(Change{ContentDeleteID: "c1"})
 	if _, err := s.GetContent("c1"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("after delete: %v", err)
 	}
@@ -278,7 +300,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	s.PutContent("c1", []byte{1, 2, 3})
+	s.Apply(Change{ContentPutID: "c1", Content: []byte{1, 2, 3}})
 	s.NodeState().Upsert(NodeState{Host: "thermo.sdsu.edu", Load: 1.25, MemoryB: 42, Updated: time.Date(2011, 4, 22, 2, 0, 0, 0, time.UTC)})
 
 	var buf bytes.Buffer

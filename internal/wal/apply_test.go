@@ -69,7 +69,7 @@ func applyFixture(tb testing.TB) *store.Store {
 			tb.Fatal(err)
 		}
 	}
-	s.PutContent("c1", []byte("old"))
+	s.Apply(store.Change{ContentPutID: "c1", Content: []byte("old")})
 	return s
 }
 

@@ -50,15 +50,17 @@ func newTestManager(s *store.Store, clk simclock.Clock, d *Durable) (*lcm.Manage
 // mutator applies one random acknowledged LCM mutation per step, tracking
 // live object and content ids so every operation it attempts is valid.
 // Invalid life-cycle transitions (approving a deprecated object, …) are
-// tolerated as no-ops: they mutate nothing and append nothing.
+// tolerated as no-ops, and a batch holding one id twice must be refused:
+// either way nothing is mutated and nothing appended.
 type mutator struct {
-	t       *testing.T
-	rng     *rand.Rand
-	mgr     *lcm.Manager
-	ctx     lcm.Context
-	ids     []string
-	content []string
-	n       int
+	t        *testing.T
+	rng      *rand.Rand
+	mgr      *lcm.Manager
+	ctx      lcm.Context
+	ids      []string
+	content  []string
+	operator string // the last user put directly, for the next to supersede
+	n        int
 }
 
 func (mu *mutator) pick() string { return mu.ids[mu.rng.Intn(len(mu.ids))] }
@@ -99,9 +101,19 @@ func (mu *mutator) step() {
 			mu.t.Fatal(err)
 		}
 	}
-	switch mu.rng.Intn(11) {
+	switch mu.rng.Intn(14) {
 	case 0, 1:
 		mu.submit()
+	case 11:
+		a, b := rim.NewService(fmt.Sprintf("twin-%d", mu.n), ""), rim.NewOrganization(fmt.Sprintf("twin-%d", mu.n))
+		b.ID = a.ID
+		if err := mu.mgr.SubmitObjects(mu.ctx, a, b); !errors.Is(err, store.ErrExists) {
+			mu.t.Fatalf("a batch holding %s twice: %v, want ErrExists", a.ID, err)
+		}
+	case 12:
+		if err := mu.mgr.RemoveSlots(mu.ctx, mu.pick(), fmt.Sprintf("slot-%d", 1+mu.rng.Intn(mu.n))); err != nil {
+			mu.t.Fatal(err)
+		}
 	case 2:
 		o, err := mu.mgr.Store.Get(mu.pick())
 		if err != nil {
@@ -146,10 +158,18 @@ func (mu *mutator) step() {
 			mu.content = append(mu.content, id)
 		}
 	default:
+		// As a boot does: the new operator row supersedes the last one, if
+		// there is one and it has not been removed since, in one mutation.
 		u := rim.NewUser(fmt.Sprintf("user-%d", mu.n), rim.PersonName{FirstName: "Crash", LastName: "Tester"})
-		if err := mu.mgr.PutDirect(u); err != nil {
+		var superseded []string
+		if mu.operator != "" {
+			superseded = []string{mu.operator}
+			mu.drop(mu.operator)
+		}
+		if err := mu.mgr.SwapDirect(superseded, u); err != nil {
 			mu.t.Fatal(err)
 		}
+		mu.operator = u.ID
 		mu.ids = append(mu.ids, u.ID)
 	}
 }
@@ -334,6 +354,53 @@ func TestWALEquivalentToSnapshotRoundTrip(t *testing.T) {
 				t.Fatalf("WAL recovery and snapshot round-trip disagree\n wal: %q\nsnap: %q", got, want)
 			}
 		})
+	}
+}
+
+// TestCrashDueCheckpointHoldsItsRecord: a record is appended before it is
+// applied, and the checkpoint its append makes due is stamped as covering
+// it — so that checkpoint waits for the bracket's close, when the store
+// holds the record. Taken where the append reports it, every checkpoint
+// would lack the newest acknowledged object, replay would start behind it,
+// and a kill -9 would lose it.
+func TestCrashDueCheckpointHoldsItsRecord(t *testing.T) {
+	dir := t.TempDir()
+	clk := simclock.NewManual(time.Unix(1_700_000_000, 0))
+	opts := DurableOptions{Log: Options{Fsync: FsyncAlways, Clock: clk}, CheckpointBytes: -1, CheckpointRecords: 1}
+	s1 := store.New()
+	d1, err := OpenDurable(dir, s1, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mgr, ctx := newTestManager(s1, clk, d1)
+	var acknowledged []string
+	for i := 0; i < 5; i++ {
+		svc := rim.NewService(fmt.Sprintf("svc-%d", i), "")
+		if err := mgr.SubmitObjects(ctx, svc); err != nil {
+			t.Fatal(err)
+		}
+		acknowledged = append(acknowledged, svc.ID)
+	}
+	if d1.Checkpoints() != 5 {
+		t.Fatalf("%d checkpoints after 5 records at threshold 1, want 5", d1.Checkpoints())
+	}
+	// d1 is abandoned without Close: the kill -9.
+	s2 := store.New()
+	d2, err := OpenDurable(dir, s2, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d2.WAL().Close()
+	for i, id := range acknowledged {
+		if !s2.Has(id) {
+			t.Errorf("acknowledged submit %d of 5 is gone after recovery", i)
+		}
+	}
+	if rec := d2.Recovery(); rec.ReplayedRecords != 0 {
+		t.Errorf("recovery replayed %d records behind a checkpoint taken after every one", rec.ReplayedRecords)
+	}
+	if !bytes.Equal(saveBytes(t, s2), saveBytes(t, s1)) {
+		t.Error("recovered store differs from the acknowledged one")
 	}
 }
 

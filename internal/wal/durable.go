@@ -34,15 +34,17 @@ type DurableOptions struct {
 
 // Durable is the registry's durability manager: the lcm.Durability
 // implementation over a Journal of the leader's checkpoint family. One
-// mutex serializes every registry write (the BeginWrite/EndWrite bracket)
-// so the log's record order always equals the store's apply order; a
-// disk-write failure flips the registry read-only.
+// mutex serializes every registry write (the BeginWrite/EndWrite bracket,
+// inside which lcm.Manager appends a record and then applies it) so the
+// log's record order always equals the store's apply order; a disk-write
+// failure flips the registry read-only.
 type Durable struct {
 	journal *Journal
 	clock   simclock.Clock
 	slog    *slog.Logger
 
-	mu sync.Mutex // the write bracket; every journal call is made under it
+	mu  sync.Mutex // the write bracket; every journal call is made under it
+	due bool       // inside the bracket only: an append reached a checkpoint threshold
 
 	degraded    atomic.Bool
 	ckptSecBits atomic.Uint64
@@ -77,12 +79,28 @@ func (d *Durable) BeginWrite() error {
 	return nil
 }
 
-// EndWrite closes the bracket opened by a successful BeginWrite.
-func (d *Durable) EndWrite() { d.mu.Unlock() }
+// EndWrite closes the bracket opened by a successful BeginWrite. The
+// checkpoint a Commit inside it made due is taken here: the store has
+// applied every record the bracket appended, which it had not when Commit
+// returned, and the bracket's lock is still held, so neither Checkpoint nor
+// NewestCheckpoint can run between a record's append and its apply.
+func (d *Durable) EndWrite() {
+	due := d.due
+	d.due = false
+	if due && !d.degraded.Load() {
+		// The mutations are durable; a checkpoint failure degrades the
+		// registry (checkpointLocked does) but the writes stand.
+		if err := d.checkpointLocked(); err != nil {
+			d.slog.Error("automatic checkpoint failed", "err", err)
+		}
+	}
+	d.mu.Unlock()
+}
 
 // Commit appends one mutation record inside an open bracket. When it
-// returns nil the record is on disk per the fsync policy and the write
-// may be acknowledged; an append failure degrades the registry.
+// returns nil the record is on disk per the fsync policy, and the caller
+// applies it and may acknowledge the write; an append failure degrades
+// the registry.
 func (d *Durable) Commit(m lcm.Mutation) error {
 	if d.degraded.Load() {
 		return ErrReadOnly
@@ -96,13 +114,7 @@ func (d *Durable) Commit(m lcm.Mutation) error {
 		d.degrade("append", err)
 		return fmt.Errorf("wal: %w: %w", ErrReadOnly, err)
 	}
-	if due {
-		// The mutation itself is durable; a checkpoint failure degrades
-		// the registry (checkpointLocked does) but this write stands.
-		if err := d.checkpointLocked(); err != nil {
-			d.slog.Error("automatic checkpoint failed", "err", err)
-		}
-	}
+	d.due = d.due || due
 	return nil
 }
 

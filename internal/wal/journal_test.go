@@ -4,8 +4,8 @@ package wal
 // below runs once per checkpoint family — the leader's two-word
 // "checkpoint-*" and the follower's five-word "replckpt-*" — over a node
 // that drives the journal the way either owner does: an lcm.Manager whose
-// Durability appends every mutation and checkpoints when Append says one is
-// due. The follower family's owner words say how many records the snapshot
+// Durability appends every mutation and, once it is applied, checkpoints if
+// Append said one is due. The follower family's owner words say how many records the snapshot
 // holds, so "the position the owner resumes at" can be checked as
 // words + replayed = everything acknowledged.
 
@@ -61,6 +61,7 @@ type journalNode struct {
 	stats    RecoveryStats
 	restored []uint64 // the owner words OpenJournal handed back
 	records  uint64   // records the store holds; exact only for a family with owner words
+	due      bool     // an append reached the threshold: EndWrite checkpoints
 }
 
 // openJournalNode recovers dir into a fresh store. every is the record
@@ -94,7 +95,17 @@ func mustOpenJournalNode(t *testing.T, fam journalFamily, dir string, log Option
 }
 
 func (n *journalNode) BeginWrite() error { return nil }
-func (n *journalNode) EndWrite()         {}
+
+// EndWrite takes the checkpoint an append made due, as both owners do: once
+// the store holds the record the checkpoint is stamped as covering.
+func (n *journalNode) EndWrite() {
+	if n.due {
+		n.due = false
+		if err := n.checkpoint(); err != nil {
+			panic(err) // no test makes a checkpoint fail
+		}
+	}
+}
 
 func (n *journalNode) Commit(m lcm.Mutation) error {
 	payload, err := encodeMutation(m)
@@ -106,9 +117,7 @@ func (n *journalNode) Commit(m lcm.Mutation) error {
 		return err
 	}
 	n.records++
-	if due {
-		return n.checkpoint()
-	}
+	n.due = n.due || due
 	return nil
 }
 

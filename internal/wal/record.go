@@ -3,7 +3,6 @@ package wal
 import (
 	"encoding/base64"
 	"encoding/json"
-	"errors"
 	"fmt"
 
 	"repro/internal/jsonscan"
@@ -13,7 +12,7 @@ import (
 
 // walRecord is the JSON payload framed into one WAL record: a logical
 // mutation carrying full post-state (see lcm.Mutation). Replay is
-// idempotent — Puts overwrite, Deletes ignore already-missing ids — so a
+// idempotent — Deletes ignore already-missing ids, Puts overwrite — so a
 // record also covered by a checkpoint applies harmlessly.
 type walRecord struct {
 	Op            string           `json:"op"`
@@ -212,20 +211,14 @@ func ApplyRecord(s *store.Store, payload []byte) ([]string, error) {
 	return nil, rec.apply(s)
 }
 
+// apply makes the record's one call on the store: the puts are decoded
+// there, and the change then goes through Store.Apply, the call the
+// leader's LifeCycleManager made when it wrote the record.
 func (rec *walRecord) apply(s *store.Store) error {
-	if err := s.PutEncoded(rec.Puts); err != nil {
+	err := s.ApplyEncoded(rec.Puts, store.Change{Deletes: rec.Deletes,
+		ContentPutID: rec.ContentPut, Content: rec.Content, ContentDeleteID: rec.ContentDelete})
+	if err != nil {
 		return fmt.Errorf("wal: replay %s: %w", rec.Op, err)
-	}
-	for _, id := range rec.Deletes {
-		if err := s.Delete(id); err != nil && !errors.Is(err, store.ErrNotFound) {
-			return fmt.Errorf("wal: replay %s: %w", rec.Op, err)
-		}
-	}
-	if rec.ContentPut != "" {
-		s.PutContent(rec.ContentPut, rec.Content)
-	}
-	if rec.ContentDelete != "" {
-		s.DeleteContent(rec.ContentDelete)
 	}
 	return nil
 }

@@ -10,7 +10,8 @@
 // Every diagnostic must be matched by an expectation on its line and vice
 // versa; mismatches fail the test with the position of the offender.
 // Fixtures are typechecked with the standard library's source importer,
-// so they may import any stdlib package but nothing else.
+// so they may import any stdlib package, and a sibling fixture package by
+// its directory name, but nothing else.
 package analysistest
 
 import (
@@ -72,7 +73,7 @@ func runOne(t *testing.T, dir, pkgPath string, a *framework.Analyzer) {
 		Selections: make(map[*ast.SelectorExpr]*types.Selection),
 		Implicits:  make(map[ast.Node]types.Object),
 	}
-	conf := types.Config{Importer: importer.ForCompiler(fset, "source", nil)}
+	conf := types.Config{Importer: fixtures{src: filepath.Dir(dir), fset: fset, std: importer.ForCompiler(fset, "source", nil)}}
 	pkg, err := conf.Check(pkgPath, fset, files, info)
 	if err != nil {
 		t.Fatalf("analysistest: typechecking %s: %v", dir, err)
@@ -124,6 +125,27 @@ func runOne(t *testing.T, dir, pkgPath string, a *framework.Analyzer) {
 			t.Errorf("%s:%d: unexpected diagnostic: %s", d.file, d.line, d.msg)
 		}
 	}
+}
+
+// fixtures resolves an import to the sibling fixture package of that name
+// if there is one — the stand-in for a repository package that the fixture
+// under test calls into — and to the standard library otherwise.
+type fixtures struct {
+	src  string
+	fset *token.FileSet
+	std  types.Importer
+}
+
+func (im fixtures) Import(path string) (*types.Package, error) {
+	dir := filepath.Join(im.src, path)
+	if _, err := os.Stat(dir); err != nil {
+		return im.std.Import(path)
+	}
+	files, err := parseDir(im.fset, dir)
+	if err != nil {
+		return nil, err
+	}
+	return (&types.Config{Importer: im}).Check(path, im.fset, files, nil)
 }
 
 func parseDir(fset *token.FileSet, dir string) ([]*ast.File, error) {

@@ -1,5 +1,6 @@
-// Package bannedcall flags uses of standard-library names the repository
-// has a sanctioned replacement for. One table holds the rules; each row
+// Package bannedcall flags uses of names — the standard library's, and one
+// type of the repository's own — that the repository has a sanctioned
+// replacement for. One table holds the rules; each row
 // names the packages it watches, the members it bans (or the only ones it
 // allows), the packages it leaves alone, and the message that says what to
 // use instead. A row's tag is the name the rule had when it was an
@@ -30,6 +31,13 @@
 //     hung host pinned a sweep slot forever (see ISSUE 2). Every constructed
 //     client states its deadline budget; even `Timeout: 0` is accepted,
 //     because writing it proves the unbounded client was chosen.
+//   - storewrite: the registry's tables change in one sequence — compute,
+//     log, apply — inside lcm.Manager, and log replay and the follower apply
+//     the same records through the same store call. A Store.Put from any
+//     other package is a write no log holds: served by the leader, absent
+//     from every follower and gone after a restart. The packages that may
+//     call the mutating methods are the store, the manager, the log, and the
+//     taxonomy seed that the first-boot checkpoint covers.
 //
 // A rule flags the reference, not only the call: passing time.Now or
 // fmt.Println as a value leaks it just as surely. Test files are exempt
@@ -51,7 +59,7 @@ var Analyzer = &framework.Analyzer{
 	Name: "bannedcall",
 	Doc: "flags standard-library uses with a sanctioned replacement: wall-clock reads outside internal/simclock, " +
 		"the global math/rand source, fmt.Print*/log.* output in library packages, " +
-		"and http.Client literals without an explicit Timeout",
+		"http.Client literals without an explicit Timeout, and store.Store writes that bypass the log",
 	Run: run,
 }
 
@@ -61,6 +69,9 @@ type rule struct {
 	tag string
 	// pkgs are the import paths whose members the rule watches.
 	pkgs []string
+	// recv, when set, makes the watched members the methods of this named
+	// type of pkgs, not their package-level names.
+	recv string
 	// names maps a watched member to the replacement its diagnostic names;
 	// "" means the rule's fix. With allowOnly set the sense flips: names
 	// are the only functions and variables of pkgs that may be used.
@@ -127,6 +138,20 @@ var rules = []rule{{
 	literalNeeds: "Timeout",
 	format:       "http.%s literal without an explicit Timeout waits forever on a hung peer; set %s",
 	fix:          "Timeout (0 only if deliberate)",
+}, {
+	tag:   "storewrite",
+	pkgs:  []string{"repro/internal/store", "store"}, // the second is the fixture's
+	recv:  "Store",
+	names: map[string]string{"Put": "", "Apply": "", "ApplyEncoded": ""},
+	exempt: func(p *types.Package) bool {
+		switch path.Base(p.Path()) {
+		case "store", "lcm", "wal", "taxonomy":
+			return true
+		}
+		return false
+	},
+	format: "Store.%s changes the registry's tables behind the write-ahead log; use %s",
+	fix:    "an lcm.Manager operation (PutDirect for a server-managed object)",
 }}
 
 // isMain exempts binaries: they own the process and compose user-facing
@@ -148,8 +173,14 @@ func run(pass *framework.Pass) (interface{}, error) {
 				// happens to share a banned name (logger.Printf) is not a hit.
 				if id, ok := n.X.(*ast.Ident); ok && pass.PkgNameOf(id) != nil {
 					for _, r := range active {
-						if r.literalNeeds == "" {
+						if r.literalNeeds == "" && r.recv == "" {
 							r.check(pass, n, pass.TypesInfo.Uses[n.Sel])
+						}
+					}
+				} else if sel := pass.TypesInfo.Selections[n]; sel != nil && sel.Kind() != types.FieldVal {
+					for _, r := range active {
+						if r.recv != "" && r.recv == recvName(sel.Obj()) {
+							r.check(pass, n, sel.Obj())
 						}
 					}
 				}
@@ -168,6 +199,18 @@ func run(pass *framework.Pass) (interface{}, error) {
 		})
 	}
 	return nil, nil
+}
+
+// recvName returns the name of the type a method is declared on.
+func recvName(method types.Object) string {
+	t := method.Type().(*types.Signature).Recv().Type()
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	if named, ok := t.(*types.Named); ok {
+		return named.Obj().Name()
+	}
+	return ""
 }
 
 // check reports at n when obj is a member the rule bans.

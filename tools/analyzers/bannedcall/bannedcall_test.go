@@ -26,3 +26,7 @@ func TestStructlog(t *testing.T) {
 func TestClientTimeout(t *testing.T) {
 	analysistest.Run(t, analysistest.TestData(t), bannedcall.Analyzer, "clienttimeout")
 }
+
+func TestStoreWrite(t *testing.T) {
+	analysistest.Run(t, analysistest.TestData(t), bannedcall.Analyzer, "storewrite", "store")
+}
