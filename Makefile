@@ -24,9 +24,9 @@ fmt:
 bin/repolint: $(shell find cmd/repolint tools/analyzers -name '*.go' -not -path '*/testdata/*')
 	$(GO) build -o $@ ./cmd/repolint
 
-# lint runs the repo's own invariant analyzers (bannedcall, lockcheck,
-# errwrap, atomicwrite, lockorder, ctxprop, gorolife, hotalloc, deadline,
-# metricnames) over every package via the go vet driver.
+# lint runs the repo's eight invariant analyzers (bannedcall, lockcheck,
+# errwrap, atomicwrite, lockorder, ctxprop, gorolife, hotalloc) over every
+# package via the go vet driver.
 lint: bin/repolint
 	$(GO) vet -vettool=$(CURDIR)/bin/repolint ./...
 

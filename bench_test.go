@@ -133,20 +133,18 @@ func gatedCases() []gatedCase {
 	// The serving edge. A warm REST round trip allocates nothing; SOAP hits
 	// allocate because they run under admit.Wrap's deadline budget.
 	for _, c := range []struct {
-		name      string
-		budget    float64
-		soap      bool
-		miss      bool
-		cacheSize int
+		name   string
+		budget float64
+		soap   bool
+		miss   bool
 	}{
-		{"warm", 0, false, false, 0},
-		{"miss", 17, false, true, 0},
-		{"soap-warm", 16, true, false, 0},
-		{"soap-miss", 21, true, true, 0},
-		{"nocache", 17, false, false, -1},
+		{"warm", 0, false, false},
+		{"miss", 17, false, true},
+		{"soap-warm", 16, true, false},
+		{"soap-miss", 21, true, true},
 	} {
 		cases = append(cases, gatedCase{"BenchmarkHTTPDiscovery", "filter/hosts=8/" + c.name, c.budget,
-			func(tb testing.TB) func() { return httpDiscoveryOp(tb, c.soap, c.miss, c.cacheSize) }})
+			func(tb testing.TB) func() { return httpDiscoveryOp(tb, c.soap, c.miss) }})
 	}
 	return cases
 }
@@ -594,27 +592,22 @@ func (w *benchHTTPWriter) WriteHeader(s int)           { w.status = s }
 // response bytes — with tracing compiled in but unsampled (the
 // production default). The warm variant serves the preserialized entry
 // through admit's FastServe hook, and its budget is 0 allocs/op. miss
-// re-renders every iteration by bumping the write epoch; nocache disables
-// the subsystem. soap-warm and soap-miss are the same two round trips
+// re-renders every iteration by bumping the write epoch. soap-warm and soap-miss are the same two round trips
 // through POST /soap/registry with the canonical GetBindingsRequest
 // envelope a JAXR client sends: scanned, not unmarshalled, and answered
 // from (or rendered into) the same cache.
 func BenchmarkHTTPDiscovery(b *testing.B) { runGated(b, "BenchmarkHTTPDiscovery") }
 
-func httpDiscoveryOp(tb testing.TB, soapBody, miss bool, cacheSize int) func() {
+func httpDiscoveryOp(tb testing.TB, soapBody, miss bool) func() {
 	const hosts = 8
 	reg, err := registry.New(registry.Config{
 		Clock:          simclock.NewManual(benchEpoch),
 		Policy:         core.PolicyFilter,
 		SnapshotMaxAge: 25 * time.Second,
 		Admission:      &admit.Config{}, // production defaults; never sheds at bench load
-		RespCacheSize:  cacheSize,
 	})
 	if err != nil {
 		tb.Fatal(err)
-	}
-	if cacheSize < 0 && reg.RespCache != nil {
-		tb.Fatal("cache built despite negative size")
 	}
 	svc := rim.NewService("Adder", `<constraint><cpuLoad>load ls 1.0</cpuLoad><memory>memory gr 1GB</memory></constraint>`)
 	for i := 0; i < hosts; i++ {

@@ -1,11 +1,10 @@
 // Command repolint is the repository's static-analysis vettool. It runs
-// the ten invariant analyzers — bannedcall (the wallclock, norand,
-// structlog and clienttimeout rules), lockcheck, errwrap, atomicwrite,
-// lockorder, ctxprop, gorolife, hotalloc, deadline, metricnames — over Go
-// packages, enforcing the conventions that keep the registry reproduction
-// deterministic,
-// race-free, fault-tolerant, crash-safe, and observably logged (see
-// DESIGN.md, "Static analysis & invariants").
+// the eight invariant analyzers — bannedcall (the wallclock, norand,
+// structlog, clienttimeout and storewrite rules), lockcheck, errwrap,
+// atomicwrite, lockorder, ctxprop, gorolife, hotalloc — over Go packages,
+// enforcing the conventions that keep the registry reproduction
+// deterministic, race-free, fault-tolerant, crash-safe, and observably
+// logged (see DESIGN.md, "Static analysis & invariants").
 //
 // It speaks the `go vet -vettool` unit-checker protocol, so the usual
 // invocation is
@@ -41,14 +40,12 @@ import (
 	"repro/tools/analyzers/atomicwrite"
 	"repro/tools/analyzers/bannedcall"
 	"repro/tools/analyzers/ctxprop"
-	"repro/tools/analyzers/deadline"
 	"repro/tools/analyzers/errwrap"
 	"repro/tools/analyzers/framework"
 	"repro/tools/analyzers/gorolife"
 	"repro/tools/analyzers/hotalloc"
 	"repro/tools/analyzers/lockcheck"
 	"repro/tools/analyzers/lockorder"
-	"repro/tools/analyzers/metricnames"
 )
 
 // analyzers is the repolint suite, applied to every checked package.
@@ -61,8 +58,6 @@ var analyzers = []*framework.Analyzer{
 	ctxprop.Analyzer,
 	gorolife.Analyzer,
 	hotalloc.Analyzer,
-	deadline.Analyzer,
-	metricnames.Analyzer,
 }
 
 func main() {

@@ -152,10 +152,6 @@ type Config struct {
 	// BrownoutStaleness is the extra NodeState snapshot age tolerated
 	// at TierStale and above (consumed by the registry wiring).
 	BrownoutStaleness time.Duration
-
-	// MaxBodyBytes caps request bodies on admission-wrapped handlers
-	// via http.MaxBytesReader (consumed by the registry wiring).
-	MaxBodyBytes int64
 }
 
 // DefaultConfig returns the production defaults: discovery sized for a
@@ -170,7 +166,6 @@ func DefaultConfig() Config {
 		BrownoutEscalate:  5 * time.Second,
 		BrownoutCalm:      10 * time.Second,
 		BrownoutStaleness: 2 * time.Minute,
-		MaxBodyBytes:      8 << 20,
 	}
 }
 
@@ -222,9 +217,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.BrownoutStaleness <= 0 {
 		c.BrownoutStaleness = d.BrownoutStaleness
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = d.MaxBodyBytes
 	}
 	return c
 }

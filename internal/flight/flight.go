@@ -247,9 +247,7 @@ type sampled struct {
 }
 
 // Ring is the lock-free flight-record ring. The zero value is unusable;
-// build one with NewRing. All methods are safe for concurrent use and
-// safe on a nil receiver (appends and reads become no-ops), so a caller
-// configured without a recorder needs no branches.
+// build one with NewRing. All methods are safe for concurrent use.
 type Ring struct {
 	slots []slot
 	mask  uint64
@@ -274,18 +272,12 @@ func NewRing(size int) *Ring {
 
 // Len reports the ring's record capacity.
 func (r *Ring) Len() int {
-	if r == nil {
-		return 0
-	}
 	return len(r.slots)
 }
 
 // Written reports the total records appended since boot (wrapped records
 // included).
 func (r *Ring) Written() uint64 {
-	if r == nil {
-		return 0
-	}
 	return r.pos.Load()
 }
 
@@ -295,9 +287,6 @@ func (r *Ring) Written() uint64 {
 //
 //repolint:hotpath one flight record is cut on every edge request, cache hits included
 func (r *Ring) Append(rec *Record) {
-	if r == nil {
-		return
-	}
 	n := r.pos.Add(1)
 	rec.Seq = n
 	s := &r.slots[(n-1)&r.mask]
@@ -455,9 +444,6 @@ func (f *Filter) match(rec *Record) bool {
 // at most one ring's worth of history; records overwritten or mid-write
 // during the walk are skipped, not waited for.
 func (r *Ring) Snapshot(f Filter) []Record {
-	if r == nil {
-		return nil
-	}
 	limit := f.Limit
 	if limit <= 0 {
 		limit = 100

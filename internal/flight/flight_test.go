@@ -195,6 +195,28 @@ func TestSampledRecordRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFlightRingWraparound overflows a deliberately tiny ring and checks
+// the ring keeps exactly the newest records, newest first.
+func TestFlightRingWraparound(t *testing.T) {
+	ring := NewRing(8)
+	const appends = 20
+	for i := 0; i < appends; i++ {
+		ring.Append(&Record{Route: RouteBindings})
+	}
+	if ring.Len() != 8 || ring.Written() != appends {
+		t.Fatalf("Len = %d, Written = %d, want 8 and %d", ring.Len(), ring.Written(), appends)
+	}
+	recs := ring.Snapshot(Filter{Limit: 100})
+	if len(recs) != 8 {
+		t.Fatalf("snapshot has %d records, want 8 after wraparound", len(recs))
+	}
+	for i, rec := range recs {
+		if want := uint64(appends - i); rec.Seq != want {
+			t.Fatalf("record %d has seq %d, want %d (newest first)", i, rec.Seq, want)
+		}
+	}
+}
+
 // TestUnsampledAppendAllocs pins the design constraint the stage array
 // must not break: a record without a trace id costs no allocation, sampler
 // consulted or not.

@@ -342,7 +342,7 @@ func (c *Connection) GetObject(id string) (rim.Object, error) {
 // Find lists objects of a kind by name LIKE pattern.
 func (c *Connection) Find(kind, namePattern string) ([]rim.Object, error) {
 	if c.local != nil {
-		t, err := localKind(kind)
+		t, err := registry.KindType(kind)
 		if err != nil {
 			return nil, err
 		}
@@ -361,21 +361,6 @@ func (c *Connection) Find(kind, namePattern string) ([]rim.Object, error) {
 		objs = append(objs, o)
 	}
 	return objs, nil
-}
-
-func localKind(kind string) (rim.ObjectType, error) {
-	switch kind {
-	case "Organization":
-		return rim.TypeOrganization, nil
-	case "Service":
-		return rim.TypeService, nil
-	case "Association":
-		return rim.TypeAssociation, nil
-	case "User":
-		return rim.TypeUser, nil
-	default:
-		return "", fmt.Errorf("jaxr: unsupported kind %q", kind)
-	}
 }
 
 // QueryResult is a syntax-independent ad-hoc query result.

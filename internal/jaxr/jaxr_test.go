@@ -2,6 +2,8 @@ package jaxr
 
 import (
 	"net/http/httptest"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -90,6 +92,52 @@ func TestPublishFindDeleteBothTransports(t *testing.T) {
 				t.Fatal("cascade did not remove service")
 			}
 		})
+	}
+}
+
+// TestFindEveryKindBothTransports: a local and a remote Find resolve kind
+// names through the one table the server uses, so every kind returns the
+// same objects on both, and an unknown kind is refused by both.
+func TestFindEveryKindBothTransports(t *testing.T) {
+	_, conns, cleanup := connections(t)
+	defer cleanup()
+	loginFresh(t, conns["local"], "kinds")
+	org := rim.NewOrganization("KindOrg")
+	svc := rim.NewService("KindService", "")
+	svc.AddBinding("http://thermo.sdsu.edu:8080/Kind/kindService")
+	if _, err := conns["local"].Submit(org, svc, rim.NewAssociation(rim.AssocOffersService, org.ID, svc.ID),
+		rim.NewRegistryPackage("KindPackage"), rim.NewExternalLink("KindLink", "http://example.org/kind"),
+		rim.NewAdhocQuery("KindQuery", "SQL-92", "SELECT s.id FROM Service s")); err != nil {
+		t.Fatal(err)
+	}
+	ids := func(objs []rim.Object) []string {
+		out := make([]string, len(objs))
+		for i, o := range objs {
+			out[i] = o.Base().ID
+		}
+		sort.Strings(out)
+		return out
+	}
+	for _, kind := range []string{"Organization", "Service", "Association", "User", "ClassificationScheme",
+		"ClassificationNode", "RegistryPackage", "ExternalLink", "AdhocQuery"} {
+		local, err := conns["local"].Find(kind, "%")
+		if err != nil {
+			t.Errorf("local Find(%s): %v", kind, err)
+			continue
+		}
+		remote, err := conns["remote"].Find(kind, "%")
+		if err != nil {
+			t.Errorf("remote Find(%s): %v", kind, err)
+			continue
+		}
+		if len(local) == 0 || !reflect.DeepEqual(ids(local), ids(remote)) {
+			t.Errorf("Find(%s): local %v, remote %v", kind, ids(local), ids(remote))
+		}
+	}
+	for name, c := range conns {
+		if _, err := c.Find("Spaceship", "%"); err == nil {
+			t.Errorf("%s Find of an unknown kind succeeded", name)
+		}
 	}
 }
 

@@ -34,6 +34,9 @@ type family struct {
 	vec      func() map[string]float64
 	// hist, when non-nil, is a histogram family.
 	hist *Histogram
+	// children marks a family registered through LabelledCounter, the one
+	// registration that may repeat.
+	children bool
 }
 
 type expoSample struct {
@@ -43,22 +46,57 @@ type expoSample struct {
 
 var metricNameRe = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*$`)
 
+// snakeCase is the shape every registered family name must have:
+// lowercase ASCII segments joined by single underscores.
+var snakeCase = regexp.MustCompile(`^[a-z][a-z0-9]*(_[a-z0-9]+)*$`)
+
 // NewExposition creates an empty exposition.
 func NewExposition() *Exposition {
 	return &Exposition{byName: make(map[string]*family)}
 }
 
-func (e *Exposition) familyFor(name, help, typ string) *family {
-	if !metricNameRe.MatchString(name) {
-		panic("obs: invalid metric name " + strconv.Quote(name))
+// familyFor registers the family name of type typ and enforces the naming
+// conventions at the one place every family passes through, so a family
+// that would go out misnamed — and bind dashboards and alerts to the wrong
+// name for good — panics at registry construction instead:
+//
+//   - every name is snake_case;
+//   - a counter ends in _total;
+//   - a gauge ends in neither _total (counter semantics) nor _count
+//     (a histogram series);
+//   - a histogram carries its base unit (_seconds, _bytes or _ratio), since
+//     its _sum is meaningless without one;
+//   - a family is registered once. LabelledCounter (child true) is the
+//     exception: it adds one labelled child per call, so repeated calls for
+//     the same family are how its label values are enumerated.
+func (e *Exposition) familyFor(name, help, typ string, child bool) *family {
+	if !snakeCase.MatchString(name) {
+		panic("obs: metric family " + strconv.Quote(name) + " is not snake_case (lowercase segments joined by single underscores)")
+	}
+	switch typ {
+	case "counter":
+		if !strings.HasSuffix(name, "_total") {
+			panic("obs: counter family " + strconv.Quote(name) + " must end in _total")
+		}
+	case "gauge":
+		if strings.HasSuffix(name, "_total") {
+			panic("obs: gauge family " + strconv.Quote(name) + " must not end in _total (that suffix claims counter semantics)")
+		}
+		if strings.HasSuffix(name, "_count") {
+			panic("obs: gauge family " + strconv.Quote(name) + " must not end in _count (that suffix claims histogram-series semantics)")
+		}
+	case "histogram":
+		if !strings.HasSuffix(name, "_seconds") && !strings.HasSuffix(name, "_bytes") && !strings.HasSuffix(name, "_ratio") {
+			panic("obs: histogram family " + strconv.Quote(name) + " needs a base-unit suffix (_seconds, _bytes, _ratio)")
+		}
 	}
 	if f, ok := e.byName[name]; ok {
-		if f.typ != typ {
-			panic("obs: metric " + name + " registered as both " + f.typ + " and " + typ)
+		if !child || !f.children {
+			panic("obs: metric family " + strconv.Quote(name) + " already registered as a " + f.typ)
 		}
 		return f
 	}
-	f := &family{name: name, help: help, typ: typ}
+	f := &family{name: name, help: help, typ: typ, children: child}
 	e.families = append(e.families, f)
 	e.byName[name] = f
 	return f
@@ -66,7 +104,7 @@ func (e *Exposition) familyFor(name, help, typ string) *family {
 
 // Counter registers a monotonic counter read from fn at scrape time.
 func (e *Exposition) Counter(name, help string, fn func() int64) {
-	f := e.familyFor(name, help, "counter")
+	f := e.familyFor(name, help, "counter", false)
 	f.samples = append(f.samples, expoSample{fn: func() float64 { return float64(fn()) }})
 }
 
@@ -74,7 +112,7 @@ func (e *Exposition) Counter(name, help string, fn func() int64) {
 // verdicts_total{verdict="eligible"}. Children registered under the same
 // name share one HELP/TYPE header.
 func (e *Exposition) LabelledCounter(name, help, label, value string, fn func() int64) {
-	f := e.familyFor(name, help, "counter")
+	f := e.familyFor(name, help, "counter", true)
 	f.samples = append(f.samples, expoSample{
 		labels: renderLabels(label, value),
 		fn:     func() float64 { return float64(fn()) },
@@ -83,7 +121,7 @@ func (e *Exposition) LabelledCounter(name, help, label, value string, fn func() 
 
 // Gauge registers an instantaneous value read from fn at scrape time.
 func (e *Exposition) Gauge(name, help string, fn func() float64) {
-	f := e.familyFor(name, help, "gauge")
+	f := e.familyFor(name, help, "gauge", false)
 	f.samples = append(f.samples, expoSample{fn: fn})
 }
 
@@ -92,10 +130,7 @@ func (e *Exposition) Gauge(name, help string, fn func() float64) {
 // discovery assignment counts, where the host set is only known at
 // runtime).
 func (e *Exposition) CounterVec(name, help, label string, fn func() map[string]int64) {
-	f := e.familyFor(name, help, "counter")
-	if f.vec != nil {
-		panic("obs: metric " + name + " already has a label set")
-	}
+	f := e.familyFor(name, help, "counter", false)
 	f.vecLabel = label
 	f.vec = func() map[string]float64 {
 		m := fn()
@@ -111,16 +146,13 @@ func (e *Exposition) CounterVec(name, help, label string, fn func() map[string]i
 // map fn returns at scrape time, labelled by label (e.g. per-host breaker
 // states).
 func (e *Exposition) GaugeVec(name, help, label string, fn func() map[string]float64) {
-	f := e.familyFor(name, help, "gauge")
-	if f.vec != nil {
-		panic("obs: metric " + name + " already has a label set")
-	}
+	f := e.familyFor(name, help, "gauge", false)
 	f.vecLabel, f.vec = label, fn
 }
 
 // RegisterHistogram exposes h as a Prometheus histogram family.
 func (e *Exposition) RegisterHistogram(name, help string, h *Histogram) {
-	f := e.familyFor(name, help, "histogram")
+	f := e.familyFor(name, help, "histogram", false)
 	f.hist = h
 }
 

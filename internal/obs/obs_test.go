@@ -106,21 +106,86 @@ func TestExpositionRoundTrip(t *testing.T) {
 	}
 }
 
+// TestExpositionPanicsOnBadRegistration holds every naming rule where
+// families are registered: each case's last registration must panic with a
+// message naming the rule it breaks.
 func TestExpositionPanicsOnBadRegistration(t *testing.T) {
-	e := NewExposition()
-	e.Counter("ok_total", "ok", func() int64 { return 0 })
-	for _, fn := range []func(){
-		func() { e.Counter("bad name", "x", func() int64 { return 0 }) },
-		func() { e.Gauge("ok_total", "x", func() float64 { return 0 }) }, // type conflict
+	c := func() int64 { return 0 }
+	g := func() float64 { return 0 }
+	dynamic := "registry_" + strings.ToLower("Dynamic") // a name no literal check could see
+	for _, tc := range []struct {
+		name string
+		reg  func(e *Exposition)
+		want string
+	}{
+		{"counter without _total", func(e *Exposition) { e.Counter("registry_requests", "", c) }, `counter family "registry_requests" must end in _total`},
+		{"labelled counter without _total", func(e *Exposition) { e.LabelledCounter("registry_hits", "", "k", "v", c) }, `counter family "registry_hits" must end in _total`},
+		{"counter vec without _total", func(e *Exposition) { e.CounterVec("registry_assignments", "", "host", nil) }, `counter family "registry_assignments" must end in _total`},
+		{"gauge ending _total", func(e *Exposition) { e.Gauge("registry_open_total", "", g) }, `gauge family "registry_open_total" must not end in _total`},
+		{"gauge ending _count", func(e *Exposition) { e.Gauge("registry_segment_count", "", g) }, `gauge family "registry_segment_count" must not end in _count`},
+		{"gauge vec ending _total", func(e *Exposition) { e.GaugeVec("registry_depth_total", "", "class", nil) }, `gauge family "registry_depth_total" must not end in _total`},
+		{"histogram without unit", func(e *Exposition) { e.RegisterHistogram("registry_latency", "", nil) }, `histogram family "registry_latency" needs a base-unit suffix`},
+		{"camel case", func(e *Exposition) { e.Counter("RegistryRequests_total", "", c) }, `metric family "RegistryRequests_total" is not snake_case`},
+		{"double underscore", func(e *Exposition) { e.Counter("registry__double_total", "", c) }, `metric family "registry__double_total" is not snake_case`},
+		{"space", func(e *Exposition) { e.Counter("bad name", "", c) }, `metric family "bad name" is not snake_case`},
+		{"counter over a gauge", func(e *Exposition) {
+			e.Gauge("registry_rows", "", g)
+			e.Counter("registry_rows", "", c)
+		}, `counter family "registry_rows" must end in _total`},
+		{"gauge registered twice", func(e *Exposition) {
+			e.Gauge("registry_rows", "", g)
+			e.Gauge("registry_rows", "", g)
+		}, `metric family "registry_rows" already registered as a gauge`},
+		{"type conflict", func(e *Exposition) {
+			e.Counter("ok_total", "", c)
+			e.LabelledCounter("ok_total", "", "k", "v", c)
+		}, `metric family "ok_total" already registered as a counter`},
+		{"dynamic name", func(e *Exposition) { e.Counter(dynamic, "", c) }, `counter family "registry_dynamic" must end in _total`},
 	} {
-		func() {
+		t.Run(tc.name, func(t *testing.T) {
 			defer func() {
-				if recover() == nil {
-					t.Fatal("expected panic")
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, tc.want) {
+					t.Fatalf("panic %q, want one naming %q", msg, tc.want)
 				}
 			}()
-			fn()
-		}()
+			tc.reg(NewExposition())
+		})
+	}
+}
+
+// TestExpositionAcceptsConventionalNames registers well-named families of
+// every kind, the labelled-counter enumeration idiom included, without a
+// panic.
+func TestExpositionAcceptsConventionalNames(t *testing.T) {
+	e := NewExposition()
+	c := func() int64 { return 0 }
+	g := func() float64 { return 0 }
+	h := NewHistogramMetric(1)
+	e.Counter("registry_requests_total", "", c)
+	e.CounterVec("registry_balance_assignments_total", "", "host", nil)
+	e.Gauge("registry_wal_segments", "", g)
+	e.Gauge("registry_snapshot_age_seconds", "", g)
+	e.GaugeVec("registry_slo_availability_burn_rate", "", "window", nil)
+	e.RegisterHistogram("registry_discovery_latency_seconds", "", h)
+	e.RegisterHistogram("registry_wal_segment_bytes", "", h)
+	e.RegisterHistogram("registry_hit_ratio", "", h)
+	e.GaugeVec("registry_wal_recovery_seconds", "", "phase", nil)
+	e.GaugeVec("registry_repl_position", "", "part", nil)
+	e.Gauge("registry_repl_lag_records", "", g)
+	e.Gauge("registry_repl_lag_seconds", "", g)
+	e.Gauge("registry_repl_connected", "", g)
+	e.Counter("registry_repl_applied_total", "", c)
+	e.Counter("registry_repl_streams_total", "", c)
+	e.Counter("registry_repl_errors_total", "", c)
+	for _, v := range []string{"stock", "degraded", "fallback"} {
+		e.LabelledCounter("registry_verdicts_total", "", "verdict", v, c)
+	}
+	for _, enc := range []string{"json", "soap"} {
+		e.LabelledCounter("registry_respcache_renders_total", "", "encoding", enc, c)
+	}
+	if len(e.families) != 18 {
+		t.Fatalf("%d families registered, want 18", len(e.families))
 	}
 }
 

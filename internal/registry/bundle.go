@@ -88,15 +88,11 @@ func (r *Registry) componentHealth(stats nodestate.Stats, hosts []nodestate.Host
 
 	// Edge cache: informational — hits and misses say whether the
 	// zero-allocation path is doing its job.
-	if r.RespCache == nil {
-		comps["edgecache"] = componentHealth{Status: "disabled", Note: "response cache off; every discovery re-marshals"}
-	} else {
-		comps["edgecache"] = componentHealth{Status: "ok", Values: map[string]float64{
-			"entries": float64(r.RespCache.Len()),
-			"hits":    float64(r.RespCache.Hits.Value()),
-			"misses":  float64(r.RespCache.Misses.Value()),
-		}}
-	}
+	comps["edgecache"] = componentHealth{Status: "ok", Values: map[string]float64{
+		"entries": float64(r.RespCache.Len()),
+		"hits":    float64(r.RespCache.Hits.Value()),
+		"misses":  float64(r.RespCache.Misses.Value()),
+	}}
 
 	// Replication: a follower that cannot reach its leader is serving
 	// increasingly stale reads; a leader is healthy whenever its stream

@@ -34,7 +34,7 @@ func countsOf(r *Registry) discoverCounts {
 }
 
 func TestDiscoverIsOneSequence(t *testing.T) {
-	reg, srv, svc := newSampledCachedRegistry(t, &admit.Config{}, 0, 1)
+	reg, srv, svc := newSampledCachedRegistry(t, &admit.Config{}, 1)
 
 	// The reference: what the query manager answers with nothing in front
 	// of it. The first call parses the constraint; the second reads it from
@@ -124,8 +124,8 @@ func TestDiscoverIsOneSequence(t *testing.T) {
 // registry's — on both codecs, with and without the admission fast path.
 func TestTracingKeepsTheCache(t *testing.T) {
 	for _, adm := range []*admit.Config{nil, {}} {
-		plain, plainSrv, _ := newSampledCachedRegistry(t, adm, 0, 0)
-		traced, tracedSrv, _ := newSampledCachedRegistry(t, adm, 0, 1)
+		plain, plainSrv, _ := newSampledCachedRegistry(t, adm, 0)
+		traced, tracedSrv, _ := newSampledCachedRegistry(t, adm, 1)
 		byName := &GetBindingsRequest{ServiceName: "Adder"}
 
 		wantREST, plainResp := getBindings(t, plainSrv, "Adder")

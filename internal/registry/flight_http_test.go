@@ -2,7 +2,7 @@ package registry
 
 // Flight-recorder and diagnostic-bundle HTTP suite: records present on
 // edge cache hits (the path that bypasses tracing entirely), filter
-// parameters, ring wraparound, a concurrent hammer for -race, every
+// parameters, a concurrent hammer for -race, every
 // bundle section, the opt-in goroutine dump, and the /registry/health
 // per-component rollup across degraded and brownout transitions.
 
@@ -19,7 +19,6 @@ import (
 	"repro/internal/admit"
 	"repro/internal/core"
 	"repro/internal/flight"
-	"repro/internal/simclock"
 	"repro/internal/store"
 )
 
@@ -56,7 +55,7 @@ func getFlight(t *testing.T, srv *httptest.Server, query string) flightPageJSON 
 // path, which bypasses tracing and per-request metrics contexts, still
 // leaves one complete wide-event record per request.
 func TestFlightRecordsCacheHits(t *testing.T) {
-	reg, srv, _ := newCachedRegistry(t, nil, 0)
+	reg, srv, _ := newCachedRegistry(t, nil)
 
 	getBindings(t, srv, "Adder")
 	getBindings(t, srv, "Adder")
@@ -113,7 +112,7 @@ func TestFlightRecordsCacheHits(t *testing.T) {
 // TestFlightFilterParams covers the filter surface: n bounds, host match,
 // and a 400 on each malformed parameter.
 func TestFlightFilterParams(t *testing.T) {
-	_, srv, _ := newCachedRegistry(t, nil, 0)
+	_, srv, _ := newCachedRegistry(t, nil)
 	for i := 0; i < 5; i++ {
 		getBindings(t, srv, "Adder")
 	}
@@ -142,78 +141,10 @@ func TestFlightFilterParams(t *testing.T) {
 	}
 }
 
-// TestFlightRingWraparound overflows a deliberately tiny ring and checks
-// the ring keeps the newest records, newest first.
-func TestFlightRingWraparound(t *testing.T) {
-	reg, err := New(Config{
-		Clock:          simclock.NewManual(t0),
-		Policy:         core.PolicyFilter,
-		SnapshotMaxAge: 25 * time.Second,
-		FlightRing:     8,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	seedWorker(t, reg, "thermo.sdsu.edu")
-	reg.Store.NodeState().Upsert(store.NodeState{
-		Host: "thermo.sdsu.edu", Load: 0.2, MemoryB: 4 << 30, SwapB: 1 << 30, Updated: t0,
-	})
-	srv := httptest.NewServer(reg.Handler())
-	t.Cleanup(srv.Close)
-
-	const requests = 20
-	for i := 0; i < requests; i++ {
-		getBindings(t, srv, "Worker")
-	}
-	page := getFlight(t, srv, "?n=100")
-	if page.Ring != 8 {
-		t.Fatalf("ring size = %d, want 8", page.Ring)
-	}
-	if page.Written < requests {
-		t.Fatalf("written = %d, want >= %d", page.Written, requests)
-	}
-	// The flight fetch itself is not a service route, so exactly the last
-	// 8 service requests survive.
-	if len(page.Records) != 8 {
-		t.Fatalf("snapshot has %d records, want 8 after wraparound", len(page.Records))
-	}
-	for i := 1; i < len(page.Records); i++ {
-		if page.Records[i-1].Seq < page.Records[i].Seq {
-			t.Fatalf("records not newest-first: %d before %d",
-				page.Records[i-1].Seq, page.Records[i].Seq)
-		}
-	}
-}
-
-// TestFlightDisabled turns the recorder off and checks the endpoint 404s
-// while discovery still serves.
-func TestFlightDisabled(t *testing.T) {
-	reg, err := New(Config{
-		Clock:      simclock.NewManual(t0),
-		Policy:     core.PolicyStock,
-		FlightRing: -1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	seedWorker(t, reg, "thermo.sdsu.edu")
-	srv := httptest.NewServer(reg.Handler())
-	t.Cleanup(srv.Close)
-	getBindings(t, srv, "Worker")
-	resp, err := srv.Client().Get(srv.URL + "/registry/flight")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("flight with recorder disabled: status %d, want 404", resp.StatusCode)
-	}
-}
-
 // TestFlightConcurrentHammer pounds discovery (warm cache hits writing
 // the ring) while readers snapshot it — the seqlock's -race contract.
 func TestFlightConcurrentHammer(t *testing.T) {
-	_, srv, _ := newCachedRegistry(t, nil, 0)
+	_, srv, _ := newCachedRegistry(t, nil)
 	getBindings(t, srv, "Adder") // warm the cache
 
 	const writers, readers, rounds = 4, 2, 50
@@ -298,7 +229,7 @@ func getBundle(t *testing.T, srv *httptest.Server, query string) bundleJSON {
 // present and carries live data after a little traffic, every request
 // sampled: the two records appear under flight and again under traces.
 func TestBundleSections(t *testing.T) {
-	_, srv, _ := newSampledCachedRegistry(t, nil, 0, 1)
+	_, srv, _ := newSampledCachedRegistry(t, nil, 1)
 	getBindings(t, srv, "Adder")
 	getBindings(t, srv, "Adder")
 

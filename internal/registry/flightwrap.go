@@ -22,20 +22,21 @@ import (
 type flightRoute struct {
 	reg    *Registry
 	route  flight.Route
-	viaCtx bool // SOAP routes thread the frame through the context
+	viaCtx bool // the SOAP registry route threads the frame through the context
 	sample bool // the routes that serve discovery offer requests to the sampler
 	next   http.Handler
 }
 
 // flightWrap wraps next so that each request borrows a pooled frame,
-// runs, and appends exactly one record to the ring. A registry without a
-// ring (Config.FlightRing < 0) wraps nothing.
-func (r *Registry) flightWrap(route flight.Route, viaCtx bool, next http.Handler) http.Handler {
-	if r.Flight == nil {
-		return next
+// runs, and appends exactly one record to the ring.
+func (r *Registry) flightWrap(route flight.Route, next http.Handler) http.Handler {
+	return &flightRoute{
+		reg:    r,
+		route:  route,
+		viaCtx: route == flight.RouteSOAPRegistry,
+		sample: route == flight.RouteBindings || route == flight.RouteSOAPRegistry,
+		next:   next,
 	}
-	sample := route == flight.RouteBindings || route == flight.RouteSOAPRegistry
-	return &flightRoute{reg: r, route: route, viaCtx: viaCtx, sample: sample, next: next}
 }
 
 // ServeHTTP borrows a frame, stamps the envelope (route, tier, timing),
@@ -107,10 +108,6 @@ func noteDecision(rec *flight.Record, dec *core.Decision) {
 // from the ring, newest first. Query parameters: n (max records, default
 // 100), route, outcome, host, and hit=true|false.
 func (r *Registry) handleFlight(w http.ResponseWriter, req *http.Request) {
-	if r.Flight == nil {
-		http.Error(w, "flight recorder disabled", http.StatusNotFound)
-		return
-	}
 	q := req.URL.Query()
 	limit, ok := intParam(w, q, "n", 0, 1)
 	if !ok {

@@ -362,19 +362,6 @@ func TestTracingDisabledByDefault(t *testing.T) {
 	}
 }
 
-// TestTraceSampleNeedsFlightRing: sampled requests live in the flight
-// ring, so asking for sampling while disabling the ring is refused at
-// construction instead of silently recording nothing.
-func TestTraceSampleNeedsFlightRing(t *testing.T) {
-	_, err := New(Config{Clock: simclock.NewManual(t0), TraceSample: 4, FlightRing: -1})
-	if err == nil || !strings.Contains(err.Error(), "TraceSample") {
-		t.Fatalf("New(TraceSample 4, FlightRing -1) error = %v, want a refusal naming TraceSample", err)
-	}
-	if _, err := New(Config{Clock: simclock.NewManual(t0), FlightRing: -1}); err != nil {
-		t.Fatalf("a disabled ring without sampling must still build: %v", err)
-	}
-}
-
 // TestPprofOptIn: /debug/pprof/ exists only when Config.Pprof is set.
 func TestPprofOptIn(t *testing.T) {
 	off := newRegistry(t)

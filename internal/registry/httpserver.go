@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"net/http/pprof"
 	"strconv"
 	"strings"
 	"time"
@@ -33,12 +34,10 @@ import (
 //	                        thesis §2.2.3 "only supports search queries"
 //	                        (QueryManager only, no publishing)
 //
-// Every route passes through the admission controller (a nil controller
-// wraps nothing): the SOAP surface under the LCM class, the REST reads
-// under the discovery class. Health, metrics, traces, nodestate, and the
-// UI are always-admit — operators must be able to see in precisely when
-// the edge is shedding — and carry //repolint:admit-exempt for the
-// deadline analyzer.
+// plus the operator surface (health, metrics, traces, flight, bundle, UI,
+// nodestate; replication on a leader, pprof when opted in). Every route is
+// a row of serviceRoutes or operatorRoutes, and buildHandler registers
+// nothing else.
 //
 // The routes live in a frozen-mode static router: every pattern is
 // registered here, then the table is frozen before the first request, so
@@ -49,44 +48,85 @@ func (r *Registry) Handler() http.Handler {
 	return r.handler
 }
 
+// serviceRoute is one row of the service table: a protocol route of the
+// registry, SOAP (the LCM admission class, shed with a SOAP fault) or REST
+// (the discovery class, shed with a JSON body).
+type serviceRoute struct {
+	path    string
+	route   flight.Route
+	isSOAP  bool
+	handler http.Handler
+}
+
+// serviceRoutes is the service table.
+func (r *Registry) serviceRoutes() []serviceRoute {
+	return []serviceRoute{
+		{"/soap/registry", flight.RouteSOAPRegistry, true, soap.EndpointCtx(r.handleRegistrySOAP, scanRegistryRequest)},
+		{"/soap/auth", flight.RouteSOAPAuth, true, soap.Endpoint(r.handleAuthSOAP)},
+		{"/registry/object", flight.RouteObject, false, http.HandlerFunc(r.handleGetObject)},
+		{"/registry/find", flight.RouteFind, false, http.HandlerFunc(r.handleFind)},
+		{"/registry/bindings", flight.RouteBindings, false, &bindingsEdge{reg: r}},
+		{"/registry/query", flight.RouteQuery, false, http.HandlerFunc(r.handleQuery)},
+		{"/registry/content", flight.RouteContent, false, http.HandlerFunc(r.handleContent)},
+	}
+}
+
+// operatorRoute is one row of the operator table. A path ending in "/"
+// serves the subtree below it.
+type operatorRoute struct {
+	path    string
+	handler http.HandlerFunc
+}
+
+// operatorRoutes is the operator table. Its routes bypass admission and
+// the flight recorder: they are how an operator sees into a node, and how
+// a follower stays fed, precisely while the edge is shedding, so a
+// saturated service class must never lock them out.
+func (r *Registry) operatorRoutes() []operatorRoute {
+	routes := []operatorRoute{
+		{"/registry/nodestate", r.handleNodeState},
+		{"/registry/health", r.handleHealth},
+		{"/registry/metrics", r.handleMetrics},
+		{"/registry/traces", r.handleTraces},
+		{"/registry/flight", r.handleFlight},
+		{"/registry/debug/bundle", r.handleBundle},
+		{"/ui", r.handleUI},
+	}
+	if r.ReplLeader != nil {
+		routes = append(routes,
+			operatorRoute{repl.PathWAL, r.ReplLeader.ServeWAL},
+			operatorRoute{repl.PathCheckpoint, r.ReplLeader.ServeCheckpoint})
+	}
+	// net/http/pprof's own DefaultServeMux registration is bypassed: the
+	// profiling endpoints exist only when Config.Pprof opted in.
+	if r.pprof {
+		routes = append(routes,
+			operatorRoute{"/debug/pprof/", pprof.Index},
+			operatorRoute{"/debug/pprof/cmdline", pprof.Cmdline},
+			operatorRoute{"/debug/pprof/profile", pprof.Profile},
+			operatorRoute{"/debug/pprof/symbol", pprof.Symbol},
+			operatorRoute{"/debug/pprof/trace", pprof.Trace})
+	}
+	return routes
+}
+
 func (r *Registry) buildHandler() http.Handler {
 	mux := router.New(router.Config{})
-	adm := r.Admission
-	var maxBody int64
-	if adm != nil {
-		maxBody = adm.Config().MaxBodyBytes
+	for _, s := range r.serviceRoutes() {
+		class, format := admit.ClassDiscovery, admit.RejectJSON
+		if s.isSOAP {
+			class, format = admit.ClassLCM, admit.RejectSOAP
+		}
+		// The flight recorder sits outside admission, so a shed request
+		// leaves its record too.
+		mux.Handle(s.path, r.flightWrap(s.route, r.Admission.Wrap(class, format, s.handler)))
 	}
-	mux.Handle("/soap/registry", r.flightWrap(flight.RouteSOAPRegistry, true, adm.Wrap(admit.ClassLCM, admit.RejectSOAP,
-		limitBody(maxBody, soap.EndpointCtx(r.handleRegistrySOAP, scanRegistryRequest)))))
-	mux.Handle("/soap/auth", r.flightWrap(flight.RouteSOAPAuth, false, adm.Wrap(admit.ClassLCM, admit.RejectSOAP,
-		limitBody(maxBody, soap.Endpoint(r.handleAuthSOAP)))))
-	mux.Handle("/registry/object", r.flightWrap(flight.RouteObject, false, adm.Wrap(admit.ClassDiscovery, admit.RejectJSON, http.HandlerFunc(r.handleGetObject))))
-	mux.Handle("/registry/find", r.flightWrap(flight.RouteFind, false, adm.Wrap(admit.ClassDiscovery, admit.RejectJSON, http.HandlerFunc(r.handleFind))))
-	mux.Handle("/registry/bindings", r.flightWrap(flight.RouteBindings, false, adm.Wrap(admit.ClassDiscovery, admit.RejectJSON, &bindingsEdge{reg: r})))
-	mux.Handle("/registry/query", r.flightWrap(flight.RouteQuery, false, adm.Wrap(admit.ClassDiscovery, admit.RejectJSON, http.HandlerFunc(r.handleQuery))))
-	mux.Handle("/registry/content", r.flightWrap(flight.RouteContent, false, adm.Wrap(admit.ClassDiscovery, admit.RejectJSON, http.HandlerFunc(r.handleContent))))
-	//repolint:admit-exempt nodestate is the operator's view of collector state
-	mux.HandleFunc("/registry/nodestate", r.handleNodeState)
-	//repolint:admit-exempt health must answer while the edge sheds
-	mux.HandleFunc("/registry/health", r.handleHealth)
-	//repolint:admit-exempt metrics must answer while the edge sheds
-	mux.HandleFunc("/registry/metrics", r.handleMetrics)
-	//repolint:admit-exempt trace retrieval is an operator diagnostic
-	mux.HandleFunc("/registry/traces", r.handleTraces)
-	//repolint:admit-exempt flight retrieval is an operator diagnostic
-	mux.HandleFunc("/registry/flight", r.handleFlight)
-	//repolint:admit-exempt the bundle is how operators debug a shedding node
-	mux.HandleFunc("/registry/debug/bundle", r.handleBundle)
-	//repolint:admit-exempt the operator UI stays reachable during incidents
-	mux.HandleFunc("/ui", r.handleUI)
-	if r.ReplLeader != nil {
-		//repolint:admit-exempt the replication stream must keep followers fed while the edge sheds
-		mux.HandleFunc(repl.PathWAL, r.ReplLeader.ServeWAL)
-		//repolint:admit-exempt follower bootstrap must proceed while the edge sheds
-		mux.HandleFunc(repl.PathCheckpoint, r.ReplLeader.ServeCheckpoint)
-	}
-	if r.pprof {
-		mountPprof(mux)
+	for _, o := range r.operatorRoutes() {
+		if strings.HasSuffix(o.path, "/") {
+			mux.HandlePrefix(o.path, o.handler)
+		} else {
+			mux.Handle(o.path, o.handler)
+		}
 	}
 	mux.Freeze()
 	r.edge.Store(mux)
@@ -96,10 +136,10 @@ func (r *Registry) buildHandler() http.Handler {
 // HardenedServer builds an http.Server with conservative edge limits so
 // slow or malicious clients cannot hold connections open for free:
 // bounded header read, bounded whole-request read, bounded keep-alive
-// idle, and a small header cap (request bodies are bounded separately by
-// limitBody under the admission controller's MaxBodyBytes). WriteTimeout
-// stays unset deliberately — /debug/pprof/profile streams for its whole
-// sampling window and a write cap would sever it.
+// idle, and a small header cap (request bodies are bounded separately, by
+// soap.MaxBodyBytes). WriteTimeout stays unset deliberately —
+// /debug/pprof/profile streams for its whole sampling window and a write
+// cap would sever it.
 func HardenedServer(addr string, h http.Handler) *http.Server {
 	return &http.Server{
 		Addr:              addr,
@@ -109,19 +149,6 @@ func HardenedServer(addr string, h http.Handler) *http.Server {
 		IdleTimeout:       2 * time.Minute,
 		MaxHeaderBytes:    64 << 10,
 	}
-}
-
-// limitBody caps request bodies with http.MaxBytesReader so a giant SOAP
-// envelope cannot hold the connection and exhaust memory; reads past n
-// fail and poison the connection. n <= 0 leaves the body unbounded.
-func limitBody(n int64, next http.Handler) http.Handler {
-	if n <= 0 {
-		return next
-	}
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		req.Body = http.MaxBytesReader(w, req.Body, n)
-		next.ServeHTTP(w, req)
-	})
 }
 
 // soapRequest is the union envelope body for /soap/registry: exactly one
@@ -294,7 +321,7 @@ func (r *Registry) doGetObject(req *GetObjectRequest) (interface{}, error) {
 }
 
 func (r *Registry) doFind(req *FindObjectsRequest) (interface{}, error) {
-	t, err := kindToType(req.Kind)
+	t, err := KindType(req.Kind)
 	if err != nil {
 		return nil, soap.ClientFault("%v", err)
 	}
@@ -309,29 +336,35 @@ func (r *Registry) doFind(req *FindObjectsRequest) (interface{}, error) {
 	return resp, nil
 }
 
-func kindToType(kind string) (rim.ObjectType, error) {
-	switch kind {
-	case "Organization":
-		return rim.TypeOrganization, nil
-	case "Service":
-		return rim.TypeService, nil
-	case "Association":
-		return rim.TypeAssociation, nil
-	case "User":
-		return rim.TypeUser, nil
-	case "RegistryPackage":
-		return rim.TypeRegistryPackage, nil
-	case "ExternalLink":
-		return rim.TypeExternalLink, nil
-	case "AdhocQuery":
-		return rim.TypeAdhocQuery, nil
-	case "ClassificationScheme":
-		return rim.TypeClassificationScheme, nil
-	case "ClassificationNode":
-		return rim.TypeClassificationNode, nil
-	default:
-		return "", fmt.Errorf("registry: unknown object kind %q", kind)
+// objectKind names an object type the way Find requests, subscriptions and
+// the web UI do.
+type objectKind struct {
+	Name string
+	Type rim.ObjectType
+}
+
+// kinds is the one table of object kinds, in the order the UI lists them.
+var kinds = []objectKind{
+	{"Organization", rim.TypeOrganization},
+	{"Service", rim.TypeService},
+	{"Association", rim.TypeAssociation},
+	{"User", rim.TypeUser},
+	{"ClassificationScheme", rim.TypeClassificationScheme},
+	{"ClassificationNode", rim.TypeClassificationNode},
+	{"RegistryPackage", rim.TypeRegistryPackage},
+	{"ExternalLink", rim.TypeExternalLink},
+	{"AdhocQuery", rim.TypeAdhocQuery},
+}
+
+// KindType resolves an object kind name (Organization, Service, ...) to its
+// object type, the same way for every protocol and for localCall clients.
+func KindType(kind string) (rim.ObjectType, error) {
+	for _, k := range kinds {
+		if k.Name == kind {
+			return k.Type, nil
+		}
 	}
+	return "", fmt.Errorf("registry: unknown object kind %q", kind)
 }
 
 func (r *Registry) doQuery(req *AdhocQueryWireRequest) (interface{}, error) {
@@ -495,7 +528,7 @@ func (r *Registry) handleGetObject(w http.ResponseWriter, req *http.Request) {
 func (r *Registry) handleFind(w http.ResponseWriter, req *http.Request) {
 	kind := req.URL.Query().Get("kind")
 	pattern := req.URL.Query().Get("name")
-	t, err := kindToType(kind)
+	t, err := KindType(kind)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -593,13 +626,11 @@ func (e encoding) String() string {
 // entry already carries the encoding enc, never allocates, which is what
 // lets it run before a deadline context exists; it returns a nil entry on a
 // miss. The miss call (probe clear) runs the balancer under ctx, renders
-// the one encoding the codec asked for and stores the entry; with the
-// cache disabled the same entry is built and returned unstored, so cached
-// and uncached answers are the same bytes. A hit on an entry that was
-// rendered for the other codec reuses its decision and renders enc once,
-// into a sibling entry. Either call reads the validity tuple first and
-// accounts the answer it gives: discovery counters, balance assignment,
-// flight annotation.
+// the one encoding the codec asked for and stores the entry. A hit on an
+// entry that was rendered for the other codec reuses its decision and
+// renders enc once, into a sibling entry. Either call reads the validity
+// tuple first and accounts the answer it gives: discovery counters, balance
+// assignment, flight annotation.
 //
 //repolint:hotpath the probe is the warm discovery round-trip's 0-alloc serving path
 func (r *Registry) discover(ctx context.Context, fw *flight.Writer, space respcache.Space, key string, start time.Time, enc encoding, probe bool) (*respcache.Entry, error) {

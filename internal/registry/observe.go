@@ -2,7 +2,6 @@ package registry
 
 import (
 	"net/http"
-	"net/http/pprof"
 	"time"
 
 	"repro/internal/admit"
@@ -80,8 +79,8 @@ func (r *Registry) rollup() {
 
 // buildExposition registers every exported metric family against the live
 // component state. Closures read at scrape time, so the instrumented
-// components pay nothing between scrapes; nil components (no response
-// cache, no breakers) simply read as zero.
+// components pay nothing between scrapes; nil components (no breakers, no
+// data directory, no admission) simply read as zero.
 func (r *Registry) buildExposition() *obs.Exposition {
 	e := obs.NewExposition()
 
@@ -96,32 +95,16 @@ func (r *Registry) buildExposition() *obs.Exposition {
 		func() int64 { return r.ConstraintCache.Hits.Value() })
 
 	// Preserialized response cache (the zero-allocation serving edge).
-	// A registry built without the cache reads every series as zero.
 	rc := r.RespCache
 	e.Counter("registry_respcache_hits_total",
 		"Discovery requests that reused a cached decision: answered from a preserialized response, or from one rendered on the spot when the entry did not yet carry the request's encoding.",
-		func() int64 {
-			if rc == nil {
-				return 0
-			}
-			return rc.Hits.Value()
-		})
+		rc.Hits.Value)
 	e.Counter("registry_respcache_misses_total",
 		"Discovery cache lookups that fell through to the balancer.",
-		func() int64 {
-			if rc == nil {
-				return 0
-			}
-			return rc.Misses.Value()
-		})
+		rc.Misses.Value)
 	e.Counter("registry_respcache_invalidations_total",
 		"Response-cache epoch bumps (life-cycle writes and brownout transitions).",
-		func() int64 {
-			if rc == nil {
-				return 0
-			}
-			return rc.Invalidations.Value()
-		})
+		rc.Invalidations.Value)
 	e.Gauge("registry_respcache_entries",
 		"Preserialized responses currently cached.",
 		func() float64 { return float64(rc.Len()) })
@@ -544,23 +527,4 @@ func (r *Registry) buildExposition() *obs.Exposition {
 func (r *Registry) handleMetrics(w http.ResponseWriter, req *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	r.expo.WriteTo(w)
-}
-
-// mountPprof attaches net/http/pprof to the registry's frozen router.
-// The default ServeMux registration in the pprof package is bypassed
-// deliberately — profiling endpoints appear only when the -pprof flag
-// opted in. They bypass admission: profiling an overloaded process is
-// the whole point. The index serves a subtree (named profiles live under
-// /debug/pprof/<name>), so it registers as the one prefix route.
-func mountPprof(mux *router.Router) {
-	//repolint:admit-exempt profiling must work while the edge sheds
-	mux.HandlePrefixFunc("/debug/pprof/", pprof.Index)
-	//repolint:admit-exempt profiling must work while the edge sheds
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	//repolint:admit-exempt profiling must work while the edge sheds
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	//repolint:admit-exempt profiling must work while the edge sheds
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	//repolint:admit-exempt profiling must work while the edge sheds
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 }

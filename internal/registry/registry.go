@@ -91,8 +91,7 @@ type Config struct {
 	// TraceSample gives every Nth request on the discovery routes a trace
 	// id and per-stage timings in its flight record (see /registry/traces).
 	// 0 samples nothing: the fast path then sees only nil-timer no-ops and
-	// allocates nothing. Sampling needs the flight ring, so New refuses a
-	// positive TraceSample together with a negative FlightRing.
+	// allocates nothing.
 	TraceSample int
 	// Pprof mounts net/http/pprof under /debug/pprof/ on the HTTP
 	// handler. Off by default; profiling endpoints are opt-in.
@@ -115,14 +114,6 @@ type Config struct {
 	// &admit.Config{} selects the production defaults; nil serves every
 	// request unconditionally (the pre-admission behaviour).
 	Admission *admit.Config
-	// RespCacheSize bounds the preserialized discovery response cache:
-	// 0 means respcache.DefaultSize, negative disables the cache (every
-	// discovery re-marshals its response).
-	RespCacheSize int
-	// FlightRing bounds the always-on flight recorder's record ring
-	// (rounded up to a power of two): 0 means flight.DefaultRingSize,
-	// negative disables the recorder entirely.
-	FlightRing int
 	// ReplLeader serves the WAL-shipping endpoints (/registry/repl/wal
 	// and /registry/repl/checkpoint) so followers can tail this
 	// registry. Requires DataDir: the stream is fed by the durability
@@ -169,11 +160,11 @@ type Registry struct {
 	// Config.Admission was nil: every request is then served
 	// unconditionally).
 	Admission *admit.Controller
-	// RespCache is the preserialized discovery response cache (nil when
-	// Config.RespCacheSize was negative).
+	// RespCache is the preserialized discovery response cache
+	// (respcache.DefaultSize entries).
 	RespCache *respcache.Cache
 	// Flight is the always-on wide-event recorder behind /registry/flight
-	// (nil when Config.FlightRing was negative).
+	// (flight.DefaultRingSize records).
 	Flight *flight.Ring
 	// Balance tracks per-host assignment counts and their per-sweep
 	// fairness/skew rollups (always allocated).
@@ -209,11 +200,6 @@ type Registry struct {
 
 // New builds a registry from cfg.
 func New(cfg Config) (*Registry, error) {
-	// Sampled requests live in the flight ring; without one they would be
-	// picked, named and then silently dropped.
-	if cfg.TraceSample > 0 && cfg.FlightRing < 0 {
-		return nil, fmt.Errorf("registry: TraceSample %d needs the flight ring, which FlightRing %d disables", cfg.TraceSample, cfg.FlightRing)
-	}
 	clk := cfg.Clock
 	if clk == nil {
 		clk = simclock.Real{}
@@ -233,13 +219,10 @@ func New(cfg Config) (*Registry, error) {
 	bus := events.NewBus()
 	lifecycle := lcm.New(s, xacml.DefaultPolicy(), trail, bus)
 	lifecycle.Log = logger.With("component", "lcm")
-	var respCache *respcache.Cache
-	if cfg.RespCacheSize >= 0 {
-		respCache = respcache.New(cfg.RespCacheSize)
-	}
+	respCache := respcache.New(0)
 	// Any successful write advances the response cache's write epoch so no
-	// preserialized answer can outlive it (nil-safe). The store's discovery
-	// entries need no hook: a write replaces the entry it touches.
+	// preserialized answer can outlive it. The store's discovery entries
+	// need no hook: a write replaces the entry it touches.
 	lifecycle.OnWrite = respCache.BumpEpoch
 	query := qm.New(s, bal, clk)
 	registrar := auth.NewRegistrar(clk)
@@ -351,12 +334,10 @@ func New(cfg Config) (*Registry, error) {
 		Durable:         durable,
 		Admission:       ctrl,
 		RespCache:       respCache,
+		Flight:          flight.NewRing(0),
 		Balance:         balance,
 		SLOEngine:       sloEngine,
 		pprof:           cfg.Pprof,
-	}
-	if cfg.FlightRing >= 0 {
-		r.Flight = flight.NewRing(cfg.FlightRing)
 	}
 	if cfg.ReplLeader {
 		if durable == nil {

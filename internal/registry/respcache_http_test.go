@@ -27,23 +27,21 @@ import (
 
 // newCachedRegistry builds a registry with the response cache live
 // (tracing off), a 4-host "Adder" service, and deterministic NodeState
-// rows so every host is eligible. adm may be nil; cacheSize follows
-// Config.RespCacheSize semantics (0 default, negative disables).
-func newCachedRegistry(t *testing.T, adm *admit.Config, cacheSize int) (*Registry, *httptest.Server, *rim.Service) {
+// rows so every host is eligible. adm may be nil.
+func newCachedRegistry(t *testing.T, adm *admit.Config) (*Registry, *httptest.Server, *rim.Service) {
 	t.Helper()
-	return newSampledCachedRegistry(t, adm, cacheSize, 0)
+	return newSampledCachedRegistry(t, adm, 0)
 }
 
 // newSampledCachedRegistry is newCachedRegistry tracing every sample-th
 // discovery request.
-func newSampledCachedRegistry(t *testing.T, adm *admit.Config, cacheSize, sample int) (*Registry, *httptest.Server, *rim.Service) {
+func newSampledCachedRegistry(t *testing.T, adm *admit.Config, sample int) (*Registry, *httptest.Server, *rim.Service) {
 	t.Helper()
 	reg, err := New(Config{
 		Clock:          simclock.NewManual(t0),
 		Policy:         core.PolicyFilter,
 		SnapshotMaxAge: 25 * time.Second,
 		Admission:      adm,
-		RespCacheSize:  cacheSize,
 		TraceSample:    sample,
 	})
 	if err != nil {
@@ -117,7 +115,7 @@ func postBindings(t *testing.T, srv *httptest.Server, req *GetBindingsRequest) (
 // second is served from the preserialized entry — and the client cannot
 // tell them apart.
 func TestRESTCacheHitIsByteIdentical(t *testing.T) {
-	reg, srv, _ := newCachedRegistry(t, nil, 0)
+	reg, srv, _ := newCachedRegistry(t, nil)
 
 	first, resp1 := getBindings(t, srv, "Adder")
 	if got, want := reg.RespCache.Misses.Value(), int64(1); got != want {
@@ -147,7 +145,7 @@ func TestRESTCacheHitIsByteIdentical(t *testing.T) {
 // by-id) and the cross-protocol entry: the envelope preserialized on the
 // SOAP miss also answers the REST edge, and vice versa.
 func TestSOAPCacheHitIsByteIdentical(t *testing.T) {
-	reg, srv, svc := newCachedRegistry(t, nil, 0)
+	reg, srv, svc := newCachedRegistry(t, nil)
 
 	byName := &GetBindingsRequest{ServiceName: "Adder"}
 	fresh := postBindingsRaw(t, srv, byName)
@@ -185,7 +183,7 @@ func TestSOAPCacheHitIsByteIdentical(t *testing.T) {
 // next request re-renders and reflects the new binding list even though
 // the snapshot generation never moved.
 func TestLCMWriteInvalidates(t *testing.T) {
-	reg, srv, svc := newCachedRegistry(t, nil, 0)
+	reg, srv, svc := newCachedRegistry(t, nil)
 
 	// Row first, so the later write is the only cache-relevant event.
 	reg.Store.NodeState().Upsert(store.NodeState{
@@ -221,7 +219,7 @@ func TestLCMWriteInvalidates(t *testing.T) {
 // the epoch — the snapshot generation key alone must retire the entry, and
 // the recomputed answer must exclude the quarantined host.
 func TestQuarantineInvalidatesViaGeneration(t *testing.T) {
-	reg, srv, _ := newCachedRegistry(t, nil, 0)
+	reg, srv, _ := newCachedRegistry(t, nil)
 
 	before, _ := getBindings(t, srv, "Adder")
 	if !strings.Contains(before, "h00.sdsu.edu") {
@@ -258,7 +256,7 @@ func TestQuarantineInvalidatesViaGeneration(t *testing.T) {
 // rendered during the brownout is never served after recovery.
 func TestBrownoutTierKeysCache(t *testing.T) {
 	adm := admitTestConfig()
-	reg, srv, _ := newCachedRegistry(t, &adm, 0)
+	reg, srv, _ := newCachedRegistry(t, &adm)
 
 	// Warm path through the admission middleware's FastServe hook.
 	getBindings(t, srv, "Adder")
@@ -300,30 +298,12 @@ func TestBrownoutTierKeysCache(t *testing.T) {
 	}
 }
 
-// TestRespCacheDisabled: RespCacheSize < 0 turns the whole subsystem off —
-// both surfaces still answer, deterministically, with no cache wired.
-func TestRespCacheDisabled(t *testing.T) {
-	reg, srv, _ := newCachedRegistry(t, nil, -1)
-	if reg.RespCache != nil {
-		t.Fatal("RespCache built despite RespCacheSize < 0")
-	}
-	first, _ := getBindings(t, srv, "Adder")
-	second, _ := getBindings(t, srv, "Adder")
-	if first != second {
-		t.Fatalf("uncached responses differ:\n%q\n%q", first, second)
-	}
-	env := postBindingsRaw(t, srv, &GetBindingsRequest{ServiceName: "Adder"})
-	if !bytes.Contains(env, []byte("h00.sdsu.edu")) {
-		t.Fatalf("SOAP answer without cache = %q", env)
-	}
-}
-
 // TestCachedDiscoveryConcurrent hammers the cached edge from many clients
 // while writes churn both invalidation keys underneath it: LCM submissions
 // bump the epoch and NodeState upserts move the snapshot generation. Run
 // with -race; every response must be complete and well-formed.
 func TestCachedDiscoveryConcurrent(t *testing.T) {
-	reg, srv, _ := newCachedRegistry(t, nil, 0)
+	reg, srv, _ := newCachedRegistry(t, nil)
 
 	const workers = 8
 	const perWorker = 50

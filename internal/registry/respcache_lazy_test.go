@@ -84,7 +84,7 @@ func wantCounts(t *testing.T, reg *Registry, when string, want cacheCounts) {
 // SOAP request that follows is a hit that reuses the decision, renders the
 // envelope once, and leaves an entry that serves both routes.
 func TestRESTMissThenSOAPRendersSibling(t *testing.T) {
-	reg, srv, _ := newCachedRegistry(t, nil, 0)
+	reg, srv, _ := newCachedRegistry(t, nil)
 	byName := &GetBindingsRequest{ServiceName: "Adder"}
 
 	rest, _ := getBindings(t, srv, "Adder")
@@ -109,7 +109,7 @@ func TestRESTMissThenSOAPRendersSibling(t *testing.T) {
 
 // TestSOAPMissThenRESTRendersSibling is the mirror order.
 func TestSOAPMissThenRESTRendersSibling(t *testing.T) {
-	reg, srv, _ := newCachedRegistry(t, nil, 0)
+	reg, srv, _ := newCachedRegistry(t, nil)
 	byName := &GetBindingsRequest{ServiceName: "Adder"}
 
 	env := postBindingsRaw(t, srv, byName)
@@ -121,13 +121,14 @@ func TestSOAPMissThenRESTRendersSibling(t *testing.T) {
 		t.Fatalf("SOAP miss envelope differs from soap.Marshal of the answer REST gives:\nserved  %q\nmarshal %q", env, want)
 	}
 
-	// The uncached registry answers both routes with the same bytes.
-	_, plain, _ := newCachedRegistry(t, nil, -1)
-	if got, _ := getBindings(t, plain, "Adder"); got != rest {
-		t.Fatalf("uncached REST body differs from cached:\n%q\n%q", got, rest)
+	// A fresh registry asked in the other order — REST miss, SOAP sibling —
+	// answers both routes with the same bytes.
+	_, fresh, _ := newCachedRegistry(t, nil)
+	if got, _ := getBindings(t, fresh, "Adder"); got != rest {
+		t.Fatalf("REST miss body differs from the REST sibling:\n%q\n%q", got, rest)
 	}
-	if got := postBindingsRaw(t, plain, byName); !bytes.Equal(got, env) {
-		t.Fatalf("uncached SOAP body differs from cached:\n%q\n%q", got, env)
+	if got := postBindingsRaw(t, fresh, byName); !bytes.Equal(got, env) {
+		t.Fatalf("SOAP sibling body differs from the SOAP miss:\n%q\n%q", got, env)
 	}
 }
 
@@ -135,7 +136,7 @@ func TestSOAPMissThenRESTRendersSibling(t *testing.T) {
 // are two entries, each with its own balancer run, and a REST request
 // shares only the by-name one.
 func TestSOAPKeySpacesDoNotShare(t *testing.T) {
-	reg, srv, svc := newCachedRegistry(t, nil, 0)
+	reg, srv, svc := newCachedRegistry(t, nil)
 
 	byID := postBindingsRaw(t, srv, &GetBindingsRequest{ServiceID: svc.ID})
 	byName := postBindingsRaw(t, srv, &GetBindingsRequest{ServiceName: "Adder"})
@@ -181,7 +182,7 @@ func TestInvalidationBeforeSiblingRecomputes(t *testing.T) {
 		"tier flip": func(_ *testing.T, reg *Registry) { driveDiscoveryOverload(reg, 5*time.Second) },
 	} {
 		t.Run(name, func(t *testing.T) {
-			reg, srv, _ := newCachedRegistry(t, &adm, 0)
+			reg, srv, _ := newCachedRegistry(t, &adm)
 			getBindings(t, srv, "Adder")
 			move(t, reg)
 			before := cacheCountsOf(reg)
@@ -206,7 +207,7 @@ func TestInvalidationBeforeSiblingRecomputes(t *testing.T) {
 // flight is answered from the decision it found; nothing valid is left
 // behind, and a newer entry is never overwritten.
 func TestStoreSiblingAfterInvalidationStaysInvalid(t *testing.T) {
-	reg, srv, _ := newCachedRegistry(t, nil, 0)
+	reg, srv, _ := newCachedRegistry(t, nil)
 	getBindings(t, srv, "Adder")
 	now := reg.Clock.Now()
 	gen, _ := reg.Balancer.SnapshotMeta(now)
@@ -241,7 +242,7 @@ func TestStoreSiblingAfterInvalidationStaysInvalid(t *testing.T) {
 // entries that carry both encodings and nothing to render them from; both
 // routes serve those bytes untouched.
 func TestPreRenderedEntryServedAsIs(t *testing.T) {
-	reg, srv, _ := newCachedRegistry(t, nil, 0)
+	reg, srv, _ := newCachedRegistry(t, nil)
 	now := reg.Clock.Now()
 	gen, _ := reg.Balancer.SnapshotMeta(now)
 	jsonBody, soapBody := []byte("{\"stored\": \"as json\"}\n"), []byte("<stored>as soap</stored>")
@@ -262,7 +263,7 @@ func TestPreRenderedEntryServedAsIs(t *testing.T) {
 // are still served, through encoding/xml, with the bytes the canonical
 // request gets.
 func TestNonCanonicalEnvelopesTakeTheFallback(t *testing.T) {
-	reg, srv, _ := newCachedRegistry(t, nil, 0)
+	reg, srv, _ := newCachedRegistry(t, nil)
 	amp := rim.NewService("A&B", "")
 	amp.AddBinding("http://h00.sdsu.edu:8080/AB/run?x=1&y=2")
 	if err := reg.LCM.SubmitObjects(reg.AdminContext(), amp); err != nil {
@@ -304,7 +305,7 @@ func TestNonCanonicalEnvelopesTakeTheFallback(t *testing.T) {
 // TestScannedRequestForUnknownServiceFaults: a request the scanner decoded
 // fails exactly as one encoding/xml decoded does.
 func TestScannedRequestForUnknownServiceFaults(t *testing.T) {
-	_, srv, _ := newCachedRegistry(t, nil, 0)
+	_, srv, _ := newCachedRegistry(t, nil)
 	scanned := canonicalRequest(t, &GetBindingsRequest{ServiceName: "Nowhere"})
 	declined := bytes.Replace(scanned, []byte(`"Nowhere">`), []byte(`"Nowhere" >`), 1)
 	var req soapRequest
@@ -329,7 +330,7 @@ func TestScannedRequestForUnknownServiceFaults(t *testing.T) {
 // binding, whichever encoding it asks for and whichever encoding the entry
 // was first rendered in.
 func TestMixedEncodingsNeverServeBeforeTheBump(t *testing.T) {
-	reg, srv, _ := newCachedRegistry(t, nil, 0)
+	reg, srv, _ := newCachedRegistry(t, nil)
 	const services, rounds, readers = 4, 20, 8
 	svcs := make([]*rim.Service, services)
 	var restURL [services]string

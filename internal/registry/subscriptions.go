@@ -80,7 +80,7 @@ func (r *Registry) doSubscribe(req *SubscribeRequest) (interface{}, error) {
 	}
 	sel := events.Selector{NamePattern: req.NamePattern}
 	if req.ObjectKind != "" {
-		t, err := kindToType(req.ObjectKind)
+		t, err := KindType(req.ObjectKind)
 		if err != nil {
 			return nil, soap.ClientFault("%v", err)
 		}

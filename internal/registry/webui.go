@@ -29,7 +29,7 @@ var uiTemplate = template.Must(template.New("ui").Parse(`<!DOCTYPE html>
 <h1>ebXML Registry Repository</h1>
 <form method="GET" action="/ui">
  <select name="kind">
-  {{range .Kinds}}<option value="{{.}}" {{if eq . $.Kind}}selected{{end}}>{{.}}</option>{{end}}
+  {{range .Kinds}}<option value="{{.Name}}" {{if eq .Name $.Kind}}selected{{end}}>{{.Name}}</option>{{end}}
  </select>
  <input type="text" name="name" value="{{.Pattern}}" placeholder="name pattern, %% = wildcard">
  <input type="submit" value="Search">
@@ -98,7 +98,7 @@ type uiTraceRow struct {
 }
 
 type uiData struct {
-	Kinds     []string
+	Kinds     []objectKind
 	Kind      string
 	Pattern   string
 	Objects   []uiRow
@@ -124,12 +124,6 @@ func ordinal(n int) string {
 	}
 }
 
-var uiKinds = []string{
-	"Organization", "Service", "Association", "User",
-	"ClassificationScheme", "ClassificationNode", "RegistryPackage",
-	"ExternalLink", "AdhocQuery",
-}
-
 func (r *Registry) handleUI(w http.ResponseWriter, req *http.Request) {
 	kind := req.URL.Query().Get("kind")
 	if kind == "" {
@@ -139,14 +133,14 @@ func (r *Registry) handleUI(w http.ResponseWriter, req *http.Request) {
 	if pattern == "" {
 		pattern = "%"
 	}
-	t, err := kindToType(kind)
+	t, err := KindType(kind)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
 	stats := r.Collector.FaultStats()
 	data := uiData{
-		Kinds:   uiKinds,
+		Kinds:   kinds,
 		Kind:    kind,
 		Pattern: pattern,
 		Nodes:   r.Store.NodeState().Rows(),

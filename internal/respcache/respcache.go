@@ -71,8 +71,7 @@ type Entry struct {
 }
 
 // Cache is a write-epoch-validated map of preserialized responses. All
-// methods are safe for concurrent use and safe on a nil receiver, so a
-// registry configured without a cache needs no branches at call sites.
+// methods are safe for concurrent use.
 type Cache struct {
 	max   int
 	epoch atomic.Uint64
@@ -104,18 +103,12 @@ func New(max int) *Cache {
 // computing a decision and pass it back to StoreAt, so entries rendered
 // across a concurrent write can never validate.
 func (c *Cache) Epoch() uint64 {
-	if c == nil {
-		return 0
-	}
 	return c.epoch.Load()
 }
 
 // BumpEpoch invalidates every live entry by advancing the write epoch.
 // Chained into lcm.Manager.OnWrite and fired on brownout transitions.
 func (c *Cache) BumpEpoch() {
-	if c == nil {
-		return
-	}
 	c.epoch.Add(1)
 	c.Invalidations.Inc()
 }
@@ -127,9 +120,6 @@ func (c *Cache) BumpEpoch() {
 //
 //repolint:hotpath runs on every discovery request before the balancer
 func (c *Cache) Lookup(space Space, key string, gen uint64, tier uint32, now time.Time) *Entry {
-	if c == nil {
-		return nil
-	}
 	c.mu.RLock()
 	e := c.spaces[space][key]
 	c.mu.RUnlock()
@@ -146,7 +136,7 @@ func (c *Cache) Lookup(space Space, key string, gen uint64, tier uint32, now tim
 // computing it. When the cache is full the whole table is flushed first —
 // a deterministic reset rather than a randomized eviction.
 func (c *Cache) StoreAt(space Space, key string, e *Entry, epoch uint64) {
-	if c == nil || e == nil {
+	if e == nil {
 		return
 	}
 	e.epoch = epoch
@@ -168,9 +158,6 @@ func (c *Cache) StoreAt(space Space, key string, e *Entry, epoch uint64) {
 // of (a newer answer was stored, or the table was flushed) nothing is
 // stored; the caller still serves sib, which is as good as of was.
 func (c *Cache) StoreSibling(space Space, key string, of, sib *Entry) {
-	if c == nil {
-		return
-	}
 	sib.epoch = of.epoch
 	c.mu.Lock()
 	if c.spaces[space][key] == of {
@@ -181,9 +168,6 @@ func (c *Cache) StoreSibling(space Space, key string, of, sib *Entry) {
 
 // Len reports the live entry count across all spaces.
 func (c *Cache) Len() int {
-	if c == nil {
-		return 0
-	}
 	c.mu.RLock()
 	n := c.lenLocked()
 	c.mu.RUnlock()

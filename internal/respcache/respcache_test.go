@@ -160,22 +160,6 @@ func TestStoreSibling(t *testing.T) {
 	}
 }
 
-func TestNilCacheIsSafe(t *testing.T) {
-	var c *Cache
-	if e := c.Lookup(SpaceName, "x", 1, 0, testEpoch); e != nil {
-		t.Fatal("nil cache returned an entry")
-	}
-	c.StoreAt(SpaceName, "x", &Entry{}, 0)
-	c.StoreSibling(SpaceName, "x", &Entry{}, &Entry{})
-	c.BumpEpoch()
-	if c.Epoch() != 0 {
-		t.Fatal("nil cache epoch != 0")
-	}
-	if c.Len() != 0 {
-		t.Fatal("nil cache Len != 0")
-	}
-}
-
 func TestConcurrentAccess(t *testing.T) {
 	c := New(64)
 	var wg sync.WaitGroup

@@ -13,8 +13,9 @@ import (
 	"repro/internal/metrics"
 )
 
-// The registry's route table (registry.buildHandler and mountPprof, with a
-// leader's two replication paths): what FuzzRouterPath freezes.
+// The registry's route tables (registry.serviceRoutes and operatorRoutes,
+// with a leader's two replication paths and the pprof rows): what
+// FuzzRouterPath freezes.
 var (
 	registryExact = []string{
 		"/soap/registry", "/soap/auth",
@@ -33,15 +34,13 @@ var (
 func registryRoutesInSource(t testing.TB) []string {
 	t.Helper()
 	found := []string{"/registry/repl/wal", "/registry/repl/checkpoint"}
-	register := regexp.MustCompile(`mux\.Handle\w*\("([^"]+)"`)
-	for _, file := range []string{"../registry/httpserver.go", "../registry/observe.go"} {
-		src, err := os.ReadFile(file)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, m := range register.FindAllSubmatch(src, -1) {
-			found = append(found, string(m[1]))
-		}
+	row := regexp.MustCompile(`\{"(/[^"]*)",`)
+	src, err := os.ReadFile("../registry/httpserver.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range row.FindAllSubmatch(src, -1) {
+		found = append(found, string(m[1]))
 	}
 	sort.Strings(found)
 	return found

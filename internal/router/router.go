@@ -159,6 +159,19 @@ func (r *Router) Freeze() {
 // Frozen reports whether Freeze has run.
 func (r *Router) Frozen() bool { return r.frozen }
 
+// Patterns lists every registered route, exact and prefix, sorted.
+func (r *Router) Patterns() []string {
+	out := make([]string, 0, len(r.static)+len(r.prefixes))
+	for p := range r.static {
+		out = append(out, p)
+	}
+	for _, p := range r.prefixes {
+		out = append(out, p.prefix)
+	}
+	sort.Strings(out)
+	return out
+}
+
 // ServeHTTP dispatches against the frozen table.
 //
 //repolint:hotpath frozen-table dispatch runs on every request

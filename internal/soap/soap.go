@@ -184,16 +184,16 @@ func Endpoint[Req any](handle func(*Req) (interface{}, error)) http.Handler {
 	}, nil)
 }
 
-// maxRequestBytes bounds a request body whatever the edge in front of
-// the endpoint allows.
-const maxRequestBytes = 64 << 20
+// MaxBodyBytes caps every request body an endpoint reads, whatever stands
+// in front of it: a read past it fails the request with a Client fault
+// instead of holding the connection and memory for a giant envelope.
+const MaxBodyBytes = 8 << 20
 
 // requestBuffer is the pooled scratch one request body is read into. The
 // bytes live only until the request is decoded: Unmarshal copies every
 // string and innerxml slice it hands out, and a scan hook must do the same.
 type requestBuffer struct {
 	bytes.Buffer
-	limit io.LimitedReader
 }
 
 var requestBuffers = sync.Pool{New: func() interface{} { return new(requestBuffer) }}
@@ -202,15 +202,12 @@ var requestBuffers = sync.Pool{New: func() interface{} { return new(requestBuffe
 // pool forever.
 const maxPooledRequest = 1 << 20
 
-// readRequest reads body, up to maxRequestBytes of it, into a pooled
-// buffer the caller releases once the bytes are decoded.
+// readRequest reads body into a pooled buffer the caller releases once the
+// bytes are decoded.
 func readRequest(body io.Reader) (*requestBuffer, error) {
 	buf := requestBuffers.Get().(*requestBuffer)
 	buf.Reset()
-	buf.limit = io.LimitedReader{R: body, N: maxRequestBytes}
-	_, err := buf.ReadFrom(&buf.limit)
-	buf.limit.R = nil
-	if err != nil {
+	if _, err := buf.ReadFrom(body); err != nil {
 		buf.release()
 		return nil, err
 	}
@@ -243,7 +240,7 @@ func EndpointCtx[Req any](handle func(context.Context, *Req) (interface{}, error
 			writeFault(w, http.StatusMethodNotAllowed, ClientFault("method %s not allowed", r.Method))
 			return
 		}
-		raw, err := readRequest(r.Body)
+		raw, err := readRequest(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
 		if err != nil {
 			writeFault(w, http.StatusBadRequest, ClientFault("read request: %v", err))
 			return
