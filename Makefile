@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt lint check clean benchmod crashcheck escapecheck escapecheck-emit overloadcheck replcheck fuzzsmoke
+.PHONY: all build test race vet fmt lint check clean benchmod crashcheck overloadcheck replcheck fuzzsmoke
 
 all: check
 
@@ -24,9 +24,8 @@ fmt:
 bin/repolint: $(shell find cmd/repolint tools/analyzers -name '*.go' -not -path '*/testdata/*')
 	$(GO) build -o $@ ./cmd/repolint
 
-# lint runs the repo's eight invariant analyzers (bannedcall, lockcheck,
-# errwrap, atomicwrite, lockorder, ctxprop, gorolife, hotalloc) over every
-# package via the go vet driver.
+# lint runs the repo's five invariant analyzers (bannedcall, lockcheck,
+# errwrap, lockorder, ctxprop) over every package via the go vet driver.
 lint: bin/repolint
 	$(GO) vet -vettool=$(CURDIR)/bin/repolint ./...
 
@@ -78,17 +77,6 @@ replcheck:
 	$(GO) test -race -count=1 -run 'Repl' \
 		./internal/repl/ ./internal/wal/ ./internal/registry/ ./internal/federation/
 
-# escapecheck recompiles the //repolint:hotpath packages with
-# -gcflags=-m and fails on any heap escape inside an annotated function
-# that is not in the committed ESCAPES_discovery.txt, or when the
-# annotated-function set has drifted from the baseline.
-escapecheck:
-	$(GO) run ./cmd/escapecheck compare -baseline ESCAPES_discovery.txt
-
-# escapecheck-emit regenerates the committed escape baseline.
-escapecheck-emit:
-	$(GO) run ./cmd/escapecheck emit -o ESCAPES_discovery.txt
-
 # benchmod vets and tests the nested benchmark module against this tree.
 # `go test ./...` does not enter bench/, so without this an API break
 # against it shows up only when the benchmark itself is run.
@@ -97,8 +85,10 @@ benchmod:
 	$(GO) test -C bench ./...
 
 # check is what a change must pass before review. `go test ./...` includes
-# the discovery allocation budgets (TestDiscoveryAllocBudgets) and the
-# exact-value checks of /registry/metrics (internal/registry's HTTP tests).
+# the allocation budgets (TestDiscoveryAllocBudgets, which names the
+# allocating lines of a row over budget), the goroutine-leak cases
+# (leakcheck) and the exact-value checks of /registry/metrics
+# (internal/registry's HTTP tests).
 check: build test vet fmt lint benchmod
 
 clean:

@@ -26,6 +26,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -44,6 +45,7 @@ import (
 	"repro/internal/nodestatus"
 	"repro/internal/registry"
 	"repro/internal/rim"
+	"repro/internal/router"
 	"repro/internal/simclock"
 	"repro/internal/soap"
 	"repro/internal/store"
@@ -130,21 +132,34 @@ func gatedCases() []gatedCase {
 		}
 	}
 	cases = append(cases, gatedCase{"BenchmarkDiscoveryFastPath", "warm", 2, fastPathWarmOp})
-	// The serving edge. A warm REST round trip allocates nothing; SOAP hits
-	// allocate because they run under admit.Wrap's deadline budget.
 	for _, c := range []struct {
 		name   string
 		budget float64
-		soap   bool
-		miss   bool
+		req    httpRequest
 	}{
-		{"warm", 0, false, false},
-		{"miss", 17, false, true},
-		{"soap-warm", 16, true, false},
-		{"soap-miss", 21, true, true},
+		// The serving edge. A warm REST round trip allocates nothing; SOAP
+		// hits allocate because they run under admit.Wrap's deadline budget.
+		{"filter/hosts=8/warm", 0, httpRequest{}},
+		{"filter/hosts=8/miss", 17, httpRequest{miss: true}},
+		{"filter/hosts=8/soap-warm", 16, httpRequest{soap: true}},
+		{"filter/hosts=8/soap-miss", 21, httpRequest{soap: true, miss: true}},
+		// The frozen router's preserialized rejects, answered before any
+		// route runs.
+		{"edge/404", 0, httpRequest{path: "/registry/nope", status: http.StatusNotFound}},
+		{"edge/414", 0, httpRequest{path: "/" + strings.Repeat("a", router.DefaultMaxPathLength), status: http.StatusRequestURITooLong}},
+		{"edge/400-depth", 0, httpRequest{path: strings.Repeat("/a", router.DefaultMaxDepth+1), status: http.StatusBadRequest}},
+		// Admission's preserialized shed, recorded by the flight recorder
+		// around it. The SOAP ceiling is the maximum over 20 runs: the
+		// frame rides the context on the SOAP route, shed or not.
+		{"shed/rest", 0, httpRequest{shed: true, status: http.StatusServiceUnavailable}},
+		{"shed/soap", 2, httpRequest{soap: true, shed: true, status: http.StatusServiceUnavailable}},
+		// Every request sampled: trace id, frame context, stage timer. The
+		// ceilings are the maximum over 20 runs.
+		{"sampled/rest", 6, httpRequest{sampled: true}},
+		{"sampled/soap", 20, httpRequest{soap: true, sampled: true}},
 	} {
-		cases = append(cases, gatedCase{"BenchmarkHTTPDiscovery", "filter/hosts=8/" + c.name, c.budget,
-			func(tb testing.TB) func() { return httpDiscoveryOp(tb, c.soap, c.miss) }})
+		cases = append(cases, gatedCase{"BenchmarkHTTPDiscovery", c.name, c.budget,
+			func(tb testing.TB) func() { return httpDiscoveryOp(tb, c.req) }})
 	}
 	return cases
 }
@@ -167,24 +182,95 @@ func runGated(b *testing.B, bench string) {
 }
 
 // TestDiscoveryAllocBudgets holds every gated benchmark body to its
-// allocation budget. It yields after each iteration: on a simulated clock
-// admit.WithBudget races the deadline in a helper goroutine, and one that
-// has not yet run to its exit when the next request arrives costs that
-// request a new g, so without the yield a count reads one higher for
-// stretches the scheduler picks. Under the race detector sync.Pool drops
-// items at random and the counts read higher still, so there it is skipped.
+// allocation budget, and names the allocation sites of a body over budget.
+// It yields after each iteration: on a simulated clock admit.WithBudget
+// races the deadline in a helper goroutine, and one that has not yet run to
+// its exit when the next request arrives costs that request a new g, so
+// without the yield a count reads one higher for stretches the scheduler
+// picks. Under the race detector sync.Pool drops items at random and the
+// counts read higher still, so there it is skipped.
 func TestDiscoveryAllocBudgets(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not deterministic under the race detector")
 	}
 	for _, c := range gatedCases() {
 		t.Run(c.bench+"/"+c.name, func(t *testing.T) {
-			op := c.setup(t)
-			if got := testing.AllocsPerRun(200, func() { op(); runtime.Gosched() }); got > c.budget {
-				t.Errorf("%v allocs/op, budget %v", got, c.budget)
+			body := c.setup(t)
+			op := func() { body(); runtime.Gosched() }
+			if got := testing.AllocsPerRun(200, op); got > c.budget {
+				t.Errorf("%v allocs/op, budget %v; allocation sites in repro/, per op:\n%s", got, c.budget, allocSites(op))
 			}
 		})
 	}
+}
+
+// allocSites runs op with every allocation profiled and lists, per op, the
+// innermost repro/ frame of each allocation: the line that allocated, or
+// the line that called into the library that did. runtime.GC publishes the
+// profile of the cycle before it, hence one on each side of the runs. A
+// site's count can read low: the runtime does not profile an allocation
+// under 16 bytes without pointers that it packs into a block it already
+// holds.
+func allocSites(op func()) string {
+	const runs = 100
+	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+	runtime.MemProfileRate = 1
+	runtime.GC()
+	before := siteCounts()
+	for i := 0; i < runs; i++ {
+		op()
+	}
+	runtime.GC()
+	type site struct {
+		at string
+		n  int64
+	}
+	var sites []site
+	for at, n := range siteCounts() {
+		if n -= before[at]; n > 0 {
+			sites = append(sites, site{at, n})
+		}
+	}
+	sort.Slice(sites, func(i, j int) bool {
+		if sites[i].n != sites[j].n {
+			return sites[i].n > sites[j].n
+		}
+		return sites[i].at < sites[j].at
+	})
+	var b strings.Builder
+	for _, s := range sites {
+		fmt.Fprintf(&b, "\t%6.2f  %s\n", float64(s.n)/runs, s.at)
+	}
+	return b.String()
+}
+
+// siteCounts sums the memory profile's allocation counts by the innermost
+// frame inside the module.
+func siteCounts() map[string]int64 {
+	recs := make([]runtime.MemProfileRecord, 256)
+	for {
+		n, ok := runtime.MemProfile(recs, true)
+		if ok {
+			recs = recs[:n]
+			break
+		}
+		recs = make([]runtime.MemProfileRecord, n+n/4)
+	}
+	out := make(map[string]int64)
+	for i := range recs {
+		frames := runtime.CallersFrames(recs[i].Stack())
+		for {
+			f, more := frames.Next()
+			if strings.HasPrefix(f.Function, "repro/") {
+				out[fmt.Sprintf("%s %s:%d", f.Function, f.File, f.Line)] += recs[i].AllocObjects
+				break
+			}
+			if !more {
+				break
+			}
+		}
+	}
+	return out
 }
 
 // BenchmarkDiscovery measures E4.6: resolving a service to its arranged
@@ -595,17 +681,38 @@ func (w *benchHTTPWriter) WriteHeader(s int)           { w.status = s }
 // re-renders every iteration by bumping the write epoch. soap-warm and soap-miss are the same two round trips
 // through POST /soap/registry with the canonical GetBindingsRequest
 // envelope a JAXR client sends: scanned, not unmarshalled, and answered
-// from (or rendered into) the same cache.
+// from (or rendered into) the same cache. The edge, shed and sampled
+// variants price the router's rejects, admission's shed and a traced
+// request.
 func BenchmarkHTTPDiscovery(b *testing.B) { runGated(b, "BenchmarkHTTPDiscovery") }
 
-func httpDiscoveryOp(tb testing.TB, soapBody, miss bool) func() {
+// httpRequest is one BenchmarkHTTPDiscovery variant: the discovery request
+// and the registry state it meets.
+type httpRequest struct {
+	soap    bool   // POST the GetBindingsRequest envelope to /soap/registry
+	miss    bool   // re-render every iteration
+	path    string // GET this instead of a discovery
+	shed    bool   // the route's admission class is held at its one slot
+	sampled bool   // the sampler picks every request
+	status  int    // the answer expected; 0 is 200
+}
+
+func httpDiscoveryOp(tb testing.TB, hr httpRequest) func() {
 	const hosts = 8
-	reg, err := registry.New(registry.Config{
+	cfg := registry.Config{
 		Clock:          simclock.NewManual(benchEpoch),
 		Policy:         core.PolicyFilter,
 		SnapshotMaxAge: 25 * time.Second,
 		Admission:      &admit.Config{}, // production defaults; never sheds at bench load
-	})
+	}
+	if hr.shed {
+		one := admit.ClassLimits{MaxInFlight: 1, MaxQueue: -1}
+		cfg.Admission = &admit.Config{Discovery: one, LCM: one}
+	}
+	if hr.sampled {
+		cfg.TraceSample = 1
+	}
+	reg, err := registry.New(cfg)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -622,11 +729,25 @@ func httpDiscoveryOp(tb testing.TB, soapBody, miss bool) func() {
 		tb.Fatal(err)
 	}
 	h := reg.Handler()
+	if hr.shed {
+		// /soap/registry is in the LCM class, whatever the request asks.
+		class := admit.ClassDiscovery
+		if hr.soap {
+			class = admit.ClassLCM
+		}
+		if out, _ := reg.Admission.TryAdmit(class, benchEpoch); out != admit.Admitted {
+			tb.Fatal(out)
+		}
+	}
 
 	// A request plus what re-arms it for the next iteration: nothing for a
 	// GET, the body reader for a POST.
-	req, rearm := httptest.NewRequest(http.MethodGet, "/registry/bindings?service=Adder", nil), func() {}
-	if soapBody {
+	path := "/registry/bindings?service=Adder"
+	if hr.path != "" {
+		path = hr.path
+	}
+	req, rearm := httptest.NewRequest(http.MethodGet, path, nil), func() {}
+	if hr.soap {
 		env, err := soap.Marshal(&struct {
 			XMLName  struct{}                     `xml:"RegistryRequest"`
 			Bindings *registry.GetBindingsRequest `xml:"GetBindingsRequest"`
@@ -639,20 +760,24 @@ func httpDiscoveryOp(tb testing.TB, soapBody, miss bool) func() {
 		req.Body, req.ContentLength = io.NopCloser(body), int64(len(env))
 		rearm = func() { body.Reset(env) }
 	}
+	want := hr.status
+	if want == 0 {
+		want = http.StatusOK
+	}
 	w := &benchHTTPWriter{header: make(http.Header, 4)}
 	serve := func() {
 		rearm()
-		w.n, w.status = 0, 0
+		w.n, w.status = 0, http.StatusOK
 		h.ServeHTTP(w, req)
-		if w.status != 0 && w.status != http.StatusOK {
-			tb.Fatalf("status %d", w.status)
+		if w.status != want {
+			tb.Fatalf("status %d, want %d", w.status, want)
 		}
 		if w.n == 0 {
 			tb.Fatal("empty response")
 		}
 	}
 	serve() // render + store
-	if !miss {
+	if !hr.miss {
 		return serve
 	}
 	return func() {

@@ -1,10 +1,9 @@
 // Command repolint is the repository's static-analysis vettool. It runs
-// the eight invariant analyzers — bannedcall (the wallclock, norand,
+// the five invariant analyzers — bannedcall (the wallclock, norand,
 // structlog, clienttimeout and storewrite rules), lockcheck, errwrap,
-// atomicwrite, lockorder, ctxprop, gorolife, hotalloc — over Go packages,
-// enforcing the conventions that keep the registry reproduction
-// deterministic, race-free, fault-tolerant, crash-safe, and observably
-// logged (see DESIGN.md, "Static analysis & invariants").
+// lockorder, ctxprop — over Go packages, enforcing the conventions that
+// keep the registry reproduction deterministic, race-free, fault-tolerant
+// and observably logged (see DESIGN.md, "Static analysis & invariants").
 //
 // It speaks the `go vet -vettool` unit-checker protocol, so the usual
 // invocation is
@@ -37,13 +36,10 @@ import (
 	"sort"
 	"strings"
 
-	"repro/tools/analyzers/atomicwrite"
 	"repro/tools/analyzers/bannedcall"
 	"repro/tools/analyzers/ctxprop"
 	"repro/tools/analyzers/errwrap"
 	"repro/tools/analyzers/framework"
-	"repro/tools/analyzers/gorolife"
-	"repro/tools/analyzers/hotalloc"
 	"repro/tools/analyzers/lockcheck"
 	"repro/tools/analyzers/lockorder"
 )
@@ -53,11 +49,8 @@ var analyzers = []*framework.Analyzer{
 	bannedcall.Analyzer,
 	lockcheck.Analyzer,
 	errwrap.Analyzer,
-	atomicwrite.Analyzer,
 	lockorder.Analyzer,
 	ctxprop.Analyzer,
-	gorolife.Analyzer,
-	hotalloc.Analyzer,
 }
 
 func main() {

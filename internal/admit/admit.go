@@ -357,7 +357,7 @@ type Controller struct {
 	tierChanges metrics.Counter
 
 	// Preserialized shed responses: the reject path must not allocate
-	// (see middleware.go and the hotalloc/escapecheck gates).
+	// (see middleware.go; the shed/* rows of TestDiscoveryAllocBudgets).
 	retryAfterHeader []string
 	rejectJSON       []byte
 	rejectSOAP       []byte
@@ -415,8 +415,6 @@ func (c *Controller) Limits(class Class) ClassLimits { return c.classes[class].l
 //
 // Shedding applies only to arrivals that would wait, so admitted
 // throughput (goodput) tracks capacity while excess load bounces.
-//
-//repolint:hotpath admission decision runs on every discovery request
 func (c *Controller) TryAdmit(class Class, now time.Time) (Outcome, *Ticket) {
 	cs := &c.classes[class]
 	cs.mu.Lock()
@@ -468,8 +466,6 @@ func (c *Controller) TryAdmit(class Class, now time.Time) (Outcome, *Ticket) {
 // wait queue is non-empty the slot is handed straight to the head, whose
 // Ready channel closes; the promoted ticket is returned so a
 // single-threaded driver can schedule it without watching the channel.
-//
-//repolint:hotpath slot release runs on every admitted request
 func (c *Controller) Release(class Class, arrived, now time.Time) *Ticket {
 	cs := &c.classes[class]
 	cs.mu.Lock()
@@ -634,16 +630,12 @@ func (c *Controller) noteTier(now time.Time) {
 }
 
 // logTier records a ladder transition.
-//
-//repolint:coldpath tier transitions are seconds apart, never per-request
 func (c *Controller) logTier(t Tier) {
 	c.log.Info("brownout tier change", "tier", t.String())
 }
 
 // Tier returns the current brownout tier from a lock-free mirror, so the
 // response cache can key every request by tier without touching tierMu.
-//
-//repolint:hotpath read per request by the response-cache fast path
 func (c *Controller) Tier() Tier {
 	return Tier(c.tierNow.Load())
 }

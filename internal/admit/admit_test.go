@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/integration/leakcheck"
 	"repro/internal/simclock"
 	"repro/internal/soap"
 )
@@ -227,6 +228,19 @@ func TestWithBudgetExpiresOnManualClock(t *testing.T) {
 	}
 	if !exceeded() {
 		t.Fatal("exceeded() false after expiry")
+	}
+}
+
+// TestWithBudgetHelperExitsOnCancel finishes the work inside its budget:
+// cancelling the derived context alone must end the simulated clock's
+// helper goroutine, since the clock may never reach the deadline.
+func TestWithBudgetHelperExitsOnCancel(t *testing.T) {
+	defer leakcheck.Check(t)()
+	c := NewController(testConfig(), simclock.NewManual(testEpoch), nil)
+	_, cancel, exceeded := c.WithBudget(context.Background(), 100*time.Millisecond)
+	cancel()
+	if exceeded() {
+		t.Fatal("budget exceeded before any time passed")
 	}
 }
 

@@ -65,8 +65,6 @@ func (c *Controller) buildRejects() {
 }
 
 // Reject writes the preserialized 503 + Retry-After shed response.
-//
-//repolint:hotpath the reject path is the hot path under overload
 func (c *Controller) Reject(w http.ResponseWriter, format RejectFormat) {
 	h := w.Header()
 	h["Retry-After"] = c.retryAfterHeader

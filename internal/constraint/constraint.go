@@ -246,8 +246,6 @@ type Sample struct {
 // Time-window clauses are evaluated separately with TimeSatisfied, exactly
 // as the thesis's ServiceConstraint class validates the window at request
 // time before LoadStatus consults the NodeState table.
-//
-//repolint:hotpath warm discovery chain: per-binding predicate evaluation
 func (c *Constraint) SatisfiedBy(s Sample) bool {
 	if c == nil {
 		return true
@@ -270,8 +268,6 @@ func (c *Constraint) SatisfiedBy(s Sample) bool {
 // TimeSatisfied reports whether now's time-of-day falls inside the
 // [starttime, endtime] window. A missing window is always satisfied; a
 // window that wraps midnight (e.g. 2200–0600) is honoured.
-//
-//repolint:hotpath warm discovery chain: request-time window check
 func (c *Constraint) TimeSatisfied(now time.Time) bool {
 	if c == nil || (c.Start == nil && c.End == nil) {
 		return true

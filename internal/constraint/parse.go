@@ -118,8 +118,6 @@ var openTags = []struct{ open, close string }{
 //   - (nil, desc, err) when a block is present but malformed; the thesis's
 //     ServiceConstraint treats this as "no valid service constraints" and
 //     callers decide whether to surface or swallow err.
-//
-//repolint:coldpath runs once per description version: discovery reads the result from the store's digest
 func FromDescription(desc string) (*Constraint, string, error) {
 	for _, tag := range openTags {
 		start := strings.Index(desc, tag.open)

@@ -321,8 +321,6 @@ func (b *Balancer) ArrangeURIs(description string, uris []string, now time.Time)
 // ArrangeView is the discovery entry point: it arranges a
 // store.DiscoveryView, reading the view's digest — memoized when the view
 // came from the store — instead of parsing anything.
-//
-//repolint:hotpath warm discovery chain: the balancer's serving edge
 func (b *Balancer) ArrangeView(view store.DiscoveryView, now time.Time) ([]string, Decision) {
 	return b.arrange(view, now, nil)
 }
@@ -331,8 +329,6 @@ func (b *Balancer) ArrangeView(view store.DiscoveryView, now time.Time) ([]strin
 // stage timer of a sampled request's flight record. A nil st is the common
 // case (the request was not sampled) and costs only nil-receiver calls,
 // keeping the fast path's allocation budget intact.
-//
-//repolint:hotpath warm discovery chain: the query manager's serving edge
 func (b *Balancer) ArrangeViewTimed(view store.DiscoveryView, now time.Time, st *flight.StageTimer) ([]string, Decision) {
 	return b.arrange(view, now, st)
 }
@@ -343,8 +339,6 @@ func (b *Balancer) ArrangeViewTimed(view store.DiscoveryView, now time.Time, st 
 // cache keys entries by the generation, so a hit is served without
 // consulting the table at all, and the edge stamps flight records with
 // both it and how stale that view was.
-//
-//repolint:hotpath runs on every discovery request before the cache lookup
 func (b *Balancer) SnapshotMeta(now time.Time) (gen uint64, taken time.Time) {
 	if b.Table == nil {
 		return 0, time.Time{}
@@ -355,8 +349,6 @@ func (b *Balancer) SnapshotMeta(now time.Time) (gen uint64, taken time.Time) {
 
 // arrange never returns view.URIs nor reorders it: a stored view's slice is
 // shared by every reader of the service, so each answer is a fresh slice.
-//
-//repolint:hotpath every uncached discovery: two allocations under PolicyFilter
 func (b *Balancer) arrange(view store.DiscoveryView, now time.Time, st *flight.StageTimer) ([]string, Decision) {
 	dec := Decision{TimeWindowOK: true}
 	uris := view.URIs

@@ -284,8 +284,6 @@ func (r *Ring) Written() uint64 {
 // Append copies rec into the next ring slot. It never blocks, never
 // allocates for records without a trace id, and assigns rec.Seq. Stages
 // is kept only alongside a trace id.
-//
-//repolint:hotpath one flight record is cut on every edge request, cache hits included
 func (r *Ring) Append(rec *Record) {
 	n := r.pos.Add(1)
 	rec.Seq = n
@@ -316,8 +314,6 @@ func (r *Ring) Append(rec *Record) {
 // first sight. The fast path is one atomic map read; insertion is the
 // cold path behind a mutex and a copied map, the metrics.CounterSet
 // layout.
-//
-//repolint:hotpath runs inside Append on every edge request
 func (r *Ring) internHost(host string) *string {
 	if host == "" {
 		return nil
@@ -331,8 +327,6 @@ func (r *Ring) internHost(host string) *string {
 }
 
 // internHostSlow publishes a copied intern map with host added.
-//
-//repolint:coldpath first sight of a host; the steady state always hits the map
 func (r *Ring) internHostSlow(host string) *string {
 	r.hostMu.Lock()
 	defer r.hostMu.Unlock()

@@ -36,8 +36,6 @@ type StageTimer struct {
 }
 
 // Begin returns the instant a stage starts, for End.
-//
-//repolint:hotpath warm discovery chain: nil-receiver no-op when unsampled
 func (t *StageTimer) Begin() time.Time {
 	if t == nil {
 		return time.Time{}
@@ -46,8 +44,6 @@ func (t *StageTimer) Begin() time.Time {
 }
 
 // End adds the time since begin to the stage.
-//
-//repolint:hotpath warm discovery chain: nil-receiver no-op when unsampled
 func (t *StageTimer) End(stage int, begin time.Time) {
 	if t == nil {
 		return
@@ -96,8 +92,6 @@ func (s *Sampler) Sampled() int64 { return int64(s.seq.Load()) }
 // record gets a trace id and TimerFrom starts handing out the frame's
 // timer; otherwise the frame is left alone. It reports whether the request
 // was picked.
-//
-//repolint:hotpath runs on every discovery-capable edge request
 func (s *Sampler) Sample(fw *Writer) bool {
 	n := s.every.Load()
 	if n <= 0 {
@@ -111,8 +105,6 @@ func (s *Sampler) Sample(fw *Writer) bool {
 }
 
 // pick names the request and arms its stage timer.
-//
-//repolint:coldpath only every Nth request is picked
 func (s *Sampler) pick(fw *Writer) {
 	fw.Rec.Trace = fmt.Sprintf("%08x-%06x", s.epoch, s.seq.Add(1))
 	fw.timer = StageTimer{clock: s.clock, into: &fw.Rec.Stages}

@@ -47,22 +47,16 @@ func PutWriter(fw *Writer) {
 
 // From recovers the request's frame from its ResponseWriter; nil when
 // the route is not flight-wrapped (direct handler tests, for example).
-//
-//repolint:hotpath annotation hook on the cache-hit serving path
 func From(w http.ResponseWriter) *Writer {
 	fw, _ := w.(*Writer)
 	return fw
 }
 
 // Header passes through to the wrapped writer.
-//
-//repolint:hotpath runs on every edge response
 func (fw *Writer) Header() http.Header { return fw.inner.Header() }
 
 // Write forwards the body bytes, defaulting the status to 200 like
 // net/http does.
-//
-//repolint:hotpath runs on every edge response
 func (fw *Writer) Write(b []byte) (int, error) {
 	if fw.status == 0 {
 		fw.status = http.StatusOK
@@ -71,8 +65,6 @@ func (fw *Writer) Write(b []byte) (int, error) {
 }
 
 // WriteHeader records the first explicit status and forwards it.
-//
-//repolint:hotpath runs on every edge response
 func (fw *Writer) WriteHeader(code int) {
 	if fw.status == 0 {
 		fw.status = int32(code)
@@ -89,8 +81,6 @@ func (fw *Writer) NoteQueued() { fw.queued = true }
 // a 503 is an admission shed (the edge's only source of 503s), other
 // 5xx are errors, 4xx client errors, everything else admitted — or
 // queued when the admission middleware said so.
-//
-//repolint:hotpath runs once per edge request after the handler returns
 func (fw *Writer) Finish() {
 	status := fw.status
 	if status == 0 {
@@ -131,8 +121,6 @@ func FrameFrom(ctx context.Context) *Writer {
 // TimerFrom returns the stage timer of the sampled request ctx belongs
 // to, or nil — no frame, or a request the sampler did not pick. Every
 // StageTimer method is a no-op on nil, so callers use the result unchecked.
-//
-//repolint:hotpath warm discovery chain: one context value lookup
 func TimerFrom(ctx context.Context) *StageTimer {
 	fw := FrameFrom(ctx)
 	if fw == nil || fw.Rec.Trace == "" {

@@ -18,8 +18,8 @@ import (
 )
 
 // newLeakRegistry builds a registry with one logged-in local connection
-// and a published service, the minimal state the three lifecycle tests
-// below need.
+// and a published service, the minimal state the lifecycle tests below
+// need.
 func newLeakRegistry(t *testing.T, clk simclock.Clock, service string) (*registry.Registry, *jaxr.Connection) {
 	t.Helper()
 	reg, err := registry.New(registry.Config{Clock: clk, Policy: core.PolicyFilter})
@@ -45,8 +45,7 @@ func newLeakRegistry(t *testing.T, clk simclock.Clock, service string) (*registr
 // TestCollectorRunStopsCleanly starts the NodeState collector's Run loop
 // in its own goroutine — the registry's long-lived 25 s poller — cancels
 // its context, and verifies via leakcheck that the goroutine actually
-// exited. This is the dynamic proof of the shutdown path gorolife only
-// checks statically.
+// exited.
 func TestCollectorRunStopsCleanly(t *testing.T) {
 	defer leakcheck.Check(t)()
 
@@ -94,6 +93,31 @@ func TestFederationFindJoinsWorkers(t *testing.T) {
 	}
 	if len(results) == 0 {
 		t.Fatal("federated find returned no services")
+	}
+}
+
+// TestFederationBindingsJoinsWorkers does the same for the federated
+// service-binding discovery, whose per-member workers also probe health.
+func TestFederationBindingsJoinsWorkers(t *testing.T) {
+	defer leakcheck.Check(t)()
+
+	clk := simclock.NewManual(t0)
+	_, connA := newLeakRegistry(t, clk, "Worker")
+	_, connB := newLeakRegistry(t, clk, "Worker")
+
+	fed, err := federation.New(
+		federation.Member{Name: "campus", Conn: connA},
+		federation.Member{Name: "hospital", Conn: connB},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	uris, per, err := fed.Bindings("Worker")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(uris) == 0 || len(per) != 2 {
+		t.Fatalf("federated bindings: %v from %d members", uris, len(per))
 	}
 }
 

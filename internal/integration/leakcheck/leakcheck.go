@@ -1,9 +1,9 @@
 // Package leakcheck is a stdlib-only runtime goroutine-leak detector for
-// integration tests: snapshot the live goroutines when the test starts,
-// and at the end (via the returned closer) verify that every goroutine
-// created since has exited. It is the dynamic complement to the gorolife
-// static analyzer — gorolife proves each spawn site has a shutdown path;
-// leakcheck proves the path was actually taken.
+// tests: snapshot the live goroutines when the test starts, and at the end
+// (via the returned closer) verify that every goroutine created since has
+// exited. It is the repository's one check of goroutine lifetimes: every
+// go statement in library code has a test that runs it under Check, so a
+// spawn whose shutdown path is missing, or not taken, fails that test.
 //
 // Goroutines are identified by the id in their runtime.Stack header, so a
 // pre-existing goroutine can never be misattributed to the test. Known

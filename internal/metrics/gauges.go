@@ -44,13 +44,9 @@ func (c *CounterSet) cell(label string) *atomic.Int64 {
 }
 
 // Inc adds one to the counter for label.
-//
-//repolint:hotpath the known-label path is one map read and an atomic add
 func (c *CounterSet) Inc(label string) { c.Add(label, 1) }
 
 // Add adds delta to the counter for label.
-//
-//repolint:hotpath the known-label path is one map read and an atomic add
 func (c *CounterSet) Add(label string, delta int64) {
 	if n := c.cell(label); n != nil {
 		n.Add(delta)
@@ -60,8 +56,6 @@ func (c *CounterSet) Add(label string, delta int64) {
 }
 
 // addSlow publishes a copied map with the new label's cell.
-//
-//repolint:coldpath runs once per label ever
 func (c *CounterSet) addSlow(label string, delta int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

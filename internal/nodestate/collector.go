@@ -309,9 +309,10 @@ func (c *Collector) collectHost(ctx context.Context, uri, host string, now time.
 
 // invokeOnce performs one invocation attempt under the per-invocation
 // deadline. With no deadline it calls the invoker inline; otherwise the
-// invocation runs in a goroutine raced against clock.After, and on expiry
-// (or when the sweep context is cancelled) the derived context is
-// cancelled so a ContextInvoker releases its socket.
+// invocation runs in a goroutine raced against clock.After and the sweep
+// context, and on expiry or cancellation the attempt returns at once and
+// the derived context is cancelled so a ContextInvoker releases its
+// socket; an invoker without a context finishes on its own.
 func (c *Collector) invokeOnce(ctx context.Context, uri string) (nodestatus.Response, error) {
 	if c.timeout <= 0 {
 		if ci, ok := c.invoker.(nodestatus.ContextInvoker); ok {
@@ -340,6 +341,8 @@ func (c *Collector) invokeOnce(ctx context.Context, uri string) (nodestatus.Resp
 		return r.resp, r.err
 	case <-c.clock.After(c.timeout):
 		return nodestatus.Response{}, ErrDeadline
+	case <-ctx.Done():
+		return nodestatus.Response{}, ctx.Err()
 	}
 }
 

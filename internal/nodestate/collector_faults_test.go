@@ -1,13 +1,16 @@
 package nodestate
 
 import (
+	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/breaker"
 	"repro/internal/faults"
+	"repro/internal/integration/leakcheck"
 	"repro/internal/nodestatus"
 	"repro/internal/simclock"
 	"repro/internal/store"
@@ -136,7 +139,10 @@ func TestBreakerQuarantinesAndProbes(t *testing.T) {
 	}
 }
 
+// TestDeadlineCancelsHungInvocation also holds invokeOnce's goroutine to
+// its lifetime: abandoned at the deadline, it exits once the hang ends.
 func TestDeadlineCancelsHungInvocation(t *testing.T) {
+	defer leakcheck.Check(t)()
 	clk := simclock.NewManual(t0)
 	table := store.NewNodeStateTable()
 	// Every invocation hangs for a minute; the collector gives up at 5 s.
@@ -156,11 +162,41 @@ func TestDeadlineCancelsHungInvocation(t *testing.T) {
 			if row.Health != store.HealthDegraded || row.Failures != 1 {
 				t.Fatalf("row = %+v", row)
 			}
+			clk.Advance(time.Minute)
 			return
 		default:
 			clk.Advance(time.Second)
 		}
 	}
+}
+
+// TestCancelledSweepReturnsWhileHostHangs cancels a sweep whose one host
+// hangs inside an invoker that takes no context: the sweep must return at
+// once rather than wait out the per-invocation deadline, and the parked
+// invocation exits once its hang ends.
+func TestCancelledSweepReturnsWhileHostHangs(t *testing.T) {
+	defer leakcheck.Check(t)()
+	clk := simclock.NewManual(t0)
+	table := store.NewNodeStateTable()
+	inj := faults.New(newScripted(0), clk, faults.Plan{HangRate: 1, Hang: time.Hour, Seed: 9})
+	col := New(table, inj, clk, staticURIs(faultURI), WithTimeout(5*time.Second))
+
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() { col.CollectOnceCtx(ctx); close(done) }()
+	for clk.PendingWaiters() < 2 { // the hang and the deadline
+		runtime.Gosched()
+	}
+	cancel()
+	select {
+	case <-done:
+	case <-time.After(2 * time.Second):
+		t.Fatal("CollectOnceCtx still blocked 2s after its context was cancelled")
+	}
+	if stats := col.FaultStats(); stats.Errs != 1 || stats.Timeouts != 0 {
+		t.Fatalf("stats = %+v, want the one invocation failed by cancellation", stats)
+	}
+	clk.Advance(time.Hour)
 }
 
 func TestCollectorUnderDropFaults(t *testing.T) {

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/hostsim"
+	"repro/internal/integration/leakcheck"
 	"repro/internal/nodestatus"
 	"repro/internal/simclock"
 	"repro/internal/store"
@@ -32,7 +33,11 @@ func urisOf(c *hostsim.Cluster) URIProvider {
 	}
 }
 
+// TestCollectOncePopulatesTable also holds the sweep's per-host fan-out to
+// its lifetime: every invocation goroutine has exited when CollectOnce
+// returns.
 func TestCollectOncePopulatesTable(t *testing.T) {
+	defer leakcheck.Check(t)()
 	cluster, clk := simCluster()
 	table := store.NewNodeStateTable()
 	col := New(table, nodestatus.LocalInvoker{Cluster: cluster, Clock: clk}, clk, urisOf(cluster))

@@ -49,8 +49,6 @@ func NewBalance() *Balance {
 
 // NoteAssignment counts one discovery answer that directed a client to
 // host.
-//
-//repolint:hotpath runs on every discovery response including cache hits
 func (b *Balance) NoteAssignment(host string) {
 	if b == nil || host == "" {
 		return
@@ -59,8 +57,6 @@ func (b *Balance) NoteAssignment(host string) {
 }
 
 // NoteStaleness records how old the snapshot behind one decision was.
-//
-//repolint:hotpath runs on every discovery response including cache hits
 func (b *Balance) NoteStaleness(seconds float64) {
 	if b == nil {
 		return

@@ -168,8 +168,6 @@ func (m *Manager) GetServiceBindings(serviceID string) ([]string, core.Decision,
 // every balancer step add their time to its record. The unsampled case
 // costs one context value lookup and nil-receiver calls — nothing
 // allocates.
-//
-//repolint:hotpath warm discovery chain: view load + balancer arrange
 func (m *Manager) GetServiceBindingsCtx(ctx context.Context, serviceID string) ([]string, core.Decision, error) {
 	st := flight.TimerFrom(ctx)
 	begin := st.Begin()
@@ -198,8 +196,6 @@ func (m *Manager) GetServiceBindingsByName(name string) ([]string, core.Decision
 
 // GetServiceBindingsByNameCtx is GetServiceBindingsByName with request
 // context; see GetServiceBindingsCtx.
-//
-//repolint:hotpath warm discovery chain: name-keyed view load + balancer arrange
 func (m *Manager) GetServiceBindingsByNameCtx(ctx context.Context, name string) ([]string, core.Decision, error) {
 	st := flight.TimerFrom(ctx)
 	begin := st.Begin()

@@ -55,8 +55,6 @@ var (
 // any value encoding/xml would have to unescape, normalise or reject (an
 // empty one, '&', '<', a control byte, invalid UTF-8, U+FFFE, U+FFFF). What
 // is accepted is therefore decoded exactly as encoding/xml decodes it.
-//
-//repolint:hotpath runs on every /soap/registry request before the cache lookup
 func scanGetBindings(raw []byte) (byID bool, value []byte, ok bool) {
 	if !bytes.HasPrefix(raw, reqDecl) {
 		return false, nil, false
@@ -161,8 +159,6 @@ func scanRegistryRequest(raw []byte, req *soapRequest) bool {
 // soap.Marshal(ans) returns, for every ans — the XML declaration, the
 // one-space indent MarshalIndent gives Body, the attributes in field
 // order, and each URI escaped as encoding/xml escapes character data.
-//
-//repolint:hotpath renders the SOAP encoding of every uncached discovery
 func appendBindingsEnvelope(b []byte, ans *GetBindingsResponse) []byte {
 	b = append(b, xml.Header...)
 	b = append(b, `<Envelope xmlns="`+soap.NS+`">`+"\n <Body>"+`<GetBindingsResponse filtered="`...)
@@ -239,8 +235,6 @@ func isXMLChar(r rune) bool {
 // json.NewEncoder with SetIndent("", " ") writes for it, for every ans —
 // null for nil URIs and [] for empty ones, the one-space indent, the keys
 // in field order, the trailing newline.
-//
-//repolint:hotpath renders the JSON encoding of every uncached discovery
 func appendBindingsJSON(b []byte, ans *GetBindingsResponse) []byte {
 	b = append(b, "{\n \"uris\": "...)
 	switch {
@@ -287,8 +281,6 @@ func appendJSONString(b []byte, s string) []byte {
 }
 
 // appendJSONStringEscaped is appendJSONString by way of encoding/json.
-//
-//repolint:coldpath only strings with a byte encoding/json might escape
 func appendJSONStringEscaped(b []byte, s string) []byte {
 	quoted, _ := json.Marshal(s) // a string always encodes
 	return append(b, quoted...)

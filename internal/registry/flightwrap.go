@@ -17,8 +17,7 @@ import (
 )
 
 // flightRoute is the per-route edge wrapper. It is a named type rather
-// than a closure so the recording path carries no captured variables and
-// lints clean under the hot-path allocation analyzer.
+// than a closure so the recording path carries no captured variables.
 type flightRoute struct {
 	reg    *Registry
 	route  flight.Route
@@ -43,8 +42,6 @@ func (r *Registry) flightWrap(route flight.Route, next http.Handler) http.Handle
 // decides once whether the request is sampled, runs the wrapped stack with
 // the frame as the ResponseWriter, derives the admission outcome from the
 // served status, and appends the record.
-//
-//repolint:hotpath runs on every edge request including warm cache hits
 func (fr *flightRoute) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 	fw := flight.GetWriter(w)
 	fw.Rec.Route = fr.route
@@ -74,16 +71,12 @@ func (fr *flightRoute) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 // /registry/traces. The id travels only in this header, never in a body,
 // so sampled requests are served from (and fill) the response cache like
 // any other.
-//
-//repolint:coldpath only sampled requests carry a trace id
 func echoTrace(w http.ResponseWriter, id string) {
 	w.Header().Set("X-Registry-Trace", id)
 }
 
 // noteDecision copies the constraint verdict, eligibility counts, and
 // snapshot generation of a discovery decision into a flight record.
-//
-//repolint:hotpath annotates cache hits on the 0-alloc serving path
 func noteDecision(rec *flight.Record, dec *core.Decision) {
 	switch {
 	case dec.Degraded:

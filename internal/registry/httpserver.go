@@ -553,8 +553,6 @@ type bindingsEdge struct {
 
 // FastServe writes a cached response if discover's probe finds one. It
 // must not block and must not allocate on a hit.
-//
-//repolint:hotpath the warm discovery round-trip's 0-alloc serving path
 func (e *bindingsEdge) FastServe(w http.ResponseWriter, req *http.Request) bool {
 	name, ok := serviceParam(req.URL.RawQuery)
 	if !ok {
@@ -594,8 +592,6 @@ func (e *bindingsEdge) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 }
 
 // writeBindingsJSON answers a REST discovery from preserialized bytes.
-//
-//repolint:hotpath the warm discovery round-trip's 0-alloc serving path
 func writeBindingsJSON(w http.ResponseWriter, ent *respcache.Entry) {
 	h := w.Header()
 	h["Content-Type"] = jsonCT
@@ -631,8 +627,6 @@ func (e encoding) String() string {
 // renders enc once, into a sibling entry. Either call reads the validity
 // tuple first and accounts the answer it gives: discovery counters, balance
 // assignment, flight annotation.
-//
-//repolint:hotpath the probe is the warm discovery round-trip's 0-alloc serving path
 func (r *Registry) discover(ctx context.Context, fw *flight.Writer, space respcache.Space, key string, start time.Time, enc encoding, probe bool) (*respcache.Entry, error) {
 	// The tuple is read before the decision is computed: a write or tier
 	// change landing mid-flight leaves the stored entry permanently
@@ -676,8 +670,6 @@ func (r *Registry) discover(ctx context.Context, fw *flight.Writer, space respca
 
 // encoded returns the bytes ent carries for enc, nil when that encoding
 // has not been rendered.
-//
-//repolint:hotpath runs on every cache hit
 func encoded(ent *respcache.Entry, enc encoding) []byte {
 	if enc == encSOAP {
 		return ent.SOAP
@@ -689,8 +681,6 @@ func encoded(ent *respcache.Entry, enc encoding) []byte {
 // entries are immutable once stored (the hit path reads them with no lock),
 // so the missing bytes go into a copy that replaces the original under the
 // original's validity stamp.
-//
-//repolint:coldpath runs once per entry, on the first request for its other encoding
 func (r *Registry) renderSibling(space respcache.Space, key string, of *respcache.Entry, enc encoding) *respcache.Entry {
 	sib := *of
 	r.renderBindings(&sib, enc)
@@ -703,8 +693,6 @@ func (r *Registry) renderSibling(space respcache.Space, key string, of *respcach
 // produced: the JSON through appendBindingsJSON, whose bytes are those of
 // writeJSON's encoder configuration, the SOAP envelope through
 // appendBindingsEnvelope, whose bytes are soap.Marshal's.
-//
-//repolint:coldpath runs once per cache miss and once per sibling
 func (r *Registry) renderBindings(ent *respcache.Entry, enc encoding) {
 	dec := &ent.Decision
 	ans := GetBindingsResponse{
@@ -729,8 +717,6 @@ func (r *Registry) renderBindings(ent *respcache.Entry, enc encoding) {
 
 // account folds one discovery answer into the counters and, when the
 // route is flight-wrapped, into the request's record.
-//
-//repolint:hotpath runs on every discovery answer including cache hits
 func (r *Registry) account(fw *flight.Writer, dec *core.Decision, host string, age time.Duration, start time.Time, hit bool) {
 	r.discovery.observe(dec, host, age, r.Clock.Now().Sub(start).Seconds())
 	if fw != nil {
@@ -743,8 +729,6 @@ func (r *Registry) account(fw *flight.Writer, dec *core.Decision, host string, a
 
 // snapshotAge converts a snapshot publish instant into the decision's
 // staleness, clamping at zero (a just-republished table reads as fresh).
-//
-//repolint:hotpath runs on every discovery request
 func snapshotAge(now, taken time.Time) time.Duration {
 	if taken.IsZero() {
 		return 0
@@ -760,8 +744,6 @@ func snapshotAge(now, taken time.Time) time.Duration {
 // decoding. Percent escapes, '+', and semicolon-separated pairs (which
 // url.ParseQuery rejects outright) bail to the slow path so the fast
 // path can never disagree with req.URL.Query().
-//
-//repolint:hotpath runs on every discovery request before the cache lookup
 func serviceParam(raw string) (string, bool) {
 	for len(raw) > 0 {
 		var pair string
@@ -791,8 +773,6 @@ func serviceParam(raw string) (string, bool) {
 
 // edgeTier reads the brownout tier for response-cache keying; a registry
 // without admission control is permanently at tier 0.
-//
-//repolint:hotpath runs on every discovery request before the cache lookup
 func (r *Registry) edgeTier() uint32 {
 	if r.Admission == nil {
 		return 0

@@ -37,8 +37,6 @@ type discoveryMetrics struct {
 // how stale the NodeState snapshot behind the decision was, and seconds
 // the request's wall (or sim) duration. Runs on the cache-hit path, so
 // it must not allocate.
-//
-//repolint:hotpath runs on every discovery response including cache hits
 func (d *discoveryMetrics) observe(dec *core.Decision, host string, age time.Duration, seconds float64) {
 	d.total.Inc()
 	if dec.FellBack {

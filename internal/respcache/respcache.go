@@ -117,8 +117,6 @@ func (c *Cache) BumpEpoch() {
 // the current world: same write epoch, same snapshot generation, same
 // brownout tier, and not past its expiry. Misses and invalid entries
 // count as misses.
-//
-//repolint:hotpath runs on every discovery request before the balancer
 func (c *Cache) Lookup(space Space, key string, gen uint64, tier uint32, now time.Time) *Entry {
 	c.mu.RLock()
 	e := c.spaces[space][key]

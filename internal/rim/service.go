@@ -163,8 +163,6 @@ func (b *ServiceBinding) Host() string {
 // recognised by a scan that allocates nothing; userinfo, bracketed
 // literals, escapes, queries, fragments and everything else go through
 // url.Parse.
-//
-//repolint:hotpath runs once per binding of every service digested
 func HostOfURI(uri string) string {
 	i := 0
 	for i < len(uri) && isSchemeByte(uri[i], i == 0) {
@@ -199,8 +197,6 @@ func HostOfURI(uri string) string {
 
 // hostOfURIParsed is HostOfURI by way of url.Parse: the definition the
 // scan above must agree with on every input it accepts.
-//
-//repolint:coldpath only URIs outside the common shape are parsed in full
 func hostOfURIParsed(uri string) string {
 	u, err := url.Parse(uri)
 	if err != nil {

@@ -173,8 +173,6 @@ func (r *Router) Patterns() []string {
 }
 
 // ServeHTTP dispatches against the frozen table.
-//
-//repolint:hotpath frozen-table dispatch runs on every request
 func (r *Router) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 	if !r.frozen {
 		panic(errNotFrozen)
@@ -206,8 +204,6 @@ func (r *Router) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 
 // reject writes a preserialized error response with shared header slices,
 // so the reject paths stay allocation-free under a scanner or flood.
-//
-//repolint:hotpath reject paths are the hot path under abusive traffic
 func (r *Router) reject(w http.ResponseWriter, status int, body []byte) {
 	h := w.Header()
 	h["Content-Type"] = r.textContentType
@@ -218,8 +214,6 @@ func (r *Router) reject(w http.ResponseWriter, status int, body []byte) {
 
 // depth counts the path's segments: "/a/b" is 2, "/" is 0. A trailing
 // slash opens a segment only if something follows it, so "/a/" is 1.
-//
-//repolint:hotpath runs on every request before dispatch
 func depth(path string) int {
 	n := 0
 	for i := 0; i < len(path); i++ {

@@ -218,8 +218,6 @@ func (s *TableSnapshot) Taken() time.Time { return s.taken }
 func (s *TableSnapshot) Len() int { return len(s.rows) }
 
 // Get returns the snapshot's row for host and whether it exists.
-//
-//repolint:hotpath warm discovery chain: per-binding row lookup, lock-free
 func (s *TableSnapshot) Get(host string) (NodeState, bool) {
 	row, ok := s.rows[host]
 	return row, ok
@@ -250,6 +248,14 @@ func (t *NodeStateTable) Publish(now time.Time) *TableSnapshot {
 	}
 }
 
+// Published returns the currently installed snapshot without building a
+// fresh one (nil before the first Publish). Metrics exposition uses it to
+// report snapshot generation and age without perturbing what it measures:
+// a scrape must not republish and thereby reset the age it is reading.
+func (t *NodeStateTable) Published() *TableSnapshot {
+	return t.snap.Load()
+}
+
 // Snapshot returns a snapshot suitable for a discovery read at time now.
 //
 //   - If the published snapshot is coherent (the table has not changed
@@ -263,16 +269,6 @@ func (t *NodeStateTable) Publish(now time.Time) *TableSnapshot {
 //     period plus maxAge.
 //   - Otherwise (maxAge <= 0, or the guard expired) a fresh snapshot is
 //     built and published, so callers always observe committed writes.
-//
-// Published returns the currently installed snapshot without building a
-// fresh one (nil before the first Publish). Metrics exposition uses it to
-// report snapshot generation and age without perturbing what it measures:
-// a scrape must not republish and thereby reset the age it is reading.
-func (t *NodeStateTable) Published() *TableSnapshot {
-	return t.snap.Load()
-}
-
-//repolint:hotpath warm discovery chain: steady state is one atomic load
 func (t *NodeStateTable) Snapshot(now time.Time, maxAge time.Duration) *TableSnapshot {
 	s := t.snap.Load()
 	if s != nil {

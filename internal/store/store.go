@@ -378,15 +378,11 @@ func (s *Store) findOneByNameLocked(t rim.ObjectType, name string) (string, erro
 
 // notFoundByNameErr builds the ErrNotFound for a name lookup. Error
 // construction lives off the discovery hot path.
-//
-//repolint:coldpath error construction, off the measured discovery path
 func notFoundByNameErr(t rim.ObjectType, name string) error {
 	return fmt.Errorf("%w: %s named %q", ErrNotFound, t.Short(), name)
 }
 
 // ambiguousNameErr reports a name resolving to more than one object.
-//
-//repolint:coldpath error construction, off the measured discovery path
 func ambiguousNameErr(t rim.ObjectType, name string) error {
 	return fmt.Errorf("store: name %q is ambiguous for %s", name, t.Short())
 }
@@ -457,8 +453,6 @@ type Digest struct {
 // reads that result, so a description is parsed once per version, and only
 // if somebody discovers the service; callers racing to be first each
 // compute one and all but one are discarded.
-//
-//repolint:hotpath warm discovery chain: one atomic load once a service has been discovered
 func (v DiscoveryView) Digest() *Digest {
 	if v.memo == nil {
 		return newDigest(v.Description, v.URIs)
@@ -472,8 +466,6 @@ func (v DiscoveryView) Digest() *Digest {
 
 // newDigest is the one place a description is parsed and a URI's host
 // extracted on behalf of discovery.
-//
-//repolint:coldpath runs once per description version, or per call on a hand-built view
 func newDigest(description string, uris []string) *Digest {
 	d := &Digest{Hosts: make([]string, len(uris))}
 	d.Constraint, _, d.Err = constraint.FromDescription(description)
@@ -486,8 +478,6 @@ func newDigest(description string, uris []string) *Digest {
 // ServiceView returns the discovery view of the service with the given id.
 // It returns ErrNotFound for unknown ids and an error when the object is
 // not a Service.
-//
-//repolint:hotpath warm discovery chain: id-keyed entry load under RLock
 func (s *Store) ServiceView(id string) (DiscoveryView, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -495,16 +485,12 @@ func (s *Store) ServiceView(id string) (DiscoveryView, error) {
 }
 
 // notFoundIDErr builds the ErrNotFound for an id lookup, off the hot path.
-//
-//repolint:coldpath error construction, off the measured discovery path
 func notFoundIDErr(id string) error {
 	return fmt.Errorf("%w: %s", ErrNotFound, id)
 }
 
 // ServiceViewByName returns the discovery view of the unique service with
 // the given name (case-insensitive), resolved through the name index.
-//
-//repolint:hotpath warm discovery chain: name-keyed entry load under RLock
 func (s *Store) ServiceViewByName(name string) (DiscoveryView, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -526,8 +512,6 @@ func (s *Store) viewLocked(id string) (DiscoveryView, error) {
 }
 
 // notServiceErr reports a non-service object on the discovery path.
-//
-//repolint:coldpath error construction, off the measured discovery path
 func notServiceErr(id string) error {
 	return fmt.Errorf("store: %s is not a service", id)
 }

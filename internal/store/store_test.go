@@ -10,6 +10,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"repro/internal/integration/leakcheck"
 	"repro/internal/rim"
 )
 
@@ -336,7 +337,11 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
+// TestLoadRejectsGarbage also holds Load's decode workers to their
+// lifetime: a stream that fails, in a worker or in the reader, still
+// leaves none of them running.
 func TestLoadRejectsGarbage(t *testing.T) {
+	defer leakcheck.Check(t)()
 	s := New()
 	if err := s.Load(bytes.NewReader([]byte("{not json"))); !errors.Is(err, ErrSnapshotCorrupt) {
 		t.Fatalf("garbage: %v", err)
@@ -344,6 +349,19 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	bad := append(rawFrame("Martian", []byte("{}")), trailer(1)...)
 	if err := s.Load(bytes.NewReader(bad)); err == nil || !strings.Contains(err.Error(), "Martian") {
 		t.Fatalf("unknown kind: %v", err)
+	}
+	src := New()
+	for i := 0; i < 64; i++ {
+		if err := src.Put(rim.NewService(fmt.Sprintf("Svc-%d", i), "")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var buf bytes.Buffer
+	if err := src.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Load(bytes.NewReader(buf.Bytes()[:buf.Len()/2])); err == nil {
+		t.Fatal("a snapshot cut mid-way loaded")
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 // directory, fsyncing, then renaming over path — a crash leaves either
 // the old complete file or the new complete file, never a torn mix. This
 // helper is the only sanctioned way to write checkpoint/snapshot files;
-// the repolint atomicwrite analyzer flags bare os.Create of such paths.
+// TestWriteFileAtomic and make crashcheck hold it to that.
 func WriteFileAtomic(path string, write func(w io.Writer) error) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")

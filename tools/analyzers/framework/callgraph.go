@@ -5,32 +5,20 @@ import (
 	"go/types"
 )
 
-// CallSite is one statically resolved call from a package function to
-// another function of the same package.
-type CallSite struct {
-	Caller *types.Func
-	Callee *types.Func
-	Call   *ast.CallExpr
-}
-
-// CallGraph is the intra-package static call graph: one node per
-// package-level function or method declared in the analyzed package, one
-// edge per call expression whose callee resolves statically (direct calls
-// and method calls on typed receivers — not interface dispatch through
-// values whose dynamic type is unknown, and not calls through stored
-// function values). It is deliberately an under-approximation: analyzers
-// use it to propagate properties along calls they can prove, and fall back
-// to per-function reasoning elsewhere.
+// CallGraph resolves the analyzed package's intra-package calls: one node
+// per package-level function or method declared in it, and a call resolves
+// when its callee is statically known (direct calls and method calls on
+// typed receivers — not interface dispatch through values whose dynamic
+// type is unknown, and not calls through stored function values). It is
+// deliberately an under-approximation: analyzers use it to propagate
+// properties along calls they can prove, and fall back to per-function
+// reasoning elsewhere.
 //
 // The graph covers non-test files only, matching the analyzers' scope.
 type CallGraph struct {
 	pass *Pass
 	// Decls maps each declared function to its syntax.
 	Decls map[*types.Func]*ast.FuncDecl
-	// Files maps each declared function to the file declaring it.
-	Files map[*types.Func]*ast.File
-	// Calls lists the resolved intra-package call sites per caller.
-	Calls map[*types.Func][]CallSite
 }
 
 // NewCallGraph builds the call graph for the pass's package.
@@ -38,8 +26,6 @@ func NewCallGraph(pass *Pass) *CallGraph {
 	g := &CallGraph{
 		pass:  pass,
 		Decls: make(map[*types.Func]*ast.FuncDecl),
-		Files: make(map[*types.Func]*ast.File),
-		Calls: make(map[*types.Func][]CallSite),
 	}
 	for _, f := range pass.NonTestFiles() {
 		for _, decl := range f.Decls {
@@ -47,28 +33,10 @@ func NewCallGraph(pass *Pass) *CallGraph {
 			if !ok {
 				continue
 			}
-			fn, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func)
-			if !ok {
-				continue
+			if fn, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func); ok {
+				g.Decls[fn] = fd
 			}
-			g.Decls[fn] = fd
-			g.Files[fn] = f
 		}
-	}
-	for fn, fd := range g.Decls {
-		if fd.Body == nil {
-			continue
-		}
-		ast.Inspect(fd.Body, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			if callee := g.CalleeOf(call); callee != nil {
-				g.Calls[fn] = append(g.Calls[fn], CallSite{Caller: fn, Callee: callee, Call: call})
-			}
-			return true
-		})
 	}
 	return g
 }
@@ -94,29 +62,4 @@ func (g *CallGraph) CalleeOf(call *ast.CallExpr) *types.Func {
 		return nil // e.g. interface method of a locally defined interface
 	}
 	return fn
-}
-
-// Reachable computes the functions reachable from roots along Calls edges.
-// stop, when non-nil, prunes traversal: a function for which stop returns
-// true is excluded from the result and not descended into (roots are never
-// pruned). The result includes the roots themselves.
-func (g *CallGraph) Reachable(roots []*types.Func, stop func(*types.Func) bool) map[*types.Func]bool {
-	seen := make(map[*types.Func]bool)
-	var visit func(fn *types.Func, isRoot bool)
-	visit = func(fn *types.Func, isRoot bool) {
-		if seen[fn] {
-			return
-		}
-		if !isRoot && stop != nil && stop(fn) {
-			return
-		}
-		seen[fn] = true
-		for _, site := range g.Calls[fn] {
-			visit(site.Callee, false)
-		}
-	}
-	for _, r := range roots {
-		visit(r, true)
-	}
-	return seen
 }

@@ -2,88 +2,33 @@ package framework
 
 import (
 	"go/ast"
-	"go/token"
 	"strings"
 )
 
-// Directive is one machine-readable `//repolint:<name> [args]` comment.
-// Directives attach behaviour to declarations and statements:
+// DirectivePrefix introduces a machine-readable `//repolint:<name> [args]`
+// comment on a function's doc comment. One directive is recognized:
 //
-//	//repolint:hotpath        — function is on the allocation-gated warm path
-//	//repolint:coldpath       — function terminates hotpath closure (cold branch)
 //	//repolint:ctxprop-allow  — compatibility shim may call context.Background
-//	//repolint:gorolife-allow — goroutine's lifecycle is managed elsewhere
 //
 // The arguments (everything after the name) are free text, conventionally a
-// one-line justification that shows up in reviews.
-type Directive struct {
-	Name string
-	Args string
-	Pos  token.Pos
-}
-
-// DirectivePrefix introduces a repolint directive comment. Like go:build
+// one-line justification that shows up in reviews. Like go:build
 // constraints, a directive comment has no space after the slashes, so
 // gofmt keeps it attached to the commented declaration.
 const DirectivePrefix = "//repolint:"
 
-// parseDirective decodes c as a repolint directive, reporting ok=false for
-// ordinary comments.
-func parseDirective(c *ast.Comment) (Directive, bool) {
-	if !strings.HasPrefix(c.Text, DirectivePrefix) {
-		return Directive{}, false
-	}
-	rest := strings.TrimPrefix(c.Text, DirectivePrefix)
-	name, args, _ := strings.Cut(rest, " ")
-	name = strings.TrimSpace(name)
-	if name == "" {
-		return Directive{}, false
-	}
-	return Directive{Name: name, Args: strings.TrimSpace(args), Pos: c.Pos()}, true
-}
-
-// FuncDirectives returns the directives attached to fd's doc comment.
-func (p *Pass) FuncDirectives(fd *ast.FuncDecl) []Directive {
-	if fd.Doc == nil {
-		return nil
-	}
-	var out []Directive
-	for _, c := range fd.Doc.List {
-		if d, ok := parseDirective(c); ok {
-			out = append(out, d)
-		}
-	}
-	return out
-}
-
 // FuncHasDirective reports whether fd's doc comment carries the named
 // directive.
 func (p *Pass) FuncHasDirective(fd *ast.FuncDecl, name string) bool {
-	for _, d := range p.FuncDirectives(fd) {
-		if d.Name == name {
-			return true
-		}
+	if fd.Doc == nil {
+		return false
 	}
-	return false
-}
-
-// NodeHasDirective reports whether a directive with the given name
-// annotates node n in file f: the directive comment must sit on n's
-// starting line or on the line immediately above it. This is how
-// statement-level directives (e.g. gorolife-allow on a go statement) are
-// attached.
-func (p *Pass) NodeHasDirective(f *ast.File, n ast.Node, name string) bool {
-	line := p.Fset.Position(n.Pos()).Line
-	for _, cg := range f.Comments {
-		for _, c := range cg.List {
-			d, ok := parseDirective(c)
-			if !ok || d.Name != name {
-				continue
-			}
-			cl := p.Fset.Position(c.Pos()).Line
-			if cl == line || cl == line-1 {
-				return true
-			}
+	for _, c := range fd.Doc.List {
+		rest, ok := strings.CutPrefix(c.Text, DirectivePrefix)
+		if !ok {
+			continue
+		}
+		if got, _, _ := strings.Cut(rest, " "); strings.TrimSpace(got) == name {
+			return true
 		}
 	}
 	return false
