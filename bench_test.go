@@ -120,18 +120,15 @@ type gatedCase struct {
 
 func gatedCases() []gatedCase {
 	var cases []gatedCase
-	// The returned URI slice is one allocation; a balancing policy adds its
-	// decision, at any host count.
-	for _, p := range []struct {
-		policy core.Policy
-		budget float64
-	}{{core.PolicyStock, 1}, {core.PolicyFilter, 2}, {core.PolicyRankFirst, 2}, {core.PolicyLeastLoaded, 2}} {
+	// The returned URI slice is the one allocation, under every policy and
+	// at any host count: a balancing policy classifies on the stack.
+	for _, policy := range []core.Policy{core.PolicyStock, core.PolicyFilter, core.PolicyRankFirst, core.PolicyLeastLoaded} {
 		for _, hosts := range []int{2, 8, 32} {
-			cases = append(cases, gatedCase{"BenchmarkDiscovery", fmt.Sprintf("%s/hosts=%d", p.policy, hosts), p.budget,
-				func(tb testing.TB) func() { return discoveryOp(tb, p.policy, hosts) }})
+			cases = append(cases, gatedCase{"BenchmarkDiscovery", fmt.Sprintf("%s/hosts=%d", policy, hosts), 1,
+				func(tb testing.TB) func() { return discoveryOp(tb, policy, hosts) }})
 		}
 	}
-	cases = append(cases, gatedCase{"BenchmarkDiscoveryFastPath", "warm", 2, fastPathWarmOp})
+	cases = append(cases, gatedCase{"BenchmarkDiscoveryFastPath", "warm", 1, fastPathWarmOp})
 	for _, c := range []struct {
 		name   string
 		budget float64
@@ -139,10 +136,13 @@ func gatedCases() []gatedCase {
 	}{
 		// The serving edge. A warm REST round trip allocates nothing; SOAP
 		// hits allocate because they run under admit.Wrap's deadline budget.
+		// Every other row runs on a simulated clock; soap-warm/real prices
+		// the budget on the clock production uses.
 		{"filter/hosts=8/warm", 0, httpRequest{}},
-		{"filter/hosts=8/miss", 17, httpRequest{miss: true}},
-		{"filter/hosts=8/soap-warm", 16, httpRequest{soap: true}},
-		{"filter/hosts=8/soap-miss", 21, httpRequest{soap: true, miss: true}},
+		{"filter/hosts=8/miss", 9, httpRequest{miss: true}},
+		{"filter/hosts=8/soap-warm", 9, httpRequest{soap: true}},
+		{"filter/hosts=8/soap-warm/real", 9, httpRequest{soap: true, real: true}},
+		{"filter/hosts=8/soap-miss", 13, httpRequest{soap: true, miss: true}},
 		// The frozen router's preserialized rejects, answered before any
 		// route runs.
 		{"edge/404", 0, httpRequest{path: "/registry/nope", status: http.StatusNotFound}},
@@ -156,7 +156,7 @@ func gatedCases() []gatedCase {
 		// Every request sampled: trace id, frame context, stage timer. The
 		// ceilings are the maximum over 20 runs.
 		{"sampled/rest", 6, httpRequest{sampled: true}},
-		{"sampled/soap", 20, httpRequest{soap: true, sampled: true}},
+		{"sampled/soap", 13, httpRequest{soap: true, sampled: true}},
 	} {
 		cases = append(cases, gatedCase{"BenchmarkHTTPDiscovery", c.name, c.budget,
 			func(tb testing.TB) func() { return httpDiscoveryOp(tb, c.req) }})
@@ -183,20 +183,15 @@ func runGated(b *testing.B, bench string) {
 
 // TestDiscoveryAllocBudgets holds every gated benchmark body to its
 // allocation budget, and names the allocation sites of a body over budget.
-// It yields after each iteration: on a simulated clock admit.WithBudget
-// races the deadline in a helper goroutine, and one that has not yet run to
-// its exit when the next request arrives costs that request a new g, so
-// without the yield a count reads one higher for stretches the scheduler
-// picks. Under the race detector sync.Pool drops items at random and the
-// counts read higher still, so there it is skipped.
+// Under the race detector sync.Pool drops items at random and the counts
+// read higher, so there it is skipped.
 func TestDiscoveryAllocBudgets(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not deterministic under the race detector")
 	}
 	for _, c := range gatedCases() {
 		t.Run(c.bench+"/"+c.name, func(t *testing.T) {
-			body := c.setup(t)
-			op := func() { body(); runtime.Gosched() }
+			op := c.setup(t)
 			if got := testing.AllocsPerRun(200, op); got > c.budget {
 				t.Errorf("%v allocs/op, budget %v; allocation sites in repro/, per op:\n%s", got, c.budget, allocSites(op))
 			}
@@ -695,12 +690,17 @@ type httpRequest struct {
 	shed    bool   // the route's admission class is held at its one slot
 	sampled bool   // the sampler picks every request
 	status  int    // the answer expected; 0 is 200
+	real    bool   // the registry runs on simclock.Real{}, not a manual clock
 }
 
 func httpDiscoveryOp(tb testing.TB, hr httpRequest) func() {
 	const hosts = 8
+	var clk simclock.Clock = simclock.NewManual(benchEpoch)
+	if hr.real {
+		clk = simclock.Real{}
+	}
 	cfg := registry.Config{
-		Clock:          simclock.NewManual(benchEpoch),
+		Clock:          clk,
 		Policy:         core.PolicyFilter,
 		SnapshotMaxAge: 25 * time.Second,
 		Admission:      &admit.Config{}, // production defaults; never sheds at bench load
@@ -722,7 +722,7 @@ func httpDiscoveryOp(tb testing.TB, hr httpRequest) func() {
 		svc.AddBinding("http://" + host + ":8080/Adder/addService")
 		reg.Store.NodeState().Upsert(store.NodeState{
 			Host: host, Load: float64(i%4) * 0.7, MemoryB: 4 << 30, SwapB: 1 << 30,
-			Updated: benchEpoch,
+			Updated: clk.Now(),
 		})
 	}
 	if err := reg.LCM.SubmitObjects(reg.AdminContext(), svc); err != nil {

@@ -212,35 +212,131 @@ func TestDeadlineHonorsClientHeader(t *testing.T) {
 	}
 }
 
+// TestWithBudgetExpiresOnManualClock: a Done armed before the deadline
+// closes when the clock reaches it.
 func TestWithBudgetExpiresOnManualClock(t *testing.T) {
+	defer leakcheck.Check(t)()
 	clk := simclock.NewManual(testEpoch)
 	c := NewController(testConfig(), clk, nil)
 	ctx, cancel, exceeded := c.WithBudget(context.Background(), 100*time.Millisecond)
 	defer cancel()
+	done := ctx.Done()
 	if exceeded() {
 		t.Fatal("budget exceeded before any time passed")
 	}
 	clk.Advance(150 * time.Millisecond)
 	select {
-	case <-ctx.Done():
+	case <-done:
 	case <-time.After(2 * time.Second):
 		t.Fatal("context not cancelled after the budget elapsed")
 	}
-	if !exceeded() {
-		t.Fatal("exceeded() false after expiry")
+	if !exceeded() || ctx.Err() != context.DeadlineExceeded {
+		t.Fatalf("after expiry: exceeded %v, Err %v", exceeded(), ctx.Err())
 	}
 }
 
-// TestWithBudgetHelperExitsOnCancel finishes the work inside its budget:
-// cancelling the derived context alone must end the simulated clock's
-// helper goroutine, since the clock may never reach the deadline.
+// TestWithBudgetHelperExitsOnCancel finishes the work inside its budget
+// after somebody armed Done: cancelling alone must close Done and end the
+// goroutine that watches the clock, which may never reach the deadline.
 func TestWithBudgetHelperExitsOnCancel(t *testing.T) {
 	defer leakcheck.Check(t)()
 	c := NewController(testConfig(), simclock.NewManual(testEpoch), nil)
-	_, cancel, exceeded := c.WithBudget(context.Background(), 100*time.Millisecond)
+	ctx, cancel, exceeded := c.WithBudget(context.Background(), 100*time.Millisecond)
+	done := ctx.Done()
 	cancel()
-	if exceeded() {
-		t.Fatal("budget exceeded before any time passed")
+	select {
+	case <-done:
+	case <-time.After(2 * time.Second):
+		t.Fatal("Done not closed by cancel")
+	}
+	if exceeded() || ctx.Err() != context.Canceled {
+		t.Fatalf("cancelled inside the budget: exceeded %v, Err %v", exceeded(), ctx.Err())
+	}
+}
+
+// TestBudgetErrAtDeadlineWithoutDone: a budget nobody asks for Done is a
+// value. Err turns DeadlineExceeded the instant the clock reaches the
+// deadline, the first error sticks past cancel, and no timer is registered
+// and no goroutine started for it.
+func TestBudgetErrAtDeadlineWithoutDone(t *testing.T) {
+	defer leakcheck.Check(t)()
+	clk := simclock.NewManual(testEpoch)
+	c := NewController(testConfig(), clk, nil)
+	ctx, cancel, exceeded := c.WithBudget(context.Background(), 100*time.Millisecond)
+	clk.Advance(100*time.Millisecond - time.Nanosecond)
+	if err := ctx.Err(); err != nil || exceeded() {
+		t.Fatalf("a nanosecond before the deadline: Err %v, exceeded %v", err, exceeded())
+	}
+	clk.Advance(time.Nanosecond)
+	if err := ctx.Err(); err != context.DeadlineExceeded || !exceeded() {
+		t.Fatalf("at the deadline: Err %v, exceeded %v; want DeadlineExceeded", err, exceeded())
+	}
+	cancel()
+	if err := ctx.Err(); err != context.DeadlineExceeded || !exceeded() {
+		t.Fatalf("after cancel: Err %v, exceeded %v; want the deadline to stick", err, exceeded())
+	}
+	if n := clk.PendingWaiters(); n != 0 {
+		t.Fatalf("%d timers on the clock, want none", n)
+	}
+}
+
+// TestBudgetDoneAfterDeadlineIsClosed: Done first called once the deadline
+// has passed returns a channel already closed, on the wall clock and on a
+// manual one, and arms nothing.
+func TestBudgetDoneAfterDeadlineIsClosed(t *testing.T) {
+	defer leakcheck.Check(t)()
+	manual := simclock.NewManual(testEpoch)
+	for _, tc := range []struct {
+		name  string
+		clock simclock.Clock
+		pass  func(time.Duration)
+	}{
+		{"manual", manual, manual.Advance},
+		{"real", simclock.Real{}, simclock.Real{}.Sleep},
+	} {
+		c := NewController(testConfig(), tc.clock, nil)
+		ctx, cancel, exceeded := c.WithBudget(context.Background(), time.Millisecond)
+		tc.pass(2 * time.Millisecond)
+		select {
+		case <-ctx.Done():
+		default:
+			t.Errorf("%s: Done after the deadline is not closed", tc.name)
+		}
+		if ctx.Err() != context.DeadlineExceeded || !exceeded() {
+			t.Errorf("%s: Err %v, exceeded %v; want DeadlineExceeded", tc.name, ctx.Err(), exceeded())
+		}
+		cancel()
+	}
+	if n := manual.PendingWaiters(); n != 0 {
+		t.Fatalf("%d timers on the manual clock, want none", n)
+	}
+}
+
+// TestBudgetSurfacesCancelledParent: a client that goes away ends the
+// budget through both Err and Done, whether Done was armed before it left
+// or is first called after, and that is not a deadline miss.
+func TestBudgetSurfacesCancelledParent(t *testing.T) {
+	defer leakcheck.Check(t)()
+	c := NewController(testConfig(), simclock.NewManual(testEpoch), nil)
+	for _, armed := range []bool{false, true} {
+		parent, leave := context.WithCancel(context.Background())
+		ctx, cancel, exceeded := c.WithBudget(parent, time.Second)
+		if armed {
+			ctx.Done()
+		}
+		leave()
+		if err := ctx.Err(); err != context.Canceled {
+			t.Errorf("armed=%v: Err after the client left = %v, want Canceled", armed, err)
+		}
+		select {
+		case <-ctx.Done():
+		case <-time.After(2 * time.Second):
+			t.Errorf("armed=%v: Done not closed after the client left", armed)
+		}
+		if exceeded() {
+			t.Errorf("armed=%v: a client leaving counted as a deadline miss", armed)
+		}
+		cancel()
 	}
 }
 
@@ -349,6 +445,35 @@ func TestWrapEnforcesDeadline(t *testing.T) {
 	rec := <-done
 	if rec.Code != http.StatusGatewayTimeout {
 		t.Fatalf("status = %d, want the handler's 504", rec.Code)
+	}
+	if got := c.ClassStats(ClassDiscovery).DeadlineExceeded; got != 1 {
+		t.Fatalf("deadline-exceeded count = %d, want 1", got)
+	}
+}
+
+// TestWrapDeadlineWithoutTimer: a handler that only checks Err — every
+// service route — gets its deadline from the clock alone. Nothing is
+// registered on the clock while it runs, and the miss is counted.
+func TestWrapDeadlineWithoutTimer(t *testing.T) {
+	defer leakcheck.Check(t)()
+	clk := simclock.NewManual(testEpoch)
+	c := NewController(testConfig(), clk, nil)
+	timers := clk.PendingWaiters()
+	var inside, past error
+	var armed int
+	h := c.Wrap(ClassDiscovery, RejectJSON, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		inside = r.Context().Err()
+		clk.Advance(250 * time.Millisecond) // the class deadline
+		past = r.Context().Err()
+		armed = clk.PendingWaiters() - timers
+		w.WriteHeader(http.StatusGatewayTimeout)
+	}))
+	h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, "/registry/bindings", nil))
+	if inside != nil || past != context.DeadlineExceeded {
+		t.Fatalf("Err inside the budget %v, at its deadline %v; want nil, DeadlineExceeded", inside, past)
+	}
+	if armed != 0 {
+		t.Fatalf("the request registered %d timers on the clock, want none", armed)
 	}
 	if got := c.ClassStats(ClassDiscovery).DeadlineExceeded; got != 1 {
 		t.Fatalf("deadline-exceeded count = %d, want 1", got)

@@ -2,9 +2,9 @@ package admit
 
 import (
 	"context"
-	"errors"
 	"net/http"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -143,10 +143,12 @@ func (c *Controller) Wrap(class Class, format RejectFormat, next http.Handler) h
 			next.ServeHTTP(w, r)
 			return
 		}
-		ctx, cancel, exceeded := c.WithBudget(r.Context(), d)
-		defer cancel()
-		next.ServeHTTP(w, r.WithContext(ctx))
-		if exceeded() {
+		// The budget runs from arrival, so the time spent queueing above is
+		// charged to it: a request promoted after its deadline is refused by
+		// the handler's first Err check, not served late.
+		b := &budget{parent: r.Context(), clock: c.clock, deadline: now.Add(d)}
+		next.ServeHTTP(w, r.WithContext(b))
+		if b.end() {
 			c.NoteDeadlineExceeded(class)
 		}
 	})
@@ -176,30 +178,145 @@ func (c *Controller) awaitTurn(t *Ticket, r *http.Request) bool {
 	}
 }
 
-// WithBudget derives a context that is cancelled after d on the
-// controller's clock. The returned exceeded func reports (after the
-// work finishes) whether the budget expired. On the real clock this is
-// context.WithTimeout; on a simulated clock a helper goroutine races
-// clock.After against completion so tests and the flash-crowd harness
-// stay deterministic.
+// WithBudget derives a context whose budget ends d from now on the
+// controller's clock: the budget Wrap gives an admitted request, for work
+// that does not arrive through Wrap. Cancelling ends the budget; the
+// returned exceeded func reports whether the deadline had passed by then
+// (or by now, if the work is still running).
 func (c *Controller) WithBudget(ctx context.Context, d time.Duration) (context.Context, context.CancelFunc, func() bool) {
 	if d <= 0 {
 		return ctx, func() {}, func() bool { return false }
 	}
-	if _, ok := c.clock.(simclock.Real); ok {
-		tctx, cancel := context.WithTimeout(ctx, d)
-		return tctx, cancel, func() bool { return errors.Is(tctx.Err(), context.DeadlineExceeded) }
+	b := &budget{parent: ctx, clock: c.clock, deadline: c.clock.Now().Add(d)}
+	return b, func() { b.end() }, b.exceeded
+}
+
+// budget is the context an admitted request runs under: its parent, the
+// controller's clock and an absolute deadline on that clock. Err compares
+// the clock with the deadline and then asks the parent, so a handler that
+// only checks Err — every service route does — gets its deadline without a
+// timer, a goroutine or a registration with the parent. Done arms a
+// watcher the first time somebody calls it; on the real clock and on a
+// simulated one alike.
+type budget struct {
+	parent   context.Context
+	clock    simclock.Clock
+	deadline time.Time
+	// why latches what ended the budget, so Err keeps giving the first
+	// error it gave.
+	why atomic.Uint32
+
+	mu   sync.Mutex
+	done chan struct{} // guarded by mu; nil until Done is first called
+	stop chan struct{} // guarded by mu; closed by end to release the watcher
+}
+
+// Reasons a budget ended, stored in budget.why.
+const (
+	budgetRunning uint32 = iota
+	budgetExpired        // the deadline passed on the clock
+	budgetParent         // the parent ended first (the client went away)
+	budgetEnded          // the request finished inside its deadline
+)
+
+// closedDone is the Done channel of a budget already over when Done is
+// first called.
+var closedDone = func() chan struct{} {
+	ch := make(chan struct{})
+	close(ch)
+	return ch
+}()
+
+// Deadline reports the earlier of the budget's deadline and the parent's.
+// On a simulated clock the budget's deadline is not a wall-clock instant,
+// and a dialer or an outgoing request would read it as one, so there only
+// the parent's is reported.
+func (b *budget) Deadline() (time.Time, bool) {
+	pd, ok := b.parent.Deadline()
+	if _, wall := b.clock.(simclock.Real); !wall || ok && pd.Before(b.deadline) {
+		return pd, ok
 	}
-	tctx, cancel := context.WithCancel(ctx)
-	var hit atomic.Bool
-	expire := c.clock.After(d)
-	go func() {
+	return b.deadline, true
+}
+
+// Value implements context.Context.
+func (b *budget) Value(key any) any { return b.parent.Value(key) }
+
+// Err reports context.DeadlineExceeded once the clock reaches the
+// deadline, the parent's error once the parent has ended, and
+// context.Canceled after end; nil while the budget runs.
+func (b *budget) Err() error {
+	switch b.why.Load() {
+	case budgetExpired:
+		return context.DeadlineExceeded
+	case budgetParent:
+		return b.parent.Err()
+	case budgetEnded:
+		return context.Canceled
+	}
+	switch {
+	case !b.clock.Now().Before(b.deadline):
+		b.why.CompareAndSwap(budgetRunning, budgetExpired)
+	case b.parent.Err() != nil:
+		b.why.CompareAndSwap(budgetRunning, budgetParent)
+	default:
+		return nil
+	}
+	return b.Err()
+}
+
+// Done returns a channel closed when the budget ends. The first call on a
+// running budget starts the watcher that closes it: a goroutine waiting
+// for the deadline on the clock, the parent, or end. On a budget already
+// over it returns a closed channel and starts nothing.
+func (b *budget) Done() <-chan struct{} {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.done == nil {
+		if b.Err() != nil {
+			b.done = closedDone
+		} else {
+			b.done, b.stop = make(chan struct{}), make(chan struct{})
+			go b.watch(b.clock.After(b.deadline.Sub(b.clock.Now())), b.done, b.stop)
+		}
+	}
+	return b.done
+}
+
+// watch closes done when the first of expire, the parent and stop fires.
+// Err needs no word from it: by then the clock has reached the deadline,
+// the parent reports its error, or end has latched budgetEnded. The first
+// Err check covers a clock moved past the deadline between Done's check
+// and expire's registration, which expire would only see late.
+func (b *budget) watch(expire <-chan time.Time, done, stop chan struct{}) {
+	if b.Err() == nil {
 		select {
 		case <-expire:
-			hit.Store(true)
-			cancel()
-		case <-tctx.Done():
+		case <-b.parent.Done():
+		case <-stop:
 		}
-	}()
-	return tctx, cancel, hit.Load
+	}
+	close(done)
+}
+
+// exceeded reports whether the budget ended, or has by now, at its
+// deadline.
+func (b *budget) exceeded() bool {
+	b.Err()
+	return b.why.Load() == budgetExpired
+}
+
+// end finishes the request the budget was given to and reports whether it
+// overran its deadline. A budget still running reads as cancelled from
+// here on, and a watcher Done armed exits.
+func (b *budget) end() bool {
+	exceeded := b.exceeded()
+	b.why.CompareAndSwap(budgetRunning, budgetEnded)
+	b.mu.Lock()
+	if b.stop != nil {
+		close(b.stop)
+		b.stop = nil
+	}
+	b.mu.Unlock()
+	return exceeded
 }

@@ -209,18 +209,6 @@ func (v Verdict) String() string {
 	}
 }
 
-// BindingDecision records how one binding was classified.
-type BindingDecision struct {
-	AccessURI string
-	Host      string
-	Verdict   Verdict
-	Load      float64
-	HasRow    bool
-	// Updated is the NodeState row's collection instant when HasRow; the
-	// response cache derives a freshness-horizon expiry from it.
-	Updated time.Time
-}
-
 // Decision reports what the balancer did for one discovery, for audit and
 // experiments.
 type Decision struct {
@@ -245,48 +233,35 @@ type Decision struct {
 	// the identical host-state world. Zero when resource filtering never
 	// consulted the table.
 	SnapshotGen uint64
-	// Bindings classifies every binding considered.
-	Bindings []BindingDecision
+	// FreshUntil is the earliest freshness horizon (Updated + Freshness)
+	// over the rows the constraint was evaluated against: past it one of
+	// them reads as unknown, so the answer may change with no write and no
+	// snapshot movement. Zero when Freshness is off or no row was evaluated.
+	FreshUntil time.Time
 
-	// tally counts Bindings by verdict and servedHost is the host of the
-	// first URI served; arrange fills both in the loop that classifies, so
-	// that accounting an answer — on every cache hit too — scans nothing.
-	// A Decision built any other way has tallied false and is counted from
-	// Bindings.
+	// tally counts the bindings by verdict and servedHost is the host of
+	// the first URI served; arrange fills both in the loop that classifies,
+	// so that accounting an answer — on every cache hit too — scans nothing.
 	tally      [numVerdicts]int
 	servedHost string
-	tallied    bool
 }
 
 // Eligible returns the number of eligible bindings in the decision.
-func (d *Decision) Eligible() int { return d.count(VerdictEligible) }
+func (d *Decision) Eligible() int { return d.tally[VerdictEligible] }
 
 // Unknown returns the number of unknown-state bindings.
-func (d *Decision) Unknown() int { return d.count(VerdictUnknown) }
+func (d *Decision) Unknown() int { return d.tally[VerdictUnknown] }
 
 // Ineligible returns the number of constraint-failing bindings.
-func (d *Decision) Ineligible() int { return d.count(VerdictIneligible) }
+func (d *Decision) Ineligible() int { return d.tally[VerdictIneligible] }
 
 // Quarantined returns the number of breaker-quarantined bindings.
-func (d *Decision) Quarantined() int { return d.count(VerdictQuarantined) }
+func (d *Decision) Quarantined() int { return d.tally[VerdictQuarantined] }
 
 // ServedHost returns the host of the first URI of the answer the balancer
 // arranged — where a client following it lands — or "" when the answer is
 // empty or no host was classified for it.
 func (d *Decision) ServedHost() string { return d.servedHost }
-
-func (d *Decision) count(v Verdict) int {
-	if d.tallied {
-		return d.tally[v]
-	}
-	n := 0
-	for _, b := range d.Bindings {
-		if b.Verdict == v {
-			n++
-		}
-	}
-	return n
-}
 
 // ArrangeService applies the balancer to a service's bindings at time now,
 // returning the bindings in the order the registry should present them.
@@ -393,42 +368,43 @@ func (b *Balancer) arrange(view store.DiscoveryView, now time.Time, st *flight.S
 	// Step 3: LoadStatus — classify each host against NodeState. Hosts are
 	// read from an immutable RCU snapshot (one atomic load in the steady
 	// state) so discovery never contends with a collector sweep. Every URI
-	// gets the row at its own index, so the rows are the only record the
-	// arrangement below needs; the verdicts are tallied here, once.
+	// gets its row at its own index of a stack scratch that holds only what
+	// the arrangement below reads; the verdicts are tallied here, once.
 	dec.Filtered = true
 	begin = st.Begin()
 	snap := b.Table.Snapshot(now, b.SnapshotMaxAge+b.Brownout.ExtraStaleness())
 	st.End(flight.StageSnapshot, begin)
 	dec.SnapshotGen = snap.Gen()
 	begin = st.Begin()
-	rows := make([]BindingDecision, len(uris))
-	for i, uri := range uris {
-		bd := &rows[i]
-		bd.AccessURI, bd.Host = uri, dg.Hosts[i]
-		row, ok := snap.Get(bd.Host)
-		bd.HasRow = ok
-		if ok {
-			bd.Updated = row.Updated
-		}
+	var scratch [64]classified
+	rows := scratch[:0]
+	for i := range uris {
+		var cl classified
+		row, ok := snap.Get(dg.Hosts[i])
 		switch {
 		case ok && row.Health == store.HealthQuarantined:
 			// An open collector breaker: the host takes no part in any
 			// arrangement, fallback included.
-			bd.Verdict = VerdictQuarantined
+			cl.verdict = VerdictQuarantined
 		case !ok || row.Failures != 0 || (b.Freshness > 0 && now.Sub(row.Updated) > b.Freshness):
-			bd.Verdict = VerdictUnknown
+			cl.verdict = VerdictUnknown
 		default:
-			bd.Load = row.Load
+			cl.load = row.Load
 			sample := constraint.Sample{Load: row.Load, MemoryB: row.MemoryB, SwapB: row.SwapB, NetDelayMs: row.NetDelayMs}
 			if c.SatisfiedBy(sample) {
-				bd.Verdict = VerdictEligible
+				cl.verdict = VerdictEligible
 			} else {
-				bd.Verdict = VerdictIneligible
+				cl.verdict = VerdictIneligible
+			}
+			if b.Freshness > 0 {
+				if h := row.Updated.Add(b.Freshness); dec.FreshUntil.IsZero() || h.Before(dec.FreshUntil) {
+					dec.FreshUntil = h
+				}
 			}
 		}
-		dec.tally[bd.Verdict]++
+		dec.tally[cl.verdict]++
+		rows = append(rows, cl)
 	}
-	dec.Bindings, dec.tallied = rows, true
 	st.End(flight.StageEvaluate, begin)
 
 	// Step 4: arrange per policy. order holds indexes into rows, in serving
@@ -456,7 +432,7 @@ func (b *Balancer) arrange(view store.DiscoveryView, now time.Time, st *flight.S
 	if len(order) == 0 && b.FallbackAll && dec.tally[VerdictQuarantined] < len(rows) {
 		dec.FellBack = true
 		for i := range rows {
-			if rows[i].Verdict != VerdictQuarantined {
+			if rows[i].verdict != VerdictQuarantined {
 				order = append(order, i)
 			}
 		}
@@ -472,7 +448,7 @@ func (b *Balancer) arrange(view store.DiscoveryView, now time.Time, st *flight.S
 		out[k] = uris[i]
 	}
 	if len(order) > 0 {
-		dec.servedHost = rows[order[0]].Host
+		dec.servedHost = dg.Hosts[order[0]]
 	}
 
 	// Step 5: graceful degradation — when nothing at all survived (e.g.
@@ -483,8 +459,8 @@ func (b *Balancer) arrange(view store.DiscoveryView, now time.Time, st *flight.S
 	if len(out) == 0 && (b.Degraded == DegradedStatic || b.Brownout.ForceStatic()) {
 		dec.Degraded = true
 		out = stockOrder(uris)
-		if len(rows) > 0 {
-			dec.servedHost = rows[0].Host
+		if len(uris) > 0 {
+			dec.servedHost = dg.Hosts[0]
 		}
 	}
 	st.End(flight.StageArrange, begin)
@@ -497,11 +473,19 @@ func stockOrder(uris []string) []string {
 	return append([]string(nil), uris...)
 }
 
+// classified is one URI's row in arrange's scratch: its verdict and, when
+// the constraint was evaluated against a fresh NodeState row, that row's
+// load.
+type classified struct {
+	verdict Verdict
+	load    float64
+}
+
 // pick appends to order the indexes of the rows with verdict v, in stored
 // order.
-func pick(order []int, rows []BindingDecision, v Verdict) []int {
+func pick(order []int, rows []classified, v Verdict) []int {
 	for i := range rows {
-		if rows[i].Verdict == v {
+		if rows[i].verdict == v {
 			order = append(order, i)
 		}
 	}
@@ -514,7 +498,7 @@ func pick(order []int, rows []BindingDecision, v Verdict) []int {
 // free of sort.SliceStable's interface boxing and less-func closure —
 // candidate sets are a service's bindings (a handful), where it also beats
 // the general algorithm outright.
-func sortByLoad(order []int, rows []BindingDecision) {
+func sortByLoad(order []int, rows []classified) {
 	for i := 1; i < len(order); i++ {
 		cur := order[i]
 		j := i
@@ -529,16 +513,16 @@ func sortByLoad(order []int, rows []BindingDecision) {
 // lessLoad orders a strictly before b: rows with a collected load precede
 // those without, collected loads ascend, and the others tie (so the
 // insertion sort leaves their stored order untouched — stability).
-func lessLoad(a, b *BindingDecision) bool {
+func lessLoad(a, b *classified) bool {
 	aOK, bOK := a.hasLoad(), b.hasLoad()
 	if aOK != bOK {
 		return aOK
 	}
-	return aOK && a.Load < b.Load
+	return aOK && a.load < b.load
 }
 
-// hasLoad reports whether Load was read from a fresh row: exactly the rows
+// hasLoad reports whether load was read from a fresh row: exactly the rows
 // the constraint was evaluated against.
-func (bd *BindingDecision) hasLoad() bool {
-	return bd.Verdict == VerdictEligible || bd.Verdict == VerdictIneligible
+func (cl *classified) hasLoad() bool {
+	return cl.verdict == VerdictEligible || cl.verdict == VerdictIneligible
 }

@@ -133,17 +133,14 @@ func TestArrangeNeverAliasesTheView(t *testing.T) {
 	}
 }
 
-// TestDecisionCountsWithAndWithoutTally: arrange tallies the verdicts as it
-// classifies; a Decision assembled elsewhere is counted from its rows.
-func TestDecisionCountsWithAndWithoutTally(t *testing.T) {
+// TestDecisionCountsFromArrange: arrange tallies the verdicts as it
+// classifies and records the host it serves first.
+func TestDecisionCountsFromArrange(t *testing.T) {
 	b := &Balancer{Table: table(), Policy: PolicyRankFirst}
 	_, dec := b.ArrangeURIs(constrained, uris(), t0)
-	literal := Decision{Bindings: dec.Bindings}
-	for _, d := range []*Decision{&dec, &literal} {
-		if d.Eligible() != 1 || d.Ineligible() != 1 || d.Unknown() != 1 || d.Quarantined() != 0 {
-			t.Fatalf("counts = %d/%d/%d/%d, want 1/1/1/0 (tallied %v)",
-				d.Eligible(), d.Ineligible(), d.Unknown(), d.Quarantined(), d.tallied)
-		}
+	if dec.Eligible() != 1 || dec.Ineligible() != 1 || dec.Unknown() != 1 || dec.Quarantined() != 0 {
+		t.Fatalf("counts = %d/%d/%d/%d, want 1/1/1/0",
+			dec.Eligible(), dec.Ineligible(), dec.Unknown(), dec.Quarantined())
 	}
 	if dec.ServedHost() != "thermo.sdsu.edu" {
 		t.Fatalf("served host = %q", dec.ServedHost())

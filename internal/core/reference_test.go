@@ -12,34 +12,46 @@ import (
 	"repro/internal/store"
 )
 
+// referenceRow records how referenceArrange classified one binding.
+type referenceRow struct {
+	AccessURI string
+	Host      string
+	Verdict   Verdict
+	Load      float64
+	HasRow    bool
+	Updated   time.Time // the NodeState row's collection instant when HasRow
+}
+
 // referenceArrange is the arrangement as it was written before discovery
-// read a digest: parse the description, take each URI's host, build every
-// class list, sort by a URI-keyed load map, and find the served host by
-// matching the first URI against the rows. It is kept, unoptimised, as the
-// definition arrange is held against.
-func referenceArrange(b *Balancer, description string, uris []string, now time.Time) ([]string, Decision, string) {
+// read a digest: parse the description, take each URI's host, classify
+// every binding into a row, build every class list, sort by a URI-keyed
+// load map, and find the served host by matching the first URI against the
+// rows. It is kept, unoptimised, as the definition arrange is held
+// against: the rows define the verdict counts, the served host and the
+// freshness horizon that arrange's Decision carries without them.
+func referenceArrange(b *Balancer, description string, uris []string, now time.Time) ([]string, Decision, string, []referenceRow) {
 	dec := Decision{TimeWindowOK: true}
 	if b.Policy == PolicyStock {
-		return stockOrder(uris), dec, ""
+		return stockOrder(uris), dec, "", nil
 	}
 	c, _, err := constraint.FromDescription(description)
 	if err != nil {
 		dec.ConstraintErr = err
-		return stockOrder(uris), dec, ""
+		return stockOrder(uris), dec, "", nil
 	}
 	if c.IsZero() {
-		return stockOrder(uris), dec, ""
+		return stockOrder(uris), dec, "", nil
 	}
 	dec.Constraint = c
 	if !c.TimeSatisfied(now) {
 		dec.TimeWindowOK = false
 		if b.TimeMode == TimeWindowExclude {
-			return nil, dec, ""
+			return nil, dec, "", nil
 		}
-		return stockOrder(uris), dec, ""
+		return stockOrder(uris), dec, "", nil
 	}
 	if !c.HasResourceClauses() {
-		return stockOrder(uris), dec, ""
+		return stockOrder(uris), dec, "", nil
 	}
 
 	dec.Filtered = true
@@ -47,11 +59,11 @@ func referenceArrange(b *Balancer, description string, uris []string, now time.T
 	dec.SnapshotGen = snap.Gen()
 	var unknown, ineligible, candidates []string
 	eligible := make([]string, 0, len(uris))
-	dec.Bindings = make([]BindingDecision, 0, len(uris))
+	rows := make([]referenceRow, 0, len(uris))
 	loadOf := make(map[string]float64, len(uris))
 	for _, uri := range uris {
 		host := rim.HostOfURI(uri)
-		bd := BindingDecision{AccessURI: uri, Host: host}
+		bd := referenceRow{AccessURI: uri, Host: host}
 		row, ok := snap.Get(host)
 		if ok {
 			bd.Updated = row.Updated
@@ -59,7 +71,7 @@ func referenceArrange(b *Balancer, description string, uris []string, now time.T
 		if ok && row.Health == store.HealthQuarantined {
 			bd.Verdict = VerdictQuarantined
 			bd.HasRow = true
-			dec.Bindings = append(dec.Bindings, bd)
+			rows = append(rows, bd)
 			continue
 		}
 		candidates = append(candidates, uri)
@@ -82,7 +94,7 @@ func referenceArrange(b *Balancer, description string, uris []string, now time.T
 				ineligible = append(ineligible, uri)
 			}
 		}
-		dec.Bindings = append(dec.Bindings, bd)
+		rows = append(rows, bd)
 	}
 
 	var out []string
@@ -108,14 +120,40 @@ func referenceArrange(b *Balancer, description string, uris []string, now time.T
 	}
 	host := ""
 	if len(out) > 0 {
-		for i := range dec.Bindings {
-			if dec.Bindings[i].AccessURI == out[0] {
-				host = dec.Bindings[i].Host
+		for i := range rows {
+			if rows[i].AccessURI == out[0] {
+				host = rows[i].Host
 				break
 			}
 		}
 	}
-	return out, dec, host
+	return out, dec, host, rows
+}
+
+// freshHorizon is the earliest Updated + Freshness over the rows the
+// constraint was evaluated against, zero with Freshness off.
+func freshHorizon(b *Balancer, rows []referenceRow) time.Time {
+	var min time.Time
+	for _, r := range rows {
+		if b.Freshness <= 0 || (r.Verdict != VerdictEligible && r.Verdict != VerdictIneligible) {
+			continue
+		}
+		if h := r.Updated.Add(b.Freshness); min.IsZero() || h.Before(min) {
+			min = h
+		}
+	}
+	return min
+}
+
+// verdictCount counts the rows with verdict v.
+func verdictCount(rows []referenceRow, v Verdict) int {
+	n := 0
+	for _, r := range rows {
+		if r.Verdict == v {
+			n++
+		}
+	}
+	return n
 }
 
 func referenceSortByLoad(uris []string, load map[string]float64) {
@@ -194,7 +232,12 @@ func TestArrangeMatchesReference(t *testing.T) {
 		}
 		desc := descriptions[rng.Intn(len(descriptions))]
 
-		want, wantDec, wantHost := referenceArrange(b, desc, uris, t0)
+		want, wantDec, wantHost, rows := referenceArrange(b, desc, uris, t0)
+		wantCounts := [numVerdicts]int{}
+		for v := range wantCounts {
+			wantCounts[v] = verdictCount(rows, Verdict(v))
+		}
+		wantFresh := freshHorizon(b, rows)
 
 		s := store.New()
 		svc := rim.NewService("svc", desc)
@@ -223,21 +266,20 @@ func TestArrangeMatchesReference(t *testing.T) {
 			if dec.ServedHost() != wantHost {
 				t.Fatalf("%s: served host %q, want %q", where, dec.ServedHost(), wantHost)
 			}
-			if dec.Eligible() != wantDec.Eligible() || dec.Unknown() != wantDec.Unknown() ||
-				dec.Ineligible() != wantDec.Ineligible() || dec.Quarantined() != wantDec.Quarantined() {
-				t.Fatalf("%s: tallied %d/%d/%d/%d, the rows say %d/%d/%d/%d", where,
-					dec.Eligible(), dec.Unknown(), dec.Ineligible(), dec.Quarantined(),
-					wantDec.Eligible(), wantDec.Unknown(), wantDec.Ineligible(), wantDec.Quarantined())
+			counts := [numVerdicts]int{VerdictEligible: dec.Eligible(), VerdictUnknown: dec.Unknown(),
+				VerdictIneligible: dec.Ineligible(), VerdictQuarantined: dec.Quarantined()}
+			if counts != wantCounts {
+				t.Fatalf("%s: tallied %v, the rows say %v", where, counts, wantCounts)
+			}
+			if !dec.FreshUntil.Equal(wantFresh) {
+				t.Fatalf("%s: FreshUntil %v, the rows' earliest horizon is %v", where, dec.FreshUntil, wantFresh)
 			}
 			// What is left must agree field for field, errors by message.
 			if (dec.ConstraintErr == nil) != (wantDec.ConstraintErr == nil) ||
 				dec.ConstraintErr != nil && dec.ConstraintErr.Error() != wantDec.ConstraintErr.Error() {
 				t.Fatalf("%s: ConstraintErr %v, want %v", where, dec.ConstraintErr, wantDec.ConstraintErr)
 			}
-			dec.ConstraintErr, dec.tally, dec.servedHost, dec.tallied = wantDec.ConstraintErr, wantDec.tally, "", false
-			if len(dec.Bindings) == 0 && len(wantDec.Bindings) == 0 {
-				dec.Bindings = wantDec.Bindings
-			}
+			dec.ConstraintErr, dec.tally, dec.servedHost, dec.FreshUntil = wantDec.ConstraintErr, wantDec.tally, "", wantDec.FreshUntil
 			if !reflect.DeepEqual(dec, wantDec) {
 				t.Fatalf("%s:\n got %+v\nwant %+v", where, dec, wantDec)
 			}

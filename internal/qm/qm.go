@@ -178,7 +178,7 @@ func (m *Manager) GetServiceBindingsCtx(ctx context.Context, serviceID string) (
 	}
 	// A deadline that fired while the view loaded (or while the request
 	// waited in the admission queue) stops the arrangement mid-flight;
-	// ctx.Err is one atomic-free check on the unexpired path.
+	// under admission ctx.Err is a clock read, with no timer behind it.
 	if err := ctx.Err(); err != nil {
 		return nil, core.Decision{}, err
 	}

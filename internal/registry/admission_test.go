@@ -9,6 +9,7 @@ package registry
 
 import (
 	"context"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -22,6 +23,7 @@ import (
 	"repro/internal/nodestatus"
 	"repro/internal/rim"
 	"repro/internal/simclock"
+	"repro/internal/soap"
 	"repro/internal/store"
 )
 
@@ -253,6 +255,108 @@ func TestDegradedStaticAndTierStaticIdempotent(t *testing.T) {
 	if uris, _, err := r2.QM.GetServiceBindingsByName("Worker"); err != nil || len(uris) != 0 {
 		t.Fatalf("DegradedEmpty@recovered: uris = %v (err %v), want empty", uris, err)
 	}
+}
+
+// TestDeadlineChargesQueueWait: a request's budget runs from its arrival,
+// so one that waits out its deadline in the admission queue is refused when
+// it is finally promoted — a REST miss with 504, a SOAP GetBindings with
+// Server.Timeout, a SOAP write before it changes anything — and each counts
+// as a deadline miss of its class.
+func TestDeadlineChargesQueueWait(t *testing.T) {
+	clk := simclock.NewManual(t0)
+	// One slot and one queue place per class, a queue timeout far beyond
+	// the wait, and an hour-long tick that keeps the shedder and the
+	// brownout ladder out of the picture.
+	limits := admit.ClassLimits{MaxInFlight: 1, MaxQueue: 1, QueueTimeout: time.Minute, Deadline: 500 * time.Millisecond}
+	r, err := New(Config{
+		Clock:     clk,
+		Policy:    core.PolicyFilter,
+		Admission: &admit.Config{Discovery: limits, LCM: limits, Tick: time.Hour},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seedWorker(t, r, "exergy.sdsu.edu")
+	r.Store.NodeState().Upsert(store.NodeState{Host: "exergy.sdsu.edu", Load: 0.2, MemoryB: 4 << 30, Updated: t0})
+	srv := httptest.NewServer(r.Handler())
+	defer srv.Close()
+	client := srv.Client()
+	token := registerAndLogin(t, client, srv.URL, "late")
+
+	// queued holds class's one slot, sends a request that must queue behind
+	// it, lets 900ms pass — well past the 500ms budget, well inside the
+	// queue timeout — and frees the slot, promoting the request.
+	queued := func(class admit.Class, send func()) {
+		t.Helper()
+		if out, _ := r.Admission.TryAdmit(class, clk.Now()); out != admit.Admitted {
+			t.Fatalf("holding the %v slot: %v", class, out)
+		}
+		held := clk.Now()
+		done := make(chan struct{})
+		go func() { defer close(done); send() }()
+		for i := 0; r.Admission.ClassStats(class).QueueDepth == 0; i++ {
+			if i == 5000 {
+				t.Fatalf("the %v request never queued", class)
+			}
+			time.Sleep(time.Millisecond)
+		}
+		clk.Advance(900 * time.Millisecond)
+		r.Admission.Release(class, held, clk.Now())
+		<-done
+	}
+	exceeded := func(class admit.Class, want float64) {
+		t.Helper()
+		label := map[string]string{"class": class.String()}
+		if got, ok := scrapeMetrics(t, srv).Value("registry_admission_deadline_exceeded_total", label); !ok || got != want {
+			t.Errorf("registry_admission_deadline_exceeded_total%v = %v (ok=%v), want %v", label, got, ok, want)
+		}
+	}
+	timeoutFault := func(what string, err error) {
+		t.Helper()
+		var f *soap.Fault
+		if !errors.As(err, &f) || f.Code != "Server.Timeout" {
+			t.Errorf("%s after a spent budget: %v, want a Server.Timeout fault", what, err)
+		}
+	}
+
+	var status int
+	queued(admit.ClassDiscovery, func() {
+		resp, err := client.Get(srv.URL + "/registry/bindings?service=Worker")
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		resp.Body.Close()
+		status = resp.StatusCode
+	})
+	if status != http.StatusGatewayTimeout {
+		t.Errorf("REST miss after a spent budget: %d, want 504", status)
+	}
+	exceeded(admit.ClassDiscovery, 1)
+
+	var bindings GetBindingsResponse
+	queued(admit.ClassLCM, func() {
+		timeoutFault("SOAP GetBindings", soap.Post(client, srv.URL+"/soap/registry",
+			&soapRequest{Bindings: &GetBindingsRequest{ServiceName: "Worker"}}, &bindings))
+	})
+	exceeded(admit.ClassLCM, 1)
+
+	var ack RegistryResponse
+	queued(admit.ClassLCM, func() {
+		timeoutFault("SOAP submit", soap.Post(client, srv.URL+"/soap/registry", &soapRequest{Submit: &SubmitObjectsRequest{
+			Session: token, Objects: []WireObject{{Kind: "Service", Name: "TooLate"}},
+		}}, &ack))
+	})
+	exceeded(admit.ClassLCM, 2)
+	if found := r.QM.FindObjects(rim.TypeService, "TooLate"); len(found) != 0 {
+		t.Fatalf("the refused write landed: %v", found)
+	}
+
+	// Nothing else was refused: the same requests inside their budget pass.
+	if body, _ := getBindings(t, srv, "Worker"); !strings.Contains(body, "exergy") {
+		t.Fatalf("bindings inside the budget = %q", body)
+	}
+	exceeded(admit.ClassDiscovery, 1)
 }
 
 // stubInvoker answers NodeStatus probes instantly with a fixed healthy

@@ -181,10 +181,24 @@ func appendBindingsEnvelope(b []byte, ans *GetBindingsResponse) []byte {
 }
 
 // appendXMLText appends s escaped the way encoding/xml escapes character
-// data when marshalling: the five markup characters and tab, newline and
-// carriage return as references, and every byte sequence that is not a
-// character XML 1.0 allows (invalid UTF-8 included) as U+FFFD.
+// data when marshalling. A string of printable ASCII with none of the five
+// markup characters in it — every URI a provider is likely to publish — is
+// its own escaping; anything else goes through appendXMLTextEscaped.
 func appendXMLText(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c < 0x20, c >= utf8.RuneSelf, c == '"', c == '\'', c == '&', c == '<', c == '>':
+			return appendXMLTextEscaped(b, s)
+		}
+	}
+	return append(b, s...)
+}
+
+// appendXMLTextEscaped is appendXMLText rune by rune: the five markup
+// characters and tab, newline and carriage return as references, and every
+// byte sequence that is not a character XML 1.0 allows (invalid UTF-8
+// included) as U+FFFD.
+func appendXMLTextEscaped(b []byte, s string) []byte {
 	last := 0
 	for i := 0; i < len(s); {
 		r, width := rune(s[i]), 1

@@ -171,9 +171,9 @@ type soapRequest struct {
 }
 
 func (r *Registry) handleRegistrySOAP(ctx context.Context, req *soapRequest) (interface{}, error) {
-	// A per-class deadline that fired while the request waited in the
-	// admission queue fails fast with a typed fault before any work (or
-	// write) starts.
+	// The per-class deadline runs from arrival, so a request that spent
+	// its budget in the admission queue fails fast here with a typed fault
+	// before any work (or write) starts.
 	if err := ctx.Err(); err != nil {
 		return nil, &soap.Fault{Code: "Server.Timeout", String: "request deadline exceeded before dispatch", Detail: err.Error()}
 	}
@@ -660,7 +660,7 @@ func (r *Registry) discover(ctx context.Context, fw *flight.Writer, space respca
 	host := dec.ServedHost()
 	r.account(fw, &dec, host, age, start, false)
 	ent := &respcache.Entry{
-		Gen: gen, Tier: tier, Expires: r.respExpiry(dec, start),
+		Gen: gen, Tier: tier, Expires: respExpiry(&dec, start),
 		URIs: uris, Decision: dec, FirstHost: host,
 	}
 	r.renderBindings(ent, enc)
@@ -782,28 +782,16 @@ func (r *Registry) edgeTier() uint32 {
 
 // respExpiry computes the first instant the cached decision could
 // change for time-based reasons: the constraint window's next boundary,
-// or the earliest freshness horizon of a row that is currently fresh
-// (past it the row's verdict flips to unknown without any write or
-// snapshot movement). Zero means the answer is time-independent.
-func (r *Registry) respExpiry(dec core.Decision, now time.Time) time.Time {
+// or the decision's freshness horizon (past it a row's verdict flips to
+// unknown without any write or snapshot movement). Zero means the answer
+// is time-independent.
+func respExpiry(dec *core.Decision, now time.Time) time.Time {
 	var exp time.Time
 	if dec.Constraint != nil {
 		exp = dec.Constraint.NextWindowChange(now)
 	}
-	if f := r.Balancer.Freshness; f > 0 {
-		for i := range dec.Bindings {
-			b := &dec.Bindings[i]
-			if !b.HasRow || b.Updated.IsZero() {
-				continue
-			}
-			if b.Verdict != core.VerdictEligible && b.Verdict != core.VerdictIneligible {
-				continue
-			}
-			horizon := b.Updated.Add(f)
-			if exp.IsZero() || horizon.Before(exp) {
-				exp = horizon
-			}
-		}
+	if f := dec.FreshUntil; !f.IsZero() && (exp.IsZero() || f.Before(exp)) {
+		exp = f
 	}
 	return exp
 }

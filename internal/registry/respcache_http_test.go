@@ -19,6 +19,7 @@ import (
 
 	"repro/internal/admit"
 	"repro/internal/core"
+	"repro/internal/flight"
 	"repro/internal/rim"
 	"repro/internal/simclock"
 	"repro/internal/soap"
@@ -296,6 +297,71 @@ func TestBrownoutTierKeysCache(t *testing.T) {
 	if got := reg.RespCache.Misses.Value(); got != misses+1 {
 		t.Fatalf("post-recovery GET: misses %d -> %d, want a fresh render", misses, got)
 	}
+}
+
+// TestCachedAnswerExpiresAtFreshnessHorizon: with Freshness set and no
+// sweep, nothing writes and the snapshot never moves, so only the clock can
+// retire a cached answer. It is served until the earliest horizon (Updated
+// + Freshness) of a row the constraint was evaluated against and
+// recomputed from that instant; the row reads as unknown once it is older
+// than Freshness, one tick later, and its host leaves the answer. Rows the
+// constraint was not evaluated against — a failing host, a quarantined one
+// — have earlier horizons that must not shorten the entry.
+func TestCachedAnswerExpiresAtFreshnessHorizon(t *testing.T) {
+	const fresh = 30 * time.Second
+	clk := simclock.NewManual(t0.Add(20 * time.Second))
+	reg, err := New(Config{
+		Clock: clk, Policy: core.PolicyFilter, Freshness: fresh,
+		SnapshotMaxAge: time.Hour, // the snapshot generation never moves
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc := rim.NewService("Adder", `<constraint><cpuLoad>load ls 1.0</cpuLoad></constraint>`)
+	for _, row := range []store.NodeState{
+		{Host: "h00.sdsu.edu", Load: 0.2, Updated: t0},                       // horizon t0+30s, the earliest evaluated
+		{Host: "h01.sdsu.edu", Load: 0.2, Updated: t0.Add(10 * time.Second)}, // t0+40s
+		{Host: "h02.sdsu.edu", Load: 0.2, Updated: t0.Add(-5 * time.Second), Failures: 1},
+		{Host: "h03.sdsu.edu", Load: 0.2, Updated: t0.Add(-5 * time.Second), Health: store.HealthQuarantined},
+	} {
+		svc.AddBinding("http://" + row.Host + ":8080/Adder/addService")
+		reg.Store.NodeState().Upsert(row)
+	}
+	if err := reg.LCM.SubmitObjects(reg.AdminContext(), svc); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(reg.Handler())
+	defer srv.Close()
+
+	// at moves the clock to t0+offset, asks, and checks whether the answer
+	// came from the cache, whether h00 is in it, and the verdict counts the
+	// flight record carries.
+	var first string
+	at := func(offset time.Duration, hit, h00 bool, eligible, unknown uint8) {
+		t.Helper()
+		clk.Set(t0.Add(offset))
+		body, _ := getBindings(t, srv, "Adder")
+		rec := reg.Flight.Snapshot(flight.Filter{Limit: 1})[0]
+		if served := strings.Contains(body, "h00.sdsu.edu"); rec.CacheHit != hit || served != h00 {
+			t.Fatalf("t0+%v: hit %v, h00 served %v; want %v, %v (body %s)", offset, rec.CacheHit, served, hit, h00, body)
+		}
+		if rec.Eligible != eligible || rec.Unknown != unknown || rec.Quarantined != 1 {
+			t.Fatalf("t0+%v: eligible/unknown/quarantined %d/%d/%d, want %d/%d/1",
+				offset, rec.Eligible, rec.Unknown, rec.Quarantined, eligible, unknown)
+		}
+		if first == "" {
+			first = body
+		} else if h00 && body != first {
+			t.Fatalf("t0+%v: body %s, want the first answer %s", offset, body, first)
+		}
+	}
+	at(20*time.Second, false, true, 2, 1)
+	at(25*time.Second, true, true, 2, 1) // past the unevaluated rows' horizons
+	at(fresh-time.Nanosecond, true, true, 2, 1)
+	at(fresh, false, true, 2, 1) // h00's horizon: recomputed, still fresh
+	at(fresh+time.Nanosecond, false, false, 1, 2)
+	at(39*time.Second, true, false, 1, 2) // h01's horizon is next
+	at(40*time.Second, false, false, 1, 2)
 }
 
 // TestCachedDiscoveryConcurrent hammers the cached edge from many clients

@@ -62,9 +62,8 @@ type Entry struct {
 	SOAP     []byte
 	URIs     []string // the arranged answer the encodings are rendered from
 	Decision core.Decision
-	// FirstHost is the host of the first (chosen) binding, precomputed at
-	// store time so the flight recorder can stamp cache hits without
-	// touching Decision.Bindings on the zero-allocation path.
+	// FirstHost is the host of the first (chosen) binding, the decision's
+	// ServedHost, which the flight recorder stamps on cache hits.
 	FirstHost string
 
 	epoch uint64 // write epoch observed before the decision was computed
