@@ -62,20 +62,22 @@ fuzzsmoke:
 
 # overloadcheck exercises the overload-resilience edge under the race
 # detector: the admission controller's decision core, the shedding ×
-# degraded-mode composition tests, the live-collector HTTP burst, and
-# the seeded flash-crowd experiment (goodput, brownout ladder, replay).
+# degraded-mode composition tests, the live-collector HTTP burst, the
+# seeded flash-crowd experiment (goodput, brownout ladder, replay), and a
+# tier transition mid-flight never validating a cached answer.
 overloadcheck:
 	$(GO) test -race -count=1 -run 'Admit|Queue|AIMD|Brownout|Deadline|Wrap|Budget|Overload|DegradedStatic|FlashCrowd' \
-		./internal/admit/ ./internal/registry/ ./internal/lbexp/
+		./internal/admit/ ./internal/registry/ ./internal/lbexp/ ./internal/respcache/
 
 # replcheck runs the leader/follower replication suite under the race
 # detector: the seeded WAL reader-vs-prune harness, cold-follower
 # byte-identical convergence, resume-from-durable-position, leader
 # restart mid-stream, 410 re-bootstrap, the seeded partition/lag
-# harness, write redirects, and federated discovery over the pair.
+# harness, write redirects, federated discovery over the pair, and every
+# cause of a cached answer's invalidation on a leader and a follower.
 replcheck:
 	$(GO) test -race -count=1 -run 'Repl' \
-		./internal/repl/ ./internal/wal/ ./internal/registry/ ./internal/federation/
+		./internal/repl/ ./internal/wal/ ./internal/registry/ ./internal/federation/ ./internal/respcache/
 
 # benchmod vets and tests the nested benchmark module against this tree.
 # `go test ./...` does not enter bench/, so without this an API break

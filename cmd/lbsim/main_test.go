@@ -17,14 +17,7 @@ import (
 // file and says why:
 //
 //	go run ./cmd/lbsim -exp all -o cmd/lbsim/testdata/exp-all.txt
-//
-// Under the race detector H5's row moves: its killer goroutine takes the
-// host down on its own schedule, not at a simulated instant, so slower
-// scheduling shifts the failure. There the test is skipped.
 func TestExpAllGolden(t *testing.T) {
-	if raceEnabled {
-		t.Skip("H5's failure instant depends on goroutine scheduling, which the race detector slows")
-	}
 	want, err := os.ReadFile(filepath.Join("testdata", "exp-all.txt"))
 	if err != nil {
 		t.Fatal(err)

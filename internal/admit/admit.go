@@ -150,7 +150,7 @@ type Config struct {
 	BrownoutEscalate time.Duration
 	BrownoutCalm     time.Duration
 	// BrownoutStaleness is the extra NodeState snapshot age tolerated
-	// at TierStale and above (consumed by the registry wiring).
+	// at TierStale and above (see ExtraStaleness).
 	BrownoutStaleness time.Duration
 }
 
@@ -352,7 +352,6 @@ type Controller struct {
 	tier        Tier         // guarded by tierMu
 	overSince   time.Time    // guarded by tierMu
 	calmSince   time.Time    // guarded by tierMu
-	onTier      []func(Tier) // guarded by tierMu
 	tierNow     atomic.Int32 // lock-free mirror of tier for hot-path reads
 	tierChanges metrics.Counter
 
@@ -396,9 +395,6 @@ func NewController(cfg Config, clk simclock.Clock, log *slog.Logger) *Controller
 	c.buildRejects()
 	return c
 }
-
-// Config returns the controller's effective (defaulted) configuration.
-func (c *Controller) Config() Config { return c.cfg }
 
 // RetryAfter returns the advisory backoff attached to shed responses.
 func (c *Controller) RetryAfter() time.Duration { return c.cfg.RetryAfter }
@@ -589,7 +585,6 @@ func (c *Controller) noteTier(now time.Time) {
 			break
 		}
 	}
-	var fire []func(Tier)
 	var tier Tier
 	changed := false
 	c.tierMu.Lock()
@@ -615,17 +610,15 @@ func (c *Controller) noteTier(now time.Time) {
 		}
 	}
 	tier = c.tier
+	// The mirror first, the count after it: whoever reads the count and
+	// then the tier sees a tier at least as new as the count.
 	c.tierNow.Store(int32(tier))
 	if changed {
 		c.tierChanges.Inc()
-		fire = c.onTier
 	}
 	c.tierMu.Unlock()
 	if changed {
 		c.logTier(tier)
-		for _, fn := range fire {
-			fn(tier)
-		}
 	}
 }
 
@@ -640,16 +633,22 @@ func (c *Controller) Tier() Tier {
 	return Tier(c.tierNow.Load())
 }
 
-// TierChanges returns how many ladder transitions have happened.
+// TierChanges returns how many ladder transitions have happened. It only
+// grows, and a transition is counted after its tier is visible to Tier.
 func (c *Controller) TierChanges() int64 { return c.tierChanges.Value() }
 
-// OnTierChange registers fn to run (outside the controller's locks) on
-// every ladder transition. Register before serving traffic.
-func (c *Controller) OnTierChange(fn func(Tier)) {
-	c.tierMu.Lock()
-	defer c.tierMu.Unlock()
-	c.onTier = append(c.onTier, fn)
+// ExtraStaleness is the NodeState snapshot age the current tier tolerates
+// beyond the balancer's own guard: BrownoutStaleness from TierStale up.
+func (c *Controller) ExtraStaleness() time.Duration {
+	if c.Tier() >= TierStale {
+		return c.cfg.BrownoutStaleness
+	}
+	return 0
 }
+
+// ForceStatic reports whether the current tier forces the balancer's
+// static fallback: from TierStatic up.
+func (c *Controller) ForceStatic() bool { return c.Tier() >= TierStatic }
 
 // ClassStats snapshots one class for /registry/metrics and tests.
 func (c *Controller) ClassStats(class Class) ClassStats {

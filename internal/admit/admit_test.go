@@ -170,12 +170,20 @@ func TestAIMDShedsUnderOverloadAndRecovers(t *testing.T) {
 func TestBrownoutLadderEscalatesAndRecovers(t *testing.T) {
 	clk := simclock.NewManual(testEpoch)
 	c := NewController(testConfig(), clk, nil)
-	var transitions []Tier
-	c.OnTierChange(func(tier Tier) { transitions = append(transitions, tier) })
 
 	driveOverload(c, clk, 5*time.Second)
-	if got := c.Tier(); got < TierStale {
-		t.Fatalf("tier after sustained overload = %v, want >= TierStale", got)
+	peak := c.Tier()
+	if peak < TierStale {
+		t.Fatalf("tier after sustained overload = %v, want >= TierStale", peak)
+	}
+	if got := c.TierChanges(); got != int64(peak) {
+		t.Fatalf("TierChanges after the climb = %d, want one per rung to %v", got, peak)
+	}
+	if got, want := c.ExtraStaleness(), DefaultConfig().BrownoutStaleness; got != want {
+		t.Fatalf("extra staleness at %v = %v, want %v", peak, got, want)
+	}
+	if got := c.ForceStatic(); got != (peak == TierStatic) {
+		t.Fatalf("force static at %v = %v", peak, got)
 	}
 	for i := 0; i < 200; i++ {
 		now := clk.Now()
@@ -187,11 +195,11 @@ func TestBrownoutLadderEscalatesAndRecovers(t *testing.T) {
 	if got := c.Tier(); got != TierNominal {
 		t.Fatalf("tier after calm = %v, want TierNominal", got)
 	}
-	if len(transitions) < 2 {
-		t.Fatalf("transitions = %v, want an up and a down leg", transitions)
+	if got := c.TierChanges(); got != 2*int64(peak) {
+		t.Fatalf("TierChanges after the descent = %d, want one per rung up and down", got)
 	}
-	if c.TierChanges() != int64(len(transitions)) {
-		t.Fatalf("TierChanges = %d, want %d", c.TierChanges(), len(transitions))
+	if c.ExtraStaleness() != 0 || c.ForceStatic() {
+		t.Fatalf("overrides at %v: staleness %v, static %v; want none", c.Tier(), c.ExtraStaleness(), c.ForceStatic())
 	}
 }
 

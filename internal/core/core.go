@@ -20,7 +20,6 @@
 package core
 
 import (
-	"sync/atomic"
 	"time"
 
 	"repro/internal/constraint"
@@ -141,44 +140,33 @@ type Balancer struct {
 	// rows since it was taken. Zero keeps reads fully coherent — the
 	// snapshot is republished whenever the table has changed.
 	SnapshotMaxAge time.Duration
-	// Brownout, when non-nil, carries the runtime degradation overrides
-	// the admission controller's brownout ladder flips under sustained
-	// overload (see internal/admit). Nil means no overrides.
-	Brownout *BrownoutState
+	// Brownout, when non-nil, supplies the degradation overrides of the
+	// admission controller's brownout ladder (see internal/admit), read at
+	// every arrangement. Nil means no overrides.
+	Brownout Brownout
 }
 
-// BrownoutState holds the degradation overrides of the brownout ladder:
-// extra tolerated NodeState snapshot staleness at TierStale and a forced
-// static fallback at TierStatic. The fields are atomics — arrange reads
-// them lock-free on the discovery hot path — and a nil *BrownoutState
-// reads as "no overrides" so the wiring costs nothing when admission
-// control is off.
-type BrownoutState struct {
-	extraStaleness atomic.Int64 // extra snapshot age tolerated, in nanoseconds
-	forceStatic    atomic.Bool
+// Brownout is what the brownout ladder's current tier means to the
+// balancer: extra tolerated NodeState snapshot staleness, and a forced
+// static fallback when filtering leaves nothing. *admit.Controller
+// implements it from its own tier and configuration.
+type Brownout interface {
+	ExtraStaleness() time.Duration
+	ForceStatic() bool
 }
 
-// SetExtraStaleness grants d of additional snapshot staleness (0 revokes).
-func (s *BrownoutState) SetExtraStaleness(d time.Duration) { s.extraStaleness.Store(int64(d)) }
-
-// ExtraStaleness returns the current staleness grant.
-func (s *BrownoutState) ExtraStaleness() time.Duration {
-	if s == nil {
-		return 0
+// snapshotMaxAge is the snapshot staleness guard under the current
+// overrides.
+func (b *Balancer) snapshotMaxAge() time.Duration {
+	if b.Brownout == nil {
+		return b.SnapshotMaxAge
 	}
-	return time.Duration(s.extraStaleness.Load())
+	return b.SnapshotMaxAge + b.Brownout.ExtraStaleness()
 }
 
-// SetForceStatic toggles the forced static fallback.
-func (s *BrownoutState) SetForceStatic(v bool) { s.forceStatic.Store(v) }
-
-// ForceStatic reports whether empty arrangements must degrade to the
-// stored order regardless of the configured DegradedMode.
-func (s *BrownoutState) ForceStatic() bool {
-	if s == nil {
-		return false
-	}
-	return s.forceStatic.Load()
+// forceStatic reports whether the overrides force the static fallback.
+func (b *Balancer) forceStatic() bool {
+	return b.Brownout != nil && b.Brownout.ForceStatic()
 }
 
 // Verdict classifies one binding's host against the constraints.
@@ -318,7 +306,7 @@ func (b *Balancer) SnapshotMeta(now time.Time) (gen uint64, taken time.Time) {
 	if b.Table == nil {
 		return 0, time.Time{}
 	}
-	snap := b.Table.Snapshot(now, b.SnapshotMaxAge+b.Brownout.ExtraStaleness())
+	snap := b.Table.Snapshot(now, b.snapshotMaxAge())
 	return snap.Gen(), snap.Taken()
 }
 
@@ -372,7 +360,7 @@ func (b *Balancer) arrange(view store.DiscoveryView, now time.Time, st *flight.S
 	// the arrangement below reads; the verdicts are tallied here, once.
 	dec.Filtered = true
 	begin = st.Begin()
-	snap := b.Table.Snapshot(now, b.SnapshotMaxAge+b.Brownout.ExtraStaleness())
+	snap := b.Table.Snapshot(now, b.snapshotMaxAge())
 	st.End(flight.StageSnapshot, begin)
 	dec.SnapshotGen = snap.Gen()
 	begin = st.Begin()
@@ -456,7 +444,7 @@ func (b *Balancer) arrange(view store.DiscoveryView, now time.Time, st *flight.S
 	// vanilla freebXML would, rather than an empty answer. The brownout
 	// ladder's TierStatic forces the same behaviour under sustained
 	// overload; the two compose idempotently (one degradation, not two).
-	if len(out) == 0 && (b.Degraded == DegradedStatic || b.Brownout.ForceStatic()) {
+	if len(out) == 0 && (b.Degraded == DegradedStatic || b.forceStatic()) {
 		dec.Degraded = true
 		out = stockOrder(uris)
 		if len(uris) > 0 {

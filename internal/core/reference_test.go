@@ -55,7 +55,7 @@ func referenceArrange(b *Balancer, description string, uris []string, now time.T
 	}
 
 	dec.Filtered = true
-	snap := b.Table.Snapshot(now, b.SnapshotMaxAge+b.Brownout.ExtraStaleness())
+	snap := b.Table.Snapshot(now, b.snapshotMaxAge())
 	dec.SnapshotGen = snap.Gen()
 	var unknown, ineligible, candidates []string
 	eligible := make([]string, 0, len(uris))
@@ -114,7 +114,7 @@ func referenceArrange(b *Balancer, description string, uris []string, now time.T
 		out = append([]string(nil), candidates...)
 		referenceSortByLoad(out, loadOf)
 	}
-	if len(out) == 0 && (b.Degraded == DegradedStatic || b.Brownout.ForceStatic()) {
+	if len(out) == 0 && (b.Degraded == DegradedStatic || b.forceStatic()) {
 		dec.Degraded = true
 		out = stockOrder(uris)
 	}

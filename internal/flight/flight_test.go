@@ -50,8 +50,7 @@ func TestSamplerEveryNth(t *testing.T) {
 	if s.Sampled() != 3 {
 		t.Fatalf("Sampled = %d, want 3", s.Sampled())
 	}
-	s.SetEvery(-1)
-	if s.Every() != 0 || offer(s) != "" {
+	if off := NewSampler(manualClock(), -1); off.Every() != 0 || offer(off) != "" {
 		t.Fatal("a negative rate must read as off")
 	}
 }

@@ -58,32 +58,26 @@ type Sampler struct {
 	clock simclock.Clock
 	epoch uint32 // hash of construction time, distinguishes restarts
 
-	every atomic.Int64  // pick every Nth request; 0 = off
+	every uint64        // pick every Nth request; 0 = off
 	reqs  atomic.Uint64 // requests offered while sampling was on
 	seq   atomic.Uint64 // requests picked
 }
 
-// NewSampler creates a sampler picking every nth request (n <= 0: none).
-// Stage times of picked requests are read off clock.
+// NewSampler creates a sampler picking every nth request: n <= 0 picks
+// none, n == 1 every request. Stage times of picked requests are read off
+// clock.
 func NewSampler(clock simclock.Clock, n int) *Sampler {
 	h := fnv.New32a()
 	fmt.Fprintf(h, "%d", clock.Now().UnixNano())
 	s := &Sampler{clock: clock, epoch: h.Sum32()}
-	s.SetEvery(n)
+	if n > 0 {
+		s.every = uint64(n)
+	}
 	return s
 }
 
-// SetEvery sets the sampling rate: every nth request is picked; n <= 0
-// picks none, n == 1 picks every request.
-func (s *Sampler) SetEvery(n int) {
-	if n < 0 {
-		n = 0
-	}
-	s.every.Store(int64(n))
-}
-
-// Every returns the current sampling rate (0 = off).
-func (s *Sampler) Every() int { return int(s.every.Load()) }
+// Every returns the sampling rate (0 = off).
+func (s *Sampler) Every() int { return int(s.every) }
 
 // Sampled returns the number of requests picked so far.
 func (s *Sampler) Sampled() int64 { return int64(s.seq.Load()) }
@@ -93,11 +87,11 @@ func (s *Sampler) Sampled() int64 { return int64(s.seq.Load()) }
 // timer; otherwise the frame is left alone. It reports whether the request
 // was picked.
 func (s *Sampler) Sample(fw *Writer) bool {
-	n := s.every.Load()
-	if n <= 0 {
+	n := s.every
+	if n == 0 {
 		return false
 	}
-	if req := s.reqs.Add(1); n > 1 && (req-1)%uint64(n) != 0 {
+	if req := s.reqs.Add(1); n > 1 && (req-1)%n != 0 {
 		return false
 	}
 	s.pick(fw)

@@ -18,8 +18,9 @@
 //     load from background processes).
 //   - Task memory is charged against physical memory first and spills to
 //     swap when RAM is exhausted; a task that fits in neither is rejected.
-//   - Hosts can be marked down to simulate failures: NodeStatus collection
-//     fails and submissions are refused.
+//   - Hosts can be marked down to simulate failures, now or from a
+//     simulated instant on: NodeStatus collection fails and submissions
+//     are refused.
 //
 // All state advances only through AdvanceTo, driven by a simclock, so runs
 // are reproducible.
@@ -89,6 +90,7 @@ type Host struct {
 	usedRAM   int64
 	usedSwap  int64
 	down      bool
+	downFrom  time.Time   // zero = no scheduled failure
 	completed []Completed // drained by AdvanceTo callers
 	submitted int
 	rejected  int
@@ -119,6 +121,23 @@ func (h *Host) SetDown(down bool) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	h.down = down
+}
+
+// SetDownFrom schedules a failure: the host goes down at the simulated
+// instant at, as the first Submit, Sample or AdvanceTo that reaches it
+// finds, however the caller's goroutines are scheduled.
+func (h *Host) SetDownFrom(at time.Time) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.downFrom = at
+	h.noteDownLocked()
+}
+
+// noteDownLocked applies a scheduled failure the host clock has reached.
+func (h *Host) noteDownLocked() {
+	if !h.downFrom.IsZero() && !h.now.Before(h.downFrom) {
+		h.down, h.downFrom = true, time.Time{}
+	}
 }
 
 // Down reports whether the host is failed.
@@ -230,6 +249,7 @@ func (h *Host) advanceLocked(now time.Time) {
 			break
 		}
 	}
+	h.noteDownLocked()
 }
 
 // stepLoadLocked applies the exponentially damped load-average update for a

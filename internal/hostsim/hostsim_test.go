@@ -1,6 +1,7 @@
 package hostsim
 
 import (
+	"errors"
 	"math"
 	"testing"
 	"time"
@@ -193,6 +194,43 @@ func TestDownHost(t *testing.T) {
 	h.SetDown(false)
 	if err := h.Submit(Task{ID: "t", CPUSeconds: 1, MemB: 1}, t0); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDownFromInstant: a scheduled failure takes effect at its simulated
+// instant, whichever call brings the host clock there, and not a
+// nanosecond before; tasks already running keep running.
+func TestDownFromInstant(t *testing.T) {
+	at := t0.Add(time.Minute)
+	for name, reach := range map[string]func(*Host, time.Time) error{
+		"submit": func(h *Host, now time.Time) error {
+			return h.Submit(Task{ID: "late", CPUSeconds: 1, MemB: 1}, now)
+		},
+		"sample": func(h *Host, now time.Time) error { _, err := h.Sample(now); return err },
+		"advance": func(h *Host, now time.Time) error {
+			h.AdvanceTo(now)
+			if h.Down() {
+				return errors.New("down")
+			}
+			return nil
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			h := newTestHost(1)
+			if err := h.Submit(Task{ID: "long", CPUSeconds: 600, MemB: 1}, t0); err != nil {
+				t.Fatal(err)
+			}
+			h.SetDownFrom(at)
+			if err := reach(h, at.Add(-time.Nanosecond)); err != nil {
+				t.Fatalf("failed before its instant: %v", err)
+			}
+			if err := reach(h, at); err == nil {
+				t.Fatal("still up at its failure instant")
+			}
+			if !h.Down() || h.RunQueue() == 0 {
+				t.Fatalf("down %v with %d running, want down with the long task still running", h.Down(), h.RunQueue())
+			}
+		})
 	}
 }
 

@@ -275,13 +275,6 @@ func flashRun(cfg FlashCrowdConfig, surgeClients int) (*fcSim, error) {
 	for i := range f.hostCounts {
 		f.hostCounts[i] = make(map[string]int)
 	}
-	f.ctrl.OnTierChange(func(t admit.Tier) {
-		f.tierHist = append(f.tierHist, t)
-		if t > f.maxTier {
-			f.maxTier = t
-		}
-	})
-
 	// Stagger the baseline population over the first second and the
 	// crowd over the surge's first two seconds; the draws happen in
 	// client order, so the schedule is a pure function of the seed.
@@ -407,6 +400,7 @@ func (f *fcSim) arrive(cl *fcClient, now time.Time) error {
 		f.wOffered++
 	}
 	outcome, ticket := f.ctrl.TryAdmit(admit.ClassDiscovery, now)
+	f.noteTier()
 	f.note(fcArrive, cl, now, byte(outcome), 0)
 	switch outcome {
 	case admit.Admitted:
@@ -421,6 +415,24 @@ func (f *fcSim) arrive(cl *fcClient, now time.Time) error {
 		f.scheduleNext(cl, now.Add(f.backoff()))
 	}
 	return nil
+}
+
+// noteTier records the ladder transition the controller call just made,
+// if any: a call makes at most one, so the tier differs from the last one
+// recorded exactly when it did.
+func (f *fcSim) noteTier() {
+	last := admit.TierNominal
+	if n := len(f.tierHist); n > 0 {
+		last = f.tierHist[n-1]
+	}
+	t := f.ctrl.Tier()
+	if t == last {
+		return
+	}
+	f.tierHist = append(f.tierHist, t)
+	if t > f.maxTier {
+		f.maxTier = t
+	}
 }
 
 // startService performs the admitted request's actual discovery call and
@@ -464,6 +476,7 @@ func (f *fcSim) complete(cl *fcClient, arrived, now time.Time) error {
 	}
 	f.note(fcComplete, cl, now, 0, uint64(lat))
 	promoted := f.ctrl.Release(admit.ClassDiscovery, arrived, now)
+	f.noteTier()
 	if promoted != nil {
 		pcl := f.tickets[promoted]
 		delete(f.tickets, promoted)
@@ -481,7 +494,9 @@ func (f *fcSim) complete(cl *fcClient, arrived, now time.Time) error {
 // Losing the cancel race means the ticket was promoted first and the
 // client is already being served; winning it sheds the request.
 func (f *fcSim) timeout(cl *fcClient, t *admit.Ticket, now time.Time) error {
-	if !f.ctrl.CancelQueued(t, now, true) {
+	cancelled := f.ctrl.CancelQueued(t, now, true)
+	f.noteTier()
+	if !cancelled {
 		return nil
 	}
 	delete(f.tickets, t)

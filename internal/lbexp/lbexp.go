@@ -417,26 +417,14 @@ func Failure(base Config, failAfter time.Duration) (*metrics.Table, []FailureRes
 		if err != nil {
 			return nil, nil, err
 		}
-		// Kill the first-binding host (the stock client's target) once
-		// the clock passes failAfter.
+		// Kill the first-binding host (the stock client's target) at the
+		// simulated instant failAfter from now.
 		failed := s.Cluster.Host(rim.HostOfURI(s.Worker.AccessURIs()[0]))
-		deadline := s.Clock.Now().Add(failAfter)
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			for s.Clock.Now().Before(deadline) {
-				s.Clock.Sleep(time.Second)
-			}
-			failed.SetDown(true)
-		}()
+		failed.SetDownFrom(s.Clock.Now().Add(failAfter))
 		rep, err := s.Driver.Run(cfg.Workload)
 		if err != nil {
 			return nil, nil, err
 		}
-		// Release the killer goroutine even if the run ended before the
-		// failure deadline.
-		s.Clock.Set(deadline.Add(time.Hour))
-		<-done
 		res := FailureResult{
 			Name:              combo.Name,
 			Completed:         rep.Completed,

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/integration/leakcheck"
 	"repro/internal/mtc"
 )
 
@@ -194,25 +193,6 @@ func TestH5FailureShape(t *testing.T) {
 	}
 	if !strings.Contains(tbl.String(), "stock") {
 		t.Fatalf("table:\n%s", tbl)
-	}
-}
-
-// TestH5FailureReleasesKiller ends the workload long before the failure
-// deadline: Failure must still release its killer goroutine and return.
-func TestH5FailureReleasesKiller(t *testing.T) {
-	defer leakcheck.Check(t)()
-	done := make(chan error, 1)
-	go func() {
-		_, _, err := Failure(Config{Hosts: 4, Workload: smallWorkload()}, 10000*time.Hour)
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("Failure has not returned 30s after starting a workload that ends before its deadline")
 	}
 }
 

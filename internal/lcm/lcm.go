@@ -53,10 +53,6 @@ type Manager struct {
 	// runs with "Versioning off" for its experiments (§3.4.4.1) but the
 	// capability is part of the registry (Table 1.1).
 	Versioning bool
-	// OnWrite, when non-nil, is called after every applied mutation. The
-	// registry wires it to the response cache's write epoch so no
-	// preserialized answer outlives the write.
-	OnWrite func()
 	// Durability, when non-nil, write-ahead-logs every mutation before it
 	// is applied (see the Durability interface). A nil value keeps the
 	// manager purely in-memory: the same sequence without the append.
@@ -157,9 +153,6 @@ func (m *Manager) do(compute func() ([]write, error)) error {
 			}
 		}
 		m.Store.Apply(changes[i])
-		if m.OnWrite != nil {
-			m.OnWrite()
-		}
 		if w.kind == "" {
 			continue
 		}

@@ -73,8 +73,8 @@ func seedWorker(t *testing.T, r *Registry, hosts ...string) {
 
 // driveDiscoveryOverload pins every discovery slot busy for d of simulated
 // time while arrivals keep pounding the saturated class (the admit
-// package's overload driver, replayed against the registry's wired
-// controller so the OnTierChange callbacks actually fire).
+// package's overload loop, replayed against the registry's own
+// controller, whose tier the balancer, the edge and the cache read).
 func driveDiscoveryOverload(r *Registry, d time.Duration) {
 	c := r.Admission
 	clk := r.Clock.(*simclock.Manual)
@@ -132,7 +132,7 @@ func TestBrownoutTiersComposeWithQuarantine(t *testing.T) {
 		Updated: now,
 	})
 
-	if got := r.Sampler.Every(); got != 2 {
+	if got := r.traceEvery(); got != 2 {
 		t.Fatalf("nominal trace sample = %d, want 2", got)
 	}
 
@@ -140,9 +140,12 @@ func TestBrownoutTiersComposeWithQuarantine(t *testing.T) {
 	if got := r.Admission.Tier(); got < admit.TierStale {
 		t.Fatalf("tier after sustained overload = %v, want >= TierStale", got)
 	}
-	if got := r.Sampler.Every(); got != 0 {
+	srv := httptest.NewServer(r.Handler())
+	defer srv.Close()
+	if got := r.traceEvery(); got != 0 {
 		t.Fatalf("trace sample at %v = %d, want 0 (TierNoTrace)", r.Admission.Tier(), got)
 	}
+	wantTracing(t, r, srv, 0)
 	if got := r.Balancer.Brownout.ExtraStaleness(); got != time.Minute {
 		t.Fatalf("extra staleness at %v = %v, want 1m", r.Admission.Tier(), got)
 	}
@@ -169,11 +172,43 @@ func TestBrownoutTiersComposeWithQuarantine(t *testing.T) {
 	if got := r.Admission.Tier(); got != admit.TierNominal {
 		t.Fatalf("tier after calm = %v, want TierNominal", got)
 	}
-	if got := r.Sampler.Every(); got != 2 {
+	if got := r.traceEvery(); got != 2 {
 		t.Fatalf("trace sample after recovery = %d, want 2", got)
 	}
+	wantTracing(t, r, srv, 2)
 	if got := r.Balancer.Brownout.ExtraStaleness(); got != 0 {
 		t.Fatalf("extra staleness after recovery = %v, want 0", got)
+	}
+}
+
+// wantTracing checks the edge samples every rate-th discovery (none at
+// rate 0) over two requests, and that /registry/metrics reports the rate.
+func wantTracing(t *testing.T, r *Registry, srv *httptest.Server, rate int) {
+	t.Helper()
+	traced := 0
+	for i := 0; i < 2; i++ {
+		resp, err := srv.Client().Get(srv.URL + "/registry/bindings?service=Worker")
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("bindings at %v: status %d", r.Admission.Tier(), resp.StatusCode)
+		}
+		if resp.Header.Get("X-Registry-Trace") != "" {
+			traced++
+		}
+	}
+	want := 0
+	if rate > 0 {
+		want = 2 / rate
+	}
+	if traced != want {
+		t.Fatalf("at %v %d of 2 requests carried X-Registry-Trace, want %d", r.Admission.Tier(), traced, want)
+	}
+	if got, ok := scrapeMetrics(t, srv).Value("registry_trace_sample_rate", nil); !ok || got != float64(rate) {
+		t.Fatalf("registry_trace_sample_rate at %v = %v (ok=%v), want %d", r.Admission.Tier(), got, ok, rate)
 	}
 }
 

@@ -154,7 +154,6 @@ type bundleConfig struct {
 	TraceSampleRate       int     `json:"traceSampleRate"`
 	FlightRing            int     `json:"flightRing"`
 	AdmissionEnabled      bool    `json:"admissionEnabled"`
-	RespCacheEnabled      bool    `json:"respCacheEnabled"`
 	Durable               bool    `json:"durable"`
 }
 
@@ -285,10 +284,9 @@ func (r *Registry) bundleConfig() bundleConfig {
 		Freshness:             r.Balancer.Freshness.Seconds(),
 		FallbackAll:           r.Balancer.FallbackAll,
 		SnapshotMaxAgeSeconds: r.Balancer.SnapshotMaxAge.Seconds(),
-		TraceSampleRate:       r.Sampler.Every(),
+		TraceSampleRate:       r.traceEvery(),
 		FlightRing:            r.Flight.Len(),
 		AdmissionEnabled:      r.Admission != nil,
-		RespCacheEnabled:      r.RespCache != nil,
 		Durable:               r.Durable != nil,
 	}
 }

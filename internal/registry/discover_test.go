@@ -111,8 +111,8 @@ func TestDiscoverIsOneSequence(t *testing.T) {
 			if !reflect.DeepEqual(ent.Decision, want) {
 				t.Errorf("stored decision = %+v, want the query manager's %+v", ent.Decision, want)
 			}
-			if ent.FirstHost != "h00.sdsu.edu" || ent.Gen != want.SnapshotGen {
-				t.Errorf("entry first host %q gen %d, want h00.sdsu.edu gen %d", ent.FirstHost, ent.Gen, want.SnapshotGen)
+			if ent.Decision.ServedHost() != "h00.sdsu.edu" || ent.Gen != want.SnapshotGen {
+				t.Errorf("entry first host %q gen %d, want h00.sdsu.edu gen %d", ent.Decision.ServedHost(), ent.Gen, want.SnapshotGen)
 			}
 		})
 	}

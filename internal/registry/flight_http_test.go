@@ -240,8 +240,8 @@ func TestBundleSections(t *testing.T) {
 	if doc.Config["policy"] != "filter" {
 		t.Errorf("bundle config policy = %v, want filter", doc.Config["policy"])
 	}
-	if doc.Config["respCacheEnabled"] != true {
-		t.Errorf("bundle config respCacheEnabled = %v", doc.Config["respCacheEnabled"])
+	if doc.Config["traceSampleRate"] != float64(1) {
+		t.Errorf("bundle config traceSampleRate = %v, want 1", doc.Config["traceSampleRate"])
 	}
 	for _, comp := range []string{"collector", "wal", "admission", "edgecache", "balance"} {
 		if _, ok := doc.Health[comp]; !ok {

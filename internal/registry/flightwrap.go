@@ -12,6 +12,7 @@ import (
 	"net/url"
 	"strconv"
 
+	"repro/internal/admit"
 	"repro/internal/core"
 	"repro/internal/flight"
 )
@@ -45,7 +46,7 @@ func (r *Registry) flightWrap(route flight.Route, next http.Handler) http.Handle
 func (fr *flightRoute) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 	fw := flight.GetWriter(w)
 	fw.Rec.Route = fr.route
-	sampled := fr.sample && fr.reg.Sampler.Sample(fw)
+	sampled := fr.sample && fr.reg.edgeTier() < uint32(admit.TierNoTrace) && fr.reg.Sampler.Sample(fw)
 	if sampled {
 		echoTrace(w, fw.Rec.Trace)
 	}
@@ -65,6 +66,15 @@ func (fr *flightRoute) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 	fw.Finish()
 	fr.reg.Flight.Append(&fw.Rec)
 	flight.PutWriter(fw)
+}
+
+// traceEvery is the sampling rate in force: the configured one, or 0 from
+// TierNoTrace up, where the edge offers the sampler nothing.
+func (r *Registry) traceEvery() int {
+	if r.edgeTier() >= uint32(admit.TierNoTrace) {
+		return 0
+	}
+	return r.Sampler.Every()
 }
 
 // echoTrace tells the client the id its request can be looked up under at
@@ -183,7 +193,7 @@ func (r *Registry) handleTraces(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	writeJSON(w, tracePage{
-		SampleRate: r.Sampler.Every(),
+		SampleRate: r.traceEvery(),
 		Sampled:    r.Sampler.Sampled(),
 		Traces:     flight.ExportAll(r.Flight.Snapshot(flight.Filter{Traced: true, Limit: n})),
 	})

@@ -628,9 +628,14 @@ func (e encoding) String() string {
 // tuple first and accounts the answer it gives: discovery counters, balance
 // assignment, flight annotation.
 func (r *Registry) discover(ctx context.Context, fw *flight.Writer, space respcache.Space, key string, start time.Time, enc encoding, probe bool) (*respcache.Entry, error) {
-	// The tuple is read before the decision is computed: a write or tier
-	// change landing mid-flight leaves the stored entry permanently
-	// invalid rather than ever stale.
+	// The tuple is read before the decision is computed, the epoch first:
+	// a store change or tier transition landing mid-flight leaves the
+	// stored entry permanently invalid rather than ever stale, and one that
+	// landed before the epoch was read is in the tier read after it.
+	var epoch uint64
+	if !probe {
+		epoch = r.RespCache.Epoch()
+	}
 	gen, taken := r.Balancer.SnapshotMeta(start)
 	age := snapshotAge(start, taken)
 	tier := r.edgeTier()
@@ -640,11 +645,10 @@ func (r *Registry) discover(ctx context.Context, fw *flight.Writer, space respca
 			if encoded(ent, enc) == nil {
 				ent = r.renderSibling(space, key, ent, enc)
 			}
-			r.account(fw, &ent.Decision, ent.FirstHost, age, start, true)
+			r.account(fw, &ent.Decision, age, start, true)
 		}
 		return ent, nil
 	}
-	epoch := r.RespCache.Epoch()
 	var uris []string
 	var dec core.Decision
 	var err error
@@ -657,11 +661,10 @@ func (r *Registry) discover(ctx context.Context, fw *flight.Writer, space respca
 		r.discovery.errors.Inc()
 		return nil, err
 	}
-	host := dec.ServedHost()
-	r.account(fw, &dec, host, age, start, false)
+	r.account(fw, &dec, age, start, false)
 	ent := &respcache.Entry{
 		Gen: gen, Tier: tier, Expires: respExpiry(&dec, start),
-		URIs: uris, Decision: dec, FirstHost: host,
+		URIs: uris, Decision: dec,
 	}
 	r.renderBindings(ent, enc)
 	r.RespCache.StoreAt(space, key, ent, epoch)
@@ -717,7 +720,8 @@ func (r *Registry) renderBindings(ent *respcache.Entry, enc encoding) {
 
 // account folds one discovery answer into the counters and, when the
 // route is flight-wrapped, into the request's record.
-func (r *Registry) account(fw *flight.Writer, dec *core.Decision, host string, age time.Duration, start time.Time, hit bool) {
+func (r *Registry) account(fw *flight.Writer, dec *core.Decision, age time.Duration, start time.Time, hit bool) {
+	host := dec.ServedHost()
 	r.discovery.observe(dec, host, age, r.Clock.Now().Sub(start).Seconds())
 	if fw != nil {
 		fw.Rec.CacheHit = hit

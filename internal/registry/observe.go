@@ -101,8 +101,8 @@ func (r *Registry) buildExposition() *obs.Exposition {
 		"Discovery cache lookups that fell through to the balancer.",
 		rc.Misses.Value)
 	e.Counter("registry_respcache_invalidations_total",
-		"Response-cache epoch bumps (life-cycle writes and brownout transitions).",
-		rc.Invalidations.Value)
+		"How far the response cache's epoch has advanced since boot: store changes (writes, followed records, bootstraps), brownout transitions and explicit flushes.",
+		func() int64 { return int64(rc.Epoch() - r.bootEpoch) })
 	e.Gauge("registry_respcache_entries",
 		"Preserialized responses currently cached.",
 		func() float64 { return float64(rc.Len()) })
@@ -446,7 +446,7 @@ func (r *Registry) buildExposition() *obs.Exposition {
 		func() int64 { return r.Sampler.Sampled() })
 	e.Gauge("registry_trace_sample_rate",
 		"Trace sampling rate (every Nth request; 0 disabled).",
-		func() float64 { return float64(r.Sampler.Every()) })
+		func() float64 { return float64(r.traceEvery()) })
 
 	// Admission control and the brownout ladder. A nil controller (no
 	// Config.Admission) reads every series as zero.

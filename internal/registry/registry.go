@@ -182,6 +182,7 @@ type Registry struct {
 	replFollow string // leader base URL when this node is a follower
 
 	discovery discoveryMetrics
+	bootEpoch uint64                        // RespCache.Epoch() when New returned
 	renders   [numEncodings]metrics.Counter // bindings answers rendered, by encoding
 	expo      *obs.Exposition
 	pprof     bool
@@ -215,15 +216,23 @@ func New(cfg Config) (*Registry, error) {
 		Degraded:       cfg.Degraded,
 		SnapshotMaxAge: cfg.SnapshotMaxAge,
 	}
+	// A preserialized answer is valid while the store it was computed from
+	// is unchanged — whoever changed it: this node's writes, replay, the
+	// follower — and, under admission control, while the brownout ladder
+	// has not moved: each transition also changes the overrides the
+	// controller hands the balancer.
+	changes := []func() uint64{s.Changes}
+	var ctrl *admit.Controller
+	if cfg.Admission != nil {
+		ctrl = admit.NewController(*cfg.Admission, clk, logger.With("component", "admit"))
+		bal.Brownout = ctrl
+		changes = append(changes, func() uint64 { return uint64(ctrl.TierChanges()) })
+	}
+	respCache := respcache.New(0, changes...)
 	trail := audit.New(s, clk)
 	bus := events.NewBus()
 	lifecycle := lcm.New(s, xacml.DefaultPolicy(), trail, bus)
 	lifecycle.Log = logger.With("component", "lcm")
-	respCache := respcache.New(0)
-	// Any successful write advances the response cache's write epoch so no
-	// preserialized answer can outlive it. The store's discovery entries
-	// need no hook: a write replaces the entry it touches.
-	lifecycle.OnWrite = respCache.BumpEpoch
 	query := qm.New(s, bal, clk)
 	registrar := auth.NewRegistrar(clk)
 
@@ -269,53 +278,6 @@ func New(cfg Config) (*Registry, error) {
 		opts = append(opts, nodestate.WithBreakers(breakers))
 	}
 
-	// Balance and SLO rollups ride the collector's sweep cadence: the
-	// same tick that republishes the NodeState snapshot cuts a fairness
-	// interval and an SLO sample, on the wall clock in production and the
-	// manual clock in tests — one deterministic heartbeat for both.
-	balance := obs.NewBalance()
-	sloEngine := obs.NewSLO(obs.DefaultSLOConfig())
-	var afterSweep func()
-	opts = append(opts, nodestate.WithAfterSweep(func() {
-		if afterSweep != nil {
-			afterSweep()
-		}
-	}))
-	collector := nodestate.New(s.NodeState(), invoker, clk, query.CollectionTargets, opts...)
-
-	sampler := flight.NewSampler(clk, cfg.TraceSample)
-
-	// Admission control and the brownout ladder: each ladder transition
-	// flips the corresponding degradation overrides — trace sampling off
-	// at TierNoTrace, stale snapshots at TierStale, forced static
-	// fallback at TierStatic — and restores them on the way back down.
-	var ctrl *admit.Controller
-	if cfg.Admission != nil {
-		ctrl = admit.NewController(*cfg.Admission, clk, logger.With("component", "admit"))
-		brown := &core.BrownoutState{}
-		bal.Brownout = brown
-		sample := cfg.TraceSample
-		staleness := ctrl.Config().BrownoutStaleness
-		ctrl.OnTierChange(func(t admit.Tier) {
-			if t >= admit.TierNoTrace {
-				sampler.SetEvery(0)
-			} else {
-				sampler.SetEvery(sample)
-			}
-			if t >= admit.TierStale {
-				brown.SetExtraStaleness(staleness)
-			} else {
-				brown.SetExtraStaleness(0)
-			}
-			brown.SetForceStatic(t >= admit.TierStatic)
-			// The tier is part of every response-cache key, but a
-			// transition also flips degradation overrides that feed the
-			// decision itself — flush outright rather than reason about
-			// which tiers share answers.
-			respCache.BumpEpoch()
-		})
-	}
-
 	r := &Registry{
 		Store:     s,
 		Clock:     clk,
@@ -325,20 +287,25 @@ func New(cfg Config) (*Registry, error) {
 		Trail:     trail,
 		Bus:       bus,
 		Registrar: registrar,
-		Collector: collector,
 		Breakers:  breakers,
 
 		ConstraintCache: constraint.NewCache(0),
-		Sampler:         sampler,
+		Sampler:         flight.NewSampler(clk, cfg.TraceSample),
 		Log:             logger.With("component", "registry"),
 		Durable:         durable,
 		Admission:       ctrl,
 		RespCache:       respCache,
 		Flight:          flight.NewRing(0),
-		Balance:         balance,
-		SLOEngine:       sloEngine,
+		Balance:         obs.NewBalance(),
+		SLOEngine:       obs.NewSLO(obs.DefaultSLOConfig()),
 		pprof:           cfg.Pprof,
 	}
+	// Balance and SLO rollups ride the collector's sweep cadence: the
+	// same tick that republishes the NodeState snapshot cuts a fairness
+	// interval and an SLO sample, on the wall clock in production and the
+	// manual clock in tests — one deterministic heartbeat for both.
+	opts = append(opts, nodestate.WithAfterSweep(r.rollup))
+	r.Collector = nodestate.New(s.NodeState(), invoker, clk, query.CollectionTargets, opts...)
 	if cfg.ReplLeader {
 		if durable == nil {
 			return nil, fmt.Errorf("registry: ReplLeader requires DataDir")
@@ -350,8 +317,7 @@ func New(cfg Config) (*Registry, error) {
 	}
 	r.replFollow = strings.TrimRight(cfg.ReplFollowURL, "/")
 	r.discovery.latency = obs.NewHistogramMetric(obs.DiscoveryLatencyBuckets()...)
-	r.discovery.balance = balance
-	afterSweep = r.rollup
+	r.discovery.balance = r.Balance
 	r.expo = r.buildExposition()
 
 	// Seed the canonical classification schemes (Table 1.2 + the
@@ -394,6 +360,7 @@ func New(cfg Config) (*Registry, error) {
 			return nil, err
 		}
 	}
+	r.bootEpoch = respCache.Epoch()
 	return r, nil
 }
 
@@ -432,10 +399,10 @@ func (r *Registry) RunCollector(ctx context.Context) {
 }
 
 // AttachFollower wires a replication follower into the registry's
-// observability surface (metrics, health, bundle) and its post-apply
-// cache invalidation. Call it once, before serving traffic.
+// observability surface (metrics, health, bundle). Call it once, before
+// serving traffic. The follower applies into r.Store, whose change count
+// the response cache reads, so nothing else needs telling.
 func (r *Registry) AttachFollower(f *repl.Follower) {
-	f.OnApply = r.LCM.OnWrite
 	r.follower.Store(f)
 }
 

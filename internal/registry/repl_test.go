@@ -29,13 +29,20 @@ import (
 // cold: tests Bootstrap/Poll it explicitly for determinism.
 func newReplPair(t *testing.T) (leader *Registry, lsrv *httptest.Server, follower *Registry, fsrv *httptest.Server, f *repl.Follower) {
 	t.Helper()
-	leader, err := New(Config{
-		Clock:      simclock.NewManual(t0),
-		Policy:     core.PolicyStock,
-		DataDir:    t.TempDir(),
-		Fsync:      wal.FsyncAlways,
-		ReplLeader: true,
-	})
+	return newReplPairWith(t, Config{Policy: core.PolicyStock})
+}
+
+// newReplPairWith is newReplPair with both registries built from base: the
+// leader on base.Clock (a fresh manual clock when nil), the follower on a
+// manual clock of its own.
+func newReplPairWith(t *testing.T, base Config) (leader *Registry, lsrv *httptest.Server, follower *Registry, fsrv *httptest.Server, f *repl.Follower) {
+	t.Helper()
+	lcfg := base
+	if lcfg.Clock == nil {
+		lcfg.Clock = simclock.NewManual(t0)
+	}
+	lcfg.DataDir, lcfg.Fsync, lcfg.ReplLeader = t.TempDir(), wal.FsyncAlways, true
+	leader, err := New(lcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,11 +52,9 @@ func newReplPair(t *testing.T) (leader *Registry, lsrv *httptest.Server, followe
 	lsrv = httptest.NewServer(leader.Handler())
 	t.Cleanup(lsrv.Close)
 
-	follower, err = New(Config{
-		Clock:         simclock.NewManual(t0),
-		Policy:        core.PolicyStock,
-		ReplFollowURL: lsrv.URL,
-	})
+	fcfg := base
+	fcfg.Clock, fcfg.ReplFollowURL = simclock.NewManual(t0), lsrv.URL
+	follower, err = New(fcfg)
 	if err != nil {
 		t.Fatal(err)
 	}

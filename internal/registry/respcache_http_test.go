@@ -194,14 +194,14 @@ func TestLCMWriteInvalidates(t *testing.T) {
 	if strings.Contains(before, "h04") {
 		t.Fatalf("h04 bound before the update: %q", before)
 	}
-	invalidations := reg.RespCache.Invalidations.Value()
+	epoch := reg.RespCache.Epoch()
 
 	svc.AddBinding("http://h04.sdsu.edu:8080/Adder/addService")
 	if err := reg.LCM.UpdateObjects(reg.AdminContext(), svc); err != nil {
 		t.Fatal(err)
 	}
-	if got := reg.RespCache.Invalidations.Value(); got != invalidations+1 {
-		t.Fatalf("invalidations after LCM write: %d -> %d, want one bump", invalidations, got)
+	if got := reg.RespCache.Epoch(); got != epoch+1 {
+		t.Fatalf("epoch after LCM write: %d -> %d, want one step", epoch, got)
 	}
 
 	after, _ := getBindings(t, srv, "Adder")
@@ -226,7 +226,7 @@ func TestQuarantineInvalidatesViaGeneration(t *testing.T) {
 	if !strings.Contains(before, "h00.sdsu.edu") {
 		t.Fatalf("h00 missing before quarantine: %q", before)
 	}
-	invalidations := reg.RespCache.Invalidations.Value()
+	epoch := reg.RespCache.Epoch()
 
 	reg.Store.NodeState().Upsert(store.NodeState{
 		Host: "h00.sdsu.edu", Load: 0.2, MemoryB: 4 << 30, SwapB: 1 << 30,
@@ -246,13 +246,13 @@ func TestQuarantineInvalidatesViaGeneration(t *testing.T) {
 	if got, want := reg.RespCache.Misses.Value(), int64(2); got != want {
 		t.Fatalf("misses = %d, want %d (generation key must invalidate)", got, want)
 	}
-	if got := reg.RespCache.Invalidations.Value(); got != invalidations {
-		t.Fatalf("invalidations %d -> %d, want unchanged (no epoch bump on NodeState writes)", invalidations, got)
+	if got := reg.RespCache.Epoch(); got != epoch {
+		t.Fatalf("epoch %d -> %d, want unchanged (NodeState writes do not move it)", epoch, got)
 	}
 }
 
 // TestBrownoutTierKeysCache: entries are keyed by the brownout tier, and
-// every tier transition flushes the epoch outright — a response rendered
+// every tier transition advances the epoch — a response rendered
 // under nominal conditions is never served during a brownout, and one
 // rendered during the brownout is never served after recovery.
 func TestBrownoutTierKeysCache(t *testing.T) {
@@ -266,12 +266,13 @@ func TestBrownoutTierKeysCache(t *testing.T) {
 		t.Fatalf("hits at nominal tier = %d, want %d", got, want)
 	}
 
+	epoch := reg.RespCache.Epoch()
 	driveDiscoveryOverload(reg, 5*time.Second)
 	if got := reg.Admission.Tier(); got < admit.TierStale {
 		t.Fatalf("tier after overload = %v, want >= TierStale", got)
 	}
-	if got := reg.RespCache.Invalidations.Value(); got < 1 {
-		t.Fatalf("invalidations after tier climb = %d, want >= 1", got)
+	if got, want := reg.RespCache.Epoch()-epoch, uint64(reg.Admission.TierChanges()); got != want || got < 1 {
+		t.Fatalf("epoch moved %d over the climb, want one per transition (%d)", got, want)
 	}
 
 	// The brownout answer is computed fresh (and re-cached under the new

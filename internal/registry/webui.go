@@ -148,7 +148,7 @@ func (r *Registry) handleUI(w http.ResponseWriter, req *http.Request) {
 		FaultLine: fmt.Sprintf("Collector: %d sweeps, %d errors, %d timeouts, %d retries, %d breaker skips.",
 			stats.Sweeps, stats.Errs, stats.Timeouts, stats.Retries, stats.Skipped),
 	}
-	if n := r.Sampler.Every(); n > 0 {
+	if n := r.traceEvery(); n > 0 {
 		data.TraceLine = fmt.Sprintf("Tracing every %s discovery request; %d sampled so far.",
 			ordinal(n), r.Sampler.Sampled())
 	} else {

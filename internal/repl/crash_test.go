@@ -44,20 +44,18 @@ func localTail(t *testing.T, dir string) (uint64, string, int64) {
 	return seg, path, fi.Size()
 }
 
-// watchOrder fails the test if the follower ever applies a record that is
-// not the one after the last it applied; a snapshot load starts a new line.
-func watchOrder(t *testing.T, f *Follower) {
-	last, boots := f.Stats().AppliedSeq, f.Stats().Rebootstraps
-	f.OnApply = func() {
-		st := f.Stats()
-		if st.Rebootstraps != boots {
-			boots, last = st.Rebootstraps, st.AppliedSeq
-			return
+// orderedPoll is f.Poll failing the test when a call did not apply the
+// records after the last one f applied, in order: the applied sequence
+// number must move by exactly the count applied, unless the call
+// re-bootstrapped, which starts a new line.
+func orderedPoll(t *testing.T, f *Follower) func(context.Context) (int, error) {
+	return func(ctx context.Context) (int, error) {
+		before := f.Stats()
+		n, err := f.Poll(ctx)
+		if after := f.Stats(); after.Rebootstraps == before.Rebootstraps && after.AppliedSeq != before.AppliedSeq+uint64(n) {
+			t.Errorf("applied %d records moving seq %d -> %d: a record was skipped or applied again", n, before.AppliedSeq, after.AppliedSeq)
 		}
-		if st.AppliedSeq != last+1 {
-			t.Errorf("applied seq %d after %d: a record was skipped or applied again", st.AppliedSeq, last)
-		}
-		last = st.AppliedSeq
+		return n, err
 	}
 }
 
@@ -109,14 +107,14 @@ func TestReplCrashFollowerRelogEverySeed(t *testing.T) {
 			}
 			ctx := context.Background()
 			f := newFollower(t, fdir, srv.URL, srv.Client(), tweak)
-			watchOrder(t, f)
+			poll := orderedPoll(t, f)
 			if err := f.Bootstrap(ctx); err != nil {
 				t.Fatal(err)
 			}
 			for rounds := 2 + rng.Intn(6); rounds > 0; rounds-- {
 				mutate(1 + rng.Intn(6))
 				for polls := rng.Intn(4); polls > 0; polls-- {
-					if _, err := f.Poll(ctx); err != nil {
+					if _, err := poll(ctx); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -166,7 +164,6 @@ func TestReplCrashFollowerRelogEverySeed(t *testing.T) {
 			if resumeFrom.Less(at) {
 				t.Fatalf("restarted at %s, past the %s the dead follower had applied", at, resumeFrom)
 			}
-			watchOrder(t, f2)
 			catchUp(t, f2, n)
 			assertConverged(t, n, f2)
 			st := f2.Stats()

@@ -109,11 +109,6 @@ type Follower struct {
 	client  *http.Client
 	leader  string // base URL, trailing slash trimmed
 
-	// OnApply is invoked after every applied record and after a snapshot
-	// bootstrap — wire it to the registry's post-write cache invalidation
-	// hook before Run.
-	OnApply func()
-
 	mu       sync.Mutex   // also orders every journal call
 	hasState bool         // guarded by mu — a checkpoint or record survived recovery
 	applied  wal.Position // guarded by mu — leader position just past the last applied record
@@ -265,9 +260,6 @@ func (f *Follower) Bootstrap(ctx context.Context) error {
 	f.appliedOff.Store(pos.Offset)
 	f.rebootstraps.Add(1)
 	f.progressNano.Store(f.clock.Now().UnixNano())
-	if f.OnApply != nil {
-		f.OnApply()
-	}
 	f.slog.InfoContext(ctx, "follower bootstrapped from leader checkpoint", "pos", pos.String(), "seq", seq)
 	return nil
 }
@@ -354,8 +346,8 @@ func (f *Follower) observe(appliedOne bool) {
 	}
 }
 
-// apply replays one streamed record into the store, persists it locally,
-// and fires the cache-invalidation hook.
+// apply replays one streamed record into the store and persists it
+// locally.
 func (f *Follower) apply(rec wal.StreamRecord) error {
 	if _, err := wal.ApplyRecord(f.store, rec.Payload); err != nil {
 		return err
@@ -380,9 +372,6 @@ func (f *Follower) apply(rec wal.StreamRecord) error {
 	f.appliedSeg.Store(rec.Pos.Segment)
 	f.appliedOff.Store(rec.Pos.Offset)
 	f.appliedTotal.Add(1)
-	if f.OnApply != nil {
-		f.OnApply()
-	}
 	return nil
 }
 

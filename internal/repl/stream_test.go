@@ -81,9 +81,6 @@ func TestReplStreamCarriesEveryCommitInOneResponse(t *testing.T) {
 	const wait = 10 * time.Second
 	n, f, _, stop := streamingPair(t, wait)
 	defer stop()
-	applied := make(chan struct{}, 1)
-	f.OnApply = func() { applied <- struct{}{} }
-
 	type pollResult struct {
 		n   int
 		err error
@@ -103,11 +100,7 @@ func TestReplStreamCarriesEveryCommitInOneResponse(t *testing.T) {
 	const commits = 200
 	for i := 0; i < commits; i++ {
 		n.submit(fmt.Sprintf("streamed-%03d", i))
-		select {
-		case <-applied:
-		case <-time.After(20 * time.Second):
-			t.Fatalf("commit %d never reached the follower: the stream slept past it", i)
-		}
+		eventually(t, fmt.Sprintf("commit %d to reach the follower", i), func() bool { return f.Stats().AppliedTotal == int64(i+1) })
 		n.clk.Advance(wait / (2 * commits))
 	}
 	st, ls := f.Stats(), n.ld.Stats()
@@ -330,7 +323,8 @@ func TestReplLagIsExactWithFramesInFlight(t *testing.T) {
 		defer rd.Close()
 		w.Header().Set(HeaderLeaderSeq, strconv.FormatUint(stale, 10))
 		w.(http.Flusher).Flush()
-		for {
+		base := f.Stats().AppliedTotal
+		for k := 1; ; k++ {
 			rec, err := rd.Next()
 			if err != nil {
 				return
@@ -339,16 +333,20 @@ func TestReplLagIsExactWithFramesInFlight(t *testing.T) {
 				t.Error(err)
 				return
 			}
+			w.(http.Flusher).Flush()
+			// The next frame waits until the follower has applied this one.
+			for deadline := time.Now().Add(20 * time.Second); f.Stats().AppliedTotal != base+int64(k); time.Sleep(100 * time.Microsecond) {
+				if time.Now().After(deadline) {
+					t.Errorf("frame %d of %d was never applied", k, inFlight)
+					return
+				}
+			}
+			if st := f.Stats(); st.LagRecords != int64(inFlight-k) || st.LeaderSeq != stale+inFlight {
+				t.Errorf("after frame %d of %d: lag %d behind leader seq %d, want %d behind %d",
+					k, inFlight, st.LagRecords, st.LeaderSeq, inFlight-k, stale+inFlight)
+			}
 		}
 	}))
-	k := 0
-	f.OnApply = func() {
-		k++
-		if st := f.Stats(); st.LagRecords != int64(inFlight-k) || st.LeaderSeq != stale+inFlight {
-			t.Errorf("after frame %d of %d: lag %d behind leader seq %d, want %d behind %d",
-				k, inFlight, st.LagRecords, st.LeaderSeq, inFlight-k, stale+inFlight)
-		}
-	}
 	if got, err := f.Poll(context.Background()); got != inFlight || err != nil {
 		t.Fatalf("Poll = %d, %v", got, err)
 	}

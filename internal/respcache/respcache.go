@@ -2,22 +2,28 @@
 // per-service binding list is rendered in the encoding (JSON or SOAP) the
 // first request after a change asks for, the other encoding on the first
 // request that asks for that, and each is then served with a single Write
-// until something that could alter the answer moves:
+// until one of the four causes that could alter the answer moves. Each has
+// one owner and one mechanism, and the cache is told of none of them:
 //
-//   - a registry write (lcm.Manager.OnWrite chains into BumpEpoch),
-//   - a brownout tier change (tier is part of the entry key, and the
-//     registry also bumps the epoch on transitions),
-//   - an RCU snapshot republish (the balancer's snapshot generation is
-//     part of the entry key),
-//   - wall-clock movement across a constraint time-window boundary or a
-//     freshness horizon (entries carry an Expires instant).
+//   - the stored service: the store's change count (store.Store.Changes),
+//     advanced by every Apply and Load — a leader's write, a replayed or
+//     followed record, a follower's bootstrap — is part of the epoch;
+//   - the NodeState rows: the balancer's snapshot generation is part of
+//     the entry key, so a collector republish misses;
+//   - the brownout tier: the tier is part of the entry key, and the
+//     admission controller's transition count is part of the epoch, since
+//     a transition also changes the overrides the decision is computed
+//     under;
+//   - the request time: entries carry an Expires instant, the next
+//     constraint time-window boundary or freshness horizon.
 //
-// Entries are stamped with the epoch observed *before* the decision was
-// computed, so a write that lands mid-flight leaves a stamp that never
-// validates — conservative, never stale. Eviction is a deterministic
-// whole-cache flush when the entry cap is reached (no RNG, per the
-// repo's norand invariant); the cap exists to bound memory under a
-// service-name scan, not to approximate an LRU.
+// The epoch is the sum of the counters the cache was built with plus its
+// own flush count (BumpEpoch). Entries are stamped with the epoch observed
+// *before* the decision was computed, so a change that lands mid-flight
+// leaves a stamp that never validates — conservative, never stale.
+// Eviction is a deterministic whole-cache flush when the entry cap is
+// reached (no RNG, per the repo's norand invariant); the cap exists to
+// bound memory under a service-name scan, not to approximate an LRU.
 package respcache
 
 import (
@@ -47,7 +53,7 @@ const (
 
 // Entry is one preserialized response. Gen, Tier, and Expires record the
 // world the entry was rendered in; Lookup revalidates all three plus the
-// write epoch. Decision is retained so a cache hit can feed the same
+// epoch. Decision is retained so a cache hit can feed the same
 // discovery metrics a rendered response would.
 //
 // An entry is immutable once stored. It carries the encoding its first
@@ -62,34 +68,33 @@ type Entry struct {
 	SOAP     []byte
 	URIs     []string // the arranged answer the encodings are rendered from
 	Decision core.Decision
-	// FirstHost is the host of the first (chosen) binding, the decision's
-	// ServedHost, which the flight recorder stamps on cache hits.
-	FirstHost string
 
-	epoch uint64 // write epoch observed before the decision was computed
+	epoch uint64 // epoch observed before the decision was computed
 }
 
-// Cache is a write-epoch-validated map of preserialized responses. All
-// methods are safe for concurrent use.
+// Cache is an epoch-validated map of preserialized responses. All methods
+// are safe for concurrent use.
 type Cache struct {
-	max   int
-	epoch atomic.Uint64
+	max     int
+	sources []func() uint64 // immutable after New
+	flushes atomic.Uint64
 
 	mu     sync.RWMutex
 	spaces [numSpaces]map[string]*Entry // guarded by mu
 
-	Hits          metrics.Counter
-	Misses        metrics.Counter
-	Invalidations metrics.Counter
+	Hits   metrics.Counter
+	Misses metrics.Counter
 }
 
 // New creates a cache holding at most max entries across all spaces;
-// max <= 0 means DefaultSize.
-func New(max int) *Cache {
+// max <= 0 means DefaultSize. Each source is a counter that only grows and
+// that its owner advances no later than the change it counts becomes
+// visible; the epoch moves whenever one of them does.
+func New(max int, sources ...func() uint64) *Cache {
 	if max <= 0 {
 		max = DefaultSize
 	}
-	c := &Cache{max: max}
+	c := &Cache{max: max, sources: sources}
 	c.mu.Lock()
 	for i := range c.spaces {
 		c.spaces[i] = make(map[string]*Entry)
@@ -98,29 +103,31 @@ func New(max int) *Cache {
 	return c
 }
 
-// Epoch returns the current write epoch. Callers read it before
-// computing a decision and pass it back to StoreAt, so entries rendered
-// across a concurrent write can never validate.
+// Epoch returns the current epoch: the flush count plus every source.
+// Callers read it before computing a decision and pass it back to StoreAt,
+// so entries rendered across a concurrent change can never validate.
 func (c *Cache) Epoch() uint64 {
-	return c.epoch.Load()
+	e := c.flushes.Load()
+	for _, src := range c.sources {
+		e += src()
+	}
+	return e
 }
 
-// BumpEpoch invalidates every live entry by advancing the write epoch.
-// Chained into lcm.Manager.OnWrite and fired on brownout transitions.
+// BumpEpoch invalidates every live entry by advancing the epoch.
 func (c *Cache) BumpEpoch() {
-	c.epoch.Add(1)
-	c.Invalidations.Inc()
+	c.flushes.Add(1)
 }
 
 // Lookup returns the cached entry for (space, key) if it was rendered in
-// the current world: same write epoch, same snapshot generation, same
+// the current world: same epoch, same snapshot generation, same
 // brownout tier, and not past its expiry. Misses and invalid entries
 // count as misses.
 func (c *Cache) Lookup(space Space, key string, gen uint64, tier uint32, now time.Time) *Entry {
 	c.mu.RLock()
 	e := c.spaces[space][key]
 	c.mu.RUnlock()
-	if e == nil || e.epoch != c.epoch.Load() || e.Gen != gen || e.Tier != tier ||
+	if e == nil || e.epoch != c.Epoch() || e.Gen != gen || e.Tier != tier ||
 		(!e.Expires.IsZero() && !now.Before(e.Expires)) {
 		c.Misses.Inc()
 		return nil
@@ -150,7 +157,7 @@ func (c *Cache) StoreAt(space Space, key string, e *Entry, epoch uint64) {
 // StoreSibling replaces of, an entry Lookup returned for (space, key), with
 // sib, a copy of it that also carries its second encoding. The sibling
 // keeps of's validity stamp — epoch, generation, tier, expiry — so it is
-// valid exactly as long as of would have been: a write that landed since
+// valid exactly as long as of would have been: a change that landed since
 // of was computed leaves both invalid. When (space, key) no longer holds
 // of (a newer answer was stored, or the table was flushed) nothing is
 // stored; the caller still serves sib, which is as good as of was.

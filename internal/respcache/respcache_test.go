@@ -3,6 +3,7 @@ package respcache
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -48,8 +49,55 @@ func TestEpochInvalidation(t *testing.T) {
 	if e := c.Lookup(SpaceName, "Adder", 1, 0, testEpoch); e != nil {
 		t.Fatal("entry survived an epoch bump")
 	}
-	if c.Invalidations.Value() != 1 {
-		t.Fatalf("Invalidations = %d, want 1", c.Invalidations.Value())
+	if c.Epoch() != 1 {
+		t.Fatalf("Epoch = %d, want 1", c.Epoch())
+	}
+}
+
+// counter is a fake change source: a count its test advances by hand.
+type counter struct{ n atomic.Uint64 }
+
+func (c *counter) read() uint64 { return c.n.Load() }
+
+// midFlight stores an entry stamped with the epoch read before change runs,
+// as a request whose decision straddles the change does, and reports
+// whether it validates afterwards.
+func midFlight(c *Cache, change func()) bool {
+	epoch := c.Epoch()
+	change()
+	c.StoreAt(SpaceName, "Adder", &Entry{Gen: 1}, epoch)
+	return c.Lookup(SpaceName, "Adder", 1, 0, testEpoch) != nil
+}
+
+// TestReplicatedChangeMidFlightNeverValidates: a store change — a leader's
+// write, a followed record, a bootstrap load — that lands between Epoch
+// and StoreAt leaves the stored entry invalid, and an entry stored after
+// it is valid again.
+func TestReplicatedChangeMidFlightNeverValidates(t *testing.T) {
+	var changes, tiers counter
+	c := New(8, changes.read, tiers.read)
+	if midFlight(c, func() { changes.n.Add(1) }) {
+		t.Fatal("an entry stamped before a store change validated")
+	}
+	if !midFlight(c, func() {}) {
+		t.Fatal("an entry stamped after the change did not validate")
+	}
+}
+
+// TestBrownoutTransitionMidFlightNeverValidates: the same for a tier
+// transition, counted by the second source; and an explicit flush still
+// invalidates with the sources at rest.
+func TestBrownoutTransitionMidFlightNeverValidates(t *testing.T) {
+	var changes, tiers counter
+	c := New(8, changes.read, tiers.read)
+	if midFlight(c, func() { tiers.n.Add(1) }) {
+		t.Fatal("an entry stamped before a tier transition validated")
+	}
+	if midFlight(c, c.BumpEpoch) {
+		t.Fatal("an entry stamped before a flush validated")
+	}
+	if !midFlight(c, func() {}) {
+		t.Fatal("an entry stamped after both did not validate")
 	}
 }
 

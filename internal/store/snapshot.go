@@ -339,6 +339,7 @@ func (s *Store) LoadStats(r io.Reader) (SnapshotStats, error) {
 	}
 
 	s.mu.Lock()
+	s.changes.Add(1)
 	s.tables = fresh.tables
 	s.nodeState.Reset(rows)
 	s.mu.Unlock()

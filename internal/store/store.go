@@ -34,6 +34,10 @@ type Store struct {
 	mu     sync.RWMutex
 	tables // guarded by mu
 
+	// changes counts the times the tables changed: advanced under mu by
+	// Apply and Load, read lock-free by Changes.
+	changes atomic.Uint64
+
 	nodeState *NodeStateTable // immutable after New; the table locks itself
 }
 
@@ -78,6 +82,12 @@ func New() *Store {
 
 // NodeState returns the store's NodeState table.
 func (s *Store) NodeState() *NodeStateTable { return s.nodeState }
+
+// Changes returns how many times the tables have changed. It only grows,
+// and it has grown by the time a reader can see a change, so an answer
+// computed from the store after reading it is stale exactly when it has
+// moved since.
+func (s *Store) Changes() uint64 { return s.changes.Load() }
 
 // Len returns the number of stored objects.
 func (s *Store) Len() int {
@@ -130,6 +140,7 @@ func Admit(objs ...rim.Object) ([]rim.Object, error) {
 func (s *Store) Apply(c Change) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.changes.Add(1)
 	for _, id := range c.Deletes {
 		if o, ok := s.objects[id]; ok {
 			s.unindexLocked(o)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"strings"
 	"sync"
 	"testing"
@@ -363,6 +364,32 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	if err := s.Load(bytes.NewReader(buf.Bytes()[:buf.Len()/2])); err == nil {
 		t.Fatal("a snapshot cut mid-way loaded")
 	}
+}
+
+// TestChangesCountsEveryTableChange: Apply, Put and a successful Load each
+// advance the change count by one; a refused Put or a failed Load leaves
+// it, like the tables, where it was.
+func TestChangesCountsEveryTableChange(t *testing.T) {
+	s := New()
+	step := func(what string, want uint64, do func() error) {
+		t.Helper()
+		before := s.Changes()
+		do()
+		if got := s.Changes() - before; got != want {
+			t.Fatalf("%s moved the change count by %d, want %d", what, got, want)
+		}
+	}
+	svc := rim.NewService("Adder", "")
+	step("Apply", 1, func() error { s.Apply(Change{ContentPutID: "c", Content: []byte("x")}); return nil })
+	step("Put", 1, func() error { return s.Put(svc) })
+	step("a refused Put", 0, func() error { return s.Put(nil) })
+	var snap bytes.Buffer
+	if err := s.Save(&snap); err != nil {
+		t.Fatal(err)
+	}
+	step("Save", 0, func() error { return s.Save(io.Discard) })
+	step("a failed Load", 0, func() error { return s.Load(bytes.NewReader(snap.Bytes()[:snap.Len()/2])) })
+	step("Load", 1, func() error { return s.Load(bytes.NewReader(snap.Bytes())) })
 }
 
 func TestConcurrentAccess(t *testing.T) {
