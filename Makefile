@@ -24,8 +24,9 @@ fmt:
 bin/repolint: $(shell find cmd/repolint tools/analyzers -name '*.go' -not -path '*/testdata/*')
 	$(GO) build -o $@ ./cmd/repolint
 
-# lint runs the repo's five invariant analyzers (bannedcall, lockcheck,
-# errwrap, lockorder, ctxprop) over every package via the go vet driver.
+# lint runs the repo's three invariant analyzers (bannedcall, lockorder,
+# errwrap) over every package via the go vet driver. Copied locks are
+# go vet's copylocks check, which the vet target runs.
 lint: bin/repolint
 	$(GO) vet -vettool=$(CURDIR)/bin/repolint ./...
 

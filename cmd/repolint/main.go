@@ -1,9 +1,11 @@
 // Command repolint is the repository's static-analysis vettool. It runs
-// the five invariant analyzers — bannedcall (the wallclock, norand,
-// structlog, clienttimeout and storewrite rules), lockcheck, errwrap,
-// lockorder, ctxprop — over Go packages, enforcing the conventions that
-// keep the registry reproduction deterministic, race-free, fault-tolerant
-// and observably logged (see DESIGN.md, "Static analysis & invariants").
+// the three invariant analyzers — bannedcall (the wallclock, norand,
+// structlog, clienttimeout, storewrite and ctxprop rules), lockorder (lock
+// order and `// guarded by` fields) and errwrap — over Go packages,
+// enforcing the conventions that keep the registry reproduction
+// deterministic, race-free, fault-tolerant and observably logged. Copied
+// locks are go vet's copylocks check (see DESIGN.md, "Static analysis &
+// invariants").
 //
 // It speaks the `go vet -vettool` unit-checker protocol, so the usual
 // invocation is
@@ -37,20 +39,16 @@ import (
 	"strings"
 
 	"repro/tools/analyzers/bannedcall"
-	"repro/tools/analyzers/ctxprop"
 	"repro/tools/analyzers/errwrap"
 	"repro/tools/analyzers/framework"
-	"repro/tools/analyzers/lockcheck"
 	"repro/tools/analyzers/lockorder"
 )
 
 // analyzers is the repolint suite, applied to every checked package.
 var analyzers = []*framework.Analyzer{
 	bannedcall.Analyzer,
-	lockcheck.Analyzer,
-	errwrap.Analyzer,
 	lockorder.Analyzer,
-	ctxprop.Analyzer,
+	errwrap.Analyzer,
 }
 
 func main() {

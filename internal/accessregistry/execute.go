@@ -3,7 +3,6 @@ package accessregistry
 import (
 	"fmt"
 	"io"
-	"net/http"
 	"os"
 	"strings"
 
@@ -111,7 +110,7 @@ func NewFromFiles(connectionPath, actionsPath string, opts ...Option) (*Registry
 
 // dial connects and logs in using the keystore named by connection.xml.
 func dial(cfg *ConnectionConfig) (*jaxr.Connection, error) {
-	conn := jaxr.Connect(cfg.URL, http.DefaultClient)
+	conn := jaxr.Connect(cfg.URL, nil)
 	if cfg.Keystore == "" {
 		return nil, fmt.Errorf("accessregistry: connection.xml has no <keystore> and no prebuilt connection was supplied")
 	}

@@ -8,7 +8,9 @@ package events
 
 import (
 	"fmt"
+	"net/http"
 	"sync"
+	"time"
 
 	"repro/internal/rim"
 	"repro/internal/soap"
@@ -115,8 +117,10 @@ func (b *Bus) Failures(id string) int {
 }
 
 // Publish notifies every matching subscription about a change to objs.
-// Delivery is synchronous and failures are counted, not fatal: a broken
-// subscriber cannot stall the registry's write path.
+// Delivery is synchronous and failures are counted, not fatal. The
+// life-cycle manager publishes outside its write bracket, and a Web
+// Service delivery gives up after DeliveryTimeout, so a subscriber that
+// never answers delays only the write whose change it matched.
 func (b *Bus) Publish(kind rim.EventType, objs ...rim.Object) {
 	b.mu.RLock()
 	subs := make([]*Subscription, 0, len(b.subs))
@@ -186,12 +190,20 @@ type soapPoster interface {
 	Post(url string, req, resp interface{}) error
 }
 
+// DeliveryTimeout bounds one notification post to a subscriber's
+// endpoint, connection and reply included. The writer whose change matched
+// the subscription waits for the post, so this is the longest a subscriber
+// that never answers can hold it up.
+const DeliveryTimeout = 5 * time.Second
+
+var deliveryClient = &http.Client{Timeout: DeliveryTimeout}
+
 // SOAPPoster is the production soapPoster.
 type SOAPPoster struct{}
 
-// Post implements soapPoster over soap.Post with the default client.
+// Post implements soapPoster over soap.Post, bounded by DeliveryTimeout.
 func (SOAPPoster) Post(url string, req, resp interface{}) error {
-	return soap.Post(nil, url, req, resp)
+	return soap.Post(deliveryClient, url, req, resp)
 }
 
 // WireNotification is the XML payload a ServiceDeliverer sends.

@@ -42,10 +42,11 @@ type Connection struct {
 }
 
 // Connect opens a remote connection to a registry server's base URL (the
-// connection.xml <url> value).
+// connection.xml <url> value). A nil client means one bounded by
+// soap.DefaultTimeout.
 func Connect(baseURL string, client *http.Client) *Connection {
 	if client == nil {
-		client = http.DefaultClient
+		client = &http.Client{Timeout: soap.DefaultTimeout}
 	}
 	return &Connection{baseURL: baseURL, client: client}
 }

@@ -26,7 +26,7 @@ type Mutation struct {
 }
 
 // Durability is the write-ahead hook the registry wires to internal/wal.
-// Manager.do brackets every write:
+// Manager.commit brackets every write; the bus hears of it after EndWrite:
 //
 //	BeginWrite -> compute -> Commit(mutation) -> Store.Apply -> EndWrite
 //

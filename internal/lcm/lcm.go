@@ -116,43 +116,19 @@ func (m *Manager) event(kind rim.EventType, ctx Context, objs ...rim.Object) wri
 	return w
 }
 
-// do runs one registry operation inside the write bracket. compute reads
-// the store and works out what changes — validation, authorization,
-// cascades, the audit event — and changes nothing; each write it returns
-// is then checked, logged, applied and announced, in that order and from
-// here alone, so the store is a replay of the log by construction and
-// whatever refuses a write refuses it before anything is logged. A
-// logging failure is returned, so the operation is not acknowledged.
+// do runs one registry operation. compute reads the store and works out
+// what changes — validation, authorization, cascades, the audit event —
+// and changes nothing; commit then checks, logs and applies each write it
+// returns, in that order and from there alone, so the store is a replay of
+// the log by construction and whatever refuses a write refuses it before
+// anything is logged. A logging failure is returned, so the operation is
+// not acknowledged. The writes that were applied are announced after the
+// write bracket is released, in log order and before do returns: a
+// subscriber that is slow to answer holds up the writer whose change it
+// matched, and no other.
 func (m *Manager) do(compute func() ([]write, error)) error {
-	if m.Durability != nil {
-		if err := m.Durability.BeginWrite(); err != nil {
-			return fmt.Errorf("lcm: %w", err)
-		}
-		defer m.Durability.EndWrite()
-	} else {
-		m.mu.Lock()
-		defer m.mu.Unlock()
-	}
-	writes, err := compute()
-	if err != nil {
-		return err
-	}
-	changes := make([]store.Change, len(writes))
-	for i, w := range writes {
-		owned, err := store.Admit(w.Puts...)
-		if err != nil {
-			return fmt.Errorf("lcm: %s: %w", w.Op, err)
-		}
-		changes[i] = store.Change{Puts: owned, Deletes: w.Deletes,
-			ContentPutID: w.ContentPutID, Content: w.Content, ContentDeleteID: w.ContentDeleteID}
-	}
-	for i, w := range writes {
-		if m.Durability != nil {
-			if err := m.Durability.Commit(w.Mutation); err != nil {
-				return fmt.Errorf("lcm: %s not durable: %w", w.Op, err)
-			}
-		}
-		m.Store.Apply(changes[i])
+	applied, err := m.commit(compute)
+	for _, w := range applied {
 		if w.kind == "" {
 			continue
 		}
@@ -164,7 +140,43 @@ func (m *Manager) do(compute func() ([]write, error)) error {
 				"event", string(w.kind), "user", w.user, "objects", len(w.objs))
 		}
 	}
-	return nil
+	return err
+}
+
+// commit runs compute inside the write bracket and logs and applies the
+// writes it returns, returning those that were applied.
+func (m *Manager) commit(compute func() ([]write, error)) ([]write, error) {
+	if m.Durability != nil {
+		if err := m.Durability.BeginWrite(); err != nil {
+			return nil, fmt.Errorf("lcm: %w", err)
+		}
+		defer m.Durability.EndWrite()
+	} else {
+		m.mu.Lock()
+		defer m.mu.Unlock()
+	}
+	writes, err := compute()
+	if err != nil {
+		return nil, err
+	}
+	changes := make([]store.Change, len(writes))
+	for i, w := range writes {
+		owned, err := store.Admit(w.Puts...)
+		if err != nil {
+			return nil, fmt.Errorf("lcm: %s: %w", w.Op, err)
+		}
+		changes[i] = store.Change{Puts: owned, Deletes: w.Deletes,
+			ContentPutID: w.ContentPutID, Content: w.Content, ContentDeleteID: w.ContentDeleteID}
+	}
+	for i, w := range writes {
+		if m.Durability != nil {
+			if err := m.Durability.Commit(w.Mutation); err != nil {
+				return writes[:i], fmt.Errorf("lcm: %s not durable: %w", w.Op, err)
+			}
+		}
+		m.Store.Apply(changes[i])
+	}
+	return writes, nil
 }
 
 // validator is satisfied by every concrete rim class.

@@ -199,6 +199,77 @@ func TestCancelledSweepReturnsWhileHostHangs(t *testing.T) {
 	clk.Advance(time.Hour)
 }
 
+// ctxInvoker is a ContextInvoker whose host never answers: InvokeContext
+// returns when its context ends, and reports that on returned. The
+// context-free Invoke hangs until the test ends.
+type ctxInvoker struct {
+	entered  chan struct{}
+	returned chan struct{}
+	release  chan struct{}
+}
+
+func newCtxInvoker(t *testing.T) *ctxInvoker {
+	c := &ctxInvoker{entered: make(chan struct{}, 1), returned: make(chan struct{}), release: make(chan struct{})}
+	t.Cleanup(func() { close(c.release) })
+	return c
+}
+
+func (c *ctxInvoker) Invoke(string) (nodestatus.Response, error) {
+	c.entered <- struct{}{}
+	<-c.release
+	return nodestatus.Response{}, errors.New("nodestatus: released")
+}
+
+func (c *ctxInvoker) InvokeContext(ctx context.Context, _ string) (nodestatus.Response, error) {
+	c.entered <- struct{}{}
+	<-ctx.Done()
+	close(c.returned)
+	return nodestatus.Response{}, ctx.Err()
+}
+
+// TestCancelledSweepReachesContextInvoker cancels a sweep whose one host
+// never answers, through each path from the sweep's context to a
+// ContextInvoker: the invocation must see the cancellation (so an
+// HTTPInvoker tears its socket down) and the sweep must return at once.
+func TestCancelledSweepReachesContextInvoker(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		timeout time.Duration // the per-invocation deadline; 0 invokes inline
+		sweep   func(*Collector, context.Context)
+	}{
+		{"CollectOnceCtx, inline", 0, (*Collector).CollectOnceCtx},
+		{"CollectOnceCtx, under a deadline", 5 * time.Second, (*Collector).CollectOnceCtx},
+		{"Run", 5 * time.Second, (*Collector).Run},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer leakcheck.Check(t)()
+			clk := simclock.NewManual(t0)
+			inv := newCtxInvoker(t)
+			var opts []Option
+			if tc.timeout > 0 {
+				opts = append(opts, WithTimeout(tc.timeout))
+			}
+			col := New(store.NewNodeStateTable(), inv, clk, staticURIs(faultURI), opts...)
+
+			ctx, cancel := context.WithCancel(context.Background())
+			done := make(chan struct{})
+			go func() { tc.sweep(col, ctx); close(done) }()
+			<-inv.entered
+			cancel()
+			for _, w := range []struct {
+				what string
+				ch   chan struct{}
+			}{{"the invocation", inv.returned}, {"the sweep", done}} {
+				select {
+				case <-w.ch:
+				case <-time.After(2 * time.Second):
+					t.Fatalf("%s is still blocked 2s after the sweep's context was cancelled", w.what)
+				}
+			}
+		})
+	}
+}
+
 func TestCollectorUnderDropFaults(t *testing.T) {
 	clk := simclock.NewManual(t0)
 	table := store.NewNodeStateTable()

@@ -1,6 +1,9 @@
 package nodestatus
 
 import (
+	"context"
+	"errors"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -112,5 +115,39 @@ func TestDeploymentClose(t *testing.T) {
 	d.Close()
 	if len(d.URIs()) != 1 {
 		t.Fatal("Close should not clear recorded URIs")
+	}
+}
+
+// TestInvokeContextCancelsInFlightPost: cancelling the context handed to
+// InvokeContext tears down the post to a host that never answers, so a
+// cancelled sweep gets its socket back at once, not after the client's
+// Timeout.
+func TestInvokeContextCancelsInFlightPost(t *testing.T) {
+	entered, release := make(chan struct{}, 1), make(chan struct{})
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		entered <- struct{}{}
+		select {
+		case <-r.Context().Done():
+		case <-release:
+		}
+	}))
+	defer srv.Close()
+	defer close(release)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() {
+		_, err := HTTPInvoker{Client: srv.Client()}.InvokeContext(ctx, srv.URL)
+		done <- err
+	}()
+	<-entered
+	cancel()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("InvokeContext after cancel: %v, want context.Canceled", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("InvokeContext is still blocked 2s after its context was cancelled")
 	}
 }

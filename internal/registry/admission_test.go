@@ -387,6 +387,21 @@ func TestDeadlineChargesQueueWait(t *testing.T) {
 		t.Fatalf("the refused write landed: %v", found)
 	}
 
+	// A budget that runs out after the SOAP dispatcher's check, while the
+	// view loads, reaches the handler done: the balancer must not run,
+	// whichever key the request names. This comes before the request below,
+	// which caches the answer.
+	spent, cancel := context.WithCancel(context.Background())
+	cancel()
+	workerID := r.QM.FindObjects(rim.TypeService, "Worker")[0].Base().ID
+	for what, req := range map[string]*GetBindingsRequest{
+		"GetBindings by id, mid-flight":   {ServiceID: workerID},
+		"GetBindings by name, mid-flight": {ServiceName: "Worker"},
+	} {
+		_, err := r.doBindings(spent, req)
+		timeoutFault(what, err)
+	}
+
 	// Nothing else was refused: the same requests inside their budget pass.
 	if body, _ := getBindings(t, srv, "Worker"); !strings.Contains(body, "exergy") {
 		t.Fatalf("bindings inside the budget = %q", body)

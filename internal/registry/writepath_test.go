@@ -10,6 +10,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net/http/httptest"
 	"sync"
 	"testing"
 
@@ -49,6 +50,17 @@ func TestWritePathRefusedWriteLeavesNothing(t *testing.T) {
 	if err := reg.LCM.SubmitObjects(ctx, rim.NewService("kept", "")); err != nil {
 		t.Fatal(err)
 	}
+	srv := httptest.NewServer(reg.Handler())
+	defer srv.Close()
+	token := registerAndLogin(t, srv.Client(), srv.URL, "writer")
+	sess, err := reg.SessionContext(token)
+	if err != nil {
+		t.Fatal(err)
+	}
+	own := rim.NewService("own", "")
+	if err := reg.LCM.SubmitObjects(sess, own); err != nil {
+		t.Fatal(err)
+	}
 	before, appends := savedStore(t, reg.Store), reg.Durable.WAL().Appends()
 	unchanged := func(why string) {
 		t.Helper()
@@ -73,6 +85,28 @@ func TestWritePathRefusedWriteLeavesNothing(t *testing.T) {
 		t.Error("the refused batch left its first object in the store")
 	}
 	unchanged("refused batch")
+
+	// Refused by the request context: a SOAP submit or update whose budget
+	// ran out after dispatch, in the session lookup or the decode, reaches
+	// the manager with its context done and is refused there.
+	spent, cancel := context.WithCancel(context.Background())
+	cancel()
+	late, err := ToWire(rim.NewService("late", ""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := reg.doSubmit(spent, &SubmitObjectsRequest{Session: token, Objects: []WireObject{*late}}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("submit with a spent request context: %v, want context.Canceled", err)
+	}
+	edited, err := ToWire(own)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edited.Description = "edited"
+	if _, err := reg.doUpdate(spent, &UpdateObjectsRequest{Session: token, Objects: []WireObject{*edited}}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("update with a spent request context: %v, want context.Canceled", err)
+	}
+	unchanged("spent request context")
 
 	// Refused by the disk: the append fails, so nothing is applied either.
 	if err := reg.Durable.WAL().Close(); err != nil {

@@ -19,6 +19,7 @@ import (
 	"io"
 	"net/http"
 	"sync"
+	"time"
 )
 
 // NS is the SOAP 1.1 envelope namespace.
@@ -133,12 +134,18 @@ func Post(client *http.Client, url string, req, resp interface{}) error {
 	return PostContext(context.Background(), client, url, req, resp)
 }
 
+// DefaultTimeout bounds a Post or PostContext made with a nil client.
+const DefaultTimeout = 30 * time.Second
+
+var defaultClient = &http.Client{Timeout: DefaultTimeout}
+
 // PostContext is Post with a caller-supplied context so an in-flight
 // invocation can be cancelled (the collector's per-invocation deadline
-// tears the socket down through here).
+// tears the socket down through here). A nil client means one bounded by
+// DefaultTimeout.
 func PostContext(ctx context.Context, client *http.Client, url string, req, resp interface{}) error {
 	if client == nil {
-		client = http.DefaultClient
+		client = defaultClient
 	}
 	data, err := Marshal(req)
 	if err != nil {

@@ -26,11 +26,14 @@
 //     (fmt.Fprintf and friends stay legal — the caller chose the
 //     destination). Main packages own the process and are exempt.
 //   - clienttimeout: a zero-Timeout http.Client never gives up on an
-//     unresponsive peer — the NodeStatus collector bug this rule grew out of
-//     had a nil-client HTTPInvoker fall back to http.DefaultClient, so one
-//     hung host pinned a sweep slot forever (see ISSUE 2). Every constructed
-//     client states its deadline budget; even `Timeout: 0` is accepted,
-//     because writing it proves the unbounded client was chosen.
+//     unresponsive peer — a nil-client NodeStatus invoker that fell back to
+//     http.DefaultClient let one hung host pin a sweep slot forever, and a
+//     notification subscriber that never answered, posted to through the
+//     same fallback, held every registry writer. Every constructed client
+//     states its deadline budget; even `Timeout: 0` is accepted, because
+//     writing it proves the unbounded client was chosen. http.DefaultClient
+//     and the package helpers that use it (Get, Head, Post, PostForm) are
+//     banned outright.
 //   - storewrite: the registry's tables change in one sequence — compute,
 //     log, apply — inside lcm.Manager, and log replay and the follower apply
 //     the same records through the same store call. A Store.Put from any
@@ -38,6 +41,12 @@
 //     from every follower and gone after a restart. The packages that may
 //     call the mutating methods are the store, the manager, the log, and the
 //     taxonomy seed that the first-boot checkpoint covers.
+//   - ctxprop: a request's context carries its deadline, cancellation and
+//     trace, and context.Background or context.TODO in a library package
+//     detaches a call from all three. Main packages own the process and
+//     are exempt; so is a function whose doc comment carries
+//     `//repolint:ctxprop-allow <why>`, a context-free wrapper kept for
+//     callers that have no context.
 //
 // A rule flags the reference, not only the call: passing time.Now or
 // fmt.Println as a value leaks it just as surely. Test files are exempt
@@ -59,7 +68,8 @@ var Analyzer = &framework.Analyzer{
 	Name: "bannedcall",
 	Doc: "flags standard-library uses with a sanctioned replacement: wall-clock reads outside internal/simclock, " +
 		"the global math/rand source, fmt.Print*/log.* output in library packages, " +
-		"http.Client literals without an explicit Timeout, and store.Store writes that bypass the log",
+		"http.Client literals without an explicit Timeout and http.DefaultClient, " +
+		"store.Store writes that bypass the log, and context.Background/TODO in library packages",
 	Run: run,
 }
 
@@ -83,6 +93,9 @@ type rule struct {
 	literalNeeds string
 	// exempt reports the packages the rule does not apply to.
 	exempt func(*types.Package) bool
+	// allow, when set, names the //repolint: directive that exempts a
+	// function whose doc comment carries it.
+	allow string
 	// format takes the member and its replacement.
 	format, fix string
 }
@@ -139,6 +152,12 @@ var rules = []rule{{
 	format:       "http.%s literal without an explicit Timeout waits forever on a hung peer; set %s",
 	fix:          "Timeout (0 only if deliberate)",
 }, {
+	tag:    "clienttimeout",
+	pkgs:   []string{"net/http"},
+	names:  map[string]string{"DefaultClient": "", "Get": "", "Head": "", "Post": "", "PostForm": ""},
+	format: "http.%s has no Timeout and waits forever on a hung peer; use %s",
+	fix:    "an *http.Client with a stated Timeout",
+}, {
 	tag:   "storewrite",
 	pkgs:  []string{"repro/internal/store", "store"}, // the second is the fixture's
 	recv:  "Store",
@@ -152,6 +171,14 @@ var rules = []rule{{
 	},
 	format: "Store.%s changes the registry's tables behind the write-ahead log; use %s",
 	fix:    "an lcm.Manager operation (PutDirect for a server-managed object)",
+}, {
+	tag:    "ctxprop",
+	pkgs:   []string{"context"},
+	names:  map[string]string{"Background": "", "TODO": ""},
+	exempt: isMain,
+	allow:  "ctxprop-allow",
+	format: "context.%s in library code detaches the call from the request's deadline, cancellation and trace; %s",
+	fix:    "thread the caller's context, or annotate the enclosing function //repolint:ctxprop-allow <why> if it is a compatibility shim",
 }}
 
 // isMain exempts binaries: they own the process and compose user-facing
@@ -166,39 +193,62 @@ func run(pass *framework.Pass) (interface{}, error) {
 		}
 	}
 	for _, f := range pass.NonTestFiles() {
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.SelectorExpr:
-				// The qualifier must name the package, so a method that
-				// happens to share a banned name (logger.Printf) is not a hit.
-				if id, ok := n.X.(*ast.Ident); ok && pass.PkgNameOf(id) != nil {
-					for _, r := range active {
-						if r.literalNeeds == "" && r.recv == "" {
-							r.check(pass, n, pass.TypesInfo.Uses[n.Sel])
-						}
-					}
-				} else if sel := pass.TypesInfo.Selections[n]; sel != nil && sel.Kind() != types.FieldVal {
-					for _, r := range active {
-						if r.recv != "" && r.recv == recvName(sel.Obj()) {
-							r.check(pass, n, sel.Obj())
-						}
+		for _, decl := range f.Decls {
+			inspect(pass, decl, allowed(pass, decl, active))
+		}
+	}
+	return nil, nil
+}
+
+// allowed returns the rules that apply inside decl: those of active whose
+// allow directive decl's doc comment does not carry.
+func allowed(pass *framework.Pass, decl ast.Decl, active []*rule) []*rule {
+	fd, ok := decl.(*ast.FuncDecl)
+	if !ok {
+		return active
+	}
+	var out []*rule
+	for _, r := range active {
+		if r.allow == "" || !pass.FuncHasDirective(fd, r.allow) {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
+// inspect applies active to every reference and literal under decl.
+func inspect(pass *framework.Pass, decl ast.Decl, active []*rule) {
+	ast.Inspect(decl, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.SelectorExpr:
+			// The qualifier must name the package, so a method that
+			// happens to share a banned name (logger.Printf) is not a hit.
+			if id, ok := n.X.(*ast.Ident); ok && pass.PkgNameOf(id) != nil {
+				for _, r := range active {
+					if r.literalNeeds == "" && r.recv == "" {
+						r.check(pass, n, pass.TypesInfo.Uses[n.Sel])
 					}
 				}
-			case *ast.CompositeLit:
-				// Resolved through the type checker, not syntax, so
-				// &http.Client{...} and aliased imports are covered.
-				if named, ok := pass.TypesInfo.Types[n].Type.(*types.Named); ok {
-					for _, r := range active {
-						if r.literalNeeds != "" && !setsField(n, r.literalNeeds) {
-							r.check(pass, n, named.Obj())
-						}
+			} else if sel := pass.TypesInfo.Selections[n]; sel != nil && sel.Kind() != types.FieldVal {
+				for _, r := range active {
+					if r.recv != "" && r.recv == recvName(sel.Obj()) {
+						r.check(pass, n, sel.Obj())
 					}
 				}
 			}
-			return true
-		})
-	}
-	return nil, nil
+		case *ast.CompositeLit:
+			// Resolved through the type checker, not syntax, so
+			// &http.Client{...} and aliased imports are covered.
+			if named, ok := pass.TypesInfo.Types[n].Type.(*types.Named); ok {
+				for _, r := range active {
+					if r.literalNeeds != "" && !setsField(n, r.literalNeeds) {
+						r.check(pass, n, named.Obj())
+					}
+				}
+			}
+		}
+		return true
+	})
 }
 
 // recvName returns the name of the type a method is declared on.

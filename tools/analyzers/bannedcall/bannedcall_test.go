@@ -30,3 +30,7 @@ func TestClientTimeout(t *testing.T) {
 func TestStoreWrite(t *testing.T) {
 	analysistest.Run(t, analysistest.TestData(t), bannedcall.Analyzer, "storewrite", "store")
 }
+
+func TestCtxprop(t *testing.T) {
+	analysistest.Run(t, analysistest.TestData(t), bannedcall.Analyzer, "ctxprop", "ctxpropclean")
+}

@@ -9,6 +9,7 @@ import (
 // comment on a function's doc comment. One directive is recognized:
 //
 //	//repolint:ctxprop-allow  — compatibility shim may call context.Background
+//	                            (bannedcall's ctxprop row)
 //
 // The arguments (everything after the name) are free text, conventionally a
 // one-line justification that shows up in reviews. Like go:build

@@ -83,22 +83,3 @@ func (p *Pass) PkgNameOf(id *ast.Ident) *types.PkgName {
 	}
 	return nil
 }
-
-// SelectorOnPackage reports whether expr is a selector `q.Name` whose
-// qualifier q names the package with the given import path, returning the
-// selected name.
-func (p *Pass) SelectorOnPackage(expr ast.Expr, pkgPath string) (sel *ast.SelectorExpr, name string, ok bool) {
-	s, isSel := expr.(*ast.SelectorExpr)
-	if !isSel {
-		return nil, "", false
-	}
-	id, isIdent := s.X.(*ast.Ident)
-	if !isIdent {
-		return nil, "", false
-	}
-	pn := p.PkgNameOf(id)
-	if pn == nil || pn.Imported().Path() != pkgPath {
-		return nil, "", false
-	}
-	return s, s.Sel.Name, true
-}

@@ -13,9 +13,11 @@
 // RLock counts the same as Lock: a read/write pair ordered inconsistently
 // still deadlocks against a writer. Recursive acquisition of the same
 // lock identity is deliberately not reported — two instances of one type
-// are indistinguishable to an instance-insensitive analysis, and the
-// repo's `guarded by` convention plus lockcheck already govern that
-// class.
+// are indistinguishable to an instance-insensitive analysis.
+//
+// From the same per-function acquisition sets it checks the repo's
+// `// guarded by mu` field convention (see guarded.go). A lock copied by
+// value is go vet's copylocks check, not this package's.
 package lockorder
 
 import (
@@ -32,7 +34,8 @@ var Analyzer = &framework.Analyzer{
 	Name: "lockorder",
 	Doc: "builds a package-wide lock-acquisition graph (direct acquisitions plus acquisitions reached " +
 		"through intra-package calls while a lock is held) and reports cycles: code paths that take " +
-		"the same mutexes in opposite orders can deadlock",
+		"the same mutexes in opposite orders can deadlock; also checks `// guarded by mu` fields are " +
+		"touched only by functions that acquire mu (or *Locked helpers)",
 	Run: run,
 }
 
@@ -103,6 +106,7 @@ func run(pass *framework.Pass) (interface{}, error) {
 	}
 
 	reportCycles(pass, edges)
+	checkGuarded(pass, cg, facts)
 	return nil, nil
 }
 
