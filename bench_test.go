@@ -14,13 +14,15 @@
 //
 // The benchmarks are the timing source EXPERIMENTS.md cites. The allocation
 // counts of the discovery ones — BenchmarkDiscovery, the warm
-// BenchmarkDiscoveryFastPath and BenchmarkHTTPDiscovery — are budgeted by
-// TestDiscoveryAllocBudgets, which runs the same bodies (gatedCases).
+// BenchmarkDiscoveryFastPath and BenchmarkHTTPDiscovery — and of the SOAP
+// write, BenchmarkSOAPWrite, are budgeted by TestDiscoveryAllocBudgets,
+// which runs the same bodies (gatedCases).
 package repro_test
 
 import (
 	"bytes"
 	"context"
+	"encoding/base64"
 	"fmt"
 	"io"
 	"net/http"
@@ -37,6 +39,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/flight"
 	"repro/internal/hostsim"
+	"repro/internal/jaxr"
 	"repro/internal/lbexp"
 	"repro/internal/lcm"
 	"repro/internal/metrics"
@@ -161,6 +164,9 @@ func gatedCases() []gatedCase {
 		cases = append(cases, gatedCase{"BenchmarkHTTPDiscovery", c.name, c.budget,
 			func(tb testing.TB) func() { return httpDiscoveryOp(tb, c.req) }})
 	}
+	// The write exchange as publishers send it: the decode hook, the life
+	// cycle manager's update and the preserialized acknowledgement.
+	cases = append(cases, gatedCase{"BenchmarkSOAPWrite", "update-4", 111, soapWriteOp})
 	return cases
 }
 
@@ -784,6 +790,101 @@ func httpDiscoveryOp(tb testing.TB, hr httpRequest) func() {
 		reg.RespCache.BumpEpoch() // every request re-renders and re-stores
 		serve()
 	}
+}
+
+// BenchmarkSOAPWrite prices the write exchange on /soap/registry.
+func BenchmarkSOAPWrite(b *testing.B) { runGated(b, "BenchmarkSOAPWrite") }
+
+// soapWriteOp is one SOAP write through the handler of an in-memory leader:
+// the canonical UpdateObjectsRequest of a four-binding service, carrying a
+// constraint, from a logged-in publisher — the benchmark's write.
+func soapWriteOp(tb testing.TB) func() {
+	reg, err := registry.New(registry.Config{
+		Clock:     simclock.NewManual(benchEpoch),
+		Policy:    core.PolicyFilter,
+		Admission: &admit.Config{}, // production defaults; never sheds at bench load
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	srv := httptest.NewServer(reg.Handler())
+	defer srv.Close()
+	token := soapSession(tb, srv.URL, srv.Client())
+	svc := rim.NewService("Adder", `<constraint><cpuLoad>load ls 1.0</cpuLoad><memory>memory gr 1GB</memory></constraint>`)
+	for i := 0; i < 4; i++ {
+		svc.AddBinding(fmt.Sprintf("http://h%02d.sdsu.edu:8080/Adder/addService", i))
+	}
+	wire, err := registry.ToWire(svc)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	publish := func(update bool) []byte {
+		req := struct {
+			XMLName struct{}                       `xml:"RegistryRequest"`
+			Submit  *registry.SubmitObjectsRequest `xml:"SubmitObjectsRequest"`
+			Update  *registry.UpdateObjectsRequest `xml:"UpdateObjectsRequest"`
+		}{}
+		if update {
+			req.Update = &registry.UpdateObjectsRequest{Session: token, Objects: []registry.WireObject{*wire}}
+		} else {
+			req.Submit = &registry.SubmitObjectsRequest{Session: token, Objects: []registry.WireObject{*wire}}
+		}
+		env, err := soap.Marshal(&req)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return env
+	}
+	h := reg.Handler()
+	w := &benchHTTPWriter{header: make(http.Header, 4)}
+	body := bytes.NewReader(nil)
+	req := httptest.NewRequest(http.MethodPost, "/soap/registry", nil)
+	req.Body = io.NopCloser(body)
+	post := func(env []byte) {
+		body.Reset(env)
+		req.ContentLength = int64(len(env))
+		w.n, w.status = 0, http.StatusOK
+		h.ServeHTTP(w, req)
+		if w.status != http.StatusOK || w.n == 0 {
+			tb.Fatalf("status %d, %d bytes", w.status, w.n)
+		}
+	}
+	post(publish(false))
+	update := publish(true)
+	return func() { post(update) }
+}
+
+// soapSession registers a publisher over /soap/auth at url and logs it in,
+// returning the session token its writes carry.
+func soapSession(tb testing.TB, url string, client *http.Client) string {
+	creds, _, err := jaxr.Connect(url, client).Register("publisher", "publisher123", rim.PersonName{FirstName: "Bench"})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	type authRequest struct {
+		XMLName   struct{}                   `xml:"AuthRequest"`
+		Challenge *registry.ChallengeRequest `xml:"ChallengeRequest,omitempty"`
+		Login     *registry.LoginRequest     `xml:"LoginRequest,omitempty"`
+	}
+	var ch registry.ChallengeResponse
+	if err := soap.Post(client, url+"/soap/auth", &authRequest{Challenge: &registry.ChallengeRequest{Alias: creds.Alias}}, &ch); err != nil {
+		tb.Fatal(err)
+	}
+	nonce, err := base64.StdEncoding.DecodeString(ch.Nonce)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	sig, err := creds.SignChallenge(nonce)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var login registry.LoginResponse
+	if err := soap.Post(client, url+"/soap/auth", &authRequest{Login: &registry.LoginRequest{
+		Alias: creds.Alias, Signature: base64.StdEncoding.EncodeToString(sig),
+	}}, &login); err != nil {
+		tb.Fatal(err)
+	}
+	return login.Token
 }
 
 // --- flight recorder cost -------------------------------------------------

@@ -1,11 +1,15 @@
-// bindingswire.go is the hand-written wire code of the one hot exchange,
-// GetBindingsRequest → GetBindingsResponse: a recogniser for the SOAP
-// request envelope exactly as soap.Marshal emits it, and append-style
-// writers for the response in both encodings, byte for byte what
-// soap.Marshal and writeJSON's encoder would produce. encoding/xml and
-// encoding/json stay the codecs of every other protocol element, the
-// decoder of every envelope the recogniser declines, and the references
-// all three are fuzzed against.
+// bindingswire.go is the hand-written wire code of /soap/registry's hot
+// exchanges. For discovery, GetBindingsRequest → GetBindingsResponse: a
+// recogniser for the request envelope exactly as soap.Marshal emits it,
+// and append-style writers for the response in both encodings, byte for
+// byte what soap.Marshal and writeJSON's encoder would produce. For
+// publishing, SubmitObjectsRequest and UpdateObjectsRequest →
+// RegistryResponse: a recogniser for the canonical request whose objects
+// carry no slots, addresses or query text, and an append-style writer of
+// the acknowledgement. encoding/xml
+// and encoding/json stay the codecs of every other protocol element, the
+// decoder of every envelope the recognisers decline, and the references
+// all of them are fuzzed against.
 package registry
 
 import (
@@ -13,6 +17,7 @@ import (
 	"encoding/json"
 	"encoding/xml"
 	"strconv"
+	"strings"
 	"unicode/utf8"
 
 	"repro/internal/soap"
@@ -26,8 +31,8 @@ var (
 		[]byte(`<Envelope xmlns="` + soap.NS + `">`),
 		[]byte(`<Body>`),
 		[]byte(`<RegistryRequest>`),
-		[]byte(`<GetBindingsRequest `),
 	}
+	reqGet       = []byte(`<GetBindingsRequest `)
 	reqAttrName  = []byte(`serviceName="`)
 	reqAttrID    = []byte(`serviceId="`)
 	reqEndTag    = []byte(`></GetBindingsRequest>`)
@@ -56,14 +61,12 @@ var (
 // empty one, '&', '<', a control byte, invalid UTF-8, U+FFFE, U+FFFF). What
 // is accepted is therefore decoded exactly as encoding/xml decodes it.
 func scanGetBindings(raw []byte) (byID bool, value []byte, ok bool) {
-	if !bytes.HasPrefix(raw, reqDecl) {
+	p, ok := openRequest(raw)
+	if !ok {
 		return false, nil, false
 	}
-	p := raw[len(reqDecl):]
-	for i := range reqOpen {
-		if p, ok = nextElement(p, reqOpen[i]); !ok {
-			return false, nil, false
-		}
+	if p, ok = nextElement(p, reqGet); !ok {
+		return false, nil, false
 	}
 	switch {
 	case bytes.HasPrefix(p, reqAttrName):
@@ -86,15 +89,38 @@ func scanGetBindings(raw []byte) (byID bool, value []byte, ok bool) {
 	default:
 		return false, nil, false
 	}
-	for i := range reqClose {
-		if p, ok = nextElement(p, reqClose[i]); !ok {
-			return false, nil, false
-		}
-	}
-	if len(skipXMLSpace(p)) != 0 {
+	if !closeRequest(p) {
 		return false, nil, false
 	}
 	return byID, value, true
+}
+
+// openRequest requires the canonical envelope up to and including
+// <RegistryRequest>, and returns what follows it.
+func openRequest(raw []byte) ([]byte, bool) {
+	if !bytes.HasPrefix(raw, reqDecl) {
+		return nil, false
+	}
+	p := raw[len(reqDecl):]
+	var ok bool
+	for i := range reqOpen {
+		if p, ok = nextElement(p, reqOpen[i]); !ok {
+			return nil, false
+		}
+	}
+	return p, true
+}
+
+// closeRequest reports whether p is the canonical envelope's end, from
+// </RegistryRequest> on, and nothing after it but XML whitespace.
+func closeRequest(p []byte) bool {
+	var ok bool
+	for i := range reqClose {
+		if p, ok = nextElement(p, reqClose[i]); !ok {
+			return false
+		}
+	}
+	return len(skipXMLSpace(p)) == 0
 }
 
 // nextElement skips XML whitespace and then requires tag.
@@ -138,12 +164,13 @@ func plainAttrValue(p []byte) int {
 }
 
 // scanRegistryRequest is /soap/registry's decode hook (soap.EndpointCtx):
-// the canonical GetBindingsRequest envelope becomes a soapRequest without
+// the canonical GetBindingsRequest, SubmitObjectsRequest and
+// UpdateObjectsRequest envelopes become a soapRequest without
 // encoding/xml, and every other envelope is left to soap.Unmarshal.
 func scanRegistryRequest(raw []byte, req *soapRequest) bool {
 	byID, value, ok := scanGetBindings(raw)
 	if !ok {
-		return false
+		return scanWriteRequest(raw, req)
 	}
 	// raw is a pooled buffer: the key outlives it in the response cache.
 	req.Bindings = &GetBindingsRequest{}
@@ -153,6 +180,285 @@ func scanRegistryRequest(raw []byte, req *soapRequest) bool {
 		req.Bindings.ServiceName = string(value)
 	}
 	return true
+}
+
+// The elements of a canonical write request, in the order they may occur.
+var (
+	reqSubmit         = []byte(`<SubmitObjectsRequest`)
+	reqSubmitEnd      = []byte(`</SubmitObjectsRequest>`)
+	reqUpdate         = []byte(`<UpdateObjectsRequest`)
+	reqUpdateEnd      = []byte(`</UpdateObjectsRequest>`)
+	reqList           = []byte(`<RegistryObjectList>`)
+	reqListEnd        = []byte(`</RegistryObjectList>`)
+	reqObject         = []byte(`<RegistryObject`)
+	reqObjectEnd      = []byte(`</RegistryObject>`)
+	reqName           = []byte(`<Name>`)
+	reqNameEnd        = []byte(`</Name>`)
+	reqDescription    = []byte(`<Description>`)
+	reqDescriptionEnd = []byte(`</Description>`)
+	reqBinding        = []byte(`<ServiceBinding`)
+	reqBindingEnd     = []byte(`</ServiceBinding>`)
+)
+
+// scanWriteRequest recognises the canonical SubmitObjectsRequest and
+// UpdateObjectsRequest envelopes (DESIGN.md gives the grammar): the
+// request's session attribute; a RegistryObjectList of RegistryObjects
+// with any of WireObject's attributes, each at most once, and Name,
+// Description and ServiceBinding children in that order; a ServiceBinding
+// with any of WireBinding's attributes and a Description; XML whitespace
+// between two elements; and text in which the only references are the
+// ones encoding/xml's marshaller writes. It fills req.Submit or req.Update
+// and reports true, or leaves req untouched: whitespace inside a tag,
+// single quotes, a namespace prefix, a comment, CDATA, any other
+// reference, a duplicate or unknown attribute, a raw control character, a
+// Slot, PostalAddress or any other child, and anything after the envelope
+// are left to soap.Unmarshal. What is accepted is decoded exactly as
+// encoding/xml decodes it, every string a copy.
+func scanWriteRequest(raw []byte, req *soapRequest) bool {
+	p, ok := openRequest(raw)
+	if !ok {
+		return false
+	}
+	p = skipXMLSpace(p)
+	update := bytes.HasPrefix(p, reqUpdate)
+	end := reqUpdateEnd
+	switch {
+	case update:
+		p = p[len(reqUpdate):]
+	case bytes.HasPrefix(p, reqSubmit):
+		p, end = p[len(reqSubmit):], reqSubmitEnd
+	default:
+		return false
+	}
+	var session string
+	p, empty, ok := scanAttrs(p, requestAttrs, []*string{&session})
+	if !ok {
+		return false
+	}
+	var objects []WireObject
+	if !empty {
+		if p, ok = nextElement(p, reqList); ok {
+			for p = skipXMLSpace(p); bytes.HasPrefix(p, reqObject); p = skipXMLSpace(p) {
+				var o WireObject
+				if o, p, ok = scanObject(p[len(reqObject):]); !ok {
+					return false
+				}
+				objects = append(objects, o)
+			}
+			if !bytes.HasPrefix(p, reqListEnd) {
+				return false
+			}
+			p = p[len(reqListEnd):]
+		}
+		if p, ok = nextElement(p, end); !ok {
+			return false
+		}
+	}
+	if !closeRequest(p) {
+		return false
+	}
+	if update {
+		req.Update = &UpdateObjectsRequest{Session: session, Objects: objects}
+	} else {
+		req.Submit = &SubmitObjectsRequest{Session: session, Objects: objects}
+	}
+	return true
+}
+
+// scanObject reads a RegistryObject from just after its name.
+func scanObject(p []byte) (o WireObject, rest []byte, ok bool) {
+	p, empty, ok := scanAttrs(p, objectAttrs, []*string{
+		&o.Kind, &o.ID, &o.LID, &o.Status, &o.Owner, &o.Home, &o.Version, &o.ParentID,
+		&o.Alias, &o.FirstName, &o.MiddleName, &o.LastName, &o.AssociationType,
+		&o.SourceID, &o.TargetID, &o.ExternalURI, &o.QuerySyntax, &o.Code, &o.Path,
+	})
+	if !ok || empty {
+		return o, p, ok
+	}
+	p = skipXMLSpace(p)
+	if o.Name, p, ok = scanTextElement(p, reqName, reqNameEnd); !ok {
+		return o, nil, false
+	}
+	if o.Description, p, ok = scanTextElement(p, reqDescription, reqDescriptionEnd); !ok {
+		return o, nil, false
+	}
+	for bytes.HasPrefix(p, reqBinding) {
+		var b WireBinding
+		if b, p, ok = scanBinding(p[len(reqBinding):]); !ok {
+			return o, nil, false
+		}
+		o.Bindings = append(o.Bindings, b)
+		p = skipXMLSpace(p)
+	}
+	if !bytes.HasPrefix(p, reqObjectEnd) {
+		return o, nil, false
+	}
+	return o, p[len(reqObjectEnd):], true
+}
+
+// scanBinding reads a ServiceBinding from just after its name.
+func scanBinding(p []byte) (b WireBinding, rest []byte, ok bool) {
+	p, empty, ok := scanAttrs(p, bindingAttrs, []*string{&b.ID, &b.AccessURI, &b.TargetBinding})
+	if !ok || empty {
+		return b, p, ok
+	}
+	p = skipXMLSpace(p)
+	if b.Description, p, ok = scanTextElement(p, reqDescription, reqDescriptionEnd); !ok {
+		return b, nil, false
+	}
+	if !bytes.HasPrefix(p, reqBindingEnd) {
+		return b, nil, false
+	}
+	return b, p[len(reqBindingEnd):], true
+}
+
+// The attributes of a write request's elements, in field order.
+var (
+	requestAttrs = []string{"session"}
+	objectAttrs  = []string{
+		"kind", "id", "lid", "status", "owner", "home", "versionName", "parent",
+		"alias", "firstName", "middleName", "lastName", "associationType",
+		"sourceObject", "targetObject", "externalURI", "querySyntax", "code", "path",
+	}
+	bindingAttrs = []string{"id", "accessURI", "targetBinding"}
+)
+
+// scanAttrs reads the attributes of a start tag whose name has been read,
+// through its '>' or, for an empty element, its '/>'. Each attribute is one
+// space, one of names, '="', a text value and '"', and its value goes to
+// the field of the same index. A name not in names, or one seen already,
+// declines.
+func scanAttrs(p []byte, names []string, fields []*string) (rest []byte, empty, ok bool) {
+	var seen uint32
+	for {
+		switch {
+		case len(p) > 0 && p[0] == '>':
+			return p[1:], false, true
+		case bytes.HasPrefix(p, reqSelfClose):
+			return p[len(reqSelfClose):], true, true
+		case len(p) == 0 || p[0] != ' ':
+			return nil, false, false
+		}
+		p = p[1:]
+		n := 0
+		for n < len(p) && ('a' <= p[n] && p[n] <= 'z' || 'A' <= p[n] && p[n] <= 'Z') {
+			n++
+		}
+		i := 0
+		for i < len(names) && names[i] != string(p[:n]) {
+			i++
+		}
+		if i == len(names) || seen&(1<<i) != 0 || !bytes.HasPrefix(p[n:], reqEqQuote) {
+			return nil, false, false
+		}
+		seen |= 1 << i
+		if *fields[i], p, ok = scanText(p[n+len(reqEqQuote):], '"'); !ok {
+			return nil, false, false
+		}
+		p = p[1:] // the closing quote
+	}
+}
+
+var reqEqQuote = []byte(`="`)
+
+// scanTextElement reads open, text and close when p starts with open, and
+// then any XML whitespace; when it does not, the value is "" and p is
+// returned as it is.
+func scanTextElement(p, open, close []byte) (value string, rest []byte, ok bool) {
+	if !bytes.HasPrefix(p, open) {
+		return "", p, true
+	}
+	if value, p, ok = scanText(p[len(open):], '<'); !ok || !bytes.HasPrefix(p, close) {
+		return "", nil, false
+	}
+	return value, skipXMLSpace(p[len(close):]), true
+}
+
+// xmlRefs are the references encoding/xml's marshaller writes, and the
+// byte each stands for.
+var xmlRefs = [...]struct {
+	ref string
+	c   byte
+}{
+	{"&amp;", '&'}, {"&lt;", '<'}, {"&gt;", '>'}, {"&#34;", '"'},
+	{"&#39;", '\''}, {"&#x9;", '\t'}, {"&#xA;", '\n'}, {"&#xD;", '\r'},
+}
+
+// xmlRef is the byte the reference p starts with stands for, and the
+// reference's length; 0 when p starts with no reference of xmlRefs.
+func xmlRef(p []byte) (c byte, n int) {
+	for _, r := range xmlRefs {
+		if len(p) >= len(r.ref) && string(p[:len(r.ref)]) == r.ref {
+			return r.c, len(r.ref)
+		}
+	}
+	return 0, 0
+}
+
+// scanText decodes text up to the byte end, which it leaves in rest: any
+// character XML allows from U+0020 on except the five markup characters,
+// and the references of xmlRefs. Anything else declines — a raw control
+// character (encoding/xml would turn a raw '\r' into '\n'), invalid
+// UTF-8, U+FFFE, U+FFFF, and every other reference.
+func scanText(p []byte, end byte) (value string, rest []byte, ok bool) {
+	n, refs := 0, false
+	for n < len(p) && p[n] != end {
+		switch c := p[n]; {
+		case c == '&':
+			_, size := xmlRef(p[n:])
+			if size == 0 {
+				return "", nil, false
+			}
+			n, refs = n+size, true
+		case c < 0x20 || c == '"' || c == '\'' || c == '<' || c == '>':
+			return "", nil, false
+		case c < utf8.RuneSelf:
+			n++
+		default:
+			r, size := utf8.DecodeRune(p[n:])
+			if r == utf8.RuneError && size == 1 || !isXMLChar(r) {
+				return "", nil, false
+			}
+			n += size
+		}
+	}
+	if n == len(p) {
+		return "", nil, false
+	}
+	if !refs {
+		return string(p[:n]), p[n:], true
+	}
+	var b strings.Builder
+	b.Grow(n)
+	for i := 0; i < n; {
+		if p[i] != '&' {
+			b.WriteByte(p[i])
+			i++
+			continue
+		}
+		c, size := xmlRef(p[i:])
+		b.WriteByte(c)
+		i += size
+	}
+	return b.String(), p[n:], true
+}
+
+// appendRegistryResponse appends the SOAP envelope of
+// &RegistryResponse{Status: status, IDs: ids} to b: the bytes soap.Marshal
+// returns for it, with each empty id left out as omitempty leaves it out.
+func appendRegistryResponse(b []byte, status string, ids []string) []byte {
+	b = append(b, xml.Header...)
+	b = append(b, `<Envelope xmlns="`+soap.NS+`">`+"\n <Body>"+`<RegistryResponse status="`...)
+	b = appendXMLText(b, status)
+	b = append(b, `">`...)
+	for _, id := range ids {
+		if id != "" {
+			b = append(b, `<ObjectRef>`...)
+			b = appendXMLText(b, id)
+			b = append(b, `</ObjectRef>`...)
+		}
+	}
+	return append(b, `</RegistryResponse></Body>`+"\n</Envelope>"...)
 }
 
 // appendBindingsEnvelope appends the SOAP envelope of ans to b: the bytes

@@ -7,10 +7,14 @@ package registry
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/simclock"
 	"repro/internal/soap"
 )
 
@@ -264,5 +268,312 @@ func FuzzAppendBindingsJSON(f *testing.F) {
 	f.Add("", "", uint8(0), false, 0, 0, 0, false)
 	f.Fuzz(func(t *testing.T, a, b string, n uint8, filtered bool, eligible, unknown, ineligible int, windowOK bool) {
 		checkJSON(t, fuzzedAnswer(a, b, n, filtered, eligible, unknown, ineligible, windowOK))
+	})
+}
+
+// canonicalWrite is the envelope soap.Marshal emits for a write request.
+func canonicalWrite(t testing.TB, req *soapRequest) []byte {
+	t.Helper()
+	env, err := soap.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return env
+}
+
+// benchService is a service as the benchmark publishes it: four bindings,
+// and a constraint in the description, which the wire escapes.
+func benchService() WireObject {
+	o := WireObject{
+		Kind: "Service", ID: "urn:uuid:3f1c2d4e-5a6b-4c7d-8e9f-0a1b2c3d4e5f", LID: "urn:uuid:3f1c2d4e-5a6b-4c7d-8e9f-0a1b2c3d4e5f",
+		Status: "Submitted", Version: "1.1", Name: "new-000001",
+		Description: "benchmark service new-000001 <constraint><cpuLoad>load ls 1.5</cpuLoad><memory>memory gr 2GB</memory></constraint>",
+	}
+	for i := 0; i < 4; i++ {
+		o.Bindings = append(o.Bindings, WireBinding{
+			ID:        fmt.Sprintf("urn:uuid:7a8b9c0d-1e2f-4a3b-8c4d-5e6f7a8b9c%02d", i),
+			AccessURI: fmt.Sprintf("http://10.0.0.%d:8080/new-000001/run", i+1),
+		})
+	}
+	return o
+}
+
+// writeShapes are the write requests publishers send: the benchmark's
+// submit and update of a four-binding service, what jaxr publishes for the
+// quickstart (an organization, a constrained service, their association),
+// and the text encoding/xml has to escape.
+func writeShapes() map[string]*soapRequest {
+	update := benchService()
+	update.Description = "benchmark service new-000001 <constraint><cpuLoad>load ls 0.5</cpuLoad><memory>memory gr 1GB</memory><swapmemory>swapmemory gr 512MB</swapmemory></constraint>"
+	org := WireObject{Kind: "Organization", ID: "urn:uuid:org", LID: "urn:uuid:org", Status: "Submitted", Version: "1.1", Name: "San Diego State University (SDSU)"}
+	svc := WireObject{Kind: "Service", ID: "urn:uuid:svc", LID: "urn:uuid:svc", Status: "Submitted", Version: "1.1", Name: "ServiceAdder",
+		Description: "Adds numbers. <constraint>\n\t  <cpuLoad>load ls 1.0</cpuLoad>\n\t</constraint>",
+		Bindings: []WireBinding{
+			{ID: "urn:uuid:b1", AccessURI: "http://thermo.sdsu.edu:8080/Adder/addService"},
+			{ID: "urn:uuid:b2", AccessURI: "http://exergy.sdsu.edu:8080/Adder/addService", TargetBinding: "urn:uuid:b1", Description: "second"},
+		}}
+	assoc := WireObject{Kind: "Association", ID: "urn:uuid:assoc", LID: "urn:uuid:assoc", Status: "Submitted", Version: "1.1", Name: "OffersService",
+		AssociationType: "OffersService", SourceID: "urn:uuid:org", TargetID: "urn:uuid:svc"}
+	text := WireObject{Kind: "Service", ID: "", Name: "Añadir 加法 \U0001F9EE \"q\" 'a'", Description: "A&B <c> tab\tline\ncr\r ]]>",
+		Bindings: []WireBinding{{AccessURI: "http://h/?a=1&b=2"}}}
+	return map[string]*soapRequest{
+		"bench submit": {Submit: &SubmitObjectsRequest{Session: "4f9c0d1e2b3a", Objects: []WireObject{benchService()}}},
+		"bench update": {Update: &UpdateObjectsRequest{Session: "4f9c0d1e2b3a", Objects: []WireObject{update}}},
+		"jaxr submit":  {Submit: &SubmitObjectsRequest{Session: "token", Objects: []WireObject{org, svc, assoc}}},
+		"jaxr update":  {Update: &UpdateObjectsRequest{Session: "token", Objects: []WireObject{org}}},
+		"escaped text": {Submit: &SubmitObjectsRequest{Session: "a&b", Objects: []WireObject{text}}},
+		"no objects":   {Submit: &SubmitObjectsRequest{Session: "s"}},
+		"no session":   {Update: &UpdateObjectsRequest{Objects: []WireObject{{Kind: "Organization", Name: "X"}}}},
+		"every attribute": {Submit: &SubmitObjectsRequest{Session: "s", Objects: []WireObject{{
+			Kind: "k", ID: "i", LID: "l", Status: "s", Owner: "o", Home: "h", Version: "v", ParentID: "p",
+			Alias: "a", FirstName: "f", MiddleName: "m", LastName: "n", AssociationType: "t", SourceID: "so",
+			TargetID: "ta", ExternalURI: "e", QuerySyntax: "q", Code: "c", Path: "/p",
+		}}}},
+	}
+}
+
+// checkWriteScan runs the write scanner on raw and, when it accepts,
+// requires the reference decoder to agree with it.
+func checkWriteScan(t testing.TB, raw []byte) (accepted bool) {
+	t.Helper()
+	var got soapRequest
+	if !scanWriteRequest(raw, &got) {
+		if !reflect.DeepEqual(got, soapRequest{}) {
+			t.Fatalf("declined %q but left %+v behind", raw, got)
+		}
+		return false
+	}
+	var want soapRequest
+	if err := soap.Unmarshal(raw, &want); err != nil {
+		t.Fatalf("scanner accepted %q, soap.Unmarshal rejects it: %v", raw, err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("scanner and soap.Unmarshal disagree on %q:\nscanner   %+v %+v\nunmarshal %+v %+v", raw, got.Submit, got.Update, want.Submit, want.Update)
+	}
+	return true
+}
+
+func TestScanWriteRequestAccepts(t *testing.T) {
+	for name, req := range writeShapes() {
+		env := canonicalWrite(t, req)
+		if !checkWriteScan(t, env) {
+			t.Errorf("%s: declined %q", name, env)
+		}
+		var via soapRequest
+		if !scanRegistryRequest(env, &via) || (via.Submit == nil) == (via.Update == nil) || via.Bindings != nil {
+			t.Errorf("%s: the decode hook did not take it as one write: %+v", name, via)
+		}
+	}
+	submit := string(canonicalWrite(t, writeShapes()["bench submit"]))
+	for name, env := range map[string]string{
+		"whitespace between elements": strings.NewReplacer("><Registry", ">\n  <Registry", "><Name>", ">\r\n\t<Name>", "><ServiceBinding", "> <ServiceBinding", "></ServiceBinding>", ">\n</ServiceBinding>\n", "</RegistryObjectList>", "\n</RegistryObjectList>\n").Replace(submit),
+		"self-closing binding":        strings.Replace(submit, "></ServiceBinding>", "/>", -1),
+		"attributes reordered":        strings.NewReplacer(`<RegistryObject kind="Service" `, `<RegistryObject `, `versionName="1.1">`, `versionName="1.1" kind="Service">`).Replace(submit),
+		"empty list":                  submit[:strings.Index(submit, "<RegistryObjectList>")] + "<RegistryObjectList></RegistryObjectList></SubmitObjectsRequest></RegistryRequest></Body>\n</Envelope>",
+		"self-closing request":        submit[:strings.Index(submit, "<SubmitObjectsRequest")] + `<SubmitObjectsRequest session="s"/></RegistryRequest></Body></Envelope>`,
+	} {
+		if !checkWriteScan(t, []byte(env)) {
+			t.Errorf("%s: declined %q", name, env)
+		}
+	}
+}
+
+// TestScanWriteRequestDeclines: each of these is a write encoding/xml
+// decodes differently from the scanner's reading, or one the scanner has
+// no business judging; all must reach soap.Unmarshal untouched and decode
+// there as they did before the scanner existed.
+func TestScanWriteRequestDeclines(t *testing.T) {
+	submit := string(canonicalWrite(t, writeShapes()["bench submit"]))
+	sub := func(old, new string) string {
+		t.Helper()
+		if !strings.Contains(submit, old) {
+			t.Fatalf("canonical envelope has no %q", old)
+		}
+		return strings.Replace(submit, old, new, 1)
+	}
+	cases := map[string]string{
+		"whitespace inside a tag":  sub(`<RegistryObject kind`, `<RegistryObject  kind`),
+		"space before the end":     sub(`versionName="1.1">`, `versionName="1.1" >`),
+		"newline between attrs":    sub(`" lid=`, "\"\nlid="),
+		"single quotes":            sub(`kind="Service"`, `kind='Service'`),
+		"namespace prefix":         strings.NewReplacer("<RegistryObject ", "<r:RegistryObject xmlns:r=\"urn:r\" ", "</RegistryObject>", "</r:RegistryObject>").Replace(submit),
+		"prefixed attribute":       sub(`kind="Service"`, `x:kind="Service"`),
+		"xmlns attribute":          sub(`<RegistryObject kind`, `<RegistryObject xmlns="urn:x" kind`),
+		"comment":                  sub(`<Name>`, `<!-- n --><Name>`),
+		"comment in text":          sub(`<Name>new-000001`, `<Name>new-<!-- n -->000001`),
+		"CDATA":                    sub(`<Name>new-000001`, `<Name><![CDATA[new-000001]]>`),
+		"other reference":          sub(`<Name>new-000001`, `<Name>&#x41;new-000001`),
+		"decimal reference":        sub(`<Name>new-000001`, `<Name>&#65;new-000001`),
+		"apos entity":              sub(`<Name>new-000001`, `<Name>&apos;new-000001`),
+		"lower-case hex reference": sub(`<Name>new-000001`, `<Name>&#xa;new-000001`),
+		"bare ampersand":           sub(`<Name>new-000001`, `<Name>a & b`),
+		"duplicate attribute":      sub(`status="Submitted"`, `status="Submitted" status="Approved"`),
+		"duplicate binding attr":   sub(`accessURI="http://10.0.0.1`, `accessURI="x" accessURI="http://10.0.0.1`),
+		"unknown attribute":        sub(`status="Submitted"`, `status="Submitted" color="red"`),
+		"raw carriage return":      sub(`<Name>new-000001`, "<Name>new-\r000001"),
+		"raw tab":                  sub(`<Name>new-000001`, "<Name>new-\t000001"),
+		"raw newline in attr":      sub(`status="Submitted"`, "status=\"Sub\nmitted\""),
+		"raw greater-than":         sub(`<Name>new-000001`, `<Name>a>b`),
+		"raw quote":                sub(`<Name>new-000001`, `<Name>"q"`),
+		"nul":                      sub(`<Name>new-000001`, "<Name>a\x00b"),
+		"invalid utf-8":            sub(`<Name>new-000001`, "<Name>a\xffb"),
+		"U+FFFE":                   sub(`<Name>new-000001`, "<Name>a\uFFFEb"),
+		"Slot child":               sub(`<ServiceBinding `, `<Slot name="s"><Value>v</Value></Slot><ServiceBinding `),
+		"PostalAddress child":      sub(`<ServiceBinding `, `<PostalAddress city="SD"></PostalAddress><ServiceBinding `),
+		"QueryExpression child":    sub(`</RegistryObject>`, `<QueryExpression>q</QueryExpression></RegistryObject>`),
+		"child inside binding":     sub(`></ServiceBinding>`, `><Slot name="s"></Slot></ServiceBinding>`),
+		"description before name":  strings.Replace(sub(`<Name>new-000001</Name>`, ``), `</Description>`, `</Description><Name>new-000001</Name>`, 1),
+		"second name":              sub(`</Name>`, `</Name><Name>again</Name>`),
+		"element in text":          sub(`<Name>new-000001`, `<Name><b>new</b>-000001`),
+		"text between elements":    sub(`<ServiceBinding `, `text<ServiceBinding `),
+		"second list":              sub(`</RegistryObjectList>`, `</RegistryObjectList><RegistryObjectList></RegistryObjectList>`),
+		"second request":           sub(`</RegistryRequest>`, `<SubmitObjectsRequest></SubmitObjectsRequest></RegistryRequest>`),
+		"unknown request attr":     sub(`session="4f9c0d1e2b3a"`, `session="4f9c0d1e2b3a" mode="x"`),
+		"duplicate session":        sub(`session="4f9c0d1e2b3a"`, `session="a" session="b"`),
+		"approve request":          strings.NewReplacer("SubmitObjectsRequest", "ApproveObjectsRequest").Replace(submit),
+		"header element":           sub("<Body>", "<Header></Header><Body>"),
+		"byte order mark":          "\uFEFF" + submit,
+		"trailing bytes":           submit + "x",
+		"second envelope":          submit + submit,
+		"unterminated text":        submit[:strings.Index(submit, "new-000001")+3],
+	}
+	for name, env := range cases {
+		if checkWriteScan(t, []byte(env)) {
+			t.Errorf("%s: accepted %q", name, env)
+		}
+		// Declined, it decodes as it did before: scanRegistryRequest takes
+		// no write the scanner declines, so the handler sees soap.Unmarshal's.
+		var via soapRequest
+		if scanRegistryRequest([]byte(env), &via) {
+			t.Errorf("%s: the decode hook took %q", name, env)
+		}
+	}
+	for i := 0; i < len(submit); i++ {
+		if checkWriteScan(t, []byte(submit[:i])) {
+			t.Errorf("accepted the envelope cut at byte %d: %q", i, submit[:i])
+		}
+	}
+}
+
+// FuzzScanWriteRequest: whenever the scanner accepts an envelope,
+// soap.Unmarshal accepts it too and decodes the same request.
+func FuzzScanWriteRequest(f *testing.F) {
+	for _, req := range writeShapes() {
+		f.Add(canonicalWrite(f, req))
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		checkWriteScan(t, raw)
+	})
+}
+
+// TestFollowerRedirectsScannedWrite: a write the scanner decodes reaches
+// the handler as a write, so a follower still answers it 307.
+func TestFollowerRedirectsScannedWrite(t *testing.T) {
+	reg, err := New(Config{Clock: simclock.NewManual(t0), ReplFollowURL: "http://leader.invalid:8080"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"bench submit", "bench update"} {
+		env := canonicalWrite(t, writeShapes()[name])
+		var req soapRequest
+		if !scanRegistryRequest(env, &req) {
+			t.Fatalf("%s: not scanned", name)
+		}
+		w := httptest.NewRecorder()
+		reg.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/soap/registry", bytes.NewReader(env)))
+		if w.Code != http.StatusTemporaryRedirect || w.Header().Get("Location") != "http://leader.invalid:8080/soap/registry" {
+			t.Fatalf("%s on a follower: %d Location %q, want 307 to the leader", name, w.Code, w.Header().Get("Location"))
+		}
+	}
+}
+
+// checkAck requires the writer's bytes to be soap.Marshal's.
+func checkAck(t testing.TB, status string, ids []string) {
+	t.Helper()
+	want, err := soap.Marshal(&RegistryResponse{Status: status, IDs: ids})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prefix := []byte("kept")
+	got := appendRegistryResponse(prefix, status, ids)
+	if !bytes.HasPrefix(got, prefix) {
+		t.Fatalf("writer overwrote what was in the buffer: %q", got)
+	}
+	if got = got[len(prefix):]; !bytes.Equal(got, want) {
+		t.Fatalf("ack of %q %q differs:\nwriter  %q\nmarshal %q", status, ids, got, want)
+	}
+}
+
+func TestAppendRegistryResponse(t *testing.T) {
+	for _, c := range []struct {
+		status string
+		ids    []string
+	}{
+		{"Success", nil},
+		{"Success", []string{}},
+		{"Success", []string{""}},
+		{"Success", []string{"urn:uuid:3f1c2d4e-5a6b-4c7d-8e9f-0a1b2c3d4e5f"}},
+		{"Success", []string{"a", "", "b"}},
+		{"", []string{"x"}},
+		{`Partial "<&>" 'ok'`, []string{`id&<>"'`, "tab\tline\ncr\r", "]]>"}},
+		{"añadir 加法", []string{"nul\x00", "bad\xffbyte", "\uFFFE", "\uFFFD", "\U0001F9EE"}},
+	} {
+		checkAck(t, c.status, c.ids)
+	}
+	// The handler's ack is the writer's.
+	resp, err := ack([]string{"a", "b"}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := soap.Marshal(&RegistryResponse{Status: "Success", IDs: []string{"a", "b"}})
+	if raw, ok := resp.(soap.Raw); !ok || !bytes.Equal(raw, want) {
+		t.Fatalf("ack = %T %q, want soap.Raw %q", resp, resp, want)
+	}
+}
+
+// FuzzAppendRegistryResponse: the writer's bytes are soap.Marshal's for
+// any status and ids.
+func FuzzAppendRegistryResponse(f *testing.F) {
+	f.Add("Success", "urn:uuid:3f1c2d4e-5a6b-4c7d-8e9f-0a1b2c3d4e5f", "", uint8(2))
+	f.Add("", "", "", uint8(0))
+	f.Add(`"<&>'`, "\t\n\r", "\xff", uint8(4))
+	f.Fuzz(func(t *testing.T, status, a, b string, n uint8) {
+		var ids []string
+		// nil, empty, then one to three of the strings.
+		switch n % 5 {
+		case 1:
+			ids = []string{}
+		case 2:
+			ids = []string{a}
+		case 3:
+			ids = []string{a, b}
+		case 4:
+			ids = []string{b, a + b, a}
+		}
+		checkAck(t, status, ids)
+	})
+}
+
+// BenchmarkSOAPWriteDecode prices the decode of the benchmark's submit:
+// the hook, and soap.Unmarshal, which decodes every envelope it declines.
+func BenchmarkSOAPWriteDecode(b *testing.B) {
+	env := canonicalWrite(b, writeShapes()["bench submit"])
+	b.Run("scan", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			var req soapRequest
+			if !scanRegistryRequest(env, &req) {
+				b.Fatal("declined")
+			}
+		}
+	})
+	b.Run("unmarshal", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			var req soapRequest
+			if err := soap.Unmarshal(env, &req); err != nil {
+				b.Fatal(err)
+			}
+		}
 	})
 }

@@ -257,12 +257,21 @@ func (r *Registry) sessionOrFault(token string) (lcm.Context, error) {
 	return ctx, nil
 }
 
+// ack answers a life-cycle request that err does not fail with its
+// RegistryResponse, in the bytes soap.Marshal would write for it.
 func ack(ids []string, err error) (interface{}, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &RegistryResponse{Status: "Success", IDs: ids}, nil
+	n := ackSize
+	for _, id := range ids {
+		n += len(`<ObjectRef></ObjectRef>`) + len(id)
+	}
+	return soap.Raw(appendRegistryResponse(make([]byte, 0, n), "Success", ids)), nil
 }
+
+// ackSize is the length of a RegistryResponse envelope with no ObjectRef.
+var ackSize = len(appendRegistryResponse(nil, "Success", nil))
 
 func (r *Registry) doSubmit(ctx context.Context, req *SubmitObjectsRequest) (interface{}, error) {
 	sess, err := r.sessionOrFault(req.Session)
@@ -273,10 +282,7 @@ func (r *Registry) doSubmit(ctx context.Context, req *SubmitObjectsRequest) (int
 	if err != nil {
 		return nil, soap.ClientFault("%v", err)
 	}
-	if err := r.LCM.SubmitObjectsCtx(ctx, sess, objs...); err != nil {
-		return nil, err
-	}
-	return &RegistryResponse{Status: "Success", IDs: ids}, nil
+	return ack(ids, r.LCM.SubmitObjectsCtx(ctx, sess, objs...))
 }
 
 func (r *Registry) doUpdate(ctx context.Context, req *UpdateObjectsRequest) (interface{}, error) {
@@ -288,10 +294,7 @@ func (r *Registry) doUpdate(ctx context.Context, req *UpdateObjectsRequest) (int
 	if err != nil {
 		return nil, soap.ClientFault("%v", err)
 	}
-	if err := r.LCM.UpdateObjectsCtx(ctx, sess, objs...); err != nil {
-		return nil, err
-	}
-	return &RegistryResponse{Status: "Success", IDs: ids}, nil
+	return ack(ids, r.LCM.UpdateObjectsCtx(ctx, sess, objs...))
 }
 
 func decodeAll(wires []WireObject) ([]rim.Object, []string, error) {

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"reflect"
 	"sync"
 	"time"
 )
@@ -95,35 +96,193 @@ func Marshal(payload interface{}) ([]byte, error) {
 // Unmarshal extracts the envelope body into payload. If the body carries a
 // fault, Unmarshal returns it as a *Fault error and leaves payload
 // untouched.
+//
+// The envelope is tokenized in one pass. The first element of the Body is
+// decoded straight into payload, or into a Fault when it is named Fault and
+// has a faultcode, by a decoder that starts at that element, so names
+// inside it resolve as if it were a document of its own. A Body with
+// no element is an error unless payload is nil, and one with nothing but
+// white space is always an error. When an envelope has more than one Body
+// the last one counts, and payload starts over from its zero value for it.
+// Bytes after the Envelope are not read.
 func Unmarshal(data []byte, payload interface{}) error {
-	var env envelope
-	if err := xml.Unmarshal(data, &env); err != nil {
+	u := unmarshaler{data: data, payload: payload, result: errEmptyBody}
+	if err := u.envelope(); err != nil {
 		return fmt.Errorf("soap: bad envelope: %w", err)
 	}
-	inner := bytes.TrimSpace(env.Body.Inner)
-	if len(inner) == 0 {
-		return fmt.Errorf("soap: empty body")
-	}
-	if bytes.Contains(inner[:min(len(inner), 64)], []byte("Fault")) {
-		var f Fault
-		if err := xml.Unmarshal(inner, &f); err == nil && f.Code != "" {
-			return &f
+	return u.result
+}
+
+var errEmptyBody = errors.New("soap: empty body")
+
+// unmarshaler is one Unmarshal. Outside the body's first element, data is
+// read as raw tokens and the open elements are matched on u.stack, because
+// after each first element the decoder is replaced by one that starts
+// where the element ends, and that decoder has seen none of them open.
+type unmarshaler struct {
+	data    []byte
+	payload interface{}
+	touched bool  // payload has been decoded into
+	result  error // the outcome of the last Body
+
+	d     *xml.Decoder // reads data[base:]
+	base  int64
+	stack []xml.Name
+}
+
+// envelope reads data through the Envelope's end tag. The error it returns
+// makes the envelope bad; what the body holds goes to u.result.
+func (u *unmarshaler) envelope() error {
+	u.seek(0)
+	for {
+		tok, err := u.next()
+		if err != nil {
+			return err
+		}
+		if t, ok := tok.(xml.StartElement); ok {
+			if t.Name.Local != "Envelope" {
+				return xml.UnmarshalError("expected element type <Envelope> but have <" + t.Name.Local + ">")
+			}
+			break
 		}
 	}
-	if payload == nil {
-		return nil
-	}
-	if err := xml.Unmarshal(inner, payload); err != nil {
-		return fmt.Errorf("soap: decode body: %w", err)
+	for len(u.stack) > 0 {
+		tok, err := u.next()
+		if err != nil {
+			return err
+		}
+		if t, ok := tok.(xml.StartElement); ok && len(u.stack) == 2 && t.Name.Local == "Body" {
+			if err := u.body(); err != nil {
+				return err
+			}
+		}
 	}
 	return nil
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
+func (u *unmarshaler) seek(at int64) {
+	u.d, u.base = xml.NewDecoder(bytes.NewReader(u.data[at:])), at
+}
+
+func (u *unmarshaler) offset() int64 { return u.base + u.d.InputOffset() }
+
+// next returns the next raw token, holding end tags to the start tags they
+// close as encoding/xml's Token does.
+func (u *unmarshaler) next() (xml.Token, error) {
+	tok, err := u.d.RawToken()
+	if err == io.EOF && len(u.stack) > 0 {
+		return nil, u.syntaxError("unexpected EOF")
 	}
-	return b
+	if err != nil {
+		return nil, err
+	}
+	switch t := tok.(type) {
+	case xml.StartElement:
+		u.stack = append(u.stack, t.Name)
+	case xml.EndElement:
+		if len(u.stack) == 0 {
+			return nil, u.syntaxError("unexpected end element </" + t.Name.Local + ">")
+		}
+		open := u.stack[len(u.stack)-1]
+		if open != t.Name {
+			return nil, u.syntaxError("element <" + open.Local + "> closed by </" + t.Name.Local + ">")
+		}
+		u.stack = u.stack[:len(u.stack)-1]
+	}
+	return tok, nil
+}
+
+// syntaxError is the error encoding/xml's Token reports for msg.
+func (u *unmarshaler) syntaxError(msg string) error {
+	return &xml.SyntaxError{Msg: msg, Line: 1 + bytes.Count(u.data[:u.offset()], []byte("\n"))}
+}
+
+// body reads a Body, its start tag already read, up to its first element,
+// which it decodes, or through its end tag when it has none.
+func (u *unmarshaler) body() error {
+	if v := reflect.ValueOf(u.payload); u.touched && v.Kind() == reflect.Pointer && !v.IsNil() {
+		v.Elem().SetZero()
+	}
+	u.touched = false
+	inner := u.offset()
+	for {
+		at := u.offset()
+		tok, err := u.next()
+		if err != nil {
+			return err
+		}
+		switch t := tok.(type) {
+		case xml.EndElement:
+			switch {
+			case len(bytes.TrimSpace(u.data[inner:at])) == 0:
+				u.result = errEmptyBody
+			case u.payload == nil:
+				u.result = nil
+			default:
+				u.result = fmt.Errorf("soap: decode body: %w", io.EOF)
+			}
+			return nil
+		case xml.StartElement:
+			u.stack = u.stack[:len(u.stack)-1] // decodeAt reads it again
+			end, err := u.first(t.Name.Local, at)
+			if err != nil {
+				return err
+			}
+			u.seek(end)
+			return nil
+		}
+	}
+}
+
+// first decodes the element that starts at byte at and returns where it
+// ends.
+func (u *unmarshaler) first(name string, at int64) (end int64, err error) {
+	u.result = nil
+	if name == "Fault" {
+		// A Fault's fields are strings, so any error is the envelope's.
+		var f Fault
+		if end, err = u.decodeAt(at, &f); err != nil {
+			return 0, err
+		}
+		if f.Code != "" {
+			u.result = &f
+		} else if u.payload != nil {
+			// Without a code the element is the payload's.
+			u.touched = true
+			if _, err := u.decodeAt(at, u.payload); err != nil {
+				u.result = fmt.Errorf("soap: decode body: %w", err)
+			}
+		}
+		return end, nil
+	}
+	if u.payload == nil {
+		return u.decodeAt(at, nil)
+	}
+	u.touched = true
+	if end, err = u.decodeAt(at, u.payload); err == nil {
+		return end, nil
+	}
+	var syntax *xml.SyntaxError
+	if errors.As(err, &syntax) {
+		return 0, err
+	}
+	u.result = fmt.Errorf("soap: decode body: %w", err)
+	// Find the element's end: the decoder stopped inside it.
+	return u.decodeAt(at, nil)
+}
+
+// decodeAt decodes the element at byte at into v, or only reads it when v
+// is nil, and returns where it ends.
+func (u *unmarshaler) decodeAt(at int64, v interface{}) (end int64, err error) {
+	d := xml.NewDecoder(bytes.NewReader(u.data[at:]))
+	if v != nil {
+		err = d.Decode(v)
+	} else {
+		if _, err = d.Token(); err == nil {
+			err = d.Skip()
+		}
+	}
+	return at + d.InputOffset(), err
 }
 
 // Post sends req to url as a SOAP request and decodes the reply into resp

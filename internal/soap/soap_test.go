@@ -3,9 +3,11 @@ package soap
 import (
 	"bytes"
 	"context"
+	"encoding/xml"
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -240,9 +242,134 @@ func TestDecodedRequestDoesNotAliasPooledBuffer(t *testing.T) {
 	}
 }
 
+// TestUnmarshalFaultPastTheSniff: a fault is told by its element's name,
+// wherever it starts. The two-pass decode looked for "Fault" in the body's
+// first 64 bytes only, so a comment in front hid the fault and it came back
+// as a decode error.
+func TestUnmarshalFaultPastTheSniff(t *testing.T) {
+	data := []byte(`<Envelope xmlns="` + NS + `"><Body><!-- ` + strings.Repeat("padding ", 10) +
+		`--><Fault><faultcode>Server</faultcode><faultstring>boom</faultstring></Fault></Body></Envelope>`)
+	var got ping
+	var f *Fault
+	if err := Unmarshal(data, &got); !errors.As(err, &f) || f.Code != "Server" || f.String != "boom" {
+		t.Fatalf("Unmarshal = %v, want the Server fault", err)
+	}
+	if err := unmarshalTwoPass(data, &got); errors.As(err, &f) {
+		t.Fatalf("the reference found the fault too (%v): the case no longer shows the difference", err)
+	}
+}
+
+// TestUnmarshalAgreesWithTwoPass pins the reference's answers on the
+// envelopes where one pass has to work at it: several bodies, a fault
+// without a code, a body with no element, a payload that fails to decode,
+// and namespaces declared on the Envelope and Body.
+func TestUnmarshalAgreesWithTwoPass(t *testing.T) {
+	for name, env := range agreementCases {
+		t.Run(name, func(t *testing.T) {
+			checkAgreement[ping](t, []byte(env))
+			checkAgreement[loose](t, []byte(env))
+			checkNilPayload(t, []byte(env))
+		})
+	}
+}
+
+var agreementCases = map[string]string{
+	"payload":               `<Envelope xmlns="` + NS + `"><Body><Ping><msg>x</msg><n>1</n></Ping></Body></Envelope>`,
+	"two bodies":            `<Envelope><Body><Ping><msg>a</msg></Ping></Body><Body><Ping><n>2</n></Ping></Body></Envelope>`,
+	"fault then payload":    `<Envelope><Body><Fault><faultcode>C</faultcode></Fault></Body><Body><Ping><msg>b</msg></Ping></Body></Envelope>`,
+	"payload then fault":    `<Envelope><Body><Ping><msg>b</msg></Ping></Body><Body><Fault><faultcode>C</faultcode></Fault></Body></Envelope>`,
+	"bad number then good":  `<Envelope><Body><Ping><n>x</n><msg>a</msg></Ping></Body><Body><Ping><n>3</n></Ping></Body></Envelope>`,
+	"good then bad number":  `<Envelope><Body><Ping><n>3</n></Ping></Body><Body><Ping><n>x</n></Ping></Body></Envelope>`,
+	"fault without code":    `<Envelope><Body><Fault><faultstring>s</faultstring><msg>m</msg></Fault></Body></Envelope>`,
+	"empty fault":           `<Envelope><Body><Fault/></Body></Envelope>`,
+	"comment only":          `<Envelope><Body><!-- Fault --></Body></Envelope>`,
+	"text only":             `<Envelope><Body>text</Body></Envelope>`,
+	"reference only":        `<Envelope><Body>&#32;</Body></Envelope>`,
+	"unicode space only":    "<Envelope><Body>\u00a0</Body></Envelope>",
+	"self-closing body":     `<Envelope><Body/></Envelope>`,
+	"no body":               `<Envelope><Header/></Envelope>`,
+	"other root":            `<Ping><msg>x</msg></Ping>`,
+	"trailing garbage":      `<Envelope><Body><Ping/></Body></Envelope><<<`,
+	"error after body":      `<Envelope><Body><Ping/></Body><Header></Head></Envelope>`,
+	"error in later body":   `<Envelope><Body><Ping/></Body><Body><Ping></Pong></Body></Envelope>`,
+	"unclosed":              `<Envelope><Body><Ping>`,
+	"second element":        `<Envelope><Body><Ping><msg>a</msg></Ping><Ping><msg>b</msg></Ping></Body></Envelope>`,
+	"prefixed envelope":     `<s:Envelope xmlns:s="` + NS + `"><s:Body><s:Fault><faultcode>s:Server</faultcode></s:Fault></s:Body></s:Envelope>`,
+	"default ns in scope":   `<Envelope xmlns="urn:env"><Body xmlns:p="urn:p"><Ping p:a="1" b="2"><p:msg>x</p:msg><n>4</n></Ping></Body></Envelope>`,
+	"own ns declarations":   `<Envelope xmlns="urn:env"><Body><Ping xmlns="urn:ping" xmlns:q="urn:q"><q:msg q:a="x">y</q:msg></Ping></Body></Envelope>`,
+	"fault in default ns":   `<Envelope xmlns="` + NS + `"><Body><Fault><faultcode>Server</faultcode></Fault></Body></Envelope>`,
+	"body in other element": `<Envelope><Header><Body><Ping/></Body></Header></Envelope>`,
+}
+
+// loose decodes any body element: it has no XMLName to mismatch, and it
+// keeps the namespaces of names and attributes, so the namespace scope the
+// body's content is decoded in shows in the value.
+type loose struct {
+	XMLName xml.Name
+	Attrs   []xml.Attr   `xml:",any,attr"`
+	N       int          `xml:"n"`
+	Any     []looseChild `xml:",any"`
+}
+
+type looseChild struct {
+	XMLName xml.Name
+	Attrs   []xml.Attr `xml:",any,attr"`
+	Text    string     `xml:",chardata"`
+}
+
+// checkAgreement decodes data into a fresh T with Unmarshal and with the
+// two-pass reference and requires the same error or none, the same
+// *Fault-ness, and the same fault or value. The one difference allowed is
+// the fixed one: a fault the reference's 64-byte sniff did not see.
+func checkAgreement[T any](t *testing.T, data []byte) {
+	t.Helper()
+	var got, want T
+	err := Unmarshal(data, &got)
+	refErr := unmarshalTwoPass(data, &want)
+	if fixedCase(data, err, refErr) {
+		return
+	}
+	compareOutcomes(t, data, err, refErr)
+	if err == nil && !reflect.DeepEqual(got, want) {
+		t.Fatalf("%q decodes as\n%+v\nwant the reference's\n%+v", data, got, want)
+	}
+}
+
+// checkNilPayload holds a decode with no payload to the reference.
+func checkNilPayload(t *testing.T, data []byte) {
+	t.Helper()
+	err := Unmarshal(data, nil)
+	refErr := unmarshalTwoPass(data, nil)
+	if !fixedCase(data, err, refErr) {
+		compareOutcomes(t, data, err, refErr)
+	}
+}
+
+func fixedCase(data []byte, err, refErr error) bool {
+	var f, refF *Fault
+	if !errors.As(err, &f) || errors.As(refErr, &refF) {
+		return false
+	}
+	inner, ok := referenceBody(data)
+	return ok && !faultSniff(inner)
+}
+
+func compareOutcomes(t *testing.T, data []byte, err, refErr error) {
+	t.Helper()
+	var f, refF *Fault
+	isFault, refIsFault := errors.As(err, &f), errors.As(refErr, &refF)
+	if (err == nil) != (refErr == nil) || isFault != refIsFault {
+		t.Fatalf("%q: Unmarshal says %v, the reference %v", data, err, refErr)
+	}
+	if isFault && !reflect.DeepEqual(f, refF) {
+		t.Fatalf("%q: fault %+v, the reference's %+v", data, f, refF)
+	}
+}
+
 // FuzzSOAPUnmarshal: on any input Unmarshal neither panics nor fills the
-// payload of a body it reports as a fault, and the envelope of any fault
-// with a code comes back as that *Fault.
+// payload of a body it reports as a fault, it agrees with the two-pass
+// reference (checkAgreement), and the envelope of any fault with a code
+// comes back as that *Fault.
 func FuzzSOAPUnmarshal(f *testing.F) {
 	for _, payload := range []interface{}{
 		&ping{Msg: "hello <world> & co", N: 42},
@@ -256,6 +383,9 @@ func FuzzSOAPUnmarshal(f *testing.F) {
 		}
 		f.Add(env, "Server", "boom")
 	}
+	for _, env := range agreementCases {
+		f.Add([]byte(env), "", "")
+	}
 	f.Fuzz(func(t *testing.T, data []byte, code, str string) {
 		var got ping
 		var fault *Fault
@@ -267,6 +397,9 @@ func FuzzSOAPUnmarshal(f *testing.F) {
 				t.Fatalf("fault body %q also filled the payload: %+v", data, got)
 			}
 		}
+		checkAgreement[ping](t, data)
+		checkAgreement[loose](t, data)
+		checkNilPayload(t, data)
 		if code == "" {
 			return
 		}
