@@ -44,15 +44,11 @@ lint: bin/repolint
 crashcheck:
 	$(GO) test -race -count=1 -run 'Crash|WALEquivalent|Degraded|CheckpointRetention|BootDoesNotCheckpoint|WritePath' ./internal/wal/ ./internal/registry/ ./internal/repl/
 
-# fuzzsmoke runs every native fuzz target for ten seconds: the decoders of
-# bytes read from disk or the network (the SQL parser and the frozen router
-# among them) must not panic, over-allocate or half-apply, and the
-# hand-written fast paths (the SOAP scanners and writers of both hot
-# exchanges — FuzzScanGetBindings, FuzzScanWriteRequest,
-# FuzzAppendBindingsEnvelope, FuzzAppendRegistryResponse — HostOfURI, the
-# stored-object and WAL-record scanners) must agree with the
-# standard-library code they replace, as soap.Unmarshal must agree with
-# the two-pass decode it replaced (FuzzSOAPUnmarshal).
+# fuzzsmoke runs every native fuzz target for ten seconds, found by grepping
+# the test files for `func Fuzz`, so a new target needs no edit here: the
+# decoders of bytes read from disk or the network must not panic,
+# over-allocate or half-apply, and every hand-written fast path must agree
+# with the standard-library code it stands in for.
 # Minimisation is capped at a second: Load decodes on several goroutines, so
 # coverage varies with scheduling, and at the default minute the engine
 # spends most of the ten seconds shrinking inputs that found nothing new.

@@ -104,8 +104,21 @@ const DefaultTimeout = 10 * time.Second
 
 // defaultClient backs HTTPInvoker when Client is nil. http.DefaultClient
 // would mean no timeout at all — a single unresponsive host could pin a
-// collector sweep slot forever.
-var defaultClient = &http.Client{Timeout: DefaultTimeout}
+// collector sweep slot forever. Its transport keeps one idle connection per
+// host and no total cap: http.DefaultTransport keeps 100 and evicts the
+// least recently used, and a sweep visits its hosts in the same order every
+// period, so past 100 hosts no connection would survive until it is needed
+// again and every sweep would dial every host.
+var defaultClient = &http.Client{Timeout: DefaultTimeout, Transport: sweepTransport()}
+
+// sweepTransport is http.DefaultTransport's configuration with a
+// per-host idle pool in place of its total one.
+func sweepTransport() *http.Transport {
+	t := http.DefaultTransport.(*http.Transport).Clone()
+	t.MaxIdleConns = 0 // no total cap
+	t.MaxIdleConnsPerHost = 1
+	return t
+}
 
 // HTTPInvoker calls NodeStatus endpoints over real HTTP. A nil Client uses
 // a shared client with DefaultTimeout (never the timeout-less

@@ -3,9 +3,13 @@ package nodestatus
 import (
 	"context"
 	"errors"
+	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -149,5 +153,49 @@ func TestInvokeContextCancelsInFlightPost(t *testing.T) {
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("InvokeContext is still blocked 2s after its context was cancelled")
+	}
+}
+
+// TestDefaultClientReusesConnectionsAcrossSweeps: two sweeps over more
+// hosts than http.DefaultTransport keeps idle connections for, in the same
+// order each time, as the collector visits them. The second sweep finds
+// every host's connection still open and dials none.
+func TestDefaultClientReusesConnectionsAcrossSweeps(t *testing.T) {
+	if runtime.GOOS != "linux" {
+		t.Skip("needs every 127.0.0.0/8 address routed to loopback")
+	}
+	const hosts = 128
+	clk := simclock.NewManual(t0)
+	h := hostsim.NewHost(hostsim.Config{Name: "x", Cores: 1, TotalMemB: 1 << 30}, t0)
+	ln, err := net.Listen("tcp", "0.0.0.0:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dialed atomic.Int64
+	srv := &http.Server{Handler: NewHandler(h, clk), ConnState: func(_ net.Conn, s http.ConnState) {
+		if s == http.StateNew {
+			dialed.Add(1)
+		}
+	}}
+	go srv.Serve(ln)
+	defer srv.Close()
+	defer defaultClient.CloseIdleConnections()
+
+	port := ln.Addr().(*net.TCPAddr).Port
+	sweep := func() int64 {
+		before := dialed.Load()
+		for i := 0; i < hosts; i++ {
+			uri := fmt.Sprintf("http://127.0.%d.%d:%d/NodeStatus/NodeStatusService", 1+i/250, 1+i%250, port)
+			if _, err := (HTTPInvoker{}).Invoke(uri); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return dialed.Load() - before
+	}
+	if n := sweep(); n != hosts {
+		t.Fatalf("first sweep opened %d connections, want %d", n, hosts)
+	}
+	if n := sweep(); n != 0 {
+		t.Fatalf("second sweep opened %d connections, want 0", n)
 	}
 }

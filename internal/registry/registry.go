@@ -160,8 +160,8 @@ type Registry struct {
 	// Config.Admission was nil: every request is then served
 	// unconditionally).
 	Admission *admit.Controller
-	// RespCache is the preserialized discovery response cache
-	// (respcache.DefaultSize entries).
+	// RespCache is the preserialized discovery response cache: at most
+	// one answer per stored service (Store.Services) in each key space.
 	RespCache *respcache.Cache
 	// Flight is the always-on wide-event recorder behind /registry/flight
 	// (flight.DefaultRingSize records).
@@ -228,7 +228,7 @@ func New(cfg Config) (*Registry, error) {
 		bal.Brownout = ctrl
 		changes = append(changes, func() uint64 { return uint64(ctrl.TierChanges()) })
 	}
-	respCache := respcache.New(0, changes...)
+	respCache := respcache.New(s.Services, changes...)
 	trail := audit.New(s, clk)
 	bus := events.NewBus()
 	lifecycle := lcm.New(s, xacml.DefaultPolicy(), trail, bus)

@@ -9,6 +9,7 @@ package registry
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -20,6 +21,7 @@ import (
 	"repro/internal/admit"
 	"repro/internal/core"
 	"repro/internal/flight"
+	"repro/internal/obs"
 	"repro/internal/rim"
 	"repro/internal/simclock"
 	"repro/internal/soap"
@@ -420,5 +422,77 @@ func TestCachedDiscoveryConcurrent(t *testing.T) {
 	}
 	if hits, misses := reg.RespCache.Hits.Value(), reg.RespCache.Misses.Value(); hits+misses < workers*perWorker {
 		t.Fatalf("hits %d + misses %d < %d requests", hits, misses, workers*perWorker)
+	}
+}
+
+// TestCacheHoldsEveryStoredService: the cache is bounded by the store, not
+// by a fixed cap, so a registry of 1,500 services keeps every answer. After
+// a first pass over every name by REST and by SOAP, a second pass is all
+// hits and renders nothing.
+func TestCacheHoldsEveryStoredService(t *testing.T) {
+	const services = 1500
+	reg, err := New(Config{Clock: simclock.NewManual(t0), Policy: core.PolicyFilter, SnapshotMaxAge: 25 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg.Store.NodeState().Upsert(store.NodeState{Host: "h00.sdsu.edu", Load: 0.2, MemoryB: 4 << 30, SwapB: 1 << 30, Updated: t0})
+	names := make([]string, services)
+	objs := make([]rim.Object, services)
+	for i := range names {
+		names[i] = fmt.Sprintf("svc-%04d", i)
+		svc := rim.NewService(names[i], `<constraint><cpuLoad>load ls 1.0</cpuLoad></constraint>`)
+		svc.AddBinding("http://h00.sdsu.edu:8080/" + names[i])
+		objs[i] = svc
+	}
+	if err := reg.LCM.SubmitObjects(reg.AdminContext(), objs...); err != nil {
+		t.Fatal(err)
+	}
+	h := reg.Handler()
+	serve := func(req *http.Request) *httptest.ResponseRecorder {
+		t.Helper()
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, req)
+		if w.Code != http.StatusOK {
+			t.Fatalf("%s %s: status %d (body %q)", req.Method, req.URL, w.Code, w.Body.Bytes())
+		}
+		return w
+	}
+	pass := func() {
+		for _, name := range names {
+			serve(httptest.NewRequest(http.MethodGet, "/registry/bindings?service="+name, nil))
+			env, err := soap.Marshal(&soapRequest{Bindings: &GetBindingsRequest{ServiceName: name}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			serve(httptest.NewRequest(http.MethodPost, "/soap/registry", bytes.NewReader(env)))
+		}
+	}
+	counters := func() (hits, json, soapRenders float64) {
+		t.Helper()
+		sc, err := obs.ParseExposition(serve(httptest.NewRequest(http.MethodGet, "/registry/metrics", nil)).Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hits, _ = sc.Value("registry_respcache_hits_total", nil)
+		json, _ = sc.Value("registry_respcache_renders_total", map[string]string{"encoding": "json"})
+		soapRenders, _ = sc.Value("registry_respcache_renders_total", map[string]string{"encoding": "soap"})
+		return hits, json, soapRenders
+	}
+
+	pass()
+	hits, json, soapRenders := counters()
+	if json != services || soapRenders != services {
+		t.Fatalf("first pass rendered %v JSON and %v SOAP answers, want %d each", json, soapRenders, services)
+	}
+	pass()
+	hits2, json2, soap2 := counters()
+	if got, want := hits2-hits, float64(2*services); got != want {
+		t.Fatalf("second pass: %v hits, want %v (every request)", got, want)
+	}
+	if json2 != json || soap2 != soapRenders {
+		t.Fatalf("second pass rendered %v JSON and %v SOAP answers, want none", json2-json, soap2-soapRenders)
+	}
+	if got, want := reg.RespCache.Len(), services; got != want {
+		t.Fatalf("RespCache.Len = %d, want %d", got, want)
 	}
 }

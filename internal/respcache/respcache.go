@@ -21,9 +21,15 @@
 // own flush count (BumpEpoch). Entries are stamped with the epoch observed
 // *before* the decision was computed, so a change that lands mid-flight
 // leaves a stamp that never validates — conservative, never stale.
-// Eviction is a deterministic whole-cache flush when the entry cap is
-// reached (no RNG, per the repo's norand invariant); the cap exists to
-// bound memory under a service-name scan, not to approximate an LRU.
+//
+// Its size follows the store, not a fixed cap. The registry stores only
+// answers to lookups that resolved, so a scan of unknown names stores
+// nothing, and the memory spent is one rendered answer per stored service
+// in each space. Keys the store does not bound one-to-one — case variants
+// of one name, services deleted since their answer was stored — can still
+// reach numSpaces × services entries; adding one more key then flushes the
+// whole table, a deterministic reset (no RNG, per the repo's norand
+// invariant).
 package respcache
 
 import (
@@ -35,9 +41,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/metrics"
 )
-
-// DefaultSize is the entry cap used when New is given a non-positive max.
-const DefaultSize = 1024
 
 // Space separates the cache's key namespaces: discovery by service name
 // (REST and SOAP GetServiceBindingsByName) and by service id (SOAP
@@ -75,9 +78,9 @@ type Entry struct {
 // Cache is an epoch-validated map of preserialized responses. All methods
 // are safe for concurrent use.
 type Cache struct {
-	max     int
-	sources []func() uint64 // immutable after New
-	flushes atomic.Uint64
+	services func() int      // immutable after New
+	sources  []func() uint64 // immutable after New
+	flushes  atomic.Uint64
 
 	mu     sync.RWMutex
 	spaces [numSpaces]map[string]*Entry // guarded by mu
@@ -86,15 +89,13 @@ type Cache struct {
 	Misses metrics.Counter
 }
 
-// New creates a cache holding at most max entries across all spaces;
-// max <= 0 means DefaultSize. Each source is a counter that only grows and
-// that its owner advances no later than the change it counts becomes
-// visible; the epoch moves whenever one of them does.
-func New(max int, sources ...func() uint64) *Cache {
-	if max <= 0 {
-		max = DefaultSize
-	}
-	c := &Cache{max: max, sources: sources}
+// New creates a cache that holds at most one entry per service in each
+// space: services reports how many services the store holds, and StoreAt
+// reads it before the cache takes its own lock. Each source is a counter
+// that only grows and that its owner advances no later than the change it
+// counts becomes visible; the epoch moves whenever one of them does.
+func New(services func() int, sources ...func() uint64) *Cache {
+	c := &Cache{services: services, sources: sources}
 	c.mu.Lock()
 	for i := range c.spaces {
 		c.spaces[i] = make(map[string]*Entry)
@@ -137,15 +138,18 @@ func (c *Cache) Lookup(space Space, key string, gen uint64, tier uint32, now tim
 }
 
 // StoreAt inserts an entry stamped with the epoch the caller read before
-// computing it. When the cache is full the whole table is flushed first —
-// a deterministic reset rather than a randomized eviction.
+// computing it. When a new key would take the cache past numSpaces entries
+// per stored service, the whole table is flushed first — a deterministic
+// reset rather than a randomized eviction; storing under an existing key
+// never flushes.
 func (c *Cache) StoreAt(space Space, key string, e *Entry, epoch uint64) {
 	if e == nil {
 		return
 	}
 	e.epoch = epoch
+	bound := int(numSpaces) * c.services() // the store's lock, never under ours
 	c.mu.Lock()
-	if _, exists := c.spaces[space][key]; !exists && c.lenLocked() >= c.max {
+	if _, exists := c.spaces[space][key]; !exists && c.lenLocked() >= bound {
 		for i := range c.spaces {
 			c.spaces[i] = make(map[string]*Entry)
 		}

@@ -10,8 +10,11 @@ import (
 
 var testEpoch = time.Date(2011, 4, 22, 11, 0, 0, 0, time.UTC)
 
+// stored is a store that holds n services.
+func stored(n int) func() int { return func() int { return n } }
+
 func TestLookupHitAndMiss(t *testing.T) {
-	c := New(8)
+	c := New(stored(4))
 	now := testEpoch
 	if e := c.Lookup(SpaceName, "Adder", 1, 0, now); e != nil {
 		t.Fatal("empty cache returned an entry")
@@ -35,7 +38,7 @@ func TestLookupHitAndMiss(t *testing.T) {
 }
 
 func TestSpacesAreDisjoint(t *testing.T) {
-	c := New(8)
+	c := New(stored(4))
 	c.StoreAt(SpaceName, "k", &Entry{Gen: 1}, c.Epoch())
 	if e := c.Lookup(SpaceID, "k", 1, 0, testEpoch); e != nil {
 		t.Fatal("SpaceID lookup found a SpaceName entry")
@@ -43,7 +46,7 @@ func TestSpacesAreDisjoint(t *testing.T) {
 }
 
 func TestEpochInvalidation(t *testing.T) {
-	c := New(8)
+	c := New(stored(4))
 	c.StoreAt(SpaceName, "Adder", &Entry{Gen: 1}, c.Epoch())
 	c.BumpEpoch()
 	if e := c.Lookup(SpaceName, "Adder", 1, 0, testEpoch); e != nil {
@@ -75,7 +78,7 @@ func midFlight(c *Cache, change func()) bool {
 // it is valid again.
 func TestReplicatedChangeMidFlightNeverValidates(t *testing.T) {
 	var changes, tiers counter
-	c := New(8, changes.read, tiers.read)
+	c := New(stored(4), changes.read, tiers.read)
 	if midFlight(c, func() { changes.n.Add(1) }) {
 		t.Fatal("an entry stamped before a store change validated")
 	}
@@ -89,7 +92,7 @@ func TestReplicatedChangeMidFlightNeverValidates(t *testing.T) {
 // invalidates with the sources at rest.
 func TestBrownoutTransitionMidFlightNeverValidates(t *testing.T) {
 	var changes, tiers counter
-	c := New(8, changes.read, tiers.read)
+	c := New(stored(4), changes.read, tiers.read)
 	if midFlight(c, func() { tiers.n.Add(1) }) {
 		t.Fatal("an entry stamped before a tier transition validated")
 	}
@@ -102,7 +105,7 @@ func TestBrownoutTransitionMidFlightNeverValidates(t *testing.T) {
 }
 
 func TestStaleEpochStampNeverValidates(t *testing.T) {
-	c := New(8)
+	c := New(stored(4))
 	epoch := c.Epoch()
 	// A write lands while the response is being rendered.
 	c.BumpEpoch()
@@ -113,7 +116,7 @@ func TestStaleEpochStampNeverValidates(t *testing.T) {
 }
 
 func TestGenAndTierKeying(t *testing.T) {
-	c := New(8)
+	c := New(stored(4))
 	c.StoreAt(SpaceName, "Adder", &Entry{Gen: 3, Tier: 1}, c.Epoch())
 	if e := c.Lookup(SpaceName, "Adder", 4, 1, testEpoch); e != nil {
 		t.Fatal("entry validated across a snapshot generation change")
@@ -127,7 +130,7 @@ func TestGenAndTierKeying(t *testing.T) {
 }
 
 func TestExpiry(t *testing.T) {
-	c := New(8)
+	c := New(stored(4))
 	exp := testEpoch.Add(30 * time.Second)
 	c.StoreAt(SpaceName, "Adder", &Entry{Gen: 1, Expires: exp}, c.Epoch())
 	if e := c.Lookup(SpaceName, "Adder", 1, 0, exp.Add(-time.Second)); e == nil {
@@ -143,26 +146,52 @@ func TestExpiry(t *testing.T) {
 	}
 }
 
-func TestFlushOnFull(t *testing.T) {
-	c := New(4)
-	for i := 0; i < 4; i++ {
+// TestBoundFollowsStore: the cache flushes when a new key would take it
+// past numSpaces entries per stored service, storing again under an
+// existing key never flushes, and a store that grows lets more in.
+func TestBoundFollowsStore(t *testing.T) {
+	var services atomic.Int64
+	services.Store(2)
+	c := New(func() int { return int(services.Load()) })
+	for i := 0; i < 2; i++ {
 		c.StoreAt(SpaceName, fmt.Sprintf("svc-%d", i), &Entry{Gen: 1}, c.Epoch())
+		c.StoreAt(SpaceID, fmt.Sprintf("id-%d", i), &Entry{Gen: 1}, c.Epoch())
 	}
 	if c.Len() != 4 {
-		t.Fatalf("Len = %d, want 4", c.Len())
+		t.Fatalf("Len = %d, want 4 (numSpaces × 2 services)", c.Len())
 	}
-	// Restoring an existing key does not trigger the flush.
+	// Storing again under an existing key at the bound does not flush.
 	c.StoreAt(SpaceName, "svc-0", &Entry{Gen: 2}, c.Epoch())
+	c.StoreAt(SpaceID, "id-1", &Entry{Gen: 2}, c.Epoch())
 	if c.Len() != 4 {
 		t.Fatalf("Len after re-store = %d, want 4", c.Len())
 	}
-	// A new key at capacity flushes everything, then inserts.
-	c.StoreAt(SpaceName, "svc-4", &Entry{Gen: 1}, c.Epoch())
+	// A new key at the bound flushes everything, then inserts.
+	c.StoreAt(SpaceName, "svc-2", &Entry{Gen: 1}, c.Epoch())
 	if c.Len() != 1 {
 		t.Fatalf("Len after flush = %d, want 1", c.Len())
 	}
-	if e := c.Lookup(SpaceName, "svc-4", 1, 0, testEpoch); e == nil {
+	if e := c.Lookup(SpaceName, "svc-2", 1, 0, testEpoch); e == nil {
 		t.Fatal("entry inserted after flush not found")
+	}
+
+	// The store grows to 3 services: 6 entries fit without a flush.
+	services.Store(3)
+	for i := 0; i < 3; i++ {
+		c.StoreAt(SpaceName, fmt.Sprintf("svc-%d", i), &Entry{Gen: 1}, c.Epoch())
+		c.StoreAt(SpaceID, fmt.Sprintf("id-%d", i), &Entry{Gen: 1}, c.Epoch())
+	}
+	if c.Len() != 6 {
+		t.Fatalf("Len after growth = %d, want 6 (numSpaces × 3 services)", c.Len())
+	}
+	for i := 0; i < 3; i++ {
+		if e := c.Lookup(SpaceName, fmt.Sprintf("svc-%d", i), 1, 0, testEpoch); e == nil {
+			t.Fatalf("svc-%d was flushed below the grown bound", i)
+		}
+	}
+	c.StoreAt(SpaceID, "id-3", &Entry{Gen: 1}, c.Epoch())
+	if c.Len() != 1 {
+		t.Fatalf("Len past the grown bound = %d, want 1", c.Len())
 	}
 }
 
@@ -170,7 +199,7 @@ func TestFlushOnFull(t *testing.T) {
 // that entry's stamp — valid while the original would be, dead with it, and
 // never stored over anything else.
 func TestStoreSibling(t *testing.T) {
-	c := New(8)
+	c := New(stored(4))
 	of := &Entry{Gen: 1, JSON: []byte("j"), URIs: []string{"u"}}
 	c.StoreAt(SpaceName, "Adder", of, c.Epoch())
 	sib := *of
@@ -209,7 +238,7 @@ func TestStoreSibling(t *testing.T) {
 }
 
 func TestConcurrentAccess(t *testing.T) {
-	c := New(64)
+	c := New(stored(32))
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -247,7 +276,7 @@ func TestBufferPool(t *testing.T) {
 }
 
 func BenchmarkLookupHit(b *testing.B) {
-	c := New(8)
+	c := New(stored(4))
 	c.StoreAt(SpaceName, "Adder", &Entry{Gen: 1, JSON: []byte("{}")}, c.Epoch())
 	now := testEpoch
 	b.ReportAllocs()

@@ -96,6 +96,14 @@ func (s *Store) Len() int {
 	return len(s.objects)
 }
 
+// Services returns the number of stored services: the bound the response
+// cache sizes itself by, one answer per service.
+func (s *Store) Services() int {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return len(s.services)
+}
+
 // Change is one mutation of the tables: what a write-ahead-log record
 // carries, and what Apply makes visible to readers whole or not at all.
 type Change struct {
