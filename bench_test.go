@@ -23,7 +23,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/base64"
+	"encoding/binary"
+	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -47,6 +50,7 @@ import (
 	"repro/internal/nodestate"
 	"repro/internal/nodestatus"
 	"repro/internal/registry"
+	"repro/internal/repl"
 	"repro/internal/rim"
 	"repro/internal/router"
 	"repro/internal/simclock"
@@ -165,8 +169,23 @@ func gatedCases() []gatedCase {
 			func(tb testing.TB) func() { return httpDiscoveryOp(tb, c.req) }})
 	}
 	// The write exchange as publishers send it: the decode hook, the life
-	// cycle manager's update and the preserialized acknowledgement.
-	cases = append(cases, gatedCase{"BenchmarkSOAPWrite", "update-4", 111, soapWriteOp})
+	// cycle manager's update and the preserialized acknowledgement. On a
+	// leader with a log it costs the same: encoding the record and
+	// appending it allocate nothing.
+	cases = append(cases,
+		gatedCase{"BenchmarkSOAPWrite", "update-4", 111, func(tb testing.TB) func() { return soapWriteOp(tb, "") }},
+		gatedCase{"BenchmarkSOAPWrite", "update-4/wal", 111, func(tb testing.TB) func() { return soapWriteOp(tb, tb.TempDir()) }})
+	// The durability path, per object and per record. A checkpoint's
+	// allocations are its fixed ones (the capture, the sort, the writers
+	// and the frame buffer), whatever the number of objects it frames; a
+	// record is framed in the log's own buffer; a follower's apply
+	// allocates the objects it decodes and its HTTP exchange, not copies of
+	// the record.
+	cases = append(cases,
+		gatedCase{"BenchmarkCheckpointSave", "services-8x64", 11, func(tb testing.TB) func() { return checkpointSaveOp(tb, false) }},
+		gatedCase{"BenchmarkCheckpointSave", "events-x64", 11, func(tb testing.TB) func() { return checkpointSaveOp(tb, true) }},
+		gatedCase{"BenchmarkWALAppend", "never", 0, walAppendOp},
+		gatedCase{"BenchmarkFollowerApply", "record-8", 106, followerApplyOp})
 	return cases
 }
 
@@ -795,14 +814,18 @@ func httpDiscoveryOp(tb testing.TB, hr httpRequest) func() {
 // BenchmarkSOAPWrite prices the write exchange on /soap/registry.
 func BenchmarkSOAPWrite(b *testing.B) { runGated(b, "BenchmarkSOAPWrite") }
 
-// soapWriteOp is one SOAP write through the handler of an in-memory leader:
-// the canonical UpdateObjectsRequest of a four-binding service, carrying a
-// constraint, from a logged-in publisher — the benchmark's write.
-func soapWriteOp(tb testing.TB) func() {
+// soapWriteOp is one SOAP write through the handler of a leader, in memory
+// or logging to dataDir without fsync: the canonical UpdateObjectsRequest of
+// a four-binding service, carrying a constraint, from a logged-in publisher
+// — the benchmark's write.
+func soapWriteOp(tb testing.TB, dataDir string) func() {
 	reg, err := registry.New(registry.Config{
-		Clock:     simclock.NewManual(benchEpoch),
-		Policy:    core.PolicyFilter,
-		Admission: &admit.Config{}, // production defaults; never sheds at bench load
+		Clock:             simclock.NewManual(benchEpoch),
+		Policy:            core.PolicyFilter,
+		Admission:         &admit.Config{}, // production defaults; never sheds at bench load
+		DataDir:           dataDir,
+		Fsync:             wal.FsyncNever,
+		CheckpointRecords: -1,
 	})
 	if err != nil {
 		tb.Fatal(err)
@@ -951,25 +974,143 @@ func BenchmarkFlightRecord(b *testing.B) {
 // BenchmarkWALAppend measures the durability tax per acknowledged write:
 // one length+CRC32C-framed record appended to the active segment, under
 // the two interesting flush policies. "never" isolates the framing and
-// buffer cost; "always" adds the fsync every acknowledged registry write
-// pays at the default -fsync setting; fsync latency is hardware-dependent.
+// buffer cost, and is gated (walAppendOp); "always" adds the fsync every
+// acknowledged registry write pays at the default -fsync setting; fsync
+// latency is hardware-dependent.
 func BenchmarkWALAppend(b *testing.B) {
-	payload := []byte(strings.Repeat("x", 512))
-	for _, pol := range []wal.FsyncPolicy{wal.FsyncNever, wal.FsyncAlways} {
-		b.Run(pol.String(), func(b *testing.B) {
-			l, err := wal.Open(b.TempDir(), wal.Options{Fsync: pol, Clock: simclock.NewManual(benchEpoch)})
-			if err != nil {
+	runGated(b, "BenchmarkWALAppend")
+	b.Run("always", func(b *testing.B) {
+		l, err := wal.Open(b.TempDir(), wal.Options{Fsync: wal.FsyncAlways, Clock: simclock.NewManual(benchEpoch)})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer l.Close()
+		payload := []byte(strings.Repeat("x", 512))
+		b.SetBytes(int64(len(payload)))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := l.Append(payload); err != nil {
 				b.Fatal(err)
 			}
-			defer l.Close()
-			b.SetBytes(int64(len(payload)))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := l.Append(payload); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+		}
+	})
+}
+
+// walAppendOp is one 512-byte record appended to a log that never fsyncs.
+func walAppendOp(tb testing.TB) func() {
+	l, err := wal.Open(tb.TempDir(), wal.Options{Fsync: wal.FsyncNever, Clock: simclock.NewManual(benchEpoch)})
+	if err != nil {
+		tb.Fatal(err)
 	}
+	tb.Cleanup(func() { l.Close() })
+	payload := []byte(strings.Repeat("x", 512))
+	return func() {
+		if _, err := l.Append(payload); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
+// publishObjects is what one publish on the benchmark's population stores:
+// a service of eight bindings, a constraint block in its description, and
+// the audit event beside it; i numbers the ids.
+func publishObjects(i int) (*rim.Service, *rim.AuditableEvent) {
+	owner := "urn:uuid:00000000-0000-4000-8000-00000000cafe"
+	svc := rim.NewService(fmt.Sprintf("svc-%05d", i), "benchmark service <constraint><cpuLoad>load ls 1.5</cpuLoad><memory>memory gr 2GB</memory></constraint>")
+	svc.ID = fmt.Sprintf("urn:uuid:00000000-0000-4000-8000-%012d", i)
+	svc.LID, svc.Owner = svc.ID, owner
+	for j := 0; j < 8; j++ {
+		b := svc.AddBinding(fmt.Sprintf("http://127.0.1.%d:8080/svc-%05d/run", 1+j, i))
+		b.ID = fmt.Sprintf("%s-%d", svc.ID, j)
+		b.LID, b.Owner = b.ID, owner
+	}
+	ev := rim.NewAuditableEvent(rim.EventCreated, owner, benchEpoch.Add(time.Duration(i)*time.Millisecond), svc.ID)
+	ev.ID = fmt.Sprintf("urn:uuid:00000000-0000-4000-9000-%012d", i)
+	ev.LID = ev.ID
+	return svc, ev
+}
+
+// BenchmarkCheckpointSave prices a checkpoint's encoding, per object.
+func BenchmarkCheckpointSave(b *testing.B) { runGated(b, "BenchmarkCheckpointSave") }
+
+// checkpointSaveOp is Store.Save of 64 publishes' services, or their events,
+// into io.Discard.
+func checkpointSaveOp(tb testing.TB, events bool) func() {
+	s := store.New()
+	for i := 0; i < 64; i++ {
+		svc, ev := publishObjects(i)
+		o := rim.Object(svc)
+		if events {
+			o = ev
+		}
+		if err := s.Put(o); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return func() {
+		if err := s.Save(io.Discard); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkFollowerApply prices a follower's handling of one shipped record.
+func BenchmarkFollowerApply(b *testing.B) { runGated(b, "BenchmarkFollowerApply") }
+
+// followerApplyOp is one Poll of a follower whose leader answers with one
+// frame: the record of a publish (publishObjects), read, applied and logged
+// locally without fsync. The leader is a RoundTripper replaying that
+// response, so the count is the follower's alone plus its HTTP client's.
+func followerApplyOp(tb testing.TB) func() {
+	svc, ev := publishObjects(1)
+	var rec struct {
+		Op   string           `json:"op"`
+		Puts []store.Envelope `json:"puts"`
+	}
+	rec.Op = string(rim.EventCreated)
+	for _, o := range []rim.Object{svc, ev} {
+		data, err := json.Marshal(o)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		rec.Puts = append(rec.Puts, store.Envelope{Kind: o.Base().ObjectType.Short(), Data: data})
+	}
+	payload, err := json.Marshal(&rec)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	// The stream frame (package repl): length, CRC32C, sequence number,
+	// the position past the record, the leader's sequence number.
+	frame := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
+	frame = binary.LittleEndian.AppendUint32(frame, crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli)))
+	for _, word := range []uint64{1, 1, 4096, 1} {
+		frame = binary.LittleEndian.AppendUint64(frame, word)
+	}
+	frame = append(frame, payload...)
+	f, err := repl.OpenFollower(tb.TempDir(), store.New(), repl.FollowerOptions{
+		LeaderURL:       "http://leader.invalid",
+		Clock:           simclock.NewManual(benchEpoch),
+		Client:          &http.Client{Transport: replayFrame(frame)},
+		PollWait:        -1,
+		Log:             wal.Options{Fsync: wal.FsyncNever},
+		CheckpointBytes: -1, CheckpointRecords: -1,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { f.Close() })
+	ctx := context.Background()
+	return func() {
+		if n, err := f.Poll(ctx); n != 1 || err != nil {
+			tb.Fatalf("poll applied %d records: %v", n, err)
+		}
+	}
+}
+
+// replayFrame answers every request with one 200 response carrying frame.
+type replayFrame []byte
+
+func (f replayFrame) RoundTrip(*http.Request) (*http.Response, error) {
+	return &http.Response{StatusCode: http.StatusOK, Body: io.NopCloser(bytes.NewReader(f))}, nil
 }

@@ -9,10 +9,14 @@
 //
 // Every method reports failure as ok == false and leaves the scanner in no
 // particular state; the caller abandons the attempt.
+//
+// AppendString is the other direction: the string literal json.Marshal
+// writes, for the hand-written encoders of the same bytes.
 package jsonscan
 
 import (
 	"bytes"
+	"time"
 	"unicode/utf8"
 )
 
@@ -205,6 +209,28 @@ func (s *Scanner) String(same ...string) (string, bool) {
 	return string(b), true
 }
 
+// Time consumes a string literal and decodes it as json.Unmarshal decodes a
+// time.Time, which hands the literal, quotes and escapes included, to
+// (*time.Time).UnmarshalJSON. Only a literal of ASCII with no control byte
+// and no escape is accepted, so that the bytes handed over are the text
+// itself.
+func (s *Scanner) Time(t *time.Time) bool {
+	start := s.pos
+	if !s.Lit(`"`) {
+		return false
+	}
+	for i := s.pos; i < len(s.data); i++ {
+		switch c := s.data[i]; {
+		case c == '"':
+			s.pos = i + 1
+			return t.UnmarshalJSON(s.data[start:s.pos]) == nil
+		case c == '\\', c < 0x20, c >= utf8.RuneSelf:
+			return false
+		}
+	}
+	return false
+}
+
 // Strings consumes a non-empty array of string literals.
 func (s *Scanner) Strings() ([]string, bool) {
 	if !s.Lit("[") {
@@ -251,4 +277,59 @@ func (s *Scanner) Span() ([]byte, bool) {
 		}
 	}
 	return nil, false
+}
+
+// AppendString appends s as the JSON string literal json.Marshal writes for
+// it: the short escapes for quote, backslash, \b, \f, \n, \r and \t, \u00XX
+// for the other control bytes and for <, > and &, \u2028 and \u2029 for the
+// two line separators, and \ufffd for each byte that is not UTF-8.
+func AppendString(b []byte, s string) []byte {
+	const hex = "0123456789abcdef"
+	b = append(b, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		c := s[i]
+		if c < utf8.RuneSelf {
+			if c >= 0x20 && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
+				i++
+				continue
+			}
+			b = append(b, s[start:i]...)
+			switch c {
+			case '"', '\\':
+				b = append(b, '\\', c)
+			case '\b':
+				b = append(b, '\\', 'b')
+			case '\f':
+				b = append(b, '\\', 'f')
+			case '\n':
+				b = append(b, '\\', 'n')
+			case '\r':
+				b = append(b, '\\', 'r')
+			case '\t':
+				b = append(b, '\\', 't')
+			default:
+				b = append(b, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xF])
+			}
+			i++
+			start = i
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case r == utf8.RuneError && size == 1:
+			b = append(b, s[start:i]...)
+			b = append(b, `\ufffd`...)
+		case r == '\u2028' || r == '\u2029':
+			b = append(b, s[start:i]...)
+			b = append(b, '\\', 'u', '2', '0', '2', hex[r&0xF])
+		default:
+			i += size
+			continue
+		}
+		i += size
+		start = i
+	}
+	b = append(b, s[start:]...)
+	return append(b, '"')
 }

@@ -218,9 +218,15 @@ func (c *Collector) CollectOnce() {
 // then exclude the host). Hosts with an open breaker are skipped and left
 // quarantined. ctx bounds every invocation in the sweep: cancelling it
 // makes context-aware invokers release their sockets mid-flight.
+//
+// Before the first row changes, the RCU snapshot is brought up to date —
+// a no-op between sweeps, a publish after a restore or at boot — so that
+// until the sweep publishes, a reader within the staleness guard sees the
+// rows from before it rather than publishing a half-swept table itself.
 func (c *Collector) CollectOnceCtx(ctx context.Context) {
 	uris := c.uris()
 	now := c.clock.Now()
+	c.table.Snapshot(now, 0)
 
 	sem := make(chan struct{}, c.parallelism)
 	var wg sync.WaitGroup
@@ -413,14 +419,21 @@ func (c *Collector) HealthSnapshot() []HostHealthReport {
 
 // Run collects immediately and then on every period tick until ctx is
 // cancelled. It uses the collector's clock, so tests drive it with a
-// simclock.Manual.
+// simclock.Manual. While the deployment lists no host the tick is a tenth
+// of the period: a registry learns its hosts' state soon after their
+// NodeStatus deployment is published, not up to a period later, and so
+// does a checkpoint it takes meanwhile, which a restart recovers from.
 func (c *Collector) Run(ctx context.Context) {
 	for {
 		c.CollectOnceCtx(ctx)
+		wait := c.period
+		if len(c.uris()) == 0 {
+			wait /= 10
+		}
 		select {
 		case <-ctx.Done():
 			return
-		case <-c.clock.After(c.period):
+		case <-c.clock.After(wait):
 		}
 	}
 }

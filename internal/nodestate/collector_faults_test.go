@@ -151,23 +151,23 @@ func TestDeadlineCancelsHungInvocation(t *testing.T) {
 
 	done := make(chan struct{})
 	go func() { col.CollectOnce(); close(done) }()
-	for {
-		select {
-		case <-done:
-			stats := col.FaultStats()
-			if stats.Timeouts != 1 || stats.Errs != 1 {
-				t.Fatalf("stats = %+v", stats)
-			}
-			row, _ := table.Get("thermo.sdsu.edu")
-			if row.Health != store.HealthDegraded || row.Failures != 1 {
-				t.Fatalf("row = %+v", row)
-			}
-			clk.Advance(time.Minute)
-			return
-		default:
-			clk.Advance(time.Second)
-		}
+	// Time moves only once both waits have started, the collector's
+	// deadline and the hang: a hang that started after the advance would
+	// outlive the minute the test ends with.
+	for clk.PendingWaiters() < 2 {
+		runtime.Gosched()
 	}
+	clk.Advance(5 * time.Second)
+	<-done
+	stats := col.FaultStats()
+	if stats.Timeouts != 1 || stats.Errs != 1 {
+		t.Fatalf("stats = %+v", stats)
+	}
+	row, _ := table.Get("thermo.sdsu.edu")
+	if row.Health != store.HealthDegraded || row.Failures != 1 {
+		t.Fatalf("row = %+v", row)
+	}
+	clk.Advance(time.Minute)
 }
 
 // TestCancelledSweepReturnsWhileHostHangs cancels a sweep whose one host

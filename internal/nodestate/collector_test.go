@@ -3,12 +3,14 @@ package nodestate
 import (
 	"context"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/hostsim"
 	"repro/internal/integration/leakcheck"
 	"repro/internal/nodestatus"
+	"repro/internal/rim"
 	"repro/internal/simclock"
 	"repro/internal/store"
 )
@@ -135,6 +137,41 @@ func TestRunPollsOnPeriod(t *testing.T) {
 	}
 }
 
+// TestRunSweepsSoonAfterHostsAppear: a collector whose deployment lists no
+// host looks again after a tenth of a period, so the first hosts published
+// are swept then, not a whole period later.
+func TestRunSweepsSoonAfterHostsAppear(t *testing.T) {
+	cluster, clk := simCluster()
+	table := store.NewNodeStateTable()
+	var published atomic.Bool
+	uris := func() []string {
+		if !published.Load() {
+			return nil
+		}
+		return urisOf(cluster)()
+	}
+	col := New(table, nodestatus.LocalInvoker{Cluster: cluster, Clock: clk}, clk, uris, WithPeriod(time.Second))
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() { col.Run(ctx); close(done) }()
+	defer func() { cancel(); <-done }()
+
+	for i := 0; i < 5000 && clk.PendingWaiters() == 0; i++ {
+		time.Sleep(time.Millisecond)
+	}
+	published.Store(true)
+	clk.Advance(100 * time.Millisecond)
+	for i := 0; i < 5000; i++ {
+		if s, _ := col.Stats(); s >= 2 {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if s, _ := col.Stats(); s < 2 || table.Len() != 2 {
+		t.Fatalf("a tenth of a period after the hosts appeared: %d sweeps, %d rows; want 2 and 2", s, table.Len())
+	}
+}
+
 func TestCollectorOverHTTP(t *testing.T) {
 	// End-to-end: real NodeStatus HTTP servers, HTTP invoker.
 	cluster, clk := simCluster()
@@ -162,5 +199,49 @@ func TestCollectorOverHTTP(t *testing.T) {
 func TestDefaultPeriodMatchesThesis(t *testing.T) {
 	if DefaultPeriod != 25*time.Second {
 		t.Fatalf("DefaultPeriod = %v, thesis says 25s", DefaultPeriod)
+	}
+}
+
+// gatedInvoker answers every host at once but slow, whose invocation
+// announces itself on reached and then waits for release.
+type gatedInvoker struct {
+	slow             string
+	reached, release chan struct{}
+}
+
+func (g *gatedInvoker) Invoke(uri string) (nodestatus.Response, error) {
+	if rim.HostOfURI(uri) == g.slow {
+		close(g.reached)
+		<-g.release
+	}
+	return nodestatus.Response{Host: rim.HostOfURI(uri), Load: 0.5, MemoryB: 1 << 30}, nil
+}
+
+// TestSweepLandsWhole: a reader that arrives while a sweep is in flight,
+// within the staleness guard, sees the table as it was before the sweep —
+// here, at boot, no rows — and never publishes part of the sweep itself.
+// A reader of half a sweep answers the services on one half from the sweep
+// and those on the other from older rows, or, after a restore without
+// rows, from none.
+func TestSweepLandsWhole(t *testing.T) {
+	defer leakcheck.Check(t)()
+	clk := simclock.NewManual(t0)
+	table := store.NewNodeStateTable()
+	inv := &gatedInvoker{slow: "exergy.sdsu.edu", reached: make(chan struct{}), release: make(chan struct{})}
+	// One invocation at a time, in order: thermo has answered and been
+	// recorded before exergy's invocation starts.
+	col := New(table, inv, clk, staticURIs("http://thermo.sdsu.edu:8080/NodeStatus", "http://exergy.sdsu.edu:8080/NodeStatus"),
+		WithParallelism(1))
+	done := make(chan struct{})
+	go func() { col.CollectOnce(); close(done) }()
+
+	<-inv.reached
+	if snap := table.Snapshot(clk.Now(), time.Second); snap.Len() != 0 {
+		t.Errorf("a reader mid-sweep sees %d rows of it, want none", snap.Len())
+	}
+	close(inv.release)
+	<-done
+	if snap := table.Snapshot(clk.Now(), time.Second); snap.Len() != 2 {
+		t.Fatalf("after the sweep a reader sees %d rows, want 2", snap.Len())
 	}
 }

@@ -68,13 +68,19 @@ type FollowerOptions struct {
 // position.
 const localPrefixLen = 24
 
-func encodeLocal(rec wal.StreamRecord) []byte {
-	b := make([]byte, 0, localPrefixLen+len(rec.Payload))
-	b = binary.LittleEndian.AppendUint64(b, rec.Pos.Segment)
-	b = binary.LittleEndian.AppendUint64(b, uint64(rec.Pos.Offset))
-	b = binary.LittleEndian.AppendUint64(b, rec.Seq)
-	return append(b, rec.Payload...)
+// encodeLocal returns the local record of rec, whose payload readFrame read
+// into frame behind localPrefixLen bytes of headroom: the prefix is written
+// there, in place, and the payload is not copied.
+func encodeLocal(frame []byte, rec wal.StreamRecord) []byte {
+	binary.LittleEndian.PutUint64(frame[0:], rec.Pos.Segment)
+	binary.LittleEndian.PutUint64(frame[8:], uint64(rec.Pos.Offset))
+	binary.LittleEndian.PutUint64(frame[16:], rec.Seq)
+	return frame[:localPrefixLen+len(rec.Payload)]
 }
+
+// maxReusedFrame bounds the frame buffer a follower keeps between polls:
+// one large record must not pin its size for the life of the process.
+const maxReusedFrame = 1 << 20
 
 func decodeLocal(b []byte) (wal.StreamRecord, error) {
 	if len(b) < localPrefixLen {
@@ -108,6 +114,7 @@ type Follower struct {
 	slog    *slog.Logger
 	client  *http.Client
 	leader  string // base URL, trailing slash trimmed
+	frame   []byte // Poll's: the buffer each streamed record is read into
 
 	mu       sync.Mutex   // also orders every journal call
 	hasState bool         // guarded by mu — a checkpoint or record survived recovery
@@ -314,9 +321,14 @@ func (f *Follower) Poll(ctx context.Context) (int, error) {
 		f.observe(false)
 	}
 	br := bufio.NewReader(resp.Body)
+	defer func() {
+		if cap(f.frame) > maxReusedFrame {
+			f.frame = nil
+		}
+	}()
 	applied := 0
 	for {
-		rec, leaderSeq, err := readFrame(br)
+		rec, leaderSeq, err := readFrame(br, &f.frame)
 		if err == io.EOF {
 			return applied, nil
 		}
@@ -326,7 +338,7 @@ func (f *Follower) Poll(ctx context.Context) (int, error) {
 		}
 		// The leader's sequence first: lag must never read lower than it is.
 		f.leaderSeq.Store(leaderSeq)
-		if err := f.apply(rec); err != nil {
+		if err := f.apply(rec, f.frame); err != nil {
 			f.disconnect(err)
 			return applied, err
 		}
@@ -346,13 +358,14 @@ func (f *Follower) observe(appliedOne bool) {
 	}
 }
 
-// apply replays one streamed record into the store and persists it
-// locally.
-func (f *Follower) apply(rec wal.StreamRecord) error {
+// apply replays one streamed record, read into frame by readFrame, into
+// the store and persists it locally. Nothing the store keeps aliases
+// frame, which the next record overwrites.
+func (f *Follower) apply(rec wal.StreamRecord, frame []byte) error {
 	if _, err := wal.ApplyRecord(f.store, rec.Payload); err != nil {
 		return err
 	}
-	wrapper := encodeLocal(rec)
+	wrapper := encodeLocal(frame, rec)
 	f.mu.Lock()
 	due, err := f.journal.Append(wrapper)
 	if err != nil {

@@ -98,8 +98,11 @@ func writeFrame(w io.Writer, rec wal.StreamRecord, leaderSeq uint64) error {
 }
 
 // readFrame decodes the next frame and the leader sequence number it
-// carries; io.EOF cleanly ends a stream only on a frame boundary.
-func readFrame(r *bufio.Reader) (wal.StreamRecord, uint64, error) {
+// carries; io.EOF cleanly ends a stream only on a frame boundary. The
+// payload is read into *buf, grown as needed, behind localPrefixLen bytes
+// of headroom for encodeLocal: it is valid until the next call with the
+// same buffer.
+func readFrame(r *bufio.Reader, buf *[]byte) (wal.StreamRecord, uint64, error) {
 	var hdr [frameHeaderLen]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		if errors.Is(err, io.EOF) {
@@ -111,13 +114,16 @@ func readFrame(r *bufio.Reader) (wal.StreamRecord, uint64, error) {
 	if length > maxFramePayload {
 		return wal.StreamRecord{}, 0, fmt.Errorf("repl: frame of %d bytes exceeds bound", length)
 	}
+	if need := localPrefixLen + int(length); cap(*buf) < need {
+		*buf = make([]byte, need)
+	}
 	rec := wal.StreamRecord{
 		Seq: binary.LittleEndian.Uint64(hdr[8:16]),
 		Pos: wal.Position{
 			Segment: binary.LittleEndian.Uint64(hdr[16:24]),
 			Offset:  int64(binary.LittleEndian.Uint64(hdr[24:32])),
 		},
-		Payload: make([]byte, length),
+		Payload: (*buf)[localPrefixLen : localPrefixLen+int(length)],
 	}
 	if _, err := io.ReadFull(r, rec.Payload); err != nil {
 		return wal.StreamRecord{}, 0, fmt.Errorf("repl: read frame payload: %w", err)

@@ -14,6 +14,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"math/rand"
 	"net/http"
@@ -229,6 +230,88 @@ func TestReplFollowerRestartResumesFromDurablePosition(t *testing.T) {
 	}
 }
 
+// TestReplApplyKeepsNothingOfTheFrame: a follower reads every record into
+// one buffer and re-logs it from that buffer, so nothing the store keeps may
+// alias it. Poll's loop runs here one record at a time with the buffer
+// overwritten after every apply: the store must not change, and the local
+// log, replayed by a restart that finds no newer checkpoint, must rebuild
+// the same store.
+func TestReplApplyKeepsNothingOfTheFrame(t *testing.T) {
+	n := newLeaderNode(t, t.TempDir(), wal.DurableOptions{Log: wal.Options{Fsync: wal.FsyncNever}})
+	defer n.d.Close()
+	n.submit("bootstrapped")
+	if err := n.d.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(n.handler())
+	defer srv.Close()
+	fdir := t.TempDir()
+	noCheckpoints := func(o *FollowerOptions) { o.CheckpointRecords, o.CheckpointBytes = -1, -1 }
+	f := newFollower(t, fdir, srv.URL, srv.Client(), noCheckpoints)
+	if err := f.Bootstrap(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+
+	// Every kind of record a registry logs, with every kind of value in it.
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	svc := rim.NewService("Añadir <数>", "Adds. <constraint><cpuLoad>load ls 1.0</cpuLoad></constraint>")
+	for i := 0; i < 8; i++ {
+		svc.AddBinding(fmt.Sprintf("http://h%d.sdsu.edu:8080/Adder/addService", i))
+	}
+	svc.Slots = []rim.Slot{{Name: "copyright", SlotType: "text", Values: []string{"SDSU \u2028 2011"}}}
+	svc.Classifications = []*rim.Classification{rim.NewExternalClassification(svc.ID, "urn:scheme", "compute")}
+	svc.ExternalIdentifiers = []*rim.ExternalIdentifier{rim.NewExternalIdentifier(svc.ID, "urn:duns", "0042")}
+	svc.Bindings[0].SpecificationLinks = []*rim.SpecificationLink{rim.NewSpecificationLink(svc.Bindings[0].ID, "urn:uuid:wsdl")}
+	must(n.mgr.SubmitObjects(n.lctx, svc))
+	svc.Description = rim.NewIString("Adds faster.")
+	must(n.mgr.UpdateObjects(n.lctx, svc))
+	must(n.mgr.ApproveObjects(n.lctx, svc.ID))
+	must(n.mgr.PutContent(svc.ID+":wsdl", []byte("<definitions/>\x00\xff")))
+	must(n.mgr.SubmitObjects(n.lctx, rim.NewOrganization("SDSU")))
+	must(n.mgr.RemoveObjects(n.lctx, n.submit("removed")))
+	must(n.mgr.DeleteContent(svc.ID + ":wsdl"))
+
+	w := httptest.NewRecorder()
+	n.ld.ServeWAL(w, httptest.NewRequest(http.MethodGet, PathWAL+"?from="+f.Stats().Applied.String(), nil))
+	br := bufio.NewReader(w.Body)
+	applied := 0
+	for ; ; applied++ {
+		rec, _, err := readFrame(br, &f.frame)
+		if err == io.EOF {
+			break
+		}
+		must(err)
+		must(f.apply(rec, f.frame))
+		before := saveBytes(t, f.store)
+		frame := f.frame[:cap(f.frame)]
+		for i := range frame {
+			frame[i] = 'x'
+		}
+		if !bytes.Equal(saveBytes(t, f.store), before) {
+			t.Fatalf("overwriting the frame buffer after record %d changed the store", applied)
+		}
+	}
+	if applied < 8 {
+		t.Fatalf("the stream carried %d records, want at least 8", applied)
+	}
+	assertConverged(t, n, f)
+
+	// Abandoned without a checkpoint: the restart replays every record from
+	// the local log.
+	must(f.journal.Close())
+	g := newFollower(t, fdir, srv.URL, srv.Client(), noCheckpoints)
+	defer g.Close()
+	if got, want := g.Stats().Applied, f.Stats().Applied; got != want {
+		t.Fatalf("restarted follower at %s, want %s", got, want)
+	}
+	assertConverged(t, n, g)
+}
+
 // handlerProxy lets a test "restart" the leader behind one stable URL.
 type handlerProxy struct {
 	h atomic.Pointer[http.Handler]
@@ -408,7 +491,7 @@ func TestReplFrameRoundtripAndCorruption(t *testing.T) {
 	if err := writeFrame(&buf, rec, 57); err != nil {
 		t.Fatal(err)
 	}
-	got, leaderSeq, err := readFrame(newBufReader(buf.Bytes()))
+	got, leaderSeq, err := readFrame(newBufReader(buf.Bytes()), new([]byte))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -418,11 +501,11 @@ func TestReplFrameRoundtripAndCorruption(t *testing.T) {
 
 	corrupt := append([]byte(nil), buf.Bytes()...)
 	corrupt[len(corrupt)-1] ^= 0xff
-	if _, _, err := readFrame(newBufReader(corrupt)); err == nil {
+	if _, _, err := readFrame(newBufReader(corrupt), new([]byte)); err == nil {
 		t.Fatal("corrupted frame passed CRC")
 	}
 	truncated := buf.Bytes()[:buf.Len()-3]
-	if _, _, err := readFrame(newBufReader(truncated)); err == nil {
+	if _, _, err := readFrame(newBufReader(truncated), new([]byte)); err == nil {
 		t.Fatal("truncated frame accepted")
 	}
 }

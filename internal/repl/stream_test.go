@@ -42,7 +42,7 @@ func readFrames(t *testing.T, body io.Reader) (recs []wal.StreamRecord, leaderSe
 	t.Helper()
 	br := bufio.NewReader(body)
 	for {
-		rec, leaderSeq, err := readFrame(br)
+		rec, leaderSeq, err := readFrame(br, new([]byte)) // each record keeps its own payload
 		if err == io.EOF {
 			return recs, leaderSeqs
 		}
@@ -528,8 +528,9 @@ func FuzzReadFrame(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		br := newBufReader(data)
 		consumed := 0
+		var buf []byte // reused across the frames, as a follower's poll reuses it
 		for {
-			rec, leaderSeq, err := readFrame(br)
+			rec, leaderSeq, err := readFrame(br, &buf)
 			if err != nil {
 				if err == io.EOF && consumed != len(data) {
 					t.Fatalf("clean end of stream with %d of %d bytes consumed", consumed, len(data))

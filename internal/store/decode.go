@@ -7,20 +7,21 @@ import (
 	"repro/internal/rim"
 )
 
-// objectScan decodes the JSON of a Service with its bindings — 99 % of a
-// checkpoint's bytes and the bulk of every publish record — as json.Marshal
-// writes it: exact-case keys, each at most once, in any order, over the
-// literals jsonscan accepts. It is a second reader of one format, never a
-// second format: encoding/json remains the encoder, the decoder of every
-// other class and of every input this one declines, and the reference it is
-// fuzzed against. Whatever it accepts it decodes to exactly the value
-// json.Unmarshal would have built, out of strings that are copies of the
-// input, never views of it.
+// objectScan decodes the JSON of the two classes every publish stores — a
+// Service with its bindings, 99 % of a checkpoint's bytes, and the
+// AuditableEvent beside it in each log record — as the appenders of
+// encode.go, and json.Marshal, write it: exact-case keys, each at most
+// once, in any order, over the literals jsonscan accepts. It is a second
+// reader of one format, never a second format: encoding/json remains the
+// decoder of every other class and of every input this one declines, and
+// the reference it is fuzzed against. Whatever it accepts it decodes to
+// exactly the value json.Unmarshal would have built, out of strings that
+// are copies of the input, never views of it.
 //
-// Values that repeat are shared rather than copied: an ObjectType or Status
-// equal to a rim constant becomes that constant, likewise the default
-// locale; LID shares ID's string, a binding's access URI its name's, a
-// binding's ServiceID and Owner its service's.
+// Values that repeat are shared rather than copied: an ObjectType, Status
+// or EventKind equal to a rim constant becomes that constant, likewise the
+// default locale; LID shares ID's string, a binding's access URI its
+// name's, a binding's ServiceID and Owner its service's.
 type objectScan struct {
 	jsonscan.Scanner
 	// reflected is set once a field went through encoding/json: the object
@@ -64,7 +65,7 @@ func (s *objectScan) baseField(r *rim.RegistryObject, key []byte, seen *jsonscan
 	case "Description":
 		return s.istring(&r.Description) && seen.First(fieldDescription)
 	case "ObjectType":
-		v, ok = s.String(string(rim.TypeService), string(rim.TypeServiceBinding))
+		v, ok = s.String(string(rim.TypeService), string(rim.TypeServiceBinding), string(rim.TypeAuditableEvent))
 		r.ObjectType = rim.ObjectType(v)
 		return ok && seen.First(fieldObjectType)
 	case "Status":
@@ -253,6 +254,47 @@ func (s *objectScan) binding(b *rim.ServiceBinding, svc *rim.Service) bool {
 			ok = s.reflect(&b.SpecificationLinks) && seen.First(ownField<<3)
 		default:
 			ok = s.baseField(&b.RegistryObject, key, &seen)
+		}
+		if !ok {
+			return false
+		}
+	}
+}
+
+// event decodes one AuditableEvent.
+func (s *objectScan) event(e *rim.AuditableEvent) bool {
+	if !s.Lit("{") {
+		return false
+	}
+	var seen jsonscan.Fields
+	for first := true; ; first = false {
+		key, done, ok := s.Member(first)
+		if !ok || done {
+			return ok
+		}
+		var v string
+		switch string(key) {
+		case "EventKind":
+			v, ok = s.String(string(rim.EventCreated), string(rim.EventUpdated), string(rim.EventApproved),
+				string(rim.EventDeprecated), string(rim.EventUndeprecated), string(rim.EventDeleted), string(rim.EventVersioned),
+				string(rim.EventRelocated))
+			e.EventKind = rim.EventType(v)
+			ok = ok && seen.First(ownField)
+		case "UserID":
+			e.UserID, ok = s.String()
+			ok = ok && seen.First(ownField<<1)
+		case "Timestamp":
+			ok = s.Time(&e.Timestamp) && seen.First(ownField<<2)
+		case "AffectedIDs":
+			if !s.Lit("null") {
+				e.AffectedIDs, ok = s.Strings()
+			}
+			ok = ok && seen.First(ownField<<3)
+		case "RequestID":
+			e.RequestID, ok = s.String()
+			ok = ok && seen.First(ownField<<4)
+		default:
+			ok = s.baseField(&e.RegistryObject, key, &seen)
 		}
 		if !ok {
 			return false

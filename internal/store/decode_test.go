@@ -1,7 +1,7 @@
 package store
 
-// decodeObject reads a Service with a hand-written scanner and every other
-// class, or anything odd, with encoding/json. The stored format is whatever
+// decodeObject reads a Service and an AuditableEvent with a hand-written
+// scanner and every other class, or anything odd, with encoding/json. The stored format is whatever
 // json.Marshal writes and json.Unmarshal reads, so the scanner is held to
 // that: a table of the shapes that matter, a differential fuzz target over
 // the same table, a guard that the common shape really takes the fast path,
@@ -90,6 +90,17 @@ func decodeSeeds(tb testing.TB) map[string]decodeSeed {
 	bare := &rim.Service{RegistryObject: rim.RegistryObject{ID: "urn:x", ObjectType: rim.TypeService}}
 	event := rim.NewAuditableEvent(rim.EventCreated, "urn:uuid:user", time.Date(2011, 4, 22, 2, 0, 0, 123, time.UTC), "urn:uuid:a", "urn:uuid:b")
 	event.ID, event.LID = "urn:uuid:event", "urn:uuid:event"
+	eventJSON := marshal(tb, event)
+	editEvent := func(old, new string) []byte {
+		if !bytes.Contains(eventJSON, []byte(old)) {
+			tb.Fatalf("the event has no %s to edit", old)
+		}
+		return bytes.Replace(eventJSON, []byte(old), []byte(new), 1)
+	}
+	pdt := rim.NewAuditableEvent(rim.EventUpdated, "urn:uuid:user", time.Date(2011, 4, 22, 2, 0, 0, 0, time.FixedZone("PDT", -7*3600)))
+	pdt.ID, pdt.LID = "urn:uuid:event", "urn:uuid:event"
+	pdt.Slots = []rim.Slot{{Name: "request", Values: []string{"r-1"}}}
+	pdt.RequestID = "r-1"
 
 	// The thesis service with its keys in the reverse of the encoder's
 	// order: Bindings come before the ID and Owner they repeat.
@@ -116,42 +127,49 @@ func decodeSeeds(tb testing.TB) map[string]decodeSeed {
 	}
 
 	return map[string]decodeSeed{
-		"thesis-example":      {"Service", thesis, true},
-		"binding-on-its-own":  {"ServiceBinding", marshal(tb, thesisService().Bindings[0]), false},
-		"auditable-event":     {"AuditableEvent", marshal(tb, event), false},
-		"every-escape-class":  {"Service", marshal(tb, escapes), true},
-		"non-ascii-name":      {"Service", marshal(tb, nonASCII), true},
-		"slots-and-links":     {"Service", marshal(tb, slots), true},
-		"no-bindings":         {"Service", marshal(tb, bare), true},
-		"empty-object":        {"Service", []byte(`{}`), true},
-		"keys-reversed":       {"Service", reversed, true},
-		"escaped-solidus":     {"Service", edit(`"Home":""`, `"Home":"http:\/\/home"`), true},
-		"upper-case-hex":      {"Service", edit("\\u003cconstraint", "\\u003Cconstraint"), true},
-		"null-binding":        {"Service", edit(`"Bindings":[{`, `"Bindings":[null,{`), false},
-		"null-classification": {"Service", edit(`"Classifications":null`, `"Classifications":[null]`), true},
-		"duplicate-key":       {"Service", edit(`"Home":""`, `"Home":"a","Home":""`), false},
-		"case-variant-key":    {"Service", edit(`"Home":""`, `"home":"h"`), false},
-		"unknown-key":         {"Service", edit(`"Home":""`, `"Home":"","Flavour":1`), false},
-		"empty-bindings":      {"Service", edit(thesisBindings(tb, thesis), `[]`), false},
-		"empty-localized":     {"Service", edit(`"Description":{"Localized":[`, `"Description":{"Localized":[],"x":[`), false},
-		"null-string":         {"Service", edit(`"Home":""`, `"Home":null`), false},
-		"number-for-string":   {"Service", edit(`"Home":""`, `"Home":7`), false},
-		"surrogate-pair":      {"Service", edit("Adds numbers", "Adds \\ud83d\\ude00 numbers"), false},
-		"lone-surrogate":      {"Service", edit(`Adds numbers`, `Adds \ud83d numbers`), false},
-		"invalid-utf8":        {"Service", edit(`Adds numbers`, "Adds \xff numbers"), false},
-		"raw-control-byte":    {"Service", edit(`Adds numbers`, "Adds \x01 numbers"), false},
-		"bad-escape":          {"Service", edit(`Adds numbers`, `Adds \x numbers`), false},
-		"short-u-escape":      {"Service", edit(`Adds numbers`, `Adds \u12`), false},
-		"escaped-key":         {"Service", edit(`"Home":""`, "\"\\u0048ome\":\"\""), false},
-		"whitespace":          {"Service", indented.Bytes(), false},
-		"trailing-bytes":      {"Service", append(append([]byte(nil), thesis...), ' ', '1'), false},
-		"trailing-newline":    {"Service", append(append([]byte(nil), thesis...), '\n'), false},
-		"truncated":           {"Service", thesis[:len(thesis)/2], false},
-		"array":               {"Service", []byte(`[1,2]`), false},
-		"slots-malformed":     {"Service", edit(`"Slots":null`, `"Slots":[{"Name":1}]`), false},
-		"slots-unbalanced":    {"Service", edit(`"Slots":null`, `"Slots":[{]}`), false},
-		"other-class":         {"Organization", marshal(tb, org), false},
-		"unknown-class":       {"Martian", []byte(`{}`), false},
+		"thesis-example":          {"Service", thesis, true},
+		"binding-on-its-own":      {"ServiceBinding", marshal(tb, thesisService().Bindings[0]), false},
+		"auditable-event":         {"AuditableEvent", eventJSON, true},
+		"event-non-utc-slots":     {"AuditableEvent", marshal(tb, pdt), true},
+		"event-no-affected":       {"AuditableEvent", editEvent(`"AffectedIDs":["urn:uuid:a","urn:uuid:b"]`, `"AffectedIDs":null`), true},
+		"event-empty-affected":    {"AuditableEvent", editEvent(`"AffectedIDs":["urn:uuid:a","urn:uuid:b"]`, `"AffectedIDs":[]`), false},
+		"event-null-timestamp":    {"AuditableEvent", editEvent(`"Timestamp":"2011-04-22T02:00:00.000000123Z"`, `"Timestamp":null`), false},
+		"event-escaped-timestamp": {"AuditableEvent", editEvent(`"Timestamp":"2011`, `"Timestamp":"\u0032011`), false},
+		"event-bad-timestamp":     {"AuditableEvent", editEvent(`"Timestamp":"2011`, `"Timestamp":"99999`), false},
+		"event-duplicate-kind":    {"AuditableEvent", editEvent(`"EventKind":"Created"`, `"EventKind":"Created","EventKind":"Deleted"`), false},
+		"every-escape-class":      {"Service", marshal(tb, escapes), true},
+		"non-ascii-name":          {"Service", marshal(tb, nonASCII), true},
+		"slots-and-links":         {"Service", marshal(tb, slots), true},
+		"no-bindings":             {"Service", marshal(tb, bare), true},
+		"empty-object":            {"Service", []byte(`{}`), true},
+		"keys-reversed":           {"Service", reversed, true},
+		"escaped-solidus":         {"Service", edit(`"Home":""`, `"Home":"http:\/\/home"`), true},
+		"upper-case-hex":          {"Service", edit("\\u003cconstraint", "\\u003Cconstraint"), true},
+		"null-binding":            {"Service", edit(`"Bindings":[{`, `"Bindings":[null,{`), false},
+		"null-classification":     {"Service", edit(`"Classifications":null`, `"Classifications":[null]`), true},
+		"duplicate-key":           {"Service", edit(`"Home":""`, `"Home":"a","Home":""`), false},
+		"case-variant-key":        {"Service", edit(`"Home":""`, `"home":"h"`), false},
+		"unknown-key":             {"Service", edit(`"Home":""`, `"Home":"","Flavour":1`), false},
+		"empty-bindings":          {"Service", edit(thesisBindings(tb, thesis), `[]`), false},
+		"empty-localized":         {"Service", edit(`"Description":{"Localized":[`, `"Description":{"Localized":[],"x":[`), false},
+		"null-string":             {"Service", edit(`"Home":""`, `"Home":null`), false},
+		"number-for-string":       {"Service", edit(`"Home":""`, `"Home":7`), false},
+		"surrogate-pair":          {"Service", edit("Adds numbers", "Adds \\ud83d\\ude00 numbers"), false},
+		"lone-surrogate":          {"Service", edit(`Adds numbers`, `Adds \ud83d numbers`), false},
+		"invalid-utf8":            {"Service", edit(`Adds numbers`, "Adds \xff numbers"), false},
+		"raw-control-byte":        {"Service", edit(`Adds numbers`, "Adds \x01 numbers"), false},
+		"bad-escape":              {"Service", edit(`Adds numbers`, `Adds \x numbers`), false},
+		"short-u-escape":          {"Service", edit(`Adds numbers`, `Adds \u12`), false},
+		"escaped-key":             {"Service", edit(`"Home":""`, "\"\\u0048ome\":\"\""), false},
+		"whitespace":              {"Service", indented.Bytes(), false},
+		"trailing-bytes":          {"Service", append(append([]byte(nil), thesis...), ' ', '1'), false},
+		"trailing-newline":        {"Service", append(append([]byte(nil), thesis...), '\n'), false},
+		"truncated":               {"Service", thesis[:len(thesis)/2], false},
+		"array":                   {"Service", []byte(`[1,2]`), false},
+		"slots-malformed":         {"Service", edit(`"Slots":null`, `"Slots":[{"Name":1}]`), false},
+		"slots-unbalanced":        {"Service", edit(`"Slots":null`, `"Slots":[{]}`), false},
+		"other-class":             {"Organization", marshal(tb, org), false},
+		"unknown-class":           {"Martian", []byte(`{}`), false},
 	}
 }
 
@@ -258,12 +276,14 @@ func FuzzDecodeObject(f *testing.F) {
 	})
 }
 
-// TestFastPathTakesThePopulation: the scanner is worth having only while it
-// takes what is actually stored. Over a population shaped like the
-// benchmark's — constraint blocks in nine descriptions in ten, HTML-escaped
-// by the encoder — plus a slot and a non-ASCII name, every Service frame of
-// a snapshot decodes without the fallback; a missed escape would give the
-// whole gain back without failing any other test.
+// TestFastPathTakesThePopulation: the appenders and the scanner are worth
+// having only while they take what is actually stored. Over a population
+// shaped like the benchmark's — constraint blocks in nine descriptions in
+// ten, HTML-escaped by the encoder — plus a slot and a non-ASCII name, and
+// the audit event each publish stores beside its service, every Service and
+// AuditableEvent is written by its appender and every frame of either class
+// decodes without the fallback; a missed escape would give the whole gain
+// back without failing any other test.
 func TestFastPathTakesThePopulation(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	s := New()
@@ -279,19 +299,22 @@ func TestFastPathTakesThePopulation(t *testing.T) {
 		if strings.Contains(svc.Description.String(), "<constraint>") {
 			constrained++
 		}
-		if err := s.Put(svc); err != nil {
-			t.Fatal(err)
+		event := rim.NewAuditableEvent(rim.EventCreated, svc.Owner, time.Unix(1_700_000_000+int64(i), int64(i)).UTC(), svc.ID)
+		for _, o := range []rim.Object{svc, event} {
+			if _, ok := appendObject(nil, o); !ok {
+				t.Errorf("no appender wrote %s %s", kindOf(o), marshal(t, o))
+			}
+			if err := s.Put(o); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	if constrained < 150 || constrained == 200 {
 		t.Fatalf("%d of 200 descriptions carry a constraint block, want about nine in ten", constrained)
 	}
-	services, fallbacks := 0, 0
+	frames, fallbacks := map[string]int{}, 0
 	if _, err := ReadSnapshot(bytes.NewReader(saved(t, s)), func(kind string, body []byte) error {
-		if kind != "Service" {
-			return nil
-		}
-		services++
+		frames[kind]++
 		if _, _, fast := scanObject(kind, body); !fast {
 			fallbacks++
 			t.Errorf("the scanner declined %s", body)
@@ -300,8 +323,8 @@ func TestFastPathTakesThePopulation(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if services != 200 || fallbacks != 0 {
-		t.Fatalf("%d Service frames, %d fallbacks; want 200 and 0", services, fallbacks)
+	if frames["Service"] != 200 || frames["AuditableEvent"] != 200 || len(frames) != 2 || fallbacks != 0 {
+		t.Fatalf("frames %v, %d fallbacks; want 200 of each class and 0", frames, fallbacks)
 	}
 }
 

@@ -10,23 +10,14 @@ import (
 
 // Envelope tags a serialized object with its concrete class so a decoder
 // can rebuild the right Go type. It is the unit of object persistence in
-// the write-ahead log's mutation records; snapshot frames carry the same
-// kind tag in front of the same JSON.
+// the write-ahead log's mutation records, written by AppendEnvelope;
+// snapshot frames carry the same kind tag in front of the same JSON.
 type Envelope struct {
 	Kind string          `json:"kind"`
 	Data json.RawMessage `json:"data"`
 }
 
 func kindOf(o rim.Object) string { return o.Base().ObjectType.Short() }
-
-// EncodeObject marshals o into a kind-tagged envelope.
-func EncodeObject(o rim.Object) (Envelope, error) {
-	data, err := json.Marshal(o)
-	if err != nil {
-		return Envelope{}, fmt.Errorf("store: marshal %s: %w", o.Base().ID, err)
-	}
-	return Envelope{Kind: kindOf(o), Data: data}, nil
-}
 
 // decodeObject rebuilds the object of the named class from its JSON: by the
 // scanner where it can (decode.go), by json.Unmarshal on the whole of data
@@ -44,13 +35,18 @@ func decodeObject(kind string, data []byte) (o rim.Object, exact bool, err error
 // scanObject is decodeObject's fast path; ok is false for a class or an
 // input it leaves to unmarshalObject.
 func scanObject(kind string, data []byte) (o rim.Object, exact, ok bool) {
-	if kind != "Service" {
+	s := objectScan{Scanner: jsonscan.New(data)}
+	switch kind {
+	case "Service":
+		svc := new(rim.Service)
+		o, ok = svc, s.service(svc)
+	case "AuditableEvent":
+		e := new(rim.AuditableEvent)
+		o, ok = e, s.event(e)
+	default:
 		return nil, false, false
 	}
-	s := objectScan{Scanner: jsonscan.New(data)}
-	svc := new(rim.Service)
-	ok = s.service(svc) && s.AtEnd()
-	return svc, !s.reflected, ok
+	return o, !s.reflected, ok && s.AtEnd()
 }
 
 // unmarshalObject unmarshals data into a fresh object of the named class.

@@ -2,7 +2,6 @@ package store
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -49,27 +48,34 @@ var ErrSnapshotCorrupt = errors.New("store: snapshot corrupt")
 // length and checksum are written into once the payload is complete.
 type frameWriter struct {
 	w      *bufio.Writer
-	buf    bytes.Buffer
+	buf    frameBuf
 	enc    *json.Encoder // encodes into buf
 	frames uint64
 }
 
+// frameBuf is the frame being built; the encoder writes into it.
+type frameBuf []byte
+
+func (b *frameBuf) Write(p []byte) (int, error) {
+	*b = append(*b, p...)
+	return len(p), nil
+}
+
 func newFrameWriter(w io.Writer) *frameWriter {
-	fw := &frameWriter{w: bufio.NewWriterSize(w, 256<<10)}
+	// The frame buffer starts at the size of the largest object a
+	// publish stores, a 32-binding service being some 25 KB.
+	fw := &frameWriter{w: bufio.NewWriterSize(w, 256<<10), buf: make(frameBuf, 0, 64<<10)}
 	fw.enc = json.NewEncoder(&fw.buf)
 	return fw
 }
 
 func (fw *frameWriter) begin(kind string) {
 	var gap [frameHeaderLen]byte
-	fw.buf.Reset()
-	fw.buf.Write(gap[:])
-	fw.buf.WriteByte(byte(len(kind)))
-	fw.buf.WriteString(kind)
+	fw.buf = append(append(append(fw.buf[:0], gap[:]...), byte(len(kind))), kind...)
 }
 
 func (fw *frameWriter) end() error {
-	b := fw.buf.Bytes()
+	b := fw.buf
 	payload := b[frameHeaderLen:]
 	if len(payload) > MaxFrameBytes {
 		return fmt.Errorf("store: snapshot frame of %d bytes exceeds MaxFrameBytes", len(payload))
@@ -81,13 +87,26 @@ func (fw *frameWriter) end() error {
 	return err
 }
 
+// object writes one frame holding o, by its class's appender where it has
+// one and by the encoder where it has not.
+func (fw *frameWriter) object(o rim.Object) error {
+	kind := kindOf(o)
+	fw.begin(kind)
+	b, ok := appendObject(fw.buf, o)
+	if !ok {
+		return fw.json(kind, o)
+	}
+	fw.buf = b
+	return fw.end()
+}
+
 // json writes one frame whose body is v's compact JSON.
 func (fw *frameWriter) json(kind string, v any) error {
 	fw.begin(kind)
 	if err := fw.enc.Encode(v); err != nil {
 		return fmt.Errorf("store: marshal %s: %w", kind, err)
 	}
-	fw.buf.Truncate(fw.buf.Len() - 1) // the encoder's newline
+	fw.buf = fw.buf[:len(fw.buf)-1] // the encoder's newline
 	return fw.end()
 }
 
@@ -122,15 +141,13 @@ func (s *Store) Save(w io.Writer) error {
 	sort.Slice(content, func(i, j int) bool { return content[i].id < content[j].id })
 	fw := newFrameWriter(w)
 	for _, o := range objs {
-		if err := fw.json(kindOf(o), o); err != nil {
+		if err := fw.object(o); err != nil {
 			return err
 		}
 	}
 	for _, c := range content {
 		fw.begin(kindContent)
-		fw.buf.Write(binary.AppendUvarint(nil, uint64(len(c.id))))
-		fw.buf.WriteString(c.id)
-		fw.buf.Write(c.data)
+		fw.buf = append(append(binary.AppendUvarint(fw.buf, uint64(len(c.id))), c.id...), c.data...)
 		if err := fw.end(); err != nil {
 			return err
 		}
@@ -142,7 +159,7 @@ func (s *Store) Save(w io.Writer) error {
 	}
 	count := fw.frames
 	fw.begin(kindEnd)
-	fw.buf.Write(binary.LittleEndian.AppendUint64(nil, count))
+	fw.buf = binary.LittleEndian.AppendUint64(fw.buf, count)
 	if err := fw.end(); err != nil {
 		return err
 	}

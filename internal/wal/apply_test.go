@@ -1,6 +1,6 @@
 package wal
 
-// ApplyRecord scans the envelope encodeMutation writes and leaves every
+// ApplyRecord scans the envelope appendMutation writes and leaves every
 // other shape to json.Unmarshal(&walRecord), which is also what it is held
 // to: a table of the shapes that matter, a differential fuzz target over
 // the same table, and a guard that what this package writes is what the
@@ -85,7 +85,7 @@ type recordSeed struct {
 func recordSeeds(tb testing.TB) map[string]recordSeed {
 	encode := func(m lcm.Mutation) []byte {
 		tb.Helper()
-		b, err := encodeMutation(m)
+		b, err := appendMutation(nil, m)
 		if err != nil {
 			tb.Fatal(err)
 		}

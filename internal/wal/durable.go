@@ -43,8 +43,9 @@ type Durable struct {
 	clock   simclock.Clock
 	slog    *slog.Logger
 
-	mu  sync.Mutex // the write bracket; every journal call is made under it
-	due bool       // inside the bracket only: an append reached a checkpoint threshold
+	mu     sync.Mutex // the write bracket; every journal call is made under it
+	due    bool       // inside the bracket only: an append reached a checkpoint threshold
+	record []byte     // inside the bracket only: the buffer Commit encodes into, reused
 
 	degraded    atomic.Bool
 	ckptSecBits atomic.Uint64
@@ -105,7 +106,8 @@ func (d *Durable) Commit(m lcm.Mutation) error {
 	if d.degraded.Load() {
 		return ErrReadOnly
 	}
-	payload, err := encodeMutation(m)
+	payload, err := appendMutation(d.record[:0], m)
+	d.record = reusable(payload)
 	if err != nil {
 		return err
 	}

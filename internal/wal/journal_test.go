@@ -108,7 +108,7 @@ func (n *journalNode) EndWrite() {
 }
 
 func (n *journalNode) Commit(m lcm.Mutation) error {
-	payload, err := encodeMutation(m)
+	payload, err := appendMutation(nil, m)
 	if err != nil {
 		return err
 	}

@@ -152,6 +152,18 @@ const (
 // recordHeaderLen is the framing overhead per record.
 const recordHeaderLen = 8
 
+// maxReusedBuffer bounds a record buffer kept for the next record: one
+// large content record must not pin its size for the life of the process.
+const maxReusedBuffer = 1 << 20
+
+// reusable returns b emptied for reuse, or nil if it is too large to keep.
+func reusable(b []byte) []byte {
+	if cap(b) > maxReusedBuffer {
+		return nil
+	}
+	return b[:0]
+}
+
 // castagnoli is the CRC32C table used for record checksums.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
@@ -171,6 +183,7 @@ type Log struct {
 	segments []segment     // guarded by mu — live segments, ascending; the last is the tail
 	notify   chan struct{} // guarded by mu — closed on append, then replaced lazily
 	lastSync time.Time     // guarded by mu
+	frame    []byte        // guarded by mu — Append's record buffer, reused
 
 	appends  atomic.Int64
 	fsyncs   atomic.Int64
@@ -372,10 +385,10 @@ func (l *Log) Append(payload []byte) (Position, error) {
 			return Position{}, err
 		}
 	}
-	buf := make([]byte, need)
-	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[4:8], crc32.Checksum(payload, castagnoli))
-	copy(buf[recordHeaderLen:], payload)
+	buf := binary.LittleEndian.AppendUint32(l.frame, uint32(len(payload)))
+	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(payload, castagnoli))
+	buf = append(buf, payload...)
+	l.frame = reusable(buf)
 	if _, err := l.f.Write(buf); err != nil {
 		return Position{}, fmt.Errorf("wal: append: %w", err)
 	}

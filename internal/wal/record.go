@@ -23,73 +23,50 @@ type walRecord struct {
 	ContentDelete string           `json:"contentDelete,omitempty"`
 }
 
-// encodeMutation serializes an acknowledged mutation for appending: the
-// bytes json.Marshal(&walRecord{…}) would produce, without handing the
-// already-marshalled objects back to encoding/json to be scanned and
-// compacted a second time. Everything but the objects — op, deletes, the
-// content fields, with their escaping, base64 and omitempty — is one
-// json.Marshal of the record without puts; the puts array is spliced in
-// after "op", where the struct's field order puts it.
-func encodeMutation(m lcm.Mutation) ([]byte, error) {
-	rest, err := json.Marshal(&walRecord{
-		Op:            m.Op,
-		Deletes:       m.Deletes,
-		ContentPut:    m.ContentPutID,
-		Content:       m.Content,
-		ContentDelete: m.ContentDeleteID,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("wal: encode mutation: %w", err)
-	}
-	if len(m.Puts) == 0 {
-		return rest, nil
-	}
-	envs := make([]store.Envelope, len(m.Puts))
-	size := len(rest) + len(`,"puts":[]`)
-	for i, o := range m.Puts {
-		if envs[i], err = store.EncodeObject(o); err != nil {
-			return nil, fmt.Errorf("wal: encode mutation: %w", err)
+// appendMutation appends an acknowledged mutation, serialized for
+// appending to the log, to b: the bytes json.Marshal(&walRecord{…}) would
+// write, with each put's envelope written by store.AppendEnvelope straight
+// into b, and the rest — op, deletes, content with its base64, omitempty —
+// by hand.
+func appendMutation(b []byte, m lcm.Mutation) ([]byte, error) {
+	b = append(b, `{"op":`...)
+	b = jsonscan.AppendString(b, m.Op)
+	if len(m.Puts) > 0 {
+		b = append(b, `,"puts":[`...)
+		for i, o := range m.Puts {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			var err error
+			if b, err = store.AppendEnvelope(b, o); err != nil {
+				return b, fmt.Errorf("wal: encode mutation: %w", err)
+			}
 		}
-		size += len(`{"kind":"","data":},`) + len(envs[i].Kind) + len(envs[i].Data)
+		b = append(b, ']')
 	}
-	at := len(`{"op":`) + jsonStringLen(rest[len(`{"op":`):])
-	out := make([]byte, 0, size)
-	out = append(out, rest[:at]...)
-	out = append(out, `,"puts":[`...)
-	for i, env := range envs {
-		if i > 0 {
-			out = append(out, ',')
+	if len(m.Deletes) > 0 {
+		b = append(b, `,"deletes":[`...)
+		for i, id := range m.Deletes {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = jsonscan.AppendString(b, id)
 		}
-		kind, err := json.Marshal(env.Kind)
-		if err != nil {
-			return nil, fmt.Errorf("wal: encode mutation: %w", err)
-		}
-		out = append(out, `{"kind":`...)
-		out = append(out, kind...)
-		out = append(out, `,"data":`...)
-		// json.Marshal's output is compact and HTML-escaped already, which
-		// is all the encoder would do to a RawMessage.
-		out = append(out, env.Data...)
-		out = append(out, '}')
+		b = append(b, ']')
 	}
-	out = append(out, ']')
-	return append(out, rest[at:]...), nil
+	if m.ContentPutID != "" {
+		b = jsonscan.AppendString(append(b, `,"contentPut":`...), m.ContentPutID)
+	}
+	if len(m.Content) > 0 {
+		b = append(base64.StdEncoding.AppendEncode(append(b, `,"content":"`...), m.Content), '"')
+	}
+	if m.ContentDeleteID != "" {
+		b = jsonscan.AppendString(append(b, `,"contentDelete":`...), m.ContentDeleteID)
+	}
+	return append(b, '}'), nil
 }
 
-// jsonStringLen returns the length of the JSON string literal b starts
-// with, quotes included; b must come from encoding/json.
-func jsonStringLen(b []byte) int {
-	for i := 1; ; i++ {
-		switch b[i] {
-		case '\\':
-			i++
-		case '"':
-			return i + 1
-		}
-	}
-}
-
-// scanRecord decodes a payload of the shape encodeMutation writes — the six
+// scanRecord decodes a payload of the shape appendMutation writes — the six
 // keys of walRecord in their exact case, each at most once, no whitespace,
 // every put's data an object — into rec, as json.Unmarshal would, without
 // reflection and without copying the objects' JSON: each Data aliases
