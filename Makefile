@@ -61,12 +61,14 @@ fuzzsmoke:
 	done
 
 # overloadcheck exercises the overload-resilience edge under the race
-# detector: the admission controller's decision core, the shedding ×
-# degraded-mode composition tests, the live-collector HTTP burst, the
-# seeded flash-crowd experiment (goodput, brownout ladder, replay), and a
-# tier transition mid-flight never validating a cached answer.
+# detector: the admission controller's decision core and CoDel's control
+# law on a manual clock, a queued request leaving at its deadline, the
+# shedding × degraded-mode composition tests, the live-collector HTTP
+# burst, the seeded flash-crowd experiment (goodput, brownout ladder,
+# replay), and a tier transition mid-flight never validating a cached
+# answer.
 overloadcheck:
-	$(GO) test -race -count=1 -run 'Admit|Queue|AIMD|Brownout|Deadline|Wrap|Budget|Overload|DegradedStatic|FlashCrowd' \
+	$(GO) test -race -count=1 -run 'Admit|Queue|CoDel|Brownout|Deadline|Wrap|Budget|Overload|DegradedStatic|FlashCrowd' \
 		./internal/admit/ ./internal/registry/ ./internal/lbexp/ ./internal/respcache/
 
 # replcheck runs the leader/follower replication suite under the race

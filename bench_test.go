@@ -350,7 +350,7 @@ func fastPathRegistry(tb testing.TB) (*registry.Registry, *rim.Service) {
 		Clock:          clk,
 		Policy:         core.PolicyFilter,
 		SnapshotMaxAge: 25 * time.Second,
-		Invoker:        nodestatus.LocalInvoker{Cluster: cluster, Clock: clk},
+		Invoker:        hostsim.LocalInvoker{Cluster: cluster, Clock: clk},
 		Admission:      &admit.Config{},
 	})
 	if err != nil {
@@ -458,7 +458,7 @@ func BenchmarkCollectorSweep(b *testing.B) {
 				uris = append(uris, "http://"+name+":8080/NodeStatus/NodeStatusService")
 			}
 			table := store.NewNodeStateTable()
-			col := nodestate.New(table, nodestatus.LocalInvoker{Cluster: cluster, Clock: clk}, clk,
+			col := nodestate.New(table, hostsim.LocalInvoker{Cluster: cluster, Clock: clk}, clk,
 				func() []string { return uris })
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -636,7 +636,7 @@ func BenchmarkTracingOverhead(b *testing.B) {
 			Clock:          clk,
 			Policy:         core.PolicyFilter,
 			SnapshotMaxAge: 25 * time.Second,
-			Invoker:        nodestatus.LocalInvoker{Cluster: cluster, Clock: clk},
+			Invoker:        hostsim.LocalInvoker{Cluster: cluster, Clock: clk},
 			TraceSample:    sample,
 		})
 		if err != nil {

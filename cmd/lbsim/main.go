@@ -231,7 +231,7 @@ func main() {
 		cfg := lbexp.DefaultFlashCrowd(*seed)
 		w.printf("H8: overload resilience — %d baseline clients, %d-client flash crowd\n",
 			cfg.BaselineClients, cfg.SurgeClients)
-		w.printf("for %s; admission control, AIMD shedding, brownout ladder\n\n", cfg.Surge)
+		w.printf("for %s; admission control, CoDel shedding, brownout ladder\n\n", cfg.Surge)
 		baseline, surge, err := lbexp.FlashCrowd(cfg)
 		if err != nil {
 			return err

@@ -333,6 +333,21 @@ func (c *child) metric(t *testing.T, name string) float64 {
 	return v
 }
 
+// TestLinksNoSimulator: nothing the server imports, directly or not,
+// pulls in the host simulator; simulations reach NodeStatus through
+// hostsim.LocalInvoker, which lives beside it.
+func TestLinksNoSimulator(t *testing.T) {
+	out, err := exec.Command("go", "list", "-deps", ".").CombinedOutput()
+	if err != nil {
+		t.Fatalf("go list: %v\n%s", err, out)
+	}
+	for _, pkg := range strings.Fields(string(out)) {
+		if pkg == "repro/internal/hostsim" {
+			t.Fatalf("regserver links %s", pkg)
+		}
+	}
+}
+
 // TestBinary drives the built program the way an init system does.
 func TestBinary(t *testing.T) {
 	bin := filepath.Join(t.TempDir(), "regserver")

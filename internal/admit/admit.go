@@ -9,16 +9,31 @@
 //     writes) with a bounded in-flight limit and a bounded FIFO wait
 //     queue per class — health and metrics endpoints bypass admission
 //     entirely so operators can always see in;
-//   - adaptive load shedding: an AIMD controller on the latency EWMA
-//     and queue pressure lowers the accept rate for requests that would
-//     otherwise wait, so excess offered load is rejected early with
-//     503 + Retry-After instead of queuing behind a doomed deadline;
+//   - load shedding by CoDel's control law (Nichols & Jacobson,
+//     "Controlling Queue Delay", ACM Queue 2012; RFC 8289), which RPC
+//     servers run on their request queues (Maurer, "Fail at Scale", ACM
+//     Queue 2015): when a slot frees, the sojourn of the ticket at the
+//     head of the queue is read, and once it has stayed above a target
+//     for a whole interval the head is dropped with 503 + Retry-After,
+//     later drops spaced interval/√count, until one ticket leaves below
+//     the target. An arrival that finds the queue full is shed at once;
 //   - server-side deadline budgets per class, honoring client budgets
-//     from the X-Registry-Deadline-Ms header and cancelling in-flight
-//     work through the request context;
-//   - a brownout ladder that degrades service quality stepwise under
-//     sustained pressure (tracing off → stale snapshots → static
-//     fallback) and steps back up when the pressure clears.
+//     from the X-Registry-Deadline-Ms header: the budget runs from
+//     arrival, so it also bounds the wait in the queue;
+//   - a brownout ladder that degrades service quality stepwise while a
+//     class stays in CoDel's dropping state (tracing off → stale
+//     snapshots → static fallback) and steps back up when it has been
+//     out of it long enough.
+//
+// The target and interval come from the class deadline, the one latency
+// figure a class is configured with. The interval is how long a standing
+// queue may last before the class sheds: a third of the deadline, so a
+// request that waited through a whole interval still has two thirds of
+// its budget to be served in. The target is the queue delay tolerated at
+// rest: a tenth of the interval, the top of the 5–10 % of the interval
+// RFC 8289 recommends, so a queue that drains between bursts never
+// sheds. H8 (EXPERIMENTS.md) compared other fractions. A class without a
+// deadline uses CoDel's published 100 ms interval and 5 ms target.
 //
 // Decisions are deterministic functions of request arrival order and
 // injected clock time — no randomness — so the flash-crowd harness in
@@ -27,6 +42,7 @@ package admit
 
 import (
 	"log/slog"
+	"math"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -40,7 +56,7 @@ import (
 // Class partitions the serving edge by cost and criticality: discovery
 // reads are cheap and latency-sensitive, life-cycle writes are expensive
 // and durable. Each class gets its own in-flight limit, wait queue,
-// shedder, and deadline so a write storm cannot starve discovery (and
+// CoDel state, and deadline so a write storm cannot starve discovery (and
 // vice versa).
 type Class uint8
 
@@ -115,12 +131,11 @@ type ClassLimits struct {
 	// MaxQueue bounds the FIFO wait queue behind the in-flight limit.
 	// Arrivals beyond it are shed immediately.
 	MaxQueue int
-	// QueueTimeout bounds how long a queued request waits for a slot
-	// before it is shed.
-	QueueTimeout time.Duration
-	// Deadline is the class's default server-side budget for an
-	// admitted request; 0 means DefaultConfig's, negative leaves the
-	// class without one (a client's DeadlineHeader still applies).
+	// Deadline is the class's default server-side budget for a request,
+	// counted from its arrival, so it bounds the queue wait too; 0 means
+	// DefaultConfig's, negative leaves the class without one (a client's
+	// DeadlineHeader still applies). CoDel's target and interval are
+	// derived from it (see the package comment).
 	Deadline time.Duration
 }
 
@@ -131,22 +146,13 @@ type Config struct {
 	Discovery ClassLimits
 	LCM       ClassLimits
 
-	// Tick is the AIMD controller's adjustment interval.
-	Tick time.Duration
-	// LatencyTarget is the per-request latency (queue wait + service)
-	// above which a class is considered overloaded; 0 derives it as a
-	// quarter of the class deadline.
-	LatencyTarget time.Duration
-	// MinAccept floors the shedder's accept rate so a trickle of
-	// requests always measures the current latency.
-	MinAccept float64
 	// RetryAfter is the advisory client backoff attached to shed
 	// responses (rounded up to whole seconds on the wire).
 	RetryAfter time.Duration
 
-	// BrownoutEscalate is how long pressure must persist before the
-	// ladder climbs one tier; BrownoutCalm how long calm must persist
-	// before it steps back down.
+	// BrownoutEscalate is how long a class must stay in CoDel's
+	// dropping state before the ladder climbs one tier; BrownoutCalm how
+	// long no class may be dropping before it steps back down.
 	BrownoutEscalate time.Duration
 	BrownoutCalm     time.Duration
 	// BrownoutStaleness is the extra NodeState snapshot age tolerated
@@ -158,10 +164,8 @@ type Config struct {
 // read-heavy edge, LCM an order of magnitude tighter.
 func DefaultConfig() Config {
 	return Config{
-		Discovery:         ClassLimits{MaxInFlight: 64, MaxQueue: 128, QueueTimeout: time.Second, Deadline: 2 * time.Second},
-		LCM:               ClassLimits{MaxInFlight: 16, MaxQueue: 32, QueueTimeout: 2 * time.Second, Deadline: 5 * time.Second},
-		Tick:              250 * time.Millisecond,
-		MinAccept:         0.05,
+		Discovery:         ClassLimits{MaxInFlight: 64, MaxQueue: 128, Deadline: 2 * time.Second},
+		LCM:               ClassLimits{MaxInFlight: 16, MaxQueue: 32, Deadline: 5 * time.Second},
 		RetryAfter:        time.Second,
 		BrownoutEscalate:  5 * time.Second,
 		BrownoutCalm:      10 * time.Second,
@@ -172,40 +176,8 @@ func DefaultConfig() Config {
 // withDefaults fills zero fields from DefaultConfig.
 func (c Config) withDefaults() Config {
 	d := DefaultConfig()
-	if c.Discovery.MaxInFlight <= 0 {
-		c.Discovery.MaxInFlight = d.Discovery.MaxInFlight
-	}
-	if c.Discovery.MaxQueue < 0 {
-		c.Discovery.MaxQueue = 0
-	} else if c.Discovery.MaxQueue == 0 {
-		c.Discovery.MaxQueue = d.Discovery.MaxQueue
-	}
-	if c.Discovery.QueueTimeout <= 0 {
-		c.Discovery.QueueTimeout = d.Discovery.QueueTimeout
-	}
-	if c.Discovery.Deadline == 0 {
-		c.Discovery.Deadline = d.Discovery.Deadline
-	}
-	if c.LCM.MaxInFlight <= 0 {
-		c.LCM.MaxInFlight = d.LCM.MaxInFlight
-	}
-	if c.LCM.MaxQueue < 0 {
-		c.LCM.MaxQueue = 0
-	} else if c.LCM.MaxQueue == 0 {
-		c.LCM.MaxQueue = d.LCM.MaxQueue
-	}
-	if c.LCM.QueueTimeout <= 0 {
-		c.LCM.QueueTimeout = d.LCM.QueueTimeout
-	}
-	if c.LCM.Deadline == 0 {
-		c.LCM.Deadline = d.LCM.Deadline
-	}
-	if c.Tick <= 0 {
-		c.Tick = d.Tick
-	}
-	if c.MinAccept <= 0 || c.MinAccept > 1 {
-		c.MinAccept = d.MinAccept
-	}
+	c.Discovery = c.Discovery.withDefaults(d.Discovery)
+	c.LCM = c.LCM.withDefaults(d.LCM)
 	if c.RetryAfter <= 0 {
 		c.RetryAfter = d.RetryAfter
 	}
@@ -221,21 +193,34 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// AIMD shedder constants: multiplicative decrease on an overloaded tick,
-// additive increase on a calm one, EWMA smoothing for the latency signal
-// and its idle decay (so a drained class forgets old pain).
+// withDefaults fills l's zero fields from d; a negative MaxQueue means no
+// queue at all.
+func (l ClassLimits) withDefaults(d ClassLimits) ClassLimits {
+	if l.MaxInFlight <= 0 {
+		l.MaxInFlight = d.MaxInFlight
+	}
+	if l.MaxQueue < 0 {
+		l.MaxQueue = 0
+	} else if l.MaxQueue == 0 {
+		l.MaxQueue = d.MaxQueue
+	}
+	if l.Deadline == 0 {
+		l.Deadline = d.Deadline
+	}
+	return l
+}
+
+// CoDel's published constants, for a class without a deadline, and the
+// ratios that derive a class's own from its deadline (package comment).
 const (
-	aimdDecrease  = 0.75
-	aimdIncrease  = 0.05
-	ewmaAlpha     = 0.3
-	ewmaIdleDecay = 0.5
-	// brownoutPressure is the accept rate at or below which a class
-	// counts as pressured for the brownout ladder: the shedder has
-	// halved at least twice and held there.
-	brownoutPressure = 0.5
-	// maxTickCatchup bounds the AIMD catch-up loop after a large
-	// simulated time jump (time-of-day experiments jump hours).
-	maxTickCatchup = 64
+	codelInterval     = 100 * time.Millisecond
+	codelTarget       = 5 * time.Millisecond
+	intervalPerBudget = 3  // interval = Deadline / 3
+	targetPerInterval = 10 // target = interval / 10
+	// codelMemory is how many intervals after a dropping spell CoDel
+	// resumes the next one at the drop rate the last one reached (RFC
+	// 8289's 16).
+	codelMemory = 16
 )
 
 // Outcome is an admission decision.
@@ -246,94 +231,79 @@ const (
 	Admitted Outcome = iota
 	// Queued: all slots busy; the ticket waits FIFO for a slot.
 	Queued
-	// Shed: rejected early — the shedder's gate fired or the wait
-	// queue is full. Respond 503 with Retry-After.
+	// Shed: rejected early because the wait queue is full. Respond 503
+	// with Retry-After.
 	Shed
 )
 
-// String names the outcome for experiment fingerprints.
-func (o Outcome) String() string {
-	switch o {
-	case Admitted:
-		return "admitted"
-	case Queued:
-		return "queued"
-	case Shed:
-		return "shed"
-	}
-	return "unknown"
-}
-
-// ticketState tracks a queued ticket through the promote/cancel race;
+// ticketState tracks a queued ticket until it leaves the queue;
 // transitions happen under the owning class's mutex.
 type ticketState uint8
 
 const (
-	ticketQueued ticketState = iota
-	ticketPromoted
-	ticketCanceled
+	ticketQueued   ticketState = iota
+	ticketPromoted             // handed an in-flight slot
+	ticketDropped              // dropped at the head by CoDel
+	ticketCanceled             // left on its own: client gone or deadline passed
 )
 
 // Ticket represents one queued request waiting for an in-flight slot.
 type Ticket struct {
 	class   Class
 	arrived time.Time
-	ready   chan struct{}
-	state   ticketState // transitions under the owning classState.mu
+	// ready is closed when the ticket leaves the queue at its head:
+	// promoted into an in-flight slot, or dropped by CoDel.
+	ready chan struct{}
+	state ticketState // transitions under the owning classState.mu
 }
 
-// Class returns the ticket's admission class.
-func (t *Ticket) Class() Class { return t.class }
-
-// Arrived returns when the request first asked for admission; request
-// latency is measured from here so queue wait counts against the class
-// deadline signal.
+// Arrived returns when the request first asked for admission: its
+// sojourn in the queue and its deadline are measured from here.
 func (t *Ticket) Arrived() time.Time { return t.arrived }
 
-// Ready is closed when the ticket is promoted into an in-flight slot.
-func (t *Ticket) Ready() <-chan struct{} { return t.ready }
-
-// classState is one class's semaphore, queue, and shedder.
+// classState is one class's semaphore, queue, and CoDel state.
 type classState struct {
-	limits ClassLimits
-	// target is the overload latency threshold in seconds.
-	target float64
-	// tick is the AIMD adjustment interval.
-	tick time.Duration
-	// minAccept floors the shedder.
-	minAccept float64
+	limits           ClassLimits
+	target, interval time.Duration
 
-	mu         sync.Mutex
-	inflight   int       // guarded by mu
-	queue      []*Ticket // guarded by mu
-	acceptRate float64   // guarded by mu
-	deficit    float64   // guarded by mu
-	ewma       float64   // guarded by mu
-	samples    int       // guarded by mu
-	queueFull  bool      // guarded by mu
-	lastTick   time.Time // guarded by mu
-	pressured  bool      // guarded by mu
+	mu       sync.Mutex
+	inflight int       // guarded by mu
+	queue    []*Ticket // guarded by mu
+	// CoDel's state, named as in RFC 8289: firstAbove is when the head's
+	// sojourn will have stayed above target for an interval (zero while
+	// it is below); dropNext is when the next head drop is due while
+	// dropping; count is the drops since dropping began and lastCount its
+	// value when the current spell began.
+	firstAbove time.Time // guarded by mu
+	dropNext   time.Time // guarded by mu
+	count      int       // guarded by mu
+	lastCount  int       // guarded by mu
+	// dropping is CoDel's dropping state: written under mu, read without
+	// it by the brownout ladder.
+	dropping atomic.Bool
 
-	admitted      metrics.Counter
-	shed          metrics.Counter
-	queuedTotal   metrics.Counter
-	queueTimeouts metrics.Counter
-	canceled      metrics.Counter
-	deadlineMiss  metrics.Counter
+	admitted     metrics.Counter
+	shed         metrics.Counter
+	queuedTotal  metrics.Counter
+	canceled     metrics.Counter
+	deadlineMiss metrics.Counter
 }
 
 // ClassStats is a scrape-time snapshot of one class.
 type ClassStats struct {
-	Admitted         int64
-	Shed             int64
-	Queued           int64
-	QueueTimeouts    int64
+	Admitted int64
+	// Shed counts arrivals refused at a full queue and heads CoDel
+	// dropped; both got the same 503.
+	Shed   int64
+	Queued int64
+	// Canceled counts queued requests whose client went away;
+	// DeadlineExceeded requests whose deadline passed, queued or running.
 	Canceled         int64
 	DeadlineExceeded int64
 	InFlight         int
 	QueueDepth       int
-	AcceptRate       float64
-	LatencyEWMA      float64
+	// Dropping reports CoDel's dropping state.
+	Dropping bool
 }
 
 // Controller is the admission controller for the registry serving edge.
@@ -348,10 +318,13 @@ type Controller struct {
 
 	classes [numClasses]classState
 
-	tierMu      sync.Mutex
-	tier        Tier         // guarded by tierMu
-	overSince   time.Time    // guarded by tierMu
-	calmSince   time.Time    // guarded by tierMu
+	tierMu    sync.Mutex
+	tier      Tier      // guarded by tierMu
+	overSince time.Time // guarded by tierMu
+	calmSince time.Time // guarded by tierMu
+	// atRest is set while the tier is nominal and no class was dropping
+	// at the last evaluation, which lets noteTier skip tierMu.
+	atRest      atomic.Bool
 	tierNow     atomic.Int32 // lock-free mirror of tier for hot-path reads
 	tierChanges metrics.Counter
 
@@ -376,22 +349,13 @@ func NewController(cfg Config, clk simclock.Clock, log *slog.Logger) *Controller
 	for class := range c.classes {
 		cs := &c.classes[class]
 		cs.limits = limits[class]
-		cs.tick = cfg.Tick
-		cs.minAccept = cfg.MinAccept
-		target := cfg.LatencyTarget
-		if target <= 0 {
-			target = cs.limits.Deadline / 4
+		cs.interval, cs.target = codelInterval, codelTarget
+		if d := cs.limits.Deadline; d > 0 {
+			cs.interval = d / intervalPerBudget
+			cs.target = cs.interval / targetPerInterval
 		}
-		if target <= 0 {
-			target = 500 * time.Millisecond
-		}
-		cs.target = target.Seconds()
-		// Pre-publication, but lock anyway: acceptRate is guarded by mu
-		// and the uncontended acquisition costs nothing at construction.
-		cs.mu.Lock()
-		cs.acceptRate = 1
-		cs.mu.Unlock()
 	}
+	c.atRest.Store(true)
 	c.buildRejects()
 	return c
 }
@@ -402,107 +366,141 @@ func (c *Controller) RetryAfter() time.Duration { return c.cfg.RetryAfter }
 // Limits returns the effective limits for class.
 func (c *Controller) Limits(class Class) ClassLimits { return c.classes[class].limits }
 
-// TryAdmit decides one arrival at time now without blocking:
-//
-//   - a free in-flight slot admits immediately (nil ticket);
-//   - otherwise the shedder's deterministic gate may shed;
-//   - otherwise the arrival joins the bounded FIFO queue (non-nil
-//     ticket) or is shed when the queue is full.
-//
-// Shedding applies only to arrivals that would wait, so admitted
-// throughput (goodput) tracks capacity while excess load bounces.
+// TryAdmit decides one arrival at time now without blocking: a free
+// in-flight slot admits it immediately (nil ticket); otherwise it joins
+// the bounded FIFO queue (non-nil ticket), or is shed when the queue is
+// full.
 func (c *Controller) TryAdmit(class Class, now time.Time) (Outcome, *Ticket) {
 	cs := &c.classes[class]
+	out, t := Admitted, (*Ticket)(nil)
 	cs.mu.Lock()
-	ticked := cs.tickLocked(now)
-	if cs.inflight < cs.limits.MaxInFlight {
+	switch {
+	case cs.inflight < cs.limits.MaxInFlight:
 		cs.inflight++
-		cs.mu.Unlock()
 		cs.admitted.Inc()
-		if ticked {
-			c.noteTier(now)
-		}
-		return Admitted, nil
-	}
-	// Saturated: apply the shedder's gate before queueing. The deficit
-	// accumulator converts the accept rate into a deterministic drop
-	// pattern (no RNG; see the norand invariant).
-	cs.deficit += 1 - cs.acceptRate
-	if cs.deficit >= 1 {
-		cs.deficit--
-		cs.mu.Unlock()
+	case len(cs.queue) >= cs.limits.MaxQueue:
+		out = Shed
 		cs.shed.Inc()
-		if ticked {
-			c.noteTier(now)
-		}
-		return Shed, nil
+	default:
+		out, t = Queued, &Ticket{class: class, arrived: now, ready: make(chan struct{})}
+		cs.queue = append(cs.queue, t)
+		cs.queuedTotal.Inc()
 	}
-	if len(cs.queue) >= cs.limits.MaxQueue {
-		cs.queueFull = true
-		cs.mu.Unlock()
-		cs.shed.Inc()
-		if ticked {
-			c.noteTier(now)
-		}
-		return Shed, nil
-	}
-	t := &Ticket{class: class, arrived: now, ready: make(chan struct{})}
-	cs.queue = append(cs.queue, t)
 	cs.mu.Unlock()
-	cs.queuedTotal.Inc()
-	if ticked {
-		c.noteTier(now)
-	}
-	return Queued, t
+	c.noteTier(now)
+	return out, t
 }
 
-// Release returns an in-flight slot at time now. arrived is when the
-// finishing request first asked for admission (TryAdmit time), so the
-// latency sample fed to the shedder includes its queue wait. When the
-// wait queue is non-empty the slot is handed straight to the head, whose
-// Ready channel closes; the promoted ticket is returned so a
-// single-threaded driver can schedule it without watching the channel.
+// Release returns an in-flight slot at time now. When the wait queue is
+// non-empty the slot is handed straight to its head; CoDel may first drop
+// heads that waited too long, which are answered as shed. The promoted
+// ticket is returned so a single-threaded simulator can schedule it without
+// watching a channel; every queued ticket ahead of it was dropped.
+// arrived, when the finishing request asked for admission, is not read:
+// CoDel judges the queue by the sojourn of the tickets leaving it.
 func (c *Controller) Release(class Class, arrived, now time.Time) *Ticket {
 	cs := &c.classes[class]
 	cs.mu.Lock()
-	sample := now.Sub(arrived).Seconds()
-	if sample >= 0 {
-		if cs.samples == 0 && cs.ewma == 0 {
-			cs.ewma = sample
-		} else {
-			cs.ewma += ewmaAlpha * (sample - cs.ewma)
-		}
-		cs.samples++
-	}
-	ticked := cs.tickLocked(now)
-	var promoted *Ticket
-	if len(cs.queue) > 0 {
-		promoted = cs.queue[0]
-		cs.queue = cs.queue[1:]
+	promoted := cs.dequeueLocked(now)
+	if promoted == nil {
+		cs.inflight--
+	} else {
 		promoted.state = ticketPromoted
 		close(promoted.ready)
-	} else {
-		cs.inflight--
-	}
-	cs.mu.Unlock()
-	if promoted != nil {
 		cs.admitted.Inc()
 	}
-	if ticked {
-		c.noteTier(now)
-	}
+	cs.mu.Unlock()
+	c.noteTier(now)
 	return promoted
 }
 
-// CancelQueued removes a still-queued ticket (queue timeout or client
-// disconnect) and reports whether the removal won: false means the
-// ticket was already promoted into a slot, which the caller now owns and
-// must Release.
-func (c *Controller) CancelQueued(t *Ticket, now time.Time, timedOut bool) bool {
+// dequeueLocked is CoDel's dequeue (RFC 8289): it pops the ticket
+// the freed slot goes to, dropping heads on the way while the control
+// law says so. Called with cs.mu held.
+func (cs *classState) dequeueLocked(now time.Time) *Ticket {
+	t, okToDrop := cs.popLocked(now)
+	switch {
+	case t == nil:
+		// The uncontended path: store only on a change.
+		if cs.dropping.Load() {
+			cs.dropping.Store(false)
+		}
+	case cs.dropping.Load():
+		if !okToDrop {
+			cs.dropping.Store(false)
+		}
+		for cs.dropping.Load() && !now.Before(cs.dropNext) {
+			cs.dropLocked(t)
+			cs.count++
+			if t, okToDrop = cs.popLocked(now); okToDrop {
+				cs.dropNext = cs.controlLawLocked(cs.dropNext)
+			} else {
+				cs.dropping.Store(false)
+			}
+		}
+	case okToDrop:
+		cs.dropLocked(t)
+		t, _ = cs.popLocked(now)
+		cs.dropping.Store(true)
+		// A spell that starts soon after the last one resumes near the
+		// drop rate that one reached.
+		delta := cs.count - cs.lastCount
+		cs.count = 1
+		if delta > 1 && now.Sub(cs.dropNext) < codelMemory*cs.interval {
+			cs.count = delta
+		}
+		cs.dropNext = cs.controlLawLocked(now)
+		cs.lastCount = cs.count
+	}
+	return t
+}
+
+// popLocked takes the head off the queue and reports whether CoDel may
+// drop it: its sojourn is at least the target and has been for a whole
+// interval, and a ticket waits behind it, so the slot never idles for a
+// drop. Called with cs.mu held.
+func (cs *classState) popLocked(now time.Time) (*Ticket, bool) {
+	if len(cs.queue) == 0 {
+		cs.firstAbove = time.Time{}
+		return nil, false
+	}
+	t := cs.queue[0]
+	cs.queue[0] = nil
+	cs.queue = cs.queue[1:]
+	if now.Sub(t.arrived) < cs.target || len(cs.queue) == 0 {
+		cs.firstAbove = time.Time{}
+		return t, false
+	}
+	if cs.firstAbove.IsZero() {
+		cs.firstAbove = now.Add(cs.interval)
+		return t, false
+	}
+	return t, !now.Before(cs.firstAbove)
+}
+
+// dropLocked sheds a ticket CoDel dropped at the head. Called with cs.mu
+// held.
+func (cs *classState) dropLocked(t *Ticket) {
+	t.state = ticketDropped
+	close(t.ready)
+	cs.shed.Inc()
+}
+
+// controlLawLocked spaces the next drop interval/√count after t. Called
+// with cs.mu held.
+func (cs *classState) controlLawLocked(t time.Time) time.Time {
+	return t.Add(time.Duration(float64(cs.interval) / math.Sqrt(float64(cs.count))))
+}
+
+// CancelQueued removes a still-queued ticket whose client went away or
+// whose deadline passed, and reports whether the removal won: false
+// means the ticket already left at the head: promoted into a slot the
+// caller now owns and must Release, or dropped.
+func (c *Controller) CancelQueued(t *Ticket) bool {
 	cs := &c.classes[t.class]
 	cs.mu.Lock()
+	defer cs.mu.Unlock()
 	if t.state != ticketQueued {
-		cs.mu.Unlock()
 		return false
 	}
 	for i, q := range cs.queue {
@@ -512,80 +510,22 @@ func (c *Controller) CancelQueued(t *Ticket, now time.Time, timedOut bool) bool 
 		}
 	}
 	t.state = ticketCanceled
-	cs.queueFull = true // a queue casualty is pressure, even if depth dipped
-	cs.mu.Unlock()
-	if timedOut {
-		cs.queueTimeouts.Inc()
-	} else {
-		cs.canceled.Inc()
-	}
 	return true
 }
 
-// NoteDeadlineExceeded records an admitted request that blew its budget.
-func (c *Controller) NoteDeadlineExceeded(class Class) {
-	c.classes[class].deadlineMiss.Inc()
-}
-
-// tickLocked advances the AIMD controller to now, one Tick at a time,
-// and reports whether at least one adjustment ran (the caller then
-// refreshes the brownout ladder outside the class lock). Called with
-// cs.mu held.
-func (cs *classState) tickLocked(now time.Time) bool {
-	if cs.lastTick.IsZero() {
-		cs.lastTick = now
-		return false
-	}
-	ticked := false
-	for i := 0; !cs.lastTick.Add(cs.tick).After(now); i++ {
-		if i >= maxTickCatchup {
-			cs.lastTick = now
-			break
-		}
-		cs.lastTick = cs.lastTick.Add(cs.tick)
-		overloaded := (cs.samples > 0 && cs.ewma > cs.target) || cs.queueFull
-		if cs.samples == 0 {
-			cs.ewma *= ewmaIdleDecay
-		}
-		cs.samples = 0
-		cs.queueFull = false
-		if overloaded {
-			cs.acceptRate *= aimdDecrease
-			if cs.acceptRate < cs.minAccept {
-				cs.acceptRate = cs.minAccept
-			}
-		} else {
-			cs.acceptRate += aimdIncrease
-			if cs.acceptRate >= 1 {
-				cs.acceptRate = 1
-				cs.deficit = 0
-			}
-		}
-		cs.pressured = cs.acceptRate <= brownoutPressure
-		ticked = true
-	}
-	return ticked
-}
-
-// pressuredNow reports the class's last computed pressure flag.
-func (cs *classState) pressuredNow() bool {
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	return cs.pressured
-}
-
-// noteTier re-evaluates the brownout ladder at time now: sustained
-// pressure climbs one tier per BrownoutEscalate, sustained calm steps
-// down one tier per BrownoutCalm. Runs outside the class locks.
+// noteTier re-evaluates the brownout ladder at time now: a class that
+// stays in CoDel's dropping state climbs one tier per BrownoutEscalate,
+// and no class dropping steps down one tier per BrownoutCalm. It runs on
+// every admission call, outside the class locks; at rest it reads three
+// flags and returns.
 func (c *Controller) noteTier(now time.Time) {
 	pressured := false
 	for i := range c.classes {
-		if c.classes[i].pressuredNow() {
-			pressured = true
-			break
-		}
+		pressured = pressured || c.classes[i].dropping.Load()
 	}
-	var tier Tier
+	if !pressured && c.atRest.Load() {
+		return
+	}
 	changed := false
 	c.tierMu.Lock()
 	if pressured {
@@ -609,7 +549,8 @@ func (c *Controller) noteTier(now time.Time) {
 			changed = true
 		}
 	}
-	tier = c.tier
+	tier := c.tier
+	c.atRest.Store(tier == TierNominal && !pressured)
 	// The mirror first, the count after it: whoever reads the count and
 	// then the tier sees a tier at least as new as the count.
 	c.tierNow.Store(int32(tier))
@@ -618,13 +559,8 @@ func (c *Controller) noteTier(now time.Time) {
 	}
 	c.tierMu.Unlock()
 	if changed {
-		c.logTier(tier)
+		c.log.Info("brownout tier change", "tier", tier.String())
 	}
-}
-
-// logTier records a ladder transition.
-func (c *Controller) logTier(t Tier) {
-	c.log.Info("brownout tier change", "tier", t.String())
 }
 
 // Tier returns the current brownout tier from a lock-free mirror, so the
@@ -654,17 +590,12 @@ func (c *Controller) ForceStatic() bool { return c.Tier() >= TierStatic }
 func (c *Controller) ClassStats(class Class) ClassStats {
 	cs := &c.classes[class]
 	cs.mu.Lock()
-	st := ClassStats{
-		InFlight:    cs.inflight,
-		QueueDepth:  len(cs.queue),
-		AcceptRate:  cs.acceptRate,
-		LatencyEWMA: cs.ewma,
-	}
+	st := ClassStats{InFlight: cs.inflight, QueueDepth: len(cs.queue)}
 	cs.mu.Unlock()
+	st.Dropping = cs.dropping.Load()
 	st.Admitted = cs.admitted.Value()
 	st.Shed = cs.shed.Value()
 	st.Queued = cs.queuedTotal.Value()
-	st.QueueTimeouts = cs.queueTimeouts.Value()
 	st.Canceled = cs.canceled.Value()
 	st.DeadlineExceeded = cs.deadlineMiss.Value()
 	return st

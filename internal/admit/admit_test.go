@@ -1,6 +1,7 @@
 package admit
 
 import (
+	"bytes"
 	"context"
 	"io"
 	"net/http"
@@ -18,10 +19,8 @@ var testEpoch = time.Date(2011, 4, 22, 11, 0, 0, 0, time.UTC)
 
 func testConfig() Config {
 	return Config{
-		Discovery:        ClassLimits{MaxInFlight: 2, MaxQueue: 2, QueueTimeout: 100 * time.Millisecond, Deadline: 250 * time.Millisecond},
-		LCM:              ClassLimits{MaxInFlight: 1, MaxQueue: 1, QueueTimeout: 100 * time.Millisecond, Deadline: time.Second},
-		Tick:             100 * time.Millisecond,
-		MinAccept:        0.05,
+		Discovery:        ClassLimits{MaxInFlight: 2, MaxQueue: 8, Deadline: 250 * time.Millisecond},
+		LCM:              ClassLimits{MaxInFlight: 1, MaxQueue: 1, Deadline: time.Second},
 		RetryAfter:       time.Second,
 		BrownoutEscalate: 300 * time.Millisecond,
 		BrownoutCalm:     500 * time.Millisecond,
@@ -50,7 +49,9 @@ func TestAdmitUnderCapacity(t *testing.T) {
 
 func TestQueueFIFOPromotion(t *testing.T) {
 	clk := simclock.NewManual(testEpoch)
-	c := NewController(testConfig(), clk, nil)
+	cfg := testConfig()
+	cfg.Discovery.MaxQueue = 2
+	c := NewController(cfg, clk, nil)
 	now := clk.Now()
 	c.TryAdmit(ClassDiscovery, now)
 	c.TryAdmit(ClassDiscovery, now)
@@ -70,7 +71,7 @@ func TestQueueFIFOPromotion(t *testing.T) {
 		t.Fatalf("promoted %v, want the first queued ticket", p)
 	}
 	select {
-	case <-t1.Ready():
+	case <-t1.ready:
 	default:
 		t.Fatal("promoted ticket's Ready channel is not closed")
 	}
@@ -94,76 +95,151 @@ func TestCancelQueuedVsPromotionRace(t *testing.T) {
 	if p := c.Release(ClassDiscovery, now, now); p != tk {
 		t.Fatalf("promoted %v, want %v", p, tk)
 	}
-	if c.CancelQueued(tk, now, true) {
+	if c.CancelQueued(tk) {
 		t.Fatal("cancel after promotion reported success")
 	}
 
 	_, tk2 := c.TryAdmit(ClassDiscovery, now)
-	if !c.CancelQueued(tk2, now, true) {
+	if !c.CancelQueued(tk2) {
 		t.Fatal("cancel of a queued ticket failed")
 	}
 	if p := c.Release(ClassDiscovery, now, now); p != nil {
 		t.Fatalf("release promoted a canceled ticket: %v", p)
 	}
-	st := c.ClassStats(ClassDiscovery)
-	if st.QueueTimeouts != 1 {
-		t.Fatalf("queue timeouts = %d, want 1", st.QueueTimeouts)
+	if st := c.ClassStats(ClassDiscovery); st.QueueDepth != 0 || st.InFlight != 1 {
+		t.Fatalf("stats = %+v, want an empty queue and 1 in flight", st)
 	}
 }
 
-// driveOverload pins every discovery slot busy for d of simulated time
-// while arrivals keep pounding the saturated class: queued tickets time
-// out, completions report latencies far above target, and the AIMD
-// controller ticks along the way. The slots are drained at the end so
-// callers can model the crowd dispersing.
-func driveOverload(c *Controller, clk *simclock.Manual, d time.Duration) {
-	now := clk.Now()
-	max := c.Limits(ClassDiscovery).MaxInFlight
-	for i := 0; i < max; i++ {
-		c.TryAdmit(ClassDiscovery, now)
+// TestCoDelControlLaw drives one class's queue on a manual clock. The
+// class has one slot and a 300 ms deadline, so CoDel's interval is
+// 100 ms and its target 10 ms. Every ticket queues at the start, except
+// those a step adds later, and each step frees the slot once at its
+// offset: the step's want is how many heads CoDel drops before the slot
+// goes to the next ticket, and whether the class is then dropping.
+func TestCoDelControlLaw(t *testing.T) {
+	type step struct {
+		at       time.Duration // when the slot frees
+		arrive   int           // tickets that queue at `at`, before the slot frees
+		drops    int
+		dropping bool
 	}
-	step := 50 * time.Millisecond
+	for _, tc := range []struct {
+		name   string
+		queued int
+		steps  []step
+	}{
+		{"(a) sojourn below the target never sheds", 6, []step{
+			{at: 5 * time.Millisecond},
+			{at: 9 * time.Millisecond},
+			{at: 9*time.Millisecond + 999*time.Microsecond},
+		}},
+		{"(a) the last ticket is never dropped", 1, []step{
+			{at: 20 * time.Millisecond},
+			{at: 500 * time.Millisecond, arrive: 1},
+			{at: time.Second, arrive: 1},
+		}},
+		{"(b) above the target for less than an interval never sheds", 8, []step{
+			{at: 20 * time.Millisecond},
+			{at: 60 * time.Millisecond},
+			{at: 119 * time.Millisecond},
+		}},
+		{"(c) a whole interval above the target drops the head, then interval/sqrt(count) apart", 20, []step{
+			{at: 20 * time.Millisecond},                            // above target: the interval starts
+			{at: 120 * time.Millisecond, drops: 1, dropping: true}, // a whole interval: drop, next at 220
+			{at: 219 * time.Millisecond, dropping: true},
+			{at: 220 * time.Millisecond, drops: 1, dropping: true}, // count 2: next at 220+70.7
+			{at: 290 * time.Millisecond, dropping: true},
+			{at: 291 * time.Millisecond, drops: 1, dropping: true}, // count 3: next at 290.7+57.7
+			{at: 348 * time.Millisecond, dropping: true},
+			{at: 349 * time.Millisecond, drops: 1, dropping: true}, // count 4: next at 348.4+50
+			{at: 500 * time.Millisecond, drops: 3, dropping: true}, // 398.4, 443.1, 483.9 all due
+		}},
+		{"(d) one dequeue below the target leaves the dropping state", 3, []step{
+			{at: 20 * time.Millisecond},
+			{at: 120 * time.Millisecond, drops: 1, dropping: true},
+			{at: 125 * time.Millisecond, arrive: 2},
+			{at: 130 * time.Millisecond},
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			clk := simclock.NewManual(testEpoch)
+			c := NewController(Config{Discovery: ClassLimits{MaxInFlight: 1, MaxQueue: 64, Deadline: 300 * time.Millisecond}}, clk, nil)
+			start := clk.Now()
+			if out, _ := c.TryAdmit(ClassDiscovery, start); out != Admitted {
+				t.Fatalf("the first arrival got %v", out)
+			}
+			var queue []*Ticket
+			arrive := func(n int, at time.Time) {
+				for i := 0; i < n; i++ {
+					out, tk := c.TryAdmit(ClassDiscovery, at)
+					if out != Queued {
+						t.Fatalf("arrival at %v got %v", at.Sub(start), out)
+					}
+					queue = append(queue, tk)
+				}
+			}
+			arrive(tc.queued, start)
+			shed := int64(0)
+			for _, st := range tc.steps {
+				now := start.Add(st.at)
+				arrive(st.arrive, now)
+				p := c.Release(ClassDiscovery, start, now)
+				// The heads leave in order: the first st.drops were dropped, the
+				// one after them holds the slot now.
+				if len(queue) <= st.drops || p != queue[st.drops] {
+					t.Fatalf("at %v: the slot went to %p, want the head after %d drops", st.at, p, st.drops)
+				}
+				for _, d := range queue[:st.drops] {
+					if d.state != ticketDropped {
+						t.Fatalf("at %v: a head ahead of the promoted one was not dropped", st.at)
+					}
+				}
+				queue = queue[st.drops+1:]
+				shed += int64(st.drops)
+				got := c.ClassStats(ClassDiscovery)
+				if got.Shed != shed || got.Dropping != st.dropping {
+					t.Fatalf("at %v: shed %d, dropping %v; want %d, %v", st.at, got.Shed, got.Dropping, shed, st.dropping)
+				}
+			}
+		})
+	}
+}
+
+// driveOverload holds every discovery slot busy for d of simulated time
+// while arrivals outpace completions three to one: every 10 ms three
+// requests arrive and one slot frees, so the queue stands full and the
+// head's sojourn stays far above the target. The crowd then disperses:
+// the queued requests are served and the slots freed.
+func driveOverload(c *Controller, clk *simclock.Manual, d time.Duration) {
+	class := ClassDiscovery
+	for i := 0; i < c.Limits(class).MaxInFlight; i++ {
+		c.TryAdmit(class, clk.Now())
+	}
+	step := 10 * time.Millisecond
 	for elapsed := time.Duration(0); elapsed < d; elapsed += step {
-		now = clk.Now()
-		if out, tk := c.TryAdmit(ClassDiscovery, now); out == Queued {
-			c.CancelQueued(tk, now, true) // queue casualty: timeout pressure
+		now := clk.Now()
+		for i := 0; i < 3; i++ {
+			c.TryAdmit(class, now)
 		}
-		// One slow completion per step keeps latency samples flowing;
-		// re-occupy the slot immediately to stay saturated.
-		if p := c.Release(ClassDiscovery, now.Add(-2*time.Second), now); p == nil {
-			c.TryAdmit(ClassDiscovery, now)
-		}
+		c.Release(class, now, now)
 		clk.Advance(step)
 	}
-	now = clk.Now()
-	for i := 0; i < max; i++ {
-		c.Release(ClassDiscovery, now, now)
+	for c.ClassStats(class).InFlight > 0 {
+		now := clk.Now()
+		c.Release(class, now, now)
+		clk.Advance(step)
 	}
 }
 
-func TestAIMDShedsUnderOverloadAndRecovers(t *testing.T) {
-	clk := simclock.NewManual(testEpoch)
-	c := NewController(testConfig(), clk, nil)
-	driveOverload(c, clk, 2*time.Second)
-	st := c.ClassStats(ClassDiscovery)
-	if st.AcceptRate > 0.1 {
-		t.Fatalf("accept rate after sustained overload = %v, want <= 0.1", st.AcceptRate)
-	}
-	if st.Shed == 0 {
-		t.Fatal("sustained overload shed nothing")
-	}
-
-	// Calm: fast completions, low arrival rate. The additive increase
-	// must walk the accept rate back to 1.
-	for i := 0; i < 60; i++ {
+// calm runs fast, sparse requests for rounds × 200 ms: nothing queues.
+func calm(c *Controller, clk *simclock.Manual, rounds int) {
+	for i := 0; i < rounds; i++ {
 		now := clk.Now()
 		if out, _ := c.TryAdmit(ClassDiscovery, now); out == Admitted {
 			c.Release(ClassDiscovery, now, now.Add(time.Millisecond))
 		}
 		clk.Advance(200 * time.Millisecond)
-	}
-	if got := c.ClassStats(ClassDiscovery).AcceptRate; got != 1 {
-		t.Fatalf("accept rate after calm = %v, want 1", got)
 	}
 }
 
@@ -185,13 +261,7 @@ func TestBrownoutLadderEscalatesAndRecovers(t *testing.T) {
 	if got := c.ForceStatic(); got != (peak == TierStatic) {
 		t.Fatalf("force static at %v = %v", peak, got)
 	}
-	for i := 0; i < 200; i++ {
-		now := clk.Now()
-		if out, _ := c.TryAdmit(ClassDiscovery, now); out == Admitted {
-			c.Release(ClassDiscovery, now, now.Add(time.Millisecond))
-		}
-		clk.Advance(200 * time.Millisecond)
-	}
+	calm(c, clk, 200)
 	if got := c.Tier(); got != TierNominal {
 		t.Fatalf("tier after calm = %v, want TierNominal", got)
 	}
@@ -200,6 +270,34 @@ func TestBrownoutLadderEscalatesAndRecovers(t *testing.T) {
 	}
 	if c.ExtraStaleness() != 0 || c.ForceStatic() {
 		t.Fatalf("overrides at %v: staleness %v, static %v; want none", c.Tier(), c.ExtraStaleness(), c.ForceStatic())
+	}
+}
+
+// TestBrownoutLadderIgnoresArrivalSheds: a full queue that drains fast
+// sheds arrivals without CoDel ever dropping, and that is not pressure
+// the ladder climbs on.
+func TestBrownoutLadderIgnoresArrivalSheds(t *testing.T) {
+	clk := simclock.NewManual(testEpoch)
+	cfg := testConfig()
+	cfg.Discovery.MaxQueue = 1
+	c := NewController(cfg, clk, nil)
+	for i := 0; i < cfg.Discovery.MaxInFlight; i++ {
+		c.TryAdmit(ClassDiscovery, clk.Now())
+	}
+	for i := 0; i < 500; i++ {
+		now := clk.Now()
+		for j := 0; j < 3; j++ {
+			c.TryAdmit(ClassDiscovery, now)
+		}
+		c.Release(ClassDiscovery, now, now.Add(time.Millisecond))
+		clk.Advance(time.Millisecond)
+	}
+	st := c.ClassStats(ClassDiscovery)
+	if st.Shed == 0 || st.Dropping {
+		t.Fatalf("stats = %+v, want arrival sheds and no dropping", st)
+	}
+	if got := c.Tier(); got != TierNominal {
+		t.Fatalf("tier after 500 ms of arrival sheds = %v, want TierNominal", got)
 	}
 }
 
@@ -348,10 +446,88 @@ func TestBudgetSurfacesCancelledParent(t *testing.T) {
 	}
 }
 
+// headDropAndShed serves, through Wrap with the given reject format, one
+// request CoDel drops at the head of the queue and one shed on arrival at
+// the full queue, and returns both answers. The class has one slot, held
+// out of band, three queue places and a 3 s deadline: a 1 s interval and
+// a 100 ms target.
+func headDropAndShed(t *testing.T, format RejectFormat) (dropped, shed *httptest.ResponseRecorder, c *Controller) {
+	t.Helper()
+	clk := simclock.NewManual(testEpoch)
+	cfg := testConfig()
+	cfg.Discovery = ClassLimits{MaxInFlight: 1, MaxQueue: 3, Deadline: 3 * time.Second}
+	c = NewController(cfg, clk, nil)
+	held := clk.Now()
+	c.TryAdmit(ClassDiscovery, held)
+
+	finish := make(chan struct{}, 3)
+	h := c.Wrap(ClassDiscovery, format, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		<-finish
+		w.WriteHeader(http.StatusOK)
+	}))
+	var recs [3]*httptest.ResponseRecorder
+	done := make(chan struct{}, 3)
+	for i := range recs {
+		recs[i] = httptest.NewRecorder()
+		go func(rec *httptest.ResponseRecorder) {
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/registry", strings.NewReader("<x/>")))
+			done <- struct{}{}
+		}(recs[i])
+		waitFor(t, func() bool { return c.ClassStats(ClassDiscovery).QueueDepth == i+1 })
+	}
+	shed = httptest.NewRecorder()
+	h.ServeHTTP(shed, httptest.NewRequest(http.MethodPost, "/registry", strings.NewReader("<x/>")))
+
+	// 200 ms on, the held slot frees: the head has waited above the target
+	// and the interval starts; it is served and holds the slot. An
+	// interval later it finishes, and CoDel drops the next head and hands
+	// the slot to the last one.
+	clk.Advance(200 * time.Millisecond)
+	c.Release(ClassDiscovery, held, clk.Now())
+	clk.Advance(time.Second)
+	finish <- struct{}{}
+	<-done
+	<-done
+	finish <- struct{}{}
+	<-done
+	for i, want := range []int{http.StatusOK, http.StatusServiceUnavailable, http.StatusOK} {
+		if recs[i].Code != want {
+			t.Fatalf("queued request %d: status %d, want %d", i, recs[i].Code, want)
+		}
+	}
+	if st := c.ClassStats(ClassDiscovery); st.Shed != 2 || st.Admitted != 3 {
+		t.Fatalf("stats = %+v, want 2 shed and 3 admitted", st)
+	}
+	return recs[1], shed, c
+}
+
+// waitFor polls cond for up to five seconds.
+func waitFor(t *testing.T, cond func() bool) {
+	t.Helper()
+	for i := 0; !cond(); i++ {
+		if i == 5000 {
+			t.Fatal("condition never held")
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// sameAnswer checks that two rejected requests got byte-identical
+// responses.
+func sameAnswer(t *testing.T, a, b *httptest.ResponseRecorder) {
+	t.Helper()
+	if a.Code != b.Code || !bytes.Equal(a.Body.Bytes(), b.Body.Bytes()) ||
+		a.Header().Get("Retry-After") != b.Header().Get("Retry-After") ||
+		a.Header().Get("Content-Type") != b.Header().Get("Content-Type") {
+		t.Fatalf("a head drop answered %d %q %v, a shed on arrival %d %q %v",
+			a.Code, a.Body.Bytes(), a.Header(), b.Code, b.Body.Bytes(), b.Header())
+	}
+}
+
 func TestWrapShedsWith503RetryAfter(t *testing.T) {
 	clk := simclock.NewManual(testEpoch)
 	cfg := testConfig()
-	cfg.Discovery = ClassLimits{MaxInFlight: 1, MaxQueue: -1, QueueTimeout: time.Millisecond, Deadline: time.Second}
+	cfg.Discovery = ClassLimits{MaxInFlight: 1, MaxQueue: -1, Deadline: time.Second}
 	c := NewController(cfg, clk, nil)
 
 	release := make(chan struct{})
@@ -392,12 +568,17 @@ func TestWrapShedsWith503RetryAfter(t *testing.T) {
 	if st.Admitted != 1 || st.Shed != 1 {
 		t.Fatalf("stats = %+v, want 1 admitted / 1 shed", st)
 	}
+
+	// (e) A head CoDel drops gets the very bytes of a shed on arrival.
+	dropped, shed, _ := headDropAndShed(t, RejectJSON)
+	sameAnswer(t, dropped, shed)
+	sameAnswer(t, shed, rec)
 }
 
 func TestWrapSOAPRejectIsTypedFault(t *testing.T) {
 	clk := simclock.NewManual(testEpoch)
 	cfg := testConfig()
-	cfg.Discovery = ClassLimits{MaxInFlight: 1, MaxQueue: -1, QueueTimeout: time.Millisecond, Deadline: time.Second}
+	cfg.Discovery = ClassLimits{MaxInFlight: 1, MaxQueue: -1, Deadline: time.Second}
 	c := NewController(cfg, clk, nil)
 	now := clk.Now()
 	c.TryAdmit(ClassDiscovery, now) // occupy the slot out of band
@@ -418,6 +599,64 @@ func TestWrapSOAPRejectIsTypedFault(t *testing.T) {
 	if f.Code != OverloadedFaultCode {
 		t.Fatalf("faultcode = %q, want %q", f.Code, OverloadedFaultCode)
 	}
+
+	// (e) A head CoDel drops gets the same typed fault, byte for byte.
+	dropped, shed, _ := headDropAndShed(t, RejectSOAP)
+	sameAnswer(t, dropped, shed)
+	sameAnswer(t, shed, rec)
+}
+
+// TestQueuedRequestLeavesAtItsDeadline: with every slot hung, a queued
+// request waits no longer than its deadline, counted from arrival — the
+// class's, or a tighter one from DeadlineHeader — and then gets the shed
+// answer and counts as a deadline miss.
+func TestQueuedRequestLeavesAtItsDeadline(t *testing.T) {
+	clk := simclock.NewManual(testEpoch)
+	cfg := testConfig()
+	cfg.Discovery = ClassLimits{MaxInFlight: 1, MaxQueue: 2, Deadline: 250 * time.Millisecond}
+	c := NewController(cfg, clk, nil)
+	hang := make(chan struct{})
+	h := c.Wrap(ClassDiscovery, RejectJSON, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		<-hang
+	}))
+	serve := func(header string) chan *httptest.ResponseRecorder {
+		out := make(chan *httptest.ResponseRecorder, 1)
+		req := httptest.NewRequest(http.MethodGet, "/registry/bindings", nil)
+		if header != "" {
+			req.Header.Set(DeadlineHeader, header)
+		}
+		go func() {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, req)
+			out <- rec
+		}()
+		return out
+	}
+	running := serve("")
+	waitFor(t, func() bool { return c.ClassStats(ClassDiscovery).InFlight == 1 })
+	timers := clk.PendingWaiters()
+	classDeadline := serve("")
+	tightened := serve("100")
+	waitFor(t, func() bool { return clk.PendingWaiters() == timers+2 })
+
+	clk.Advance(100 * time.Millisecond)
+	rec := <-tightened
+	if rec.Code != http.StatusServiceUnavailable || rec.Header().Get("Retry-After") != "1" {
+		t.Fatalf("request with a 100 ms deadline: status %d, Retry-After %q; want 503, 1", rec.Code, rec.Header().Get("Retry-After"))
+	}
+	if st := c.ClassStats(ClassDiscovery); st.QueueDepth != 1 || st.DeadlineExceeded != 1 {
+		t.Fatalf("at 100 ms: stats = %+v, want the class-deadline request still queued and 1 deadline miss", st)
+	}
+	clk.Advance(150 * time.Millisecond)
+	if rec := <-classDeadline; rec.Code != http.StatusServiceUnavailable {
+		t.Fatalf("request with the class deadline: status %d at 250 ms, want 503", rec.Code)
+	}
+	st := c.ClassStats(ClassDiscovery)
+	if st.QueueDepth != 0 || st.DeadlineExceeded != 2 || st.Shed != 0 || st.InFlight != 1 {
+		t.Fatalf("at 250 ms: stats = %+v, want an empty queue, 2 deadline misses, no shed, the hung request in flight", st)
+	}
+	close(hang)
+	<-running
 }
 
 func TestWrapNilControllerPassesThrough(t *testing.T) {

@@ -28,34 +28,20 @@ const (
 // retry" from a genuine server error.
 const OverloadedFaultCode = "Server.Overloaded"
 
-// OverloadedFault builds the typed SOAP fault for a shed request.
-func OverloadedFault(retryAfter time.Duration) *soap.Fault {
-	return &soap.Fault{
-		Code:   OverloadedFaultCode,
-		String: "registry overloaded; retry after " + strconv.FormatInt(retryAfterSeconds(retryAfter), 10) + "s",
-		Detail: "admission control shed this request before execution",
-	}
-}
-
-// retryAfterSeconds rounds the advisory backoff up to whole seconds,
-// the resolution of the Retry-After header.
-func retryAfterSeconds(d time.Duration) int64 {
-	s := int64((d + time.Second - 1) / time.Second)
-	if s < 1 {
-		s = 1
-	}
-	return s
-}
-
 // buildRejects preserializes the shed responses and headers once so the
 // reject path allocates nothing per request.
 func (c *Controller) buildRejects() {
-	secs := strconv.FormatInt(retryAfterSeconds(c.cfg.RetryAfter), 10)
+	// Retry-After counts whole seconds: the backoff rounds up.
+	secs := strconv.FormatInt(int64((c.cfg.RetryAfter+time.Second-1)/time.Second), 10)
 	c.retryAfterHeader = []string{secs}
 	c.jsonContentType = []string{"application/json"}
 	c.soapContentType = []string{soap.ContentType}
 	c.rejectJSON = []byte(`{"error":"overloaded","retryAfterSeconds":` + secs + `}` + "\n")
-	env, err := soap.Marshal(OverloadedFault(c.cfg.RetryAfter))
+	env, err := soap.Marshal(&soap.Fault{
+		Code:   OverloadedFaultCode,
+		String: "registry overloaded; retry after " + secs + "s",
+		Detail: "admission control shed this request before execution",
+	})
 	if err != nil {
 		// Marshal of a static struct cannot fail; fall back to the
 		// JSON body rather than panic in a constructor.
@@ -102,12 +88,12 @@ type AdmissionNoter interface {
 // class. A nil *Controller wraps nothing, so callers can build their mux
 // unconditionally and flip admission with one config field.
 //
-// The request flow: TryAdmit → (possibly) wait FIFO for a slot, bounded
-// by the class queue timeout and the client disconnecting → offer the
-// request to next's FastServe if it implements FastHandler → otherwise
-// run next with the class deadline budget on the request context →
-// Release the slot, promoting the next waiter. The FastHandler assertion
-// happens once here, not per request.
+// The request flow: TryAdmit → (possibly) wait FIFO for a slot, until
+// CoDel promotes or drops the ticket, the client disconnects or the
+// deadline passes → offer the request to next's FastServe if it
+// implements FastHandler → otherwise run next with the class deadline
+// budget on the request context → Release the slot, promoting the next
+// waiter. The FastHandler assertion happens once here, not per request.
 func (c *Controller) Wrap(class Class, format RejectFormat, next http.Handler) http.Handler {
 	if c == nil {
 		return next
@@ -144,38 +130,44 @@ func (c *Controller) Wrap(class Class, format RejectFormat, next http.Handler) h
 			return
 		}
 		// The budget runs from arrival, so the time spent queueing above is
-		// charged to it: a request promoted after its deadline is refused by
-		// the handler's first Err check, not served late.
+		// charged to it: a request promoted as its deadline passed is
+		// refused by the handler's first Err check, not served late.
 		b := &budget{parent: r.Context(), clock: c.clock, deadline: now.Add(d)}
 		next.ServeHTTP(w, r.WithContext(b))
 		if b.end() {
-			c.NoteDeadlineExceeded(class)
+			c.classes[class].deadlineMiss.Inc()
 		}
 	})
 }
 
-// awaitTurn blocks a queued request until its ticket is promoted, the
-// class queue timeout fires, or the client disconnects. It reports
-// whether the request now owns an in-flight slot.
+// awaitTurn blocks a queued request until its ticket leaves the queue:
+// at the head, promoted or dropped by CoDel; or on its own, when the
+// client disconnects or the request's deadline, counted from arrival,
+// passes. It reports whether the request now owns an in-flight slot.
 func (c *Controller) awaitTurn(t *Ticket, r *http.Request) bool {
-	qt := c.classes[t.class].limits.QueueTimeout
-	select {
-	case <-t.Ready():
-		return true
-	case <-r.Context().Done():
-		if !c.CancelQueued(t, c.clock.Now(), false) {
-			// Lost the race: the slot is ours. Run the handler anyway —
-			// it observes the dead context and returns immediately, and
-			// the normal Release path promotes the next waiter.
-			return true
-		}
-		return false
-	case <-c.clock.After(qt):
-		if !c.CancelQueued(t, c.clock.Now(), true) {
-			return true
-		}
-		return false
+	cs := &c.classes[t.class]
+	var expire <-chan time.Time
+	if d := c.Deadline(t.class, r.Header.Get(DeadlineHeader)); d > 0 {
+		expire = c.clock.After(t.arrived.Add(d).Sub(c.clock.Now()))
 	}
+	select {
+	case <-t.ready:
+	case <-r.Context().Done():
+		if c.CancelQueued(t) {
+			cs.canceled.Inc()
+			return false
+		}
+	case <-expire:
+		if c.CancelQueued(t) {
+			cs.deadlineMiss.Inc()
+			return false
+		}
+	}
+	// Left at the head, perhaps while the client went away or the
+	// deadline passed: a promoted request runs anyway — the handler sees
+	// the dead context and returns at once, and its Release promotes the
+	// next waiter — and a dropped one is shed.
+	return t.state == ticketPromoted
 }
 
 // WithBudget derives a context whose budget ends d from now on the

@@ -24,7 +24,6 @@ import (
 
 	"repro/internal/constraint"
 	"repro/internal/flight"
-	"repro/internal/rim"
 	"repro/internal/store"
 )
 
@@ -250,27 +249,6 @@ func (d *Decision) Quarantined() int { return d.tally[VerdictQuarantined] }
 // arranged — where a client following it lands — or "" when the answer is
 // empty or no host was classified for it.
 func (d *Decision) ServedHost() string { return d.servedHost }
-
-// ArrangeService applies the balancer to a service's bindings at time now,
-// returning the bindings in the order the registry should present them.
-// The input service is not modified.
-func (b *Balancer) ArrangeService(svc *rim.Service, now time.Time) ([]*rim.ServiceBinding, Decision) {
-	uris := make([]string, 0, len(svc.Bindings))
-	byURI := make(map[string]*rim.ServiceBinding, len(svc.Bindings))
-	for _, bind := range svc.Bindings {
-		if bind.AccessURI == "" {
-			continue
-		}
-		uris = append(uris, bind.AccessURI)
-		byURI[bind.AccessURI] = bind
-	}
-	ordered, dec := b.arrange(store.DiscoveryView{ID: svc.ID, Description: svc.Description.String(), URIs: uris}, now, nil)
-	out := make([]*rim.ServiceBinding, 0, len(ordered))
-	for _, u := range ordered {
-		out = append(out, byURI[u])
-	}
-	return out, dec
-}
 
 // ArrangeURIs is the URI-level core of the scheme: given a service
 // description (which may embed a constraint block) and the stored-order

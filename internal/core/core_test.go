@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/rim"
 	"repro/internal/store"
 )
 
@@ -186,28 +185,6 @@ func TestFallbackAllServesLoadOrdered(t *testing.T) {
 	out, _ = b.ArrangeURIs(constrained, uris(), t0)
 	if len(out) != 0 {
 		t.Fatalf("no-fallback = %v", out)
-	}
-}
-
-func TestArrangeService(t *testing.T) {
-	svc := rim.NewService("Adder", constrained)
-	svc.AddBinding(uriExergy)
-	svc.AddBinding(uriThermo)
-	tb := rim.NewServiceBinding(svc.ID, "")
-	tb.TargetBindingID = "urn:uuid:elsewhere" // URI-less binding is skipped
-	svc.Bindings = append(svc.Bindings, tb)
-
-	b := &Balancer{Table: table(), Policy: PolicyFilter}
-	out, dec := b.ArrangeService(svc, t0)
-	if len(out) != 1 || out[0].AccessURI != uriThermo {
-		t.Fatalf("ArrangeService = %v", out)
-	}
-	if dec.Eligible() != 1 {
-		t.Fatalf("decision = %+v", dec)
-	}
-	// Original service order untouched.
-	if svc.Bindings[0].AccessURI != uriExergy {
-		t.Fatal("ArrangeService mutated the service")
 	}
 }
 

@@ -133,7 +133,7 @@ func TestDiscoveryVsCollectorStress(t *testing.T) {
 		Clock:          clk,
 		Policy:         core.PolicyFilter,
 		SnapshotMaxAge: 25 * time.Second,
-		Invoker:        nodestatus.LocalInvoker{Cluster: cluster, Clock: clk},
+		Invoker:        hostsim.LocalInvoker{Cluster: cluster, Clock: clk},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -184,7 +184,7 @@ func TestDiscoveryVsCollectorStress(t *testing.T) {
 	}
 	wg.Wait()
 
-	if sweeps, _ := reg.Collector.Stats(); sweeps != iters {
+	if sweeps := reg.Collector.FaultStats().Sweeps; sweeps != iters {
 		t.Fatalf("sweeps = %d, want %d", sweeps, iters)
 	}
 	if _, err := reg.Store.ServiceView(worker.ID); errors.Is(err, store.ErrNotFound) {

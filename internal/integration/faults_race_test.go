@@ -41,7 +41,7 @@ func TestBreakerTripsUnderConcurrentDiscovery(t *testing.T) {
 	// non-blocking faults appear: CollectOnce runs on callers' goroutines
 	// here, and nothing coordinates clock advances with sweeps.
 	invoker := faults.New(
-		nodestatus.LocalInvoker{Cluster: cluster, Clock: clk}, clk,
+		hostsim.LocalInvoker{Cluster: cluster, Clock: clk}, clk,
 		faults.Plan{
 			Hosts:      hosts[:2],
 			DropRate:   0.5,

@@ -57,7 +57,7 @@ func TestCollectorRunStopsCleanly(t *testing.T) {
 	}, t0))
 
 	collector := nodestate.New(reg.Store.NodeState(),
-		nodestatus.LocalInvoker{Cluster: cluster, Clock: clk}, clk,
+		hostsim.LocalInvoker{Cluster: cluster, Clock: clk}, clk,
 		reg.QM.CollectionTargets)
 
 	ctx, cancel := context.WithCancel(context.Background())

@@ -55,7 +55,7 @@ func TestGuardedStateUnderRace(t *testing.T) {
 		t.Fatal(err)
 	}
 	collector := nodestate.New(reg.Store.NodeState(),
-		nodestatus.LocalInvoker{Cluster: cluster, Clock: clk}, clk,
+		hostsim.LocalInvoker{Cluster: cluster, Clock: clk}, clk,
 		reg.QM.CollectionTargets)
 
 	const iters = 40

@@ -13,10 +13,10 @@
 //
 // The simulation is a single-threaded event loop over the manual clock:
 // a binary heap of (time, sequence)-ordered events drives the
-// controller's non-blocking core (TryAdmit / Release / CancelQueued)
-// directly, and every admitted request performs a real discovery call
-// through the JAXR connection so the full registry read path — balancer,
-// brownout overrides, snapshot staleness — sits under the load.
+// controller's non-blocking core (TryAdmit / Release) directly, and
+// every admitted request performs a real discovery call through the JAXR
+// connection so the full registry read path — balancer, brownout
+// overrides, snapshot staleness — sits under the load.
 package lbexp
 
 import (
@@ -76,9 +76,10 @@ type FlashCrowdConfig struct {
 
 // DefaultFlashCrowd is the H8 configuration recorded in EXPERIMENTS.md:
 // discovery capacity MaxInFlight/Service = 400 req/s, a baseline offering
-// ~75% of that, and a surge population 10x the baseline. QueueTimeout +
-// worst-case service fits inside the class deadline, so admitted p99 is
-// structurally bounded by construction — the experiment verifies it.
+// ~75% of that, and a surge population 10x the baseline. The class
+// deadline sets CoDel's interval (83 ms) and target (8.3 ms); a full
+// queue of 16 takes 40 ms to drain through 8 slots, so a queue the crowd
+// keeps full stands far above the target and CoDel sheds from it.
 func DefaultFlashCrowd(seed int64) FlashCrowdConfig {
 	return FlashCrowdConfig{
 		Hosts:           4,
@@ -92,12 +93,10 @@ func DefaultFlashCrowd(seed int64) FlashCrowdConfig {
 		Seed:            seed,
 		Admission: admit.Config{
 			Discovery: admit.ClassLimits{
-				MaxInFlight:  8,
-				MaxQueue:     16,
-				QueueTimeout: 100 * time.Millisecond,
-				Deadline:     250 * time.Millisecond,
+				MaxInFlight: 8,
+				MaxQueue:    16,
+				Deadline:    250 * time.Millisecond,
 			},
-			Tick:             100 * time.Millisecond,
 			RetryAfter:       100 * time.Millisecond,
 			BrownoutEscalate: 2 * time.Second,
 			BrownoutCalm:     4 * time.Second,
@@ -111,12 +110,12 @@ func DefaultFlashCrowd(seed int64) FlashCrowdConfig {
 type FlashCrowdResult struct {
 	Name string
 	// Offered counts admission attempts in the window; Completed counts
-	// requests served; Shed counts early rejections (including queue
-	// timeouts, broken out in QueueTimeouts).
-	Offered       int
-	Completed     int
-	Shed          int
-	QueueTimeouts int
+	// requests served; Shed counts early rejections (including the
+	// queued requests CoDel dropped at the head, broken out in Dropped).
+	Offered   int
+	Completed int
+	Shed      int
+	Dropped   int
 	// GoodputPerSec is Completed over the surge window.
 	GoodputPerSec float64
 	// LatP50/LatP99/LatMax are admitted-request latencies in seconds,
@@ -146,8 +145,10 @@ type FlashCrowdResult struct {
 const (
 	fcArrive uint8 = iota
 	fcComplete
-	fcTimeout
 	fcSweep
+	// fcDrop marks a queued client CoDel dropped in the replay
+	// fingerprint; it is never scheduled.
+	fcDrop
 )
 
 // fcCollectionPeriod is H8's NodeStatus sweep cadence. The run's phases
@@ -168,8 +169,12 @@ type fcEvent struct {
 	// arrived (fcComplete) is when the finishing request first asked for
 	// admission; latency is measured from here.
 	arrived time.Time
-	// ticket (fcTimeout) is the queued admission awaiting a slot.
+}
+
+// fcWaiter is a queued client and the ticket it waits on.
+type fcWaiter struct {
 	ticket *admit.Ticket
+	cl     *fcClient
 }
 
 // fcClient is one closed-loop discovery client.
@@ -217,9 +222,10 @@ type fcSim struct {
 
 	events fcHeap
 	seq    uint64
-	// tickets maps a queued admission back to its waiting client so a
-	// promotion inside Release can start that client's service.
-	tickets map[*admit.Ticket]*fcClient
+	// queue mirrors the controller's discovery queue: the waiting clients
+	// in arrival order, so a Release's promotion starts that client's
+	// service and every client ahead of it is known to have been dropped.
+	queue []fcWaiter
 
 	surgeStart time.Time
 	surgeEnd   time.Time
@@ -229,7 +235,7 @@ type fcSim struct {
 	wOffered   int
 	wCompleted int
 	wShed      int
-	wTimeouts  int
+	wDropped   int
 	latencies  []float64
 
 	// trace fingerprints the processed event stream for the replay
@@ -266,7 +272,6 @@ func flashRun(cfg FlashCrowdConfig, surgeClients int) (*fcSim, error) {
 		setup:      setup,
 		ctrl:       setup.Registry.Admission,
 		rng:        rand.New(rand.NewSource(cfg.Seed)),
-		tickets:    make(map[*admit.Ticket]*fcClient),
 		surgeStart: start.Add(cfg.Warmup),
 		runEnd:     start.Add(cfg.Warmup + cfg.Surge + cfg.Cooldown),
 		trace:      fnv.New64a(),
@@ -280,7 +285,7 @@ func flashRun(cfg FlashCrowdConfig, surgeClients int) (*fcSim, error) {
 	// client order, so the schedule is a pure function of the seed.
 	for i := 0; i < cfg.BaselineClients; i++ {
 		cl := &fcClient{id: i}
-		f.push(start.Add(time.Duration(f.rng.Float64()*float64(time.Second))), fcArrive, cl, time.Time{}, nil)
+		f.push(start.Add(time.Duration(f.rng.Float64()*float64(time.Second))), fcArrive, cl, time.Time{})
 	}
 	ramp := 2 * time.Second
 	if ramp > cfg.Surge/2 {
@@ -288,11 +293,11 @@ func flashRun(cfg FlashCrowdConfig, surgeClients int) (*fcSim, error) {
 	}
 	for i := 0; i < surgeClients; i++ {
 		cl := &fcClient{id: cfg.BaselineClients + i, surge: true}
-		f.push(f.surgeStart.Add(time.Duration(f.rng.Float64()*float64(ramp))), fcArrive, cl, time.Time{}, nil)
+		f.push(f.surgeStart.Add(time.Duration(f.rng.Float64()*float64(ramp))), fcArrive, cl, time.Time{})
 	}
 	// NodeStatus sweeps ride the same event heap, so the balancer's view
 	// refreshes on the virtual clock exactly as the collector would.
-	f.push(start.Add(fcCollectionPeriod), fcSweep, nil, time.Time{}, nil)
+	f.push(start.Add(fcCollectionPeriod), fcSweep, nil, time.Time{})
 	if err := f.run(); err != nil {
 		return nil, err
 	}
@@ -300,9 +305,9 @@ func flashRun(cfg FlashCrowdConfig, surgeClients int) (*fcSim, error) {
 }
 
 // push schedules one event.
-func (f *fcSim) push(at time.Time, kind uint8, cl *fcClient, arrived time.Time, t *admit.Ticket) {
+func (f *fcSim) push(at time.Time, kind uint8, cl *fcClient, arrived time.Time) {
 	f.seq++
-	heap.Push(&f.events, &fcEvent{at: at, seq: f.seq, kind: kind, cl: cl, arrived: arrived, ticket: t})
+	heap.Push(&f.events, &fcEvent{at: at, seq: f.seq, kind: kind, cl: cl, arrived: arrived})
 }
 
 // run drains the event heap, advancing the manual clock to each event.
@@ -317,8 +322,6 @@ func (f *fcSim) run() error {
 			err = f.arrive(e.cl, e.at)
 		case fcComplete:
 			err = f.complete(e.cl, e.arrived, e.at)
-		case fcTimeout:
-			err = f.timeout(e.cl, e.ticket, e.at)
 		case fcSweep:
 			f.sweep(e.at)
 		}
@@ -341,7 +344,7 @@ func (f *fcSim) sweep(now time.Time) {
 	f.setup.Cluster.AdvanceTo(now)
 	f.setup.Collector.CollectOnce()
 	if next := now.Add(fcCollectionPeriod); !next.After(f.runEnd) {
-		f.push(next, fcSweep, nil, time.Time{}, nil)
+		f.push(next, fcSweep, nil, time.Time{})
 	}
 }
 
@@ -377,7 +380,7 @@ func (f *fcSim) jitter(mean time.Duration) time.Duration {
 // advisory Retry-After plus one think's worth of jitter. A flash crowd
 // is impatient — it retries on the order of its think time rather than
 // politely waiting out the incident, which is exactly the load shape the
-// shedder and brownout ladder exist for.
+// load shedding and the brownout ladder exist for.
 func (f *fcSim) backoff() time.Duration {
 	return f.ctrl.RetryAfter() + f.jitter(f.cfg.Think)
 }
@@ -391,7 +394,7 @@ func (f *fcSim) scheduleNext(cl *fcClient, at time.Time) {
 	if at.After(f.runEnd) {
 		return
 	}
-	f.push(at, fcArrive, cl, time.Time{}, nil)
+	f.push(at, fcArrive, cl, time.Time{})
 }
 
 // arrive runs one admission attempt.
@@ -406,8 +409,7 @@ func (f *fcSim) arrive(cl *fcClient, now time.Time) error {
 	case admit.Admitted:
 		return f.startService(cl, now, now)
 	case admit.Queued:
-		f.tickets[ticket] = cl
-		f.push(now.Add(f.ctrl.Limits(admit.ClassDiscovery).QueueTimeout), fcTimeout, cl, time.Time{}, ticket)
+		f.queue = append(f.queue, fcWaiter{ticket, cl})
 	case admit.Shed:
 		if f.inWindow(now) {
 			f.wShed++
@@ -461,13 +463,14 @@ func (f *fcSim) startService(cl *fcClient, arrived, now time.Time) error {
 			MemB:       1 << 20,
 		}, now)
 	}
-	f.push(now.Add(svc), fcComplete, cl, arrived, nil)
+	f.push(now.Add(svc), fcComplete, cl, arrived)
 	return nil
 }
 
 // complete finishes an admitted request: records its latency, releases
 // the slot (possibly promoting a queued client, whose service then
-// starts immediately), and books the client's next think-time arrival.
+// starts immediately, after CoDel dropped the clients ahead of it), and
+// books the client's next think-time arrival.
 func (f *fcSim) complete(cl *fcClient, arrived, now time.Time) error {
 	lat := now.Sub(arrived)
 	if f.inWindow(now) {
@@ -477,35 +480,23 @@ func (f *fcSim) complete(cl *fcClient, arrived, now time.Time) error {
 	f.note(fcComplete, cl, now, 0, uint64(lat))
 	promoted := f.ctrl.Release(admit.ClassDiscovery, arrived, now)
 	f.noteTier()
-	if promoted != nil {
-		pcl := f.tickets[promoted]
-		delete(f.tickets, promoted)
-		if pcl != nil {
-			if err := f.startService(pcl, promoted.Arrived(), now); err != nil {
+	for len(f.queue) > 0 {
+		w := f.queue[0]
+		f.queue = f.queue[1:]
+		if w.ticket == promoted {
+			if err := f.startService(w.cl, promoted.Arrived(), now); err != nil {
 				return err
 			}
+			break
 		}
+		if f.inWindow(now) {
+			f.wDropped++
+			f.wShed++
+		}
+		f.note(fcDrop, w.cl, now, 1, 0)
+		f.scheduleNext(w.cl, now.Add(f.backoff()))
 	}
 	f.scheduleNext(cl, now.Add(f.jitter(f.cfg.Think)))
-	return nil
-}
-
-// timeout fires when a queued admission has waited out its QueueTimeout.
-// Losing the cancel race means the ticket was promoted first and the
-// client is already being served; winning it sheds the request.
-func (f *fcSim) timeout(cl *fcClient, t *admit.Ticket, now time.Time) error {
-	cancelled := f.ctrl.CancelQueued(t, now, true)
-	f.noteTier()
-	if !cancelled {
-		return nil
-	}
-	delete(f.tickets, t)
-	if f.inWindow(now) {
-		f.wTimeouts++
-		f.wShed++
-	}
-	f.note(fcTimeout, cl, now, 1, 0)
-	f.scheduleNext(cl, now.Add(f.backoff()))
 	return nil
 }
 
@@ -516,7 +507,7 @@ func (f *fcSim) result(name string) FlashCrowdResult {
 		Offered:       f.wOffered,
 		Completed:     f.wCompleted,
 		Shed:          f.wShed,
-		QueueTimeouts: f.wTimeouts,
+		Dropped:       f.wDropped,
 		GoodputPerSec: float64(f.wCompleted) / f.cfg.Surge.Seconds(),
 		Deadline:      f.ctrl.Limits(admit.ClassDiscovery).Deadline,
 		MaxTier:       f.maxTier,
@@ -549,8 +540,8 @@ func (f *fcSim) result(name string) FlashCrowdResult {
 // event-stream hash plus every counter and the tier history — for the
 // byte-identical replay check.
 func (f *fcSim) fingerprint() string {
-	return fmt.Sprintf("events=%016x offered=%d completed=%d shed=%d timeouts=%d lat=%d stats=%+v tiers=%v final=%v changes=%d",
-		f.trace.Sum64(), f.wOffered, f.wCompleted, f.wShed, f.wTimeouts,
+	return fmt.Sprintf("events=%016x offered=%d completed=%d shed=%d dropped=%d lat=%d stats=%+v tiers=%v final=%v changes=%d",
+		f.trace.Sum64(), f.wOffered, f.wCompleted, f.wShed, f.wDropped,
 		len(f.latencies), f.ctrl.ClassStats(admit.ClassDiscovery),
 		f.tierHist, f.ctrl.Tier(), f.ctrl.TierChanges())
 }
@@ -572,11 +563,11 @@ func FlashCrowd(cfg FlashCrowdConfig) (baseline, surge FlashCrowdResult, err err
 // FlashCrowdTable tabulates the H8 rows for EXPERIMENTS.md and lbsim.
 func FlashCrowdTable(rows ...FlashCrowdResult) *metrics.Table {
 	tbl := metrics.NewTable("run", "offered", "completed", "goodput/s",
-		"shed", "queueTO", "latP50(ms)", "latP99(ms)", "deadline(ms)",
+		"shed", "dropped", "latP50(ms)", "latP99(ms)", "deadline(ms)",
 		"maxTier", "finalTier", "tierChanges")
 	for _, r := range rows {
 		tbl.AddRow(r.Name, r.Offered, r.Completed, round4(r.GoodputPerSec),
-			r.Shed, r.QueueTimeouts,
+			r.Shed, r.Dropped,
 			round4(r.LatP50*1000), round4(r.LatP99*1000),
 			round4(r.Deadline.Seconds()*1000),
 			r.MaxTier.String(), r.FinalTier.String(), r.TierChanges)

@@ -13,35 +13,31 @@ func fcTestConfig() FlashCrowdConfig { return DefaultFlashCrowd(42) }
 
 // TestFlashCrowdGoodputAndLatency is the headline overload claim: at a
 // 10x offered-load surge the edge sheds instead of collapsing — admitted
-// goodput stays within 10% of (in practice, above) the uncontended
-// baseline, and admitted p99 stays inside the discovery class deadline
-// because excess arrivals bounce early instead of queuing.
+// goodput stays at the discovery capacity (8 slots over a 20 ms mean
+// service, 400/s), served p99 stays at or under 69 ms, far inside the
+// 250 ms deadline, and the uncontended baseline sheds nothing.
 func TestFlashCrowdGoodputAndLatency(t *testing.T) {
 	baseline, surge, err := FlashCrowd(fcTestConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if baseline.Completed == 0 || baseline.Shed != 0 {
+	if baseline.Completed == 0 || baseline.Shed != 0 || baseline.Stats.Shed != 0 {
 		t.Fatalf("baseline should serve everything: %+v", baseline)
 	}
-	if surge.Shed == 0 {
-		t.Fatalf("10x surge shed nothing: %+v", surge)
+	if surge.Shed == 0 || surge.Dropped == 0 || surge.Stats.Shed == 0 {
+		t.Fatalf("10x surge shed nothing, or CoDel dropped nothing: %+v", surge)
 	}
-	if surge.GoodputPerSec < 0.9*baseline.GoodputPerSec {
-		t.Errorf("goodput collapsed under surge: baseline %.1f/s, surge %.1f/s",
-			baseline.GoodputPerSec, surge.GoodputPerSec)
+	if surge.GoodputPerSec < 399 {
+		t.Errorf("surge goodput %.2f/s, want >= 399/s", surge.GoodputPerSec)
+	}
+	if surge.LatP99 > 0.069 {
+		t.Errorf("surge served p99 %.2fms, want <= 69ms", surge.LatP99*1000)
 	}
 	for _, r := range []FlashCrowdResult{baseline, surge} {
 		if r.LatP99 > r.Deadline.Seconds() {
 			t.Errorf("%s: p99 %.1fms exceeds the %.0fms class deadline",
 				r.Name, r.LatP99*1000, r.Deadline.Seconds()*1000)
 		}
-	}
-	// Shed clients must have been told when to come back: every shed in
-	// the HTTP path carries Retry-After, and the simulator's backoff is
-	// driven by the same advisory value.
-	if surge.Stats.Shed == 0 {
-		t.Errorf("controller counters saw no sheds: %+v", surge.Stats)
 	}
 }
 

@@ -190,7 +190,7 @@ func NewSetup(cfg Config) (*Setup, error) {
 		breakers = breaker.NewSet(*cfg.Breaker)
 		opts = append(opts, nodestate.WithBreakers(breakers))
 	}
-	invoker := nodestatus.Invoker(nodestatus.LocalInvoker{Cluster: cluster, Clock: clk})
+	invoker := nodestatus.Invoker(hostsim.LocalInvoker{Cluster: cluster, Clock: clk})
 	var injector *faults.Injector
 	if cfg.FaultPlan != nil {
 		injector = faults.New(invoker, clk, *cfg.FaultPlan)
@@ -330,7 +330,7 @@ func PeriodSweep(base Config, periods []time.Duration) (*metrics.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		sweeps, _ := s.Collector.Stats()
+		sweeps := s.Collector.FaultStats().Sweeps
 		tbl.AddRow(p.String(), sweeps, round4(rep.MeanFairness()),
 			round4(rep.FinalLoadSummary().Stddev),
 			round4(rep.LatencySummary().Mean), rep.Dropped)

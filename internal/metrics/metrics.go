@@ -60,16 +60,6 @@ func Summarize(xs []float64) Summary {
 // overwhelmed while others starve".
 func (s Summary) Spread() float64 { return s.Max - s.Min }
 
-// CV returns the coefficient of variation (stddev/mean), a scale-free
-// imbalance measure. It is 0 for a perfectly uniform non-zero sample and 0
-// by convention when the mean is 0.
-func (s Summary) CV() float64 {
-	if s.Mean == 0 {
-		return 0
-	}
-	return s.Stddev / s.Mean
-}
-
 // JainFairness computes Jain's fairness index (sum x)^2 / (n * sum x^2).
 // It is 1.0 for a perfectly uniform allocation and 1/n when a single host
 // receives everything. An empty or all-zero sample is defined as 1.0

@@ -21,18 +21,14 @@ func TestSummarizeBasic(t *testing.T) {
 	if !almost(s.Spread(), 3) {
 		t.Fatalf("spread = %v", s.Spread())
 	}
-	if !almost(s.CV(), s.Stddev/2.5) {
-		t.Fatalf("cv = %v", s.CV())
-	}
 }
 
 func TestSummarizeEmptyAndZeroMean(t *testing.T) {
 	if s := Summarize(nil); s.N != 0 || s.Mean != 0 {
 		t.Fatalf("empty summary: %+v", s)
 	}
-	s := Summarize([]float64{-1, 1})
-	if s.CV() != 0 {
-		t.Fatalf("CV with zero mean should be 0, got %v", s.CV())
+	if s := Summarize([]float64{-1, 1}); s.Mean != 0 || !almost(s.Stddev, 1) {
+		t.Fatalf("zero-mean summary: %+v", s)
 	}
 }
 

@@ -54,7 +54,7 @@ func rig(t *testing.T, policy core.Policy, hosts int) *Driver {
 	}
 
 	collector := nodestate.New(reg.Store.NodeState(),
-		nodestatus.LocalInvoker{Cluster: cluster, Clock: clk}, clk,
+		hostsim.LocalInvoker{Cluster: cluster, Clock: clk}, clk,
 		reg.QM.CollectionTargets, nodestate.WithPeriod(25*time.Second))
 	collector.CollectOnce()
 
@@ -229,7 +229,7 @@ func TestCollectorRefreshesDuringRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sweeps, _ := d.Collector.Stats()
+	sweeps := d.Collector.FaultStats().Sweeps
 	// The initial sweep plus at least (100s workload / 25s period).
 	if sweeps < 4 {
 		t.Fatalf("sweeps = %d", sweeps)

@@ -97,15 +97,6 @@ func WithPeriod(d time.Duration) Option {
 	}
 }
 
-// WithParallelism bounds the number of concurrent NodeStatus invocations.
-func WithParallelism(n int) Option {
-	return func(c *Collector) {
-		if n > 0 {
-			c.parallelism = n
-		}
-	}
-}
-
 // WithTimeout sets the per-invocation deadline. An attempt still running
 // when it expires counts as failed (and is cancelled when the invoker
 // supports contexts). Zero or negative disables the deadline.
@@ -183,13 +174,6 @@ func (c *Collector) Period() time.Duration { return c.period }
 
 // Breakers returns the attached breaker set (nil when disabled).
 func (c *Collector) Breakers() *breaker.Set { return c.breakers }
-
-// Stats reports completed sweeps and accumulated invocation errors (the
-// pre-fault-tolerance signature; FaultStats has the full counters).
-func (c *Collector) Stats() (sweeps, errs int) {
-	s := c.FaultStats()
-	return s.Sweeps, s.Errs
-}
 
 // FaultStats snapshots all fault-tolerance counters. Events are counted as
 // they happen, the sweep that holds them when it completes.

@@ -42,7 +42,7 @@ func TestCollectOncePopulatesTable(t *testing.T) {
 	defer leakcheck.Check(t)()
 	cluster, clk := simCluster()
 	table := store.NewNodeStateTable()
-	col := New(table, nodestatus.LocalInvoker{Cluster: cluster, Clock: clk}, clk, urisOf(cluster))
+	col := New(table, hostsim.LocalInvoker{Cluster: cluster, Clock: clk}, clk, urisOf(cluster))
 
 	col.CollectOnce()
 	if table.Len() != 2 {
@@ -52,8 +52,8 @@ func TestCollectOncePopulatesTable(t *testing.T) {
 	if !ok || row.MemoryB != 4<<30 || !row.Updated.Equal(t0) || row.Failures != 0 {
 		t.Fatalf("row = %+v %v", row, ok)
 	}
-	if sweeps, errs := col.Stats(); sweeps != 1 || errs != 0 {
-		t.Fatalf("stats = %d, %d", sweeps, errs)
+	if st := col.FaultStats(); st.Sweeps != 1 || st.Errs != 0 {
+		t.Fatalf("stats = %+v, want 1 sweep and no errors", st)
 	}
 }
 
@@ -61,14 +61,14 @@ func TestCollectOnceRecordsFailures(t *testing.T) {
 	cluster, clk := simCluster()
 	cluster.Host("exergy.sdsu.edu").SetDown(true)
 	table := store.NewNodeStateTable()
-	col := New(table, nodestatus.LocalInvoker{Cluster: cluster, Clock: clk}, clk, urisOf(cluster))
+	col := New(table, hostsim.LocalInvoker{Cluster: cluster, Clock: clk}, clk, urisOf(cluster))
 
 	col.CollectOnce()
 	row, ok := table.Get("exergy.sdsu.edu")
 	if !ok || row.Failures != 1 {
 		t.Fatalf("failure row = %+v %v", row, ok)
 	}
-	if _, errs := col.Stats(); errs != 1 {
+	if errs := col.FaultStats().Errs; errs != 1 {
 		t.Fatalf("errs = %d", errs)
 	}
 	// Recovery resets the failure count via Upsert.
@@ -83,13 +83,13 @@ func TestCollectOnceRecordsFailures(t *testing.T) {
 func TestCollectOnceSkipsGarbageURI(t *testing.T) {
 	cluster, clk := simCluster()
 	table := store.NewNodeStateTable()
-	col := New(table, nodestatus.LocalInvoker{Cluster: cluster, Clock: clk}, clk,
+	col := New(table, hostsim.LocalInvoker{Cluster: cluster, Clock: clk}, clk,
 		func() []string { return []string{"::notauri::"} })
 	col.CollectOnce()
 	if table.Len() != 0 {
 		t.Fatal("garbage uri produced a row")
 	}
-	if _, errs := col.Stats(); errs != 1 {
+	if errs := col.FaultStats().Errs; errs != 1 {
 		t.Fatalf("errs = %d", errs)
 	}
 }
@@ -97,7 +97,7 @@ func TestCollectOnceSkipsGarbageURI(t *testing.T) {
 func TestRunPollsOnPeriod(t *testing.T) {
 	cluster, clk := simCluster()
 	table := store.NewNodeStateTable()
-	col := New(table, nodestatus.LocalInvoker{Cluster: cluster, Clock: clk}, clk, urisOf(cluster),
+	col := New(table, hostsim.LocalInvoker{Cluster: cluster, Clock: clk}, clk, urisOf(cluster),
 		WithPeriod(25*time.Second))
 	if col.Period() != 25*time.Second {
 		t.Fatalf("period = %v", col.Period())
@@ -110,12 +110,12 @@ func TestRunPollsOnPeriod(t *testing.T) {
 
 	waitSweeps := func(n int) {
 		for i := 0; i < 5000; i++ {
-			if s, _ := col.Stats(); s >= n {
+			if s := col.FaultStats().Sweeps; s >= n {
 				return
 			}
 			time.Sleep(time.Millisecond)
 		}
-		s, _ := col.Stats()
+		s := col.FaultStats().Sweeps
 		t.Fatalf("sweeps stuck at %d, want %d", s, n)
 	}
 	waitSweeps(1) // immediate first sweep
@@ -150,7 +150,7 @@ func TestRunSweepsSoonAfterHostsAppear(t *testing.T) {
 		}
 		return urisOf(cluster)()
 	}
-	col := New(table, nodestatus.LocalInvoker{Cluster: cluster, Clock: clk}, clk, uris, WithPeriod(time.Second))
+	col := New(table, hostsim.LocalInvoker{Cluster: cluster, Clock: clk}, clk, uris, WithPeriod(time.Second))
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
 	go func() { col.Run(ctx); close(done) }()
@@ -162,12 +162,12 @@ func TestRunSweepsSoonAfterHostsAppear(t *testing.T) {
 	published.Store(true)
 	clk.Advance(100 * time.Millisecond)
 	for i := 0; i < 5000; i++ {
-		if s, _ := col.Stats(); s >= 2 {
+		if s := col.FaultStats().Sweeps; s >= 2 {
 			break
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if s, _ := col.Stats(); s < 2 || table.Len() != 2 {
+	if s := col.FaultStats().Sweeps; s < 2 || table.Len() != 2 {
 		t.Fatalf("a tenth of a period after the hosts appeared: %d sweeps, %d rows; want 2 and 2", s, table.Len())
 	}
 }
@@ -182,8 +182,7 @@ func TestCollectorOverHTTP(t *testing.T) {
 		uris = append(uris, srv.URL+"/NodeStatus")
 	}
 	table := store.NewNodeStateTable()
-	col := New(table, nodestatus.HTTPInvoker{}, clk, func() []string { return uris },
-		WithParallelism(2))
+	col := New(table, nodestatus.HTTPInvoker{}, clk, func() []string { return uris })
 	col.CollectOnce()
 	// Both httptest servers bind 127.0.0.1, and NodeState is keyed by
 	// hostname exactly as in Fig. 3.2, so the sweeps collapse to one row.
@@ -230,8 +229,8 @@ func TestSweepLandsWhole(t *testing.T) {
 	inv := &gatedInvoker{slow: "exergy.sdsu.edu", reached: make(chan struct{}), release: make(chan struct{})}
 	// One invocation at a time, in order: thermo has answered and been
 	// recorded before exergy's invocation starts.
-	col := New(table, inv, clk, staticURIs("http://thermo.sdsu.edu:8080/NodeStatus", "http://exergy.sdsu.edu:8080/NodeStatus"),
-		WithParallelism(1))
+	col := New(table, inv, clk, staticURIs("http://thermo.sdsu.edu:8080/NodeStatus", "http://exergy.sdsu.edu:8080/NodeStatus"))
+	col.parallelism = 1
 	done := make(chan struct{})
 	go func() { col.CollectOnce(); close(done) }()
 

@@ -7,10 +7,9 @@
 // table.
 //
 // The package provides both sides of the wire: a SOAP/HTTP handler that
-// exposes a host's measurements, and Invoker implementations the collector
-// uses to call it — HTTPInvoker for real sockets and LocalInvoker, which
-// bypasses the network exactly like freebXML's localCall mode (§2.2.1),
-// for large simulations.
+// exposes a host's measurements, and HTTPInvoker, which the collector uses
+// to call it over real sockets. Simulations bypass the network with
+// hostsim.LocalInvoker, so the server links no simulator.
 package nodestatus
 
 import (
@@ -21,8 +20,6 @@ import (
 	"time"
 
 	"repro/internal/constraint"
-	"repro/internal/hostsim"
-	"repro/internal/rim"
 	"repro/internal/simclock"
 	"repro/internal/soap"
 )
@@ -146,39 +143,6 @@ func (h HTTPInvoker) InvokeContext(ctx context.Context, accessURI string) (Respo
 		return Response{}, fmt.Errorf("nodestatus: invoke %s: %w", accessURI, err)
 	}
 	return resp, nil
-}
-
-// LocalInvoker resolves the hostname of an access URI directly against a
-// simulated cluster, skipping HTTP — the localCall optimization. It lets
-// experiments poll hundreds of hosts per simulated second.
-type LocalInvoker struct {
-	Cluster *hostsim.Cluster
-	Clock   simclock.Clock
-}
-
-// Invoke implements Invoker.
-func (l LocalInvoker) Invoke(accessURI string) (Response, error) {
-	host := rim.HostOfURI(accessURI)
-	if host == "" {
-		return Response{}, fmt.Errorf("nodestatus: unparseable access uri %q", accessURI)
-	}
-	h := l.Cluster.Host(host)
-	if h == nil {
-		return Response{}, fmt.Errorf("nodestatus: unknown host %q", host)
-	}
-	now := l.Clock.Now()
-	sample, err := h.Sample(now)
-	if err != nil {
-		return Response{}, err
-	}
-	return Response{
-		Host:       host,
-		Load:       sample.Load,
-		MemoryB:    sample.MemoryB,
-		SwapB:      sample.SwapB,
-		NetDelayMs: sample.NetDelayMs,
-		Timestamp:  now.UTC().Format(time.RFC3339Nano),
-	}, nil
 }
 
 // Deployment runs real NodeStatus HTTP servers for a set of simulated

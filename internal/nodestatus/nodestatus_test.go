@@ -1,4 +1,4 @@
-package nodestatus
+package nodestatus_test
 
 import (
 	"context"
@@ -8,12 +8,12 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
-	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/hostsim"
+	"repro/internal/nodestatus"
 	"repro/internal/simclock"
 )
 
@@ -24,10 +24,10 @@ func TestHandlerServesHostSample(t *testing.T) {
 	h := hostsim.NewHost(hostsim.Config{
 		Name: "thermo.sdsu.edu", Cores: 2, TotalMemB: 4 << 30, TotalSwapB: 2 << 30, NetDelayMs: 3,
 	}, t0)
-	srv := httptest.NewServer(NewHandler(h, clk))
+	srv := httptest.NewServer(nodestatus.NewHandler(h, clk))
 	defer srv.Close()
 
-	inv := HTTPInvoker{Client: srv.Client()}
+	inv := nodestatus.HTTPInvoker{Client: srv.Client()}
 	resp, err := inv.Invoke(srv.URL)
 	if err != nil {
 		t.Fatal(err)
@@ -50,9 +50,9 @@ func TestHandlerServesHostSample(t *testing.T) {
 func TestHandlerReflectsLoadChanges(t *testing.T) {
 	clk := simclock.NewManual(t0)
 	h := hostsim.NewHost(hostsim.Config{Name: "x", Cores: 1, TotalMemB: 1 << 30}, t0)
-	srv := httptest.NewServer(NewHandler(h, clk))
+	srv := httptest.NewServer(nodestatus.NewHandler(h, clk))
 	defer srv.Close()
-	inv := HTTPInvoker{Client: srv.Client()}
+	inv := nodestatus.HTTPInvoker{Client: srv.Client()}
 
 	before, err := inv.Invoke(srv.URL)
 	if err != nil {
@@ -78,39 +78,18 @@ func TestHandlerDownHostFaults(t *testing.T) {
 	clk := simclock.NewManual(t0)
 	h := hostsim.NewHost(hostsim.Config{Name: "x", Cores: 1, TotalMemB: 1 << 30}, t0)
 	h.SetDown(true)
-	srv := httptest.NewServer(NewHandler(h, clk))
+	srv := httptest.NewServer(nodestatus.NewHandler(h, clk))
 	defer srv.Close()
-	if _, err := (HTTPInvoker{Client: srv.Client()}).Invoke(srv.URL); err == nil {
+	if _, err := (nodestatus.HTTPInvoker{Client: srv.Client()}).Invoke(srv.URL); err == nil {
 		t.Fatal("down host served a sample")
 	}
 }
 
-func TestLocalInvoker(t *testing.T) {
-	clk := simclock.NewManual(t0)
-	cluster := hostsim.NewCluster()
-	cluster.Add(hostsim.NewHost(hostsim.Config{Name: "exergy.sdsu.edu", Cores: 1, TotalMemB: 2 << 30}, t0))
-	inv := LocalInvoker{Cluster: cluster, Clock: clk}
-
-	resp, err := inv.Invoke("http://exergy.sdsu.edu:8080/NodeStatus/NodeStatusService")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Host != "exergy.sdsu.edu" || resp.MemoryB != 2<<30 {
-		t.Fatalf("resp = %+v", resp)
-	}
-	if _, err := inv.Invoke("http://unknown.sdsu.edu/x"); err == nil {
-		t.Fatal("unknown host accepted")
-	}
-	if _, err := inv.Invoke("::garbage::"); err == nil || !strings.Contains(err.Error(), "unparseable") {
-		t.Fatalf("garbage uri: %v", err)
-	}
-}
-
 func TestDeploymentClose(t *testing.T) {
-	var d Deployment
+	var d nodestatus.Deployment
 	clk := simclock.NewManual(t0)
 	h := hostsim.NewHost(hostsim.Config{Name: "x", Cores: 1, TotalMemB: 1 << 30}, t0)
-	ts := httptest.NewServer(NewHandler(h, clk))
+	ts := httptest.NewServer(nodestatus.NewHandler(h, clk))
 	defer ts.Close()
 	d.AddServer(ts.Config, ts.URL)
 	if len(d.URIs()) != 1 {
@@ -141,7 +120,7 @@ func TestInvokeContextCancelsInFlightPost(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := HTTPInvoker{Client: srv.Client()}.InvokeContext(ctx, srv.URL)
+		_, err := nodestatus.HTTPInvoker{Client: srv.Client()}.InvokeContext(ctx, srv.URL)
 		done <- err
 	}()
 	<-entered
@@ -172,21 +151,21 @@ func TestDefaultClientReusesConnectionsAcrossSweeps(t *testing.T) {
 		t.Fatal(err)
 	}
 	var dialed atomic.Int64
-	srv := &http.Server{Handler: NewHandler(h, clk), ConnState: func(_ net.Conn, s http.ConnState) {
+	srv := &http.Server{Handler: nodestatus.NewHandler(h, clk), ConnState: func(_ net.Conn, s http.ConnState) {
 		if s == http.StateNew {
 			dialed.Add(1)
 		}
 	}}
 	go srv.Serve(ln)
 	defer srv.Close()
-	defer defaultClient.CloseIdleConnections()
+	defer nodestatus.DefaultClient.CloseIdleConnections()
 
 	port := ln.Addr().(*net.TCPAddr).Port
 	sweep := func() int64 {
 		before := dialed.Load()
 		for i := 0; i < hosts; i++ {
 			uri := fmt.Sprintf("http://127.0.%d.%d:%d/NodeStatus/NodeStatusService", 1+i/250, 1+i%250, port)
-			if _, err := (HTTPInvoker{}).Invoke(uri); err != nil {
+			if _, err := (nodestatus.HTTPInvoker{}).Invoke(uri); err != nil {
 				t.Fatal(err)
 			}
 		}

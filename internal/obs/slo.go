@@ -154,8 +154,3 @@ func (s *SLO) BurnRates() map[string]SLOBurn {
 	}
 	return *s.burns.Load()
 }
-
-// BurnRate returns one window's pair (zero when the window is unknown).
-func (s *SLO) BurnRate(window string) SLOBurn {
-	return s.BurnRates()[window]
-}

@@ -8,6 +8,7 @@ package registry
 // underneath it (run with -race; see `make overloadcheck`).
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"io"
@@ -32,10 +33,8 @@ import (
 // walk the whole ladder.
 func admitTestConfig() admit.Config {
 	return admit.Config{
-		Discovery:         admit.ClassLimits{MaxInFlight: 2, MaxQueue: 2, QueueTimeout: 100 * time.Millisecond, Deadline: 250 * time.Millisecond},
-		LCM:               admit.ClassLimits{MaxInFlight: 1, MaxQueue: 1, QueueTimeout: 100 * time.Millisecond, Deadline: time.Second},
-		Tick:              100 * time.Millisecond,
-		MinAccept:         0.05,
+		Discovery:         admit.ClassLimits{MaxInFlight: 2, MaxQueue: 8, Deadline: 250 * time.Millisecond},
+		LCM:               admit.ClassLimits{MaxInFlight: 1, MaxQueue: 1, Deadline: time.Second},
 		RetryAfter:        time.Second,
 		BrownoutEscalate:  300 * time.Millisecond,
 		BrownoutCalm:      500 * time.Millisecond,
@@ -71,32 +70,32 @@ func seedWorker(t *testing.T, r *Registry, hosts ...string) {
 	}
 }
 
-// driveDiscoveryOverload pins every discovery slot busy for d of simulated
-// time while arrivals keep pounding the saturated class (the admit
-// package's overload loop, replayed against the registry's own
-// controller, whose tier the balancer, the edge and the cache read).
+// driveDiscoveryOverload holds every discovery slot busy for d of
+// simulated time while arrivals outpace completions three to one, so the
+// queue stands full and CoDel keeps dropping at its head, then lets the
+// crowd disperse (the admit package's overload loop, replayed against the
+// registry's own controller, whose tier the balancer, the edge and the
+// cache read).
 func driveDiscoveryOverload(r *Registry, d time.Duration) {
 	c := r.Admission
 	clk := r.Clock.(*simclock.Manual)
-	now := clk.Now()
-	max := c.Limits(admit.ClassDiscovery).MaxInFlight
-	for i := 0; i < max; i++ {
-		c.TryAdmit(admit.ClassDiscovery, now)
+	class := admit.ClassDiscovery
+	for i := 0; i < c.Limits(class).MaxInFlight; i++ {
+		c.TryAdmit(class, clk.Now())
 	}
-	step := 50 * time.Millisecond
+	step := 10 * time.Millisecond
 	for elapsed := time.Duration(0); elapsed < d; elapsed += step {
-		now = clk.Now()
-		if out, tk := c.TryAdmit(admit.ClassDiscovery, now); out == admit.Queued {
-			c.CancelQueued(tk, now, true)
+		now := clk.Now()
+		for i := 0; i < 3; i++ {
+			c.TryAdmit(class, now)
 		}
-		if p := c.Release(admit.ClassDiscovery, now.Add(-2*time.Second), now); p == nil {
-			c.TryAdmit(admit.ClassDiscovery, now)
-		}
+		c.Release(class, now, now)
 		clk.Advance(step)
 	}
-	now = clk.Now()
-	for i := 0; i < max; i++ {
-		c.Release(admit.ClassDiscovery, now, now)
+	for c.ClassStats(class).InFlight > 0 {
+		now := clk.Now()
+		c.Release(class, now, now)
+		clk.Advance(step)
 	}
 }
 
@@ -293,20 +292,22 @@ func TestDegradedStaticAndTierStaticIdempotent(t *testing.T) {
 }
 
 // TestDeadlineChargesQueueWait: a request's budget runs from its arrival,
-// so one that waits out its deadline in the admission queue is refused when
-// it is finally promoted — a REST miss with 504, a SOAP GetBindings with
-// Server.Timeout, a SOAP write before it changes anything — and each counts
-// as a deadline miss of its class.
+// so one that waits out its deadline in the admission queue leaves the
+// queue then — a REST miss with 503 + Retry-After, a SOAP GetBindings and
+// a SOAP write with the Server.Overloaded fault, the write before it
+// changes anything — and each counts as a deadline miss of its class. A
+// request whose budget is spent by the time it reaches its handler is
+// refused there: a REST miss with 504, SOAP with Server.Timeout.
 func TestDeadlineChargesQueueWait(t *testing.T) {
 	clk := simclock.NewManual(t0)
-	// One slot and one queue place per class, a queue timeout far beyond
-	// the wait, and an hour-long tick that keeps the shedder and the
-	// brownout ladder out of the picture.
-	limits := admit.ClassLimits{MaxInFlight: 1, MaxQueue: 1, QueueTimeout: time.Minute, Deadline: 500 * time.Millisecond}
+	// One slot and one queue place per class and a 500 ms deadline, whose
+	// 167 ms CoDel interval no queued request here outlives with another
+	// behind it.
+	limits := admit.ClassLimits{MaxInFlight: 1, MaxQueue: 1, Deadline: 500 * time.Millisecond}
 	r, err := New(Config{
 		Clock:     clk,
 		Policy:    core.PolicyFilter,
-		Admission: &admit.Config{Discovery: limits, LCM: limits, Tick: time.Hour},
+		Admission: &admit.Config{Discovery: limits, LCM: limits},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -319,8 +320,8 @@ func TestDeadlineChargesQueueWait(t *testing.T) {
 	token := registerAndLogin(t, client, srv.URL, "late")
 
 	// queued holds class's one slot, sends a request that must queue behind
-	// it, lets 900ms pass — well past the 500ms budget, well inside the
-	// queue timeout — and frees the slot, promoting the request.
+	// it, lets 900ms pass — well past the 500ms budget — waits for the
+	// request to be answered, and frees the slot.
 	queued := func(class admit.Class, send func()) {
 		t.Helper()
 		if out, _ := r.Admission.TryAdmit(class, clk.Now()); out != admit.Admitted {
@@ -336,8 +337,8 @@ func TestDeadlineChargesQueueWait(t *testing.T) {
 			time.Sleep(time.Millisecond)
 		}
 		clk.Advance(900 * time.Millisecond)
-		r.Admission.Release(class, held, clk.Now())
 		<-done
+		r.Admission.Release(class, held, clk.Now())
 	}
 	exceeded := func(class admit.Class, want float64) {
 		t.Helper()
@@ -346,15 +347,16 @@ func TestDeadlineChargesQueueWait(t *testing.T) {
 			t.Errorf("registry_admission_deadline_exceeded_total%v = %v (ok=%v), want %v", label, got, ok, want)
 		}
 	}
-	timeoutFault := func(what string, err error) {
+	fault := func(what, code string, err error) {
 		t.Helper()
 		var f *soap.Fault
-		if !errors.As(err, &f) || f.Code != "Server.Timeout" {
-			t.Errorf("%s after a spent budget: %v, want a Server.Timeout fault", what, err)
+		if !errors.As(err, &f) || f.Code != code {
+			t.Errorf("%s after a spent budget: %v, want a %s fault", what, err, code)
 		}
 	}
 
 	var status int
+	var retryAfter string
 	queued(admit.ClassDiscovery, func() {
 		resp, err := client.Get(srv.URL + "/registry/bindings?service=Worker")
 		if err != nil {
@@ -362,27 +364,54 @@ func TestDeadlineChargesQueueWait(t *testing.T) {
 			return
 		}
 		resp.Body.Close()
-		status = resp.StatusCode
+		status, retryAfter = resp.StatusCode, resp.Header.Get("Retry-After")
 	})
-	if status != http.StatusGatewayTimeout {
-		t.Errorf("REST miss after a spent budget: %d, want 504", status)
+	if status != http.StatusServiceUnavailable || retryAfter == "" {
+		t.Errorf("REST miss that waited out its budget: %d, Retry-After %q; want 503 with Retry-After", status, retryAfter)
 	}
 	exceeded(admit.ClassDiscovery, 1)
 
 	var bindings GetBindingsResponse
 	queued(admit.ClassLCM, func() {
-		timeoutFault("SOAP GetBindings", soap.Post(client, srv.URL+"/soap/registry",
+		fault("SOAP GetBindings", admit.OverloadedFaultCode, soap.Post(client, srv.URL+"/soap/registry",
 			&soapRequest{Bindings: &GetBindingsRequest{ServiceName: "Worker"}}, &bindings))
 	})
 	exceeded(admit.ClassLCM, 1)
 
 	var ack RegistryResponse
+	submit := &soapRequest{Submit: &SubmitObjectsRequest{
+		Session: token, Objects: []WireObject{{Kind: "Service", Name: "TooLate"}},
+	}}
 	queued(admit.ClassLCM, func() {
-		timeoutFault("SOAP submit", soap.Post(client, srv.URL+"/soap/registry", &soapRequest{Submit: &SubmitObjectsRequest{
-			Session: token, Objects: []WireObject{{Kind: "Service", Name: "TooLate"}},
-		}}, &ack))
+		fault("SOAP submit", admit.OverloadedFaultCode, soap.Post(client, srv.URL+"/soap/registry", submit, &ack))
 	})
 	exceeded(admit.ClassLCM, 2)
+
+	// A budget spent before the handler runs — here its request's context
+	// is over on arrival, as when a promotion races the deadline — is
+	// refused by the handler's first check: nothing is computed or
+	// written.
+	spent, cancel := context.WithCancel(context.Background())
+	cancel()
+	serveSpent := func(method, path string, body []byte) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		r.Handler().ServeHTTP(rec, httptest.NewRequest(method, path, bytes.NewReader(body)).WithContext(spent))
+		return rec
+	}
+	if rec := serveSpent(http.MethodGet, "/registry/bindings?service=Worker", nil); rec.Code != http.StatusGatewayTimeout {
+		t.Errorf("REST miss with a spent budget: %d, want 504", rec.Code)
+	}
+	for what, req := range map[string]*soapRequest{
+		"SOAP GetBindings": {Bindings: &GetBindingsRequest{ServiceName: "Worker"}},
+		"SOAP submit":      submit,
+	} {
+		env, err := soap.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := serveSpent(http.MethodPost, "/soap/registry", env)
+		fault(what, "Server.Timeout", soap.Unmarshal(rec.Body.Bytes(), &ack))
+	}
 	if found := r.QM.FindObjects(rim.TypeService, "TooLate"); len(found) != 0 {
 		t.Fatalf("the refused write landed: %v", found)
 	}
@@ -391,15 +420,13 @@ func TestDeadlineChargesQueueWait(t *testing.T) {
 	// view loads, reaches the handler done: the balancer must not run,
 	// whichever key the request names. This comes before the request below,
 	// which caches the answer.
-	spent, cancel := context.WithCancel(context.Background())
-	cancel()
 	workerID := r.QM.FindObjects(rim.TypeService, "Worker")[0].Base().ID
 	for what, req := range map[string]*GetBindingsRequest{
 		"GetBindings by id, mid-flight":   {ServiceID: workerID},
 		"GetBindings by name, mid-flight": {ServiceName: "Worker"},
 	} {
 		_, err := r.doBindings(spent, req)
-		timeoutFault(what, err)
+		fault(what, "Server.Timeout", err)
 	}
 
 	// Nothing else was refused: the same requests inside their budget pass.
@@ -431,10 +458,11 @@ func (s stubInvoker) Invoke(accessURI string) (nodestatus.Response, error) {
 func TestOverloadHTTPWithLiveCollector(t *testing.T) {
 	clk := simclock.NewManual(t0)
 	adm := admitTestConfig()
-	// Wide deadlines/timeouts: the clock only advances ~6 simulated
-	// seconds below, so budgets never expire mid-request and the test
-	// exercises pure capacity shedding, not timeouts.
-	adm.Discovery = admit.ClassLimits{MaxInFlight: 2, MaxQueue: 2, QueueTimeout: 30 * time.Second, Deadline: 30 * time.Second}
+	// Wide deadlines: the clock only advances ~6 simulated seconds below,
+	// so budgets never expire, queued or mid-request, CoDel's 10 s
+	// interval never passes, and the test exercises pure capacity
+	// shedding.
+	adm.Discovery = admit.ClassLimits{MaxInFlight: 2, MaxQueue: 2, Deadline: 30 * time.Second}
 	r, err := New(Config{
 		Clock:            clk,
 		Policy:           core.PolicyFilter,

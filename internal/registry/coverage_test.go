@@ -81,7 +81,7 @@ func TestRunCollectorLoop(t *testing.T) {
 
 	waitRows := func(n int) {
 		for i := 0; i < 5000; i++ {
-			if s, _ := reg.Collector.Stats(); s >= n {
+			if s := reg.Collector.FaultStats().Sweeps; s >= n {
 				return
 			}
 			time.Sleep(time.Millisecond)

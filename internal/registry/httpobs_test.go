@@ -42,7 +42,7 @@ func newObservedRegistry(t *testing.T) (*Registry, *httptest.Server) {
 		Clock:          clk,
 		Policy:         core.PolicyFilter,
 		SnapshotMaxAge: 25 * time.Second,
-		Invoker:        nodestatus.LocalInvoker{Cluster: cluster, Clock: clk},
+		Invoker:        hostsim.LocalInvoker{Cluster: cluster, Clock: clk},
 		Breaker:        &breaker.Config{Threshold: 3, BaseBackoff: 50 * time.Second, MaxBackoff: 10 * time.Minute},
 		TraceSample:    1,
 		Admission:      &admit.Config{},
@@ -160,11 +160,10 @@ func TestMetricsExpositionRoundTrip(t *testing.T) {
 		{"registry_admission_admitted_total", "counter"},
 		{"registry_admission_shed_total", "counter"},
 		{"registry_admission_queued_total", "counter"},
-		{"registry_admission_queue_timeouts_total", "counter"},
 		{"registry_admission_deadline_exceeded_total", "counter"},
 		{"registry_admission_inflight", "gauge"},
 		{"registry_admission_queue_depth", "gauge"},
-		{"registry_admission_accept_rate", "gauge"},
+		{"registry_admission_dropping", "gauge"},
 		{"registry_brownout_tier", "gauge"},
 		{"registry_brownout_transitions_total", "counter"},
 	} {
@@ -212,11 +211,11 @@ func TestMetricsExpositionRoundTrip(t *testing.T) {
 		t.Errorf("registry_node_load{host=h00} = %v (ok=%v), want >= 0", v, ok)
 	}
 	// All three passed the admission controller: admitted, nothing shed,
-	// the shedder wide open, the ladder at nominal.
+	// CoDel not dropping, the ladder at nominal.
 	discovery := map[string]string{"class": "discovery"}
 	check("registry_admission_admitted_total", discovery, 3)
 	check("registry_admission_shed_total", discovery, 0)
-	check("registry_admission_accept_rate", discovery, 1)
+	check("registry_admission_dropping", discovery, 0)
 	check("registry_brownout_tier", nil, 0)
 
 	// Balance: the second sweep's rollup saw all three assignments. A host

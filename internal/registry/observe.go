@@ -464,16 +464,13 @@ func (r *Registry) buildExposition() *obs.Exposition {
 			"Requests granted an in-flight slot, immediately or via the wait queue.", "class", label,
 			func() int64 { return stats(class).Admitted })
 		e.LabelledCounter("registry_admission_shed_total",
-			"Requests rejected early with 503 + Retry-After.", "class", label,
+			"Requests rejected with 503 + Retry-After: at a full queue, or dropped at its head by CoDel.", "class", label,
 			func() int64 { return stats(class).Shed })
 		e.LabelledCounter("registry_admission_queued_total",
 			"Requests that waited in the bounded FIFO queue for a slot.", "class", label,
 			func() int64 { return stats(class).Queued })
-		e.LabelledCounter("registry_admission_queue_timeouts_total",
-			"Queued requests shed because no slot freed within the queue timeout.", "class", label,
-			func() int64 { return stats(class).QueueTimeouts })
 		e.LabelledCounter("registry_admission_deadline_exceeded_total",
-			"Admitted requests that blew their per-class deadline budget.", "class", label,
+			"Requests whose deadline budget ran out, waiting in the queue or running.", "class", label,
 			func() int64 { return stats(class).DeadlineExceeded })
 	}
 	e.GaugeVec("registry_admission_inflight",
@@ -492,12 +489,18 @@ func (r *Registry) buildExposition() *obs.Exposition {
 				admit.ClassLCM.String():       float64(stats(admit.ClassLCM).QueueDepth),
 			}
 		})
-	e.GaugeVec("registry_admission_accept_rate",
-		"AIMD shedder accept rate for saturated arrivals, per admission class.",
+	dropping := func(class admit.Class) float64 {
+		if stats(class).Dropping {
+			return 1
+		}
+		return 0
+	}
+	e.GaugeVec("registry_admission_dropping",
+		"1 while CoDel drops queued requests at the head of the class's queue, else 0.",
 		"class", func() map[string]float64 {
 			return map[string]float64{
-				admit.ClassDiscovery.String(): stats(admit.ClassDiscovery).AcceptRate,
-				admit.ClassLCM.String():       stats(admit.ClassLCM).AcceptRate,
+				admit.ClassDiscovery.String(): dropping(admit.ClassDiscovery),
+				admit.ClassLCM.String():       dropping(admit.ClassLCM),
 			}
 		})
 	e.Gauge("registry_brownout_tier",

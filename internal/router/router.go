@@ -126,11 +126,6 @@ func (r *Router) HandlePrefix(prefix string, h http.Handler) {
 	r.prefixes = append(r.prefixes, prefixRoute{prefix: prefix, handler: h})
 }
 
-// HandlePrefixFunc registers a subtree route for a handler function.
-func (r *Router) HandlePrefixFunc(prefix string, h func(http.ResponseWriter, *http.Request)) {
-	r.HandlePrefix(prefix, http.HandlerFunc(h))
-}
-
 func (r *Router) check(pattern string, h http.Handler) {
 	if r.frozen {
 		panic("router: Handle after Freeze (routes are fixed at boot)")
@@ -155,9 +150,6 @@ func (r *Router) Freeze() {
 	})
 	r.frozen = true
 }
-
-// Frozen reports whether Freeze has run.
-func (r *Router) Frozen() bool { return r.frozen }
 
 // Patterns lists every registered route, exact and prefix, sorted.
 func (r *Router) Patterns() []string {

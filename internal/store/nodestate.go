@@ -180,22 +180,6 @@ func (t *NodeStateTable) Len() int {
 	return len(t.rows)
 }
 
-// FreshRows returns the rows whose Updated stamp is no older than maxAge
-// relative to now; maxAge <= 0 disables the staleness filter.
-func (t *NodeStateTable) FreshRows(now time.Time, maxAge time.Duration) []NodeState {
-	rows := t.Rows()
-	if maxAge <= 0 {
-		return rows
-	}
-	fresh := rows[:0]
-	for _, r := range rows {
-		if now.Sub(r.Updated) <= maxAge {
-			fresh = append(fresh, r)
-		}
-	}
-	return fresh
-}
-
 // TableSnapshot is an immutable point-in-time copy of a NodeStateTable,
 // published by Publish and read lock-free by the discovery path. Rows are
 // never mutated after the snapshot is built, so any number of concurrent

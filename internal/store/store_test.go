@@ -269,13 +269,6 @@ func TestNodeStateTable(t *testing.T) {
 	if tab.Len() != 2 {
 		t.Fatalf("Len = %d", tab.Len())
 	}
-	fresh := tab.FreshRows(now, 30*time.Second)
-	if len(fresh) != 1 || fresh[0].Host != "thermo.sdsu.edu" {
-		t.Fatalf("FreshRows = %+v", fresh)
-	}
-	if all := tab.FreshRows(now, 0); len(all) != 2 {
-		t.Fatalf("FreshRows(0) = %d", len(all))
-	}
 	tab.RecordFailure("down.sdsu.edu", now)
 	tab.RecordFailure("down.sdsu.edu", now)
 	if row, _ := tab.Get("down.sdsu.edu"); row.Failures != 2 {
