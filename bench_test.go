@@ -329,8 +329,8 @@ func discoveryOp(tb testing.TB, policy core.Policy, hosts int) func() {
 }
 
 // fastPathRegistry is BenchmarkDiscoveryFastPath's deployment: 8 hosts
-// behind a local NodeStatus invoker and a positive SnapshotMaxAge, so
-// readers stay on the published snapshot.
+// behind a local NodeStatus invoker; readers load the snapshot its
+// sweeps install.
 func fastPathRegistry(tb testing.TB) (*registry.Registry, *rim.Service) {
 	tb.Helper()
 	const hosts = 8
@@ -347,11 +347,10 @@ func fastPathRegistry(tb testing.TB) (*registry.Registry, *rim.Service) {
 		svc.AddBinding("http://" + name + ":8080/Adder/addService")
 	}
 	reg, err := registry.New(registry.Config{
-		Clock:          clk,
-		Policy:         core.PolicyFilter,
-		SnapshotMaxAge: 25 * time.Second,
-		Invoker:        hostsim.LocalInvoker{Cluster: cluster, Clock: clk},
-		Admission:      &admit.Config{},
+		Clock:     clk,
+		Policy:    core.PolicyFilter,
+		Invoker:   hostsim.LocalInvoker{Cluster: cluster, Clock: clk},
+		Admission: &admit.Config{},
 	})
 	if err != nil {
 		tb.Fatal(err)
@@ -393,8 +392,8 @@ func fastPathWarmOp(tb testing.TB) func() {
 }
 
 // BenchmarkDiscoveryFastPath isolates the lock-free discovery fast path:
-// warm (the service digested and the RCU snapshot hot — every discovery of
-// a description version but its first, whose extra cost is one
+// warm (the service digested and the NodeState snapshot installed — every
+// discovery of a description version but its first, whose extra cost is one
 // BenchmarkConstraintParse), and warm lookups under 1–64 concurrent readers
 // while a live collector rewrites the NodeState table. The collector
 // variants carry no allocation budget: the background sweep's allocations
@@ -633,11 +632,10 @@ func BenchmarkTracingOverhead(b *testing.B) {
 			svc.AddBinding("http://" + name + ":8080/Adder/addService")
 		}
 		reg, err := registry.New(registry.Config{
-			Clock:          clk,
-			Policy:         core.PolicyFilter,
-			SnapshotMaxAge: 25 * time.Second,
-			Invoker:        hostsim.LocalInvoker{Cluster: cluster, Clock: clk},
-			TraceSample:    sample,
+			Clock:       clk,
+			Policy:      core.PolicyFilter,
+			Invoker:     hostsim.LocalInvoker{Cluster: cluster, Clock: clk},
+			TraceSample: sample,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -725,10 +723,9 @@ func httpDiscoveryOp(tb testing.TB, hr httpRequest) func() {
 		clk = simclock.Real{}
 	}
 	cfg := registry.Config{
-		Clock:          clk,
-		Policy:         core.PolicyFilter,
-		SnapshotMaxAge: 25 * time.Second,
-		Admission:      &admit.Config{}, // production defaults; never sheds at bench load
+		Clock:     clk,
+		Policy:    core.PolicyFilter,
+		Admission: &admit.Config{}, // production defaults; never sheds at bench load
 	}
 	if hr.shed {
 		one := admit.ClassLimits{MaxInFlight: 1, MaxQueue: -1}

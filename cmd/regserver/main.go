@@ -13,11 +13,10 @@
 //
 // What is served: -policy picks the arrangement (stock = no balancing,
 // filter = the thesis's scheme, rank-first, least-loaded), -period is the
-// thesis's one administrator dial, and -snapshot-staleness lets discovery
-// read a NodeState snapshot up to that old without locking while the
-// collector writes (0 = always coherent; the collection period is a
-// sensible value). -admission=false takes the admission-controlled edge
-// (internal/admit) off every route.
+// thesis's one administrator dial: discovery reads the NodeState snapshot
+// the last sweep installed. -snapshot-staleness has no effect; it is
+// accepted because the benchmark harness passes it. -admission=false takes
+// the admission-controlled edge (internal/admit) off every route.
 //
 // Where state lives: in memory unless -data-dir names a durability
 // directory — every acknowledged LCM write is then logged before the HTTP
@@ -100,7 +99,7 @@ func parse(args []string, stderr io.Writer) (options, error) {
 		policy = fs.String("policy", "filter", "balancing policy: stock|filter|rank-first|least-loaded")
 		period = fs.Duration("period", nodestate.DefaultPeriod, "NodeStatus collection period")
 
-		snapStaleness = fs.Duration("snapshot-staleness", 0, "serve NodeState snapshots up to this old without locking (0 = always coherent)")
+		snapStaleness = fs.Duration("snapshot-staleness", 0, "no effect: discovery reads the snapshot the last sweep installed")
 		admission     = fs.Bool("admission", true, "admission-controlled serving edge: shedding, deadlines, brownout")
 
 		dataDir     = fs.String("data-dir", "", "durability directory: WAL + checkpoints; every write survives a crash")
@@ -132,12 +131,12 @@ func parse(args []string, stderr io.Writer) (options, error) {
 
 	// Values the registry would quietly read as something else: it ignores
 	// a non-positive period and collects every 25 s, and takes a negative
-	// staleness or sampling rate for 0.
+	// sampling rate for 0. A negative staleness has always been refused.
 	switch {
 	case *period <= 0:
 		return refuse(fmt.Errorf("-period %s: the collection period must be positive", *period))
 	case *snapStaleness < 0:
-		return refuse(fmt.Errorf("-snapshot-staleness %s: must not be negative (0 = always coherent)", *snapStaleness))
+		return refuse(fmt.Errorf("-snapshot-staleness %s: must not be negative", *snapStaleness))
 	case *traceSample < 0:
 		return refuse(fmt.Errorf("-trace-sample %d: must not be negative (0 = tracing off)", *traceSample))
 	}
@@ -159,7 +158,6 @@ func parse(args []string, stderr io.Writer) (options, error) {
 		registry: registry.Config{
 			Policy:           p,
 			CollectionPeriod: *period,
-			SnapshotMaxAge:   *snapStaleness,
 
 			Logger:      logger,
 			TraceSample: *traceSample,

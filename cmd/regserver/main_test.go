@@ -103,7 +103,6 @@ func TestHarnessArgsBuildTodaysConfig(t *testing.T) {
 		InvokeRetries:    1,
 		RetryBackoff:     2 * time.Second,
 		Breaker:          &breaker.Config{Threshold: 3, BaseBackoff: 50 * time.Second, MaxBackoff: 10 * time.Minute},
-		SnapshotMaxAge:   time.Second,
 		Fsync:            wal.FsyncAlways,
 		// Sixteen admission flags, every one defaulting to 0.
 		Admission: &admit.Config{},
@@ -215,7 +214,8 @@ func TestParseRefusals(t *testing.T) {
 		{"unknown fsync policy", []string{"-fsync", "sometimes"}, "sometimes"},
 		{"unknown log level", []string{"-log-level", "loud"}, "loud"},
 		// Values registry.New reads as something else: a non-positive
-		// period as the 25 s default, a negative staleness or rate as 0.
+		// period as the 25 s default, a negative rate as 0; and a negative
+		// staleness, a flag with no effect that still refuses one.
 		{"zero period", []string{"-period", "0"}, "-period 0s: the collection period must be positive"},
 		{"negative period", []string{"-period", "-5s"}, "-period -5s"},
 		{"negative staleness", []string{"-snapshot-staleness", "-1s"}, "-snapshot-staleness -1s: must not be negative"},

@@ -93,7 +93,7 @@ func main() {
 	collector := nodestate.New(reg.Store.NodeState(), nodestatus.HTTPInvoker{}, clk,
 		reg.QM.CollectionTargets, nodestate.WithPeriod(time.Second))
 	collector.CollectOnce()
-	fmt.Printf("collector populated %d NodeState rows\n", reg.Store.NodeState().Len())
+	fmt.Printf("collector populated %d NodeState rows\n", reg.Store.NodeState().Snapshot().Len())
 
 	// --- 6. Discovery reacts to load -----------------------------------
 	uris, _, err := conn.ServiceBindings("Worker")

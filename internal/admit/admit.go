@@ -21,9 +21,8 @@
 //     from the X-Registry-Deadline-Ms header: the budget runs from
 //     arrival, so it also bounds the wait in the queue;
 //   - a brownout ladder that degrades service quality stepwise while a
-//     class stays in CoDel's dropping state (tracing off → stale
-//     snapshots → static fallback) and steps back up when it has been
-//     out of it long enough.
+//     class stays in CoDel's dropping state (tracing off → static
+//     fallback) and steps back up when it has been out of it long enough.
 //
 // The target and interval come from the class deadline, the one latency
 // figure a class is configured with. The interval is how long a standing
@@ -93,10 +92,6 @@ const (
 	// stage clock reads and their allocations are the first ballast
 	// overboard.
 	TierNoTrace
-	// TierStale lets discovery serve RCU snapshots beyond
-	// SnapshotMaxAge: slightly stale load data beats coherent-read
-	// contention when the edge is saturated.
-	TierStale
 	// TierStatic forces the balancer's static fallback when filtering
 	// leaves nothing, reusing core.DegradedStatic semantics: stock
 	// ordering beats an empty answer during an incident.
@@ -110,8 +105,6 @@ func (t Tier) String() string {
 		return "nominal"
 	case TierNoTrace:
 		return "no-trace"
-	case TierStale:
-		return "stale"
 	case TierStatic:
 		return "static"
 	}
@@ -155,21 +148,17 @@ type Config struct {
 	// long no class may be dropping before it steps back down.
 	BrownoutEscalate time.Duration
 	BrownoutCalm     time.Duration
-	// BrownoutStaleness is the extra NodeState snapshot age tolerated
-	// at TierStale and above (see ExtraStaleness).
-	BrownoutStaleness time.Duration
 }
 
 // DefaultConfig returns the production defaults: discovery sized for a
 // read-heavy edge, LCM an order of magnitude tighter.
 func DefaultConfig() Config {
 	return Config{
-		Discovery:         ClassLimits{MaxInFlight: 64, MaxQueue: 128, Deadline: 2 * time.Second},
-		LCM:               ClassLimits{MaxInFlight: 16, MaxQueue: 32, Deadline: 5 * time.Second},
-		RetryAfter:        time.Second,
-		BrownoutEscalate:  5 * time.Second,
-		BrownoutCalm:      10 * time.Second,
-		BrownoutStaleness: 2 * time.Minute,
+		Discovery:        ClassLimits{MaxInFlight: 64, MaxQueue: 128, Deadline: 2 * time.Second},
+		LCM:              ClassLimits{MaxInFlight: 16, MaxQueue: 32, Deadline: 5 * time.Second},
+		RetryAfter:       time.Second,
+		BrownoutEscalate: 5 * time.Second,
+		BrownoutCalm:     10 * time.Second,
 	}
 }
 
@@ -186,9 +175,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.BrownoutCalm <= 0 {
 		c.BrownoutCalm = d.BrownoutCalm
-	}
-	if c.BrownoutStaleness <= 0 {
-		c.BrownoutStaleness = d.BrownoutStaleness
 	}
 	return c
 }
@@ -572,15 +558,6 @@ func (c *Controller) Tier() Tier {
 // TierChanges returns how many ladder transitions have happened. It only
 // grows, and a transition is counted after its tier is visible to Tier.
 func (c *Controller) TierChanges() int64 { return c.tierChanges.Value() }
-
-// ExtraStaleness is the NodeState snapshot age the current tier tolerates
-// beyond the balancer's own guard: BrownoutStaleness from TierStale up.
-func (c *Controller) ExtraStaleness() time.Duration {
-	if c.Tier() >= TierStale {
-		return c.cfg.BrownoutStaleness
-	}
-	return 0
-}
 
 // ForceStatic reports whether the current tier forces the balancer's
 // static fallback: from TierStatic up.

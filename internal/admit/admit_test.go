@@ -249,17 +249,14 @@ func TestBrownoutLadderEscalatesAndRecovers(t *testing.T) {
 
 	driveOverload(c, clk, 5*time.Second)
 	peak := c.Tier()
-	if peak < TierStale {
-		t.Fatalf("tier after sustained overload = %v, want >= TierStale", peak)
+	if peak != TierStatic {
+		t.Fatalf("tier after sustained overload = %v, want TierStatic", peak)
 	}
 	if got := c.TierChanges(); got != int64(peak) {
 		t.Fatalf("TierChanges after the climb = %d, want one per rung to %v", got, peak)
 	}
-	if got, want := c.ExtraStaleness(), DefaultConfig().BrownoutStaleness; got != want {
-		t.Fatalf("extra staleness at %v = %v, want %v", peak, got, want)
-	}
-	if got := c.ForceStatic(); got != (peak == TierStatic) {
-		t.Fatalf("force static at %v = %v", peak, got)
+	if !c.ForceStatic() {
+		t.Fatalf("force static at %v = false", peak)
 	}
 	calm(c, clk, 200)
 	if got := c.Tier(); got != TierNominal {
@@ -268,8 +265,8 @@ func TestBrownoutLadderEscalatesAndRecovers(t *testing.T) {
 	if got := c.TierChanges(); got != 2*int64(peak) {
 		t.Fatalf("TierChanges after the descent = %d, want one per rung up and down", got)
 	}
-	if c.ExtraStaleness() != 0 || c.ForceStatic() {
-		t.Fatalf("overrides at %v: staleness %v, static %v; want none", c.Tier(), c.ExtraStaleness(), c.ForceStatic())
+	if c.ForceStatic() {
+		t.Fatalf("force static at %v = true, want false", c.Tier())
 	}
 }
 

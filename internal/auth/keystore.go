@@ -119,7 +119,8 @@ func (k *Keystore) Save(w io.Writer, password string) error {
 }
 
 // Load decrypts a keystore written by Save, replacing current entries. A
-// wrong password yields an error, not silent corruption.
+// wrong password or a file Save could not have written yields an error and
+// leaves the entries as they were.
 func (k *Keystore) Load(r io.Reader, password string) error {
 	var f keystoreFile
 	if err := json.NewDecoder(r).Decode(&f); err != nil {
@@ -143,6 +144,13 @@ func (k *Keystore) Load(r io.Reader, password string) error {
 	entries := make(map[string]*Credentials)
 	if err := json.Unmarshal(plain, &entries); err != nil {
 		return fmt.Errorf("auth: decode entries: %w", err)
+	}
+	// Save writes each entry under its own alias; anything else is not a
+	// keystore, and a null entry would fail every later Get.
+	for alias, c := range entries {
+		if c == nil || c.Alias != alias {
+			return fmt.Errorf("auth: decode entries: entry %q is null or names another alias", alias)
+		}
 	}
 	k.mu.Lock()
 	k.entries = entries

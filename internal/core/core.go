@@ -133,12 +133,6 @@ type Balancer struct {
 	// nothing (e.g. every host quarantined). The zero value keeps the
 	// strict empty answer.
 	Degraded DegradedMode
-	// SnapshotMaxAge is the staleness guard on the NodeState RCU
-	// snapshot: while the published snapshot is no older than this,
-	// discovery reads it lock-free even if the collector has written
-	// rows since it was taken. Zero keeps reads fully coherent — the
-	// snapshot is republished whenever the table has changed.
-	SnapshotMaxAge time.Duration
 	// Brownout, when non-nil, supplies the degradation overrides of the
 	// admission controller's brownout ladder (see internal/admit), read at
 	// every arrangement. Nil means no overrides.
@@ -146,21 +140,10 @@ type Balancer struct {
 }
 
 // Brownout is what the brownout ladder's current tier means to the
-// balancer: extra tolerated NodeState snapshot staleness, and a forced
-// static fallback when filtering leaves nothing. *admit.Controller
-// implements it from its own tier and configuration.
+// balancer: a forced static fallback when filtering leaves nothing.
+// *admit.Controller implements it from its own tier.
 type Brownout interface {
-	ExtraStaleness() time.Duration
 	ForceStatic() bool
-}
-
-// snapshotMaxAge is the snapshot staleness guard under the current
-// overrides.
-func (b *Balancer) snapshotMaxAge() time.Duration {
-	if b.Brownout == nil {
-		return b.SnapshotMaxAge
-	}
-	return b.SnapshotMaxAge + b.Brownout.ExtraStaleness()
 }
 
 // forceStatic reports whether the overrides force the static fallback.
@@ -274,17 +257,17 @@ func (b *Balancer) ArrangeViewTimed(view store.DiscoveryView, now time.Time, st 
 	return b.arrange(view, now, st)
 }
 
-// SnapshotMeta returns the generation the NodeState snapshot would have if
-// a discovery ran at now — republishing a dirty or stale table exactly as
-// arrange would — and the instant that snapshot was taken. The response
-// cache keys entries by the generation, so a hit is served without
-// consulting the table at all, and the edge stamps flight records with
-// both it and how stale that view was.
+// SnapshotMeta returns the generation of the installed NodeState snapshot,
+// the one a discovery arranging now reads, and the instant it was taken.
+// The response cache keys entries by the generation, so a hit is served
+// without consulting the table at all, and the edge stamps flight records
+// with both it and how stale that view was. now is unused: the snapshot
+// moves only when a sweep installs one.
 func (b *Balancer) SnapshotMeta(now time.Time) (gen uint64, taken time.Time) {
 	if b.Table == nil {
 		return 0, time.Time{}
 	}
-	snap := b.Table.Snapshot(now, b.snapshotMaxAge())
+	snap := b.Table.Snapshot()
 	return snap.Gen(), snap.Taken()
 }
 
@@ -332,13 +315,13 @@ func (b *Balancer) arrange(view store.DiscoveryView, now time.Time, st *flight.S
 	}
 
 	// Step 3: LoadStatus — classify each host against NodeState. Hosts are
-	// read from an immutable RCU snapshot (one atomic load in the steady
-	// state) so discovery never contends with a collector sweep. Every URI
-	// gets its row at its own index of a stack scratch that holds only what
-	// the arrangement below reads; the verdicts are tallied here, once.
+	// read from the installed snapshot (one atomic load) so discovery never
+	// contends with a collector sweep. Every URI gets its row at its own
+	// index of a stack scratch that holds only what the arrangement below
+	// reads; the verdicts are tallied here, once.
 	dec.Filtered = true
 	begin = st.Begin()
-	snap := b.Table.Snapshot(now, b.snapshotMaxAge())
+	snap := b.Table.Snapshot()
 	st.End(flight.StageSnapshot, begin)
 	dec.SnapshotGen = snap.Gen()
 	begin = st.Begin()

@@ -156,7 +156,9 @@ func TestFreshnessCutoff(t *testing.T) {
 
 func TestFailedRowTreatedAsUnknown(t *testing.T) {
 	tab := table()
-	tab.RecordFailure("thermo.sdsu.edu", t0)
+	row, _ := tab.Snapshot().Get("thermo.sdsu.edu")
+	row.Failures, row.Health = 1, store.HealthDegraded
+	tab.Upsert(row)
 	b := &Balancer{Table: tab, Policy: PolicyFilter}
 	out, dec := b.ArrangeURIs(constrained, uris(), t0)
 	if len(out) != 0 {

@@ -7,9 +7,18 @@ import (
 	"repro/internal/store"
 )
 
+// quarantine marks the hosts' rows as an open collector breaker does.
+func quarantine(tab *store.NodeStateTable, hosts ...string) {
+	for _, h := range hosts {
+		row, _ := tab.Snapshot().Get(h)
+		row.Host, row.Health = h, store.HealthQuarantined
+		tab.Upsert(row)
+	}
+}
+
 func TestQuarantinedHostExcludedFromAllPolicies(t *testing.T) {
 	tab := table()
-	tab.SetHealth("thermo.sdsu.edu", store.HealthQuarantined)
+	quarantine(tab, "thermo.sdsu.edu")
 	for _, policy := range []Policy{PolicyFilter, PolicyRankFirst, PolicyLeastLoaded} {
 		b := &Balancer{Table: tab, Policy: policy}
 		out, dec := b.ArrangeURIs(constrained, uris(), t0)
@@ -28,8 +37,7 @@ func TestFallbackSkipsQuarantinedHosts(t *testing.T) {
 	tab := table()
 	// Make every host ineligible-or-worse: thermo quarantined, exergy
 	// overloaded (already 3.5 load), romulus unknown but quarantined too.
-	tab.SetHealth("thermo.sdsu.edu", store.HealthQuarantined)
-	tab.SetHealth("romulus.sdsu.edu", store.HealthQuarantined)
+	quarantine(tab, "thermo.sdsu.edu", "romulus.sdsu.edu")
 	b := &Balancer{Table: tab, Policy: PolicyFilter, FallbackAll: true}
 	out, dec := b.ArrangeURIs(constrained, uris(), t0)
 	if !dec.FellBack {
@@ -42,9 +50,7 @@ func TestFallbackSkipsQuarantinedHosts(t *testing.T) {
 
 func TestDegradedStaticServesStockWhenAllQuarantined(t *testing.T) {
 	tab := table()
-	for _, h := range []string{"thermo.sdsu.edu", "exergy.sdsu.edu", "romulus.sdsu.edu"} {
-		tab.SetHealth(h, store.HealthQuarantined)
-	}
+	quarantine(tab, "thermo.sdsu.edu", "exergy.sdsu.edu", "romulus.sdsu.edu")
 
 	// Strict mode: nothing survives, nothing served.
 	strict := &Balancer{Table: tab, Policy: PolicyFilter, FallbackAll: true}

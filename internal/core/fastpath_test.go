@@ -147,29 +147,30 @@ func TestDecisionCountsFromArrange(t *testing.T) {
 	}
 }
 
-func TestArrangeSnapshotStalenessGuard(t *testing.T) {
+// TestArrangeReadsInstalledSnapshot: discovery reads the snapshot the last
+// install left, however old, and the next install is seen at once.
+func TestArrangeReadsInstalledSnapshot(t *testing.T) {
 	tab := table()
-	b := &Balancer{Table: tab, Policy: PolicyFilter, SnapshotMaxAge: 25 * time.Second}
+	b := &Balancer{Table: tab, Policy: PolicyFilter}
 	view := store.DiscoveryView{ID: "urn:uuid:adder", Description: constrained, URIs: uris()}
 
 	_, dec := b.ArrangeView(view, t0)
 	gen := dec.SnapshotGen
+	if gen != tab.Snapshot().Gen() {
+		t.Fatalf("gen = %d, want the installed %d", gen, tab.Snapshot().Gen())
+	}
 
-	// A collector write inside the staleness window is deliberately not
-	// observed: the published snapshot keeps serving lock-free.
+	// No install, no new generation, however much time passes.
+	out, dec2 := b.ArrangeView(view, t0.Add(time.Hour))
+	if dec2.SnapshotGen != gen || len(out) != 1 || out[0] != uriThermo {
+		t.Fatalf("an hour on: gen %d (want %d), arrange %v", dec2.SnapshotGen, gen, out)
+	}
+
+	// An install is observed by the next read.
 	tab.Upsert(store.NodeState{Host: "thermo.sdsu.edu", Load: 9.9, Updated: t0})
-	out, dec2 := b.ArrangeView(view, t0.Add(10*time.Second))
-	if dec2.SnapshotGen != gen {
-		t.Fatalf("gen = %d, want stale %d", dec2.SnapshotGen, gen)
-	}
-	if len(out) != 1 || out[0] != uriThermo {
-		t.Fatalf("stale arrange = %v", out)
-	}
-
-	// Past the window the write must be observed.
-	out3, dec3 := b.ArrangeView(view, t0.Add(30*time.Second))
-	if dec3.SnapshotGen == gen {
-		t.Fatal("expired guard should republish")
+	out3, dec3 := b.ArrangeView(view, t0)
+	if dec3.SnapshotGen != gen+1 {
+		t.Fatalf("gen after an install = %d, want %d", dec3.SnapshotGen, gen+1)
 	}
 	if len(out3) != 0 {
 		t.Fatalf("overloaded thermo should now be excluded, got %v", out3)

@@ -55,7 +55,7 @@ func referenceArrange(b *Balancer, description string, uris []string, now time.T
 	}
 
 	dec.Filtered = true
-	snap := b.Table.Snapshot(now, b.snapshotMaxAge())
+	snap := b.Table.Snapshot()
 	dec.SnapshotGen = snap.Gen()
 	var unknown, ineligible, candidates []string
 	eligible := make([]string, 0, len(uris))

@@ -116,10 +116,10 @@ func TestConstraintCacheInvalidationUnderRace(t *testing.T) {
 }
 
 // TestDiscoveryVsCollectorStress runs discovery reads against a live
-// collector sweeping a simulated cluster, with a positive SnapshotMaxAge
-// so reads stay on the lock-free RCU snapshot while sweeps rewrite the
-// table. Run under `go test -race`; the assertions are error-freedom plus
-// every filtered decision carrying a snapshot generation.
+// collector sweeping a simulated cluster: reads load the installed
+// snapshot while sweeps build the next one. Run under `go test -race`; the
+// assertions are error-freedom plus every filtered decision carrying a
+// snapshot generation.
 func TestDiscoveryVsCollectorStress(t *testing.T) {
 	clk := simclock.NewManual(t0)
 	cluster := hostsim.NewCluster()
@@ -130,10 +130,9 @@ func TestDiscoveryVsCollectorStress(t *testing.T) {
 		}, t0))
 	}
 	reg, err := registry.New(registry.Config{
-		Clock:          clk,
-		Policy:         core.PolicyFilter,
-		SnapshotMaxAge: 25 * time.Second,
-		Invoker:        hostsim.LocalInvoker{Cluster: cluster, Clock: clk},
+		Clock:   clk,
+		Policy:  core.PolicyFilter,
+		Invoker: hostsim.LocalInvoker{Cluster: cluster, Clock: clk},
 	})
 	if err != nil {
 		t.Fatal(err)

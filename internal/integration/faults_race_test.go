@@ -142,7 +142,7 @@ func TestBreakerTripsUnderConcurrentDiscovery(t *testing.T) {
 	if stats.Errs == 0 {
 		t.Fatal("fault injector left no sweep errors")
 	}
-	if n := reg.Store.NodeState().Len(); n != len(hosts) {
+	if n := reg.Store.NodeState().Snapshot().Len(); n != len(hosts) {
 		t.Fatalf("NodeState rows = %d, want %d", n, len(hosts))
 	}
 	// The injector only ever targeted the first two hosts; the healthy

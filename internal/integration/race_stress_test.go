@@ -120,7 +120,7 @@ func TestGuardedStateUnderRace(t *testing.T) {
 	for err := range errCh {
 		t.Error(err)
 	}
-	if n := reg.Store.NodeState().Len(); n != len(hosts) {
+	if n := reg.Store.NodeState().Snapshot().Len(); n != len(hosts) {
 		t.Fatalf("NodeState rows = %d, want %d", n, len(hosts))
 	}
 }

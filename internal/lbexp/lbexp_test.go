@@ -27,8 +27,8 @@ func TestNewSetupPublishesDeployment(t *testing.T) {
 	if len(targets) != 3 {
 		t.Fatalf("collection targets = %v", targets)
 	}
-	if s.Registry.Store.NodeState().Len() != 3 {
-		t.Fatalf("nodestate rows = %d", s.Registry.Store.NodeState().Len())
+	if s.Registry.Store.NodeState().Snapshot().Len() != 3 {
+		t.Fatalf("nodestate rows = %d", s.Registry.Store.NodeState().Snapshot().Len())
 	}
 	uris, _, err := s.Conn.ServiceBindings("Worker")
 	if err != nil || len(uris) == 0 {

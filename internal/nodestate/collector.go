@@ -19,6 +19,7 @@ import (
 	"hash/fnv"
 	"log/slog"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -79,7 +80,7 @@ type Collector struct {
 	retryBackoff time.Duration // base backoff between attempts; 0 = immediate
 	breakers     *breaker.Set  // nil = breakers disabled
 	log          *slog.Logger  // never nil; nop by default
-	afterSweep   func()        // nil = no hook; runs after each publish
+	afterSweep   func()        // nil = no hook; runs after each install
 
 	// What FaultStats snapshots; each event is counted here and nowhere else.
 	sweeps, errs, timeouts, retries, skipped atomic.Int64
@@ -128,7 +129,7 @@ func WithBreakers(b *breaker.Set) Option {
 }
 
 // WithAfterSweep attaches a hook that runs at the end of every sweep,
-// after the refreshed table is published. The registry uses it to drive
+// after the sweep's rows are installed. The registry uses it to drive
 // periodic rollups (balance fairness, SLO burn rates) off the collector's
 // cadence so they tick identically on wall and simulated clocks. The hook
 // runs on the sweep goroutine; it must be fast and must not call back
@@ -172,9 +173,6 @@ func New(table *store.NodeStateTable, invoker nodestatus.Invoker, clock simclock
 // Period returns the configured collection period.
 func (c *Collector) Period() time.Duration { return c.period }
 
-// Breakers returns the attached breaker set (nil when disabled).
-func (c *Collector) Breakers() *breaker.Set { return c.breakers }
-
 // FaultStats snapshots all fault-tolerance counters. Events are counted as
 // they happen, the sweep that holds them when it completes.
 func (c *Collector) FaultStats() Stats {
@@ -196,50 +194,39 @@ func (c *Collector) CollectOnce() {
 }
 
 // CollectOnceCtx performs one sweep at the clock's current time: it invokes
-// NodeStatus on every deployment URI (boundedly in parallel) and upserts a
-// NodeState row per host; failed invocations record a failure on the row
-// instead so stale data is distinguishable from fresh (strict policies can
-// then exclude the host). Hosts with an open breaker are skipped and left
-// quarantined. ctx bounds every invocation in the sweep: cancelling it
-// makes context-aware invokers release their sockets mid-flight.
+// NodeStatus on every deployment URI (boundedly in parallel) and installs
+// the sweep's rows as one snapshot. A host that answers gets a fresh row; a
+// failed invocation gets its previous row with one more failure, so stale
+// data is distinguishable from fresh (strict policies can then exclude the
+// host). Hosts with an open breaker are skipped and left quarantined. ctx
+// bounds every invocation in the sweep: cancelling it makes context-aware
+// invokers release their sockets mid-flight.
 //
-// Before the first row changes, the RCU snapshot is brought up to date —
-// a no-op between sweeps, a publish after a restore or at boot — so that
-// until the sweep publishes, a reader within the staleness guard sees the
-// rows from before it rather than publishing a half-swept table itself.
+// Each URI's outcome lands in a slot of its own, and the slots are
+// installed in URI order once every invocation has returned: until then a
+// reader sees the rows from before the sweep, never part of it, and a host
+// behind two URIs takes the later URI's row.
 func (c *Collector) CollectOnceCtx(ctx context.Context) {
 	uris := c.uris()
 	now := c.clock.Now()
-	c.table.Snapshot(now, 0)
+	prev := c.table.Snapshot()
+	slots := make([]store.NodeState, len(uris))
 
 	sem := make(chan struct{}, c.parallelism)
 	var wg sync.WaitGroup
-
-	for _, uri := range uris {
+	for i, uri := range uris {
 		wg.Add(1)
 		sem <- struct{}{}
-		go func(uri string) {
+		go func() {
 			defer wg.Done()
 			defer func() { <-sem }()
-			host := rim.HostOfURI(uri)
-			if host == "" {
-				c.errs.Add(1)
-				return
-			}
-			if c.breakers != nil && !c.breakers.Allow(host, now) {
-				c.table.SetHealth(host, store.HealthQuarantined)
-				c.log.DebugContext(ctx, "sweep skip: breaker open", "host", host)
-				c.skipped.Add(1)
-				return
-			}
-			c.collectHost(ctx, uri, host, now)
-		}(uri)
+			slots[i] = c.sweepURI(ctx, prev, uri, now)
+		}()
 	}
 	wg.Wait()
 
-	// Republish the RCU snapshot once per sweep so discovery reads the
-	// sweep's rows lock-free until the next one.
-	c.table.Publish(c.clock.Now())
+	rows := slices.DeleteFunc(slots, func(row store.NodeState) bool { return row.Host == "" })
+	c.table.Install(rows, c.clock.Now())
 
 	c.sweeps.Add(1)
 	if c.afterSweep != nil {
@@ -247,8 +234,57 @@ func (c *Collector) CollectOnceCtx(ctx context.Context) {
 	}
 }
 
+// sweepURI returns uri's row for the sweep at now, built on its host's row
+// in prev; a zero row when the URI names no host.
+func (c *Collector) sweepURI(ctx context.Context, prev *store.TableSnapshot, uri string, now time.Time) store.NodeState {
+	host := rim.HostOfURI(uri)
+	if host == "" {
+		c.errs.Add(1)
+		return store.NodeState{}
+	}
+	row, _ := prev.Get(host)
+	row.Host = host
+	if c.breakers != nil && !c.breakers.Allow(host, now) {
+		c.log.DebugContext(ctx, "sweep skip: breaker open", "host", host)
+		c.skipped.Add(1)
+		row.Health = store.HealthQuarantined
+		return row
+	}
+	resp, err := c.collectHost(ctx, uri, host)
+	if err != nil {
+		c.log.WarnContext(ctx, "collection failed", "host", host, "uri", uri,
+			"attempts", c.maxRetries+1, "error", err)
+		c.errs.Add(1)
+		row.Failures++
+		row.Updated = now
+		if row.Health == store.HealthHealthy {
+			row.Health = store.HealthDegraded
+		}
+		if c.breakers != nil {
+			c.breakers.Failure(host, now)
+			if st := c.breakers.State(host); st != breaker.Closed {
+				row.Health = store.HealthQuarantined
+				c.log.WarnContext(ctx, "host quarantined", "host", host, "breaker", st.String())
+			}
+		}
+		return row
+	}
+	if c.breakers != nil {
+		c.breakers.Success(host, now)
+	}
+	return store.NodeState{
+		Host:       host,
+		Load:       resp.Load,
+		MemoryB:    resp.MemoryB,
+		SwapB:      resp.SwapB,
+		NetDelayMs: resp.NetDelayMs,
+		Updated:    now,
+		Health:     store.HealthHealthy,
+	}
+}
+
 // collectHost runs the retry loop for one host within a sweep.
-func (c *Collector) collectHost(ctx context.Context, uri, host string, now time.Time) {
+func (c *Collector) collectHost(ctx context.Context, uri, host string) (nodestatus.Response, error) {
 	var resp nodestatus.Response
 	var err error
 	for attempt := 0; attempt <= c.maxRetries; attempt++ {
@@ -269,32 +305,7 @@ func (c *Collector) collectHost(ctx context.Context, uri, host string, now time.
 			c.timeouts.Add(1)
 		}
 	}
-	if err != nil {
-		c.table.RecordFailure(host, now)
-		c.log.WarnContext(ctx, "collection failed", "host", host, "uri", uri,
-			"attempts", c.maxRetries+1, "error", err)
-		if c.breakers != nil {
-			c.breakers.Failure(host, now)
-			if st := c.breakers.State(host); st != breaker.Closed {
-				c.table.SetHealth(host, store.HealthQuarantined)
-				c.log.WarnContext(ctx, "host quarantined", "host", host, "breaker", st.String())
-			}
-		}
-		c.errs.Add(1)
-		return
-	}
-	if c.breakers != nil {
-		c.breakers.Success(host, now)
-	}
-	c.table.Upsert(store.NodeState{
-		Host:       host,
-		Load:       resp.Load,
-		MemoryB:    resp.MemoryB,
-		SwapB:      resp.SwapB,
-		NetDelayMs: resp.NetDelayMs,
-		Updated:    now,
-		Health:     store.HealthHealthy,
-	})
+	return resp, err
 }
 
 // invokeOnce performs one invocation attempt under the per-invocation
@@ -379,7 +390,7 @@ type HostHealthReport struct {
 // per-host report, sorted by host.
 func (c *Collector) HealthSnapshot() []HostHealthReport {
 	byHost := make(map[string]HostHealthReport)
-	for _, r := range c.table.Rows() {
+	for _, r := range c.table.Snapshot().Rows() {
 		byHost[r.Host] = HostHealthReport{Host: r.Host, Health: r.Health, Failures: r.Failures, Updated: r.Updated}
 	}
 	if c.breakers != nil {

@@ -12,6 +12,7 @@ import (
 	"repro/internal/faults"
 	"repro/internal/integration/leakcheck"
 	"repro/internal/nodestatus"
+	"repro/internal/rim"
 	"repro/internal/simclock"
 	"repro/internal/store"
 )
@@ -56,6 +57,43 @@ func staticURIs(uris ...string) URIProvider {
 	return func() []string { return uris }
 }
 
+// downURIs fails the URIs it holds and answers the rest.
+type downURIs map[string]bool
+
+func (d downURIs) Invoke(uri string) (nodestatus.Response, error) {
+	if d[uri] {
+		return nodestatus.Response{}, errors.New("nodestatus: down")
+	}
+	return nodestatus.Response{Host: rim.HostOfURI(uri), Load: 0.5, MemoryB: 1 << 30}, nil
+}
+
+// TestSweepDecidesSharedHostByURIOrder: a host behind two URIs, invoked in
+// parallel, takes the later URI's outcome, and a failure adds one to the
+// previous sweep's row however many of its URIs failed.
+func TestSweepDecidesSharedHostByURIOrder(t *testing.T) {
+	const up, down = "http://thermo.sdsu.edu:8080/a", "http://thermo.sdsu.edu:8080/b"
+	for _, tc := range []struct {
+		name     string
+		uris     []string
+		health   store.HostHealth
+		failures int
+	}{
+		{"failure last", []string{up, down, down}, store.HealthDegraded, 2},
+		{"success last", []string{down, up}, store.HealthHealthy, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			table := store.NewNodeStateTable()
+			col := New(table, downURIs{down: true}, simclock.NewManual(t0), staticURIs(tc.uris...))
+			col.CollectOnce()
+			col.CollectOnce()
+			row, _ := table.Snapshot().Get("thermo.sdsu.edu")
+			if row.Health != tc.health || row.Failures != tc.failures {
+				t.Fatalf("row after two sweeps = %+v, want %v with %d failures", row, tc.health, tc.failures)
+			}
+		})
+	}
+}
+
 func TestRetriesRecoverTransientFailure(t *testing.T) {
 	clk := simclock.NewManual(t0)
 	table := store.NewNodeStateTable()
@@ -63,7 +101,7 @@ func TestRetriesRecoverTransientFailure(t *testing.T) {
 	col := New(table, inv, clk, staticURIs(faultURI), WithRetries(1, 0))
 
 	col.CollectOnce()
-	row, ok := table.Get("thermo.sdsu.edu")
+	row, ok := table.Snapshot().Get("thermo.sdsu.edu")
 	if !ok || row.Failures != 0 || row.Health != store.HealthHealthy {
 		t.Fatalf("row = %+v %v", row, ok)
 	}
@@ -80,7 +118,7 @@ func TestExhaustedRetriesDegradeRow(t *testing.T) {
 	col := New(table, inv, clk, staticURIs(faultURI), WithRetries(2, 0))
 
 	col.CollectOnce()
-	row, _ := table.Get("thermo.sdsu.edu")
+	row, _ := table.Snapshot().Get("thermo.sdsu.edu")
 	if row.Failures != 1 || row.Health != store.HealthDegraded {
 		t.Fatalf("row = %+v", row)
 	}
@@ -105,7 +143,7 @@ func TestBreakerQuarantinesAndProbes(t *testing.T) {
 		col.CollectOnce()
 		clk.Advance(25 * time.Second)
 	}
-	row, _ := table.Get("thermo.sdsu.edu")
+	row, _ := table.Snapshot().Get("thermo.sdsu.edu")
 	if row.Health != store.HealthQuarantined || row.Failures != 3 {
 		t.Fatalf("row after trip = %+v", row)
 	}
@@ -130,7 +168,7 @@ func TestBreakerQuarantinesAndProbes(t *testing.T) {
 	// the host returns to service.
 	clk.Advance(50 * time.Second)
 	col.CollectOnce()
-	row, _ = table.Get("thermo.sdsu.edu")
+	row, _ = table.Snapshot().Get("thermo.sdsu.edu")
 	if row.Health != store.HealthHealthy || row.Failures != 0 {
 		t.Fatalf("row after probe = %+v", row)
 	}
@@ -163,7 +201,7 @@ func TestDeadlineCancelsHungInvocation(t *testing.T) {
 	if stats.Timeouts != 1 || stats.Errs != 1 {
 		t.Fatalf("stats = %+v", stats)
 	}
-	row, _ := table.Get("thermo.sdsu.edu")
+	row, _ := table.Snapshot().Get("thermo.sdsu.edu")
 	if row.Health != store.HealthDegraded || row.Failures != 1 {
 		t.Fatalf("row = %+v", row)
 	}
@@ -305,7 +343,7 @@ func TestCollectorUnderFlapFaults(t *testing.T) {
 	sawQuarantine, sawRecovery := false, false
 	for i := 0; i < 16; i++ {
 		col.CollectOnce()
-		row, _ := table.Get("thermo.sdsu.edu")
+		row, _ := table.Snapshot().Get("thermo.sdsu.edu")
 		if row.Health == store.HealthQuarantined {
 			sawQuarantine = true
 		}
@@ -326,7 +364,7 @@ func TestCorruptResponsesRejected(t *testing.T) {
 	col := New(table, inj, clk, staticURIs(faultURI))
 
 	col.CollectOnce()
-	row, _ := table.Get("thermo.sdsu.edu")
+	row, _ := table.Snapshot().Get("thermo.sdsu.edu")
 	if row.Health != store.HealthDegraded || row.Failures != 1 {
 		t.Fatalf("corrupt response accepted: %+v", row)
 	}

@@ -45,10 +45,10 @@ func TestCollectOncePopulatesTable(t *testing.T) {
 	col := New(table, hostsim.LocalInvoker{Cluster: cluster, Clock: clk}, clk, urisOf(cluster))
 
 	col.CollectOnce()
-	if table.Len() != 2 {
-		t.Fatalf("rows = %d", table.Len())
+	if table.Snapshot().Len() != 2 {
+		t.Fatalf("rows = %d", table.Snapshot().Len())
 	}
-	row, ok := table.Get("thermo.sdsu.edu")
+	row, ok := table.Snapshot().Get("thermo.sdsu.edu")
 	if !ok || row.MemoryB != 4<<30 || !row.Updated.Equal(t0) || row.Failures != 0 {
 		t.Fatalf("row = %+v %v", row, ok)
 	}
@@ -64,7 +64,7 @@ func TestCollectOnceRecordsFailures(t *testing.T) {
 	col := New(table, hostsim.LocalInvoker{Cluster: cluster, Clock: clk}, clk, urisOf(cluster))
 
 	col.CollectOnce()
-	row, ok := table.Get("exergy.sdsu.edu")
+	row, ok := table.Snapshot().Get("exergy.sdsu.edu")
 	if !ok || row.Failures != 1 {
 		t.Fatalf("failure row = %+v %v", row, ok)
 	}
@@ -74,7 +74,7 @@ func TestCollectOnceRecordsFailures(t *testing.T) {
 	// Recovery resets the failure count via Upsert.
 	cluster.Host("exergy.sdsu.edu").SetDown(false)
 	col.CollectOnce()
-	row, _ = table.Get("exergy.sdsu.edu")
+	row, _ = table.Snapshot().Get("exergy.sdsu.edu")
 	if row.Failures != 0 {
 		t.Fatalf("failures after recovery = %d", row.Failures)
 	}
@@ -86,7 +86,7 @@ func TestCollectOnceSkipsGarbageURI(t *testing.T) {
 	col := New(table, hostsim.LocalInvoker{Cluster: cluster, Clock: clk}, clk,
 		func() []string { return []string{"::notauri::"} })
 	col.CollectOnce()
-	if table.Len() != 0 {
+	if table.Snapshot().Len() != 0 {
 		t.Fatal("garbage uri produced a row")
 	}
 	if errs := col.FaultStats().Errs; errs != 1 {
@@ -125,7 +125,7 @@ func TestRunPollsOnPeriod(t *testing.T) {
 	}
 	clk.Advance(25 * time.Second)
 	waitSweeps(2)
-	row, _ := table.Get("thermo.sdsu.edu")
+	row, _ := table.Snapshot().Get("thermo.sdsu.edu")
 	if !row.Updated.Equal(t0.Add(25 * time.Second)) {
 		t.Fatalf("row not refreshed: %v", row.Updated)
 	}
@@ -167,8 +167,8 @@ func TestRunSweepsSoonAfterHostsAppear(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if s := col.FaultStats().Sweeps; s < 2 || table.Len() != 2 {
-		t.Fatalf("a tenth of a period after the hosts appeared: %d sweeps, %d rows; want 2 and 2", s, table.Len())
+	if s := col.FaultStats().Sweeps; s < 2 || table.Snapshot().Len() != 2 {
+		t.Fatalf("a tenth of a period after the hosts appeared: %d sweeps, %d rows; want 2 and 2", s, table.Snapshot().Len())
 	}
 }
 
@@ -186,10 +186,10 @@ func TestCollectorOverHTTP(t *testing.T) {
 	col.CollectOnce()
 	// Both httptest servers bind 127.0.0.1, and NodeState is keyed by
 	// hostname exactly as in Fig. 3.2, so the sweeps collapse to one row.
-	if table.Len() != 1 {
-		t.Fatalf("rows over http = %d", table.Len())
+	if table.Snapshot().Len() != 1 {
+		t.Fatalf("rows over http = %d", table.Snapshot().Len())
 	}
-	row, ok := table.Get("127.0.0.1")
+	row, ok := table.Snapshot().Get("127.0.0.1")
 	if !ok || row.MemoryB == 0 || row.Failures != 0 {
 		t.Fatalf("row = %+v %v", row, ok)
 	}
@@ -201,46 +201,76 @@ func TestDefaultPeriodMatchesThesis(t *testing.T) {
 	}
 }
 
-// gatedInvoker answers every host at once but slow, whose invocation
-// announces itself on reached and then waits for release.
+// gatedInvoker answers every host at once but slow: while reached is set,
+// slow's invocation announces itself on reached and then waits for
+// release.
 type gatedInvoker struct {
 	slow             string
 	reached, release chan struct{}
+	load             float64 // answered for every host
 }
 
 func (g *gatedInvoker) Invoke(uri string) (nodestatus.Response, error) {
-	if rim.HostOfURI(uri) == g.slow {
+	if rim.HostOfURI(uri) == g.slow && g.reached != nil {
 		close(g.reached)
 		<-g.release
 	}
-	return nodestatus.Response{Host: rim.HostOfURI(uri), Load: 0.5, MemoryB: 1 << 30}, nil
+	return nodestatus.Response{Host: rim.HostOfURI(uri), Load: g.load, MemoryB: 1 << 30}, nil
 }
 
-// TestSweepLandsWhole: a reader that arrives while a sweep is in flight,
-// within the staleness guard, sees the table as it was before the sweep —
-// here, at boot, no rows — and never publishes part of the sweep itself.
-// A reader of half a sweep answers the services on one half from the sweep
-// and those on the other from older rows, or, after a restore without
-// rows, from none.
+// TestSweepLandsWhole: a reader that arrives while a sweep is in flight
+// sees the table as it was before the sweep and never part of it — at
+// boot, no rows; a period after the last sweep, as Run starts the next
+// one, that sweep's rows under its generation. A reader of half a sweep
+// answers the services on one half from the sweep and those on the other
+// from older rows, or, after a restore without rows, from none.
 func TestSweepLandsWhole(t *testing.T) {
 	defer leakcheck.Check(t)()
 	clk := simclock.NewManual(t0)
 	table := store.NewNodeStateTable()
-	inv := &gatedInvoker{slow: "exergy.sdsu.edu", reached: make(chan struct{}), release: make(chan struct{})}
-	// One invocation at a time, in order: thermo has answered and been
-	// recorded before exergy's invocation starts.
+	inv := &gatedInvoker{slow: "exergy.sdsu.edu"}
+	// One invocation at a time, in order: thermo has answered before
+	// exergy's invocation starts.
 	col := New(table, inv, clk, staticURIs("http://thermo.sdsu.edu:8080/NodeStatus", "http://exergy.sdsu.edu:8080/NodeStatus"))
 	col.parallelism = 1
-	done := make(chan struct{})
-	go func() { col.CollectOnce(); close(done) }()
 
-	<-inv.reached
-	if snap := table.Snapshot(clk.Now(), time.Second); snap.Len() != 0 {
-		t.Errorf("a reader mid-sweep sees %d rows of it, want none", snap.Len())
+	// sweepWithReader runs one sweep and returns what a reader saw while
+	// exergy's invocation was in flight.
+	sweepWithReader := func(load float64) *store.TableSnapshot {
+		inv.reached, inv.release, inv.load = make(chan struct{}), make(chan struct{}), load
+		done := make(chan struct{})
+		go func() { col.CollectOnce(); close(done) }()
+		<-inv.reached
+		seen := table.Snapshot()
+		close(inv.release)
+		<-done
+		return seen
 	}
-	close(inv.release)
-	<-done
-	if snap := table.Snapshot(clk.Now(), time.Second); snap.Len() != 2 {
-		t.Fatalf("after the sweep a reader sees %d rows, want 2", snap.Len())
+
+	boot := table.Snapshot()
+	if seen := sweepWithReader(0.5); seen != boot || seen.Len() != 0 {
+		t.Errorf("a reader mid-sweep at boot sees gen %d with %d rows, want gen %d with none", seen.Gen(), seen.Len(), boot.Gen())
+	}
+	first := table.Snapshot()
+	if first.Len() != 2 || first.Gen() != boot.Gen()+1 {
+		t.Fatalf("after the sweep a reader sees gen %d with %d rows, want gen %d with 2", first.Gen(), first.Len(), boot.Gen()+1)
+	}
+
+	clk.Advance(col.Period())
+	seen := sweepWithReader(1.5)
+	if seen.Gen() != first.Gen() {
+		t.Errorf("a reader mid-sweep a period on sees gen %d, want the last sweep's %d", seen.Gen(), first.Gen())
+	}
+	if row, _ := seen.Get("thermo.sdsu.edu"); row.Load != 0.5 || !row.Updated.Equal(t0) {
+		t.Errorf("a reader mid-sweep a period on sees thermo %+v, want the last sweep's row", row)
+	}
+	second := table.Snapshot()
+	if second.Gen() != first.Gen()+1 {
+		t.Fatalf("gen after the second sweep = %d, want %d", second.Gen(), first.Gen()+1)
+	}
+	for _, h := range []string{"thermo.sdsu.edu", "exergy.sdsu.edu"} {
+		if row, _ := second.Get(h); row.Load != 1.5 || !row.Updated.Equal(clk.Now()) {
+			t.Errorf("%s after the second sweep = %+v, want its row", h, row)
+		}
 	}
 }

@@ -17,8 +17,9 @@ import (
 
 // StalenessBuckets are the upper bounds (seconds) for the decision
 // staleness histogram: how old the NodeState snapshot behind each served
-// discovery answer was. Sub-second buckets cover a healthy collector;
-// the upper ones show brownout ExtraStaleness at work.
+// discovery answer was: at most one collection period, since the collector
+// installs a snapshot every sweep. Sub-second buckets cover the benchmark's
+// 1 s period, the upper ones the thesis's 25 s and longer ones.
 func StalenessBuckets() []float64 {
 	return []float64{0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30, 60}
 }

@@ -255,7 +255,7 @@ func (c *Catalog) queryRows() []sqlq.Row {
 
 func (c *Catalog) nodeStateRows() []sqlq.Row {
 	var rows []sqlq.Row
-	for _, ns := range c.Store.NodeState().Rows() {
+	for _, ns := range c.Store.NodeState().Snapshot().Rows() {
 		rows = append(rows, sqlq.Row{
 			"host":       ns.Host,
 			"load":       ns.Load,

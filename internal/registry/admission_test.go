@@ -33,12 +33,11 @@ import (
 // walk the whole ladder.
 func admitTestConfig() admit.Config {
 	return admit.Config{
-		Discovery:         admit.ClassLimits{MaxInFlight: 2, MaxQueue: 8, Deadline: 250 * time.Millisecond},
-		LCM:               admit.ClassLimits{MaxInFlight: 1, MaxQueue: 1, Deadline: time.Second},
-		RetryAfter:        time.Second,
-		BrownoutEscalate:  300 * time.Millisecond,
-		BrownoutCalm:      500 * time.Millisecond,
-		BrownoutStaleness: time.Minute,
+		Discovery:        admit.ClassLimits{MaxInFlight: 2, MaxQueue: 8, Deadline: 250 * time.Millisecond},
+		LCM:              admit.ClassLimits{MaxInFlight: 1, MaxQueue: 1, Deadline: time.Second},
+		RetryAfter:       time.Second,
+		BrownoutEscalate: 300 * time.Millisecond,
+		BrownoutCalm:     500 * time.Millisecond,
 	}
 }
 
@@ -115,9 +114,10 @@ func calmDiscovery(r *Registry, rounds int) {
 
 // TestBrownoutTiersComposeWithQuarantine drives the wired controller up
 // the ladder and checks each override lands where the registry promised:
-// tracing off at TierNoTrace, extra snapshot staleness at TierStale — and
-// that the stale tier does NOT resurrect quarantined hosts: breaker
-// verdicts recorded in the (stale) snapshot keep excluding them.
+// tracing off at TierNoTrace, the static fallback forced at TierStatic —
+// and that the top tier does NOT resurrect quarantined hosts while a
+// healthy one is left: breaker verdicts in the snapshot keep excluding
+// them.
 func TestBrownoutTiersComposeWithQuarantine(t *testing.T) {
 	r := newAdmitRegistry(t, admitTestConfig(), core.DegradedEmpty)
 	seedWorker(t, r, "exergy.sdsu.edu", "thermo.sdsu.edu")
@@ -136,8 +136,8 @@ func TestBrownoutTiersComposeWithQuarantine(t *testing.T) {
 	}
 
 	driveDiscoveryOverload(r, 5*time.Second)
-	if got := r.Admission.Tier(); got < admit.TierStale {
-		t.Fatalf("tier after sustained overload = %v, want >= TierStale", got)
+	if got := r.Admission.Tier(); got != admit.TierStatic {
+		t.Fatalf("tier after sustained overload = %v, want TierStatic", got)
 	}
 	srv := httptest.NewServer(r.Handler())
 	defer srv.Close()
@@ -145,13 +145,13 @@ func TestBrownoutTiersComposeWithQuarantine(t *testing.T) {
 		t.Fatalf("trace sample at %v = %d, want 0 (TierNoTrace)", r.Admission.Tier(), got)
 	}
 	wantTracing(t, r, srv, 0)
-	if got := r.Balancer.Brownout.ExtraStaleness(); got != time.Minute {
-		t.Fatalf("extra staleness at %v = %v, want 1m", r.Admission.Tier(), got)
+	if !r.Balancer.Brownout.ForceStatic() {
+		t.Fatalf("force static at %v = false", r.Admission.Tier())
 	}
 
 	// Discovery during the brownout: the healthy host is served normally,
-	// the quarantined one stays excluded — stale service is degraded
-	// service, not un-degraded service.
+	// the quarantined one stays excluded — degraded service is not
+	// un-degraded service.
 	uris, dec, err := r.QM.GetServiceBindingsByName("Worker")
 	if err != nil {
 		t.Fatal(err)
@@ -175,8 +175,8 @@ func TestBrownoutTiersComposeWithQuarantine(t *testing.T) {
 		t.Fatalf("trace sample after recovery = %d, want 2", got)
 	}
 	wantTracing(t, r, srv, 2)
-	if got := r.Balancer.Brownout.ExtraStaleness(); got != 0 {
-		t.Fatalf("extra staleness after recovery = %v, want 0", got)
+	if r.Balancer.Brownout.ForceStatic() {
+		t.Fatal("force static after recovery = true, want false")
 	}
 }
 

@@ -147,14 +147,13 @@ func (r *Registry) componentHealth(stats nodestate.Stats, hosts []nodestate.Host
 // knobs reachable from the live components, not the original Config
 // struct (which the registry does not retain).
 type bundleConfig struct {
-	Policy                string  `json:"policy"`
-	Freshness             float64 `json:"freshnessSeconds"`
-	FallbackAll           bool    `json:"fallbackAll"`
-	SnapshotMaxAgeSeconds float64 `json:"snapshotMaxAgeSeconds"`
-	TraceSampleRate       int     `json:"traceSampleRate"`
-	FlightRing            int     `json:"flightRing"`
-	AdmissionEnabled      bool    `json:"admissionEnabled"`
-	Durable               bool    `json:"durable"`
+	Policy           string  `json:"policy"`
+	Freshness        float64 `json:"freshnessSeconds"`
+	FallbackAll      bool    `json:"fallbackAll"`
+	TraceSampleRate  int     `json:"traceSampleRate"`
+	FlightRing       int     `json:"flightRing"`
+	AdmissionEnabled bool    `json:"admissionEnabled"`
+	Durable          bool    `json:"durable"`
 }
 
 // walPosition is the WAL's write position in the bundle.
@@ -280,13 +279,12 @@ func (r *Registry) handleBundle(w http.ResponseWriter, req *http.Request) {
 
 func (r *Registry) bundleConfig() bundleConfig {
 	return bundleConfig{
-		Policy:                r.Balancer.Policy.String(),
-		Freshness:             r.Balancer.Freshness.Seconds(),
-		FallbackAll:           r.Balancer.FallbackAll,
-		SnapshotMaxAgeSeconds: r.Balancer.SnapshotMaxAge.Seconds(),
-		TraceSampleRate:       r.traceEvery(),
-		FlightRing:            r.Flight.Len(),
-		AdmissionEnabled:      r.Admission != nil,
-		Durable:               r.Durable != nil,
+		Policy:           r.Balancer.Policy.String(),
+		Freshness:        r.Balancer.Freshness.Seconds(),
+		FallbackAll:      r.Balancer.FallbackAll,
+		TraceSampleRate:  r.traceEvery(),
+		FlightRing:       r.Flight.Len(),
+		AdmissionEnabled: r.Admission != nil,
+		Durable:          r.Durable != nil,
 	}
 }

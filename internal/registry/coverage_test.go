@@ -100,7 +100,7 @@ func TestRunCollectorLoop(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("RunCollector did not stop")
 	}
-	if _, ok := reg.Store.NodeState().Get("h1.sdsu.edu"); !ok {
+	if _, ok := reg.Store.NodeState().Snapshot().Get("h1.sdsu.edu"); !ok {
 		t.Fatal("collector loop produced no row")
 	}
 }

@@ -69,6 +69,7 @@ func digestDifferential(t *testing.T, seed int64) {
 	uri := func(h int) string { return fmt.Sprintf("http://h%d.example:8080/svc", h) }
 
 	sweep := func() {
+		var rows []store.NodeState
 		for h := 0; h < hosts; h++ {
 			row := store.NodeState{
 				Host:    fmt.Sprintf("h%d.example", h),
@@ -83,14 +84,12 @@ func digestDifferential(t *testing.T, seed int64) {
 			case 1:
 				row.Failures = 1
 			case 2:
-				for _, n := range nodes {
-					n.Store.NodeState().Delete(row.Host)
-				}
-				continue
+				continue // no row: the host reads as unknown
 			}
-			for _, n := range nodes {
-				n.Store.NodeState().Upsert(row)
-			}
+			rows = append(rows, row)
+		}
+		for _, n := range nodes {
+			n.Store.NodeState().Reset(rows)
 		}
 	}
 

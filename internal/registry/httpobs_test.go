@@ -39,13 +39,12 @@ func newObservedRegistry(t *testing.T) (*Registry, *httptest.Server) {
 		svc.AddBinding("http://" + name + ":8080/Adder/addService")
 	}
 	reg, err := New(Config{
-		Clock:          clk,
-		Policy:         core.PolicyFilter,
-		SnapshotMaxAge: 25 * time.Second,
-		Invoker:        hostsim.LocalInvoker{Cluster: cluster, Clock: clk},
-		Breaker:        &breaker.Config{Threshold: 3, BaseBackoff: 50 * time.Second, MaxBackoff: 10 * time.Minute},
-		TraceSample:    1,
-		Admission:      &admit.Config{},
+		Clock:       clk,
+		Policy:      core.PolicyFilter,
+		Invoker:     hostsim.LocalInvoker{Cluster: cluster, Clock: clk},
+		Breaker:     &breaker.Config{Threshold: 3, BaseBackoff: 50 * time.Second, MaxBackoff: 10 * time.Minute},
+		TraceSample: 1,
+		Admission:   &admit.Config{},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -734,8 +734,9 @@ func (r *Registry) account(fw *flight.Writer, dec *core.Decision, age time.Durat
 	}
 }
 
-// snapshotAge converts a snapshot publish instant into the decision's
-// staleness, clamping at zero (a just-republished table reads as fresh).
+// snapshotAge converts a snapshot's taken instant into the decision's
+// staleness, clamping at zero (a snapshot with no taken instant, or one
+// taken after now, reads as fresh).
 func snapshotAge(now, taken time.Time) time.Duration {
 	if taken.IsZero() {
 		return 0
@@ -829,7 +830,7 @@ func (r *Registry) handleQuery(w http.ResponseWriter, req *http.Request) {
 }
 
 func (r *Registry) handleNodeState(w http.ResponseWriter, req *http.Request) {
-	writeJSON(w, r.Store.NodeState().Rows())
+	writeJSON(w, r.Store.NodeState().Snapshot().Rows())
 }
 
 // handleHealth reports the collector's per-host health and breaker state

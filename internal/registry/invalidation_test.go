@@ -140,8 +140,11 @@ func TestReplCacheInvalidationCauses(t *testing.T) {
 			p.leader.Collector.CollectOnce()
 		}},
 		{name: "tier transition to static, all quarantined", counted: true, setup: func(_ *testing.T, p *replPair) {
+			tab := p.leader.Store.NodeState()
 			for _, h := range causeHosts {
-				p.leader.Store.NodeState().SetHealth(h, store.HealthQuarantined)
+				row, _ := tab.Snapshot().Get(h)
+				row.Health = store.HealthQuarantined
+				tab.Upsert(row)
 			}
 		}, cause: func(t *testing.T, p *replPair, _ *loadInvoker) {
 			driveDiscoveryOverload(p.leader, 5*time.Second)

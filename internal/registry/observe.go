@@ -59,7 +59,7 @@ func (d *discoveryMetrics) observe(dec *core.Decision, host string, age time.Dur
 // weighting each host by its collected memory capacity, and cuts one SLO
 // burn-rate sample from the cumulative discovery counters.
 func (r *Registry) rollup() {
-	rows := r.Store.NodeState().Rows()
+	rows := r.Store.NodeState().Snapshot().Rows()
 	weights := make(map[string]float64, len(rows))
 	for i := range rows {
 		w := float64(rows[i].MemoryB)
@@ -160,15 +160,15 @@ func (r *Registry) buildExposition() *obs.Exposition {
 			return out
 		})
 
-	// NodeState table and its RCU snapshot.
+	// The installed NodeState snapshot.
 	table := r.Store.NodeState()
 	e.Gauge("registry_nodestate_rows",
 		"Rows in the NodeState table.",
-		func() float64 { return float64(table.Len()) })
+		func() float64 { return float64(table.Snapshot().Len()) })
 	e.GaugeVec("registry_node_load",
 		"Last collected CPU load per host.",
 		"host", func() map[string]float64 {
-			rows := table.Rows()
+			rows := table.Snapshot().Rows()
 			out := make(map[string]float64, len(rows))
 			for _, row := range rows {
 				out[row.Host] = row.Load
@@ -178,7 +178,7 @@ func (r *Registry) buildExposition() *obs.Exposition {
 	e.GaugeVec("registry_node_health",
 		"Per-host health from the collector (0 healthy, 1 degraded, 2 quarantined).",
 		"host", func() map[string]float64 {
-			rows := table.Rows()
+			rows := table.Snapshot().Rows()
 			out := make(map[string]float64, len(rows))
 			for _, row := range rows {
 				out[row.Host] = float64(row.Health)
@@ -186,21 +186,11 @@ func (r *Registry) buildExposition() *obs.Exposition {
 			return out
 		})
 	e.Gauge("registry_nodestate_snapshot_generation",
-		"Publish generation of the installed NodeState snapshot.",
-		func() float64 {
-			if s := table.Published(); s != nil {
-				return float64(s.Gen())
-			}
-			return 0
-		})
+		"Install generation of the NodeState snapshot: one per collector sweep.",
+		func() float64 { return float64(table.Snapshot().Gen()) })
 	e.Gauge("registry_nodestate_snapshot_age_seconds",
 		"Age of the installed NodeState snapshot on the registry clock.",
-		func() float64 {
-			if s := table.Published(); s != nil {
-				return r.Clock.Now().Sub(s.Taken()).Seconds()
-			}
-			return 0
-		})
+		func() float64 { return snapshotAge(r.Clock.Now(), table.Snapshot().Taken()).Seconds() })
 
 	// HTTP discovery path.
 	d := &r.discovery

@@ -79,11 +79,9 @@ type Config struct {
 	// Breaker enables per-host circuit breakers on the collector; nil
 	// disables them.
 	Breaker *breaker.Config
-	// SnapshotMaxAge is the staleness guard on the NodeState RCU
-	// snapshot: discovery serves a published snapshot no older than this
-	// without locking even while the collector writes rows. 0 keeps reads
-	// fully coherent. A sensible production value is the collection
-	// period.
+	// SnapshotMaxAge has no effect: discovery reads the snapshot the last
+	// sweep installed, whatever its age. It stays while bench/layers.go
+	// sets it.
 	SnapshotMaxAge time.Duration
 	// Logger receives structured logs from the registry's components
 	// (collector, LCM, HTTP surface). Nil discards everything.
@@ -208,13 +206,12 @@ func New(cfg Config) (*Registry, error) {
 	logger := obs.OrNop(cfg.Logger)
 	s := store.New()
 	bal := &core.Balancer{
-		Table:          s.NodeState(),
-		Policy:         cfg.Policy,
-		TimeMode:       cfg.TimeMode,
-		Freshness:      cfg.Freshness,
-		FallbackAll:    cfg.FallbackAll,
-		Degraded:       cfg.Degraded,
-		SnapshotMaxAge: cfg.SnapshotMaxAge,
+		Table:       s.NodeState(),
+		Policy:      cfg.Policy,
+		TimeMode:    cfg.TimeMode,
+		Freshness:   cfg.Freshness,
+		FallbackAll: cfg.FallbackAll,
+		Degraded:    cfg.Degraded,
 	}
 	// A preserialized answer is valid while the store it was computed from
 	// is unchanged — whoever changed it: this node's writes, replay, the
@@ -301,7 +298,7 @@ func New(cfg Config) (*Registry, error) {
 		pprof:           cfg.Pprof,
 	}
 	// Balance and SLO rollups ride the collector's sweep cadence: the
-	// same tick that republishes the NodeState snapshot cuts a fairness
+	// same tick that installs the NodeState snapshot cuts a fairness
 	// interval and an SLO sample, on the wall clock in production and the
 	// manual clock in tests — one deterministic heartbeat for both.
 	opts = append(opts, nodestate.WithAfterSweep(r.rollup))

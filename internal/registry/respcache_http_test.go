@@ -41,11 +41,10 @@ func newCachedRegistry(t *testing.T, adm *admit.Config) (*Registry, *httptest.Se
 func newSampledCachedRegistry(t *testing.T, adm *admit.Config, sample int) (*Registry, *httptest.Server, *rim.Service) {
 	t.Helper()
 	reg, err := New(Config{
-		Clock:          simclock.NewManual(t0),
-		Policy:         core.PolicyFilter,
-		SnapshotMaxAge: 25 * time.Second,
-		Admission:      adm,
-		TraceSample:    sample,
+		Clock:       simclock.NewManual(t0),
+		Policy:      core.PolicyFilter,
+		Admission:   adm,
+		TraceSample: sample,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -234,10 +233,7 @@ func TestQuarantineInvalidatesViaGeneration(t *testing.T) {
 		Host: "h00.sdsu.edu", Load: 0.2, MemoryB: 4 << 30, SwapB: 1 << 30,
 		Updated: t0, Health: store.HealthQuarantined,
 	})
-	// Within SnapshotMaxAge the balancer itself tolerates the stale
-	// snapshot (RCU window) — and so, correctly, does the cache. Step past
-	// the window so the next read republishes and the generation moves.
-	reg.Clock.(*simclock.Manual).Advance(26 * time.Second)
+	// The write installed a new generation, which keys the next read.
 	after, _ := getBindings(t, srv, "Adder")
 	if strings.Contains(after, "h00.sdsu.edu") {
 		t.Fatalf("quarantined host served from stale cache: %q", after)
@@ -270,8 +266,8 @@ func TestBrownoutTierKeysCache(t *testing.T) {
 
 	epoch := reg.RespCache.Epoch()
 	driveDiscoveryOverload(reg, 5*time.Second)
-	if got := reg.Admission.Tier(); got < admit.TierStale {
-		t.Fatalf("tier after overload = %v, want >= TierStale", got)
+	if got := reg.Admission.Tier(); got != admit.TierStatic {
+		t.Fatalf("tier after overload = %v, want TierStatic", got)
 	}
 	if got, want := reg.RespCache.Epoch()-epoch, uint64(reg.Admission.TierChanges()); got != want || got < 1 {
 		t.Fatalf("epoch moved %d over the climb, want one per transition (%d)", got, want)
@@ -313,10 +309,7 @@ func TestBrownoutTierKeysCache(t *testing.T) {
 func TestCachedAnswerExpiresAtFreshnessHorizon(t *testing.T) {
 	const fresh = 30 * time.Second
 	clk := simclock.NewManual(t0.Add(20 * time.Second))
-	reg, err := New(Config{
-		Clock: clk, Policy: core.PolicyFilter, Freshness: fresh,
-		SnapshotMaxAge: time.Hour, // the snapshot generation never moves
-	})
+	reg, err := New(Config{Clock: clk, Policy: core.PolicyFilter, Freshness: fresh})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -431,7 +424,7 @@ func TestCachedDiscoveryConcurrent(t *testing.T) {
 // hits and renders nothing.
 func TestCacheHoldsEveryStoredService(t *testing.T) {
 	const services = 1500
-	reg, err := New(Config{Clock: simclock.NewManual(t0), Policy: core.PolicyFilter, SnapshotMaxAge: 25 * time.Second})
+	reg, err := New(Config{Clock: simclock.NewManual(t0), Policy: core.PolicyFilter})
 	if err != nil {
 		t.Fatal(err)
 	}

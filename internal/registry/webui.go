@@ -143,7 +143,7 @@ func (r *Registry) handleUI(w http.ResponseWriter, req *http.Request) {
 		Kinds:   kinds,
 		Kind:    kind,
 		Pattern: pattern,
-		Nodes:   r.Store.NodeState().Rows(),
+		Nodes:   r.Store.NodeState().Snapshot().Rows(),
 		Count:   r.Store.Len(),
 		FaultLine: fmt.Sprintf("Collector: %d sweeps, %d errors, %d timeouts, %d retries, %d breaker skips.",
 			stats.Sweeps, stats.Errs, stats.Timeouts, stats.Retries, stats.Skipped),

@@ -9,7 +9,7 @@
 //     advanced by every Apply and Load — a leader's write, a replayed or
 //     followed record, a follower's bootstrap — is part of the epoch;
 //   - the NodeState rows: the balancer's snapshot generation is part of
-//     the entry key, so a collector republish misses;
+//     the entry key, so the next sweep's install misses;
 //   - the brownout tier: the tier is part of the entry key, and the
 //     admission controller's transition count is part of the epoch, since
 //     a transition also changes the overrides the decision is computed

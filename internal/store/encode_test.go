@@ -329,7 +329,7 @@ func saveReference(s *Store, w io.Writer) error {
 	for id, data := range s.content {
 		content = append(content, item{id, data})
 	}
-	rows := s.nodeState.Rows()
+	rows := s.nodeState.Snapshot().Rows()
 	s.mu.RUnlock()
 
 	sortByID(objs)

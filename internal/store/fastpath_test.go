@@ -10,45 +10,54 @@ import (
 	"repro/internal/rim"
 )
 
+// TestTableSnapshotLifecycle: a reader only loads the installed snapshot,
+// every install is one generation, and an installed snapshot never changes
+// under its readers.
 func TestTableSnapshotLifecycle(t *testing.T) {
 	tab := NewNodeStateTable()
 	now := time.Date(2011, 4, 22, 12, 0, 0, 0, time.UTC)
+	s0 := tab.Snapshot()
+	if s0.Gen() != 1 || s0.Len() != 0 || !s0.Taken().IsZero() {
+		t.Fatalf("empty table: gen=%d len=%d taken=%v", s0.Gen(), s0.Len(), s0.Taken())
+	}
+
 	tab.Upsert(NodeState{Host: "thermo.sdsu.edu", Load: 0.5, Updated: now})
-
-	s1 := tab.Snapshot(now, 0)
-	if s1.Gen() == 0 || s1.Len() != 1 {
-		t.Fatalf("first snapshot gen=%d len=%d", s1.Gen(), s1.Len())
+	s1 := tab.Snapshot()
+	if s1.Gen() != 2 || s1.Len() != 1 || !s1.Taken().Equal(now) {
+		t.Fatalf("after Upsert: gen=%d len=%d taken=%v", s1.Gen(), s1.Len(), s1.Taken())
 	}
-	if got := tab.Snapshot(now, 0); got != s1 {
-		t.Fatal("coherent snapshot should be served without republish")
+	if got := tab.Snapshot(); got != s1 {
+		t.Fatal("a read without an install returned a different snapshot")
 	}
 
-	// A mutation invalidates the published snapshot: with no staleness
-	// allowance the next read republishes and sees the write.
-	tab.Upsert(NodeState{Host: "exergy.sdsu.edu", Load: 2.5, Updated: now})
-	s2 := tab.Snapshot(now, 0)
-	if s2 == s1 || s2.Len() != 2 || s2.Gen() <= s1.Gen() {
-		t.Fatalf("post-write snapshot gen=%d len=%d", s2.Gen(), s2.Len())
+	later := now.Add(10 * time.Second)
+	tab.Install([]NodeState{{Host: "exergy.sdsu.edu", Load: 2.5, Updated: later}}, later)
+	s2 := tab.Snapshot()
+	if s2.Gen() != 3 || s2.Len() != 2 || !s2.Taken().Equal(later) {
+		t.Fatalf("after Install: gen=%d len=%d taken=%v", s2.Gen(), s2.Len(), s2.Taken())
 	}
 	if row, ok := s2.Get("exergy.sdsu.edu"); !ok || row.Load != 2.5 {
-		t.Fatalf("snapshot row = %+v %v", row, ok)
+		t.Fatalf("installed row = %+v %v", row, ok)
+	}
+	if _, ok := s1.Get("exergy.sdsu.edu"); ok || s1.Len() != 1 {
+		t.Fatal("an install changed a snapshot a reader already holds")
 	}
 
-	// Within the staleness guard a changed table still serves the old
-	// snapshot lock-free; past the guard it republishes.
-	tab.Delete("exergy.sdsu.edu")
-	if got := tab.Snapshot(now.Add(10*time.Second), 25*time.Second); got != s2 {
-		t.Fatal("within maxAge the stale snapshot should be served")
+	// Reset replaces every row and counts as taken at its newest row.
+	tab.Reset([]NodeState{{Host: "romulus.sdsu.edu", Updated: now}, {Host: "remus.sdsu.edu", Updated: later}})
+	s3 := tab.Snapshot()
+	if s3.Gen() != 4 || s3.Len() != 2 || !s3.Taken().Equal(later) {
+		t.Fatalf("after Reset: gen=%d len=%d taken=%v", s3.Gen(), s3.Len(), s3.Taken())
 	}
-	s3 := tab.Snapshot(now.Add(30*time.Second), 25*time.Second)
-	if s3 == s2 || s3.Len() != 1 {
-		t.Fatalf("expired guard should republish, got len=%d", s3.Len())
+	if _, ok := s3.Get("thermo.sdsu.edu"); ok {
+		t.Fatal("Reset kept a row it was not given")
 	}
 }
 
+// TestTableSnapshotConcurrent: concurrent installs lose nothing and take
+// one generation each, and a reader never sees the generation go back.
 func TestTableSnapshotConcurrent(t *testing.T) {
 	tab := NewNodeStateTable()
-	now := time.Date(2011, 4, 22, 12, 0, 0, 0, time.UTC)
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
@@ -56,7 +65,6 @@ func TestTableSnapshotConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				tab.Upsert(NodeState{Host: fmt.Sprintf("h%d.sdsu.edu", g), Load: float64(i)})
-				tab.Publish(now)
 			}
 		}(g)
 	}
@@ -64,21 +72,27 @@ func TestTableSnapshotConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var last uint64
 			for i := 0; i < 400; i++ {
-				s := tab.Snapshot(now, time.Minute)
-				if s == nil {
-					t.Error("nil snapshot")
+				s := tab.Snapshot()
+				if s.Gen() < last {
+					t.Errorf("generation went back from %d to %d", last, s.Gen())
 					return
 				}
+				last = s.Gen()
 				s.Get("h0.sdsu.edu")
 			}
 		}()
 	}
 	wg.Wait()
-	// The installed snapshot must never regress behind the latest publish.
-	final := tab.Snapshot(now, 0)
-	if final.Len() != 4 {
-		t.Fatalf("final snapshot len = %d, want 4", final.Len())
+	final := tab.Snapshot()
+	if final.Len() != 4 || final.Gen() != 801 {
+		t.Fatalf("final snapshot len=%d gen=%d, want 4 and 801", final.Len(), final.Gen())
+	}
+	for g := 0; g < 4; g++ {
+		if row, _ := final.Get(fmt.Sprintf("h%d.sdsu.edu", g)); row.Load != 199 {
+			t.Fatalf("h%d: load %v, want its last write 199", g, row.Load)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"maps"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -60,142 +61,84 @@ type NodeState struct {
 	Health HostHealth
 }
 
-// NodeStateTable is the concurrent NodeState store keyed by host. Writers
-// (the collector, snapshot restore) mutate rows under mu; the discovery
-// read path instead consumes an immutable RCU-style snapshot published via
-// an atomic pointer swap (see Snapshot), so lookups never contend with a
-// collector sweep in progress.
+// NodeStateTable holds the NodeState table as one immutable TableSnapshot
+// behind an atomic pointer. Readers — discovery, metrics, checkpoints —
+// load it and take no lock. Writers build the next snapshot whole and
+// install it under mu: the collector once per sweep, checkpoint restore,
+// and Upsert. Each install is one generation, so a reader sees a sweep
+// entirely or not at all.
 type NodeStateTable struct {
-	mu   sync.RWMutex
-	rows map[string]NodeState // guarded by mu
-
-	// version counts row mutations; a snapshot remembers the version it
-	// was built at so readers can detect staleness without locking.
-	version atomic.Uint64
-	// gen counts publishes, for Decision audit trails.
-	gen  atomic.Uint64
+	mu   sync.Mutex // serialises installs
 	snap atomic.Pointer[TableSnapshot]
 }
 
-// NewNodeStateTable creates an empty table.
+// NewNodeStateTable creates an empty table. Its snapshot is generation 1:
+// a decision that consulted the table never records generation 0.
 func NewNodeStateTable() *NodeStateTable {
-	return &NodeStateTable{rows: make(map[string]NodeState)}
+	t := &NodeStateTable{}
+	t.snap.Store(&TableSnapshot{gen: 1})
+	return t
 }
 
-// Upsert writes the row for row.Host, replacing any previous row.
+// Snapshot returns the installed snapshot: one atomic load.
+func (t *NodeStateTable) Snapshot() *TableSnapshot { return t.snap.Load() }
+
+// Install installs the next generation, taken at taken: the installed
+// rows overlaid with rows in order, so a later row for a host wins over an
+// earlier one and a host rows does not name carries over unchanged.
+func (t *NodeStateTable) Install(rows []NodeState, taken time.Time) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.installLocked(t.snap.Load().rows, rows, taken)
+}
+
+// Upsert installs row over the table, taken when the row was measured.
 func (t *NodeStateTable) Upsert(row NodeState) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.rows[row.Host] = row
-	t.version.Add(1)
+	t.Install([]NodeState{row}, row.Updated)
 }
 
-// RecordFailure increments the failure counter for host, creating the row
-// if needed, and stamps the failure time. The row drops to HealthDegraded
-// (unless already quarantined).
-func (t *NodeStateTable) RecordFailure(host string, at time.Time) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	row := t.rows[host]
-	row.Host = host
-	row.Failures++
-	row.Updated = at
-	if row.Health == HealthHealthy {
-		row.Health = HealthDegraded
-	}
-	t.rows[host] = row
-	t.version.Add(1)
-}
-
-// SetHealth sets host's health verdict, creating the row if needed. The
-// Updated stamp is left untouched: health is the collector's judgement, not
-// a measurement.
-func (t *NodeStateTable) SetHealth(host string, h HostHealth) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	row := t.rows[host]
-	row.Host = host
-	row.Health = h
-	t.rows[host] = row
-	t.version.Add(1)
-}
-
-// Reset replaces every row with the given set, keeping the table's
-// identity so holders of the pointer (balancer, collector) observe the
-// restored rows. Snapshot restore and WAL recovery use it.
+// Reset installs rows in place of every row, keeping the table's identity
+// so holders of the pointer (balancer, collector) observe the restored
+// rows. Checkpoint restore uses it; the snapshot counts as taken when its
+// newest row was measured.
 func (t *NodeStateTable) Reset(rows []NodeState) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.rows = make(map[string]NodeState, len(rows))
+	var taken time.Time
 	for _, r := range rows {
-		t.rows[r.Host] = r
+		if r.Updated.After(taken) {
+			taken = r.Updated
+		}
 	}
-	t.version.Add(1)
-}
-
-// Get returns the row for host and whether it exists.
-func (t *NodeStateTable) Get(host string) (NodeState, bool) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	row, ok := t.rows[host]
-	return row, ok
-}
-
-// Delete removes the row for host.
-func (t *NodeStateTable) Delete(host string) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	delete(t.rows, host)
-	t.version.Add(1)
+	t.installLocked(nil, rows, taken)
 }
 
-// Hosts returns the known hostnames in sorted order.
-func (t *NodeStateTable) Hosts() []string {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	hosts := make([]string, 0, len(t.rows))
-	for h := range t.rows {
-		hosts = append(hosts, h)
+// installLocked installs base overlaid with rows as the next generation.
+// Called with mu held.
+func (t *NodeStateTable) installLocked(base map[string]NodeState, rows []NodeState, taken time.Time) {
+	m := make(map[string]NodeState, len(base)+len(rows))
+	maps.Copy(m, base)
+	for _, r := range rows {
+		m[r.Host] = r
 	}
-	sort.Strings(hosts)
-	return hosts
+	t.snap.Store(&TableSnapshot{gen: t.snap.Load().gen + 1, taken: taken, rows: m})
 }
 
-// Rows returns all rows sorted by host.
-func (t *NodeStateTable) Rows() []NodeState {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	rows := make([]NodeState, 0, len(t.rows))
-	for _, r := range t.rows {
-		rows = append(rows, r)
-	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].Host < rows[j].Host })
-	return rows
-}
-
-// Len returns the number of rows.
-func (t *NodeStateTable) Len() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return len(t.rows)
-}
-
-// TableSnapshot is an immutable point-in-time copy of a NodeStateTable,
-// published by Publish and read lock-free by the discovery path. Rows are
-// never mutated after the snapshot is built, so any number of concurrent
-// readers may consult it while the collector rewrites the live table.
+// TableSnapshot is one installed generation of a NodeStateTable. It is
+// never mutated, so any number of readers may consult it while the next
+// one is being built.
 type TableSnapshot struct {
-	gen     uint64
-	version uint64
-	taken   time.Time
-	rows    map[string]NodeState // immutable after Publish
+	gen   uint64
+	taken time.Time
+	rows  map[string]NodeState
 }
 
-// Gen is the snapshot's publish generation number, recorded on discovery
-// Decisions for auditability.
+// Gen is the snapshot's install generation, recorded on discovery
+// Decisions: two decisions with the same gen read the same rows.
 func (s *TableSnapshot) Gen() uint64 { return s.gen }
 
-// Taken is the time the snapshot was built.
+// Taken is when the snapshot's rows were gathered: the sweep's time, or
+// for Upsert and Reset the newest row's Updated.
 func (s *TableSnapshot) Taken() time.Time { return s.taken }
 
 // Len returns the number of rows in the snapshot.
@@ -207,61 +150,12 @@ func (s *TableSnapshot) Get(host string) (NodeState, bool) {
 	return row, ok
 }
 
-// Publish builds an immutable snapshot of the current rows and installs it
-// with an atomic pointer swap. The collector calls this once per sweep;
-// discovery readers then consult the snapshot without taking any lock. A
-// concurrent Publish racing with a newer one never installs the older
-// snapshot over the newer.
-func (t *NodeStateTable) Publish(now time.Time) *TableSnapshot {
-	t.mu.RLock()
-	version := t.version.Load()
-	rows := make(map[string]NodeState, len(t.rows))
-	for k, v := range t.rows {
-		rows[k] = v
+// Rows returns all rows sorted by host.
+func (s *TableSnapshot) Rows() []NodeState {
+	rows := make([]NodeState, 0, len(s.rows))
+	for _, r := range s.rows {
+		rows = append(rows, r)
 	}
-	t.mu.RUnlock()
-	s := &TableSnapshot{gen: t.gen.Add(1), version: version, taken: now, rows: rows}
-	for {
-		old := t.snap.Load()
-		if old != nil && old.version > s.version {
-			return old
-		}
-		if t.snap.CompareAndSwap(old, s) {
-			return s
-		}
-	}
-}
-
-// Published returns the currently installed snapshot without building a
-// fresh one (nil before the first Publish). Metrics exposition uses it to
-// report snapshot generation and age without perturbing what it measures:
-// a scrape must not republish and thereby reset the age it is reading.
-func (t *NodeStateTable) Published() *TableSnapshot {
-	return t.snap.Load()
-}
-
-// Snapshot returns a snapshot suitable for a discovery read at time now.
-//
-//   - If the published snapshot is coherent (the table has not changed
-//     since it was built), it is returned with no locking at all — the
-//     steady-state fast path between collector sweeps.
-//   - If the table has changed but the published snapshot is no older
-//     than maxAge, the slightly stale snapshot is still served lock-free:
-//     this is the RCU tolerance window that keeps discovery from
-//     contending with an in-progress collector sweep. The collector
-//     publishes after every sweep, so staleness is bounded by the sweep
-//     period plus maxAge.
-//   - Otherwise (maxAge <= 0, or the guard expired) a fresh snapshot is
-//     built and published, so callers always observe committed writes.
-func (t *NodeStateTable) Snapshot(now time.Time, maxAge time.Duration) *TableSnapshot {
-	s := t.snap.Load()
-	if s != nil {
-		if s.version == t.version.Load() {
-			return s
-		}
-		if maxAge > 0 && now.Sub(s.taken) <= maxAge {
-			return s
-		}
-	}
-	return t.Publish(now)
+	sort.Slice(rows, func(i, j int) bool { return rows[i].Host < rows[j].Host })
+	return rows
 }

@@ -131,10 +131,9 @@ func (s *Store) Save(w io.Writer) error {
 	for id, data := range s.content {
 		content = append(content, item{id, data})
 	}
-	// The NodeState table locks itself; acquiring it inside s.mu keeps the
-	// three captures at one instant. Nothing acquires these locks in the
-	// reverse order.
-	rows := s.nodeState.Rows()
+	// The NodeState table is loaded inside s.mu, so the three captures
+	// are of one instant.
+	rows := s.nodeState.Snapshot().Rows()
 	s.mu.RUnlock()
 
 	sortByID(objs)

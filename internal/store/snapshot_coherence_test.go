@@ -86,10 +86,10 @@ func TestLoadKeepsNodeStateTableIdentity(t *testing.T) {
 	if dst.NodeState() != table {
 		t.Fatal("Load replaced the NodeStateTable pointer")
 	}
-	if _, ok := table.Get("stale"); ok {
+	if _, ok := table.Snapshot().Get("stale"); ok {
 		t.Fatal("Load kept a pre-restore row")
 	}
-	row, ok := table.Get("alpha")
+	row, ok := table.Snapshot().Get("alpha")
 	if !ok || row.Load != 2.5 {
 		t.Fatalf("restored row = %+v, %v", row, ok)
 	}

@@ -38,7 +38,7 @@ type Store struct {
 	// Apply and Load, read lock-free by Changes.
 	changes atomic.Uint64
 
-	nodeState *NodeStateTable // immutable after New; the table locks itself
+	nodeState *NodeStateTable // immutable after New; the table serialises its own installs
 }
 
 // tables is everything a snapshot load replaces: the objects, every index

@@ -259,24 +259,32 @@ func TestNodeStateTable(t *testing.T) {
 	tab.Upsert(NodeState{Host: "thermo.sdsu.edu", Load: 0.5, MemoryB: 4 << 30, SwapB: 1 << 30, Updated: now})
 	tab.Upsert(NodeState{Host: "exergy.sdsu.edu", Load: 2.5, MemoryB: 2 << 30, SwapB: 1 << 30, Updated: now.Add(-time.Minute)})
 
-	row, ok := tab.Get("thermo.sdsu.edu")
+	row, ok := tab.Snapshot().Get("thermo.sdsu.edu")
 	if !ok || row.Load != 0.5 {
 		t.Fatalf("Get: %+v %v", row, ok)
 	}
-	if hosts := tab.Hosts(); len(hosts) != 2 || hosts[0] != "exergy.sdsu.edu" {
-		t.Fatalf("Hosts = %v", hosts)
+	if rows := tab.Snapshot().Rows(); len(rows) != 2 || rows[0].Host != "exergy.sdsu.edu" {
+		t.Fatalf("Rows = %v", rows)
 	}
-	if tab.Len() != 2 {
-		t.Fatalf("Len = %d", tab.Len())
+	if tab.Snapshot().Len() != 2 {
+		t.Fatalf("Len = %d", tab.Snapshot().Len())
 	}
-	tab.RecordFailure("down.sdsu.edu", now)
-	tab.RecordFailure("down.sdsu.edu", now)
-	if row, _ := tab.Get("down.sdsu.edu"); row.Failures != 2 {
+
+	// Install overlays the installed rows: a later row for a host wins,
+	// and a host it does not name carries over.
+	tab.Install([]NodeState{{Host: "down.sdsu.edu", Failures: 1}, {Host: "down.sdsu.edu", Failures: 2}}, now)
+	snap := tab.Snapshot()
+	if row, _ := snap.Get("down.sdsu.edu"); row.Failures != 2 {
 		t.Fatalf("Failures = %d", row.Failures)
 	}
-	tab.Delete("down.sdsu.edu")
-	if _, ok := tab.Get("down.sdsu.edu"); ok {
-		t.Fatal("Delete failed")
+	if snap.Len() != 3 || snap.Gen() != 4 || !snap.Taken().Equal(now) {
+		t.Fatalf("after Install: len %d gen %d taken %v, want 3, 4, %v", snap.Len(), snap.Gen(), snap.Taken(), now)
+	}
+
+	// Reset replaces every row.
+	tab.Reset([]NodeState{{Host: "thermo.sdsu.edu", Updated: now}})
+	if _, ok := tab.Snapshot().Get("down.sdsu.edu"); ok || tab.Snapshot().Len() != 1 {
+		t.Fatalf("Reset kept rows: %v", tab.Snapshot().Rows())
 	}
 }
 
@@ -326,7 +334,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if data, err := restored.GetContent("c1"); err != nil || len(data) != 3 {
 		t.Fatalf("restored content: %v %v", data, err)
 	}
-	if row, ok := restored.NodeState().Get("thermo.sdsu.edu"); !ok || row.Load != 1.25 {
+	if row, ok := restored.NodeState().Snapshot().Get("thermo.sdsu.edu"); !ok || row.Load != 1.25 {
 		t.Fatalf("restored nodestate: %+v %v", row, ok)
 	}
 }
@@ -404,7 +412,7 @@ func TestConcurrentAccess(t *testing.T) {
 				}
 				s.FindByName(rim.TypeOrganization, "org-%")
 				s.NodeState().Upsert(NodeState{Host: fmt.Sprintf("h%d", i), Load: float64(j)})
-				s.NodeState().Rows()
+				s.NodeState().Snapshot().Rows()
 			}
 		}(i)
 	}
