@@ -40,7 +40,12 @@ lint: bin/repolint
 # no usable checkpoint refuses the boot; plus the boot rule (a boot that
 # loaded a checkpoint writes none) and the write path's (WritePath: a
 # refused write leaves nothing in the store or the log, nothing served
-# skips the log, and a mutation is visible whole or not at all).
+# skips the log, and a mutation is visible whole or not at all). The
+# checkpoint-bytes test (WALEquivalentCheckpointBytes, internal/repl)
+# drives one history through a leader's writes, the taxonomy Put, a
+# follower's bootstrap and back-to-back Polls and a reboot's replay, and
+# holds each node's Save, which copies the JSON every object arrived as,
+# to encoding every object afresh.
 crashcheck:
 	$(GO) test -race -count=1 -run 'Crash|WALEquivalent|Degraded|CheckpointRetention|BootDoesNotCheckpoint|WritePath' ./internal/wal/ ./internal/registry/ ./internal/repl/
 

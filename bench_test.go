@@ -170,17 +170,18 @@ func gatedCases() []gatedCase {
 	}
 	// The write exchange as publishers send it: the decode hook, the life
 	// cycle manager's update and the preserialized acknowledgement. On a
-	// leader with a log it costs the same: encoding the record and
-	// appending it allocate nothing.
+	// leader with a log it costs two allocations more: encoding the record
+	// and appending it allocate nothing, and the store keeps a copy of each
+	// put's JSON, the service's and the audit event's, for its checkpoints.
 	cases = append(cases,
 		gatedCase{"BenchmarkSOAPWrite", "update-4", 111, func(tb testing.TB) func() { return soapWriteOp(tb, "") }},
 		gatedCase{"BenchmarkSOAPWrite", "update-4/wal", 111, func(tb testing.TB) func() { return soapWriteOp(tb, tb.TempDir()) }})
 	// The durability path, per object and per record. A checkpoint's
-	// allocations are its fixed ones (the capture, the sort, the writers
-	// and the frame buffer), whatever the number of objects it frames; a
-	// record is framed in the log's own buffer; a follower's apply
-	// allocates the objects it decodes and its HTTP exchange, not copies of
-	// the record.
+	// allocations are its fixed ones (the capture, the writers and the
+	// frame buffer), whatever the number of objects it frames; a record is
+	// framed in the log's own buffer; a follower's apply allocates the
+	// objects it decodes, a copy of each one's JSON for the store to keep
+	// and its HTTP exchange, not copies of the record.
 	cases = append(cases,
 		gatedCase{"BenchmarkCheckpointSave", "services-8x64", 11, func(tb testing.TB) func() { return checkpointSaveOp(tb, false) }},
 		gatedCase{"BenchmarkCheckpointSave", "events-x64", 11, func(tb testing.TB) func() { return checkpointSaveOp(tb, true) }},

@@ -1,28 +1,22 @@
 package lcm
 
-import "repro/internal/rim"
+import (
+	"repro/internal/rim"
+	"repro/internal/store"
+)
 
 // Mutation is one logical LCM write: the unit appended to the write-ahead
-// log and then applied to the store. Puts carry the full post-state of
-// every object the operation wrote (including the audit trail's
-// AuditableEvent), Deletes the ids it removed, and the Content fields a
-// repository-item body put or delete. Carrying post-state rather than the request makes replay a
+// log and then applied to the store. Its Change carries the full post-state
+// of every object the operation wrote (including the audit trail's
+// AuditableEvent), the ids it removed, and a repository-item body put or
+// delete. Carrying post-state rather than the request makes replay a
 // trivial, idempotent sequence of store operations — no policy, audit, or
 // versioning logic runs again during recovery.
 type Mutation struct {
 	// Op names the originating operation (the rim event type, or
 	// "PutDirect"/"PutContent"/"DeleteContent"); diagnostic only.
 	Op string
-	// Puts are full post-state objects to store on replay.
-	Puts []rim.Object
-	// Deletes are object ids to remove on replay (missing ids are
-	// ignored: replay after a covering checkpoint is idempotent).
-	Deletes []string
-	// ContentPutID/Content carry a repository-item body written by the
-	// operation; ContentDeleteID one removed by it.
-	ContentPutID    string
-	Content         []byte
-	ContentDeleteID string
+	store.Change
 }
 
 // Durability is the write-ahead hook the registry wires to internal/wal.
@@ -35,12 +29,15 @@ type Mutation struct {
 // implementation's typed read-only error once durability has degraded.
 // Commit must persist the mutation before returning: when it returns nil
 // the write is on disk (to the configured fsync policy), and only then is
-// it applied and acknowledged to the client. The store holds every
+// it applied and acknowledged to the client. The puts it is handed are
+// Admit's copies, the objects the store will hold; it may give each the
+// JSON the record carries it as (store.Entry), which the store then keeps
+// for its snapshots instead of encoding the object again. The store holds every
 // committed mutation by the time EndWrite runs, so that is where an
 // implementation snapshots it.
 type Durability interface {
 	BeginWrite() error
-	Commit(Mutation) error
+	Commit(*Mutation) error
 	EndWrite()
 }
 
@@ -62,17 +59,21 @@ func (m *Manager) PutDirect(objs ...rim.Object) error {
 // boot's operator row. Ids that are not stored are skipped, as replay
 // skips them.
 func (m *Manager) SwapDirect(deletes []string, objs ...rim.Object) error {
-	return m.apply(Mutation{Op: "PutDirect", Puts: objs, Deletes: deletes})
+	puts := make([]store.Entry, len(objs))
+	for i, o := range objs {
+		puts[i].Object = o
+	}
+	return m.apply(Mutation{Op: "PutDirect", Change: store.Change{Puts: puts, Deletes: deletes}})
 }
 
 // PutContent durably stores a repository-item body. Authorization happened
 // on the owning ExtrinsicObject's LCM operation; this only makes the body
 // itself crash-safe.
 func (m *Manager) PutContent(contentID string, data []byte) error {
-	return m.apply(Mutation{Op: "PutContent", ContentPutID: contentID, Content: data})
+	return m.apply(Mutation{Op: "PutContent", Change: store.Change{ContentPutID: contentID, Content: data}})
 }
 
 // DeleteContent durably removes a repository-item body.
 func (m *Manager) DeleteContent(contentID string) error {
-	return m.apply(Mutation{Op: "DeleteContent", ContentDeleteID: contentID})
+	return m.apply(Mutation{Op: "DeleteContent", Change: store.Change{ContentDeleteID: contentID}})
 }

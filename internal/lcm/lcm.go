@@ -105,13 +105,16 @@ func (m *Manager) event(kind rim.EventType, ctx Context, objs ...rim.Object) wri
 		ids[i] = o.Base().ID
 	}
 	w := write{Mutation: Mutation{Op: string(kind)}, kind: kind, user: ctx.UserID, objs: objs}
+	puts := objs
 	if kind == rim.EventDeleted {
-		w.Deletes = ids
-	} else {
-		w.Puts = append(w.Puts, objs...)
+		w.Deletes, puts = ids, nil
+	}
+	w.Puts = make([]store.Entry, len(puts), len(puts)+1)
+	for i, o := range puts {
+		w.Puts[i].Object = o
 	}
 	if m.Trail != nil {
-		w.Puts = append(w.Puts, m.Trail.Event(kind, ctx.UserID, ids...))
+		w.Puts = append(w.Puts, store.Entry{Object: m.Trail.Event(kind, ctx.UserID, ids...)})
 	}
 	return w
 }
@@ -144,7 +147,9 @@ func (m *Manager) do(compute func() ([]write, error)) error {
 }
 
 // commit runs compute inside the write bracket and logs and applies the
-// writes it returns, returning those that were applied.
+// writes it returns, returning those that were applied. Admit replaces
+// each write's puts with the copies the store will hold before anything is
+// logged, so the record encodes exactly the objects Apply stores.
 func (m *Manager) commit(compute func() ([]write, error)) ([]write, error) {
 	if m.Durability != nil {
 		if err := m.Durability.BeginWrite(); err != nil {
@@ -159,22 +164,19 @@ func (m *Manager) commit(compute func() ([]write, error)) ([]write, error) {
 	if err != nil {
 		return nil, err
 	}
-	changes := make([]store.Change, len(writes))
-	for i, w := range writes {
-		owned, err := store.Admit(w.Puts...)
-		if err != nil {
+	for _, w := range writes {
+		if err := store.Admit(w.Puts); err != nil {
 			return nil, fmt.Errorf("lcm: %s: %w", w.Op, err)
 		}
-		changes[i] = store.Change{Puts: owned, Deletes: w.Deletes,
-			ContentPutID: w.ContentPutID, Content: w.Content, ContentDeleteID: w.ContentDeleteID}
 	}
-	for i, w := range writes {
+	for i := range writes {
+		w := &writes[i]
 		if m.Durability != nil {
-			if err := m.Durability.Commit(w.Mutation); err != nil {
+			if err := m.Durability.Commit(&w.Mutation); err != nil {
 				return writes[:i], fmt.Errorf("lcm: %s not durable: %w", w.Op, err)
 			}
 		}
-		m.Store.Apply(changes[i])
+		m.Store.Apply(w.Change)
 	}
 	return writes, nil
 }

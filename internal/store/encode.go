@@ -20,23 +20,26 @@ import (
 // these appenders to.
 
 // AppendEnvelope appends o as an Envelope — {"kind":…,"data":…}, the bytes
-// json.Marshal of Envelope{kind, json.Marshal(o)} would be — to b.
-func AppendEnvelope(b []byte, o rim.Object) ([]byte, error) {
+// json.Marshal of Envelope{kind, json.Marshal(o)} would write — to b, and
+// returns where o's JSON starts in the result; it ends one byte short of
+// the end.
+func AppendEnvelope(b []byte, o rim.Object) (_ []byte, data int, err error) {
 	start := len(b)
 	b = append(b, `{"kind":`...)
 	b = jsonscan.AppendString(b, kindOf(o))
 	b = append(b, `,"data":`...)
+	data = len(b)
 	b, ok := appendObject(b, o)
 	if !ok {
 		// A RawMessage is compacted and HTML-escaped on the way out, which
 		// json.Marshal's output already is.
-		data, err := json.Marshal(o)
+		raw, err := json.Marshal(o)
 		if err != nil {
-			return b[:start], fmt.Errorf("store: marshal %s: %w", o.Base().ID, err)
+			return b[:start], 0, fmt.Errorf("store: marshal %s: %w", o.Base().ID, err)
 		}
-		b = append(b, data...)
+		b = append(b, raw...)
 	}
-	return append(b, '}'), nil
+	return append(b, '}'), data, nil
 }
 
 // appendObject appends o's JSON to b if its class has an appender; ok is

@@ -22,6 +22,7 @@ import (
 	"time"
 
 	"repro/internal/rim"
+	"repro/internal/store/storetest"
 )
 
 // fuzzObject's classes, in the order its class argument picks them.
@@ -136,8 +137,9 @@ func fuzzObject(class, bindings, extras uint8, text string, sec, nsec, zone int6
 	}
 }
 
-// checkEncodesLikeJSON holds appendObject and AppendEnvelope to json.Marshal
-// on one object and returns whether an appender wrote it.
+// checkEncodesLikeJSON holds appendObject and AppendEnvelope, and where it
+// says the object lies, to json.Marshal on one object and returns whether
+// an appender wrote it.
 func checkEncodesLikeJSON(t *testing.T, o rim.Object) (fast bool) {
 	t.Helper()
 	want, wantErr := json.Marshal(o)
@@ -151,7 +153,7 @@ func checkEncodesLikeJSON(t *testing.T, o rim.Object) (fast bool) {
 	case !fast && string(got) != prefix:
 		t.Fatalf("a declined append left %q behind", got)
 	}
-	env, err := AppendEnvelope([]byte(prefix), o)
+	env, data, err := AppendEnvelope([]byte(prefix), o)
 	if wantErr != nil {
 		if wantEnvErr := fmt.Sprintf("store: marshal %s: %v", o.Base().ID, wantErr); err == nil || err.Error() != wantEnvErr {
 			t.Fatalf("AppendEnvelope error = %v, want %s", err, wantEnvErr)
@@ -167,6 +169,9 @@ func checkEncodesLikeJSON(t *testing.T, o rim.Object) (fast bool) {
 	}
 	if !bytes.Equal(env[len(prefix):], wantEnv) {
 		t.Fatalf("AppendEnvelope differs from json.Marshal\n got: %s\nwant: %s", env[len(prefix):], wantEnv)
+	}
+	if !bytes.Equal(env[data:len(env)-1], want) {
+		t.Fatalf("AppendEnvelope puts the object's JSON at %s, not at %s", env[data:len(env)-1], want)
 	}
 	return fast
 }
@@ -313,13 +318,57 @@ func TestSaveMatchesTheEncoderFrames(t *testing.T) {
 	}
 }
 
+// TestStoretestReferenceIsTheEncoderFrames: storetest.SaveReference, which
+// the tests of other packages hold a store to, writes what saveReference
+// does, on a store holding objects with and without kept JSON — the kept
+// bytes not canonical — and content and NodeState rows.
+func TestStoretestReferenceIsTheEncoderFrames(t *testing.T) {
+	s := New()
+	for _, o := range everyClass("plain", 0) {
+		if err := s.Put(o); err != nil {
+			t.Fatal(err)
+		}
+	}
+	svc := rim.NewService("kept", benchText)
+	svc.ID = "urn:uuid:kept"
+	// Its members in alphabetical order, which the scanner takes exactly
+	// and the encoder does not write.
+	var members map[string]any
+	canonical, _ := json.Marshal(svc)
+	if err := json.Unmarshal(canonical, &members); err != nil {
+		t.Fatal(err)
+	}
+	body, err := json.Marshal(members)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.ApplyEncoded([]Envelope{{Kind: kindOf(svc), Data: body}}, Change{ContentPutID: "urn:content:0", Content: []byte{0, 0xff}}); err != nil {
+		t.Fatal(err)
+	}
+	s.nodeState.Upsert(NodeState{Host: "h", Load: 0.5, Updated: time.Date(2011, 4, 22, 2, 0, 0, 0, time.UTC)})
+	var ref, shared bytes.Buffer
+	if err := saveReference(s, &ref); err != nil {
+		t.Fatal(err)
+	}
+	if err := storetest.SaveReference(s, &shared); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(shared.Bytes(), ref.Bytes()) {
+		t.Fatalf("storetest.SaveReference writes %d bytes, saveReference %d; they differ", shared.Len(), ref.Len())
+	}
+	if bytes.Equal(saved(t, s), ref.Bytes()) {
+		t.Fatal("the kept JSON is canonical, so this compares nothing Save does not already encode")
+	}
+}
+
 // saveReference and referenceFrameWriter are Save and its frameWriter as they
-// were with encoding/json as the only encoder of an object frame.
+// were with encoding/json as the only encoder of a frame: no appender, and
+// no JSON kept from a log record or a loaded snapshot.
 func saveReference(s *Store, w io.Writer) error {
 	s.mu.RLock()
 	objs := make([]rim.Object, 0, len(s.objects))
-	for _, o := range s.objects {
-		objs = append(objs, o)
+	for _, e := range s.objects {
+		objs = append(objs, e.Object)
 	}
 	type item struct {
 		id   string

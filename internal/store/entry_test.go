@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"reflect"
 	"strings"
@@ -69,6 +70,14 @@ func TestLoadedStoreEqualsPutBuiltStore(t *testing.T) {
 
 	if len(loaded.services) != 5 {
 		t.Fatalf("the loaded store has %d discovery entries, want 5", len(loaded.services))
+	}
+	// A loaded object keeps the frame body it came in, which is its
+	// encoding; a put-built one has none. Past that the tables are the same.
+	for id, e := range loaded.objects {
+		if want, err := json.Marshal(e.Object); err != nil || !bytes.Equal(e.JSON, want) {
+			t.Fatalf("%s keeps %s, not its encoding (%v)", id, e.JSON, err)
+		}
+		loaded.objects[id] = Entry{Object: e.Object}
 	}
 	if !reflect.DeepEqual(loaded.tables, built.tables) {
 		t.Fatalf("loaded and put-built tables differ:\nloaded %+v\n built %+v", loaded.tables, built.tables)

@@ -9,7 +9,8 @@ import (
 	"hash/crc32"
 	"io"
 	"runtime"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 
 	"repro/internal/rim"
@@ -44,8 +45,11 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // incomplete; every decoding error of ReadSnapshot wraps it.
 var ErrSnapshotCorrupt = errors.New("store: snapshot corrupt")
 
-// frameWriter builds each frame in one reused buffer, behind a gap the
-// length and checksum are written into once the payload is complete.
+// frameWriter builds each frame's head in one reused buffer, behind a gap
+// the length and checksum are written into once the payload is complete.
+// A body that already exists — an object's kept JSON, a content item — is
+// checksummed and written after the head as it is, never copied into the
+// buffer; one that does not is appended to the buffer by its encoder.
 type frameWriter struct {
 	w      *bufio.Writer
 	buf    frameBuf
@@ -74,30 +78,40 @@ func (fw *frameWriter) begin(kind string) {
 	fw.buf = append(append(append(fw.buf[:0], gap[:]...), byte(len(kind))), kind...)
 }
 
-func (fw *frameWriter) end() error {
+// end completes the frame whose payload is the buffer's bytes followed by
+// body, and writes it.
+func (fw *frameWriter) end(body []byte) error {
 	b := fw.buf
-	payload := b[frameHeaderLen:]
-	if len(payload) > MaxFrameBytes {
-		return fmt.Errorf("store: snapshot frame of %d bytes exceeds MaxFrameBytes", len(payload))
+	n := len(b) - frameHeaderLen + len(body)
+	if n > MaxFrameBytes {
+		return fmt.Errorf("store: snapshot frame of %d bytes exceeds MaxFrameBytes", n)
 	}
-	binary.LittleEndian.PutUint32(b[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(b[4:8], crc32.Checksum(payload, castagnoli))
+	crc := crc32.Update(crc32.Checksum(b[frameHeaderLen:], castagnoli), castagnoli, body)
+	binary.LittleEndian.PutUint32(b[0:4], uint32(n))
+	binary.LittleEndian.PutUint32(b[4:8], crc)
 	fw.frames++
-	_, err := fw.w.Write(b)
+	if _, err := fw.w.Write(b); err != nil {
+		return err
+	}
+	_, err := fw.w.Write(body)
 	return err
 }
 
-// object writes one frame holding o, by its class's appender where it has
-// one and by the encoder where it has not.
-func (fw *frameWriter) object(o rim.Object) error {
-	kind := kindOf(o)
+// object writes one frame holding e: its kept JSON where it has some, and
+// otherwise the object by its class's appender where it has one and by the
+// encoder where it has not.
+func (fw *frameWriter) object(e Entry) error {
+	kind := kindOf(e.Object)
 	fw.begin(kind)
-	b, ok := appendObject(fw.buf, o)
+	if e.JSON != nil {
+		return fw.end(e.JSON)
+	}
+	b, ok := appendObject(fw.buf, e.Object)
 	if !ok {
-		return fw.json(kind, o)
+		return fw.json(kind, e.Object)
 	}
 	fw.buf = b
-	return fw.end()
+	return fw.end(nil)
 }
 
 // json writes one frame whose body is v's compact JSON.
@@ -107,25 +121,32 @@ func (fw *frameWriter) json(kind string, v any) error {
 		return fmt.Errorf("store: marshal %s: %w", kind, err)
 	}
 	fw.buf = fw.buf[:len(fw.buf)-1] // the encoder's newline
-	return fw.end()
+	return fw.end(nil)
 }
 
 // Save writes a snapshot of the store to w: every registry object, all
 // repository content, and the NodeState table, captured in a single
 // critical section so a snapshot taken while LCM writes are in flight is
-// still a point-in-time view. Only pointers are captured — a stored object
-// or content body is replaced, never changed in place — and the frames are
-// encoded straight into w after the lock is released. Equal stores save to
-// equal bytes.
+// still a point-in-time view. Only ids and pointers are captured — a stored
+// object, its JSON or a content body is replaced, never changed in place —
+// and the frames are written straight into w after the lock is released:
+// an object's kept JSON copied as it is, an object without any encoded.
+// Equal stores save to equal bytes where every kept JSON is what the
+// encoder writes, as on every path that logs or checkpoints an object this
+// build encoded; an object loaded from other valid JSON saves it unchanged.
 func (s *Store) Save(w io.Writer) error {
-	s.mu.RLock()
-	objs := make([]rim.Object, 0, len(s.objects))
-	for _, o := range s.objects {
-		objs = append(objs, o)
+	type object struct {
+		id string
+		Entry
 	}
 	type item struct {
 		id   string
 		data []byte
+	}
+	s.mu.RLock()
+	objs := make([]object, 0, len(s.objects))
+	for id, e := range s.objects {
+		objs = append(objs, object{id, e})
 	}
 	content := make([]item, 0, len(s.content))
 	for id, data := range s.content {
@@ -136,18 +157,18 @@ func (s *Store) Save(w io.Writer) error {
 	rows := s.nodeState.Snapshot().Rows()
 	s.mu.RUnlock()
 
-	sortByID(objs)
-	sort.Slice(content, func(i, j int) bool { return content[i].id < content[j].id })
+	slices.SortFunc(objs, func(a, b object) int { return strings.Compare(a.id, b.id) })
+	slices.SortFunc(content, func(a, b item) int { return strings.Compare(a.id, b.id) })
 	fw := newFrameWriter(w)
 	for _, o := range objs {
-		if err := fw.object(o); err != nil {
+		if err := fw.object(o.Entry); err != nil {
 			return err
 		}
 	}
 	for _, c := range content {
 		fw.begin(kindContent)
-		fw.buf = append(append(binary.AppendUvarint(fw.buf, uint64(len(c.id))), c.id...), c.data...)
-		if err := fw.end(); err != nil {
+		fw.buf = append(binary.AppendUvarint(fw.buf, uint64(len(c.id))), c.id...)
+		if err := fw.end(c.data); err != nil {
 			return err
 		}
 	}
@@ -159,7 +180,7 @@ func (s *Store) Save(w io.Writer) error {
 	count := fw.frames
 	fw.begin(kindEnd)
 	fw.buf = binary.LittleEndian.AppendUint64(fw.buf, count)
-	if err := fw.end(); err != nil {
+	if err := fw.end(nil); err != nil {
 		return err
 	}
 	return fw.w.Flush()
@@ -245,6 +266,7 @@ func readPayload(r io.Reader, n int) ([]byte, error) {
 // content item, or a NodeState row.
 type Frame struct {
 	Object    rim.Object // set for an object frame
+	JSON      []byte     // set with Object: the frame body it decoded, aliased
 	ContentID string     // a content frame when Object and Row are nil
 	Content   []byte     // aliases the frame body
 	Row       *NodeState // set for a NodeState frame
@@ -273,7 +295,7 @@ func DecodeFrame(kind string, body []byte) (Frame, error) {
 	if d := defect(o); d != "" {
 		return Frame{}, fmt.Errorf("%w: %s %s", ErrSnapshotCorrupt, kind, d)
 	}
-	return Frame{Object: o}, nil
+	return Frame{Object: o, JSON: body}, nil
 }
 
 // Load replaces the store's contents with the snapshot read from r; see
@@ -285,7 +307,8 @@ func (s *Store) Load(r io.Reader) error {
 
 // LoadStats is Load that also reports what the stream held. Frames are
 // read and verified in order and decoded by GOMAXPROCS workers; the decoded
-// objects are indexed as they are, and nothing touches the live store
+// objects are indexed as they are, each keeping the frame body it was
+// decoded from for the next Save to copy, and nothing touches the live store
 // until the last frame has decoded and the trailer has checked out, so a
 // failed load leaves the store exactly as it was. The NodeStateTable keeps
 // its identity — components holding the table pointer (the balancer, the
@@ -348,7 +371,7 @@ func (s *Store) LoadStats(r io.Reader) (SnapshotStats, error) {
 				if _, dup := fresh.objects[id]; dup {
 					return st, fmt.Errorf("%w: object %s appears twice", ErrSnapshotCorrupt, id)
 				}
-				fresh.objects[id] = f.Object
+				fresh.objects[id] = Entry{f.Object, f.JSON}
 				fresh.indexLocked(f.Object)
 			}
 		}

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/rim"
+	"repro/internal/store/storetest"
 )
 
 // fixtureStore is a small store with one of everything a snapshot frames:
@@ -165,7 +166,10 @@ func TestSaveIsDeterministicAndCanonical(t *testing.T) {
 
 // FuzzSnapshotLoad: on any input Load neither panics nor, when it fails,
 // touches the target store; when it succeeds the store it built is one
-// that Save and Load carry round unchanged.
+// that Save and Load carry round unchanged. Save copies the frame bodies it
+// loaded, so that alone would hold of whatever the decoder built: the store
+// is also encoded afresh (saveReference), and both that stream and Save's
+// must load into a store whose fresh encoding is the same bytes.
 func FuzzSnapshotLoad(f *testing.F) {
 	// The damaged streams are committed under testdata/fuzz; the valid one
 	// is added here so that it follows the format.
@@ -186,6 +190,9 @@ func FuzzSnapshotLoad(f *testing.F) {
 		}
 		if !bytes.Equal(saved(t, again), after) {
 			t.Fatal("store loaded from fuzz input does not round-trip")
+		}
+		if err := storetest.Reencodes(s, New, saveReference); err != nil {
+			t.Fatal(err)
 		}
 	})
 }

@@ -5,13 +5,17 @@
 // the NodeState table of Figure 3.2 that the load-balancing scheme reads at
 // discovery time. Snapshots (snapshot.go) stream the whole store as
 // checksummed frames — the body of every checkpoint and of a follower's
-// bootstrap.
+// bootstrap. Beside each object the store keeps the JSON it arrived as —
+// the bytes a log record or a loaded snapshot carried it in — so that a
+// snapshot copies them instead of encoding the object again; an object
+// that arrived without them is encoded when it is saved.
 //
 // All methods are safe for concurrent use. Objects are deep-copied on Put
 // and on Get, so callers can never alias the store's internal graph.
 package store
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
 	"strings"
@@ -46,7 +50,7 @@ type Store struct {
 // LoadStats adopts a loaded store with a single assignment — an index added
 // here cannot be left behind by a checkpoint load or a follower bootstrap.
 type tables struct {
-	objects map[string]rim.Object
+	objects map[string]Entry
 	byType  map[rim.ObjectType]map[string]struct{}
 	byOwner map[string]map[string]struct{}
 	// byName indexes type → lowercase name → ids, so exact-name lookups
@@ -67,7 +71,7 @@ type tables struct {
 func New() *Store {
 	return &Store{
 		tables: tables{
-			objects:       make(map[string]rim.Object),
+			objects:       make(map[string]Entry),
 			byType:        make(map[rim.ObjectType]map[string]struct{}),
 			byOwner:       make(map[string]map[string]struct{}),
 			byName:        make(map[rim.ObjectType]map[string]map[string]struct{}),
@@ -104,13 +108,24 @@ func (s *Store) Services() int {
 	return len(s.services)
 }
 
+// Entry is one stored object and the JSON it arrived as: byte for byte
+// what encoding it would write, so that Save copies it instead. JSON is nil
+// for an object that arrived without it — from Put, or in-memory — which
+// Save encodes. The two are one map value, so an object is never replaced
+// or removed without its bytes.
+type Entry struct {
+	Object rim.Object
+	JSON   []byte
+}
+
 // Change is one mutation of the tables: what a write-ahead-log record
 // carries, and what Apply makes visible to readers whole or not at all.
 type Change struct {
 	// Puts are full post-state objects, each replacing whatever is stored
-	// under its id. They must come from Admit or from this package's
-	// decoders: Apply indexes them as they are.
-	Puts []rim.Object
+	// under its id. Their objects must come from Admit or from this
+	// package's decoders, and their JSON must be theirs and must not alias a
+	// buffer that is reused: Apply keeps both as they are.
+	Puts []Entry
 	// Deletes are ids to remove; one that is not stored is skipped, so a
 	// record also covered by a checkpoint applies harmlessly.
 	Deletes []string
@@ -121,23 +136,23 @@ type Change struct {
 	ContentDeleteID string
 }
 
-// Admit returns deep copies of objs for a Change to carry, or says why one
-// of them cannot be stored: it is nil, has no id, or holds a null where a
-// nested object belongs. It is everything that can refuse a write, kept
-// apart from Apply so that a writer checks before it logs and nothing can
-// fail between the log and the tables.
-func Admit(objs ...rim.Object) ([]rim.Object, error) {
-	owned := make([]rim.Object, len(objs))
-	for i, o := range objs {
+// Admit replaces each put's object with a deep copy for a Change to carry,
+// or says why one of them cannot be stored: it is nil, has no id, or holds
+// a null where a nested object belongs. It is everything that can refuse a
+// write, kept apart from Apply so that a writer checks before it logs and
+// nothing can fail between the log and the tables.
+func Admit(puts []Entry) error {
+	for i := range puts {
+		o := puts[i].Object
 		if o == nil {
-			return nil, fmt.Errorf("store: nil object")
+			return fmt.Errorf("store: nil object")
 		}
 		if d := defect(o); d != "" {
-			return nil, fmt.Errorf("store: object %s", d)
+			return fmt.Errorf("store: object %s", d)
 		}
-		owned[i] = rim.CloneObject(o)
+		puts[i].Object = rim.CloneObject(o)
 	}
-	return owned, nil
+	return nil
 }
 
 // Apply is the one place the tables change after boot: the leader's
@@ -150,18 +165,18 @@ func (s *Store) Apply(c Change) {
 	defer s.mu.Unlock()
 	s.changes.Add(1)
 	for _, id := range c.Deletes {
-		if o, ok := s.objects[id]; ok {
-			s.unindexLocked(o)
+		if e, ok := s.objects[id]; ok {
+			s.unindexLocked(e.Object)
 			delete(s.objects, id)
 		}
 	}
-	for _, o := range c.Puts {
-		id := o.Base().ID
+	for _, p := range c.Puts {
+		id := p.Object.Base().ID
 		if old, ok := s.objects[id]; ok {
-			s.unindexLocked(old)
+			s.unindexLocked(old.Object)
 		}
-		s.objects[id] = o
-		s.indexLocked(o)
+		s.objects[id] = p
+		s.indexLocked(p.Object)
 	}
 	if c.ContentDeleteID != "" {
 		delete(s.content, c.ContentDeleteID)
@@ -176,10 +191,13 @@ func (s *Store) Apply(c Change) {
 // resident objects, as DecodeFrame is for a snapshot's: the store holds
 // what Admit and Apply would have left had they been handed each decoded
 // object, but a graph the decoder built value by value is indexed as it is
-// instead of being copied a second time. Nothing changes unless every
+// instead of being copied a second time, and keeps a copy of its bytes —
+// a copy, since puts alias a buffer the caller reuses. One the decoder
+// could not build exactly is cloned, may then no longer be what its bytes
+// decode to, and is kept without them. Nothing changes unless every
 // envelope decodes.
 func (s *Store) ApplyEncoded(puts []Envelope, c Change) error {
-	c.Puts = make([]rim.Object, len(puts))
+	c.Puts = make([]Entry, len(puts))
 	for i, env := range puts {
 		o, exact, err := decodeObject(env.Kind, env.Data)
 		if err != nil {
@@ -188,10 +206,11 @@ func (s *Store) ApplyEncoded(puts []Envelope, c Change) error {
 		if d := defect(o); d != "" {
 			return fmt.Errorf("store: decode %s: object %s", env.Kind, d)
 		}
-		if !exact {
-			o = rim.CloneObject(o)
+		if exact {
+			c.Puts[i] = Entry{o, bytes.Clone(env.Data)}
+		} else {
+			c.Puts[i] = Entry{Object: rim.CloneObject(o)}
 		}
-		c.Puts[i] = o
 	}
 	s.Apply(c)
 	return nil
@@ -202,23 +221,23 @@ func (s *Store) ApplyEncoded(puts []Envelope, c Change) error {
 // seed and for fixtures: a write a registry acknowledges goes through its
 // LifeCycleManager, which logs it first.
 func (s *Store) Put(o rim.Object) error {
-	owned, err := Admit(o)
-	if err != nil {
+	puts := []Entry{{Object: o}}
+	if err := Admit(puts); err != nil {
 		return err
 	}
-	s.Apply(Change{Puts: owned})
+	s.Apply(Change{Puts: puts})
 	return nil
 }
 
 // Get returns a deep copy of the object with the given id.
 func (s *Store) Get(id string) (rim.Object, error) {
 	s.mu.RLock()
-	o, ok := s.objects[id]
+	e, ok := s.objects[id]
 	s.mu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, id)
 	}
-	return rim.CloneObject(o), nil
+	return rim.CloneObject(e.Object), nil
 }
 
 // Has reports whether id exists.
@@ -318,8 +337,8 @@ func (s *Store) ByOwner(owner string) []rim.Object {
 func (s *Store) collectLocked(ids map[string]struct{}) []rim.Object {
 	out := make([]rim.Object, 0, len(ids))
 	for id := range ids {
-		if o, ok := s.objects[id]; ok {
-			out = append(out, rim.CloneObject(o))
+		if e, ok := s.objects[id]; ok {
+			out = append(out, rim.CloneObject(e.Object))
 		}
 	}
 	return out
@@ -333,8 +352,8 @@ func sortByID(out []rim.Object) {
 func (s *Store) All() []rim.Object {
 	s.mu.RLock()
 	out := make([]rim.Object, 0, len(s.objects))
-	for _, o := range s.objects {
-		out = append(out, rim.CloneObject(o))
+	for _, e := range s.objects {
+		out = append(out, rim.CloneObject(e.Object))
 	}
 	s.mu.RUnlock()
 	sortByID(out)
@@ -379,7 +398,7 @@ func (s *Store) FindOneByName(t rim.ObjectType, name string) (rim.Object, error)
 	if err != nil {
 		return nil, err
 	}
-	return rim.CloneObject(s.objects[id]), nil
+	return rim.CloneObject(s.objects[id].Object), nil
 }
 
 // findOneByNameLocked resolves the id of the unique object of type t named
@@ -431,7 +450,7 @@ func (s *Store) AssociationsTo(targetID string) []*rim.Association {
 func (s *Store) assocsLocked(idx map[string]map[string]struct{}, key string) []*rim.Association {
 	var out []*rim.Association
 	for id := range idx[key] {
-		if a, ok := s.objects[id].(*rim.Association); ok {
+		if a, ok := s.objects[id].Object.(*rim.Association); ok {
 			out = append(out, a.Clone())
 		}
 	}

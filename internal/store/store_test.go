@@ -66,8 +66,8 @@ func TestApplyOrder(t *testing.T) {
 	next := rim.NewUser("operator", rim.PersonName{})
 	next.ID = old.ID
 	next.Description = rim.NewIString("second boot")
-	owned, err := Admit(next)
-	if err != nil {
+	owned := []Entry{{Object: next}}
+	if err := Admit(owned); err != nil {
 		t.Fatal(err)
 	}
 	s.Apply(Change{Puts: owned, Deletes: []string{old.ID, gone.ID, "urn:uuid:never-stored"}, ContentPutID: "c", Content: []byte("x")})
@@ -81,10 +81,10 @@ func TestApplyOrder(t *testing.T) {
 	if _, err := s.GetContent("c"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Admit(next, nil); err == nil {
+	if err := Admit([]Entry{{Object: next}, {}}); err == nil {
 		t.Fatal("Admit accepted a nil object")
 	}
-	if _, err := Admit(&rim.Service{}); err == nil {
+	if err := Admit([]Entry{{Object: &rim.Service{}}}); err == nil {
 		t.Fatal("Admit accepted an object without an id")
 	}
 }

@@ -21,6 +21,7 @@ import (
 	"repro/internal/rim"
 	"repro/internal/simclock"
 	"repro/internal/store"
+	"repro/internal/store/storetest"
 )
 
 // applyReference is ApplyRecord without the scanner.
@@ -85,7 +86,7 @@ type recordSeed struct {
 func recordSeeds(tb testing.TB) map[string]recordSeed {
 	encode := func(m lcm.Mutation) []byte {
 		tb.Helper()
-		b, err := appendMutation(nil, m)
+		b, err := encodeMutation(m)
 		if err != nil {
 			tb.Fatal(err)
 		}
@@ -93,7 +94,7 @@ func recordSeeds(tb testing.TB) map[string]recordSeed {
 	}
 	svc3, svc1 := fixedService(3, 4), fixedService(1, 3)
 	svc1.Slots = []rim.Slot{{Name: "copyright", Values: []string{"SDSU <2011>"}}}
-	submit := encode(lcm.Mutation{Op: "Created", Puts: []rim.Object{svc3, fixedEvent(rim.EventCreated, 3, svc3.ID)}})
+	submit := encode(mutation("Created", svc3, fixedEvent(rim.EventCreated, 3, svc3.ID)))
 	edit := func(old, new string) []byte {
 		if !bytes.Contains(submit, []byte(old)) {
 			tb.Fatalf("the submit record has no %s to edit", old)
@@ -107,9 +108,11 @@ func recordSeeds(tb testing.TB) map[string]recordSeed {
 		tb.Fatal(err)
 	}
 	var fields map[string]json.RawMessage
-	everything := encode(lcm.Mutation{Op: `Up"dated<`, Puts: []rim.Object{svc1}, Deletes: []string{fixedService(2, 0).ID, "urn:uuid:absent", "a\x00<b>\xff"},
-		ContentPutID: "c<2>", Content: []byte("\x00\xffbody"), ContentDeleteID: "c1"})
-	if err := json.Unmarshal(everything, &fields); err != nil {
+	everything := mutation(`Up"dated<`, svc1)
+	everything.Deletes = []string{fixedService(2, 0).ID, "urn:uuid:absent", "a\x00<b>\xff"}
+	everything.ContentPutID, everything.Content, everything.ContentDeleteID = "c<2>", []byte("\x00\xffbody"), "c1"
+	everythingRecord := encode(everything)
+	if err := json.Unmarshal(everythingRecord, &fields); err != nil {
 		tb.Fatal(err)
 	}
 	reversed := []byte("{")
@@ -124,13 +127,13 @@ func recordSeeds(tb testing.TB) map[string]recordSeed {
 
 	return map[string]recordSeed{
 		"submit":                {submit, true, true},
-		"update-with-slot":      {encode(lcm.Mutation{Op: "Updated", Puts: []rim.Object{svc1, fixedEvent(rim.EventUpdated, 1, svc1.ID)}}), true, true},
-		"every-kind":            {encode(lcm.Mutation{Op: "PutDirect", Puts: []rim.Object{objectOfKind(0, "urn:o"), objectOfKind(1, "urn:u"), objectOfKind(5, "urn:a"), objectOfKind(14, "urn:x")}}), true, true},
-		"deletes-only":          {encode(lcm.Mutation{Op: "Deleted", Deletes: []string{fixedService(1, 0).ID}}), true, true},
-		"content-only":          {encode(lcm.Mutation{Op: "PutContent", ContentPutID: "c2", Content: []byte{0, 1, 2, 0xff}}), true, true},
-		"content-empty":         {encode(lcm.Mutation{Op: "PutContent", ContentPutID: "c2", Content: []byte{}}), true, true},
-		"content-delete":        {encode(lcm.Mutation{Op: "DeleteContent", ContentDeleteID: "c1"}), true, true},
-		"everything":            {everything, true, true},
+		"update-with-slot":      {encode(mutation("Updated", svc1, fixedEvent(rim.EventUpdated, 1, svc1.ID))), true, true},
+		"every-kind":            {encode(mutation("PutDirect", objectOfKind(0, "urn:o"), objectOfKind(1, "urn:u"), objectOfKind(5, "urn:a"), objectOfKind(14, "urn:x"))), true, true},
+		"deletes-only":          {encode(lcm.Mutation{Op: "Deleted", Change: store.Change{Deletes: []string{fixedService(1, 0).ID}}}), true, true},
+		"content-only":          {encode(lcm.Mutation{Op: "PutContent", Change: store.Change{ContentPutID: "c2", Content: []byte{0, 1, 2, 0xff}}}), true, true},
+		"content-empty":         {encode(lcm.Mutation{Op: "PutContent", Change: store.Change{ContentPutID: "c2", Content: []byte{}}}), true, true},
+		"content-delete":        {encode(lcm.Mutation{Op: "DeleteContent", Change: store.Change{ContentDeleteID: "c1"}}), true, true},
+		"everything":            {everythingRecord, true, true},
 		"keys-reversed":         {reversed, true, true},
 		"op-only":               {[]byte(`{"op":"Noop"}`), true, true},
 		"empty-object":          {[]byte(`{}`), true, true},
@@ -138,7 +141,7 @@ func recordSeeds(tb testing.TB) map[string]recordSeed {
 		"null-binding":          {edit(`"Bindings":[{`, `"Bindings":[null,{`), true, false},
 		"null-classification":   {edit(`"Classifications":null`, `"Classifications":[null]`), true, false},
 		"second-put-undecoded":  {edit(`"Timestamp":"2023`, `"Timestamp":"yesterday 2023`), true, false},
-		"put-without-id":        {encode(lcm.Mutation{Op: "Created", Puts: []rim.Object{fixedService(5, 1), noID}}), true, false},
+		"put-without-id":        {encode(mutation("Created", fixedService(5, 1), noID)), true, false},
 		"unknown-kind":          {edit(`"kind":"Service"`, `"kind":"Martian"`), true, false},
 		"data-malformed":        {edit(`"data":{"ID":`, `"data":{"ID" `), true, false},
 		"data-unbalanced":       {[]byte(`{"op":"Created","puts":[{"kind":"Service","data":{"a":[}]}]}`), true, false},
@@ -189,6 +192,12 @@ func checkAppliesLikeJSON(t *testing.T, payload []byte) (scanned, applied bool) 
 	if err != nil && !bytes.Equal(after, before) {
 		t.Fatalf("a record that failed (%v) changed the store", err)
 	}
+	// The store saves the objects' JSON as the record carried it, which
+	// both paths keep alike; encoded afresh, what they decoded must still
+	// carry round.
+	if err := storetest.Reencodes(viaScan, store.New, storetest.SaveReference[*store.Store]); err != nil {
+		t.Fatal(err)
+	}
 	return scanned, err == nil
 }
 
@@ -206,7 +215,8 @@ func TestApplyRecordMatchesJSON(t *testing.T) {
 
 // FuzzApplyRecord: on any payload, applying it scanned and applying it
 // through json.Unmarshal(&walRecord) leave two stores that save to the same
-// bytes, or both fail and leave the store alone; neither panics.
+// bytes, or both fail and leave the store alone; neither panics; and the
+// store, encoded afresh, loads back to the same fresh encoding.
 func FuzzApplyRecord(f *testing.F) {
 	f.Add([]byte(`{"op":"Deleted","deletes":["urn:uuid:00000000-0000-4000-8000-000000000100"]}`))
 	f.Fuzz(func(t *testing.T, payload []byte) {

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -46,6 +47,7 @@ type Durable struct {
 	mu     sync.Mutex // the write bracket; every journal call is made under it
 	due    bool       // inside the bracket only: an append reached a checkpoint threshold
 	record []byte     // inside the bracket only: the buffer Commit encodes into, reused
+	spans  []int      // inside the bracket only: where each put's JSON lies in record, reused
 
 	degraded    atomic.Bool
 	ckptSecBits atomic.Uint64
@@ -99,15 +101,16 @@ func (d *Durable) EndWrite() {
 }
 
 // Commit appends one mutation record inside an open bracket. When it
-// returns nil the record is on disk per the fsync policy, and the caller
-// applies it and may acknowledge the write; an append failure degrades
-// the registry.
-func (d *Durable) Commit(m lcm.Mutation) error {
+// returns nil the record is on disk per the fsync policy, and each put
+// carries the JSON the record holds it as, for the store to keep: the
+// caller applies it and may acknowledge the write. An append failure
+// degrades the registry.
+func (d *Durable) Commit(m *lcm.Mutation) error {
 	if d.degraded.Load() {
 		return ErrReadOnly
 	}
-	payload, err := appendMutation(d.record[:0], m)
-	d.record = reusable(payload)
+	payload, spans, err := appendMutation(d.record[:0], m, d.spans[:0])
+	d.record, d.spans = reusable(payload), spans
 	if err != nil {
 		return err
 	}
@@ -117,7 +120,18 @@ func (d *Durable) Commit(m lcm.Mutation) error {
 		return fmt.Errorf("wal: %w: %w", ErrReadOnly, err)
 	}
 	d.due = d.due || due
+	keepJSON(m.Puts, payload, spans)
 	return nil
+}
+
+// keepJSON gives each put a copy of its JSON out of payload, which is
+// reused. Each put gets its own copy: one copy shared by the record's puts
+// would keep every version of an object alive for as long as the audit
+// event beside it, which is never deleted.
+func keepJSON(puts []store.Entry, payload []byte, spans []int) {
+	for i := range puts {
+		puts[i].JSON = bytes.Clone(payload[spans[2*i]:spans[2*i+1]])
+	}
 }
 
 // Checkpoint forces a checkpoint now. Boot calls it only when recovery

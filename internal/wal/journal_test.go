@@ -107,8 +107,8 @@ func (n *journalNode) EndWrite() {
 	}
 }
 
-func (n *journalNode) Commit(m lcm.Mutation) error {
-	payload, err := appendMutation(nil, m)
+func (n *journalNode) Commit(m *lcm.Mutation) error {
+	payload, _, err := appendMutation(nil, m, nil)
 	if err != nil {
 		return err
 	}

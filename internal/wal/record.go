@@ -27,20 +27,23 @@ type walRecord struct {
 // appending to the log, to b: the bytes json.Marshal(&walRecord{…}) would
 // write, with each put's envelope written by store.AppendEnvelope straight
 // into b, and the rest — op, deletes, content with its base64, omitempty —
-// by hand.
-func appendMutation(b []byte, m lcm.Mutation) ([]byte, error) {
+// by hand. For each put it appends to spans where that put's JSON starts
+// and ends in the result.
+func appendMutation(b []byte, m *lcm.Mutation, spans []int) ([]byte, []int, error) {
 	b = append(b, `{"op":`...)
 	b = jsonscan.AppendString(b, m.Op)
 	if len(m.Puts) > 0 {
 		b = append(b, `,"puts":[`...)
-		for i, o := range m.Puts {
+		for i, p := range m.Puts {
 			if i > 0 {
 				b = append(b, ',')
 			}
+			var data int
 			var err error
-			if b, err = store.AppendEnvelope(b, o); err != nil {
-				return b, fmt.Errorf("wal: encode mutation: %w", err)
+			if b, data, err = store.AppendEnvelope(b, p.Object); err != nil {
+				return b, spans, fmt.Errorf("wal: encode mutation: %w", err)
 			}
+			spans = append(spans, data, len(b)-1)
 		}
 		b = append(b, ']')
 	}
@@ -63,7 +66,7 @@ func appendMutation(b []byte, m lcm.Mutation) ([]byte, error) {
 	if m.ContentDeleteID != "" {
 		b = jsonscan.AppendString(append(b, `,"contentDelete":`...), m.ContentDeleteID)
 	}
-	return append(b, '}'), nil
+	return append(b, '}'), spans, nil
 }
 
 // scanRecord decodes a payload of the shape appendMutation writes — the six
@@ -122,11 +125,14 @@ func scanRecord(payload []byte, rec *walRecord) bool {
 	}
 }
 
-// scanPuts decodes the array of envelopes the cursor is on.
+// scanPuts decodes the array of envelopes the cursor is on. Room for four
+// is made at once: a publish logs two puts, which growing from nothing
+// would allocate twice.
 func scanPuts(s *jsonscan.Scanner, rec *walRecord) bool {
 	if !s.Lit("[") {
 		return false
 	}
+	rec.Puts = make([]store.Envelope, 0, 4)
 	for first := true; ; first = false {
 		if done, ok := s.Elem(first); done || !ok {
 			return ok
@@ -180,10 +186,13 @@ func applyRecord(s *store.Store, payload []byte) error {
 func ApplyRecord(s *store.Store, payload []byte) ([]string, error) {
 	var rec walRecord
 	if !scanRecord(payload, &rec) {
-		rec = walRecord{}
-		if err := json.Unmarshal(payload, &rec); err != nil {
+		// Decoded apart, so that rec, which json.Unmarshal's argument would
+		// send to the heap, stays on the stack on the scanned path.
+		var slow walRecord
+		if err := json.Unmarshal(payload, &slow); err != nil {
 			return nil, fmt.Errorf("wal: decode record: %w", err)
 		}
+		rec = slow
 	}
 	return nil, rec.apply(s)
 }

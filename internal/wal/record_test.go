@@ -29,14 +29,29 @@ func encodeMutationReference(m lcm.Mutation) ([]byte, error) {
 		Content:       m.Content,
 		ContentDelete: m.ContentDeleteID,
 	}
-	for _, o := range m.Puts {
-		data, err := json.Marshal(o)
+	for _, p := range m.Puts {
+		data, err := json.Marshal(p.Object)
 		if err != nil {
 			return nil, err
 		}
-		rec.Puts = append(rec.Puts, store.Envelope{Kind: o.Base().ObjectType.Short(), Data: data})
+		rec.Puts = append(rec.Puts, store.Envelope{Kind: p.Object.Base().ObjectType.Short(), Data: data})
 	}
 	return json.Marshal(&rec)
+}
+
+// mutation is a mutation of op that puts objs.
+func mutation(op string, objs ...rim.Object) lcm.Mutation {
+	m := lcm.Mutation{Op: op, Change: store.Change{Puts: make([]store.Entry, len(objs))}}
+	for i, o := range objs {
+		m.Puts[i].Object = o
+	}
+	return m
+}
+
+// encodeMutation is appendMutation of m into a new buffer.
+func encodeMutation(m lcm.Mutation) ([]byte, error) {
+	b, _, err := appendMutation(nil, &m, nil)
+	return b, err
 }
 
 // awkward are the strings an id, name or op can be: empty, everything
@@ -96,12 +111,23 @@ func objectOfKind(kind int, s string) rim.Object {
 func assertEncodesLikeJSON(t *testing.T, m lcm.Mutation) {
 	t.Helper()
 	want, wantErr := encodeMutationReference(m)
-	got, gotErr := appendMutation(nil, m)
+	got, spans, gotErr := appendMutation(nil, &m, nil)
 	if (wantErr != nil) != (gotErr != nil) {
 		t.Fatalf("appendMutation error = %v, json.Marshal's = %v", gotErr, wantErr)
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatalf("appendMutation differs from json.Marshal(&walRecord)\n got: %s\nwant: %s", got, want)
+	}
+	if gotErr != nil {
+		return
+	}
+	if len(spans) != 2*len(m.Puts) {
+		t.Fatalf("%d spans for %d puts", len(spans), len(m.Puts))
+	}
+	for i, p := range m.Puts {
+		if data, _ := json.Marshal(p.Object); !bytes.Equal(got[spans[2*i]:spans[2*i+1]], data) {
+			t.Fatalf("put %d is said to be %s, not %s", i, got[spans[2*i]:spans[2*i+1]], data)
+		}
 	}
 }
 
@@ -109,24 +135,24 @@ func TestEncodeMutationMatchesJSONMarshal(t *testing.T) {
 	// Every kind with every awkward string, alone.
 	for kind := 0; kind < 15; kind++ {
 		for _, s := range awkward {
-			assertEncodesLikeJSON(t, lcm.Mutation{Op: s, Puts: []rim.Object{objectOfKind(kind, s)}})
+			assertEncodesLikeJSON(t, mutation(s, objectOfKind(kind, s)))
 		}
 	}
 	// A kind that is not an identifier: the envelope's own string is escaped.
 	odd := rim.NewService("odd", "")
 	odd.ObjectType = `urn:x:<"Odd\Kind">`
-	assertEncodesLikeJSON(t, lcm.Mutation{Op: "Submit", Puts: []rim.Object{odd}})
+	assertEncodesLikeJSON(t, mutation("Submit", odd))
 
 	// The shapes without objects: deletes only, content put and delete,
 	// empty and nil slices (omitempty drops both), nothing at all.
 	for _, m := range []lcm.Mutation{
 		{},
-		{Op: "Remove", Deletes: awkward},
-		{Op: "Remove", Deletes: []string{}},
-		{Op: "PutContent", ContentPutID: "c<1>", Content: []byte("\x00\xffbody")},
-		{Op: "PutContent", ContentPutID: "c", Content: []byte{}},
-		{Op: "DeleteContent", ContentDeleteID: `c"2"`},
-		{Op: "Submit", Puts: []rim.Object{}},
+		{Op: "Remove", Change: store.Change{Deletes: awkward}},
+		{Op: "Remove", Change: store.Change{Deletes: []string{}}},
+		{Op: "PutContent", Change: store.Change{ContentPutID: "c<1>", Content: []byte("\x00\xffbody")}},
+		{Op: "PutContent", Change: store.Change{ContentPutID: "c", Content: []byte{}}},
+		{Op: "DeleteContent", Change: store.Change{ContentDeleteID: `c"2"`}},
+		{Op: "Submit", Change: store.Change{Puts: []store.Entry{}}},
 	} {
 		assertEncodesLikeJSON(t, m)
 	}
@@ -137,7 +163,7 @@ func TestEncodeMutationMatchesJSONMarshal(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		m := lcm.Mutation{Op: pick()}
 		for n := rng.Intn(5); n > 0; n-- {
-			m.Puts = append(m.Puts, objectOfKind(rng.Intn(15), pick()))
+			m.Puts = append(m.Puts, store.Entry{Object: objectOfKind(rng.Intn(15), pick())})
 		}
 		for n := rng.Intn(3); n > 0; n-- {
 			m.Deletes = append(m.Deletes, pick())
@@ -160,9 +186,9 @@ func FuzzEncodeMutation(f *testing.F) {
 	f.Add(`op"\`, "<id>& ", []byte{0xff, 0x00}, uint8(12), uint8(1))
 	f.Add("Remove", "\xff\xfe", []byte("x"), uint8(5), uint8(0))
 	f.Fuzz(func(t *testing.T, op, id string, content []byte, kind, puts uint8) {
-		m := lcm.Mutation{Op: op, Content: content}
+		m := lcm.Mutation{Op: op, Change: store.Change{Content: content}}
 		for i := 0; i < int(puts%4); i++ {
-			m.Puts = append(m.Puts, objectOfKind(int(kind)+i, fmt.Sprintf("%s-%d", id, i)))
+			m.Puts = append(m.Puts, store.Entry{Object: objectOfKind(int(kind)+i, fmt.Sprintf("%s-%d", id, i))})
 		}
 		if kind%2 == 0 {
 			m.Deletes = []string{id, op}
@@ -186,7 +212,7 @@ func benchMutation() lcm.Mutation {
 	}
 	svc.Slots = []rim.Slot{{Name: "constraint", Values: []string{"load < 2.0 and memory > 512"}}}
 	ev := rim.NewAuditableEvent(rim.EventCreated, "urn:uuid:user", time.Unix(1_700_000_000, 0).UTC(), svc.ID)
-	return lcm.Mutation{Op: string(rim.EventCreated), Puts: []rim.Object{svc, ev}}
+	return mutation(string(rim.EventCreated), svc, ev)
 }
 
 func BenchmarkEncodeMutation(b *testing.B) {
@@ -194,7 +220,7 @@ func BenchmarkEncodeMutation(b *testing.B) {
 	for _, enc := range []struct {
 		name string
 		fn   func(lcm.Mutation) ([]byte, error)
-	}{{"appended", func(m lcm.Mutation) ([]byte, error) { return appendMutation(nil, m) }}, {"json.Marshal", encodeMutationReference}} {
+	}{{"appended", encodeMutation}, {"json.Marshal", encodeMutationReference}} {
 		b.Run(enc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -218,7 +244,7 @@ func publishMutation(bindings int) lcm.Mutation {
 		svc.AddBinding(fmt.Sprintf("http://127.0.1.%d:8080/svc-00001/run", 1+i)).Owner = svc.Owner
 	}
 	ev := rim.NewAuditableEvent(rim.EventCreated, svc.Owner, time.Unix(1_700_000_000, 0).UTC(), svc.ID)
-	return lcm.Mutation{Op: string(rim.EventCreated), Puts: []rim.Object{svc, ev}}
+	return mutation(string(rim.EventCreated), svc, ev)
 }
 
 // BenchmarkApplyRecord is a record becoming stored objects: WAL replay at
@@ -226,7 +252,7 @@ func publishMutation(bindings int) lcm.Mutation {
 func BenchmarkApplyRecord(b *testing.B) {
 	for _, bindings := range []int{4, 32} {
 		b.Run(fmt.Sprint(bindings), func(b *testing.B) {
-			payload, err := appendMutation(nil, publishMutation(bindings))
+			payload, err := encodeMutation(publishMutation(bindings))
 			if err != nil {
 				b.Fatal(err)
 			}
