@@ -80,11 +80,12 @@ overloadcheck:
 # detector: the seeded WAL reader-vs-prune harness, cold-follower
 # byte-identical convergence, resume-from-durable-position, leader
 # restart mid-stream, 410 re-bootstrap, the seeded partition/lag
-# harness, write redirects, federated discovery over the pair, and every
-# cause of a cached answer's invalidation on a leader and a follower.
+# harness, write redirects, federated discovery over the pair, every
+# cause of a cached answer's invalidation on a leader and a follower, and a
+# followed record landing mid-discovery never leaving its answer served.
 replcheck:
 	$(GO) test -race -count=1 -run 'Repl' \
-		./internal/repl/ ./internal/wal/ ./internal/registry/ ./internal/federation/ ./internal/respcache/
+		./internal/repl/ ./internal/wal/ ./internal/registry/ ./internal/federation/
 
 # benchmod vets and tests the nested benchmark module against this tree.
 # `go test ./...` does not enter bench/, so without this an API break

@@ -148,6 +148,7 @@ func gatedCases() []gatedCase {
 		{"filter/hosts=8/warm", 0, httpRequest{}},
 		{"filter/hosts=8/miss", 9, httpRequest{miss: true}},
 		{"filter/hosts=8/soap-warm", 9, httpRequest{soap: true}},
+		{"filter/hosts=8/soap-warm/by-id", 9, httpRequest{soap: true, byID: true}},
 		{"filter/hosts=8/soap-warm/real", 9, httpRequest{soap: true, real: true}},
 		{"filter/hosts=8/soap-miss", 13, httpRequest{soap: true, miss: true}},
 		// The frozen router's preserialized rejects, answered before any
@@ -665,7 +666,11 @@ func BenchmarkTracingOverhead(b *testing.B) {
 				if reg.Sampler.Sample(fw) {
 					ctx = flight.WithFrame(ctx, fw)
 				}
-				uris, _, err := reg.QM.GetServiceBindingsCtx(ctx, svc.ID)
+				view, err := reg.QM.ServiceViewCtx(ctx, svc.ID, true)
+				var uris []string
+				if err == nil {
+					uris, _, err = reg.QM.ArrangeCtx(ctx, view)
+				}
 				reg.Flight.Append(&fw.Rec)
 				flight.PutWriter(fw)
 				if err != nil || len(uris) == 0 {
@@ -709,6 +714,7 @@ func BenchmarkHTTPDiscovery(b *testing.B) { runGated(b, "BenchmarkHTTPDiscovery"
 // and the registry state it meets.
 type httpRequest struct {
 	soap    bool   // POST the GetBindingsRequest envelope to /soap/registry
+	byID    bool   // the envelope names the service by id, not by name
 	miss    bool   // re-render every iteration
 	path    string // GET this instead of a discovery
 	shed    bool   // the route's admission class is held at its one slot
@@ -771,10 +777,14 @@ func httpDiscoveryOp(tb testing.TB, hr httpRequest) func() {
 	}
 	req, rearm := httptest.NewRequest(http.MethodGet, path, nil), func() {}
 	if hr.soap {
+		bindingsRequest := &registry.GetBindingsRequest{ServiceName: "Adder"}
+		if hr.byID {
+			bindingsRequest = &registry.GetBindingsRequest{ServiceID: svc.ID}
+		}
 		env, err := soap.Marshal(&struct {
 			XMLName  struct{}                     `xml:"RegistryRequest"`
 			Bindings *registry.GetBindingsRequest `xml:"GetBindingsRequest"`
-		}{Bindings: &registry.GetBindingsRequest{ServiceName: "Adder"}})
+		}{Bindings: bindingsRequest})
 		if err != nil {
 			tb.Fatal(err)
 		}

@@ -170,19 +170,6 @@ func (c *Controller) awaitTurn(t *Ticket, r *http.Request) bool {
 	return t.state == ticketPromoted
 }
 
-// WithBudget derives a context whose budget ends d from now on the
-// controller's clock: the budget Wrap gives an admitted request, for work
-// that does not arrive through Wrap. Cancelling ends the budget; the
-// returned exceeded func reports whether the deadline had passed by then
-// (or by now, if the work is still running).
-func (c *Controller) WithBudget(ctx context.Context, d time.Duration) (context.Context, context.CancelFunc, func() bool) {
-	if d <= 0 {
-		return ctx, func() {}, func() bool { return false }
-	}
-	b := &budget{parent: ctx, clock: c.clock, deadline: c.clock.Now().Add(d)}
-	return b, func() { b.end() }, b.exceeded
-}
-
 // budget is the context an admitted request runs under: its parent, the
 // controller's clock and an absolute deadline on that clock. Err compares
 // the clock with the deadline and then asks the parent, so a handler that

@@ -242,27 +242,23 @@ func (b *Balancer) ArrangeURIs(description string, uris []string, now time.Time)
 	return b.arrange(store.DiscoveryView{Description: description, URIs: uris}, now, nil)
 }
 
-// ArrangeView is the discovery entry point: it arranges a
+// ArrangeViewTimed is the discovery entry point: it arranges a
 // store.DiscoveryView, reading the view's digest — memoized when the view
-// came from the store — instead of parsing anything.
-func (b *Balancer) ArrangeView(view store.DiscoveryView, now time.Time) ([]string, Decision) {
-	return b.arrange(view, now, nil)
-}
-
-// ArrangeViewTimed is ArrangeView adding the time each step took to st, the
-// stage timer of a sampled request's flight record. A nil st is the common
-// case (the request was not sampled) and costs only nil-receiver calls,
-// keeping the fast path's allocation budget intact.
+// came from the store — instead of parsing anything, and adds the time
+// each step took to st, the stage timer of a sampled request's flight
+// record. A nil st is the common case (the request was not sampled) and
+// costs only nil-receiver calls, keeping the fast path's allocation budget
+// intact.
 func (b *Balancer) ArrangeViewTimed(view store.DiscoveryView, now time.Time, st *flight.StageTimer) ([]string, Decision) {
 	return b.arrange(view, now, st)
 }
 
 // SnapshotMeta returns the generation of the installed NodeState snapshot,
 // the one a discovery arranging now reads, and the instant it was taken.
-// The response cache keys entries by the generation, so a hit is served
-// without consulting the table at all, and the edge stamps flight records
-// with both it and how stale that view was. now is unused: the snapshot
-// moves only when a sweep installs one.
+// The response cache stamps answers with the generation, so a hit is
+// served without consulting the table at all, and the edge stamps flight
+// records with both it and how stale that view was. now is unused: the
+// snapshot moves only when a sweep installs one.
 func (b *Balancer) SnapshotMeta(now time.Time) (gen uint64, taken time.Time) {
 	if b.Table == nil {
 		return 0, time.Time{}

@@ -8,6 +8,8 @@ package lbexp
 
 import (
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"time"
 
 	"repro/internal/admit"
@@ -23,6 +25,7 @@ import (
 	"repro/internal/registry"
 	"repro/internal/rim"
 	"repro/internal/simclock"
+	"repro/internal/soap"
 )
 
 // Epoch is the canonical simulation start: 11:00 on the thesis's approval
@@ -91,9 +94,14 @@ const DefaultConstraint = `<constraint><cpuLoad>load ls 3.0</cpuLoad><memory>mem
 
 // Setup is an assembled experiment environment.
 type Setup struct {
-	Registry  *registry.Registry
-	Cluster   *hostsim.Cluster
-	Clock     *simclock.Manual
+	Registry *registry.Registry
+	Cluster  *hostsim.Cluster
+	Clock    *simclock.Manual
+	// Conn is the localCall connection that registered the experimenter
+	// and published the deployment. The driver discovers through the
+	// registry's serving edge instead, which runs the SOAP codec,
+	// admission and the response cache; the answers are the same (thesis
+	// §2.2.1).
 	Conn      *jaxr.Connection
 	Collector *nodestate.Collector
 	Driver    *mtc.Driver
@@ -200,6 +208,10 @@ func NewSetup(cfg Config) (*Setup, error) {
 		reg.QM.CollectionTargets, opts...)
 	collector.CollectOnce()
 
+	edge := jaxr.Connect("http://registry", &http.Client{
+		Transport: handlerTransport{reg.Handler()},
+		Timeout:   soap.DefaultTimeout,
+	})
 	return &Setup{
 		Injector:  injector,
 		Breakers:  breakers,
@@ -210,11 +222,25 @@ func NewSetup(cfg Config) (*Setup, error) {
 		Collector: collector,
 		Worker:    worker,
 		Driver: &mtc.Driver{
-			Conn: conn, Cluster: cluster, Clock: clk,
+			Conn: edge, Policy: cfg.RegistryPolicy.String(), Cluster: cluster, Clock: clk,
 			ServiceName: "Worker", Client: cfg.ClientPolicy,
 			Collector: collector, MaxRetries: 2,
 		},
 	}, nil
+}
+
+// handlerTransport is an http.RoundTripper that serves each request by
+// calling the registry's handler in process: no socket and no goroutine,
+// so an experiment on the manual clock replays exactly.
+type handlerTransport struct{ h http.Handler }
+
+func (t handlerTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	w := httptest.NewRecorder()
+	t.h.ServeHTTP(w, req)
+	if req.Body != nil {
+		req.Body.Close()
+	}
+	return w.Result(), nil
 }
 
 // Run assembles and executes one experiment.

@@ -1,6 +1,7 @@
 package lbexp
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -253,5 +254,52 @@ func TestFreshnessAblation(t *testing.T) {
 	}
 	if rep.Completed != 10 {
 		t.Fatalf("rank-first with stale rows completed = %d", rep.Completed)
+	}
+}
+
+// TestEdgeDiscoveryMatchesLocalCall runs each H1 combination and each of
+// two H2 periods once through the registry's serving edge, as every
+// experiment does, and once through the setup's localCall connection, the
+// reference (thesis §2.2.1: the path is the same over SOAP), and requires
+// identical reports. The edge runs must also have answered from the
+// response cache, or they would check nothing the localCall runs do not.
+func TestEdgeDiscoveryMatchesLocalCall(t *testing.T) {
+	base := Config{Hosts: 4, Heterogeneous: true, Workload: smallWorkload()}
+	var cfgs []Config
+	for _, combo := range H1Combos {
+		cfg := base
+		cfg.RegistryPolicy, cfg.ClientPolicy, cfg.FallbackAll = combo.Registry, combo.Client, combo.Fallback
+		cfgs = append(cfgs, cfg)
+	}
+	for _, period := range []time.Duration{time.Second, 25 * time.Second} {
+		cfg := base
+		cfg.RegistryPolicy, cfg.CollectionPeriod = core.PolicyLeastLoaded, period
+		cfgs = append(cfgs, cfg)
+	}
+	var hits, misses int64
+	for i, cfg := range cfgs {
+		var reps [2]*mtc.Report
+		for local := range reps {
+			s, err := NewSetup(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if local == 1 {
+				s.Driver.Conn = s.Conn
+			}
+			if reps[local], err = s.Driver.Run(cfg.Workload); err != nil {
+				t.Fatal(err)
+			}
+			if local == 0 {
+				hits += s.Registry.RespCache.Hits.Value()
+				misses += s.Registry.RespCache.Misses.Value()
+			}
+		}
+		if !reflect.DeepEqual(reps[0], reps[1]) {
+			t.Fatalf("run %d (%s, period %v): the edge's report differs from localCall's", i, cfg.RegistryPolicy, cfg.CollectionPeriod)
+		}
+	}
+	if hits == 0 || misses == 0 {
+		t.Fatalf("edge runs: %d cache hits, %d misses; want both", hits, misses)
 	}
 }

@@ -133,9 +133,11 @@ func (r *Report) FinalLoadSummary() metrics.Summary {
 
 // Driver executes workloads.
 type Driver struct {
-	// Conn is the registry connection used for discovery (typically
-	// localCall mode for speed; the path is identical over SOAP).
+	// Conn is the registry connection used for discovery: in localCall
+	// mode or over SOAP, the path is the same (thesis §2.2.1).
 	Conn *jaxr.Connection
+	// Policy names the registry's arrangement policy in the report.
+	Policy string
 	// Cluster executes the tasks.
 	Cluster *hostsim.Cluster
 	// Clock must be the same Manual clock the registry uses.
@@ -278,9 +280,7 @@ func (d *Driver) Run(w Workload) (*Report, error) {
 	if !lastCompletion.IsZero() && !firstArrival.IsZero() {
 		rep.Makespan = lastCompletion.Sub(firstArrival)
 	}
-	if p, ok := d.Conn.LocalPolicy(); ok {
-		rep.Policy = p.String()
-	}
+	rep.Policy = d.Policy
 	return rep, nil
 }
 

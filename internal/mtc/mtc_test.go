@@ -59,7 +59,7 @@ func rig(t *testing.T, policy core.Policy, hosts int) *Driver {
 	collector.CollectOnce()
 
 	return &Driver{
-		Conn: conn, Cluster: cluster, Clock: clk,
+		Conn: conn, Policy: policy.String(), Cluster: cluster, Clock: clk,
 		ServiceName: "Worker", Collector: collector, MaxRetries: 2,
 	}
 }

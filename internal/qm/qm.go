@@ -160,30 +160,7 @@ func sortServices(ss []*rim.Service) {
 //
 //repolint:ctxprop-allow context-free compatibility wrapper for callers without a request context
 func (m *Manager) GetServiceBindings(serviceID string) ([]string, core.Decision, error) {
-	return m.GetServiceBindingsCtx(context.Background(), serviceID)
-}
-
-// GetServiceBindingsCtx is GetServiceBindings with request context: when
-// ctx carries the flight frame of a sampled request, the view load and
-// every balancer step add their time to its record. The unsampled case
-// costs one context value lookup and nil-receiver calls — nothing
-// allocates.
-func (m *Manager) GetServiceBindingsCtx(ctx context.Context, serviceID string) ([]string, core.Decision, error) {
-	st := flight.TimerFrom(ctx)
-	begin := st.Begin()
-	view, err := m.Store.ServiceView(serviceID)
-	st.End(flight.StageView, begin)
-	if err != nil {
-		return nil, core.Decision{}, err
-	}
-	// A deadline that fired while the view loaded (or while the request
-	// waited in the admission queue) stops the arrangement mid-flight;
-	// under admission ctx.Err is a clock read, with no timer behind it.
-	if err := ctx.Err(); err != nil {
-		return nil, core.Decision{}, err
-	}
-	uris, dec := m.Balancer.ArrangeViewTimed(view, m.Clock.Now(), st)
-	return uris, dec, nil
+	return m.bindings(context.Background(), serviceID, true)
 }
 
 // GetServiceBindingsByName is GetServiceBindings keyed by service name —
@@ -191,25 +168,47 @@ func (m *Manager) GetServiceBindingsCtx(ctx context.Context, serviceID string) (
 //
 //repolint:ctxprop-allow context-free compatibility wrapper for callers without a request context
 func (m *Manager) GetServiceBindingsByName(name string) ([]string, core.Decision, error) {
-	return m.GetServiceBindingsByNameCtx(context.Background(), name)
+	return m.bindings(context.Background(), name, false)
 }
 
-// GetServiceBindingsByNameCtx is GetServiceBindingsByName with request
-// context; see GetServiceBindingsCtx.
-func (m *Manager) GetServiceBindingsByNameCtx(ctx context.Context, name string) ([]string, core.Decision, error) {
-	st := flight.TimerFrom(ctx)
-	begin := st.Begin()
-	view, err := m.Store.ServiceViewByName(name)
-	st.End(flight.StageView, begin)
+// bindings is the discovery call in its two steps, ServiceViewCtx and
+// ArrangeCtx, for the service with the given id (byID) or unique name.
+func (m *Manager) bindings(ctx context.Context, key string, byID bool) ([]string, core.Decision, error) {
+	view, err := m.ServiceViewCtx(ctx, key, byID)
 	if err != nil {
 		return nil, core.Decision{}, err
 	}
-	// See GetServiceBindingsCtx: honor a mid-flight deadline before the
-	// balancer arrange.
+	return m.ArrangeCtx(ctx, view)
+}
+
+// ServiceViewCtx is the first step of discovery: it loads the discovery
+// view of the service with the given id (byID) or unique name, timing the
+// load on a sampled request's flight record.
+func (m *Manager) ServiceViewCtx(ctx context.Context, key string, byID bool) (store.DiscoveryView, error) {
+	st := flight.TimerFrom(ctx)
+	begin := st.Begin()
+	var view store.DiscoveryView
+	var err error
+	if byID {
+		view, err = m.Store.ServiceView(key)
+	} else {
+		view, err = m.Store.ServiceViewByName(key)
+	}
+	st.End(flight.StageView, begin)
+	return view, err
+}
+
+// ArrangeCtx is the second step: it runs view through the balancer against
+// the current NodeState table and returns the access URIs in the arranged
+// order together with the balancing decision.
+func (m *Manager) ArrangeCtx(ctx context.Context, view store.DiscoveryView) ([]string, core.Decision, error) {
+	// A deadline that fired while the view loaded (or while the request
+	// waited in the admission queue) stops the arrangement mid-flight;
+	// under admission ctx.Err is a clock read, with no timer behind it.
 	if err := ctx.Err(); err != nil {
 		return nil, core.Decision{}, err
 	}
-	uris, dec := m.Balancer.ArrangeViewTimed(view, m.Clock.Now(), st)
+	uris, dec := m.Balancer.ArrangeViewTimed(view, m.Clock.Now(), flight.TimerFrom(ctx))
 	return uris, dec, nil
 }
 

@@ -50,20 +50,19 @@ func TestDiscoverIsOneSequence(t *testing.T) {
 
 	byName, byID := &GetBindingsRequest{ServiceName: "Adder"}, &GetBindingsRequest{ServiceID: svc.ID}
 	for _, tc := range []struct {
-		name   string
-		drive  func()
-		route  string
-		space  respcache.Space
-		key    string
-		hit    bool
-		stored int // entries in the cache afterwards
+		name  string
+		drive func()
+		route string
+		space respcache.Space
+		key   string
+		hit   bool
 	}{
-		{"REST-miss", func() { getBindings(t, srv, "Adder") }, "bindings", respcache.SpaceName, "Adder", false, 1},
-		{"REST-hit", func() { getBindings(t, srv, "Adder") }, "bindings", respcache.SpaceName, "Adder", true, 1},
-		{"SOAP-by-name-hit", func() { postBindingsRaw(t, srv, byName) }, "soap-registry", respcache.SpaceName, "Adder", true, 1},
-		{"SOAP-by-id", func() { postBindingsRaw(t, srv, byID) }, "soap-registry", respcache.SpaceID, svc.ID, false, 2},
-		{"SOAP-by-id-hit", func() { postBindingsRaw(t, srv, byID) }, "soap-registry", respcache.SpaceID, svc.ID, true, 2},
-		{"SOAP-by-name", func() { reg.RespCache.BumpEpoch(); postBindingsRaw(t, srv, byName) }, "soap-registry", respcache.SpaceName, "Adder", false, 2},
+		{"REST-miss", func() { getBindings(t, srv, "Adder") }, "bindings", respcache.SpaceName, "Adder", false},
+		{"REST-hit", func() { getBindings(t, srv, "Adder") }, "bindings", respcache.SpaceName, "Adder", true},
+		{"SOAP-by-name-hit", func() { postBindingsRaw(t, srv, byName) }, "soap-registry", respcache.SpaceName, "Adder", true},
+		{"SOAP-by-id-hit", func() { postBindingsRaw(t, srv, byID) }, "soap-registry", respcache.SpaceID, svc.ID, true},
+		{"SOAP-by-id", func() { reg.RespCache.BumpEpoch(); postBindingsRaw(t, srv, byID) }, "soap-registry", respcache.SpaceID, svc.ID, false},
+		{"SOAP-by-name", func() { reg.RespCache.BumpEpoch(); postBindingsRaw(t, srv, byName) }, "soap-registry", respcache.SpaceName, "Adder", false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			before := countsOf(reg)
@@ -86,8 +85,8 @@ func TestDiscoverIsOneSequence(t *testing.T) {
 			if h, m := reg.RespCache.Hits.Value(), reg.RespCache.Misses.Value(); h != wantHits || m != wantMisses {
 				t.Errorf("respcache hits/misses = %d/%d, want %d/%d", h, m, wantHits, wantMisses)
 			}
-			if n := reg.RespCache.Len(); n != tc.stored {
-				t.Errorf("cache holds %d entries, want %d", n, tc.stored)
+			if n := reg.RespCache.Len(); n != 1 {
+				t.Errorf("cache holds %d answers, want the service's one", n)
 			}
 
 			rec := reg.Flight.Snapshot(flight.Filter{Limit: 1})[0].Export()

@@ -193,7 +193,7 @@ func TestMetricsExpositionRoundTrip(t *testing.T) {
 	check("registry_respcache_hits_total", nil, 2)
 	check("registry_respcache_misses_total", nil, 1)
 	check("registry_respcache_entries", nil, 1)
-	check("registry_respcache_invalidations_total", nil, 1) // the fixture's submit; the boot's own writes precede it
+	check("registry_respcache_invalidations_total", nil, 0) // writes replace entries, not the epoch
 	check("registry_respcache_renders_total", map[string]string{"encoding": "json"}, 1)
 	check("registry_respcache_renders_total", map[string]string{"encoding": "soap"}, 0)
 	check("registry_edge_rejected_total", map[string]string{"reason": "not-found"}, 1)

@@ -24,6 +24,7 @@ import (
 	"repro/internal/router"
 	"repro/internal/soap"
 	"repro/internal/sqlq"
+	"repro/internal/store"
 )
 
 // Handler builds the registry's HTTP surface:
@@ -415,21 +416,21 @@ func (r *Registry) doQuery(req *AdhocQueryWireRequest) (interface{}, error) {
 	return wire, nil
 }
 
-// doBindings is the SOAP codec of discover: it picks the key space, asks
-// the cache and then the balancer, and maps the outcome onto a
+// doBindings is the SOAP codec of discover: it picks the key (a service id
+// or name), asks the cache and then the balancer, and maps the outcome onto a
 // preserialized envelope or a typed fault.
 func (r *Registry) doBindings(ctx context.Context, req *GetBindingsRequest) (interface{}, error) {
-	space, key := respcache.SpaceName, req.ServiceName
-	if req.ServiceID != "" {
-		space, key = respcache.SpaceID, req.ServiceID
+	key, byID := req.ServiceName, req.ServiceID != ""
+	if byID {
+		key = req.ServiceID
 	}
 	if key == "" {
 		return nil, soap.ClientFault("GetBindingsRequest needs serviceId or serviceName")
 	}
 	start, fw := r.Clock.Now(), flight.FrameFrom(ctx)
-	ent, err := r.discover(ctx, fw, space, key, start, encSOAP, true)
+	ent, err := r.discover(ctx, fw, byID, key, start, encSOAP, true)
 	if ent == nil {
-		ent, err = r.discover(ctx, fw, space, key, start, encSOAP, false)
+		ent, err = r.discover(ctx, fw, byID, key, start, encSOAP, false)
 	}
 	switch {
 	case errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled):
@@ -562,7 +563,7 @@ func (e *bindingsEdge) FastServe(w http.ResponseWriter, req *http.Request) bool 
 		return false
 	}
 	r := e.reg
-	ent, _ := r.discover(req.Context(), flight.From(w), respcache.SpaceName, name, r.Clock.Now(), encJSON, true)
+	ent, _ := r.discover(req.Context(), flight.From(w), false, name, r.Clock.Now(), encJSON, true)
 	if ent == nil {
 		return false
 	}
@@ -583,7 +584,7 @@ func (e *bindingsEdge) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 		http.Error(w, "missing service parameter", http.StatusBadRequest)
 		return
 	}
-	ent, err := r.discover(req.Context(), flight.From(w), respcache.SpaceName, name, r.Clock.Now(), encJSON, false)
+	ent, err := r.discover(req.Context(), flight.From(w), false, name, r.Clock.Now(), encJSON, false)
 	switch {
 	case errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled):
 		http.Error(w, err.Error(), http.StatusGatewayTimeout)
@@ -619,22 +620,26 @@ func (e encoding) String() string {
 
 // discover is the one discovery sequence behind both codecs; the REST and
 // SOAP handlers only parse the request and write the bytes of the entry it
-// returns. A request is answered in up to two calls, because on the REST
-// route the admission middleware stands between them. The probe (probe
-// set) only consults the response cache: it never blocks and, when the
-// entry already carries the encoding enc, never allocates, which is what
-// lets it run before a deadline context exists; it returns a nil entry on a
-// miss. The miss call (probe clear) runs the balancer under ctx, renders
-// the one encoding the codec asked for and stores the entry. A hit on an
-// entry that was rendered for the other codec reuses its decision and
-// renders enc once, into a sibling entry. Either call reads the validity
-// tuple first and accounts the answer it gives: discovery counters, balance
-// assignment, flight annotation.
-func (r *Registry) discover(ctx context.Context, fw *flight.Writer, space respcache.Space, key string, start time.Time, enc encoding, probe bool) (*respcache.Entry, error) {
+// returns. It resolves key, a service id when byID is set and a name
+// otherwise, to the service's discovery entry in the store, where the
+// service's one answer is kept. A request is answered in up to two calls,
+// because on the REST route the admission middleware stands between them.
+// The probe (probe set) only consults the answer on the entry: it never
+// blocks and, when the answer already carries the encoding enc, never
+// allocates, which is what lets it run before a deadline context exists; it
+// returns a nil entry on a miss. The miss call (probe clear) resolves the
+// key again, runs the balancer on that view under ctx, renders the one
+// encoding the codec asked for and puts the answer on that view's entry. A
+// hit on an answer that was rendered for the other codec reuses its
+// decision and renders enc once, into a sibling. Either call reads the
+// validity tuple first and accounts the answer it gives: discovery
+// counters, balance assignment, flight annotation.
+func (r *Registry) discover(ctx context.Context, fw *flight.Writer, byID bool, key string, start time.Time, enc encoding, probe bool) (*respcache.Entry, error) {
 	// The tuple is read before the decision is computed, the epoch first:
-	// a store change or tier transition landing mid-flight leaves the
-	// stored entry permanently invalid rather than ever stale, and one that
-	// landed before the epoch was read is in the tier read after it.
+	// a tier transition landing mid-flight leaves the answer permanently
+	// invalid rather than ever stale, and one that landed before the epoch
+	// was read is in the tier read after it. A write landing mid-flight
+	// replaces the entry the answer is put on.
 	var epoch uint64
 	if !probe {
 		epoch = r.RespCache.Epoch()
@@ -643,34 +648,34 @@ func (r *Registry) discover(ctx context.Context, fw *flight.Writer, space respca
 	age := snapshotAge(start, taken)
 	tier := r.edgeTier()
 	if probe {
-		ent := r.RespCache.Lookup(space, key, gen, tier, start)
+		view, _ := r.Store.LookupService(key, byID)
+		ent := r.RespCache.Get(view, gen, tier, start)
 		if ent != nil {
 			if encoded(ent, enc) == nil {
-				ent = r.renderSibling(space, key, ent, enc)
+				ent = r.renderSibling(view, ent, enc)
 			}
 			r.account(fw, &ent.Decision, age, start, true)
 		}
 		return ent, nil
 	}
-	var uris []string
-	var dec core.Decision
-	var err error
-	if space == respcache.SpaceID {
-		uris, dec, err = r.QM.GetServiceBindingsCtx(ctx, key)
-	} else {
-		uris, dec, err = r.QM.GetServiceBindingsByNameCtx(ctx, key)
+	view, err := r.QM.ServiceViewCtx(ctx, key, byID)
+	if err != nil {
+		r.discovery.errors.Inc()
+		return nil, err
 	}
+	old, _ := view.Answer().(*respcache.Entry)
+	uris, dec, err := r.QM.ArrangeCtx(ctx, view)
 	if err != nil {
 		r.discovery.errors.Inc()
 		return nil, err
 	}
 	r.account(fw, &dec, age, start, false)
 	ent := &respcache.Entry{
-		Gen: gen, Tier: tier, Expires: respExpiry(&dec, start),
+		Epoch: epoch, Gen: gen, Tier: tier, Expires: respExpiry(&dec, start),
 		URIs: uris, Decision: dec,
 	}
 	r.renderBindings(ent, enc)
-	r.RespCache.StoreAt(space, key, ent, epoch)
+	respcache.Put(view, old, ent)
 	return ent, nil
 }
 
@@ -683,14 +688,15 @@ func encoded(ent *respcache.Entry, enc encoding) []byte {
 	return ent.JSON
 }
 
-// renderSibling answers a hit on an entry that lacks the encoding enc:
-// entries are immutable once stored (the hit path reads them with no lock),
-// so the missing bytes go into a copy that replaces the original under the
-// original's validity stamp.
-func (r *Registry) renderSibling(space respcache.Space, key string, of *respcache.Entry, enc encoding) *respcache.Entry {
+// renderSibling answers a hit on an answer that lacks the encoding enc:
+// answers are immutable once put (the hit path reads them with no lock),
+// so the missing bytes go into a copy that replaces the original on the
+// view's entry under the original's validity stamp, valid exactly as long
+// as the original would have been.
+func (r *Registry) renderSibling(view store.DiscoveryView, of *respcache.Entry, enc encoding) *respcache.Entry {
 	sib := *of
 	r.renderBindings(&sib, enc)
-	r.RespCache.StoreSibling(space, key, of, &sib)
+	respcache.Put(view, of, &sib)
 	return &sib
 }
 

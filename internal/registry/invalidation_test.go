@@ -101,45 +101,89 @@ func widenWorker(t *testing.T, leader *Registry) {
 	}
 }
 
+// submitNoise publishes a service on the leader that no answer reads.
+func submitNoise(t *testing.T, leader *Registry) {
+	t.Helper()
+	noise := rim.NewService("Noise", "")
+	noise.AddBinding("http://noise.sdsu.edu:8080/Noise/n")
+	if err := leader.LCM.SubmitObjects(leader.AdminContext(), noise); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// pollOne applies the leader's one new record on the follower.
+func pollOne(t *testing.T, p *replPair) {
+	t.Helper()
+	if n, err := p.f.Poll(context.Background()); err != nil || n != 1 {
+		t.Fatalf("poll applied %d records (%v), want the one write", n, err)
+	}
+}
+
+// rebootstrap has the follower load a checkpoint the leader takes now.
+func rebootstrap(t *testing.T, p *replPair) {
+	t.Helper()
+	if err := p.leader.Durable.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.f.Bootstrap(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// What part of an answer's stamp a cause leaves behind when the cause lands
+// between a request's reads: discover reads the epoch, then the
+// generation, then the tier, and puts the answer on the entry of the view
+// it computed from.
+const (
+	straddlesNothing = iota // the cause does not touch the answer
+	straddlesView           // the answer goes on the entry the cause replaced
+	straddlesGen            // the answer carries the generation before it
+	straddlesEpoch          // the answer carries the epoch before it
+)
+
 // TestReplCacheInvalidationCauses: each cause a discovery answer depends
 // on makes the answer cached before it be recomputed after it — one render
-// more, and a different body where the cause alters the answer. Nor is an
-// entry served whose stamp straddles the cause, as a request's does when
-// the cause lands between its reads: discover reads the epoch, then the
-// generation, then the tier. For a cause the epoch counts, the epoch is
-// read before it and the rest after; for a republish, which only the
-// generation sees, the epoch and the generation before it.
+// more, and a different body where the cause alters the answer — and what
+// the answer does not depend on leaves it a hit. Nor is an answer served
+// whose stamp straddles the cause, as a request's does when the cause
+// lands between its reads.
 func TestReplCacheInvalidationCauses(t *testing.T) {
 	for _, row := range []struct {
-		name     string
-		follower bool // the answer is cached on the follower
-		counted  bool // the cause advances the epoch
-		setup    func(*testing.T, *replPair)
-		cause    func(*testing.T, *replPair, *loadInvoker)
+		name      string
+		follower  bool // the answer is cached on the follower
+		straddles int  // what an answer computed across the cause holds stale
+		same      bool // the answer is recomputed but does not change
+		setup     func(*testing.T, *replPair)
+		cause     func(*testing.T, *replPair, *loadInvoker)
 	}{
-		{name: "lcm write on the leader", counted: true, cause: func(t *testing.T, p *replPair, _ *loadInvoker) {
+		{name: "lcm write on the leader", straddles: straddlesView, cause: func(t *testing.T, p *replPair, _ *loadInvoker) {
 			widenWorker(t, p.leader)
 		}},
-		{name: "record applied on the follower", follower: true, counted: true, cause: func(t *testing.T, p *replPair, _ *loadInvoker) {
-			widenWorker(t, p.leader)
-			if n, err := p.f.Poll(context.Background()); err != nil || n != 1 {
-				t.Fatalf("poll applied %d records (%v), want the one write", n, err)
-			}
+		{name: "lcm write to another service on the leader", cause: func(t *testing.T, p *replPair, _ *loadInvoker) {
+			submitNoise(t, p.leader)
 		}},
-		{name: "follower re-bootstrap", follower: true, counted: true, cause: func(t *testing.T, p *replPair, _ *loadInvoker) {
+		{name: "record applied on the follower", follower: true, straddles: straddlesView, cause: func(t *testing.T, p *replPair, _ *loadInvoker) {
 			widenWorker(t, p.leader)
-			if err := p.leader.Durable.Checkpoint(); err != nil {
-				t.Fatal(err)
-			}
-			if err := p.f.Bootstrap(context.Background()); err != nil {
-				t.Fatal(err)
-			}
+			pollOne(t, p)
 		}},
-		{name: "collector republish", cause: func(_ *testing.T, p *replPair, inv *loadInvoker) {
+		{name: "record for another service applied on the follower", follower: true, cause: func(t *testing.T, p *replPair, _ *loadInvoker) {
+			submitNoise(t, p.leader)
+			pollOne(t, p)
+		}},
+		{name: "follower re-bootstrap", follower: true, straddles: straddlesView, cause: func(t *testing.T, p *replPair, _ *loadInvoker) {
+			widenWorker(t, p.leader)
+			rebootstrap(t, p)
+		}},
+		{name: "follower re-bootstrap without a write to the service", follower: true, straddles: straddlesView, same: true,
+			cause: func(t *testing.T, p *replPair, _ *loadInvoker) {
+				submitNoise(t, p.leader)
+				rebootstrap(t, p)
+			}},
+		{name: "collector republish", straddles: straddlesGen, cause: func(_ *testing.T, p *replPair, inv *loadInvoker) {
 			inv.set("h01.sdsu.edu", 5)
 			p.leader.Collector.CollectOnce()
 		}},
-		{name: "tier transition to static, all quarantined", counted: true, setup: func(_ *testing.T, p *replPair) {
+		{name: "tier transition to static, all quarantined", straddles: straddlesEpoch, setup: func(_ *testing.T, p *replPair) {
 			tab := p.leader.Store.NodeState()
 			for _, h := range causeHosts {
 				row, _ := tab.Snapshot().Get(h)
@@ -169,29 +213,77 @@ func TestReplCacheInvalidationCauses(t *testing.T) {
 				t.Fatalf("the cached answer differs from the rendered one:\n%q\n%q", again, before)
 			}
 			r0 := renders()
+			preView, _ := reg.Store.LookupService("Worker", false)
 			preGen, _ := reg.Balancer.SnapshotMeta(reg.Clock.Now())
 			preEpoch := reg.RespCache.Epoch()
 
 			row.cause(t, p, inv)
 			after, _ := getBindings(t, srv, "Worker")
+			if row.straddles == straddlesNothing {
+				if got := renders(); got != r0 || after != before {
+					t.Fatalf("after a cause the answer does not read: renders %d, want none; answer %q, want %q", got-r0, after, before)
+				}
+				return
+			}
 			if got := renders(); got != r0+1 {
 				t.Fatalf("renders after the cause = %d, want %d: the cached answer was served", got, r0+1)
 			}
-			if after == before {
-				t.Fatalf("the answer did not change across the cause: %q", after)
+			if changed := after != before; changed == row.same {
+				t.Fatalf("the answer across the cause went from %q to %q", before, after)
 			}
 
 			const stale = "stale\n"
-			gen := preGen
-			if row.counted {
-				gen, _ = reg.Balancer.SnapshotMeta(reg.Clock.Now())
+			gen, _ := reg.Balancer.SnapshotMeta(reg.Clock.Now())
+			epoch := reg.RespCache.Epoch()
+			switch row.straddles {
+			case straddlesGen:
+				gen = preGen
+			case straddlesEpoch:
+				epoch = preEpoch
 			}
-			reg.RespCache.StoreAt(respcache.SpaceName, "Worker", &respcache.Entry{
-				Gen: gen, Tier: reg.edgeTier(), JSON: []byte(stale),
-			}, preEpoch)
-			if got, _ := getBindings(t, srv, "Worker"); got == stale || renders() != r0+2 {
-				t.Fatalf("an entry stamped before the cause validated: served %q, renders %d", got, renders()-r0)
+			old, _ := preView.Answer().(*respcache.Entry)
+			respcache.Put(preView, old, &respcache.Entry{Epoch: epoch, Gen: gen, Tier: reg.edgeTier(), JSON: []byte(stale)})
+			if got, _ := getBindings(t, srv, "Worker"); got != after {
+				t.Fatalf("an answer stamped across the cause was served: %q, want %q", got, after)
 			}
 		})
+	}
+}
+
+// hookCtx runs hook the first time discovery checks its deadline, which
+// the miss path does between loading the view and arranging it.
+type hookCtx struct {
+	context.Context
+	once sync.Once
+	hook func()
+}
+
+func (c *hookCtx) Err() error {
+	c.once.Do(c.hook)
+	return c.Context.Err()
+}
+
+// TestReplicatedChangeMidFlightNeverValidates: a followed record that
+// replaces the service between the miss path's view load and its arrange
+// leaves the answer computed from the old version on the old entry, where
+// nothing reads it: the next request computes from the record's version.
+func TestReplicatedChangeMidFlightNeverValidates(t *testing.T) {
+	p, _ := newCausePair(t)
+	widenWorker(t, p.leader)
+	ctx := &hookCtx{Context: context.Background(), hook: func() { pollOne(t, p) }}
+	reg := p.follower
+	mid, err := reg.discover(ctx, nil, false, "Worker", reg.Clock.Now(), encJSON, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _ := getBindings(t, p.fsrv, "Worker")
+	if got == string(mid.JSON) {
+		t.Fatalf("the answer computed from the replaced version was served: %q", got)
+	}
+	if again, _ := getBindings(t, p.fsrv, "Worker"); again != got {
+		t.Fatalf("the recomputed answer is not the one cached:\n%q\n%q", again, got)
+	}
+	if n := reg.renders[encJSON].Value(); n != 2 {
+		t.Fatalf("renders = %d, want the mid-flight one and its recompute", n)
 	}
 }

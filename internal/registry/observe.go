@@ -101,10 +101,10 @@ func (r *Registry) buildExposition() *obs.Exposition {
 		"Discovery cache lookups that fell through to the balancer.",
 		rc.Misses.Value)
 	e.Counter("registry_respcache_invalidations_total",
-		"How far the response cache's epoch has advanced since boot: store changes (writes, followed records, bootstraps), brownout transitions and explicit flushes.",
-		func() int64 { return int64(rc.Epoch() - r.bootEpoch) })
+		"Brownout tier transitions and explicit flushes since boot, each of which invalidates every cached answer. A write invalidates only the answer of the service it replaces and is not counted.",
+		func() int64 { return int64(rc.Epoch()) })
 	e.Gauge("registry_respcache_entries",
-		"Preserialized responses currently cached.",
+		"Stored services carrying a preserialized answer, valid or not, counted at scrape.",
 		func() float64 { return float64(rc.Len()) })
 	for enc := encoding(0); enc < numEncodings; enc++ {
 		e.LabelledCounter("registry_respcache_renders_total",

@@ -139,12 +139,8 @@ type Registry struct {
 	// Breakers is the collector's breaker set (nil when Config.Breaker was
 	// nil).
 	Breakers *breaker.Set
-	// ConstraintCache serves nothing: discovery reads the digest the store
-	// keeps beside each service (store.DiscoveryView.Digest). The field,
-	// constraint.Cache and registry_constraint_cache_hits_total stay only
-	// because bench/layers.go and bench/bench_test.go name them, and go
-	// with the benchmark change that retires those references.
-	ConstraintCache *constraint.Cache
+	// pinned holds the fields only bench/ reads (pinned.go).
+	pinned
 	// Sampler picks the discovery requests whose flight records carry a
 	// trace id and stage timings (always allocated; rate 0 by default).
 	Sampler *flight.Sampler
@@ -158,8 +154,8 @@ type Registry struct {
 	// Config.Admission was nil: every request is then served
 	// unconditionally).
 	Admission *admit.Controller
-	// RespCache is the preserialized discovery response cache: at most
-	// one answer per stored service (Store.Services) in each key space.
+	// RespCache validates the preserialized discovery answers kept on the
+	// store's entries, at most one per stored service.
 	RespCache *respcache.Cache
 	// Flight is the always-on wide-event recorder behind /registry/flight
 	// (flight.DefaultRingSize records).
@@ -180,7 +176,6 @@ type Registry struct {
 	replFollow string // leader base URL when this node is a follower
 
 	discovery discoveryMetrics
-	bootEpoch uint64                        // RespCache.Epoch() when New returned
 	renders   [numEncodings]metrics.Counter // bindings answers rendered, by encoding
 	expo      *obs.Exposition
 	pprof     bool
@@ -213,19 +208,19 @@ func New(cfg Config) (*Registry, error) {
 		FallbackAll: cfg.FallbackAll,
 		Degraded:    cfg.Degraded,
 	}
-	// A preserialized answer is valid while the store it was computed from
-	// is unchanged — whoever changed it: this node's writes, replay, the
-	// follower — and, under admission control, while the brownout ladder
-	// has not moved: each transition also changes the overrides the
-	// controller hands the balancer.
-	changes := []func() uint64{s.Changes}
+	// A preserialized answer lives on the store's entry for the version of
+	// the service it was computed from, so no write needs counting; under
+	// admission control it is valid while the brownout ladder has not
+	// moved: each transition also changes the overrides the controller
+	// hands the balancer.
 	var ctrl *admit.Controller
+	var tierChanges []func() uint64
 	if cfg.Admission != nil {
 		ctrl = admit.NewController(*cfg.Admission, clk, logger.With("component", "admit"))
 		bal.Brownout = ctrl
-		changes = append(changes, func() uint64 { return uint64(ctrl.TierChanges()) })
+		tierChanges = append(tierChanges, func() uint64 { return uint64(ctrl.TierChanges()) })
 	}
-	respCache := respcache.New(s.Services, changes...)
+	respCache := respcache.New(s, tierChanges...)
 	trail := audit.New(s, clk)
 	bus := events.NewBus()
 	lifecycle := lcm.New(s, xacml.DefaultPolicy(), trail, bus)
@@ -286,16 +281,16 @@ func New(cfg Config) (*Registry, error) {
 		Registrar: registrar,
 		Breakers:  breakers,
 
-		ConstraintCache: constraint.NewCache(0),
-		Sampler:         flight.NewSampler(clk, cfg.TraceSample),
-		Log:             logger.With("component", "registry"),
-		Durable:         durable,
-		Admission:       ctrl,
-		RespCache:       respCache,
-		Flight:          flight.NewRing(0),
-		Balance:         obs.NewBalance(),
-		SLOEngine:       obs.NewSLO(obs.DefaultSLOConfig()),
-		pprof:           cfg.Pprof,
+		pinned:    pinned{ConstraintCache: new(constraint.Cache)},
+		Sampler:   flight.NewSampler(clk, cfg.TraceSample),
+		Log:       logger.With("component", "registry"),
+		Durable:   durable,
+		Admission: ctrl,
+		RespCache: respCache,
+		Flight:    flight.NewRing(0),
+		Balance:   obs.NewBalance(),
+		SLOEngine: obs.NewSLO(obs.DefaultSLOConfig()),
+		pprof:     cfg.Pprof,
 	}
 	// Balance and SLO rollups ride the collector's sweep cadence: the
 	// same tick that installs the NodeState snapshot cuts a fairness
@@ -357,7 +352,6 @@ func New(cfg Config) (*Registry, error) {
 			return nil, err
 		}
 	}
-	r.bootEpoch = respCache.Epoch()
 	return r, nil
 }
 

@@ -143,9 +143,10 @@ func TestRESTCacheHitIsByteIdentical(t *testing.T) {
 	}
 }
 
-// TestSOAPCacheHitIsByteIdentical covers both key spaces (by-name and
-// by-id) and the cross-protocol entry: the envelope preserialized on the
-// SOAP miss also answers the REST edge, and vice versa.
+// TestSOAPCacheHitIsByteIdentical covers both keys (by-name and by-id),
+// which reach the service's one answer, and the cross-protocol answer: the
+// envelope preserialized on the SOAP miss also answers the REST edge, and
+// vice versa.
 func TestSOAPCacheHitIsByteIdentical(t *testing.T) {
 	reg, srv, svc := newCachedRegistry(t, nil)
 
@@ -165,8 +166,14 @@ func TestSOAPCacheHitIsByteIdentical(t *testing.T) {
 	if !bytes.Equal(freshID, cachedID) {
 		t.Fatalf("SOAP by-id cached envelope differs:\nfresh: %q\ncached: %q", freshID, cachedID)
 	}
-	if got, want := reg.RespCache.Len(), 2; got != want {
-		t.Fatalf("cache entries = %d, want %d (name + id spaces)", got, want)
+	if !bytes.Equal(freshID, fresh) {
+		t.Fatalf("SOAP by-id envelope differs from by-name:\nby id:   %q\nby name: %q", freshID, fresh)
+	}
+	if got, want := reg.RespCache.Hits.Value(), int64(3); got != want {
+		t.Fatalf("hits after the by-id pair = %d, want %d (one answer per service)", got, want)
+	}
+	if got, want := reg.RespCache.Len(), 1; got != want {
+		t.Fatalf("cache entries = %d, want %d", got, want)
 	}
 
 	// The by-name entry carries both encodings: the REST edge answers
@@ -181,9 +188,10 @@ func TestSOAPCacheHitIsByteIdentical(t *testing.T) {
 	}
 }
 
-// TestLCMWriteInvalidates: a life-cycle write bumps the epoch, so the
-// next request re-renders and reflects the new binding list even though
-// the snapshot generation never moved.
+// TestLCMWriteInvalidates: a life-cycle write replaces the service's
+// entry and the answer on it, so the next request re-renders and reflects
+// the new binding list although neither the epoch nor the snapshot
+// generation moved.
 func TestLCMWriteInvalidates(t *testing.T) {
 	reg, srv, svc := newCachedRegistry(t, nil)
 
@@ -201,8 +209,8 @@ func TestLCMWriteInvalidates(t *testing.T) {
 	if err := reg.LCM.UpdateObjects(reg.AdminContext(), svc); err != nil {
 		t.Fatal(err)
 	}
-	if got := reg.RespCache.Epoch(); got != epoch+1 {
-		t.Fatalf("epoch after LCM write: %d -> %d, want one step", epoch, got)
+	if got := reg.RespCache.Epoch(); got != epoch {
+		t.Fatalf("epoch after LCM write: %d -> %d, want unchanged", epoch, got)
 	}
 
 	after, _ := getBindings(t, srv, "Adder")
@@ -210,7 +218,7 @@ func TestLCMWriteInvalidates(t *testing.T) {
 		t.Fatalf("stale cache served after LCM write: %q", after)
 	}
 	if got, want := reg.RespCache.Misses.Value(), int64(2); got != want {
-		t.Fatalf("misses = %d, want %d (epoch invalidated the entry)", got, want)
+		t.Fatalf("misses = %d, want %d (the write replaced the entry)", got, want)
 	}
 	if got, want := reg.RespCache.Hits.Value(), int64(0); got != want {
 		t.Fatalf("hits = %d, want %d", got, want)

@@ -132,17 +132,17 @@ func TestSOAPMissThenRESTRendersSibling(t *testing.T) {
 	}
 }
 
-// TestSOAPKeySpacesDoNotShare: by-id and by-name requests for one service
-// are two entries, each with its own balancer run, and a REST request
-// shares only the by-name one.
+// TestSOAPKeySpacesDoNotShare: a service's id and its name reach its one
+// answer, but a string that is one service's name and another service's
+// id reaches each service's own: neither lookup gets the other's answer.
 func TestSOAPKeySpacesDoNotShare(t *testing.T) {
 	reg, srv, svc := newCachedRegistry(t, nil)
 
 	byID := postBindingsRaw(t, srv, &GetBindingsRequest{ServiceID: svc.ID})
 	byName := postBindingsRaw(t, srv, &GetBindingsRequest{ServiceName: "Adder"})
-	wantCounts(t, reg, "after one request per space", cacheCounts{misses: 2, runs: 2, soap: 2})
+	wantCounts(t, reg, "after one request by id and one by name", cacheCounts{hits: 1, misses: 1, runs: 1, soap: 1})
 	if !bytes.Equal(byID, byName) {
-		t.Fatalf("the two spaces answer differently:\n%q\n%q", byID, byName)
+		t.Fatalf("the two keys answer differently:\n%q\n%q", byID, byName)
 	}
 	// The id is not a name and the name is not an id.
 	if status, _ := postEnvelope(t, srv, canonicalRequest(t, &GetBindingsRequest{ServiceName: svc.ID})); status != http.StatusBadRequest {
@@ -152,26 +152,49 @@ func TestSOAPKeySpacesDoNotShare(t *testing.T) {
 		t.Fatalf("service name looked up as an id: status %d", status)
 	}
 
-	getBindings(t, srv, "Adder")
-	if got := cacheCountsOf(reg); got.json != 1 || got.runs != 2 {
+	// A service named with Adder's id, bound to one host only.
+	twin := rim.NewService(svc.ID, "")
+	twin.AddBinding("http://h03.sdsu.edu:8080/Twin/twin")
+	if err := reg.LCM.SubmitObjects(reg.AdminContext(), twin); err != nil {
+		t.Fatal(err)
+	}
+	before := cacheCountsOf(reg)
+	twinByName := postBindingsRaw(t, srv, &GetBindingsRequest{ServiceName: svc.ID})
+	if bytes.Equal(twinByName, byID) {
+		t.Fatal("the name lookup got the answer of the service with that id")
+	}
+	if got := cacheCountsOf(reg); got.misses != before.misses+1 || got.runs != before.runs+1 {
+		t.Fatalf("the name lookup: counts %+v -> %+v, want a miss and a balancer run", before, got)
+	}
+	if again := postBindingsRaw(t, srv, &GetBindingsRequest{ServiceID: svc.ID}); !bytes.Equal(again, byID) {
+		t.Fatalf("the id lookup after the name lookup got %q, want Adder's %q", again, byID)
+	}
+	rest, _ := getBindings(t, srv, "Adder")
+	if got := cacheCountsOf(reg); got.json != 1 || got.runs != before.runs+1 {
 		t.Fatalf("REST after both: %+v, want one JSON render and no further balancer run", got)
 	}
+	if want := marshalFromJSON(t, rest); !bytes.Equal(byName, want) {
+		t.Fatalf("REST answer differs from the SOAP one:\n%q\n%q", byName, want)
+	}
 	if got := reg.RespCache.Len(); got != 2 {
-		t.Fatalf("cache entries = %d, want 2", got)
+		t.Fatalf("cache entries = %d, want 2 (Adder and its twin)", got)
 	}
 }
 
-// TestInvalidationBeforeSiblingRecomputes: whatever moves the validity
-// tuple between the first store and the request for the other encoding —
-// an LCM write, a republished snapshot, a brownout tier change — the
-// stored decision is not reused: the second request misses and recomputes.
+// TestInvalidationBeforeSiblingRecomputes: whatever retires the answer
+// between the first store and the request for the other encoding — an LCM
+// write to the service, a republished snapshot, a brownout tier change —
+// the stored decision is not reused: the second request misses and recomputes.
 func TestInvalidationBeforeSiblingRecomputes(t *testing.T) {
 	adm := admitTestConfig()
 	for name, move := range map[string]func(*testing.T, *Registry){
 		"lcm write": func(t *testing.T, reg *Registry) {
-			noise := rim.NewService("Noise", "")
-			noise.AddBinding("http://noise.sdsu.edu:8080/Noise/n")
-			if err := reg.LCM.SubmitObjects(reg.AdminContext(), noise); err != nil {
+			adder, err := reg.QM.GetServiceByName("Adder")
+			if err != nil {
+				t.Fatal(err)
+			}
+			adder.AddBinding("http://h09.sdsu.edu:8080/Adder/addService")
+			if err := reg.LCM.UpdateObjects(reg.AdminContext(), adder); err != nil {
 				t.Fatal(err)
 			}
 		},
@@ -216,8 +239,9 @@ func TestStoreSiblingAfterInvalidationStaysInvalid(t *testing.T) {
 		t.Fatalf("REST miss left %+v, want a JSON-only entry", of)
 	}
 
+	view, _ := reg.Store.LookupService("Adder", false)
 	reg.RespCache.BumpEpoch()
-	sib := reg.renderSibling(respcache.SpaceName, "Adder", of, encSOAP)
+	sib := reg.renderSibling(view, of, encSOAP)
 	if sib.SOAP == nil || !bytes.Equal(sib.JSON, of.JSON) || of.SOAP != nil {
 		t.Fatal("the sibling must carry both encodings and leave the original untouched")
 	}
@@ -232,23 +256,27 @@ func TestStoreSiblingAfterInvalidationStaysInvalid(t *testing.T) {
 	if fresh == nil {
 		t.Fatal("no valid entry after the recompute")
 	}
-	reg.renderSibling(respcache.SpaceName, "Adder", of, encSOAP)
+	reg.renderSibling(view, of, encSOAP)
 	if ent := reg.RespCache.Lookup(respcache.SpaceName, "Adder", gen, 0, now); ent != fresh {
 		t.Fatal("a late sibling of a superseded entry replaced the fresh one")
 	}
 }
 
-// TestPreRenderedEntryServedAsIs: the benchmark's shadow pipeline stores
-// entries that carry both encodings and nothing to render them from; both
-// routes serve those bytes untouched.
+// TestPreRenderedEntryServedAsIs: an answer that carries both encodings
+// and nothing to render them from is served untouched on both routes.
 func TestPreRenderedEntryServedAsIs(t *testing.T) {
 	reg, srv, _ := newCachedRegistry(t, nil)
+	stored := rim.NewService("Stored", "")
+	if err := reg.Store.Put(stored); err != nil {
+		t.Fatal(err)
+	}
 	now := reg.Clock.Now()
 	gen, _ := reg.Balancer.SnapshotMeta(now)
 	jsonBody, soapBody := []byte("{\"stored\": \"as json\"}\n"), []byte("<stored>as soap</stored>")
-	reg.RespCache.StoreAt(respcache.SpaceName, "Stored", &respcache.Entry{
-		Gen: gen, JSON: jsonBody, SOAP: soapBody, Decision: core.Decision{TimeWindowOK: true},
-	}, reg.RespCache.Epoch())
+	view, _ := reg.Store.LookupService("Stored", false)
+	respcache.Put(view, nil, &respcache.Entry{
+		Epoch: reg.RespCache.Epoch(), Gen: gen, JSON: jsonBody, SOAP: soapBody, Decision: core.Decision{TimeWindowOK: true},
+	})
 
 	if got, _ := getBindings(t, srv, "Stored"); got != string(jsonBody) {
 		t.Fatalf("REST served %q, want the stored bytes", got)

@@ -1,35 +1,35 @@
-// Package respcache caches preserialized discovery responses. A
-// per-service binding list is rendered in the encoding (JSON or SOAP) the
-// first request after a change asks for, the other encoding on the first
-// request that asks for that, and each is then served with a single Write
-// until one of the four causes that could alter the answer moves. Each has
-// one owner and one mechanism, and the cache is told of none of them:
+// Package respcache keeps one preserialized discovery answer per stored
+// service, on the service's own discovery entry in the store
+// (store.DiscoveryView.Answer), and says when it may be served. A service's
+// answer is rendered in the encoding (JSON or SOAP) the first request after
+// a change asks for, the other encoding on the first request that asks for
+// that, and each is then served with a single Write until one of the four
+// things it was computed from moves. Each has one owner and one mechanism,
+// and the cache is told of none of them:
 //
-//   - the stored service: the store's change count (store.Store.Changes),
-//     advanced by every Apply and Load — a leader's write, a replayed or
-//     followed record, a follower's bootstrap — is part of the epoch;
-//   - the NodeState rows: the balancer's snapshot generation is part of
-//     the entry key, so the next sweep's install misses;
-//   - the brownout tier: the tier is part of the entry key, and the
+//   - the stored service: a write, a replayed or followed record or a
+//     follower's bootstrap that re-indexes the service gives it a new
+//     entry with an empty slot, so the answer goes with the version it was
+//     computed from, and a write to one service leaves every other
+//     service's answer standing;
+//   - the NodeState rows: the balancer's snapshot generation is stamped on
+//     the answer, so the next sweep's install misses;
+//   - the brownout tier: the tier is stamped on the answer, and the
 //     admission controller's transition count is part of the epoch, since
 //     a transition also changes the overrides the decision is computed
 //     under;
-//   - the request time: entries carry an Expires instant, the next
+//   - the request time: answers carry an Expires instant, the next
 //     constraint time-window boundary or freshness horizon.
 //
 // The epoch is the sum of the counters the cache was built with plus its
-// own flush count (BumpEpoch). Entries are stamped with the epoch observed
-// *before* the decision was computed, so a change that lands mid-flight
-// leaves a stamp that never validates — conservative, never stale.
+// own flush count. An answer is stamped with the epoch and generation read
+// *before* its decision was computed and is put on the entry of the view
+// it was computed from (Put), so a change that lands mid-flight leaves an
+// answer that either never validates or is never read — conservative,
+// never stale.
 //
-// Its size follows the store, not a fixed cap. The registry stores only
-// answers to lookups that resolved, so a scan of unknown names stores
-// nothing, and the memory spent is one rendered answer per stored service
-// in each space. Keys the store does not bound one-to-one — case variants
-// of one name, services deleted since their answer was stored — can still
-// reach numSpaces × services entries; adding one more key then flushes the
-// whole table, a deterministic reset (no RNG, per the repo's norand
-// invariant).
+// There is no table to bound: the store holds at most one answer per
+// stored service, and an unknown name or id reaches no entry to fill.
 package respcache
 
 import (
@@ -40,30 +40,19 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/metrics"
+	"repro/internal/store"
 )
 
-// Space separates the cache's key namespaces: discovery by service name
-// (REST and SOAP GetServiceBindingsByName) and by service id (SOAP
-// GetServiceBindings). The same string could legally be both a name and
-// an id, so the spaces never share keys.
-type Space int
-
-const (
-	SpaceName Space = iota
-	SpaceID
-	numSpaces
-)
-
-// Entry is one preserialized response. Gen, Tier, and Expires record the
-// world the entry was rendered in; Lookup revalidates all three plus the
-// epoch. Decision is retained so a cache hit can feed the same
-// discovery metrics a rendered response would.
+// Entry is one preserialized answer. Epoch, Gen, Tier, and Expires record
+// the world it was rendered in, and Get revalidates all four. Decision is
+// retained so a hit can feed the same discovery metrics a rendered
+// response would.
 //
-// An entry is immutable once stored. It carries the encoding its first
+// An entry is immutable once put. It carries the encoding its first
 // request asked for; the other one is nil until a request wants it, renders
-// it from URIs and Decision, and swaps in a sibling entry (StoreSibling)
-// holding both. An entry stored with both encodings needs no URIs.
+// it from URIs and Decision into a copy, and puts the copy in its place.
 type Entry struct {
+	Epoch    uint64 // the cache's epoch read before the decision was computed
 	Gen      uint64
 	Tier     uint32
 	Expires  time.Time // zero means no time-dependent constraint or freshness horizon
@@ -71,42 +60,30 @@ type Entry struct {
 	SOAP     []byte
 	URIs     []string // the arranged answer the encodings are rendered from
 	Decision core.Decision
-
-	epoch uint64 // epoch observed before the decision was computed
 }
 
-// Cache is an epoch-validated map of preserialized responses. All methods
-// are safe for concurrent use.
+// Cache says which answers on the store's entries are still valid. All
+// methods are safe for concurrent use.
 type Cache struct {
-	services func() int      // immutable after New
-	sources  []func() uint64 // immutable after New
-	flushes  atomic.Uint64
-
-	mu     sync.RWMutex
-	spaces [numSpaces]map[string]*Entry // guarded by mu
+	store   *store.Store    // immutable after New; only Lookup and Len read it
+	sources []func() uint64 // immutable after New
+	flushes atomic.Uint64
 
 	Hits   metrics.Counter
 	Misses metrics.Counter
 }
 
-// New creates a cache that holds at most one entry per service in each
-// space: services reports how many services the store holds, and StoreAt
-// reads it before the cache takes its own lock. Each source is a counter
-// that only grows and that its owner advances no later than the change it
-// counts becomes visible; the epoch moves whenever one of them does.
-func New(services func() int, sources ...func() uint64) *Cache {
-	c := &Cache{services: services, sources: sources}
-	c.mu.Lock()
-	for i := range c.spaces {
-		c.spaces[i] = make(map[string]*Entry)
-	}
-	c.mu.Unlock()
-	return c
+// New creates the cache of the answers kept on s's entries. Each source is
+// a counter that only grows and that its owner advances no later than the
+// change it counts becomes visible; the epoch moves whenever one of them
+// does.
+func New(s *store.Store, sources ...func() uint64) *Cache {
+	return &Cache{store: s, sources: sources}
 }
 
 // Epoch returns the current epoch: the flush count plus every source.
-// Callers read it before computing a decision and pass it back to StoreAt,
-// so entries rendered across a concurrent change can never validate.
+// Callers read it before computing a decision and stamp the answer with
+// it, so answers rendered across a concurrent change can never validate.
 func (c *Cache) Epoch() uint64 {
 	e := c.flushes.Load()
 	for _, src := range c.sources {
@@ -115,20 +92,13 @@ func (c *Cache) Epoch() uint64 {
 	return e
 }
 
-// BumpEpoch invalidates every live entry by advancing the epoch.
-func (c *Cache) BumpEpoch() {
-	c.flushes.Add(1)
-}
-
-// Lookup returns the cached entry for (space, key) if it was rendered in
-// the current world: same epoch, same snapshot generation, same
-// brownout tier, and not past its expiry. Misses and invalid entries
-// count as misses.
-func (c *Cache) Lookup(space Space, key string, gen uint64, tier uint32, now time.Time) *Entry {
-	c.mu.RLock()
-	e := c.spaces[space][key]
-	c.mu.RUnlock()
-	if e == nil || e.epoch != c.Epoch() || e.Gen != gen || e.Tier != tier ||
+// Get returns the answer v's entry holds if it was computed in the current
+// world: same epoch, same snapshot generation, same brownout tier, and not
+// past its expiry. Anything else — no answer, a stale one, a view built by
+// hand — counts as a miss.
+func (c *Cache) Get(v store.DiscoveryView, gen uint64, tier uint32, now time.Time) *Entry {
+	e, _ := v.Answer().(*Entry)
+	if e == nil || e.Epoch != c.Epoch() || e.Gen != gen || e.Tier != tier ||
 		(!e.Expires.IsZero() && !now.Before(e.Expires)) {
 		c.Misses.Inc()
 		return nil
@@ -137,59 +107,20 @@ func (c *Cache) Lookup(space Space, key string, gen uint64, tier uint32, now tim
 	return e
 }
 
-// StoreAt inserts an entry stamped with the epoch the caller read before
-// computing it. When a new key would take the cache past numSpaces entries
-// per stored service, the whole table is flushed first — a deterministic
-// reset rather than a randomized eviction; storing under an existing key
-// never flushes.
-func (c *Cache) StoreAt(space Space, key string, e *Entry, epoch uint64) {
-	if e == nil {
+// Put leaves e on the entry of v, the view it was computed from, in place
+// of old, what the entry held when the computation started (nil for
+// nothing). An entry that no longer holds old keeps what replaced it: a
+// newer answer, or a sibling that adds old's other encoding.
+func Put(v store.DiscoveryView, old, e *Entry) {
+	if old == nil {
+		v.CompareAndSwapAnswer(nil, e) // not a nil *Entry, which an empty slot is not
 		return
 	}
-	e.epoch = epoch
-	bound := int(numSpaces) * c.services() // the store's lock, never under ours
-	c.mu.Lock()
-	if _, exists := c.spaces[space][key]; !exists && c.lenLocked() >= bound {
-		for i := range c.spaces {
-			c.spaces[i] = make(map[string]*Entry)
-		}
-	}
-	c.spaces[space][key] = e
-	c.mu.Unlock()
+	v.CompareAndSwapAnswer(old, e)
 }
 
-// StoreSibling replaces of, an entry Lookup returned for (space, key), with
-// sib, a copy of it that also carries its second encoding. The sibling
-// keeps of's validity stamp — epoch, generation, tier, expiry — so it is
-// valid exactly as long as of would have been: a change that landed since
-// of was computed leaves both invalid. When (space, key) no longer holds
-// of (a newer answer was stored, or the table was flushed) nothing is
-// stored; the caller still serves sib, which is as good as of was.
-func (c *Cache) StoreSibling(space Space, key string, of, sib *Entry) {
-	sib.epoch = of.epoch
-	c.mu.Lock()
-	if c.spaces[space][key] == of {
-		c.spaces[space][key] = sib
-	}
-	c.mu.Unlock()
-}
-
-// Len reports the live entry count across all spaces.
-func (c *Cache) Len() int {
-	c.mu.RLock()
-	n := c.lenLocked()
-	c.mu.RUnlock()
-	return n
-}
-
-// lenLocked sums the space sizes; callers hold mu.
-func (c *Cache) lenLocked() int {
-	n := 0
-	for i := range c.spaces {
-		n += len(c.spaces[i])
-	}
-	return n
-}
+// Len reports how many stored services carry an answer, valid or not.
+func (c *Cache) Len() int { return c.store.Answers() }
 
 // bufPool recycles the scratch buffers used to render responses (and by
 // the registry's pooled JSON writer). Oversized buffers are dropped on

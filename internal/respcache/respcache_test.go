@@ -1,56 +1,112 @@
 package respcache
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/rim"
+	"repro/internal/store"
 )
 
 var testEpoch = time.Date(2011, 4, 22, 11, 0, 0, 0, time.UTC)
 
-// stored is a store that holds n services.
-func stored(n int) func() int { return func() int { return n } }
+// fixture is a store holding one service under each name, and a cache
+// built on it with the given epoch sources.
+func fixture(t testing.TB, names []string, sources ...func() uint64) (*store.Store, *Cache) {
+	t.Helper()
+	s := store.New()
+	for _, name := range names {
+		if err := s.Put(rim.NewService(name, "")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return s, New(s, sources...)
+}
+
+// view resolves a service name as the discovery probe does.
+func view(t testing.TB, s *store.Store, name string) store.DiscoveryView {
+	t.Helper()
+	v, ok := s.LookupService(name, false)
+	if !ok {
+		t.Fatalf("no service named %q", name)
+	}
+	return v
+}
+
+// put computes nothing: it leaves e on name's entry, stamped with epoch, as
+// a miss that read epoch before computing e does.
+func put(t testing.TB, s *store.Store, name string, e *Entry, epoch uint64) {
+	t.Helper()
+	v := view(t, s, name)
+	old, _ := v.Answer().(*Entry)
+	e.Epoch = epoch
+	Put(v, old, e)
+}
 
 func TestLookupHitAndMiss(t *testing.T) {
-	c := New(stored(4))
+	s, c := fixture(t, []string{"Adder"})
 	now := testEpoch
-	if e := c.Lookup(SpaceName, "Adder", 1, 0, now); e != nil {
-		t.Fatal("empty cache returned an entry")
+	if e := c.Get(view(t, s, "Adder"), 1, 0, now); e != nil {
+		t.Fatal("an entry with no answer returned one")
 	}
-	if c.Misses.Value() != 1 {
-		t.Fatalf("Misses = %d, want 1", c.Misses.Value())
+	if e := c.Lookup(SpaceName, "Nope", 1, 0, now); e != nil {
+		t.Fatal("an unknown name returned an answer")
+	}
+	if c.Misses.Value() != 2 {
+		t.Fatalf("Misses = %d, want 2", c.Misses.Value())
 	}
 
-	epoch := c.Epoch()
-	c.StoreAt(SpaceName, "Adder", &Entry{Gen: 1, JSON: []byte(`{"a":1}`)}, epoch)
-	e := c.Lookup(SpaceName, "Adder", 1, 0, now)
+	put(t, s, "Adder", &Entry{Gen: 1, JSON: []byte(`{"a":1}`)}, c.Epoch())
+	e := c.Get(view(t, s, "adder"), 1, 0, now)
 	if e == nil {
-		t.Fatal("stored entry not returned")
+		t.Fatal("the answer put on the entry was not returned")
 	}
 	if string(e.JSON) != `{"a":1}` {
 		t.Fatalf("JSON = %q", e.JSON)
 	}
-	if c.Hits.Value() != 1 {
-		t.Fatalf("Hits = %d, want 1", c.Hits.Value())
+	if got := c.Lookup(SpaceName, "ADDER", 1, 0, now); got != e {
+		t.Fatal("Lookup by another case of the name missed")
+	}
+	if got := c.Lookup(SpaceID, view(t, s, "Adder").ID, 1, 0, now); got != e {
+		t.Fatal("Lookup by id missed")
+	}
+	if c.Hits.Value() != 3 {
+		t.Fatalf("Hits = %d, want 3", c.Hits.Value())
+	}
+	// StoreAt cannot say which version an answer was computed from, so it
+	// leaves nothing.
+	c.StoreAt(SpaceName, "Adder", &Entry{Gen: 2}, c.Epoch())
+	if got := c.Get(view(t, s, "Adder"), 1, 0, now); got != e {
+		t.Fatal("StoreAt replaced the answer")
 	}
 }
 
+// TestSpacesAreDisjoint: a string that is one service's name and another
+// service's id resolves to each service's own entry in its own space, so
+// neither lookup gets the other's answer.
 func TestSpacesAreDisjoint(t *testing.T) {
-	c := New(stored(4))
-	c.StoreAt(SpaceName, "k", &Entry{Gen: 1}, c.Epoch())
-	if e := c.Lookup(SpaceID, "k", 1, 0, testEpoch); e != nil {
-		t.Fatal("SpaceID lookup found a SpaceName entry")
+	s, c := fixture(t, []string{"Adder"})
+	if err := s.Put(rim.NewService(view(t, s, "Adder").ID, "")); err != nil {
+		t.Fatal(err)
+	}
+	key := view(t, s, "Adder").ID
+	put(t, s, "Adder", &Entry{Gen: 1}, c.Epoch())
+	if e := c.Lookup(SpaceName, key, 1, 0, testEpoch); e != nil {
+		t.Fatal("SpaceName lookup found the answer of the service with that id")
+	}
+	if e := c.Lookup(SpaceID, key, 1, 0, testEpoch); e == nil {
+		t.Fatal("SpaceID lookup missed its own service's answer")
 	}
 }
 
 func TestEpochInvalidation(t *testing.T) {
-	c := New(stored(4))
-	c.StoreAt(SpaceName, "Adder", &Entry{Gen: 1}, c.Epoch())
+	s, c := fixture(t, []string{"Adder"})
+	put(t, s, "Adder", &Entry{Gen: 1}, c.Epoch())
 	c.BumpEpoch()
-	if e := c.Lookup(SpaceName, "Adder", 1, 0, testEpoch); e != nil {
-		t.Fatal("entry survived an epoch bump")
+	if e := c.Get(view(t, s, "Adder"), 1, 0, testEpoch); e != nil {
+		t.Fatal("answer survived an epoch bump")
 	}
 	if c.Epoch() != 1 {
 		t.Fatalf("Epoch = %d, want 1", c.Epoch())
@@ -62,197 +118,170 @@ type counter struct{ n atomic.Uint64 }
 
 func (c *counter) read() uint64 { return c.n.Load() }
 
-// midFlight stores an entry stamped with the epoch read before change runs,
+// midFlight puts an answer stamped with the epoch read before change runs,
 // as a request whose decision straddles the change does, and reports
 // whether it validates afterwards.
-func midFlight(c *Cache, change func()) bool {
+func midFlight(s *store.Store, c *Cache, change func()) bool {
 	epoch := c.Epoch()
 	change()
-	c.StoreAt(SpaceName, "Adder", &Entry{Gen: 1}, epoch)
-	return c.Lookup(SpaceName, "Adder", 1, 0, testEpoch) != nil
+	v, _ := s.LookupService("Adder", false)
+	old, _ := v.Answer().(*Entry)
+	Put(v, old, &Entry{Epoch: epoch, Gen: 1})
+	return c.Get(v, 1, 0, testEpoch) != nil
 }
 
-// TestReplicatedChangeMidFlightNeverValidates: a store change — a leader's
-// write, a followed record, a bootstrap load — that lands between Epoch
-// and StoreAt leaves the stored entry invalid, and an entry stored after
-// it is valid again.
-func TestReplicatedChangeMidFlightNeverValidates(t *testing.T) {
-	var changes, tiers counter
-	c := New(stored(4), changes.read, tiers.read)
-	if midFlight(c, func() { changes.n.Add(1) }) {
-		t.Fatal("an entry stamped before a store change validated")
-	}
-	if !midFlight(c, func() {}) {
-		t.Fatal("an entry stamped after the change did not validate")
-	}
-}
-
-// TestBrownoutTransitionMidFlightNeverValidates: the same for a tier
-// transition, counted by the second source; and an explicit flush still
-// invalidates with the sources at rest.
+// TestBrownoutTransitionMidFlightNeverValidates: a tier transition,
+// counted by a source, that lands between Epoch and Put leaves the answer
+// invalid, and so does an explicit flush; an answer put after both is valid
+// again.
 func TestBrownoutTransitionMidFlightNeverValidates(t *testing.T) {
-	var changes, tiers counter
-	c := New(stored(4), changes.read, tiers.read)
-	if midFlight(c, func() { tiers.n.Add(1) }) {
-		t.Fatal("an entry stamped before a tier transition validated")
+	var tiers counter
+	s, c := fixture(t, []string{"Adder"}, tiers.read)
+	if midFlight(s, c, func() { tiers.n.Add(1) }) {
+		t.Fatal("an answer stamped before a tier transition validated")
 	}
-	if midFlight(c, c.BumpEpoch) {
-		t.Fatal("an entry stamped before a flush validated")
+	if midFlight(s, c, c.BumpEpoch) {
+		t.Fatal("an answer stamped before a flush validated")
 	}
-	if !midFlight(c, func() {}) {
-		t.Fatal("an entry stamped after both did not validate")
+	if !midFlight(s, c, func() {}) {
+		t.Fatal("an answer stamped after both did not validate")
 	}
 }
 
 func TestStaleEpochStampNeverValidates(t *testing.T) {
-	c := New(stored(4))
+	s, c := fixture(t, []string{"Adder"})
 	epoch := c.Epoch()
-	// A write lands while the response is being rendered.
+	// A flush lands while the response is being rendered.
 	c.BumpEpoch()
-	c.StoreAt(SpaceName, "Adder", &Entry{Gen: 1}, epoch)
-	if e := c.Lookup(SpaceName, "Adder", 1, 0, testEpoch); e != nil {
-		t.Fatal("entry stamped with a pre-write epoch validated")
+	put(t, s, "Adder", &Entry{Gen: 1}, epoch)
+	if e := c.Get(view(t, s, "Adder"), 1, 0, testEpoch); e != nil {
+		t.Fatal("an answer stamped with a pre-flush epoch validated")
 	}
 }
 
 func TestGenAndTierKeying(t *testing.T) {
-	c := New(stored(4))
-	c.StoreAt(SpaceName, "Adder", &Entry{Gen: 3, Tier: 1}, c.Epoch())
-	if e := c.Lookup(SpaceName, "Adder", 4, 1, testEpoch); e != nil {
-		t.Fatal("entry validated across a snapshot generation change")
+	s, c := fixture(t, []string{"Adder"})
+	put(t, s, "Adder", &Entry{Gen: 3, Tier: 1}, c.Epoch())
+	v := view(t, s, "Adder")
+	if e := c.Get(v, 4, 1, testEpoch); e != nil {
+		t.Fatal("answer validated across a snapshot generation change")
 	}
-	if e := c.Lookup(SpaceName, "Adder", 3, 2, testEpoch); e != nil {
-		t.Fatal("entry validated across a brownout tier change")
+	if e := c.Get(v, 3, 2, testEpoch); e != nil {
+		t.Fatal("answer validated across a brownout tier change")
 	}
-	if e := c.Lookup(SpaceName, "Adder", 3, 1, testEpoch); e == nil {
-		t.Fatal("entry did not validate at its own gen/tier")
+	if e := c.Get(v, 3, 1, testEpoch); e == nil {
+		t.Fatal("answer did not validate at its own gen/tier")
 	}
 }
 
 func TestExpiry(t *testing.T) {
-	c := New(stored(4))
+	s, c := fixture(t, []string{"Adder", "Timeless"})
 	exp := testEpoch.Add(30 * time.Second)
-	c.StoreAt(SpaceName, "Adder", &Entry{Gen: 1, Expires: exp}, c.Epoch())
-	if e := c.Lookup(SpaceName, "Adder", 1, 0, exp.Add(-time.Second)); e == nil {
-		t.Fatal("entry expired early")
+	put(t, s, "Adder", &Entry{Gen: 1, Expires: exp}, c.Epoch())
+	v := view(t, s, "Adder")
+	if e := c.Get(v, 1, 0, exp.Add(-time.Second)); e == nil {
+		t.Fatal("answer expired early")
 	}
-	if e := c.Lookup(SpaceName, "Adder", 1, 0, exp); e != nil {
-		t.Fatal("entry validated at its expiry instant")
+	if e := c.Get(v, 1, 0, exp); e != nil {
+		t.Fatal("answer validated at its expiry instant")
 	}
 	// Zero Expires means no time dependence at all.
-	c.StoreAt(SpaceName, "Timeless", &Entry{Gen: 1}, c.Epoch())
-	if e := c.Lookup(SpaceName, "Timeless", 1, 0, testEpoch.Add(1000*time.Hour)); e == nil {
-		t.Fatal("zero-expiry entry did not validate far in the future")
+	put(t, s, "Timeless", &Entry{Gen: 1}, c.Epoch())
+	if e := c.Get(view(t, s, "Timeless"), 1, 0, testEpoch.Add(1000*time.Hour)); e == nil {
+		t.Fatal("zero-expiry answer did not validate far in the future")
 	}
 }
 
-// TestBoundFollowsStore: the cache flushes when a new key would take it
-// past numSpaces entries per stored service, storing again under an
-// existing key never flushes, and a store that grows lets more in.
+// TestBoundFollowsStore: answers live on the store's entries, so there is
+// at most one per stored service whatever the keys asked for — every case
+// of a name and the id reach one answer, an unknown key leaves none — a
+// write to one service drops its answer and no other, and a deleted
+// service's answer goes with it.
 func TestBoundFollowsStore(t *testing.T) {
-	var services atomic.Int64
-	services.Store(2)
-	c := New(func() int { return int(services.Load()) })
-	for i := 0; i < 2; i++ {
-		c.StoreAt(SpaceName, fmt.Sprintf("svc-%d", i), &Entry{Gen: 1}, c.Epoch())
-		c.StoreAt(SpaceID, fmt.Sprintf("id-%d", i), &Entry{Gen: 1}, c.Epoch())
+	s, c := fixture(t, []string{"svc-0", "svc-1"})
+	for _, key := range []string{"svc-0", "SVC-0", "Svc-0", "svc-1"} {
+		put(t, s, key, &Entry{Gen: 1}, c.Epoch())
 	}
-	if c.Len() != 4 {
-		t.Fatalf("Len = %d, want 4 (numSpaces × 2 services)", c.Len())
+	c.StoreAt(SpaceName, "unknown", &Entry{Gen: 1}, c.Epoch())
+	if c.Len() != 2 {
+		t.Fatalf("Len = %d, want 2 (one per stored service)", c.Len())
 	}
-	// Storing again under an existing key at the bound does not flush.
-	c.StoreAt(SpaceName, "svc-0", &Entry{Gen: 2}, c.Epoch())
-	c.StoreAt(SpaceID, "id-1", &Entry{Gen: 2}, c.Epoch())
-	if c.Len() != 4 {
-		t.Fatalf("Len after re-store = %d, want 4", c.Len())
-	}
-	// A new key at the bound flushes everything, then inserts.
-	c.StoreAt(SpaceName, "svc-2", &Entry{Gen: 1}, c.Epoch())
-	if c.Len() != 1 {
-		t.Fatalf("Len after flush = %d, want 1", c.Len())
-	}
-	if e := c.Lookup(SpaceName, "svc-2", 1, 0, testEpoch); e == nil {
-		t.Fatal("entry inserted after flush not found")
+	if e := c.Lookup(SpaceID, view(t, s, "svc-1").ID, 1, 0, testEpoch); e == nil {
+		t.Fatal("the id missed the answer its name left")
 	}
 
-	// The store grows to 3 services: 6 entries fit without a flush.
-	services.Store(3)
-	for i := 0; i < 3; i++ {
-		c.StoreAt(SpaceName, fmt.Sprintf("svc-%d", i), &Entry{Gen: 1}, c.Epoch())
-		c.StoreAt(SpaceID, fmt.Sprintf("id-%d", i), &Entry{Gen: 1}, c.Epoch())
+	up := rim.NewService("svc-0", "edited")
+	up.ID = view(t, s, "svc-0").ID
+	if err := s.Put(up); err != nil {
+		t.Fatal(err)
 	}
-	if c.Len() != 6 {
-		t.Fatalf("Len after growth = %d, want 6 (numSpaces × 3 services)", c.Len())
+	if e := c.Get(view(t, s, "svc-0"), 1, 0, testEpoch); e != nil {
+		t.Fatal("an answer survived a write to its service")
 	}
-	for i := 0; i < 3; i++ {
-		if e := c.Lookup(SpaceName, fmt.Sprintf("svc-%d", i), 1, 0, testEpoch); e == nil {
-			t.Fatalf("svc-%d was flushed below the grown bound", i)
-		}
+	if e := c.Get(view(t, s, "svc-1"), 1, 0, testEpoch); e == nil {
+		t.Fatal("a write to svc-0 dropped svc-1's answer")
 	}
-	c.StoreAt(SpaceID, "id-3", &Entry{Gen: 1}, c.Epoch())
-	if c.Len() != 1 {
-		t.Fatalf("Len past the grown bound = %d, want 1", c.Len())
+	s.Apply(store.Change{Deletes: []string{view(t, s, "svc-1").ID}})
+	if c.Len() != 0 {
+		t.Fatalf("Len = %d after the write and the delete, want 0", c.Len())
 	}
 }
 
-// TestStoreSibling: a sibling replaces the entry it was copied from, under
-// that entry's stamp — valid while the original would be, dead with it, and
-// never stored over anything else.
+// TestStoreSibling: a sibling replaces the answer it was copied from, under
+// that answer's stamp — valid while the original would be, dead with it,
+// and never put over anything else.
 func TestStoreSibling(t *testing.T) {
-	c := New(stored(4))
-	of := &Entry{Gen: 1, JSON: []byte("j"), URIs: []string{"u"}}
-	c.StoreAt(SpaceName, "Adder", of, c.Epoch())
+	s, c := fixture(t, []string{"Adder"})
+	v := view(t, s, "Adder")
+	of := &Entry{Epoch: c.Epoch(), Gen: 1, JSON: []byte("j"), URIs: []string{"u"}}
+	Put(v, nil, of)
 	sib := *of
 	sib.SOAP = []byte("s")
-	c.StoreSibling(SpaceName, "Adder", of, &sib)
-	if e := c.Lookup(SpaceName, "Adder", 1, 0, testEpoch); e != &sib {
+	Put(v, of, &sib)
+	if e := c.Get(v, 1, 0, testEpoch); e != &sib {
 		t.Fatal("the sibling did not replace its original")
 	}
 	if of.SOAP != nil {
 		t.Fatal("the original was written to")
 	}
-	if c.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", c.Len())
-	}
 
 	// The original's epoch, not the current one.
 	c.BumpEpoch()
 	late := sib
-	c.StoreSibling(SpaceName, "Adder", &sib, &late)
-	if e := c.Lookup(SpaceName, "Adder", 1, 0, testEpoch); e != nil {
-		t.Fatal("a sibling stored after a bump validates")
+	Put(v, &sib, &late)
+	if e := c.Get(v, 1, 0, testEpoch); e != nil {
+		t.Fatal("a sibling put after a bump validates")
 	}
 
-	// Superseded or flushed originals are not resurrected.
-	fresh := &Entry{Gen: 1}
-	c.StoreAt(SpaceName, "Adder", fresh, c.Epoch())
+	// Superseded originals are not resurrected.
+	fresh := &Entry{Epoch: c.Epoch(), Gen: 1}
+	Put(v, &late, fresh)
 	stale := *of
-	c.StoreSibling(SpaceName, "Adder", of, &stale)
-	if e := c.Lookup(SpaceName, "Adder", 1, 0, testEpoch); e != fresh {
-		t.Fatal("a sibling of a superseded entry replaced the newer one")
-	}
-	c.StoreSibling(SpaceName, "Gone", of, &stale)
-	if c.Len() != 1 {
-		t.Fatalf("Len = %d, want 1 (a sibling without its original stores nothing)", c.Len())
+	Put(v, of, &stale)
+	if e := c.Get(v, 1, 0, testEpoch); e != fresh {
+		t.Fatal("a sibling of a superseded answer replaced the newer one")
 	}
 }
 
 func TestConcurrentAccess(t *testing.T) {
-	c := New(stored(32))
+	names := []string{"svc-0", "svc-1", "svc-2", "svc-3"}
+	s, c := fixture(t, names)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			key := fmt.Sprintf("svc-%d", g%4)
+			name := names[g%4]
 			for i := 0; i < 500; i++ {
 				epoch := c.Epoch()
-				if e := c.Lookup(SpaceName, key, 1, 0, testEpoch); e == nil {
-					c.StoreAt(SpaceName, key, &Entry{Gen: 1}, epoch)
+				v, _ := s.LookupService(name, false)
+				if e := c.Get(v, 1, 0, testEpoch); e == nil {
+					old, _ := v.Answer().(*Entry)
+					Put(v, old, &Entry{Epoch: epoch, Gen: 1})
 				} else if e.SOAP == nil {
 					sib := *e
 					sib.SOAP = []byte("s")
-					c.StoreSibling(SpaceName, key, e, &sib)
+					Put(v, e, &sib)
 				}
 				if i%100 == 0 {
 					c.BumpEpoch()
@@ -261,6 +290,9 @@ func TestConcurrentAccess(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+	if n := c.Len(); n != len(names) {
+		t.Fatalf("Len = %d, want %d", n, len(names))
+	}
 }
 
 func TestBufferPool(t *testing.T) {
@@ -276,13 +308,14 @@ func TestBufferPool(t *testing.T) {
 }
 
 func BenchmarkLookupHit(b *testing.B) {
-	c := New(stored(4))
-	c.StoreAt(SpaceName, "Adder", &Entry{Gen: 1, JSON: []byte("{}")}, c.Epoch())
+	s, c := fixture(b, []string{"Adder"})
+	put(b, s, "Adder", &Entry{Gen: 1, JSON: []byte("{}")}, c.Epoch())
 	now := testEpoch
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if c.Lookup(SpaceName, "Adder", 1, 0, now) == nil {
+		v, _ := s.LookupService("Adder", false)
+		if c.Get(v, 1, 0, now) == nil {
 			b.Fatal("miss")
 		}
 	}

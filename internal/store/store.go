@@ -21,6 +21,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"unicode/utf8"
 
 	"repro/internal/constraint"
 	"repro/internal/rim"
@@ -37,10 +38,6 @@ var ErrExists = fmt.Errorf("store: object already exists")
 type Store struct {
 	mu     sync.RWMutex
 	tables // guarded by mu
-
-	// changes counts the times the tables changed: advanced under mu by
-	// Apply and Load, read lock-free by Changes.
-	changes atomic.Uint64
 
 	nodeState *NodeStateTable // immutable after New; the table serialises its own installs
 }
@@ -60,9 +57,13 @@ type tables struct {
 	assocBySource map[string]map[string]struct{}
 	assocByTarget map[string]map[string]struct{}
 	// services holds the discovery entry of every stored *rim.Service: its
-	// view, built once when the object is indexed and never edited. A
-	// re-indexed object gets a new one, so there is nothing to invalidate.
+	// view, built once when the object is indexed and never edited, with
+	// the digest and the answer discovery leaves on it. A re-indexed object
+	// gets a new one, so there is nothing to invalidate.
 	services map[string]DiscoveryView
+	// serviceNamed maps a lower-case name to the entry of the one service
+	// so named; a name no service or several services carry is absent.
+	serviceNamed map[string]DiscoveryView
 	// Repository content, keyed by ExtrinsicObject ContentID.
 	content map[string][]byte
 }
@@ -78,6 +79,7 @@ func New() *Store {
 			assocBySource: make(map[string]map[string]struct{}),
 			assocByTarget: make(map[string]map[string]struct{}),
 			services:      make(map[string]DiscoveryView),
+			serviceNamed:  make(map[string]DiscoveryView),
 			content:       make(map[string][]byte),
 		},
 		nodeState: NewNodeStateTable(),
@@ -87,12 +89,6 @@ func New() *Store {
 // NodeState returns the store's NodeState table.
 func (s *Store) NodeState() *NodeStateTable { return s.nodeState }
 
-// Changes returns how many times the tables have changed. It only grows,
-// and it has grown by the time a reader can see a change, so an answer
-// computed from the store after reading it is stale exactly when it has
-// moved since.
-func (s *Store) Changes() uint64 { return s.changes.Load() }
-
 // Len returns the number of stored objects.
 func (s *Store) Len() int {
 	s.mu.RLock()
@@ -100,12 +96,18 @@ func (s *Store) Len() int {
 	return len(s.objects)
 }
 
-// Services returns the number of stored services: the bound the response
-// cache sizes itself by, one answer per service.
-func (s *Store) Services() int {
+// Answers returns how many stored services carry an answer
+// (DiscoveryView.Answer), valid or not: at most one each.
+func (s *Store) Answers() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return len(s.services)
+	n := 0
+	for _, v := range s.services {
+		if v.Answer() != nil {
+			n++
+		}
+	}
+	return n
 }
 
 // Entry is one stored object and the JSON it arrived as: byte for byte
@@ -163,7 +165,6 @@ func Admit(puts []Entry) error {
 func (s *Store) Apply(c Change) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.changes.Add(1)
 	for _, id := range c.Deletes {
 		if e, ok := s.objects[id]; ok {
 			s.unindexLocked(e.Object)
@@ -260,7 +261,8 @@ func (s *Store) indexLocked(o rim.Object) {
 		s.byName[b.ObjectType] = names
 	}
 	// Unnamed objects index under "" so wildcard scans still see them.
-	addIdx(names, strings.ToLower(b.Name.String()), b.ID)
+	name := strings.ToLower(b.Name.String())
+	addIdx(names, name, b.ID)
 	switch o := o.(type) {
 	case *rim.Association:
 		addIdx(s.assocBySource, o.SourceID, o.ID)
@@ -268,8 +270,22 @@ func (s *Store) indexLocked(o rim.Object) {
 	case *rim.Service:
 		s.services[o.ID] = DiscoveryView{
 			ID: o.ID, Description: o.Description.String(), URIs: o.AccessURIs(),
-			memo: new(atomic.Pointer[Digest]),
+			shared: new(viewShared),
 		}
+		s.nameServiceLocked(name)
+	}
+}
+
+// nameServiceLocked points serviceNamed at the entry of the one service
+// named name, or drops name when no service or several carry it.
+func (s *Store) nameServiceLocked(name string) {
+	ids := s.byName[rim.TypeService][name]
+	if len(ids) != 1 {
+		delete(s.serviceNamed, name)
+		return
+	}
+	for id := range ids {
+		s.serviceNamed[name] = s.services[id]
 	}
 }
 
@@ -279,8 +295,9 @@ func (s *Store) unindexLocked(o rim.Object) {
 	if b.Owner != "" {
 		delIdx(s.byOwner, b.Owner, b.ID)
 	}
+	name := strings.ToLower(b.Name.String())
 	if names, ok := s.byName[b.ObjectType]; ok {
-		delIdx(names, strings.ToLower(b.Name.String()), b.ID)
+		delIdx(names, name, b.ID)
 		if len(names) == 0 {
 			delete(s.byName, b.ObjectType)
 		}
@@ -291,6 +308,7 @@ func (s *Store) unindexLocked(o rim.Object) {
 		delIdx(s.assocByTarget, o.TargetID, o.ID)
 	case *rim.Service:
 		delete(s.services, o.ID)
+		s.nameServiceLocked(name)
 	}
 }
 
@@ -463,15 +481,46 @@ func (s *Store) assocsLocked(idx map[string]map[string]struct{}, key string) []*
 // its URIs slice with every other reader of the same service: callers must
 // not write to it, sort it or return it — they copy what they serve. A
 // view built by hand from these three fields is as good as a stored one,
-// only its Digest is computed on every call.
+// only its Digest is computed on every call and it holds no Answer.
 type DiscoveryView struct {
 	ID          string
 	Description string
 	URIs        []string
 
-	// memo is where the first discovery of a stored view leaves its digest
-	// for the later ones; nil on a hand-built view.
-	memo *atomic.Pointer[Digest]
+	// shared is what every copy of a stored view reads and writes; nil on
+	// a hand-built view.
+	shared *viewShared
+}
+
+// viewShared is the mutable part of one stored service's discovery entry;
+// it goes with the entry when a write replaces it.
+type viewShared struct {
+	// digest is where the first discovery of the view leaves its digest
+	// for the later ones.
+	digest atomic.Pointer[Digest]
+	// answer is the discovery answer last computed from the view. The
+	// store neither reads nor checks it: its type and its validity are
+	// the discovery layer's (the registry's response cache).
+	answer atomic.Value
+}
+
+// Answer returns the answer last left on the view's entry by
+// CompareAndSwapAnswer, or nil: none was left yet, or the view was built
+// by hand.
+func (v DiscoveryView) Answer() any {
+	if v.shared == nil {
+		return nil
+	}
+	return v.shared.answer.Load()
+}
+
+// CompareAndSwapAnswer leaves next on the view's entry if the entry still
+// holds old (nil for none), and reports whether it did. Every answer left
+// on one entry must have the same concrete type. A hand-built view holds
+// nothing, so nothing is left on it. The entry being the view's, an answer
+// left on a view that a write has since replaced is never read again.
+func (v DiscoveryView) CompareAndSwapAnswer(old, next any) bool {
+	return v.shared != nil && v.shared.answer.CompareAndSwap(old, next)
 }
 
 // Digest is what the balancer derives from a view's text before it can
@@ -492,14 +541,14 @@ type Digest struct {
 // if somebody discovers the service; callers racing to be first each
 // compute one and all but one are discarded.
 func (v DiscoveryView) Digest() *Digest {
-	if v.memo == nil {
+	if v.shared == nil {
 		return newDigest(v.Description, v.URIs)
 	}
-	if d := v.memo.Load(); d != nil {
+	if d := v.shared.digest.Load(); d != nil {
 		return d
 	}
-	v.memo.CompareAndSwap(nil, newDigest(v.Description, v.URIs))
-	return v.memo.Load()
+	v.shared.digest.CompareAndSwap(nil, newDigest(v.Description, v.URIs))
+	return v.shared.digest.Load()
 }
 
 // newDigest is the one place a description is parsed and a URI's host
@@ -519,7 +568,13 @@ func newDigest(description string, uris []string) *Digest {
 func (s *Store) ServiceView(id string) (DiscoveryView, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.viewLocked(id)
+	if v, ok := s.lookupLocked(id, true); ok {
+		return v, nil
+	}
+	if _, ok := s.objects[id]; ok {
+		return DiscoveryView{}, notServiceErr(id)
+	}
+	return DiscoveryView{}, notFoundIDErr(id)
 }
 
 // notFoundIDErr builds the ErrNotFound for an id lookup, off the hot path.
@@ -528,25 +583,58 @@ func notFoundIDErr(id string) error {
 }
 
 // ServiceViewByName returns the discovery view of the unique service with
-// the given name (case-insensitive), resolved through the name index.
+// the given name (case-insensitive). It returns ErrNotFound when no
+// service carries the name and an error when several do.
 func (s *Store) ServiceViewByName(name string) (DiscoveryView, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	id, err := s.findOneByNameLocked(rim.TypeService, name)
-	if err != nil {
-		return DiscoveryView{}, err
-	}
-	return s.viewLocked(id)
-}
-
-func (s *Store) viewLocked(id string) (DiscoveryView, error) {
-	if v, ok := s.services[id]; ok {
+	if v, ok := s.lookupLocked(name, false); ok {
 		return v, nil
 	}
-	if _, ok := s.objects[id]; ok {
-		return DiscoveryView{}, notServiceErr(id)
+	if len(s.byName[rim.TypeService][strings.ToLower(name)]) > 1 {
+		return DiscoveryView{}, ambiguousNameErr(rim.TypeService, name)
 	}
-	return DiscoveryView{}, notFoundIDErr(id)
+	return DiscoveryView{}, notFoundByNameErr(rim.TypeService, name)
+}
+
+// LookupService returns the discovery view of the service with the given
+// id (byID) or of the unique service with the given name
+// (case-insensitive). It reports false where ServiceView or
+// ServiceViewByName would return an error, without building the error:
+// the discovery path's probe calls it for every request.
+func (s *Store) LookupService(key string, byID bool) (DiscoveryView, bool) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.lookupLocked(key, byID)
+}
+
+// lookupLocked is the one resolver behind ServiceView, ServiceViewByName
+// and LookupService. A name that is ASCII and short, as service names
+// are, is folded on the stack, so a lookup allocates nothing. Callers
+// hold mu.
+func (s *Store) lookupLocked(key string, byID bool) (DiscoveryView, bool) {
+	if byID {
+		v, ok := s.services[key]
+		return v, ok
+	}
+	var buf [64]byte
+	if len(key) <= len(buf) {
+		for i := 0; i < len(key); i++ {
+			c := key[i]
+			if c >= utf8.RuneSelf {
+				goto unicode
+			}
+			if 'A' <= c && c <= 'Z' {
+				c += 'a' - 'A'
+			}
+			buf[i] = c
+		}
+		v, ok := s.serviceNamed[string(buf[:len(key)])] // folded on the stack
+		return v, ok
+	}
+unicode:
+	v, ok := s.serviceNamed[strings.ToLower(key)]
+	return v, ok
 }
 
 // notServiceErr reports a non-service object on the discovery path.

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	"strings"
 	"sync"
 	"testing"
@@ -367,30 +366,124 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	}
 }
 
-// TestChangesCountsEveryTableChange: Apply, Put and a successful Load each
-// advance the change count by one; a refused Put or a failed Load leaves
-// it, like the tables, where it was.
-func TestChangesCountsEveryTableChange(t *testing.T) {
+// TestAnswerSlotFollowsTheEntry: an answer left on a service's entry is
+// what every later view of that version reads, by id or by any case of its
+// name; a change that re-indexes the service (its update, a Put of it
+// again, a Load) gives it a fresh, empty slot, while a change to another
+// object, a refused Put and a failed Load leave it; a swap against what
+// the slot no longer holds, or onto a hand-built view, leaves nothing.
+func TestAnswerSlotFollowsTheEntry(t *testing.T) {
 	s := New()
-	step := func(what string, want uint64, do func() error) {
+	svc := rim.NewService("Adder", "")
+	if err := s.Put(svc); err != nil {
+		t.Fatal(err)
+	}
+	fill := func() *int {
 		t.Helper()
-		before := s.Changes()
-		do()
-		if got := s.Changes() - before; got != want {
-			t.Fatalf("%s moved the change count by %d, want %d", what, got, want)
+		v, ok := s.LookupService(svc.ID, true)
+		if !ok {
+			t.Fatal("service not found by id")
+		}
+		ans := new(int)
+		if !v.CompareAndSwapAnswer(v.Answer(), ans) {
+			t.Fatal("swap onto the current answer failed")
+		}
+		return ans
+	}
+	holds := func(what string, want any) {
+		t.Helper()
+		for _, key := range []string{"adder", "ADDER"} {
+			v, ok := s.LookupService(key, false)
+			if !ok {
+				t.Fatalf("after %s: %q not found by name", what, key)
+			}
+			if got := v.Answer(); got != want {
+				t.Fatalf("after %s: the slot holds %v, want %v", what, got, want)
+			}
 		}
 	}
-	svc := rim.NewService("Adder", "")
-	step("Apply", 1, func() error { s.Apply(Change{ContentPutID: "c", Content: []byte("x")}); return nil })
-	step("Put", 1, func() error { return s.Put(svc) })
-	step("a refused Put", 0, func() error { return s.Put(nil) })
+	ans := fill()
+	holds("a swap", ans)
+
+	s.Apply(Change{ContentPutID: "c", Content: []byte("x")})
+	if err := s.Put(rim.NewOrganization("SDSU")); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put(nil); err == nil {
+		t.Fatal("a nil Put was stored")
+	}
+	holds("changes to other objects", ans)
+
+	old, _ := s.LookupService(svc.ID, true)
+	if err := s.Put(svc); err != nil {
+		t.Fatal(err)
+	}
+	holds("a Put of the service", nil)
+	if !old.CompareAndSwapAnswer(ans, new(int)) {
+		t.Fatal("a swap on the replaced entry failed")
+	}
+	holds("a swap on the replaced entry", nil)
+	if old.CompareAndSwapAnswer(ans, new(int)) {
+		t.Fatal("a swap against an answer the slot no longer holds succeeded")
+	}
+
+	ans = fill()
 	var snap bytes.Buffer
 	if err := s.Save(&snap); err != nil {
 		t.Fatal(err)
 	}
-	step("Save", 0, func() error { return s.Save(io.Discard) })
-	step("a failed Load", 0, func() error { return s.Load(bytes.NewReader(snap.Bytes()[:snap.Len()/2])) })
-	step("Load", 1, func() error { return s.Load(bytes.NewReader(snap.Bytes())) })
+	if err := s.Load(bytes.NewReader(snap.Bytes()[:snap.Len()/2])); err == nil {
+		t.Fatal("a snapshot cut mid-way loaded")
+	}
+	holds("a failed Load", ans)
+	if err := s.Load(bytes.NewReader(snap.Bytes())); err != nil {
+		t.Fatal(err)
+	}
+	holds("a Load", nil)
+	if n := s.Answers(); n != 0 {
+		t.Fatalf("Answers = %d after a Load, want 0", n)
+	}
+	fill()
+	if n := s.Answers(); n != 1 {
+		t.Fatalf("Answers = %d, want 1", n)
+	}
+
+	bare := DiscoveryView{ID: svc.ID}
+	if bare.CompareAndSwapAnswer(nil, new(int)) || bare.Answer() != nil {
+		t.Fatal("a hand-built view held an answer")
+	}
+	if _, ok := s.LookupService("nope", false); ok {
+		t.Fatal("an unknown name resolved")
+	}
+	if _, ok := s.LookupService("SDSU", false); ok {
+		t.Fatal("an organization's name resolved to a service")
+	}
+
+	// A name two services share resolves to neither, and to the one left
+	// once the other is gone; a deleted or renamed service's name resolves
+	// to nothing.
+	twin := rim.NewService("ADDER", "")
+	if err := s.Put(twin); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := s.LookupService("Adder", false); ok {
+		t.Fatal("a name two services carry resolved")
+	}
+	s.Apply(Change{Deletes: []string{svc.ID}})
+	if v, ok := s.LookupService("adder", false); !ok || v.ID != twin.ID {
+		t.Fatalf("after the delete the name resolves to %q (%v), want the twin", v.ID, ok)
+	}
+	renamed := rim.NewService("Subtractor", "")
+	renamed.ID = twin.ID
+	if err := s.Put(renamed); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := s.LookupService("adder", false); ok {
+		t.Fatal("a renamed service still resolves by its old name")
+	}
+	if v, ok := s.LookupService("SUBTRACTOR", false); !ok || v.ID != twin.ID {
+		t.Fatal("a renamed service does not resolve by its new name")
+	}
 }
 
 func TestConcurrentAccess(t *testing.T) {

@@ -41,6 +41,12 @@
 //     from every follower and gone after a restart. The packages that may
 //     call the mutating methods are the store, the manager, the log, and the
 //     taxonomy seed that the first-boot checkpoint covers.
+//   - pinned: the nested benchmark module under bench/ is frozen, and
+//     compiles against names the server no longer calls. Each package keeps
+//     those names in one file, pinned.go, as adapters over what replaced
+//     them; a reference from another package's non-test code is a
+//     production caller of a name kept only for the benchmark. The
+//     defining package may use its own adapters.
 //   - ctxprop: a request's context carries its deadline, cancellation and
 //     trace, and context.Background or context.TODO in a library package
 //     detaches a call from all three. Main packages own the process and
@@ -59,6 +65,7 @@ import (
 	"go/ast"
 	"go/types"
 	"path"
+	"path/filepath"
 
 	"repro/tools/analyzers/framework"
 )
@@ -69,7 +76,8 @@ var Analyzer = &framework.Analyzer{
 	Doc: "flags standard-library uses with a sanctioned replacement: wall-clock reads outside internal/simclock, " +
 		"the global math/rand source, fmt.Print*/log.* output in library packages, " +
 		"http.Client literals without an explicit Timeout and http.DefaultClient, " +
-		"store.Store writes that bypass the log, and context.Background/TODO in library packages",
+		"store.Store writes that bypass the log, names kept only for the frozen benchmark (pinned.go), " +
+		"and context.Background/TODO in library packages",
 	Run: run,
 }
 
@@ -91,6 +99,10 @@ type rule struct {
 	// naming it, but writing a composite literal of that type without this
 	// field.
 	literalNeeds string
+	// declaredIn, when set, replaces pkgs, recv and names: the watched
+	// members are every name declared in a file of this base name, in any
+	// package but the one that uses it.
+	declaredIn string
 	// exempt reports the packages the rule does not apply to.
 	exempt func(*types.Package) bool
 	// allow, when set, names the //repolint: directive that exempts a
@@ -172,6 +184,11 @@ var rules = []rule{{
 	format: "Store.%s changes the registry's tables behind the write-ahead log; use %s",
 	fix:    "an lcm.Manager operation (PutDirect for a server-managed object)",
 }, {
+	tag:        "pinned",
+	declaredIn: "pinned.go",
+	format:     "%s is kept only for bench/, which is frozen; use %s",
+	fix:        "the name it adapts (see its doc comment)",
+}, {
 	tag:    "ctxprop",
 	pkgs:   []string{"context"},
 	names:  map[string]string{"Background": "", "TODO": ""},
@@ -229,9 +246,9 @@ func inspect(pass *framework.Pass, decl ast.Decl, active []*rule) {
 						r.check(pass, n, pass.TypesInfo.Uses[n.Sel])
 					}
 				}
-			} else if sel := pass.TypesInfo.Selections[n]; sel != nil && sel.Kind() != types.FieldVal {
+			} else if sel := pass.TypesInfo.Selections[n]; sel != nil {
 				for _, r := range active {
-					if r.recv != "" && r.recv == recvName(sel.Obj()) {
+					if r.declaredIn != "" || sel.Kind() != types.FieldVal && r.recv != "" && r.recv == recvName(sel.Obj()) {
 						r.check(pass, n, sel.Obj())
 					}
 				}
@@ -265,7 +282,16 @@ func recvName(method types.Object) string {
 
 // check reports at n when obj is a member the rule bans.
 func (r *rule) check(pass *framework.Pass, n ast.Node, obj types.Object) {
-	if obj == nil || obj.Pkg() == nil || !r.watches(obj.Pkg().Path()) {
+	if obj == nil || obj.Pkg() == nil {
+		return
+	}
+	if r.declaredIn != "" {
+		if obj.Pkg() != pass.Pkg && filepath.Base(pass.Fset.Position(obj.Pos()).Filename) == r.declaredIn {
+			r.report(pass, n, obj, r.fix)
+		}
+		return
+	}
+	if !r.watches(obj.Pkg().Path()) {
 		return
 	}
 	// A use rule bans what acts — functions and variables; naming a type
@@ -280,6 +306,10 @@ func (r *rule) check(pass *framework.Pass, n ast.Node, obj types.Object) {
 	if fix == "" {
 		fix = r.fix
 	}
+	r.report(pass, n, obj, fix)
+}
+
+func (r *rule) report(pass *framework.Pass, n ast.Node, obj types.Object, fix string) {
 	pass.Report(framework.Diagnostic{
 		Pos:     n.Pos(),
 		Message: fmt.Sprintf(r.format, obj.Name(), fix) + " (" + r.tag + ")",

@@ -34,3 +34,7 @@ func TestStoreWrite(t *testing.T) {
 func TestCtxprop(t *testing.T) {
 	analysistest.Run(t, analysistest.TestData(t), bannedcall.Analyzer, "ctxprop", "ctxpropclean")
 }
+
+func TestPinned(t *testing.T) {
+	analysistest.Run(t, analysistest.TestData(t), bannedcall.Analyzer, "pinneduse", "pinnedlib")
+}
